@@ -44,9 +44,9 @@ from .errors import (
     DataError,
     InfeasibleBandsError,
 )
-from .identify import _validate_grid, default_grid
+from .identify import _validate_grid, cell_weight, default_grid
 from .queries import Functional
-from .scm import Cohort
+from .scm import cell_members
 
 _SUM_SLACK = 1e-12
 
@@ -162,11 +162,6 @@ class CGEState:
     @property
     def survival(self):
         return StepCurve(self.grid, self.s_hat, value_at_zero=1.0,
-                         kind="survival")
-
-    @property
-    def censoring_survival(self):
-        return StepCurve(self.grid, self.g_hat, value_at_zero=1.0,
                          kind="survival")
 
     def max_width(self):
@@ -322,42 +317,26 @@ def route1_conditional(cohort, spec, nuisances, query, grid):
     arm_rows = np.flatnonzero(cohort.x == arm)
     if arm_rows.size == 0:
         raise DataError(f"no rows in outcome arm {arm}")
-    by_zw = {}
-    by_z = {}
-    for i in arm_rows:
-        by_zw.setdefault((cohort.z_items[i], cohort.w_items[i]),
-                         []).append(i)
-        by_z.setdefault(cohort.z_items[i], []).append(i)
+    zw_ids, cells = cohort.cells("zw")
+    z_ids, z_cells = cohort.cells("z")
+    z_cell = {z: i for i, (_, z, _) in enumerate(z_cells)}
+    by_zw = cell_members(zw_ids[arm_rows], len(cells))
+    by_z = cell_members(z_ids[arm_rows], len(z_cells))
 
-    curve_cache = {}
-
-    def stratum_curve(z, w):
-        key = (z, w)
-        if key not in curve_cache:
-            rows = by_zw.get(key) or by_z.get(z) or list(arm_rows)
-            idx = np.asarray(rows)
-            cif_t, cif_c = _empirical_cif_pair(
-                cohort.m[idx], cohort.delta[idx], grid)
-            curve_cache[key] = cge_bounded(cif_t, cif_c, spec, grid).s_hat
-        return curve_cache[key]
-
+    contributions = []
+    for c, (_, z, w) in enumerate(cells):
+        members = by_zw[c] if by_zw[c].size else by_z[z_cell[z]]
+        idx = arm_rows[members] if members.size else arm_rows
+        cif_t, cif_c = _empirical_cif_pair(
+            cohort.m[idx], cohort.delta[idx], grid)
+        contributions.append(cell_weight(nuisances, query, z, w)
+                             * cge_bounded(cif_t, cif_c, spec, grid).s_hat)
+    # summed one row at a time, in row order: np.sum would round
+    # differently, and a cumsum over rows x grid holds that whole matrix
+    # or, in blocks, runs many times slower on long grids
     totals = np.zeros(grid.size)
-    weight_cache = {}
-    for i in range(cohort.n):
-        zi, wi = cohort.z_items[i], cohort.w_items[i]
-        key = (zi, wi)
-        if key not in weight_cache:
-            ratio_med = (
-                nuisances.propensity_zw.predict_group(query.x_mediator, zi, wi)
-                / nuisances.propensity_z.predict_group(query.x_mediator, zi)
-            )
-            ratio_cond = (
-                nuisances.propensity_z.predict_group(query.x_condition, zi)
-                / nuisances.propensity_marginal.predict_group(
-                    query.x_condition)
-            )
-            weight_cache[key] = ratio_med * ratio_cond
-        totals += weight_cache[key] * stratum_curve(zi, wi)
+    for c in zw_ids.tolist():
+        totals += contributions[c]
     values = np.clip(totals / cohort.n, 0.0, 1.0)
     return StepCurve(grid, values, value_at_zero=1.0, kind="survival")
 
@@ -459,18 +438,7 @@ def route2_population(cohort, spec, query, grid=None, dr_config=None,
         raise DataError("n_samples must be nonnegative")
 
     if cif_estimates is None:
-        if cohort.n_causes != 1:
-            raise DataError(
-                "informative-censoring reconstruction covers a single "
-                "event type")
-        recoded = Cohort(
-            cohort.x,
-            cohort.z_items,
-            cohort.w_items,
-            cohort.m,
-            np.where(cohort.delta == 1, 1, 2),
-            n_causes=2,
-        )
+        recoded = cohort.censoring_as_cause()
         if grid is None:
             # the recoded cohort: censoring times are jump points of the
             # second incidence curve, so the grid must resolve them too

@@ -35,8 +35,8 @@ from . import __version__
 from .cge import route1_conditional, route2_population
 from .copulas import CopulaSpec
 from .curves import aalen_johansen_cif, kaplan_meier
-from .decompose import EFFECT_NAMES, decompose_cr, decompose_difference, \
-    decompose_ratio
+from .decompose import EFFECT_NAMES, _EFFECT_PAIRS, _ROLES, _role_query, \
+    decompose_cr, decompose_difference, decompose_ratio
 from .dr import crossfit_dr_many
 from .errors import DataError, EstimationError
 from .identify import default_grid, fit_plugin_nuisances, plugin_po
@@ -178,6 +178,8 @@ def _validate_config(config, parser):
         parser.error("--tau only applies to ic mode")
     if config.get("grid") is not None and config.get("grid_points") is not None:
         parser.error("--grid and --grid-points are mutually exclusive")
+    if config.get("grid_points") is not None and config["grid_points"] <= 0:
+        parser.error("--grid-points must be a positive integer")
     if command == "curves" and mode == "nic" \
             and functional not in ("survival", "cif"):
         parser.error("curves reports survival or cif functionals only")
@@ -249,17 +251,14 @@ def _load_cohort(config):
 def _resolve_grid(config, cohort):
     if config.get("grid") is not None:
         return np.asarray(sorted(set(config["grid"])), dtype=float)
-    if config.get("grid_points"):
+    if config.get("grid_points") is not None:
         qs = np.linspace(0.05, 0.95, int(config["grid_points"]))
         pts = np.unique(np.quantile(cohort.m, qs))
         return pts[pts > 0.0]
     if config.get("mode") == "ic":
         # reconstruction treats censoring as a second event type, so the
         # grid must resolve censoring jumps as well as event jumps
-        recoded = Cohort(cohort.x, cohort.z_items, cohort.w_items,
-                         cohort.m, np.where(cohort.delta == 1, 1, 2),
-                         n_causes=2)
-        return default_grid(recoded)
+        return default_grid(cohort.censoring_as_cause())
     return default_grid(cohort)
 
 
@@ -278,16 +277,6 @@ def _dr_config(config):
     return {"n_folds": config["folds"], "seed": config["seed"],
             "epsilon": config["epsilon"], "cap": config["cap"],
             "learners": _learners(config)}
-
-
-def _queries(x0, x1):
-    """The four potential-outcome queries entering the decomposition."""
-    return {
-        (x1, x0, x0): PotentialOutcomeQuery(x1, x0, x0),
-        (x0, x0, x0): PotentialOutcomeQuery(x0, x0, x0),
-        (x1, x1, x0): PotentialOutcomeQuery(x1, x1, x0),
-        (x1, x1, x1): PotentialOutcomeQuery(x1, x1, x1),
-    }
 
 
 def _tau_tag(tau):
@@ -406,17 +395,17 @@ def cmd_curves(config):
 def _nic_series(config, cohort, grid):
     functional = _functional(config)
     x0, x1 = config["x0"], config["x1"]
-    queries = _queries(x0, x1)
+    queries = [_role_query(r, x0, x1) for r in _ROLES]
     if config["estimator"] == "plugin":
         nuisances = fit_plugin_nuisances(
             cohort, functional, learner=config["learner"],
             propensity_learner=config["propensity_learner"],
             epsilon=config["epsilon"])
-        po = {key: plugin_po(nuisances, cohort, q, functional, grid)
-              for key, q in queries.items()}
+        po = {q: plugin_po(nuisances, cohort, q, functional, grid)
+              for q in queries}
     else:
         po = crossfit_dr_many(
-            cohort, list(queries.values()), functional, grid=grid,
+            cohort, queries, functional, grid=grid,
             n_folds=config["folds"], seed=config["seed"],
             epsilon=config["epsilon"], cap=config["cap"],
             learners=_learners(config))
@@ -449,30 +438,25 @@ def _ic_effect_tables(config, cohort, grid, tau, nuisances=None):
     """Central decomposition, plus envelope bounds when dr bands exist."""
     spec = CopulaSpec(config["family"], tau)
     x0, x1 = config["x0"], config["x1"]
-    queries = _queries(x0, x1)
+    queries = [_role_query(r, x0, x1) for r in _ROLES]
     if config["estimator"] == "plugin":
-        central = {key: np.asarray(
+        central = {q: np.asarray(
             route1_conditional(cohort, spec, nuisances, q, grid).values,
-            dtype=float) for key, q in queries.items()}
+            dtype=float) for q in queries}
         bands = None
     else:
         central, bands = {}, {}
-        for key, q in queries.items():
+        for q in queries:
             result = route2_population(
                 cohort, spec, q, grid=grid, dr_config=_dr_config(config),
                 envelope_config={"n_samples": config["envelope_samples"],
                                  "seed": config["seed"]})
-            central[key] = result.central
-            bands[key] = (result.env_lo, result.env_hi)
+            central[q] = result.central
+            bands[q] = (result.env_lo, result.env_hi)
 
-    pairs = {
-        "tv": ((x1, x1, x1), (x0, x0, x0)),
-        "direct": ((x1, x0, x0), (x0, x0, x0)),
-        "indirect": ((x1, x0, x0), (x1, x1, x0)),
-        "spurious": ((x1, x1, x0), (x1, x1, x1)),
-    }
     effects = {}
-    for name, (pos, neg) in pairs.items():
+    for name, roles in _EFFECT_PAIRS.items():
+        pos, neg = (_role_query(r, x0, x1) for r in roles)
         estimate = central[pos] - central[neg]
         if bands is None:
             effects[name] = (estimate, None, None)

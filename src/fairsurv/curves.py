@@ -286,9 +286,3 @@ def restricted_mean(curve, horizon):
     heights = np.asarray(curve.evaluate(knots[:-1]), dtype=float)
     return float(np.sum(widths * heights))
 
-
-def survival_from_cumhazard(chf_curve):
-    """exp(-CHF) as a survival curve (ensemble predictions use this)."""
-    vals = np.exp(-chf_curve.values)
-    v0 = float(np.exp(-chf_curve.value_at_zero))
-    return StepCurve(chf_curve.breakpoints, vals, value_at_zero=v0, kind="survival")

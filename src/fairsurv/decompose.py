@@ -64,6 +64,9 @@ _EFFECT_PAIRS = {
     "tv": ((1, 1, 1), (0, 0, 0)),
 }
 
+# The four queries every decomposition rests on.
+_ROLES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
+
 
 def _role_query(roles, x0, x1):
     return PotentialOutcomeQuery(*(x1 if r else x0 for r in roles))
@@ -118,8 +121,7 @@ def _po_arrays(entry, grid, query):
 def _collect(po_curves, x0, x1, grid):
     """Pull the four required curves onto one shared grid."""
     po_map = _normalize_po(po_curves)
-    needed = [_role_query(r, x0, x1)
-              for r in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))]
+    needed = [_role_query(r, x0, x1) for r in _ROLES]
     for query in needed:
         if query not in po_map:
             raise DataError(
@@ -382,8 +384,7 @@ def decompose_cr(cohort, x0, x1, causes=None, estimator="plugin", *,
         raise DataError(f"unknown estimator kind {estimator!r}")
 
     grid = default_grid(cohort) if grid is None else _validate_grid(grid)
-    queries = [_role_query(r, x0, x1)
-               for r in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))]
+    queries = [_role_query(r, x0, x1) for r in _ROLES]
     functionals = [Functional("cif", cause=k) for k in causes]
     functionals.append(Functional("all_cause_survival"))
 

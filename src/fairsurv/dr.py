@@ -36,7 +36,7 @@ from .errors import (
     EstimationError,
     FoldAssignmentError,
 )
-from .identify import _validate_grid, default_grid
+from .identify import _validate_grid, default_grid, outcome_target
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
@@ -47,6 +47,7 @@ from .nuisance import (
     survival_model_from_spec,
 )
 from .queries import Functional, PotentialOutcomeQuery
+from .scm import Cohort, cell_members
 
 COMPONENT_NAMES = (
     "ipcw_core",
@@ -67,8 +68,8 @@ Z_CRITICAL = 1.959963984540054  # two-sided 95% normal quantile
 class DRNuisances:
     """Everything the influence function needs, fitted or injected.
 
-    ``mediator_rows`` holds the (x, z, w) columns of the rows the bundle
-    was fitted on; ``nu(Z)`` is their per-confounder group mean.  When an
+    ``mediator_cohort`` is the cohort the bundle was fitted on; ``nu(Z)``
+    is the per-confounder group mean over its (x, z, w) cells.  When an
     exact mediator law is known instead (generative-spec tables, or a
     deliberate misspecification study), pass ``mediator_table`` mapping
     ``(x, z) -> {w: probability}`` and it takes precedence.
@@ -78,7 +79,7 @@ class DRNuisances:
     censoring: ConditionalSurvivalModel
     propensity_zw: PropensityModel
     propensity_z: PropensityModel
-    mediator_rows: tuple = None
+    mediator_cohort: Cohort = None
     mediator_table: dict = None
 
     def group_marginal(self, x):
@@ -91,7 +92,7 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
                      propensity_learner="frequency_table", epsilon=0.01,
                      outcome_params=None, censoring_params=None):
     """Fit the full nuisance bundle on one cohort (or fold complement)."""
-    target = _outcome_target(functional, cohort.n_causes)
+    target = _dr_target(functional)
     outcome = fit_conditional_survival(
         cohort, target=target, learner=outcome_learner,
         **(outcome_params or {}),
@@ -109,13 +110,13 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
         censoring=censoring,
         propensity_zw=propensity_zw,
         propensity_z=propensity_z,
-        mediator_rows=(cohort.x.copy(), cohort.z_items, cohort.w_items),
+        mediator_cohort=cohort,
     )
 
 
 def dr_nuisances_from_spec(spec, functional):
     """Exact nuisance bundle read off a generative spec (no estimation)."""
-    target = _outcome_target(functional, spec.n_causes)
+    target = _dr_target(functional)
     return DRNuisances(
         outcome=survival_model_from_spec(spec, target),
         censoring=survival_model_from_spec(spec, "censoring"),
@@ -125,20 +126,14 @@ def dr_nuisances_from_spec(spec, functional):
     )
 
 
-def _outcome_target(functional, n_causes):
-    if functional.kind == "cif":
-        cause = int(functional.cause or 1)
-        if not 1 <= cause <= n_causes:
-            raise DataError(
-                f"cause {cause} outside the recorded {n_causes} cause(s)")
-        return cause
-    if functional.kind in ("survival", "all_cause_survival", "rmst"):
-        return "event"
-    raise DataError(
-        "one-step estimation supports survival, all_cause_survival, cif "
-        "and rmst functionals; request cumulative hazards from the "
-        "plug-in path instead"
-    )
+def _dr_target(functional):
+    if functional.kind == "cumulative_hazard":
+        raise DataError(
+            "one-step estimation supports survival, all_cause_survival, cif "
+            "and rmst functionals; request cumulative hazards from the "
+            "plug-in path instead"
+        )
+    return outcome_target(functional)
 
 
 def _base_kind(functional):
@@ -199,20 +194,16 @@ def _nu_values(nuisances, query, base, grid, z_wanted):
                     f"mediator law missing for group {x_w} at z={z!r}")
             out[z] = sum(p * f_hat(z, w) for w, p in law.items())
         return out, 0
-    if nuisances.mediator_rows is None:
+    if nuisances.mediator_cohort is None:
         raise EstimationError(
-            "nuisance bundle carries neither mediator rows nor a table")
-    x_arr, z_items, w_items = nuisances.mediator_rows
+            "nuisance bundle carries neither a mediator cohort nor a table")
+    ids, cells = nuisances.mediator_cohort.cells("xzw")
     counts = {}
     pooled = {}
-    for i in range(len(x_arr)):
-        if int(x_arr[i]) != x_w:
-            continue
-        counts.setdefault(z_items[i], {})
-        counts[z_items[i]][w_items[i]] = (
-            counts[z_items[i]].get(w_items[i], 0) + 1)
-        pooled[(z_items[i], w_items[i])] = (
-            pooled.get((z_items[i], w_items[i]), 0) + 1)
+    for (x, z, w), c in zip(cells, np.bincount(ids).tolist()):
+        if x == x_w:
+            counts.setdefault(z, {})[w] = c
+            pooled[(z, w)] = c
     if not pooled:
         raise DegenerateGroupError(
             f"no rows with X={x_w} available to average the mediator over")
@@ -242,6 +233,8 @@ def _outcome_values(model, base, x, z, w, grid):
 def _contribution_components(cohort, nuisances, query, functional, grid,
                              p_condition, epsilon, cap):
     """Uncentered component arrays (rows x grid) plus trim diagnostics."""
+    if not np.isfinite(cap) or cap <= 0.0:
+        raise DataError(f"cap must be positive and finite, got {cap!r}")
     base = _base_kind(functional)
     if base == "cif":
         cause = int(functional.cause or 1)
@@ -263,16 +256,11 @@ def _contribution_components(cohort, nuisances, query, functional, grid,
 
     comps = {name: np.zeros((n, n_t)) for name in COMPONENT_NAMES}
 
-    cells = {}
-    for i in range(n):
-        cells.setdefault((cohort.z_items[i], cohort.w_items[i]),
-                         []).append(i)
-
-    z_wanted = sorted({z for z, _ in cells}, key=repr)
+    ids, cells = cohort.cells("zw")
+    z_wanted = sorted({z for _, z, _ in cells}, key=repr)
     nu_map, n_fallback = _nu_values(nuisances, query, base, grid, z_wanted)
 
-    for (z, w), members in cells.items():
-        idx = np.asarray(members)
+    for (_, z, w), idx in zip(cells, cell_members(ids, len(cells))):
         xs = cohort.x[idx]
         p_xz_z = nuisances.propensity_z.predict_group(x_z, z=z)
         p_xw_z = nuisances.propensity_z.predict_group(x_w, z=z)
@@ -392,8 +380,6 @@ def _as_query(query):
 
 
 def _row_cohort(row, n_causes):
-    from .scm import Cohort
-
     return Cohort(
         x=[row["x"]], z=[row["z"]], w=[row["w"]],
         m=[row["m"]], delta=[row["delta"]], n_causes=n_causes,

@@ -143,46 +143,48 @@ def fit_plugin_nuisances(cohort, functional, learner="stratified",
     )
 
 
+def cell_weight(nuisances, query, z, w):
+    """Propensity weight of a (z, w) cell in a plug-in average:
+
+        P(x_mediator | z, w)   P(x_condition | z)
+        -------------------- * ------------------
+        P(x_mediator | z)        P(x_condition)
+    """
+    ratio_med = (
+        nuisances.propensity_zw.predict_group(query.x_mediator, z, w)
+        / nuisances.propensity_z.predict_group(query.x_mediator, z)
+    )
+    ratio_cond = (
+        nuisances.propensity_z.predict_group(query.x_condition, z)
+        / nuisances.propensity_marginal.predict_group(query.x_condition)
+    )
+    return ratio_med * ratio_cond
+
+
 def plugin_po(nuisances, cohort, query, functional, grid,
               return_report=False):
     """Weighted plug-in estimate of one potential-outcome curve.
 
-    Each row i contributes f(x_outcome, z_i, w_i; t) times
-
-        P(x_mediator | z_i, w_i)   P(x_condition | z_i)
-        ------------------------ * --------------------
-        P(x_mediator | z_i)          P(x_condition)
-
-    and the average is clamped/monotone-projected into a valid curve.
+    Each row i contributes f(x_outcome, z_i, w_i; t) times the
+    `cell_weight` of its (z_i, w_i) cell, and the average is
+    clamped/monotone-projected into a valid curve.
     Rows whose covariates the outcome model cannot serve are dropped and
     counted in the report.
     """
     g = _validate_grid(grid)
-    weight_cache = {}
-    groups = {}
-    for i in range(cohort.n):
-        key = (cohort.z_items[i], cohort.w_items[i])
-        if key not in weight_cache:
-            zi, wi = key
-            ratio_med = (
-                nuisances.propensity_zw.predict_group(query.x_mediator, zi, wi)
-                / nuisances.propensity_z.predict_group(query.x_mediator, zi)
-            )
-            ratio_cond = (
-                nuisances.propensity_z.predict_group(query.x_condition, zi)
-                / nuisances.propensity_marginal.predict_group(query.x_condition)
-            )
-            weight_cache[key] = ratio_med * ratio_cond
-        stat = groups.setdefault(key, [0.0, 0])
-        stat[0] += weight_cache[key]
-        stat[1] += 1
+    ids, cells = cohort.cells("zw")
+    weights = np.array([cell_weight(nuisances, query, z, w)
+                        for _, z, w in cells])
+    weight_sums = np.bincount(ids, weights=weights[ids])
+    counts = np.bincount(ids)
 
     totals = np.zeros(g.size)
     n_included = 0
     weight_total = 0.0
     n_excluded = 0
     max_weight = 0.0
-    for (zi, wi), (weight_sum, count) in groups.items():
+    for (_, zi, wi), weight, weight_sum, count in zip(
+            cells, weights.tolist(), weight_sums.tolist(), counts.tolist()):
         try:
             curve = nuisances.outcome.predict(query.x_outcome, zi, wi)
         except CohortSchemaError:
@@ -191,7 +193,7 @@ def plugin_po(nuisances, cohort, query, functional, grid,
         totals += weight_sum * functional_from_curve(curve, functional, g)
         n_included += count
         weight_total += weight_sum
-        max_weight = max(max_weight, weight_cache[(zi, wi)])
+        max_weight = max(max_weight, weight)
     if n_included == 0:
         raise EmptyCohortError("every row was outside the outcome model schema")
     raw = totals / n_included
@@ -227,21 +229,17 @@ class CohortTables:
 
 
 def empirical_tables(cohort):
-    n_x = {0: 0, 1: 0}
-    n_xz = {}
-    n_xzw = {}
-    for i in range(cohort.n):
-        x = int(cohort.x[i])
-        z, w = cohort.z_items[i], cohort.w_items[i]
-        n_x[x] += 1
-        n_xz[(x, z)] = n_xz.get((x, z), 0) + 1
-        n_xzw[(x, z, w)] = n_xzw.get((x, z, w), 0) + 1
+    n_x = np.bincount(cohort.x, minlength=2).tolist()
     group = {x: n_x[x] / cohort.n for x in (0, 1)}
     confounder = {x: {} for x in (0, 1)}
-    for (x, z), c in n_xz.items():
-        confounder[x][z] = c / n_x[x] if n_x[x] else 0.0
+    n_xz = {}
+    ids, cells = cohort.cells("xz")
+    for (x, z, _), c in zip(cells, np.bincount(ids).tolist()):
+        confounder[x][z] = c / n_x[x]
+        n_xz[(x, z)] = c
     mediator = {}
-    for (x, z, w), c in n_xzw.items():
+    ids, cells = cohort.cells("xzw")
+    for (x, z, w), c in zip(cells, np.bincount(ids).tolist()):
         mediator.setdefault((x, z), {})[w] = c / n_xz[(x, z)]
     return CohortTables(group=group, confounder=confounder, mediator=mediator)
 

@@ -11,7 +11,6 @@ from frequency tables or IRLS logistic fits, clipped away from 0 and 1.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 
 import numpy as np
 from scipy.special import expit
@@ -23,11 +22,7 @@ from .errors import (
     DegenerateGroupError,
     EstimationError,
 )
-from .scm import _canonical_items
-
-
-def _canon(value):
-    return _canonical_items([value], 1, "covariate")[0]
+from .scm import _canonical_item, cell_members
 
 
 def _target_label(target):
@@ -61,25 +56,23 @@ def _stratum_curve(m, delta, target, n_causes):
     return kaplan_meier(m, _indicator(delta, target))
 
 
-def _numeric_matrix(items, name):
-    """Covariate column as a float matrix; non-numeric entries are refused."""
-    width = len(items[0]) if isinstance(items[0], tuple) else 1
-    out = np.empty((len(items), width), dtype=float)
-    for i, item in enumerate(items):
-        vals = item if isinstance(item, tuple) else (item,)
-        if len(vals) != width:
-            raise CohortSchemaError(f"{name} entries have inconsistent width")
-        for j, v in enumerate(vals):
-            if not isinstance(v, (int, float)):
-                raise CohortSchemaError(
-                    f"{name} must be numeric for this learner, got {v!r}"
-                )
-            out[i, j] = float(v)
-    return out
+def _numeric_matrix(codes, values, name):
+    """Covariate column as a float matrix, one row per cohort row;
+    non-numeric entries are refused."""
+    present, inverse = np.unique(codes, return_inverse=True)
+    width = len(values[codes[0]]) if isinstance(values[codes[0]], tuple) else 1
+    for item in values[present]:
+        if not all(isinstance(v, (int, float))
+                   for v in (item if isinstance(item, tuple) else (item,))):
+            raise CohortSchemaError(
+                f"{name} must be numeric for this learner, got {item!r}")
+    table = [_numeric_vector(v, width, name) for v in values[present]]
+    return np.array(table, dtype=float)[inverse.reshape(-1)]
 
 
 def _numeric_vector(value, width, name):
-    item = _canon(value)
+    """One covariate entry as floats; numeric strings are accepted."""
+    item = _canonical_item(value)
     vals = item if isinstance(item, tuple) else (item,)
     if len(vals) != width:
         raise CohortSchemaError(f"{name} has width {len(vals)}, expected {width}")
@@ -272,7 +265,7 @@ class ConditionalSurvivalModel:
             if not isinstance(curve, StepCurve):
                 raise DataError("curve table values must be StepCurve")
             canon = tuple(
-                int(part) if i == 0 else _canon(part)
+                int(part) if i == 0 else _canonical_item(part)
                 for i, part in enumerate(key)
             )
             table[canon] = curve
@@ -287,7 +280,7 @@ class ConditionalSurvivalModel:
         x = int(x)
         if x not in (0, 1):
             raise DataError("group label must be 0 or 1")
-        key = (x, _canon(z), _canon(w))
+        key = (x, _canonical_item(z), _canonical_item(w))
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -349,45 +342,38 @@ def _fit_stratified(cohort, target, params):
     max_categories = int(params.pop("max_categories", 128))
     if params:
         raise DataError(f"unknown stratified params: {sorted(params)}")
-    for name, items in (("z", cohort.z_items), ("w", cohort.w_items)):
-        if len(set(items)) > max_categories:
+    for name, codes in (("z", cohort.z_codes), ("w", cohort.w_codes)):
+        if np.unique(codes).size > max_categories:
             raise CohortSchemaError(
                 f"{name} has more than {max_categories} distinct values; "
                 "it looks continuous — use the tree learner"
             )
-    rows_full = defaultdict(list)
-    rows_xz = defaultdict(list)
-    rows_x = defaultdict(list)
-    for i in range(cohort.n):
-        key = (int(cohort.x[i]), cohort.z_items[i], cohort.w_items[i])
-        rows_full[key].append(i)
-        rows_xz[key[:2]].append(i)
-        rows_x[key[:1]].append(i)
 
-    def curve_on(idx):
-        sel = np.asarray(idx, dtype=int)
+    def curve_on(sel):
         return _stratum_curve(
             cohort.m[sel], cohort.delta[sel], target, cohort.n_causes
         )
 
-    curves = {(): curve_on(range(cohort.n))}
-    for table in (rows_x, rows_xz, rows_full):
-        for key, idx in table.items():
-            curves[key] = curve_on(idx)
+    curves = {(): curve_on(slice(None))}
+    for by in ("x", "xz", "xzw"):
+        ids, cells = cohort.cells(by)
+        for key, rows in zip(cells, cell_members(ids, len(cells))):
+            curves[key[:len(by)]] = curve_on(rows)
+    full = set(cells)  # the (x, z, w) strata with rows
 
-    xs = _sorted_cells({k[0] for k in rows_full})
-    zs = _sorted_cells({k[1] for k in rows_full})
-    ws = _sorted_cells({k[2] for k in rows_full})
+    xs = _sorted_cells({k[0] for k in full})
+    zs = _sorted_cells({k[1] for k in full})
+    ws = _sorted_cells({k[2] for k in full})
     fallback = [
         cell
         for cell in itertools.product(xs, zs, ws)
-        if cell not in rows_full
+        if cell not in full
     ]
     report = {
         "learner": "stratified",
         "target": _target_label(target),
         "n_rows": cohort.n,
-        "n_strata": len(rows_full),
+        "n_strata": len(full),
         "n_cells": len(xs) * len(zs) * len(ws),
         "n_fallback_cells": len(fallback),
         "fallback_cells": [repr(cell) for cell in fallback],
@@ -413,8 +399,8 @@ def _fit_tree_ensemble(cohort, target, params):
         raise DataError("min leaf size must be at least 10")
     if not 0 <= opts["max_depth"] <= 6:
         raise DataError("max depth must be between 0 and 6")
-    z_mat = _numeric_matrix(cohort.z_items, "z")
-    w_mat = _numeric_matrix(cohort.w_items, "w")
+    z_mat = _numeric_matrix(cohort.z_codes, cohort.z_values, "z")
+    w_mat = _numeric_matrix(cohort.w_codes, cohort.w_values, "w")
     feats = np.column_stack(
         [cohort.x.astype(float), z_mat, w_mat]
     )
@@ -523,8 +509,8 @@ class PropensityModel:
             if self.conditioning == "marginal":
                 raw = self._marginal
             else:
-                key = (_canon(z),) if self.conditioning == "z" else (
-                    _canon(z), _canon(w))
+                key = (_canonical_item(z),) if self.conditioning == "z" else (
+                    _canonical_item(z), _canonical_item(w))
                 raw = self._table.get(key, self._marginal)
             return self._clip(raw)
         feats = [1.0]
@@ -559,31 +545,14 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
 
     if learner == "frequency_table":
         table = {}
+        raw = np.full(cohort.n, marginal)
         if conditioning != "marginal":
-            counts = defaultdict(lambda: [0, 0])
-            for i in range(cohort.n):
-                key = (
-                    (cohort.z_items[i],)
-                    if conditioning == "z"
-                    else (cohort.z_items[i], cohort.w_items[i])
-                )
-                counts[key][0] += int(cohort.x[i] == 1)
-                counts[key][1] += 1
-            table = {k: ones / tot for k, (ones, tot) in counts.items()}
-        raw = (
-            np.full(cohort.n, marginal)
-            if conditioning == "marginal"
-            else np.array(
-                [
-                    table[
-                        (cohort.z_items[i],)
-                        if conditioning == "z"
-                        else (cohort.z_items[i], cohort.w_items[i])
-                    ]
-                    for i in range(cohort.n)
-                ]
-            )
-        )
+            ids, cells = cohort.cells(conditioning)
+            share = (np.bincount(ids[cohort.x == 1], minlength=len(cells))
+                     / np.bincount(ids))
+            keys = [cell[1:1 + len(conditioning)] for cell in cells]
+            table = dict(zip(keys, share.tolist()))
+            raw = share[ids]
         report["n_strata"] = len(table)
         report["clip_rate"] = float(
             np.mean((raw < epsilon) | (raw > 1.0 - epsilon))
@@ -598,11 +567,11 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
     blocks = [np.ones((cohort.n, 1))]
     widths = (0, 0)
     if conditioning in ("z", "zw"):
-        z_mat = _numeric_matrix(cohort.z_items, "z")
+        z_mat = _numeric_matrix(cohort.z_codes, cohort.z_values, "z")
         blocks.append(z_mat)
         widths = (z_mat.shape[1], 0)
     if conditioning == "zw":
-        w_mat = _numeric_matrix(cohort.w_items, "w")
+        w_mat = _numeric_matrix(cohort.w_codes, cohort.w_values, "w")
         blocks.append(w_mat)
         widths = (widths[0], w_mat.shape[1])
     design = np.hstack(blocks)

@@ -183,12 +183,6 @@ class SCMSpec:
                 pts.update(t for t, p in zip(times, probs) if np.isfinite(t) and p > 0)
         return np.array(sorted(pts))
 
-    def censor_support(self):
-        pts = set()
-        for times, probs in self._censor.values():
-            pts.update(t for t, p in zip(times, probs) if np.isfinite(t) and p > 0)
-        return np.array(sorted(pts))
-
     # -- conditional laws ----------------------------------------------------
 
     def _law(self, which, x, z, w):
@@ -371,21 +365,70 @@ class SCMSpec:
 # Cohort
 # ---------------------------------------------------------------------------
 
-def _canonical_items(column, n, name):
-    """Normalize a covariate column (or 2-d block) to a list of hashables."""
-    if isinstance(column, np.ndarray) and column.ndim == 2:
-        if column.shape[1] == 1:
-            return [_canonical_value(v) for v in column[:, 0]]
-        return [tuple(_canonical_value(v) for v in row) for row in column]
-    items = [
-        tuple(_canonical_value(u) for u in v)
-        if isinstance(v, (tuple, list))
-        else _canonical_value(v)
-        for v in column
-    ]
+def _canonical_item(v):
+    """One covariate entry as a hashable key: a scalar, or a tuple for the
+    multi-column layout."""
+    if isinstance(v, (tuple, list)):
+        return tuple(_canonical_value(u) for u in v)
+    return _canonical_value(v)
+
+
+def _dedupe(items):
+    """Codes of hashable items, in order of first appearance, plus a
+    read-only code -> value table.  Equal items share a code even across
+    types (1 and 1.0) and the table keeps the first one seen."""
+    seen = {}  # item -> index of the first row holding an equal item
+    try:
+        first = np.fromiter(map(seen.setdefault, items, itertools.count()),
+                            dtype=np.intp, count=len(items))
+    except TypeError as exc:
+        raise CohortSchemaError(
+            f"covariate entries must be hashable: {exc}") from exc
+    heads, codes = np.unique(first, return_inverse=True)
+    table = np.fromiter((items[i] for i in heads.tolist()), dtype=object,
+                        count=heads.size)
+    table.flags.writeable = False
+    return codes.reshape(-1), table
+
+
+def _encode(column, n, name):
+    """(codes, value table) of one covariate column or 2-d block; the
+    one place covariate entries are canonicalized."""
+    if isinstance(column, np.ndarray):
+        if column.ndim == 2 and column.shape[1] == 1:
+            column = column[:, 0]
+        column = column.tolist()
+    items = [_canonical_item(v) for v in column]
     if len(items) != n:
         raise CohortSchemaError(f"{name} column length mismatch")
-    return items
+    return _dedupe(items)
+
+
+def _parse_token(token):
+    token = token.strip()
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def _parse_numbers(tokens, kind, name):
+    try:
+        return np.fromiter(map(kind, tokens), dtype=kind, count=len(tokens))
+    except (ValueError, OverflowError) as exc:
+        raise CohortSchemaError(
+            f"cohort CSV column {name!r} holds an invalid number: {exc}"
+        ) from exc
+
+
+def cell_members(ids, n_cells):
+    """Row indices of every cell, each ascending, as a list of arrays."""
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ids, minlength=n_cells))[:-1])
 
 
 class Cohort:
@@ -393,18 +436,35 @@ class Cohort:
 
     delta = 0 marks censoring; labels 1..K mark event causes.  Confounder
     and mediator entries are hashable scalars, or tuples for the
-    multi-column layout.
+    multi-column layout.  Each column is encoded once, at construction,
+    as integer codes (``z_codes``, ``w_codes``) plus a read-only
+    code -> canonical value table (``z_values``, ``w_values``); equal
+    entries (1 and 1.0) share a code.  Subsets and recodes slice the
+    codes and share the tables.  ``z_items``/``w_items`` rebuild the
+    per-row values on demand.
     """
 
     def __init__(self, x, z, w, m, delta, n_causes=None):
-        self.x = np.asarray(x, dtype=int)
-        n = self.x.size
+        x = np.asarray(x, dtype=int)
+        self._assign(x, _encode(z, x.size, "z"), _encode(w, x.size, "w"), m,
+                     delta, n_causes)
+
+    @classmethod
+    def _from_codes(cls, x, z, w, m, delta, n_causes):
+        """Cohort over already encoded (codes, table) pairs z and w."""
+        cohort = cls.__new__(cls)
+        cohort._assign(np.asarray(x, dtype=int), z, w, m, delta, n_causes)
+        return cohort
+
+    def _assign(self, x, z, w, m, delta, n_causes):
+        n = x.size
         if n == 0:
             raise EmptyCohortError("cohort has no rows")
-        if np.any((self.x != 0) & (self.x != 1)):
+        if np.any((x != 0) & (x != 1)):
             raise CohortSchemaError("group labels must be 0 or 1")
-        self.z_items = _canonical_items(z, n, "z")
-        self.w_items = _canonical_items(w, n, "w")
+        self.x = x
+        self.z_codes, self.z_values = z
+        self.w_codes, self.w_values = w
         self.m = np.asarray(m, dtype=float)
         self.delta = np.asarray(delta, dtype=int)
         if self.m.shape != (n,) or self.delta.shape != (n,):
@@ -422,28 +482,70 @@ class Cohort:
     def n(self):
         return self.x.size
 
+    @property
+    def z_items(self):
+        """Per-row confounder values (a fresh list)."""
+        return self.z_values[self.z_codes].tolist()
+
+    @property
+    def w_items(self):
+        """Per-row mediator values (a fresh list)."""
+        return self.w_values[self.w_codes].tolist()
+
     def subset(self, index):
         idx = np.asarray(index)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
-        return Cohort(
+        return Cohort._from_codes(
             self.x[idx],
-            [self.z_items[i] for i in idx],
-            [self.w_items[i] for i in idx],
+            (self.z_codes[idx], self.z_values),
+            (self.w_codes[idx], self.w_values),
             self.m[idx],
             self.delta[idx],
-            n_causes=self.n_causes,
+            self.n_causes,
         )
+
+    def censoring_as_cause(self):
+        """Single-cause cohort with censoring recoded as a second cause,
+        so every row is fully observed."""
+        if self.n_causes != 1:
+            raise DataError(
+                "informative-censoring reconstruction covers a single event "
+                "type")
+        return Cohort._from_codes(
+            self.x, (self.z_codes, self.z_values),
+            (self.w_codes, self.w_values), self.m,
+            np.where(self.delta == 1, 1, 2), 2)
+
+    def cells(self, by):
+        """Cell id of every row over the columns named in ``by``, any of
+        "x", "z", "w", numbered in order of first appearance, plus the
+        (x, z, w) values of each cell's first row."""
+        columns = {"x": (self.x, 2),
+                   "z": (self.z_codes, len(self.z_values)),
+                   "w": (self.w_codes, len(self.w_values))}
+        key = np.zeros(self.n, dtype=np.int64)
+        for name in by:
+            codes, size = columns[name]
+            key = key * size + codes
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rows = first[order]
+        keys = list(zip(self.x[rows].tolist(),
+                        self.z_values[self.z_codes[rows]].tolist(),
+                        self.w_values[self.w_codes[rows]].tolist()))
+        return np.argsort(order)[inverse.reshape(-1)], keys
 
     # -- CSV ------------------------------------------------------------------
 
     @staticmethod
-    def _width(items):
-        first = items[0]
+    def _width(values):
+        first = values[0]
         return len(first) if isinstance(first, tuple) else 1
 
     def to_csv(self, header_comment=None):
-        pz, pw = self._width(self.z_items), self._width(self.w_items)
+        pz, pw = self._width(self.z_values), self._width(self.w_values)
         z_cols = ["z"] if pz == 1 else [f"z{i + 1}" for i in range(pz)]
         w_cols = ["w"] if pw == 1 else [f"w{i + 1}" for i in range(pw)]
         buf = io.StringIO()
@@ -455,16 +557,15 @@ class Cohort:
         def render(v):
             return f"{v:.12g}" if isinstance(v, float) else str(v)
 
-        for i in range(self.n):
-            z = self.z_items[i] if pz > 1 else (self.z_items[i],)
-            w = self.w_items[i] if pw > 1 else (self.w_items[i],)
+        for x, z, w, m, d in zip(self.x.tolist(), self.z_items, self.w_items,
+                                 self.m.tolist(), self.delta.tolist()):
             writer.writerow(
                 [
-                    str(self.x[i]),
-                    *map(render, z),
-                    *map(render, w),
-                    f"{self.m[i]:.12g}",
-                    str(self.delta[i]),
+                    str(x),
+                    *map(render, z if pz > 1 else (z,)),
+                    *map(render, w if pw > 1 else (w,)),
+                    f"{m:.12g}",
+                    str(d),
                 ]
             )
         return buf.getvalue()
@@ -475,6 +576,7 @@ class Cohort:
         if not lines:
             raise EmptyCohortError("cohort CSV has no rows")
         rows = list(csv.reader(lines))
+        del lines
         header = [h.strip() for h in rows[0]]
 
         def block(prefix):
@@ -499,32 +601,24 @@ class Cohort:
         if not z_cols or not w_cols:
             raise CohortSchemaError("cohort CSV must include z and w columns")
 
-        def parse(token):
-            token = token.strip()
-            try:
-                return int(token)
-            except ValueError:
-                pass
-            try:
-                return float(token)
-            except ValueError:
-                return token
-
-        body = rows[1:]
-        if not body:
+        if len(rows) == 1:
             raise EmptyCohortError("cohort CSV has a header but no rows")
-        x, m, d, z, w = [], [], [], [], []
-        for row in body:
-            if len(row) != len(header):
-                raise CohortSchemaError("cohort CSV row width does not match header")
-            x.append(int(row[x_col]))
-            m.append(float(row[m_col]))
-            d.append(int(row[d_col]))
-            zv = [parse(row[i]) for i in z_cols]
-            wv = [parse(row[i]) for i in w_cols]
-            z.append(zv[0] if len(zv) == 1 else tuple(zv))
-            w.append(wv[0] if len(wv) == 1 else tuple(wv))
-        return cls(x, z, w, m, d, n_causes=n_causes)
+        if set(map(len, rows)) != {len(header)}:
+            raise CohortSchemaError("cohort CSV row width does not match header")
+        columns = list(zip(*rows[1:]))
+        del rows
+
+        def covariate(cols):
+            values = [list(map(_parse_token, columns[i])) for i in cols]
+            return _dedupe(values[0] if len(cols) == 1 else list(zip(*values)))
+
+        return cls._from_codes(
+            _parse_numbers(columns[x_col], int, "x"),
+            covariate(z_cols), covariate(w_cols),
+            _parse_numbers(columns[m_col], float, "m"),
+            _parse_numbers(columns[d_col], int, "delta"),
+            n_causes,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +646,7 @@ def sample_cohort(spec, n, seed=None, return_latents=False):
     xz_keys = [(x, z) for x in (0, 1) for z in spec.z_support]
     xz_probs = np.array([spec.p_xz.get(k, 0.0) for k in xz_keys])
     xz_idx = rng.choice(len(xz_keys), size=n, p=xz_probs)
-    x_arr = np.array([xz_keys[i][0] for i in xz_idx])
-    z_list = [xz_keys[i][1] for i in xz_idx]
+    x_arr = np.array([x for x, _ in xz_keys])[xz_idx]
 
     w_slot = np.empty(n, dtype=int)
     for i, key in enumerate(xz_keys):
@@ -563,7 +656,6 @@ def sample_cohort(spec, n, seed=None, return_latents=False):
         tab = spec.p_w_given_xz[key]
         probs = np.array([tab.get(w, 0.0) for w in spec.w_support])
         w_slot[rows] = rng.choice(len(spec.w_support), size=rows.size, p=probs)
-    w_list = [spec.w_support[s] for s in w_slot]
 
     if spec.coupling.family == "independence":
         u_event = rng.random((n, spec.n_causes))
@@ -595,7 +687,12 @@ def sample_cohort(spec, n, seed=None, return_latents=False):
         raise SpecValidationError(
             "event and censoring laws both put mass at infinity in some stratum"
         )
-    cohort = Cohort(x_arr, z_list, w_list, m, delta, n_causes=spec.n_causes)
+    z_codes, z_values = _encode(spec.z_support, len(spec.z_support), "z")
+    w_codes, w_values = _encode(spec.w_support, len(spec.w_support), "w")
+    z_slot = xz_idx % len(spec.z_support)
+    cohort = Cohort._from_codes(
+        x_arr, (z_codes[z_slot], z_values), (w_codes[w_slot], w_values), m,
+        delta, spec.n_causes)
     if return_latents:
         return cohort, {"event_times": t_event, "censor_times": c_time}
     return cohort

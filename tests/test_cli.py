@@ -403,7 +403,34 @@ def test_usage_errors_for_flag_conflicts(nc_cohort_csv, tmp_path, capsys):
                         "--grid-points", "4"]) == 2    # grid forms conflict
     assert main(base + ["--x0", "1", "--x1", "1"]) == 2
     assert main(base + ["--functional", "cif"]) == 2   # cif needs --cause
+    assert main(base + ["--grid-points", "0"]) == 2
+    assert main(base + ["--grid-points", "-3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("column, token", [("x", "a"), ("delta", "x"),
+                                           ("m", "abc")])
+def test_exit_code_3_on_non_numeric_csv_entry(tmp_path, capsys, column,
+                                              token):
+    row = {"x": "1", "z": "0", "w": "0", "m": "2.5", "delta": "1"}
+    row[column] = token
+    path = tmp_path / "bad.csv"
+    path.write_text("x,z,w,m,delta\n0,0,0,1.5,1\n" + ",".join(row.values())
+                    + "\n")
+    rc = main(["decompose", "--cohort", str(path), "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert f"column '{column}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "inf", "nan"])
+def test_exit_code_3_on_nonpositive_or_infinite_cap(nc_cohort_csv, tmp_path,
+                                                    capsys, cap):
+    out = tmp_path / "out"
+    rc = main(["decompose", "--cohort", str(nc_cohort_csv), "--cap", cap,
+               "--outdir", str(out)])
+    assert rc == 3
+    assert "cap" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_multicolumn_covariates_autodetected(tmp_path):

@@ -629,6 +629,16 @@ def test_extreme_weights_are_capped_and_reported():
     assert ev.component_gap() <= 1e-10
 
 
+@pytest.mark.parametrize("cap", [0.0, -5.0, np.inf, np.nan])
+def test_cap_must_be_positive_and_finite(cap):
+    _, spec, cohort = _nic_setup(300, 61)
+    with pytest.raises(DataError):
+        crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=[2.0], cap=cap)
+    with pytest.raises(DataError):
+        evaluate_influence(cohort, dr_nuisances_from_spec(spec, SURVIVAL),
+                           (1, 0, 0), SURVIVAL, [2.0], cap=cap)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -414,6 +414,17 @@ def test_logistic_irls_matches_reference_mle():
     assert model.fit_report["converged"]
 
 
+def test_logistic_predict_accepts_numeric_strings():
+    z = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+    w = [0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]
+    x = [0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]
+    cohort = Cohort(x, z, w, [1.0] * 12, [1] * 12)
+    model = fit_propensity(cohort, "zw", learner="logistic_irls", epsilon=1e-6)
+    assert model.predict(z="1.5", w="1") == model.predict(z=1.5, w=1)
+    with pytest.raises(CohortSchemaError):
+        model.predict(z="abc", w=1)
+
+
 def test_unseen_stratum_backs_off_to_the_marginal():
     x = [1, 0, 1, 0]
     z = [0, 0, 1, 1]

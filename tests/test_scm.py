@@ -344,6 +344,45 @@ def test_cohort_csv_multicolumn_round_trip():
     assert back.w_items == cohort.w_items
 
 
+@pytest.mark.parametrize("z, w", [
+    ([(0, 1.5), (1, 2.5), (0, 0.5), (1, 2.5)], [2, 0, 1, 0]),
+    (["a", "b c", "a", "d"], ["lo", "hi", "hi", "lo"]),
+    (np.array([[0.5, 1.0], [0.5, 2.0], [1.5, 1.0], [0.5, 2.0]]),
+     np.array([[3], [1], [3], [2]])),
+])
+def test_covariates_round_trip_through_csv_and_subset(z, w):
+    cohort = Cohort(x=[0, 1, 1, 0], z=z, w=w, m=[1.0, 2.0, 3.0, 4.0],
+                    delta=[1, 0, 1, 1])
+    back = Cohort.from_csv(cohort.to_csv())
+    assert back.z_items == cohort.z_items
+    assert back.w_items == cohort.w_items
+    part = back.subset(np.array([3, 1]))
+    assert part.z_items == [cohort.z_items[3], cohort.z_items[1]]
+    assert part.w_items == [cohort.w_items[3], cohort.w_items[1]]
+
+
+def test_subset_and_recode_share_value_tables():
+    cohort = sample_cohort(spec_of(make_nic_balanced()), 200, seed=2)
+    part = cohort.subset(cohort.x == 1)
+    assert part.z_values is cohort.z_values
+    assert part.w_values is cohort.w_values
+    assert np.array_equal(part.z_codes, cohort.z_codes[cohort.x == 1])
+    recoded = cohort.censoring_as_cause()
+    assert recoded.z_values is cohort.z_values
+    assert recoded.n_causes == 2
+    assert np.array_equal(recoded.delta, np.where(cohort.delta == 1, 1, 2))
+
+
+def test_equal_csv_tokens_form_one_stratum():
+    text = "x,z,w,m,delta\n0,1,0,1,1\n1,1.0,0,2,1\n1,2,0,3,0\n0, 1,0,4,1\n"
+    cohort = Cohort.from_csv(text)
+    assert cohort.z_items == [1, 1, 2, 1]
+    assert cohort.z_values.tolist() == [1, 2]
+    ids, cells = cohort.cells("z")
+    assert ids.tolist() == [0, 0, 1, 0]
+    assert [z for _, z, _ in cells] == [1, 2]
+
+
 def test_cohort_rejects_bad_rows():
     with pytest.raises(CohortSchemaError):
         Cohort(x=[2], z=[0], w=[0], m=[1.0], delta=[1])
