@@ -31,7 +31,6 @@ a nonlinear map and carries no formal coverage guarantee.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,27 +50,18 @@ from .scm import cell_members
 _SUM_SLACK = 1e-12
 
 
-def _phi(spec, u):
-    return float(generator(spec, u))
-
-
-def _phi_inv(spec, s):
-    return float(generator_inverse(spec, s))
-
-
 def _invert_nonneg(spec, difference):
-    """phi-inverse of a generator difference, clamped into [0, inf).
+    """phi-inverse of generator differences, clamped into [0, inf).
 
-    Exact arithmetic keeps the difference nonnegative; float noise can
+    Exact arithmetic keeps a difference nonnegative; float noise can
     push it slightly below zero, and saturated generators (both inputs
-    at the clip floor) can produce nan.  Both cases are mapped to the
-    nearest meaningful value and flagged so callers can count them.
+    at the clip floor) can produce nan.  A negative difference maps to
+    phi-inverse(0) and nan to 0; both are flagged so callers can count
+    them.  Returns the values and the flags, shaped like the input.
     """
-    if math.isnan(difference):
-        return 0.0, True
-    if difference < 0.0:
-        return _phi_inv(spec, 0.0), True
-    return _phi_inv(spec, difference), False
+    nan = np.isnan(difference)
+    value = np.where(nan, 0.0, generator_inverse(spec, difference))
+    return value, nan | (difference < 0.0)
 
 
 def _jump_times(curve):
@@ -125,15 +115,15 @@ def cge_classical(cif_t, cif_c, spec):
                 s_prev = 0.0
             else:
                 value, _ = _invert_nonneg(
-                    spec, _phi(spec, s_all) - _phi(spec, g_prev))
-                s_prev = min(value, s_prev)
+                    spec, generator(spec, s_all) - generator(spec, g_prev))
+                s_prev = min(float(value), s_prev)
         else:
             if s_all <= 0.0:
                 g_prev = 0.0
             else:
                 value, _ = _invert_nonneg(
-                    spec, _phi(spec, s_all) - _phi(spec, s_prev))
-                g_prev = min(value, g_prev)
+                    spec, generator(spec, s_all) - generator(spec, s_prev))
+                g_prev = min(float(value), g_prev)
         s_vals[i] = s_prev
         g_vals[i] = g_prev
     s_vals = np.clip(s_vals, 0.0, 1.0)
@@ -171,14 +161,80 @@ class CGEState:
 
     def identity_gap(self):
         """sup |phi(S_all) - phi(S) - phi(G)| over points where finite."""
-        worst = 0.0
-        for j in range(self.grid.size):
-            total = _phi(self.spec, self.s_all.values[j])
-            parts = _phi(self.spec, self.s_hat[j]) \
-                + _phi(self.spec, self.g_hat[j])
-            if math.isfinite(total) and math.isfinite(parts):
-                worst = max(worst, abs(total - parts))
-        return worst
+        with np.errstate(invalid="ignore"):
+            total = generator(self.spec, self.s_all.values)
+            parts = generator(self.spec, self.s_hat) \
+                + generator(self.spec, self.g_hat)
+            gap = np.abs(total - parts)[np.isfinite(total)
+                                        & np.isfinite(parts)]
+        return float(gap.max()) if gap.size else 0.0
+
+
+def _bounded_rows(ct, cc, spec):
+    """The bounded recursion on k incidence pairs sharing one grid.
+
+    ``ct`` and ``cc`` are (k, m) arrays of event and censoring incidence
+    on the m grid points.  The loop runs over grid steps; each step
+    updates all k trajectories at once.  Returns the (k, m) arrays
+    s_lo, s_hi, g_lo, g_hi, s_hat, g_hat and the per-row clamp counts.
+    """
+    ct = np.atleast_2d(np.asarray(ct, dtype=float)).T
+    cc = np.atleast_2d(np.asarray(cc, dtype=float)).T
+    s_all = np.clip(1.0 - (ct + cc), 0.0, 1.0)
+    zero = np.zeros((1, ct.shape[1]))
+    d_t = np.diff(np.concatenate((zero, ct)), axis=0)
+    d_c = np.diff(np.concatenate((zero, cc)), axis=0)
+    out = np.empty((6,) + ct.shape)
+    n_clamps = np.zeros(ct.shape[1], dtype=int)
+
+    s_prev = g_prev = s_all_prev = np.ones(ct.shape[1])
+    for i in range(ct.shape[0]):
+        s_all_i = s_all[i]
+        h_low = np.maximum(s_all_prev - d_c[i], 0.0)
+        h_up = np.maximum(s_all_prev - d_t[i], 0.0)
+        with np.errstate(invalid="ignore"):  # inf - inf: clamped as nan
+            phi_all = generator(spec, s_all_i)
+            hi_g, c1 = _invert_nonneg(
+                spec, generator(spec, h_low) - generator(spec, s_prev))
+            lo_s, c2 = _invert_nonneg(spec, phi_all - generator(spec, hi_g))
+            hi_s, c3 = _invert_nonneg(
+                spec, generator(spec, h_up) - generator(spec, g_prev))
+            lo_g, c4 = _invert_nonneg(spec, phi_all - generator(spec, hi_s))
+            lo_s = np.where(hi_g > 0.0, lo_s, s_all_i)
+            lo_g = np.where(hi_s > 0.0, lo_g, s_all_i)
+            mid_s = np.minimum(0.5 * (lo_s + hi_s), s_prev)
+            mid_g, _ = _invert_nonneg(spec, phi_all - generator(spec, mid_s))
+        n_clamps += c1.astype(int) + (c2 & (hi_g > 0.0)) + c3 \
+            + (c4 & (hi_s > 0.0))
+        mid_g = np.where(mid_s <= 0.0,
+                         np.where(s_all_i <= 0.0, 0.0, g_prev), mid_g)
+        mid_g = np.minimum(mid_g, g_prev)
+        out[:, i] = lo_s, hi_s, lo_g, hi_g, mid_s, mid_g
+        s_prev, g_prev, s_all_prev = mid_s, mid_g, s_all_i
+
+    bounds = np.minimum.accumulate(np.clip(out[:4], 0.0, 1.0), axis=1)
+    s_hat, g_hat = out[4], out[5]
+    return (np.minimum(bounds[0], s_hat).T, np.maximum(bounds[1], s_hat).T,
+            np.minimum(bounds[2], g_hat).T, np.maximum(bounds[3], g_hat).T,
+            s_hat.T, g_hat.T, n_clamps)
+
+
+def _bounded_state(grid, cif_t, cif_c, spec, rows):
+    """CGEState of the first row of a `_bounded_rows` result, whose
+    inputs were the values of `cif_t` and `cif_c` on `grid`."""
+    s_lo, s_hi, g_lo, g_hi, s_hat, g_hat = (np.array(a[0]) for a in rows[:6])
+    state = CGEState(
+        grid=grid, s_lo=s_lo, s_hi=s_hi, g_lo=g_lo, g_hi=g_hi,
+        s_hat=s_hat, g_hat=g_hat, cif_t=cif_t, cif_c=cif_c,
+        s_all=StepCurve(grid, np.clip(1.0 - (cif_t.values + cif_c.values),
+                                      0.0, 1.0),
+                        value_at_zero=1.0, kind="survival"),
+        spec=spec,
+        diagnostics={"n_negative_phi_clamps": int(rows[6][0])},
+    )
+    state.diagnostics["max_width"] = state.max_width()
+    state.diagnostics["identity_gap"] = state.identity_gap()
+    return state
 
 
 def cge_bounded(cif_t, cif_c, spec, grid):
@@ -214,74 +270,8 @@ def cge_bounded(cif_t, cif_c, spec, grid):
         j = int(over[0])
         raise DataError(
             f"incidence curves sum to {sums[j]:.6g} > 1 at t={grid[j]:g}")
-    s_all_vals = np.clip(1.0 - sums, 0.0, 1.0)
-    d_t = np.diff(np.concatenate(([0.0], ct)))
-    d_c = np.diff(np.concatenate(([0.0], cc)))
-
-    m = grid.size
-    s_lo = np.empty(m)
-    s_hi = np.empty(m)
-    g_lo = np.empty(m)
-    g_hi = np.empty(m)
-    s_hat = np.empty(m)
-    g_hat = np.empty(m)
-    n_clamps = 0
-
-    s_prev, g_prev = 1.0, 1.0
-    s_all_prev = 1.0
-    for i in range(m):
-        s_all_i = float(s_all_vals[i])
-        h_low = max(s_all_prev - float(d_c[i]), 0.0)
-        h_up = max(s_all_prev - float(d_t[i]), 0.0)
-        phi_s_prev = _phi(spec, s_prev)
-        phi_g_prev = _phi(spec, g_prev)
-        phi_all = _phi(spec, s_all_i)
-
-        hi_g, c1 = _invert_nonneg(spec, _phi(spec, h_low) - phi_s_prev)
-        if hi_g > 0.0:
-            lo_s, c2 = _invert_nonneg(spec, phi_all - _phi(spec, hi_g))
-        else:
-            lo_s, c2 = s_all_i, False
-        hi_s, c3 = _invert_nonneg(spec, _phi(spec, h_up) - phi_g_prev)
-        if hi_s > 0.0:
-            lo_g, c4 = _invert_nonneg(spec, phi_all - _phi(spec, hi_s))
-        else:
-            lo_g, c4 = s_all_i, False
-        n_clamps += sum((c1, c2, c3, c4))
-
-        mid_s = min(0.5 * (lo_s + hi_s), s_prev)
-        if mid_s <= 0.0:
-            mid_g = 0.0 if s_all_i <= 0.0 else g_prev
-        else:
-            mid_g, _ = _invert_nonneg(spec, phi_all - _phi(spec, mid_s))
-        mid_g = min(mid_g, g_prev)
-
-        s_lo[i], s_hi[i] = lo_s, hi_s
-        g_lo[i], g_hi[i] = lo_g, hi_g
-        s_hat[i], g_hat[i] = mid_s, mid_g
-        s_prev, g_prev, s_all_prev = mid_s, mid_g, s_all_i
-
-    s_lo = np.minimum.accumulate(np.clip(s_lo, 0.0, 1.0))
-    s_hi = np.minimum.accumulate(np.clip(s_hi, 0.0, 1.0))
-    g_lo = np.minimum.accumulate(np.clip(g_lo, 0.0, 1.0))
-    g_hi = np.minimum.accumulate(np.clip(g_hi, 0.0, 1.0))
-    s_lo = np.minimum(s_lo, s_hat)
-    s_hi = np.maximum(s_hi, s_hat)
-    g_lo = np.minimum(g_lo, g_hat)
-    g_hi = np.maximum(g_hi, g_hat)
-
-    state = CGEState(
-        grid=grid, s_lo=s_lo, s_hi=s_hi, g_lo=g_lo, g_hi=g_hi,
-        s_hat=s_hat, g_hat=g_hat,
-        cif_t=cif_t.restrict(grid), cif_c=cif_c.restrict(grid),
-        s_all=StepCurve(grid, s_all_vals, value_at_zero=1.0,
-                        kind="survival"),
-        spec=spec,
-        diagnostics={"n_negative_phi_clamps": n_clamps},
-    )
-    state.diagnostics["max_width"] = state.max_width()
-    state.diagnostics["identity_gap"] = state.identity_gap()
-    return state
+    return _bounded_state(grid, cif_t.restrict(grid), cif_c.restrict(grid),
+                          spec, _bounded_rows(ct, cc, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +359,12 @@ def _sanitize_cif_pair(ct, cc):
     return ct, cc, n_scaled
 
 
-def _midpoint_curve(ct, cc, spec, grid):
-    cif_t = StepCurve(grid, ct, value_at_zero=0.0, kind="cif")
-    cif_c = StepCurve(grid, cc, value_at_zero=0.0, kind="cif")
-    return cge_bounded(cif_t, cif_c, spec, grid)
+def _incidence_estimates(recoded, query, grid, fold, dr_config):
+    """Cross-fitted event (cause 1) and censoring (cause 2) incidence of
+    one query on a censoring-recoded cohort, over the given folds."""
+    return tuple(crossfit_dr_many(
+        recoded, [query], Functional("cif", cause=k), grid=grid,
+        fold_ids=fold, **dr_config)[query] for k in (1, 2))
 
 
 @dataclass
@@ -445,14 +437,10 @@ def route2_population(cohort, spec, query, grid=None, dr_config=None,
             grid = default_grid(recoded)
         grid = _validate_grid(grid)
         n_folds = int(dr_config.pop("n_folds", 2))
-        seed = int(dr_config.pop("seed", 0))
-        fold = assign_folds(recoded, n_folds, seed)
-        est_t = crossfit_dr_many(
-            recoded, [query], Functional("cif", cause=1), grid=grid,
-            fold_ids=fold, seed=seed, **dr_config)[query]
-        est_c = crossfit_dr_many(
-            recoded, [query], Functional("cif", cause=2), grid=grid,
-            fold_ids=fold, seed=seed, **dr_config)[query]
+        dr_config["seed"] = int(dr_config.get("seed", 0))
+        fold = assign_folds(recoded, n_folds, dr_config["seed"])
+        est_t, est_c = _incidence_estimates(recoded, query, grid, fold,
+                                            dr_config)
     else:
         est_t, est_c = cif_estimates
         grid = _validate_grid(est_t.grid if grid is None else grid)
@@ -482,16 +470,14 @@ def route2_population(cohort, spec, query, grid=None, dr_config=None,
 
     ct_central, cc_central, n_scaled = _sanitize_cif_pair(
         np.asarray(est_t.estimate), np.asarray(est_c.estimate))
-    state = _midpoint_curve(ct_central, cc_central, spec, grid)
-    central = state.s_hat
-
-    member_curves = [central]
+    members_t, members_c = [ct_central], [cc_central]
     corner_scaled = 0
     for band_t in (lo_t, hi_t):
         for band_c in (lo_c, hi_c):
             ct, cc, scaled = _sanitize_cif_pair(band_t, band_c)
             corner_scaled += scaled
-            member_curves.append(_midpoint_curve(ct, cc, spec, grid).s_hat)
+            members_t.append(ct)
+            members_c.append(cc)
 
     rng = np.random.default_rng(sample_seed)
     accepted = 0
@@ -506,20 +492,26 @@ def route2_population(cohort, spec, query, grid=None, dr_config=None,
               and np.all(draw_t + draw_c <= 1.0 + _SUM_SLACK))
         if not ok:
             continue
-        member_curves.append(
-            _midpoint_curve(draw_t, draw_c, spec, grid).s_hat)
+        members_t.append(draw_t)
+        members_c.append(draw_c)
         accepted += 1
     if n_samples > 0 and accepted < n_samples:
         raise InfeasibleBandsError(
             f"only {accepted} of {n_samples} sampled incidence "
             f"trajectories were admissible after {attempts} attempts")
 
-    stack = np.vstack(member_curves)
+    # one recursion over the central pair, the corners and the samples
+    rows = _bounded_rows(np.vstack(members_t), np.vstack(members_c), spec)
+    state = _bounded_state(
+        grid, StepCurve(grid, ct_central, value_at_zero=0.0, kind="cif"),
+        StepCurve(grid, cc_central, value_at_zero=0.0, kind="cif"), spec,
+        rows)
+    midpoints = rows[4]
     return Route2Result(
         grid=grid,
-        central=central,
-        env_lo=stack.min(axis=0),
-        env_hi=stack.max(axis=0),
+        central=state.s_hat,
+        env_lo=midpoints.min(axis=0),
+        env_hi=midpoints.max(axis=0),
         tau=spec.kendall_tau,
         family=spec.family,
         state=state,

@@ -32,12 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cge import route1_conditional, route2_population
+from .cge import _incidence_estimates, route1_conditional, \
+    route2_population
 from .copulas import CopulaSpec
 from .curves import aalen_johansen_cif, kaplan_meier
 from .decompose import EFFECT_NAMES, _EFFECT_PAIRS, _ROLES, _role_query, \
     decompose_cr, decompose_difference, decompose_ratio
-from .dr import crossfit_dr_many
+from .dr import assign_folds, crossfit_dr_many
 from .errors import DataError, EstimationError
 from .identify import default_grid, fit_plugin_nuisances, plugin_po
 from .queries import Functional, PotentialOutcomeQuery
@@ -174,8 +175,17 @@ def _validate_config(config, parser):
             parser.error("ic mode needs --tau with at least one value")
         if functional != "survival":
             parser.error("ic mode reconstructs survival curves only")
+        if len(set(tau)) != len(tau) \
+                or len({_tau_tag(t) for t in tau}) != len(tau):
+            parser.error("--tau values must be distinct, also as %g tags")
     elif tau:
         parser.error("--tau only applies to ic mode")
+    try:  # a config file may hold it as a numeric string
+        n_samples = int(config["envelope_samples"])
+    except (TypeError, ValueError):
+        parser.error("--envelope-samples must be an integer")
+    if n_samples < 0:
+        parser.error("--envelope-samples must be nonnegative")
     if config.get("grid") is not None and config.get("grid_points") is not None:
         parser.error("--grid and --grid-points are mutually exclusive")
     if config.get("grid_points") is not None and config["grid_points"] <= 0:
@@ -354,32 +364,14 @@ def cmd_curves(config):
         rows += _long_rows(grid, "x1:allcause", curves[1])
         rows += _long_rows(grid, "tv:allcause", curves[1] - curves[0])
     else:  # ic
-        nuisances = None
-        if config["estimator"] == "plugin":
-            nuisances = fit_plugin_nuisances(
-                cohort, Functional("survival"), learner=config["learner"],
-                propensity_learner=config["propensity_learner"],
-                epsilon=config["epsilon"])
-        for tau in config["tau"]:
-            spec = CopulaSpec(config["family"], tau)
+        queries = [PotentialOutcomeQuery.observational(g) for g in (0, 1)]
+        for tau, curves in zip(config["tau"],
+                               _ic_curves(config, cohort, grid, queries)):
             tag = _tau_tag(tau)
-            curves = {}
-            for g in (0, 1):
-                query = PotentialOutcomeQuery.observational(g)
-                if config["estimator"] == "plugin":
-                    curves[g] = np.asarray(route1_conditional(
-                        cohort, spec, nuisances, query, grid).values,
-                        dtype=float)
-                else:
-                    curves[g] = route2_population(
-                        cohort, spec, query, grid=grid,
-                        dr_config=_dr_config(config),
-                        envelope_config={
-                            "n_samples": config["envelope_samples"],
-                            "seed": config["seed"]}).central
-            rows += _long_rows(grid, f"x0:tau{tag}", curves[0])
-            rows += _long_rows(grid, f"x1:tau{tag}", curves[1])
-            rows += _long_rows(grid, f"tv:tau{tag}", curves[1] - curves[0])
+            c0, c1 = (curves[q][0] for q in queries)
+            rows += _long_rows(grid, f"x0:tau{tag}", c0)
+            rows += _long_rows(grid, f"x1:tau{tag}", c1)
+            rows += _long_rows(grid, f"tv:tau{tag}", c1 - c0)
 
     lines = [f"# {_header(config)}", "t,series,value"]
     for t, series, value in rows:
@@ -404,11 +396,8 @@ def _nic_series(config, cohort, grid):
         po = {q: plugin_po(nuisances, cohort, q, functional, grid)
               for q in queries}
     else:
-        po = crossfit_dr_many(
-            cohort, queries, functional, grid=grid,
-            n_folds=config["folds"], seed=config["seed"],
-            epsilon=config["epsilon"], cap=config["cap"],
-            learners=_learners(config))
+        po = crossfit_dr_many(cohort, queries, functional, grid=grid,
+                              **_dr_config(config))
     reducer = (decompose_ratio if config.get("scale") == "ratio"
                else decompose_difference)
     return reducer(po, x0, x1, functional=functional, grid=grid)
@@ -434,39 +423,58 @@ def _decomposition_csv(series_list, header, extra_col):
     return "\n".join(lines) + "\n"
 
 
-def _ic_effect_tables(config, cohort, grid, tau, nuisances=None):
-    """Central decomposition, plus envelope bounds when dr bands exist."""
-    spec = CopulaSpec(config["family"], tau)
-    x0, x1 = config["x0"], config["x1"]
-    queries = [_role_query(r, x0, x1) for r in _ROLES]
+def _ic_curves(config, cohort, grid, queries):
+    """Latent survival of each query under every --tau value.
+
+    Returns one {query: (central, env_lo, env_hi)} dict per tau; the
+    plugin route has no envelope, so its bounds are None.  The dr route
+    estimates a query's event and censoring incidence once, on the
+    censoring-recoded cohort with one fold assignment, and reuses them
+    for every tau before releasing them and moving to the next query.
+    """
+    specs = [CopulaSpec(config["family"], tau) for tau in config["tau"]]
+    per_tau = [{} for _ in specs]
     if config["estimator"] == "plugin":
-        central = {q: np.asarray(
-            route1_conditional(cohort, spec, nuisances, q, grid).values,
-            dtype=float) for q in queries}
-        bands = None
-    else:
-        central, bands = {}, {}
-        for q in queries:
+        nuisances = fit_plugin_nuisances(
+            cohort, Functional("survival"), learner=config["learner"],
+            propensity_learner=config["propensity_learner"],
+            epsilon=config["epsilon"])
+        for curves, spec in zip(per_tau, specs):
+            for q in queries:
+                curves[q] = (np.asarray(route1_conditional(
+                    cohort, spec, nuisances, q, grid).values, dtype=float),
+                    None, None)
+        return per_tau
+    recoded = cohort.censoring_as_cause()
+    dr_config = _dr_config(config)
+    fold = assign_folds(recoded, dr_config.pop("n_folds"), dr_config["seed"])
+    for q in queries:
+        estimates = _incidence_estimates(recoded, q, grid, fold, dr_config)
+        for curves, spec in zip(per_tau, specs):
             result = route2_population(
-                cohort, spec, q, grid=grid, dr_config=_dr_config(config),
+                cohort, spec, q, grid=grid, cif_estimates=estimates,
                 envelope_config={"n_samples": config["envelope_samples"],
                                  "seed": config["seed"]})
-            central[q] = result.central
-            bands[q] = (result.env_lo, result.env_hi)
+            curves[q] = (result.central, result.env_lo, result.env_hi)
+        # both hold per-row influence matrices: free them before the
+        # next query's fits allocate their own
+        del estimates, result
+    return per_tau
 
+
+def _ic_effect_tables(curves, x0, x1):
+    """Central decomposition, plus envelope bounds when dr bands exist."""
     effects = {}
     for name, roles in _EFFECT_PAIRS.items():
-        pos, neg = (_role_query(r, x0, x1) for r in roles)
-        estimate = central[pos] - central[neg]
-        if bands is None:
-            effects[name] = (estimate, None, None)
+        (pos, pos_lo, pos_hi), (neg, neg_lo, neg_hi) = (
+            curves[_role_query(r, x0, x1)] for r in roles)
+        if pos_lo is None:
+            effects[name] = (pos - neg, None, None)
         else:
             # Interval arithmetic: every pair of admissible trajectories
             # inside the two envelopes yields a difference inside these
             # bounds, so the effect band is conservative but sound.
-            lo = bands[pos][0] - bands[neg][1]
-            hi = bands[pos][1] - bands[neg][0]
-            effects[name] = (estimate, lo, hi)
+            effects[name] = (pos - neg, pos_lo - neg_hi, pos_hi - neg_lo)
     return effects
 
 
@@ -510,18 +518,14 @@ def cmd_decompose(config):
         diagnostics["causes"] = tags
     else:  # ic
         tau_list = config["tau"]
-        nuisances = None
-        if config["estimator"] == "plugin":
-            nuisances = fit_plugin_nuisances(
-                cohort, Functional("survival"), learner=config["learner"],
-                propensity_learner=config["propensity_learner"],
-                epsilon=config["epsilon"])
+        x0, x1 = config["x0"], config["x1"]
+        per_tau = _ic_curves(config, cohort, grid,
+                             [_role_query(r, x0, x1) for r in _ROLES])
         lines = [f"# {header}", "t,tau,effect,estimate,lo,hi"]
         payload = {}
         env_writes = []
-        for tau in tau_list:
-            effects = _ic_effect_tables(config, cohort, grid, tau,
-                                        nuisances=nuisances)
+        for tau, curves in zip(tau_list, per_tau):
+            effects = _ic_effect_tables(curves, x0, x1)
             tag = _tau_tag(tau)
             for name in EFFECT_NAMES:
                 estimate, lo, hi = effects[name]

@@ -42,7 +42,8 @@ def functional_from_curve(curve, functional, grid):
     if functional.kind == "rmst":
         out = np.empty(g.size)
         for j, t in enumerate(g):
-            cap = min(float(t), functional.horizon)
+            cap = float(t) if functional.horizon is None \
+                else min(float(t), functional.horizon)
             out[j] = restricted_mean(curve, cap) if cap > 0.0 else 0.0
         return out
     if functional.kind == "cumulative_hazard":

@@ -16,8 +16,8 @@ from fairsurv.cge import (
     route1_conditional,
     route2_population,
 )
-from fairsurv.cge import _empirical_cif_pair
-from fairsurv.copulas import CopulaSpec
+from fairsurv.cge import _bounded_rows, _empirical_cif_pair
+from fairsurv.copulas import CopulaSpec, generator, generator_inverse
 from fairsurv.curves import StepCurve, kaplan_meier
 from fairsurv.errors import (
     CoincidentJumpError,
@@ -290,6 +290,105 @@ def test_bounded_invariants_property(case):
     assert state.identity_gap() <= 1e-6
 
 
+def scalar_bounded(ct, cc, spec):
+    """Reference: the per-step bounded recursion written one scalar at a
+    time, as cge_bounded ran before it was batched over trajectories."""
+    def phi(u):
+        return float(generator(spec, u))
+
+    def invert(difference):
+        if math.isnan(difference):
+            return 0.0, True
+        if difference < 0.0:
+            return float(generator_inverse(spec, 0.0)), True
+        return float(generator_inverse(spec, difference)), False
+
+    s_all = np.clip(1.0 - (ct + cc), 0.0, 1.0)
+    d_t = np.diff(np.concatenate(([0.0], ct)))
+    d_c = np.diff(np.concatenate(([0.0], cc)))
+    out = {key: np.empty(ct.size) for key in
+           ("s_lo", "s_hi", "g_lo", "g_hi", "s_hat", "g_hat")}
+    n_clamps = 0
+    s_prev = g_prev = s_all_prev = 1.0
+    for i in range(ct.size):
+        s_all_i = float(s_all[i])
+        h_low = max(s_all_prev - float(d_c[i]), 0.0)
+        h_up = max(s_all_prev - float(d_t[i]), 0.0)
+        phi_all = phi(s_all_i)
+        hi_g, c1 = invert(phi(h_low) - phi(s_prev))
+        lo_s, c2 = invert(phi_all - phi(hi_g)) if hi_g > 0.0 \
+            else (s_all_i, False)
+        hi_s, c3 = invert(phi(h_up) - phi(g_prev))
+        lo_g, c4 = invert(phi_all - phi(hi_s)) if hi_s > 0.0 \
+            else (s_all_i, False)
+        n_clamps += sum((c1, c2, c3, c4))
+        mid_s = min(0.5 * (lo_s + hi_s), s_prev)
+        if mid_s <= 0.0:
+            mid_g = 0.0 if s_all_i <= 0.0 else g_prev
+        else:
+            mid_g, _ = invert(phi_all - phi(mid_s))
+        mid_g = min(mid_g, g_prev)
+        for key, value in zip(out, (lo_s, hi_s, lo_g, hi_g, mid_s, mid_g)):
+            out[key][i] = value
+        s_prev, g_prev, s_all_prev = mid_s, mid_g, s_all_i
+    for key in ("s_lo", "s_hi", "g_lo", "g_hi"):
+        out[key] = np.minimum.accumulate(np.clip(out[key], 0.0, 1.0))
+    out["s_lo"] = np.minimum(out["s_lo"], out["s_hat"])
+    out["s_hi"] = np.maximum(out["s_hi"], out["s_hat"])
+    out["g_lo"] = np.minimum(out["g_lo"], out["g_hat"])
+    out["g_hi"] = np.maximum(out["g_hi"], out["g_hat"])
+    return out, n_clamps
+
+
+def random_incidence_rows(rng, k, m):
+    """k admissible incidence pairs on m steps.  Many steps move both
+    curves; every third row exhausts follow-up at its last step, and
+    the rows after those lose all remaining mass to the event one step
+    earlier, so their last step takes phi differences of inf - inf."""
+    inc_t = rng.random((k, m)) * (rng.random((k, m)) < 0.7)
+    inc_c = rng.random((k, m)) * (rng.random((k, m)) < 0.7)
+    scale = 0.45 / np.maximum(inc_t.sum(axis=1), inc_c.sum(axis=1))
+    ct = np.cumsum(inc_t * scale[:, None], axis=1)
+    cc = np.cumsum(inc_c * scale[:, None], axis=1)
+    ct[::3, -1], cc[::3, -1] = 0.5, 0.5  # sum = 1: follow-up exhausted
+    cc[1::3, -2:] = cc[1::3, -3:-2]
+    ct[1::3, -2:] = 1.0 - cc[1::3, -3:-2]
+    return ct, cc
+
+
+KERNEL_SPECS = [CopulaSpec("clayton", 0.6), CopulaSpec("gumbel", 0.5),
+                CopulaSpec("frank", -0.5), CopulaSpec("frank", 0.5), INDEP]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS,
+                         ids=lambda sp: f"{sp.family}{sp.kendall_tau:g}")
+def test_batched_recursion_matches_scalar_reference(spec):
+    rng = np.random.default_rng(17)
+    ct, cc = random_incidence_rows(rng, 30, 12)
+    assert np.any((np.diff(ct, axis=1) > 0) & (np.diff(cc, axis=1) > 0))
+    grid = np.arange(1.0, 13.0)
+    rows = _bounded_rows(ct, cc, spec)
+    keys = ("s_lo", "s_hi", "g_lo", "g_hi", "s_hat", "g_hat")
+    for r in range(ct.shape[0]):
+        want, want_clamps = scalar_bounded(ct[r], cc[r], spec)
+        state = cge_bounded(
+            StepCurve(grid, ct[r], value_at_zero=0.0, kind="cif"),
+            StepCurve(grid, cc[r], value_at_zero=0.0, kind="cif"),
+            spec, grid)
+        for j, key in enumerate(keys):
+            np.testing.assert_allclose(rows[j][r], want[key],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(getattr(state, key), want[key],
+                                       rtol=0, atol=1e-12)
+        assert rows[6][r] == want_clamps
+        assert state.diagnostics["n_negative_phi_clamps"] == want_clamps
+    assert np.any(rows[6][1::3] > 0)
+    # exhausted rows: sharp interval [0, s_hi] with the midpoint halving
+    assert np.all(rows[0][::3, -1] == 0.0)
+    np.testing.assert_allclose(rows[4][::3, -1], 0.5 * rows[1][::3, -1],
+                               rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Route I: stratum-level reconstruction
 # ---------------------------------------------------------------------------
@@ -464,6 +563,28 @@ def test_route2_central_tracks_latent_oracle_across_tau():
         assert float(np.max(np.abs(result.central - latent))) <= 0.05
         assert np.all(result.env_lo <= result.central)
         assert np.all(result.central <= result.env_hi)
+
+
+def test_route2_given_estimates_match_fitting_inside(route2_toy_cohort):
+    from fairsurv.cge import _incidence_estimates
+    from fairsurv.dr import assign_folds
+
+    query = PotentialOutcomeQuery(1, 0, 1)
+    envelope = {"n_samples": 20, "seed": 3}
+    inside = route2_population(route2_toy_cohort, CLAYTON, query,
+                               dr_config={"n_folds": 3, "seed": 5},
+                               envelope_config=envelope)
+    recoded = route2_toy_cohort.censoring_as_cause()
+    estimates = _incidence_estimates(recoded, query, inside.grid,
+                                     assign_folds(recoded, 3, 5),
+                                     {"seed": 5})
+    given = route2_population(route2_toy_cohort, CLAYTON, query,
+                              envelope_config=envelope,
+                              cif_estimates=estimates)
+    np.testing.assert_array_equal(given.grid, inside.grid)
+    np.testing.assert_array_equal(given.central, inside.central)
+    np.testing.assert_array_equal(given.env_lo, inside.env_lo)
+    np.testing.assert_array_equal(given.env_hi, inside.env_hi)
 
 
 def test_route2_infeasible_bands_raise(route2_toy_cohort):

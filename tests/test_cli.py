@@ -281,6 +281,29 @@ def test_ic_plugin_route_emits_centrals_only(ic_cohort_csv, tmp_path):
         assert r[4] == "" and r[5] == ""
 
 
+def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
+                                              monkeypatch):
+    import fairsurv.cge
+    import fairsurv.cli
+    from fairsurv.dr import crossfit_dr_many
+
+    calls = []
+
+    def counted(cohort, queries, functional, **kwargs):
+        calls.append((tuple(queries), functional.cause))
+        return crossfit_dr_many(cohort, queries, functional, **kwargs)
+
+    for module in (fairsurv.cge, fairsurv.cli):
+        monkeypatch.setattr(module, "crossfit_dr_many", counted)
+    assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+                 "--tau", "0.2,0.5,0.8", "--envelope-samples", "10",
+                 "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
+    # two causes (event, censoring) per query, none repeated per tau
+    assert len(calls) == 8
+    assert len(set(calls)) == 8
+    assert {cause for _, cause in calls} == {1, 2}
+
+
 def test_decompose_reruns_byte_identical(ic_cohort_csv, tmp_path):
     args = ["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
             "--tau", "0.3,0.5", "--estimator", "dr",
@@ -294,6 +317,17 @@ def test_decompose_reruns_byte_identical(ic_cohort_csv, tmp_path):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
+
+
+def test_plugin_rmst_without_horizon_integrates_to_each_time(nc_cohort_csv,
+                                                             tmp_path):
+    assert main(["decompose", "--cohort", str(nc_cohort_csv),
+                 "--estimator", "plugin", "--functional", "rmst",
+                 "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
+    tv = {float(r[0]): float(r[2]) for r in
+          read_table(tmp_path / "decomposition.csv")[1] if r[1] == "tv"}
+    assert sorted(tv) == [1.0, 2.0, 3.0]
+    assert all(np.isfinite(v) for v in tv.values())
 
 
 def test_diagnostics_written_in_every_mode(nc_cohort_csv, cr_cohort_csv,
@@ -405,7 +439,31 @@ def test_usage_errors_for_flag_conflicts(nc_cohort_csv, tmp_path, capsys):
     assert main(base + ["--functional", "cif"]) == 2   # cif needs --cause
     assert main(base + ["--grid-points", "0"]) == 2
     assert main(base + ["--grid-points", "-3"]) == 2
+    ic = base + ["--mode", "ic", "--tau"]
+    assert main(ic + ["0.3,0.3"]) == 2                 # repeated tau
+    assert main(ic + ["0.2,0.2000001"]) == 2           # equal %g tags
+    assert main(ic + ["0,-0", "--family", "independence"]) == 2
+    assert not list(tmp_path.iterdir())
     capsys.readouterr()
+
+
+def test_negative_envelope_samples_is_usage_error(ic_cohort_csv, tmp_path,
+                                                  capsys):
+    # rejected before the cohort is read, let alone cross-fitted
+    assert main(["decompose", "--cohort", str(tmp_path / "absent.csv"),
+                 "--mode", "ic", "--tau", "0.5", "--envelope-samples", "-1",
+                 "--outdir", str(tmp_path)]) == 2
+    assert "--envelope-samples" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text('{"envelope_samples": "many"}')
+    assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+                 "--tau", "0.5", "--config", str(config),
+                 "--outdir", str(tmp_path)]) == 2
+    assert not (tmp_path / "decomposition.csv").exists()
+    config.write_text('{"envelope_samples": "0"}')
+    assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+                 "--tau", "0.5", "--grid", "1,2,3", "--config", str(config),
+                 "--outdir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("column, token", [("x", "a"), ("delta", "x"),

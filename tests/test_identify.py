@@ -214,6 +214,16 @@ def test_rmst_equals_integrated_survival_curve():
         assert rmst.evaluate(t) == pytest.approx(direct, abs=1e-10)
 
 
+def test_rmst_without_horizon_integrates_up_to_each_grid_time():
+    curve = StepCurve([1.0, 2.5, 4.0], [0.8, 0.5, 0.1])
+    grid = np.array([0.5, 1.0, 2.0, 3.0, 6.0])
+    values = functional_from_curve(curve, Functional("rmst"), grid)
+    want = [restricted_mean(curve, t) for t in grid]
+    np.testing.assert_allclose(values, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(values, [0.5, 1.0, 1.8, 2.45, 3.15],
+                               rtol=0, atol=1e-12)
+
+
 def test_cumulative_hazard_matches_oracle_shape():
     spec, cohort = _nic_cohort(60000, seed=71)
     nuis = fit_plugin_nuisances(cohort, Functional("cumulative_hazard"))
