@@ -9,6 +9,8 @@ output.
 
 Layered API, bottom up:
 
+- :mod:`fairsurv.queries` — potential-outcome queries and functionals,
+  the decomposition's four queries and effect pairs, and the CSV writer.
 - :mod:`fairsurv.scm` — discrete structural models: specification,
   sampling, and exact enumeration oracles.
 - :mod:`fairsurv.curves` — step-function survival primitives

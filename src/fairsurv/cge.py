@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleBandsError,
 )
 from .identify import _validate_grid, cell_weight, default_grid
-from .queries import Functional
+from .queries import Functional, table_csv
 from .scm import cell_members
 
 _SUM_SLACK = 1e-12
@@ -394,16 +394,9 @@ class Route2Result:
                          kind="survival")
 
     def to_csv(self, header_comment=None):
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("t,central,env_lo,env_hi,tau")
-        for j in range(self.grid.size):
-            lines.append(",".join(
-                "%.12g" % v for v in (
-                    self.grid[j], self.central[j], self.env_lo[j],
-                    self.env_hi[j], self.tau)))
-        return "\n".join(lines) + "\n"
+        return table_csv("t,central,env_lo,env_hi,tau",
+                         [[self.grid, self.central, self.env_lo,
+                           self.env_hi, self.tau]], header_comment)
 
 
 def route2_population(cohort, spec, query, grid=None, dr_config=None,

@@ -36,17 +36,16 @@ from .cge import _incidence_estimates, route1_conditional, \
     route2_population
 from .copulas import CopulaSpec
 from .curves import aalen_johansen_cif, kaplan_meier
-from .decompose import EFFECT_NAMES, _EFFECT_PAIRS, _ROLES, _role_query, \
-    decompose_cr, decompose_difference, decompose_ratio
+from .decompose import decompose_cr, decompose_difference, decompose_ratio
 from .dr import assign_folds, crossfit_dr_many
 from .errors import DataError, EstimationError
 from .identify import default_grid, fit_plugin_nuisances, plugin_po
-from .queries import Functional, PotentialOutcomeQuery
+from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
+    effect_contrasts, role_queries, table_csv
 from .scm import Cohort, SCMSpec, sample_cohort
 
 _MODES = ("nic", "cr", "ic")
 _ESTIMATORS = ("dr", "plugin")
-_FLOAT_FMT = "%.12g"
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +126,15 @@ def build_parser():
     return parser
 
 
-def _resolve_config(args, parser):
-    """Merge --config JSON over parsed flags; returns a plain dict."""
-    config = {k: v for k, v in vars(args).items() if k != "config"}
+def _resolve_config(argv, parser):
+    """Parse `argv`, then merge --config JSON over it; returns a plain dict.
+
+    The config entries are appended to `argv` as flags and the whole is
+    parsed again, so each entry goes through its flag's own conversion
+    and checks (a list entry as a comma-separated value) and overrides
+    the command line.
+    """
+    args = parser.parse_args(argv)
     if args.config:
         try:
             overrides = json.loads(Path(args.config).read_text())
@@ -139,13 +144,18 @@ def _resolve_config(args, parser):
             parser.error(f"config file is not valid JSON: {exc}")
         if not isinstance(overrides, dict):
             parser.error("config file must hold a JSON object")
+        flags = []
         for key, value in overrides.items():
             slot = key.replace("-", "_")
-            if slot not in config or slot == "command":
+            if slot not in vars(args) or slot in ("command", "config"):
                 parser.error(f"unknown config entry {key!r}")
-            if slot in ("tau", "grid") and isinstance(value, str):
-                value = _parse_float_list(value)
-            config[slot] = value
+            if value is None:
+                parser.error(f"config entry {key!r} is null")
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            flags.append(f"--{slot.replace('_', '-')}={value}")
+        args = parser.parse_args([*argv, *flags])
+    config = {k: v for k, v in vars(args).items() if k != "config"}
     _validate_config(config, parser)
     return config
 
@@ -180,11 +190,10 @@ def _validate_config(config, parser):
             parser.error("--tau values must be distinct, also as %g tags")
     elif tau:
         parser.error("--tau only applies to ic mode")
-    try:  # a config file may hold it as a numeric string
-        n_samples = int(config["envelope_samples"])
-    except (TypeError, ValueError):
-        parser.error("--envelope-samples must be an integer")
-    if n_samples < 0:
+    if mode == "cr" and functional != "survival":
+        parser.error("cr mode reports cause-specific incidence and "
+                     "all-cause survival; --functional does not apply")
+    if config["envelope_samples"] < 0:
         parser.error("--envelope-samples must be nonnegative")
     if config.get("grid") is not None and config.get("grid_points") is not None:
         parser.error("--grid and --grid-points are mutually exclusive")
@@ -331,53 +340,41 @@ def _empirical_group_curve(sub, functional, grid):
     return np.asarray(curve.evaluate(grid), dtype=float)
 
 
-def _long_rows(grid, series, values):
-    return [(t, series, v) for t, v in zip(grid, values)]
+def _group_blocks(grid, suffix, c0, c1):
+    """`curves.csv` blocks for the two groups' curves and their contrast."""
+    return [[grid, f"x0{suffix}", c0], [grid, f"x1{suffix}", c1],
+            [grid, f"tv{suffix}", c1 - c0]]
 
 
 def cmd_curves(config):
     cohort = _load_cohort(config)
     grid = _resolve_grid(config, cohort)
     mode = config["mode"]
-    rows = []
-    if mode == "nic":
-        functional = _functional(config)
-        by_group = {g: _empirical_group_curve(
-            cohort.subset(cohort.x == g), functional, grid) for g in (0, 1)}
-        rows += _long_rows(grid, "x0", by_group[0])
-        rows += _long_rows(grid, "x1", by_group[1])
-        rows += _long_rows(grid, "tv", by_group[1] - by_group[0])
-    elif mode == "cr":
-        if cohort.n_causes < 2:
-            raise DataError("cr mode needs a cohort with competing causes")
-        for k in range(1, cohort.n_causes + 1):
-            fk = Functional("cif", cause=k)
-            curves = {g: _empirical_group_curve(cohort.subset(cohort.x == g),
-                                                fk, grid) for g in (0, 1)}
-            rows += _long_rows(grid, f"x0:cause{k}", curves[0])
-            rows += _long_rows(grid, f"x1:cause{k}", curves[1])
-            rows += _long_rows(grid, f"tv:cause{k}", curves[1] - curves[0])
-        fs = Functional("all_cause_survival")
-        curves = {g: _empirical_group_curve(cohort.subset(cohort.x == g),
-                                            fs, grid) for g in (0, 1)}
-        rows += _long_rows(grid, "x0:allcause", curves[0])
-        rows += _long_rows(grid, "x1:allcause", curves[1])
-        rows += _long_rows(grid, "tv:allcause", curves[1] - curves[0])
-    else:  # ic
+    blocks = []
+    if mode == "ic":
         queries = [PotentialOutcomeQuery.observational(g) for g in (0, 1)]
         for tau, curves in zip(config["tau"],
                                _ic_curves(config, cohort, grid, queries)):
-            tag = _tau_tag(tau)
-            c0, c1 = (curves[q][0] for q in queries)
-            rows += _long_rows(grid, f"x0:tau{tag}", c0)
-            rows += _long_rows(grid, f"x1:tau{tag}", c1)
-            rows += _long_rows(grid, f"tv:tau{tag}", c1 - c0)
-
-    lines = [f"# {_header(config)}", "t,series,value"]
-    for t, series, value in rows:
-        lines.append(f"{_FLOAT_FMT % t},{series},{_FLOAT_FMT % value}")
+            blocks += _group_blocks(grid, f":tau{_tau_tag(tau)}",
+                                    *(curves[q][0] for q in queries))
+    else:
+        if mode == "cr":
+            if cohort.n_causes < 2:
+                raise DataError(
+                    "cr mode needs a cohort with competing causes")
+            tagged = [(f":cause{k}", Functional("cif", cause=k))
+                      for k in range(1, cohort.n_causes + 1)]
+            tagged.append((":allcause", Functional("all_cause_survival")))
+        else:
+            tagged = [("", _functional(config))]
+        groups = [cohort.subset(cohort.x == g) for g in (0, 1)]
+        for suffix, functional in tagged:
+            blocks += _group_blocks(grid, suffix, *(
+                _empirical_group_curve(sub, functional, grid)
+                for sub in groups))
     outdir = _outdir(config)
-    return _flush([(outdir / "curves.csv", "\n".join(lines) + "\n")])
+    return _flush([(outdir / "curves.csv",
+                    table_csv("t,series,value", blocks, _header(config)))])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +384,7 @@ def cmd_curves(config):
 def _nic_series(config, cohort, grid):
     functional = _functional(config)
     x0, x1 = config["x0"], config["x1"]
-    queries = [_role_query(r, x0, x1) for r in _ROLES]
+    queries = role_queries(x0, x1)
     if config["estimator"] == "plugin":
         nuisances = fit_plugin_nuisances(
             cohort, functional, learner=config["learner"],
@@ -401,26 +398,6 @@ def _nic_series(config, cohort, grid):
     reducer = (decompose_ratio if config.get("scale") == "ratio"
                else decompose_difference)
     return reducer(po, x0, x1, functional=functional, grid=grid)
-
-
-def _decomposition_csv(series_list, header, extra_col):
-    """Long CSV across several decomposition series.
-
-    ``extra_col`` is a (name, tags) pair labelling each series, e.g.
-    ("cause", ["1", "2", "all"]).
-    """
-    name, tags = extra_col
-    lines = [f"# {header}", f"t,{name},effect,estimate,se,lo,hi"]
-    for tag, series in zip(tags, series_list):
-        for effect_name in EFFECT_NAMES:
-            eff = series.effect(effect_name)
-            for j, t in enumerate(series.grid):
-                cells = [_FLOAT_FMT % t, str(tag), effect_name,
-                         _FLOAT_FMT % eff.estimate[j]]
-                for band in (eff.se, eff.lo, eff.hi):
-                    cells.append("" if band is None else _FLOAT_FMT % band[j])
-                lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _ic_curves(config, cohort, grid, queries):
@@ -462,20 +439,21 @@ def _ic_curves(config, cohort, grid, queries):
     return per_tau
 
 
-def _ic_effect_tables(curves, x0, x1):
-    """Central decomposition, plus envelope bounds when dr bands exist."""
-    effects = {}
-    for name, roles in _EFFECT_PAIRS.items():
-        (pos, pos_lo, pos_hi), (neg, neg_lo, neg_hi) = (
-            curves[_role_query(r, x0, x1)] for r in roles)
-        if pos_lo is None:
-            effects[name] = (pos - neg, None, None)
-        else:
-            # Interval arithmetic: every pair of admissible trajectories
-            # inside the two envelopes yields a difference inside these
-            # bounds, so the effect band is conservative but sound.
-            effects[name] = (pos - neg, pos_lo - neg_hi, pos_hi - neg_lo)
-    return effects
+def _envelope_difference(pos, neg):
+    """Contrast of two (central, env_lo, env_hi) triples.
+
+    Interval arithmetic: every pair of admissible trajectories inside the
+    two envelopes yields a difference inside these bounds, so the effect
+    band is conservative but sound.  Without envelopes the bounds are None.
+    """
+    (c_pos, lo_pos, hi_pos), (c_neg, lo_neg, hi_neg) = pos, neg
+    if lo_pos is None:
+        return c_pos - c_neg, None, None
+    return c_pos - c_neg, lo_pos - hi_neg, hi_pos - lo_neg
+
+
+def _floats(values):
+    return None if values is None else [float(v) for v in values]
 
 
 def cmd_decompose(config):
@@ -500,17 +478,14 @@ def cmd_decompose(config):
             cohort, config["x0"], config["x1"],
             estimator=("doubly_robust" if config["estimator"] == "dr"
                        else "plugin"),
-            grid=grid, learner=config["learner"],
-            propensity_learner=config["propensity_learner"],
-            epsilon=config["epsilon"], n_folds=config["folds"],
-            seed=config["seed"], cap=config["cap"],
-            learners=(_learners(config)
-                      if config["estimator"] == "dr" else None))
+            grid=grid, **_dr_config(config))
         tags = [str(s.functional.cause) if s.functional.kind == "cif"
                 else "all" for s in series_list]
+        blocks = [block for tag, s in zip(tags, series_list)
+                  for block in s.blocks(tag)]
         writes.append((outdir / "decomposition.csv",
-                       _decomposition_csv(series_list, header,
-                                          ("cause", tags))))
+                       table_csv("t,cause,effect,estimate,se,lo,hi", blocks,
+                                 header)))
         payload = {"series": {tag: json.loads(s.to_json())
                               for tag, s in zip(tags, series_list)}}
         writes.append((outdir / "decomposition.json",
@@ -519,45 +494,27 @@ def cmd_decompose(config):
     else:  # ic
         tau_list = config["tau"]
         x0, x1 = config["x0"], config["x1"]
-        per_tau = _ic_curves(config, cohort, grid,
-                             [_role_query(r, x0, x1) for r in _ROLES])
-        lines = [f"# {header}", "t,tau,effect,estimate,lo,hi"]
-        payload = {}
-        env_writes = []
+        per_tau = _ic_curves(config, cohort, grid, role_queries(x0, x1))
+        blocks, payload = [], {}
         for tau, curves in zip(tau_list, per_tau):
-            effects = _ic_effect_tables(curves, x0, x1)
+            effects = effect_contrasts(curves, x0, x1, _envelope_difference)
             tag = _tau_tag(tau)
-            for name in EFFECT_NAMES:
-                estimate, lo, hi = effects[name]
-                for j, t in enumerate(grid):
-                    cells = [_FLOAT_FMT % t, tag, name,
-                             _FLOAT_FMT % estimate[j],
-                             "" if lo is None else _FLOAT_FMT % lo[j],
-                             "" if hi is None else _FLOAT_FMT % hi[j]]
-                    lines.append(",".join(cells))
+            blocks += [[grid, tag, name, *effects[name]]
+                       for name in EFFECT_NAMES]
             payload[tag] = {
-                name: {"estimate": [float(v) for v in effects[name][0]],
-                       "lo": (None if effects[name][1] is None
-                              else [float(v) for v in effects[name][1]]),
-                       "hi": (None if effects[name][2] is None
-                              else [float(v) for v in effects[name][2]])}
+                name: dict(zip(("estimate", "lo", "hi"),
+                               map(_floats, effects[name])))
                 for name in EFFECT_NAMES}
             if effects["tv"][1] is not None:
-                env_lines = [f"# {header}", "t,central,env_lo,env_hi,tau"]
-                estimate, lo, hi = effects["tv"]
-                for j, t in enumerate(grid):
-                    env_lines.append(",".join(
-                        _FLOAT_FMT % v
-                        for v in (t, estimate[j], lo[j], hi[j], tau)))
-                env_writes.append((outdir / f"envelope_tau{tag}.csv",
-                                   "\n".join(env_lines) + "\n"))
-        writes += env_writes
+                writes.append((outdir / f"envelope_tau{tag}.csv", table_csv(
+                    "t,central,env_lo,env_hi,tau",
+                    [[grid, *effects["tv"], tau]], header)))
         writes.append((outdir / "decomposition.csv",
-                       "\n".join(lines) + "\n"))
+                       table_csv("t,tau,effect,estimate,lo,hi", blocks,
+                                 header)))
         writes.append((outdir / "decomposition.json",
-                       _json_payload(config,
-                                     {"grid": [float(t) for t in grid],
-                                      "effects": payload})))
+                       _json_payload(config, {"grid": _floats(grid),
+                                              "effects": payload})))
         diagnostics["tau"] = [float(t) for t in tau_list]
 
     writes.append((outdir / "diagnostics.json",
@@ -572,8 +529,8 @@ def cmd_decompose(config):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _resolve_config(args, parser)
+        config = _resolve_config(
+            sys.argv[1:] if argv is None else list(argv), parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,9 +9,6 @@ the same time are resolved events-first throughout.
 
 from __future__ import annotations
 
-import io
-import json
-
 import numpy as np
 
 from .errors import DataError, EmptyCohortError
@@ -122,56 +119,6 @@ class StepCurve:
         if np.any(np.diff(g) <= 0.0):
             raise DataError("grid must be strictly increasing")
         return StepCurve(g, self.evaluate(g), self.value_at_zero, self.kind)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "value_at_zero": self.value_at_zero,
-            "t": self.breakpoints.tolist(),
-            "value": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            payload["t"],
-            payload["value"],
-            payload.get("value_at_zero", 1.0),
-            payload.get("kind", "generic"),
-        )
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
-    def to_csv(self, header_comment=None):
-        """Render as `t,value` CSV text, optionally with a comment line."""
-        buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        buf.write("t,value\n")
-        buf.write(f"{0.0:.12g},{self.value_at_zero:.12g}\n")
-        for t, v in zip(self.breakpoints, self.values):
-            buf.write(f"{t:.12g},{v:.12g}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text, kind="generic"):
-        rows = [
-            line.split(",")
-            for line in text.strip().splitlines()
-            if line and not line.startswith("#") and not line.startswith("t,")
-        ]
-        t = np.array([float(r[0]) for r in rows])
-        v = np.array([float(r[1]) for r in rows])
-        if t.size and t[0] == 0.0:
-            return cls(t[1:], v[1:], value_at_zero=v[0], kind=kind)
-        return cls(t, v, kind=kind)
 
 
 class RiskTable:

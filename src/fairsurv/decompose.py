@@ -49,27 +49,10 @@ from .identify import (
     plugin_po,
 )
 from .nuisance import fit_conditional_survival
-from .queries import Functional, PotentialOutcomeQuery
-
-EFFECT_NAMES = ("tv", "direct", "indirect", "spurious")
+from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
+    effect_contrasts, role_queries, table_csv
 
 ESTIMATOR_KINDS = ("plugin", "doubly_robust", "oracle")
-
-# Each effect contrasts two queries, written as role triples where 1
-# stands for the target group x1 and 0 for the baseline x0.
-_EFFECT_PAIRS = {
-    "direct": ((1, 0, 0), (0, 0, 0)),
-    "indirect": ((1, 0, 0), (1, 1, 0)),
-    "spurious": ((1, 1, 0), (1, 1, 1)),
-    "tv": ((1, 1, 1), (0, 0, 0)),
-}
-
-# The four queries every decomposition rests on.
-_ROLES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
-
-
-def _role_query(roles, x0, x1):
-    return PotentialOutcomeQuery(*(x1 if r else x0 for r in roles))
 
 
 def _check_arms(x0, x1):
@@ -89,56 +72,45 @@ def _normalize_po(po_curves):
     return out
 
 
-def _entry_grid(entry):
+def _po_arrays(entry):
+    """(own grid or None, values, influence matrix or None, fold ids or
+    None) of one potential-outcome curve."""
     if isinstance(entry, DRCurveEstimate):
-        return np.asarray(entry.grid, dtype=float)
-    if isinstance(entry, StepCurve):
-        return np.asarray(entry.breakpoints, dtype=float)
-    return None
-
-
-def _po_arrays(entry, grid, query):
-    """(values, influence matrix or None, fold ids or None) on `grid`."""
-    if isinstance(entry, DRCurveEstimate):
-        if not np.array_equal(np.asarray(entry.grid, float), grid):
-            raise DataError(
-                f"curve for query {query.as_tuple()} is on a different grid")
-        return (np.asarray(entry.estimate, dtype=float),
+        return (entry.grid, entry.estimate,
                 np.asarray(entry.if_matrix, dtype=float), entry.fold_ids)
     if isinstance(entry, StepCurve):
-        if not np.array_equal(np.asarray(entry.breakpoints, float), grid):
-            raise DataError(
-                f"curve for query {query.as_tuple()} is on a different grid")
-        return np.asarray(entry.values, dtype=float), None, None
-    arr = np.asarray(entry, dtype=float)
-    if arr.shape != (grid.size,):
-        raise DataError(
-            f"curve for query {query.as_tuple()} has {arr.shape} values "
-            f"but the grid has {grid.size} points")
-    return arr, None, None
+        return entry.breakpoints, entry.values, None, None
+    return None, entry, None, None
 
 
 def _collect(po_curves, x0, x1, grid):
     """Pull the four required curves onto one shared grid."""
     po_map = _normalize_po(po_curves)
-    needed = [_role_query(r, x0, x1) for r in _ROLES]
+    needed = role_queries(x0, x1)
     for query in needed:
         if query not in po_map:
             raise DataError(
                 f"missing potential-outcome curve for query {query.as_tuple()}")
+    arrays = {query: _po_arrays(po_map[query]) for query in needed}
     if grid is None:
-        for query in needed:
-            grid = _entry_grid(po_map[query])
-            if grid is not None:
-                break
-        if grid is None:
+        owned = [own for own, *_ in arrays.values() if own is not None]
+        if not owned:
             raise DataError(
                 "a grid is required when curves are plain value arrays")
+        grid = owned[0]
     grid = _validate_grid(grid)
 
     values, influence, folds = {}, {}, {}
-    for query in needed:
-        v, m, f = _po_arrays(po_map[query], grid, query)
+    for query, (own, v, m, f) in arrays.items():
+        if own is not None and not np.array_equal(
+                np.asarray(own, dtype=float), grid):
+            raise DataError(
+                f"curve for query {query.as_tuple()} is on a different grid")
+        v = np.asarray(v, dtype=float)
+        if v.shape != (grid.size,):
+            raise DataError(
+                f"curve for query {query.as_tuple()} has {v.shape} values "
+                f"but the grid has {grid.size} points")
         values[query], influence[query], folds[query] = v, m, f
 
     have_if = all(influence[q] is not None for q in needed)
@@ -203,20 +175,19 @@ class DecompositionSeries:
             raise DataError(f"unknown effect name {name!r}")
         return self.effects[name]
 
-    def to_csv(self, header_comment=None):
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("t,effect,estimate,se,lo,hi")
+    def blocks(self, *labels):
+        """One `t, *labels, effect, estimate, se, lo, hi` table block per
+        effect, for `table_csv`."""
+        out = []
         for name in EFFECT_NAMES:
             eff = self.effects[name]
-            for j in range(self.grid.size):
-                cells = ["%.12g" % self.grid[j], name,
-                         "%.12g" % eff.estimate[j]]
-                for arr in (eff.se, eff.lo, eff.hi):
-                    cells.append("" if arr is None else "%.12g" % arr[j])
-                lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            out.append([self.grid, *labels, name, eff.estimate, eff.se,
+                        eff.lo, eff.hi])
+        return out
+
+    def to_csv(self, header_comment=None):
+        return table_csv("t,effect,estimate,se,lo,hi", self.blocks(),
+                         header_comment)
 
     def to_json(self, indent=2):
         def arr(values):
@@ -254,6 +225,62 @@ def _infer_functional(po_curves):
     return Functional("survival")
 
 
+def _difference(pos, neg):
+    (v_pos, if_pos), (v_neg, if_neg) = pos, neg
+    return v_pos - v_neg, None if if_pos is None else if_pos - if_neg
+
+
+def _ratio(pos, neg):
+    (v_pos, if_pos), (v_neg, if_neg) = pos, neg
+    ratio = v_pos / v_neg
+    if if_pos is None:
+        return ratio, None
+    return ratio, (if_pos - ratio[None, :] * if_neg) / v_neg[None, :]
+
+
+def _decompose(scale, po_curves, x0, x1, functional, estimator, grid,
+               diagnostics):
+    x0, x1 = _check_arms(x0, x1)
+    grid, values, influence, have_if = _collect(po_curves, x0, x1, grid)
+    estimator = _resolve_estimator(estimator, have_if)
+    if functional is None:
+        functional = _infer_functional(po_curves)
+    if scale == "ratio":
+        for query, vals in values.items():
+            bad = np.flatnonzero(vals <= 0.0)
+            if bad.size:
+                j = int(bad[0])
+                raise RatioUndefinedError(
+                    f"potential outcome for query {query.as_tuple()} is "
+                    f"{vals[j]:.6g} at t={grid[j]:g}; ratio-scale effects "
+                    "need strictly positive curves")
+
+    dr = estimator == "doubly_robust"
+    curves = {q: (values[q], influence[q] if dr else None) for q in values}
+    contrast = _ratio if scale == "ratio" else _difference
+    effects = {}
+    for name, (estimate, if_eff) in effect_contrasts(
+            curves, x0, x1, contrast).items():
+        if if_eff is None:
+            effects[name] = EffectSeries(name=name, estimate=estimate)
+        else:
+            se = _band(if_eff)
+            effects[name] = EffectSeries(
+                name=name, estimate=estimate, se=se,
+                lo=estimate - Z_CRITICAL * se,
+                hi=estimate + Z_CRITICAL * se,
+                if_matrix=if_eff)
+
+    info = {"n_rows": next(iter(influence.values())).shape[0]} \
+        if have_if else {}
+    if diagnostics:
+        info.update(diagnostics)
+    return DecompositionSeries(
+        grid=grid, effects=effects, scale=scale,
+        functional=functional, estimator=estimator, x0=x0, x1=x1,
+        diagnostics=info)
+
+
 def decompose_difference(po_curves, x0, x1, *, functional=None,
                          estimator=None, grid=None, diagnostics=None):
     """Additive decomposition tv = direct - indirect - spurious.
@@ -264,36 +291,8 @@ def decompose_difference(po_curves, x0, x1, *, functional=None,
     must share one grid and, when influence matrices are present, one
     fold assignment.
     """
-    x0, x1 = _check_arms(x0, x1)
-    grid, values, influence, have_if = _collect(po_curves, x0, x1, grid)
-    estimator = _resolve_estimator(estimator, have_if)
-    if functional is None:
-        functional = _infer_functional(_normalize_po(po_curves))
-
-    effects = {}
-    for name in EFFECT_NAMES:
-        pos_roles, neg_roles = _EFFECT_PAIRS[name]
-        q_pos = _role_query(pos_roles, x0, x1)
-        q_neg = _role_query(neg_roles, x0, x1)
-        estimate = values[q_pos] - values[q_neg]
-        if estimator == "doubly_robust":
-            if_eff = influence[q_pos] - influence[q_neg]
-            se = _band(if_eff)
-            effects[name] = EffectSeries(
-                name=name, estimate=estimate, se=se,
-                lo=estimate - Z_CRITICAL * se,
-                hi=estimate + Z_CRITICAL * se,
-                if_matrix=if_eff)
-        else:
-            effects[name] = EffectSeries(name=name, estimate=estimate)
-
-    info = {"n_rows": influence[q_pos].shape[0]} if have_if else {}
-    if diagnostics:
-        info.update(diagnostics)
-    return DecompositionSeries(
-        grid=grid, effects=effects, scale="difference",
-        functional=functional, estimator=estimator, x0=x0, x1=x1,
-        diagnostics=info)
+    return _decompose("difference", po_curves, x0, x1, functional,
+                      estimator, grid, diagnostics)
 
 
 def decompose_ratio(po_curves, x0, x1, *, functional=None, estimator=None,
@@ -306,53 +305,13 @@ def decompose_ratio(po_curves, x0, x1, *, functional=None, estimator=None,
     the delta method for a ratio, again from per-row influence
     differences.
     """
-    x0, x1 = _check_arms(x0, x1)
-    grid, values, influence, have_if = _collect(po_curves, x0, x1, grid)
-    estimator = _resolve_estimator(estimator, have_if)
-    if functional is None:
-        functional = _infer_functional(_normalize_po(po_curves))
-
-    for query, vals in values.items():
-        bad = np.flatnonzero(vals <= 0.0)
-        if bad.size:
-            j = int(bad[0])
-            raise RatioUndefinedError(
-                f"potential outcome for query {query.as_tuple()} is "
-                f"{vals[j]:.6g} at t={grid[j]:g}; ratio-scale effects need "
-                "strictly positive curves")
-
-    effects = {}
-    for name in EFFECT_NAMES:
-        pos_roles, neg_roles = _EFFECT_PAIRS[name]
-        q_pos = _role_query(pos_roles, x0, x1)
-        q_neg = _role_query(neg_roles, x0, x1)
-        ratio = values[q_pos] / values[q_neg]
-        if estimator == "doubly_robust":
-            if_eff = (influence[q_pos] - ratio[None, :] * influence[q_neg]) \
-                / values[q_neg][None, :]
-            se = _band(if_eff)
-            effects[name] = EffectSeries(
-                name=name, estimate=ratio, se=se,
-                lo=ratio - Z_CRITICAL * se,
-                hi=ratio + Z_CRITICAL * se,
-                if_matrix=if_eff)
-        else:
-            effects[name] = EffectSeries(name=name, estimate=ratio)
-
-    info = {"n_rows": influence[q_pos].shape[0]} if have_if else {}
-    if diagnostics:
-        info.update(diagnostics)
-    return DecompositionSeries(
-        grid=grid, effects=effects, scale="ratio",
-        functional=functional, estimator=estimator, x0=x0, x1=x1,
-        diagnostics=info)
+    return _decompose("ratio", po_curves, x0, x1, functional, estimator,
+                      grid, diagnostics)
 
 
 def decompose_cr(cohort, x0, x1, causes=None, estimator="plugin", *,
-                 grid=None, learner="stratified",
-                 propensity_learner="frequency_table", epsilon=0.01,
-                 n_folds=2, seed=0, learners=None, cap=50.0,
-                 learner_params=None):
+                 grid=None, learners=None, epsilon=0.01, n_folds=2, seed=0,
+                 cap=50.0):
     """Per-cause incidence decompositions plus the all-cause survival one.
 
     Returns one difference-scale series per requested cause (on the
@@ -363,6 +322,8 @@ def decompose_cr(cohort, x0, x1, causes=None, estimator="plugin", *,
         sum_k tv_k(t) = -tv_all_cause(t)
 
     holds up to floating rounding whenever no propensity was clipped.
+    `learners` takes the learner keywords of `fit_dr_nuisances`; the
+    plugin estimator reads its outcome and propensity entries.
     """
     x0, x1 = _check_arms(x0, x1)
     if cohort.n_causes < 2:
@@ -384,22 +345,25 @@ def decompose_cr(cohort, x0, x1, causes=None, estimator="plugin", *,
         raise DataError(f"unknown estimator kind {estimator!r}")
 
     grid = default_grid(cohort) if grid is None else _validate_grid(grid)
-    queries = [_role_query(r, x0, x1) for r in _ROLES]
+    queries = role_queries(x0, x1)
     functionals = [Functional("cif", cause=k) for k in causes]
     functionals.append(Functional("all_cause_survival"))
 
     series = []
     if estimator == "plugin":
-        params = dict(learner_params or {})
+        learners = learners or {}
+        learner = learners.get("outcome_learner", "stratified")
         base = fit_plugin_nuisances(
             cohort, Functional("all_cause_survival"), learner=learner,
-            propensity_learner=propensity_learner, epsilon=epsilon, **params)
+            propensity_learner=learners.get("propensity_learner",
+                                            "frequency_table"),
+            epsilon=epsilon)
         outcome_by_target = {"event": base.outcome}
         for functional in functionals:
             target = outcome_target(functional)
             if target not in outcome_by_target:
                 outcome_by_target[target] = fit_conditional_survival(
-                    cohort, target=target, learner=learner, **params)
+                    cohort, target=target, learner=learner)
             nuis = replace(base, outcome=outcome_by_target[target])
             po, reports = {}, {}
             for query in queries:

@@ -46,7 +46,7 @@ from .nuisance import (
     propensity_from_spec,
     survival_model_from_spec,
 )
-from .queries import Functional, PotentialOutcomeQuery
+from .queries import Functional, PotentialOutcomeQuery, table_csv
 from .scm import Cohort, cell_members
 
 COMPONENT_NAMES = (
@@ -616,16 +616,9 @@ class DRCurveEstimate:
     diagnostics: dict
 
     def to_csv(self, header_comment=None):
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("t,estimate,se,lo,hi")
-        for j in range(self.grid.size):
-            lines.append(",".join(
-                "%.12g" % v for v in (
-                    self.grid[j], self.estimate[j], self.se[j],
-                    self.lo[j], self.hi[j])))
-        return "\n".join(lines) + "\n"
+        return table_csv("t,estimate,se,lo,hi",
+                         [[self.grid, self.estimate, self.se, self.lo,
+                           self.hi]], header_comment)
 
     def to_json(self, indent=2):
         payload = {

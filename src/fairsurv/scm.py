@@ -29,7 +29,7 @@ from .errors import (
     EmptyCohortError,
     SpecValidationError,
 )
-from .queries import Functional, PotentialOutcomeQuery
+from .queries import PotentialOutcomeQuery, effect_contrasts, role_queries
 
 _PROB_TOL = 1e-12
 
@@ -735,34 +735,15 @@ def oracle_po_curve(spec, query, functional, grid):
     return StepCurve(g, vals, value_at_zero=zero, kind="generic")
 
 
-def decomposition_queries(x0, x1):
-    """The four potential-outcome queries every decomposition rests on."""
-    return {
-        "factual_base": PotentialOutcomeQuery(x0, x0, x0),
-        "direct_shift": PotentialOutcomeQuery(x1, x0, x0),
-        "full_shift": PotentialOutcomeQuery(x1, x1, x0),
-        "factual_target": PotentialOutcomeQuery(x1, x1, x1),
-    }
-
-
 def oracle_decomposition(spec, grid, functional, x0=0, x1=1):
     """Ground-truth effect curves on `grid`; keys tv/direct/indirect/spurious.
 
     tv = direct - indirect - spurious holds exactly by construction.
     """
     g = np.asarray(grid, dtype=float)
-    q = decomposition_queries(x0, x1)
-    po = {
-        name: oracle_potential_outcome(spec, query, functional, g)
-        for name, query in q.items()
-    }
-    effects = {
-        "direct": po["direct_shift"] - po["factual_base"],
-        "indirect": po["direct_shift"] - po["full_shift"],
-        "spurious": po["full_shift"] - po["factual_target"],
-        "tv": po["factual_target"] - po["factual_base"],
-    }
+    po = {query: oracle_potential_outcome(spec, query, functional, g)
+          for query in role_queries(x0, x1)}
     return {
         name: StepCurve(g, vals, value_at_zero=0.0, kind="generic")
-        for name, vals in effects.items()
+        for name, vals in effect_contrasts(po, x0, x1, np.subtract).items()
     }

@@ -330,6 +330,37 @@ def test_plugin_rmst_without_horizon_integrates_to_each_time(nc_cohort_csv,
     assert all(np.isfinite(v) for v in tv.values())
 
 
+IC_DR = ["--mode", "ic", "--tau", "0.5", "--envelope-samples", "5"]
+
+
+@pytest.mark.parametrize("command, cohort, args, name, header, n_rows", [
+    ("decompose", "nc", [], "decomposition.csv",
+     "t,effect,estimate,se,lo,hi", 4 * 3),
+    ("decompose", "cr", ["--mode", "cr", "--estimator", "plugin"],
+     "decomposition.csv", "t,cause,effect,estimate,se,lo,hi", 3 * 4 * 3),
+    ("decompose", "ic", IC_DR, "decomposition.csv",
+     "t,tau,effect,estimate,lo,hi", 4 * 3),
+    ("decompose", "ic", IC_DR, "envelope_tau0.5.csv",
+     "t,central,env_lo,env_hi,tau", 3),
+    ("curves", "nc", [], "curves.csv", "t,series,value", 3 * 3),
+    ("curves", "cr", ["--mode", "cr"], "curves.csv", "t,series,value",
+     9 * 3),
+    ("curves", "ic", ["--mode", "ic", "--tau", "0.5", "--estimator",
+                      "plugin"], "curves.csv", "t,series,value", 3 * 3),
+])
+def test_csv_outputs_pin_header_and_column_count(
+        request, tmp_path, command, cohort, args, name, header, n_rows):
+    path = request.getfixturevalue(f"{cohort}_cohort_csv")
+    assert main([command, "--cohort", str(path), *args, "--grid", "1,2,3",
+                 "--outdir", str(tmp_path)]) == 0
+    lines = (tmp_path / name).read_text().splitlines()
+    assert lines[0].startswith("# fairsurv ")
+    assert lines[1] == header
+    assert len(lines) == 2 + n_rows
+    width = header.count(",") + 1
+    assert all(len(line.split(",")) == width for line in lines[2:])
+
+
 def test_diagnostics_written_in_every_mode(nc_cohort_csv, cr_cohort_csv,
                                            ic_cohort_csv, tmp_path):
     runs = [
@@ -361,6 +392,35 @@ def test_config_file_overrides_flags(nc_cohort_csv, tmp_path):
     _, rows = decomposition_rows(tmp_path / "decomposition.csv")
     assert sorted({float(r[0]) for r in rows}) == [1.0, 2.0]
     assert all(r[3] == "" for r in rows)  # plugin has no SE column
+
+
+@pytest.mark.parametrize("entry, flags", [
+    ({"grid_points": "5"}, ["--grid-points", "5"]),
+    ({"folds": "3"}, ["--folds", "3"]),
+    ({"epsilon": "0.05"}, ["--epsilon", "0.05"]),
+    ({"tau": ["0.5"]}, ["--tau", "0.5"]),
+])
+def test_config_numeric_strings_convert_as_flags_do(nc_cohort_csv,
+                                                    ic_cohort_csv, tmp_path,
+                                                    entry, flags):
+    ic = "tau" in entry
+    base = ["decompose", "--estimator", "plugin", "--cohort",
+            str(ic_cohort_csv if ic else nc_cohort_csv)]
+    if ic:
+        base += ["--mode", "ic", "--grid", "1,2,3"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    assert main(base + ["--config", str(cfg),
+                        "--outdir", str(tmp_path / "config")]) == 0
+    assert main(base + flags + ["--outdir", str(tmp_path / "flags")]) == 0
+    for name in ("decomposition.csv", "decomposition.json"):
+        assert (tmp_path / "config" / name).read_bytes() \
+            == (tmp_path / "flags" / name).read_bytes()
+    for bad in ({key: "many"} for key in entry):
+        cfg.write_text(json.dumps(bad))
+        assert main(base + ["--config", str(cfg),
+                            "--outdir", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_unknown_config_key_is_usage_error(nc_cohort_csv, tmp_path, capsys):
@@ -445,6 +505,21 @@ def test_usage_errors_for_flag_conflicts(nc_cohort_csv, tmp_path, capsys):
     assert main(ic + ["0,-0", "--family", "independence"]) == 2
     assert not list(tmp_path.iterdir())
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["decompose", "curves"])
+def test_cr_mode_rejects_functional_flags(cr_cohort_csv, tmp_path, capsys,
+                                          command):
+    # cr mode fixes its own functionals (each cause's incidence, all-cause
+    # survival), so a chosen functional would be silently ignored
+    base = [command, "--cohort", str(cr_cohort_csv), "--mode", "cr",
+            "--estimator", "plugin", "--grid", "1,2,3",
+            "--outdir", str(tmp_path)]
+    assert main(base + ["--functional", "rmst", "--horizon", "3"]) == 2
+    assert main(base + ["--functional", "cif", "--cause", "1"]) == 2
+    assert main(base + ["--functional", "all_cause_survival"]) == 2
+    assert "--functional" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_negative_envelope_samples_is_usage_error(ic_cohort_csv, tmp_path,

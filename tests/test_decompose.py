@@ -18,8 +18,14 @@ from fairsurv.decompose import (
 from fairsurv.curves import StepCurve
 from fairsurv.dr import assign_folds, crossfit_dr_many
 from fairsurv.errors import DataError, RatioUndefinedError
-from fairsurv.queries import Functional, PotentialOutcomeQuery
-from fairsurv.scm import Cohort, oracle_decomposition, sample_cohort
+from fairsurv.queries import Functional, PotentialOutcomeQuery, \
+    effect_contrasts, role_queries
+from fairsurv.scm import (
+    Cohort,
+    oracle_decomposition,
+    oracle_potential_outcome,
+    sample_cohort,
+)
 
 from testkit import (
     brute_po,
@@ -91,6 +97,37 @@ def test_difference_matches_internal_oracle_curves():
     for name in EFFECT_NAMES:
         assert_allclose(series.effect(name).estimate, truth[name].values,
                         rtol=0.0, atol=1e-12)
+
+
+def test_role_queries_layout():
+    # baseline, direct shift, full shift, target: the four decomposition
+    # queries, in the order every table lists them
+    assert [q.as_tuple() for q in role_queries(0, 1)] == [
+        (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
+    assert [q.as_tuple() for q in role_queries(1, 0)] == [
+        (1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0)]
+    # each effect contrasts a positive and a negative query of the four
+    roles = {q: q.as_tuple() for q in role_queries(0, 1)}
+    pairs = effect_contrasts(roles, 0, 1, lambda pos, neg: (pos, neg))
+    assert list(pairs) == list(EFFECT_NAMES)
+    assert pairs == {"tv": ((1, 1, 1), (0, 0, 0)),
+                     "direct": ((1, 0, 0), (0, 0, 0)),
+                     "indirect": ((1, 0, 0), (1, 1, 0)),
+                     "spurious": ((1, 1, 0), (1, 1, 1))}
+
+
+@pytest.mark.parametrize("x0, x1", [(0, 1), (1, 0)])
+def test_oracle_decomposition_is_the_difference_decomposition(x0, x1):
+    spec = spec_of(make_nic_balanced())
+    functional = Functional("survival")
+    truth = oracle_decomposition(spec, GRID, functional, x0=x0, x1=x1)
+    po = {q: oracle_potential_outcome(spec, q, functional, GRID)
+          for q in role_queries(x0, x1)}
+    series = decompose_difference(po, x0, x1, grid=GRID, estimator="oracle")
+    assert set(truth) == set(EFFECT_NAMES)
+    for name in EFFECT_NAMES:
+        assert np.array_equal(truth[name].values,
+                              series.effect(name).estimate)
 
 
 def test_identical_curves_give_zero_effects():
@@ -422,6 +459,14 @@ def test_cr_cause_selection_and_validation():
         decompose_cr(cohort, 0, 1, causes=[])
     with pytest.raises(DataError, match="estimator"):
         decompose_cr(cohort, 0, 1, estimator="oracle")
+    # one learner dict serves both estimators
+    for estimator in ("plugin", "doubly_robust"):
+        with pytest.raises(DataError, match="unknown learner"):
+            decompose_cr(cohort, 0, 1, estimator=estimator,
+                         learners={"outcome_learner": "bogus"})
+        with pytest.raises(DataError, match="unknown propensity learner"):
+            decompose_cr(cohort, 0, 1, estimator=estimator,
+                         learners={"propensity_learner": "bogus"})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from fairsurv.queries import Functional, PotentialOutcomeQuery
 from fairsurv.scm import (
     Cohort,
     SCMSpec,
-    decomposition_queries,
     oracle_decomposition,
     oracle_potential_outcome,
     sample_cohort,
@@ -285,14 +284,6 @@ def test_oracle_degenerate_group_raises():
         oracle_potential_outcome(
             spec, PotentialOutcomeQuery(1, 1, 0), Functional("survival"), 1.0
         )
-
-
-def test_decomposition_queries_layout():
-    q = decomposition_queries(0, 1)
-    assert q["factual_base"].as_tuple() == (0, 0, 0)
-    assert q["direct_shift"].as_tuple() == (1, 0, 0)
-    assert q["full_shift"].as_tuple() == (1, 1, 0)
-    assert q["factual_target"].as_tuple() == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
