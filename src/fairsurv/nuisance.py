@@ -4,8 +4,16 @@ Two survival learners are provided.  The stratified learner groups rows
 by the exact (group, confounder, mediator) combination and fits a
 product-limit curve per stratum, backing off to coarser strata when a
 combination has no rows.  The tree learner bags log-rank-split survival
-trees and averages cumulative hazards across trees.  Propensities come
-from frequency tables or IRLS logistic fits, clipped away from 0 and 1.
+trees, one per bootstrap resample, and averages cumulative hazards (or,
+for a cause target, incidence curves) across trees.  A node's candidate
+splits are the midpoints between consecutive distinct values of each
+feature, or at most `max_thresholds` distinct interior quantiles; those
+leaving fewer than `min_leaf` rows on a side are dropped, the rest are
+scored together in one array pass by the two-sample log-rank
+chi-square, and the first strictly largest positive score wins.  Tree
+parameters: n_trees >= 1, min_leaf >= 10, 0 <= max_depth <= 6,
+max_thresholds >= 1, seed.  Propensities come from frequency tables or
+IRLS logistic fits, clipped away from 0 and 1.
 """
 
 from __future__ import annotations
@@ -91,11 +99,11 @@ def _sorted_cells(values):
 # ---------------------------------------------------------------------------
 
 class _Leaf:
-    __slots__ = ("times", "increments", "curve", "n_rows")
+    __slots__ = ("times", "chf", "curve", "n_rows")
 
-    def __init__(self, times, increments, curve, n_rows):
+    def __init__(self, times, chf, curve, n_rows):
         self.times = times
-        self.increments = increments
+        self.chf = chf
         self.curve = curve
         self.n_rows = n_rows
 
@@ -110,32 +118,51 @@ class _Split:
         self.right = right
 
 
-def _logrank_statistic(t_left, e_left, t_right, e_right):
-    """Two-sample log-rank chi-square for a candidate split."""
-    ev = np.unique(np.concatenate((t_left[e_left > 0], t_right[e_right > 0])))
+def _logrank_scores(left, m, ind):
+    """Two-sample log-rank chi-square of every candidate split of a node.
+
+    `left` is a (candidates, rows) boolean matrix: row k marks the node
+    rows candidate k sends left.  The event times, the totals at risk and
+    the total events do not depend on the split, so they are computed
+    once; left at-risk counts are a cumulative count over the rows in
+    descending time order and left event counts a per-time sum over the
+    event rows.  Every array is candidates x rows or candidates x event
+    times.  A candidate whose variance is not positive scores 0.
+    """
+    events = ind > 0
+    ev, d = np.unique(m[events], return_counts=True)
+    chi = np.zeros(left.shape[0])
     if ev.size == 0:
-        return 0.0
-    sl, sr = np.sort(t_left), np.sort(t_right)
-    n_l = (t_left.size - np.searchsorted(sl, ev, side="left")).astype(float)
-    n_r = (t_right.size - np.searchsorted(sr, ev, side="left")).astype(float)
-    el = np.sort(t_left[e_left > 0])
-    er = np.sort(t_right[e_right > 0])
-    d_l = (
-        np.searchsorted(el, ev, "right") - np.searchsorted(el, ev, "left")
-    ).astype(float)
-    d_r = (
-        np.searchsorted(er, ev, "right") - np.searchsorted(er, ev, "left")
-    ).astype(float)
-    n = n_l + n_r
-    d = d_l + d_r
-    observed_minus_expected = float(np.sum(d_l - n_l * d / n))
+        return chi
+    ascending = np.argsort(m, kind="stable")
+    n = m.size - np.searchsorted(m[ascending], ev, side="left")
+    n_l = np.cumsum(left[:, ascending[::-1]], axis=1)[:, n - 1]
+    ev_rows = np.flatnonzero(events)
+    ev_rows = ev_rows[np.argsort(m[ev_rows], kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(d)[:-1]))
+    d_l = np.add.reduceat(left[:, ev_rows], starts, axis=1, dtype=np.intp)
+
+    n_l, d_l = n_l.astype(float), d_l.astype(float)
+    n, d = n.astype(float), d.astype(float)
+    n_r = n - n_l
+    observed_minus_expected = _row_sums(d_l - n_l * d / n)
     multi = n > 1
-    var = np.sum(
-        (n_l * n_r * d * (n - d))[multi] / (n[multi] ** 2 * (n[multi] - 1.0))
+    var = _row_sums(
+        (n_l * n_r * d * (n - d))[:, multi] / (n[multi] ** 2 * (n[multi] - 1.0))
     )
-    if var <= 0.0:
-        return 0.0
-    return observed_minus_expected**2 / var
+    # Squared with Python's float power, as a single split's statistic is:
+    # libm pow and x * x can differ in the last place, enough to reorder
+    # two nearly tied candidates.
+    squared = np.array([o**2 for o in observed_minus_expected.tolist()])
+    np.divide(squared, var, out=chi, where=var > 0.0)
+    return chi
+
+
+def _row_sums(a):
+    """Sum each row exactly as np.sum sums a 1-D array: numpy sums a row
+    pairwise only when the row is contiguous in memory, and fancy indexing
+    along the last axis need not leave it so."""
+    return np.sum(np.ascontiguousarray(a), axis=1)
 
 
 def _leaf_payload(m, delta, target, n_causes):
@@ -145,44 +172,52 @@ def _leaf_payload(m, delta, target, n_causes):
     rt = risk_table(m, _indicator(delta, target), n_causes=1)
     d = rt.events[:, 0]
     keep = d > 0
-    return _Leaf(rt.times[keep], d[keep] / rt.at_risk[keep], None, m.size)
+    chf = np.concatenate(([0.0], np.cumsum(d[keep] / rt.at_risk[keep])))
+    return _Leaf(rt.times[keep], chf, None, m.size)
+
+
+def _candidate_splits(feats, max_thresholds):
+    """(feature, threshold) of every candidate split of a node, features
+    in column order and thresholds ascending within a feature: the
+    midpoints between consecutive distinct values, or, where there are
+    more than `max_thresholds` of them, the distinct interior quantiles
+    at `max_thresholds` equally spaced levels."""
+    features, thresholds = [np.empty(0, dtype=int)], [np.empty(0)]
+    for j in range(feats.shape[1]):
+        col = feats[:, j]
+        uniq = np.unique(col)
+        if uniq.size < 2:
+            continue
+        thr = (uniq[:-1] + uniq[1:]) / 2.0
+        if thr.size > max_thresholds:
+            thr = np.unique(
+                np.quantile(col, np.linspace(0.0, 1.0, max_thresholds + 2)[1:-1])
+            )
+        features.append(np.full(thr.size, j))
+        thresholds.append(thr)
+    return np.concatenate(features), np.concatenate(thresholds)
 
 
 def _grow_tree(feats, m, delta, ind, target, n_causes, depth, params, stats):
     n = m.size
     stats["max_depth_observed"] = max(stats["max_depth_observed"], depth)
     if depth < params["max_depth"] and n >= 2 * params["min_leaf"]:
-        best_stat, best_feature, best_threshold = 0.0, None, None
-        for j in range(feats.shape[1]):
-            col = feats[:, j]
-            uniq = np.unique(col)
-            if uniq.size < 2:
-                continue
-            thresholds = (uniq[:-1] + uniq[1:]) / 2.0
-            if thresholds.size > params["max_thresholds"]:
-                qs = np.quantile(
-                    col, np.linspace(0.0, 1.0, params["max_thresholds"] + 2)[1:-1]
-                )
-                thresholds = np.unique(qs)
-            for thr in thresholds:
-                mask = col <= thr
-                n_left = int(mask.sum())
-                if min(n_left, n - n_left) < params["min_leaf"]:
-                    continue
-                stat = _logrank_statistic(m[mask], ind[mask], m[~mask], ind[~mask])
-                if stat > best_stat:
-                    best_stat, best_feature, best_threshold = stat, j, thr
-        if best_feature is not None:
-            mask = feats[:, best_feature] <= best_threshold
-            left = _grow_tree(
-                feats[mask], m[mask], delta[mask], ind[mask],
-                target, n_causes, depth + 1, params, stats,
+        feature, threshold = _candidate_splits(feats, params["max_thresholds"])
+        left = feats[:, feature].T <= threshold[:, None]
+        n_left = left.sum(axis=1)
+        fits = np.minimum(n_left, n - n_left) >= params["min_leaf"]
+        left, feature, threshold = left[fits], feature[fits], threshold[fits]
+        scores = _logrank_scores(left, m, ind)
+        if scores.size and scores.max() > 0.0:
+            k = int(np.argmax(scores))  # the first maximum wins
+            mask = left[k]
+            return _Split(
+                int(feature[k]), float(threshold[k]),
+                _grow_tree(feats[mask], m[mask], delta[mask], ind[mask],
+                           target, n_causes, depth + 1, params, stats),
+                _grow_tree(feats[~mask], m[~mask], delta[~mask], ind[~mask],
+                           target, n_causes, depth + 1, params, stats),
             )
-            right = _grow_tree(
-                feats[~mask], m[~mask], delta[~mask], ind[~mask],
-                target, n_causes, depth + 1, params, stats,
-            )
-            return _Split(best_feature, float(best_threshold), left, right)
     stats["n_leaves"] += 1
     stats["min_leaf_size_observed"] = min(stats["min_leaf_size_observed"], n)
     return _leaf_payload(m, delta, target, n_causes)
@@ -202,8 +237,7 @@ def _mean_chf_survival(leaves):
     grid = np.unique(np.concatenate(times))
     chf = np.zeros(grid.size)
     for leaf in leaves:
-        cum = np.concatenate(([0.0], np.cumsum(leaf.increments)))
-        chf += cum[np.searchsorted(leaf.times, grid, side="right")]
+        chf += leaf.chf[np.searchsorted(leaf.times, grid, side="right")]
     chf /= len(leaves)
     return StepCurve(grid, np.exp(-chf), value_at_zero=1.0, kind="survival")
 
@@ -399,6 +433,8 @@ def _fit_tree_ensemble(cohort, target, params):
         raise DataError("min leaf size must be at least 10")
     if not 0 <= opts["max_depth"] <= 6:
         raise DataError("max depth must be between 0 and 6")
+    if opts["max_thresholds"] < 1:
+        raise DataError("max_thresholds must be at least 1")
     z_mat = _numeric_matrix(cohort.z_codes, cohort.z_values, "z")
     w_mat = _numeric_matrix(cohort.w_codes, cohort.w_values, "w")
     feats = np.column_stack(

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsurv.curves import StepCurve, kaplan_meier, nelson_aalen
+from fairsurv.curves import (
+    StepCurve,
+    aalen_johansen_cif,
+    kaplan_meier,
+    nelson_aalen,
+)
 from fairsurv.errors import (
     CohortSchemaError,
     DataError,
@@ -16,6 +21,7 @@ from fairsurv.errors import (
 )
 from fairsurv.nuisance import (
     ConditionalSurvivalModel,
+    _logrank_scores,
     fit_conditional_survival,
     fit_propensity,
     predict_censoring_hazard_increments,
@@ -219,6 +225,11 @@ def test_tree_params_are_validated():
         fit_conditional_survival(
             cohort, learner="logrank_tree_ensemble", max_depth=7
         )
+    for bad in (0, -3):
+        with pytest.raises(DataError):
+            fit_conditional_survival(
+                cohort, learner="logrank_tree_ensemble", max_thresholds=bad
+            )
     with pytest.raises(DataError):
         fit_conditional_survival(cohort, learner="nonesuch")
 
@@ -239,6 +250,183 @@ def test_tree_same_seed_reproduces_predictions():
     ca, cb = a.predict(1, 1, 0), b.predict(1, 1, 0)
     np.testing.assert_array_equal(ca.breakpoints, cb.breakpoints)
     np.testing.assert_array_equal(ca.values, cb.values)
+
+
+# ---------------------------------------------------------------------------
+# Log-rank splitting
+# ---------------------------------------------------------------------------
+
+def logrank_oracle(t_left, e_left, t_right, e_right):
+    """Reference: the two-sample log-rank chi-square of one split, scored
+    one candidate at a time, as the tree learner did before it scored all
+    candidates of a node at once."""
+    ev = np.unique(np.concatenate((t_left[e_left > 0], t_right[e_right > 0])))
+    if ev.size == 0:
+        return 0.0
+    sl, sr = np.sort(t_left), np.sort(t_right)
+    n_l = (t_left.size - np.searchsorted(sl, ev, side="left")).astype(float)
+    n_r = (t_right.size - np.searchsorted(sr, ev, side="left")).astype(float)
+    el = np.sort(t_left[e_left > 0])
+    er = np.sort(t_right[e_right > 0])
+    d_l = (
+        np.searchsorted(el, ev, "right") - np.searchsorted(el, ev, "left")
+    ).astype(float)
+    d_r = (
+        np.searchsorted(er, ev, "right") - np.searchsorted(er, ev, "left")
+    ).astype(float)
+    n = n_l + n_r
+    d = d_l + d_r
+    observed_minus_expected = float(np.sum(d_l - n_l * d / n))
+    multi = n > 1
+    var = np.sum(
+        (n_l * n_r * d * (n - d))[multi] / (n[multi] ** 2 * (n[multi] - 1.0))
+    )
+    if var <= 0.0:
+        return 0.0
+    return observed_minus_expected**2 / var
+
+
+_TARGET_INDICATORS = {
+    "event": lambda delta: delta >= 1,
+    "censoring": lambda delta: delta == 0,
+    1: lambda delta: delta == 1,
+    2: lambda delta: delta == 2,
+}
+
+
+def _oracle_scores(left, m, ind):
+    return np.array([logrank_oracle(m[row], ind[row], m[~row], ind[~row])
+                     for row in left])
+
+
+def test_logrank_scores_equal_the_one_split_oracle_exactly():
+    rng = np.random.default_rng(2024)
+    n_positive = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 300))
+        if trial % 2:  # integer times: heavy ties
+            m = rng.integers(1, int(rng.integers(2, 40)), n).astype(float)
+        else:
+            m = np.round(rng.exponential(size=n), int(rng.integers(1, 5)))
+        delta = rng.choice(3, size=n, p=rng.dirichlet(np.ones(3)))
+        target = list(_TARGET_INDICATORS)[trial % 4]
+        ind = _TARGET_INDICATORS[target](delta).astype(int)
+        if trial % 7 == 0:
+            ind[:] = 0  # all censored: no event times
+        if trial % 5 == 0:
+            # the last event time has a single row at risk
+            last = int(rng.integers(n))
+            m[last] = m.max() + 1.0
+            ind[last] = 1
+        col = rng.normal(size=n)
+        # thresholds outside the range and next to the extremes send no
+        # row or a single row to one side, as min_leaf would refuse
+        thresholds = np.concatenate((
+            [col.min() - 1.0, col.max() + 1.0],
+            np.sort(col)[[0, -1]],
+            np.sort(rng.normal(size=int(rng.integers(1, 40)))),
+        ))
+        left = col <= thresholds[:, None]
+        got = _logrank_scores(left, m, ind)
+        want = _oracle_scores(left, m, ind)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (trial, np.flatnonzero(got != want))
+        n_positive += int(np.count_nonzero(want > 0.0))
+    assert n_positive > 1000
+
+
+def _reference_tree(feats, m, ind, depth, params):
+    """Preorder (feature, threshold) / leaf-size sequence of the tree the
+    scalar search grows: every threshold scored alone by the oracle, the
+    first strictly largest statistic wins."""
+    n = m.size
+    if depth < params["max_depth"] and n >= 2 * params["min_leaf"]:
+        best_stat, best = 0.0, None
+        for j in range(feats.shape[1]):
+            col = feats[:, j]
+            uniq = np.unique(col)
+            if uniq.size < 2:
+                continue
+            thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+            if thresholds.size > params["max_thresholds"]:
+                levels = np.linspace(0.0, 1.0, params["max_thresholds"] + 2)
+                thresholds = np.unique(np.quantile(col, levels[1:-1]))
+            for thr in thresholds:
+                mask = col <= thr
+                n_left = int(mask.sum())
+                if min(n_left, n - n_left) < params["min_leaf"]:
+                    continue
+                stat = logrank_oracle(m[mask], ind[mask], m[~mask], ind[~mask])
+                if stat > best_stat:
+                    best_stat, best = stat, (j, float(thr))
+        if best is not None:
+            mask = feats[:, best[0]] <= best[1]
+            return ([best]
+                    + _reference_tree(feats[mask], m[mask], ind[mask],
+                                      depth + 1, params)
+                    + _reference_tree(feats[~mask], m[~mask], ind[~mask],
+                                      depth + 1, params))
+    return [n]
+
+
+def _fitted_tree(node):
+    if hasattr(node, "feature"):
+        return ([(node.feature, node.threshold)]
+                + _fitted_tree(node.left) + _fitted_tree(node.right))
+    return [node.n_rows]
+
+
+def test_tree_structure_matches_the_scalar_reference_grower():
+    rng = np.random.default_rng(31)
+    n = 160
+    x = rng.integers(0, 2, n)
+    z = np.round(rng.normal(size=(n, 2)), 3)
+    w = x.copy()  # every split on w ties with the same split on x
+    m = np.round(rng.exponential(1.0 / np.exp(0.6 * z[:, 0] + 0.4 * x)), 1)
+    delta = rng.choice(3, size=n, p=[0.3, 0.45, 0.25])
+    cohort = Cohort(x, [tuple(r) for r in z.tolist()], w.tolist(), m, delta)
+    feats = np.column_stack([x, z, w]).astype(float)
+    params = dict(n_trees=4, min_leaf=10, max_depth=4, max_thresholds=8)
+    features = []
+    for target in ("event", "censoring", 1):
+        model = fit_conditional_survival(
+            cohort, target=target, learner="logrank_tree_ensemble",
+            seed=7, **params,
+        )
+        ind = _TARGET_INDICATORS[target](delta).astype(int)
+        rng_boot = np.random.default_rng(7)
+        for tree in model._trees:
+            boot = rng_boot.integers(0, n, n)
+            want = _reference_tree(feats[boot], m[boot], ind[boot], 0, params)
+            assert _fitted_tree(tree) == want
+            features += [item[0] for item in want if isinstance(item, tuple)]
+    # the first maximum wins: x, never its copy w
+    assert len(features) >= 12 and 0 in features and 3 not in features
+    assert {1, 2} <= set(features)
+
+
+def test_tree_cif_without_splits_is_the_bootstrap_mean_aalen_johansen():
+    rng = np.random.default_rng(8)
+    n, seed, n_trees = 90, 11, 6
+    m = rng.integers(1, 15, n).astype(float)
+    delta = rng.choice(3, size=n, p=[0.3, 0.4, 0.3])
+    cohort = Cohort([1] * n, _const_cov(n), _const_cov(n), m, delta)
+    model = fit_conditional_survival(
+        cohort, target=1, learner="logrank_tree_ensemble",
+        n_trees=n_trees, seed=seed,
+    )
+    assert model.fit_report["mean_leaves_per_tree"] == 1.0
+    draws = np.random.default_rng(seed)
+    cifs = []
+    for _ in range(n_trees):
+        boot = draws.integers(0, n, n)
+        cifs.append(aalen_johansen_cif(m[boot], delta[boot], cause=1,
+                                       n_causes=cohort.n_causes))
+    grid = np.unique(np.concatenate([c.breakpoints for c in cifs]))
+    want = np.mean([c.evaluate(grid) for c in cifs], axis=0)
+    got = model.predict_cif(1, 0, 0)
+    np.testing.assert_array_equal(got.breakpoints, grid)
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
