@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from fairsurv import (
+    FoldPlan,
     Functional,
     SCMSpec,
     crossfit_dr_many,
@@ -78,14 +79,16 @@ print(f"sampled cohort: n={cohort.n}, "
 # ---------------------------------------------------------------------------
 # Cross-fitted doubly robust decomposition of the survival gap.  The four
 # potential-outcome curves behind the decomposition share one grid and one
-# fold assignment, so the additive identity holds exactly row by row.
+# fold plan (the folds and their nuisance fits), so the additive identity
+# holds exactly row by row.
 # ---------------------------------------------------------------------------
 
 grid = np.asarray(EVENT_TIMES)
 functional = Functional("survival")
 queries = [(1, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0)]
 
-po = crossfit_dr_many(cohort, queries, functional, grid=grid, seed=0)
+po = crossfit_dr_many(FoldPlan(cohort, seed=0), queries, functional,
+                      grid=grid)
 series = decompose_difference(po, x0=0, x1=1, functional=functional,
                               grid=grid)
 

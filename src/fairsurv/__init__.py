@@ -20,7 +20,8 @@ Layered API, bottom up:
 - :mod:`fairsurv.identify` — plug-in identification of potential-outcome
   curves under the three-block covariate factorization.
 - :mod:`fairsurv.dr` — cross-fitted doubly robust estimation with
-  influence-function standard errors.
+  influence-function standard errors; a `FoldPlan` fits each nuisance
+  once per fold and target.
 - :mod:`fairsurv.decompose` — effect decompositions on the difference and
   ratio scales, including per-cause competing-risks decompositions.
 - :mod:`fairsurv.copulas` — Archimedean dependence models for the
@@ -57,6 +58,7 @@ from .decompose import (
 )
 from .dr import (
     DRCurveEstimate,
+    FoldPlan,
     crossfit_dr,
     crossfit_dr_many,
     evaluate_influence,
@@ -110,6 +112,7 @@ __all__ = [
     # doubly robust estimation
     "fit_dr_nuisances",
     "evaluate_influence",
+    "FoldPlan",
     "crossfit_dr",
     "crossfit_dr_many",
     "DRCurveEstimate",

@@ -37,7 +37,7 @@ import numpy as np
 
 from .copulas import CopulaSpec, generator, generator_inverse
 from .curves import StepCurve
-from .dr import Z_CRITICAL, assign_folds, crossfit_dr_many
+from .dr import Z_CRITICAL, FoldPlan, crossfit_dr_many
 from .errors import (
     CoincidentJumpError,
     DataError,
@@ -359,12 +359,12 @@ def _sanitize_cif_pair(ct, cc):
     return ct, cc, n_scaled
 
 
-def _incidence_estimates(recoded, query, grid, fold, dr_config):
+def _incidence_estimates(plan, query, grid):
     """Cross-fitted event (cause 1) and censoring (cause 2) incidence of
-    one query on a censoring-recoded cohort, over the given folds."""
+    one query, over a fold plan on a censoring-recoded cohort."""
     return tuple(crossfit_dr_many(
-        recoded, [query], Functional("cif", cause=k), grid=grid,
-        fold_ids=fold, **dr_config)[query] for k in (1, 2))
+        plan, [query], Functional("cif", cause=k), grid=grid)[query]
+        for k in (1, 2))
 
 
 @dataclass
@@ -409,10 +409,10 @@ def route2_population(cohort, spec, query, grid=None, dr_config=None,
     censoring cause under the query.  The bounded recursion on the
     central curves gives the point reconstruction; corners of the
     bands and uniformly sampled admissible trajectories within them
-    span the envelope.  Pass `cif_estimates=(event, censoring)` with
-    objects carrying grid/estimate/se to skip the estimation step.
+    span the envelope.  `dr_config` holds `FoldPlan` keywords.  Pass
+    `cif_estimates=(event, censoring)` with objects carrying
+    grid/estimate/se to skip the estimation step.
     """
-    dr_config = dict(dr_config or {})
     envelope_config = dict(envelope_config or {})
     n_samples = int(envelope_config.pop("n_samples", 200))
     sample_seed = int(envelope_config.pop("seed", 0))
@@ -429,11 +429,8 @@ def route2_population(cohort, spec, query, grid=None, dr_config=None,
             # second incidence curve, so the grid must resolve them too
             grid = default_grid(recoded)
         grid = _validate_grid(grid)
-        n_folds = int(dr_config.pop("n_folds", 2))
-        dr_config["seed"] = int(dr_config.get("seed", 0))
-        fold = assign_folds(recoded, n_folds, dr_config["seed"])
-        est_t, est_c = _incidence_estimates(recoded, query, grid, fold,
-                                            dr_config)
+        est_t, est_c = _incidence_estimates(
+            FoldPlan(recoded, **(dr_config or {})), query, grid)
     else:
         est_t, est_c = cif_estimates
         grid = _validate_grid(est_t.grid if grid is None else grid)

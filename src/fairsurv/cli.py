@@ -37,7 +37,7 @@ from .cge import _incidence_estimates, route1_conditional, \
 from .copulas import CopulaSpec
 from .curves import aalen_johansen_cif, kaplan_meier
 from .decompose import decompose_cr, decompose_difference, decompose_ratio
-from .dr import assign_folds, crossfit_dr_many
+from .dr import FoldPlan, crossfit_dr_many
 from .errors import DataError, EstimationError
 from .identify import default_grid, fit_plugin_nuisances, plugin_po
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
@@ -195,6 +195,8 @@ def _validate_config(config, parser):
                      "all-cause survival; --functional does not apply")
     if config["envelope_samples"] < 0:
         parser.error("--envelope-samples must be nonnegative")
+    if config["folds"] < 2:
+        parser.error("--folds must be at least 2")
     if config.get("grid") is not None and config.get("grid_points") is not None:
         parser.error("--grid and --grid-points are mutually exclusive")
     if config.get("grid_points") is not None and config["grid_points"] <= 0:
@@ -286,16 +288,14 @@ def _functional(config):
                       horizon=config.get("horizon"))
 
 
-def _learners(config):
-    return {"outcome_learner": config["learner"],
-            "censoring_learner": config["learner"],
-            "propensity_learner": config["propensity_learner"]}
-
-
 def _dr_config(config):
+    """`FoldPlan` keywords; one learner fits outcome and censoring."""
+    learners = {"outcome_learner": config["learner"],
+                "censoring_learner": config["learner"],
+                "propensity_learner": config["propensity_learner"]}
     return {"n_folds": config["folds"], "seed": config["seed"],
             "epsilon": config["epsilon"], "cap": config["cap"],
-            "learners": _learners(config)}
+            "learners": learners}
 
 
 def _tau_tag(tau):
@@ -393,8 +393,8 @@ def _nic_series(config, cohort, grid):
         po = {q: plugin_po(nuisances, cohort, q, functional, grid)
               for q in queries}
     else:
-        po = crossfit_dr_many(cohort, queries, functional, grid=grid,
-                              **_dr_config(config))
+        po = crossfit_dr_many(FoldPlan(cohort, **_dr_config(config)),
+                              queries, functional, grid=grid)
     reducer = (decompose_ratio if config.get("scale") == "ratio"
                else decompose_difference)
     return reducer(po, x0, x1, functional=functional, grid=grid)
@@ -405,9 +405,9 @@ def _ic_curves(config, cohort, grid, queries):
 
     Returns one {query: (central, env_lo, env_hi)} dict per tau; the
     plugin route has no envelope, so its bounds are None.  The dr route
-    estimates a query's event and censoring incidence once, on the
-    censoring-recoded cohort with one fold assignment, and reuses them
-    for every tau before releasing them and moving to the next query.
+    estimates a query's event and censoring incidence once, over one
+    fold plan on the censoring-recoded cohort, and reuses them for every
+    tau before releasing them and moving to the next query.
     """
     specs = [CopulaSpec(config["family"], tau) for tau in config["tau"]]
     per_tau = [{} for _ in specs]
@@ -422,11 +422,9 @@ def _ic_curves(config, cohort, grid, queries):
                     cohort, spec, nuisances, q, grid).values, dtype=float),
                     None, None)
         return per_tau
-    recoded = cohort.censoring_as_cause()
-    dr_config = _dr_config(config)
-    fold = assign_folds(recoded, dr_config.pop("n_folds"), dr_config["seed"])
+    plan = FoldPlan(cohort.censoring_as_cause(), **_dr_config(config))
     for q in queries:
-        estimates = _incidence_estimates(recoded, q, grid, fold, dr_config)
+        estimates = _incidence_estimates(plan, q, grid)
         for curves, spec in zip(per_tau, specs):
             result = route2_population(
                 cohort, spec, q, grid=grid, cif_estimates=estimates,

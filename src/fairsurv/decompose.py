@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import StepCurve
-from .dr import DRCurveEstimate, Z_CRITICAL, assign_folds, crossfit_dr_many
+from .dr import DRCurveEstimate, FoldPlan, Z_CRITICAL, crossfit_dr_many
 from .errors import DataError, RatioUndefinedError
 from .identify import (
     _validate_grid,
@@ -376,11 +376,10 @@ def decompose_cr(cohort, x0, x1, causes=None, estimator="plugin", *,
                 po, x0, x1, functional=functional, estimator="plugin",
                 grid=grid, diagnostics={"plugin_reports": reports}))
     else:
-        fold = assign_folds(cohort, n_folds, seed)
+        plan = FoldPlan(cohort, n_folds, seed, learners=learners,
+                        epsilon=epsilon, cap=cap)
         for functional in functionals:
-            estimates = crossfit_dr_many(
-                cohort, queries, functional, grid=grid, learners=learners,
-                seed=seed, epsilon=epsilon, cap=cap, fold_ids=fold)
+            estimates = crossfit_dr_many(plan, queries, functional, grid=grid)
             series.append(decompose_difference(
                 estimates, x0, x1, functional=functional,
                 estimator="doubly_robust", grid=grid))

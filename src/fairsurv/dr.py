@@ -26,7 +26,7 @@ in the diagnostics; neither safeguard fires on well-behaved cohorts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,11 +92,8 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
                      propensity_learner="frequency_table", epsilon=0.01,
                      outcome_params=None, censoring_params=None):
     """Fit the full nuisance bundle on one cohort (or fold complement)."""
-    target = _dr_target(functional)
-    outcome = fit_conditional_survival(
-        cohort, target=target, learner=outcome_learner,
-        **(outcome_params or {}),
-    )
+    outcome = _fit_outcome(cohort, _dr_target(functional), outcome_learner,
+                           outcome_params)
     censoring = fit_conditional_survival(
         cohort, target="censoring", learner=censoring_learner,
         **(censoring_params or {}),
@@ -112,6 +109,14 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
         propensity_z=propensity_z,
         mediator_cohort=cohort,
     )
+
+
+def _fit_outcome(cohort, target, outcome_learner="stratified",
+                 outcome_params=None, **_other_learners):
+    """A bundle's outcome model, from a full learner mapping."""
+    return fit_conditional_survival(
+        cohort, target=target, learner=outcome_learner,
+        **(outcome_params or {}))
 
 
 def dr_nuisances_from_spec(spec, functional):
@@ -158,7 +163,6 @@ class InfluenceEvaluation:
     grid: np.ndarray
     values: np.ndarray
     components: dict
-    fold_ids: np.ndarray
     n_flagged: int
 
     def component_gap(self):
@@ -343,8 +347,7 @@ def _censor_increments(model, covariates, grid):
 
 
 def evaluate_influence(cohort, nuisances, query, functional, grid, *,
-                       psi=0.0, p_condition=None, epsilon=0.01, cap=50.0,
-                       fold_ids=None):
+                       psi=0.0, p_condition=None, epsilon=0.01, cap=50.0):
     """Influence values for every row at every grid time, centered at psi.
 
     ``p_condition`` defaults to the nuisance bundle's marginal for the
@@ -365,12 +368,8 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
     comps["conditioning_centering"] = comps["conditioning_centering"] - (
         ind_z[:, None] / p_condition) * psi_arr[None, :]
     values = sum(comps[name] for name in COMPONENT_NAMES)
-    if fold_ids is None:
-        fold_ids = np.zeros(cohort.n, dtype=int)
-    return InfluenceEvaluation(
-        grid=grid, values=values, components=comps,
-        fold_ids=np.asarray(fold_ids, dtype=int), n_flagged=n_flagged,
-    )
+    return InfluenceEvaluation(grid=grid, values=values, components=comps,
+                               n_flagged=n_flagged)
 
 
 def _as_query(query):
@@ -439,6 +438,23 @@ def assign_folds(cohort, n_folds=2, seed=0):
     return fold
 
 
+def _fold_labels(cohort, fold_ids):
+    """Validated integer fold labels 0..k-1 and k, their number of folds."""
+    labels = np.asarray(fold_ids)
+    if labels.shape != (cohort.n,):
+        raise DataError("fold ids must give one label per row")
+    if labels.dtype.kind not in "biuf" or not np.all(
+            np.isfinite(labels) & (labels == np.floor(labels))):
+        raise DataError("fold ids must be whole numbers")
+    fold = labels.astype(int)
+    n_folds = int(fold.max()) + 1
+    if fold.min() < 0 or n_folds < 2:
+        raise DataError("fold ids must lie in 0..k-1 for k >= 2 folds, got "
+                        f"{fold.min()}..{n_folds - 1}")
+    _check_folds(cohort, fold, n_folds)
+    return fold, n_folds
+
+
 def _check_folds(cohort, fold, n_folds):
     for f in range(n_folds):
         xs = cohort.x[fold == f]
@@ -447,38 +463,66 @@ def _check_folds(cohort, fold, n_folds):
                 f"fold {f} does not contain both groups")
 
 
-def crossfit_dr(cohort, query, functional, grid=None, n_folds=2,
-                learners=None, seed=0, *, nuisances=None, epsilon=0.01,
-                cap=50.0, fold_ids=None):
-    """Cross-fitted one-step estimate of one potential-outcome curve."""
-    query = _as_query(query)
-    result = crossfit_dr_many(
-        cohort, [query], functional, grid=grid, n_folds=n_folds,
-        learners=learners, seed=seed, nuisances=nuisances, epsilon=epsilon,
-        cap=cap, fold_ids=fold_ids,
-    )
-    return result[query]
+class FoldPlan:
+    """Folds, estimator settings and per-fold nuisance fits of a run.
 
-
-def crossfit_dr_many(cohort, queries, functional, grid=None, n_folds=2,
-                     learners=None, seed=0, *, nuisances=None, epsilon=0.01,
-                     cap=50.0, fold_ids=None):
-    """Shared-nuisance cross-fitting for several queries at once.
-
-    All queries are evaluated against the same fold assignment and the
-    same per-fold nuisance fits, so differences of the returned per-row
-    influence matrices are valid influence functions for contrasts.
-    Passing ``nuisances`` skips fitting entirely and evaluates the fixed
-    bundle on every row (single pass, fold id 0 everywhere).
+    Folds are ``assign_folds(cohort, n_folds, seed)`` or the given
+    ``fold_ids``.  A fold's first outcome target fits the whole bundle on
+    its complement; later targets reuse its censoring model, propensities
+    and mediator cohort and fit only an outcome model.  A fixed
+    ``nuisances`` bundle is evaluated on every row instead (one part,
+    fold id 0, ``n_folds`` 0).
     """
-    if grid is None:
-        grid = default_grid(cohort)
-    grid = _validate_grid(grid)
-    queries = [_as_query(q) for q in queries]
-    seen = {}
-    for q in queries:
-        seen.setdefault(q, None)
-    queries = list(seen)
+
+    def __init__(self, cohort, n_folds=2, seed=0, *, learners=None,
+                 nuisances=None, epsilon=0.01, cap=50.0, fold_ids=None):
+        self.cohort, self.seed, self.epsilon, self.cap = (
+            cohort, seed, epsilon, cap)
+        self.learners = dict(learners or {})
+        self._fixed = nuisances
+        if nuisances is not None:
+            self.fold_ids, self.n_folds = np.zeros(cohort.n, dtype=int), 0
+        elif fold_ids is None:
+            self.fold_ids = assign_folds(cohort, n_folds, seed)
+            self.n_folds = n_folds
+        else:
+            self.fold_ids, self.n_folds = _fold_labels(cohort, fold_ids)
+        self._bundles = [{} for _ in range(self.n_folds)]
+
+    def parts(self, functional):
+        """Yield ``(bundle, rows)`` per fold: the bundle fitted without the
+        fold for the functional's target, and the fold's row indices."""
+        if self._fixed is not None:
+            yield self._fixed, np.arange(self.cohort.n)
+            return
+        target = _dr_target(functional)
+        for f, bundles in enumerate(self._bundles):
+            if not bundles:
+                bundles[target] = fit_dr_nuisances(
+                    self.cohort.subset(self.fold_ids != f), functional,
+                    epsilon=self.epsilon, **self.learners)
+            elif target not in bundles:
+                shared = next(iter(bundles.values()))
+                bundles[target] = replace(shared, outcome=_fit_outcome(
+                    shared.mediator_cohort, target, **self.learners))
+            yield bundles[target], np.flatnonzero(self.fold_ids == f)
+
+
+def crossfit_dr(plan, query, functional, grid=None):
+    """Cross-fitted one-step estimate of one potential-outcome curve."""
+    return crossfit_dr_many(plan, [query], functional, grid)[_as_query(query)]
+
+
+def crossfit_dr_many(plan, queries, functional, grid=None):
+    """Cross-fitting of several queries over one ``FoldPlan``.
+
+    All queries are evaluated against the plan's fold assignment and
+    per-fold nuisance fits, so differences of the returned per-row
+    influence matrices are valid influence functions for contrasts.
+    """
+    cohort = plan.cohort
+    grid = _validate_grid(default_grid(cohort) if grid is None else grid)
+    queries = list(dict.fromkeys(_as_query(q) for q in queries))
 
     n = cohort.n
     base_functional = functional
@@ -486,48 +530,22 @@ def crossfit_dr_many(cohort, queries, functional, grid=None, n_folds=2,
         base_functional = Functional(
             "survival" if cohort.n_causes == 1 else "all_cause_survival")
 
-    p_cond = {}
-    for q in queries:
-        frac = float(np.mean(cohort.x == q.x_condition))
+    p_cond = {q: float(np.mean(cohort.x == q.x_condition)) for q in queries}
+    for q, frac in p_cond.items():
         if frac == 0.0:
             raise DegenerateGroupError(
                 f"no rows in conditioning group {q.x_condition}")
-        p_cond[q] = frac
 
     unc = {q: np.zeros((n, grid.size)) for q in queries}
     n_flagged = {q: 0 for q in queries}
     n_fallback = {q: 0 for q in queries}
 
-    if nuisances is not None:
-        fold = np.zeros(n, dtype=int)
-        fold_plan = [(nuisances, np.arange(n))]
-        n_folds_used = 0
-    else:
-        if fold_ids is not None:
-            fold = np.asarray(fold_ids, dtype=int)
-            if fold.shape != (n,):
-                raise DataError("fold ids must give one label per row")
-            n_folds_used = int(fold.max()) + 1
-            if n_folds_used < 2:
-                raise DataError("cross-fitting needs at least two folds")
-            _check_folds(cohort, fold, n_folds_used)
-        else:
-            fold = assign_folds(cohort, n_folds, seed)
-            n_folds_used = n_folds
-        fold_plan = []
-        for f in range(n_folds_used):
-            train = cohort.subset(fold != f)
-            bundle = fit_dr_nuisances(
-                train, base_functional, epsilon=epsilon,
-                **(learners or {}))
-            fold_plan.append((bundle, np.flatnonzero(fold == f)))
-
-    for bundle, rows in fold_plan:
+    for bundle, rows in plan.parts(base_functional):
         part = cohort.subset(rows)
         for q in queries:
             comps, flags, fallbacks = _contribution_components(
                 part, bundle, q, base_functional, grid, p_cond[q],
-                epsilon, cap)
+                plan.epsilon, plan.cap)
             unc[q][rows] = sum(comps[name] for name in COMPONENT_NAMES)
             n_flagged[q] += flags
             n_fallback[q] += fallbacks
@@ -537,7 +555,6 @@ def crossfit_dr_many(cohort, queries, functional, grid=None, n_folds=2,
         estimate = unc[q].mean(axis=0)
         ind_z = (cohort.x == q.x_condition).astype(float)
         if_matrix = unc[q] - np.outer(ind_z / p_cond[q], estimate)
-        work_grid = grid
         if functional.kind == "rmst":
             shift, weights = _rmst_weights(grid, functional.horizon)
             estimate = shift + weights @ estimate
@@ -545,29 +562,22 @@ def crossfit_dr_many(cohort, queries, functional, grid=None, n_folds=2,
         se = if_matrix.std(axis=0, ddof=1) / np.sqrt(n)
         diagnostics = {
             "n_rows": n,
-            "n_folds": n_folds_used,
-            "fold_sizes": np.bincount(fold, minlength=max(
-                n_folds_used, 1)).tolist(),
+            "n_folds": plan.n_folds,
+            "fold_sizes": np.bincount(plan.fold_ids, minlength=max(
+                plan.n_folds, 1)).tolist(),
             "p_condition": p_cond[q],
             "n_flagged": n_flagged[q],
             "n_mediator_fallback": n_fallback[q],
-            "epsilon": epsilon,
-            "cap": cap,
-            "seed": seed,
-            "fixed_nuisances": nuisances is not None,
+            "epsilon": plan.epsilon,
+            "cap": plan.cap,
+            "seed": plan.seed,
+            "fixed_nuisances": plan.n_folds == 0,
         }
         out[q] = DRCurveEstimate(
-            grid=work_grid,
-            estimate=estimate,
-            se=se,
-            lo=estimate - Z_CRITICAL * se,
-            hi=estimate + Z_CRITICAL * se,
-            query=q,
-            functional=functional,
-            if_matrix=if_matrix,
-            fold_ids=fold,
-            diagnostics=diagnostics,
-        )
+            grid=grid, estimate=estimate, se=se,
+            lo=estimate - Z_CRITICAL * se, hi=estimate + Z_CRITICAL * se,
+            query=q, functional=functional, if_matrix=if_matrix,
+            fold_ids=plan.fold_ids, diagnostics=diagnostics)
     return out
 
 
@@ -580,20 +590,13 @@ def _rmst_weights(grid, horizon):
     matrix.  ``horizon`` (when given) caps the integration time of every
     grid point.
     """
-    n_t = grid.size
-    shift = np.zeros(n_t)
-    weights = np.zeros((n_t, n_t))
-    cap = float("inf") if horizon is None else float(horizon)
-    for j in range(n_t):
-        t_eff = min(float(grid[j]), cap)
-        shift[j] = min(t_eff, float(grid[0]))
-        for l in range(j):
-            left = float(grid[l])
-            right = min(float(grid[l + 1]), t_eff) if l + 1 < n_t else t_eff
-            right = min(right, t_eff)
-            if right > left:
-                weights[j, l] = right - left
-    return shift, weights
+    grid = np.asarray(grid, dtype=float)
+    t_eff = grid if horizon is None else np.minimum(grid, float(horizon))
+    widths = np.minimum(grid[None, 1:], t_eff[:, None]) - grid[None, :-1]
+    earlier = np.tri(grid.size, grid.size - 1, -1, dtype=bool)  # l < j
+    weights = np.zeros((grid.size, grid.size))
+    weights[:, :-1] = np.where(earlier & (widths > 0.0), widths, 0.0)
+    return np.minimum(t_eff, grid[0]), weights
 
 
 # ---------------------------------------------------------------------------

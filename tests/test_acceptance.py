@@ -20,6 +20,7 @@ from fairsurv.decompose import decompose_cr, decompose_difference, \
     decompose_ratio
 from fairsurv.dr import (
     DRNuisances,
+    FoldPlan,
     crossfit_dr,
     crossfit_dr_many,
     dr_nuisances_from_spec,
@@ -75,7 +76,8 @@ def test_acceptance_01_estimates_match_enumeration_oracle():
         start = time.perf_counter()
         cohort = sample_cohort(spec_of(raw), 100_000, seed=seed)
         nuisances = fit_plugin_nuisances(cohort, SURVIVAL)
-        dr = crossfit_dr_many(cohort, QUERIES, SURVIVAL, grid=GRID, seed=seed)
+        dr = crossfit_dr_many(FoldPlan(cohort, seed=seed), QUERIES, SURVIVAL,
+                              grid=GRID)
         sup = 0.0
         for query in QUERIES:
             oracle = oracle_curve(raw, query)
@@ -104,7 +106,8 @@ def test_acceptance_02_decomposition_identities_exact():
     nuisances = fit_plugin_nuisances(cohort, SURVIVAL)
     po_plugin = {q: plugin_po(nuisances, cohort, q, SURVIVAL, grid)
                  for q in QUERIES}
-    po_dr = crossfit_dr_many(cohort, QUERIES, SURVIVAL, grid=grid, seed=1011)
+    po_dr = crossfit_dr_many(FoldPlan(cohort, seed=1011), QUERIES, SURVIVAL,
+                             grid=grid)
     gap = 0.0
     for po in (po_plugin, po_dr):
         diff = decompose_difference(po, 0, 1, functional=SURVIVAL, grid=grid)
@@ -146,7 +149,8 @@ def _bundle_with(spec, outcome=None, censoring=None):
 def _fixed_bundle_bias(raw, bundle, seed):
     cohort = sample_cohort(spec_of(raw), 100_000, seed=seed)
     query = PotentialOutcomeQuery(1, 0, 0)
-    est = crossfit_dr(cohort, query, SURVIVAL, grid=GRID, nuisances=bundle)
+    est = crossfit_dr(FoldPlan(cohort, nuisances=bundle), query, SURVIVAL,
+                      grid=GRID)
     return float(np.max(np.abs(est.estimate - oracle_curve(raw, query))))
 
 
@@ -214,8 +218,8 @@ def test_acceptance_05_interval_coverage():
     hits = total = 0
     for rep in range(200):
         cohort = sample_cohort(spec, 20_000, seed=50_000 + rep)
-        estimates = crossfit_dr_many(cohort, QUERIES, SURVIVAL, grid=GRID,
-                                     seed=rep)
+        estimates = crossfit_dr_many(FoldPlan(cohort, seed=rep), QUERIES,
+                                     SURVIVAL, grid=GRID)
         for q in QUERIES:
             est = estimates[q]
             inside = (est.lo <= oracles[q]) & (oracles[q] <= est.hi)

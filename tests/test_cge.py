@@ -567,7 +567,7 @@ def test_route2_central_tracks_latent_oracle_across_tau():
 
 def test_route2_given_estimates_match_fitting_inside(route2_toy_cohort):
     from fairsurv.cge import _incidence_estimates
-    from fairsurv.dr import assign_folds
+    from fairsurv.dr import FoldPlan
 
     query = PotentialOutcomeQuery(1, 0, 1)
     envelope = {"n_samples": 20, "seed": 3}
@@ -575,9 +575,8 @@ def test_route2_given_estimates_match_fitting_inside(route2_toy_cohort):
                                dr_config={"n_folds": 3, "seed": 5},
                                envelope_config=envelope)
     recoded = route2_toy_cohort.censoring_as_cause()
-    estimates = _incidence_estimates(recoded, query, inside.grid,
-                                     assign_folds(recoded, 3, 5),
-                                     {"seed": 5})
+    estimates = _incidence_estimates(FoldPlan(recoded, 3, 5), query,
+                                     inside.grid)
     given = route2_population(route2_toy_cohort, CLAYTON, query,
                               envelope_config=envelope,
                               cif_estimates=estimates)

@@ -12,6 +12,7 @@ from fairsurv.scm import Cohort, SCMSpec, sample_cohort
 
 from testkit import (
     brute_po,
+    count_dr_fits,
     make_cr_two_cause,
     make_ic_clayton,
     make_nic_balanced,
@@ -289,9 +290,9 @@ def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
 
     calls = []
 
-    def counted(cohort, queries, functional, **kwargs):
+    def counted(plan, queries, functional, **kwargs):
         calls.append((tuple(queries), functional.cause))
-        return crossfit_dr_many(cohort, queries, functional, **kwargs)
+        return crossfit_dr_many(plan, queries, functional, **kwargs)
 
     for module in (fairsurv.cge, fairsurv.cli):
         monkeypatch.setattr(module, "crossfit_dr_many", counted)
@@ -302,6 +303,18 @@ def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
     assert len(calls) == 8
     assert len(set(calls)) == 8
     assert {cause for _, cause in calls} == {1, 2}
+
+
+def test_ic_nuisances_fitted_once_per_fold_and_cause(ic_cohort_csv, tmp_path,
+                                                    monkeypatch):
+    fits = count_dr_fits(monkeypatch)
+    assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+                 "--tau", "0.2,0.5,0.8", "--envelope-samples", "10",
+                 "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
+    # per fold: one censoring model, one outcome model per cause (event,
+    # recoded censoring) and both propensities, shared by the four
+    # queries and the three taus
+    assert fits == {"survival": 6, "propensity": 4}
 
 
 def test_decompose_reruns_byte_identical(ic_cohort_csv, tmp_path):
@@ -503,8 +516,19 @@ def test_usage_errors_for_flag_conflicts(nc_cohort_csv, tmp_path, capsys):
     assert main(ic + ["0.3,0.3"]) == 2                 # repeated tau
     assert main(ic + ["0.2,0.2000001"]) == 2           # equal %g tags
     assert main(ic + ["0,-0", "--family", "independence"]) == 2
+    absent = ["decompose", "--cohort", str(tmp_path / "absent.csv"),
+              "--outdir", str(tmp_path)]
+    for folds in ("1", "0", "-2"):     # rejected before the cohort is read
+        assert main(absent + ["--folds", folds]) == 2
     assert not list(tmp_path.iterdir())
-    capsys.readouterr()
+    assert "--folds must be at least 2" in capsys.readouterr().err
+    # more folds than rows is a property of the data
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("x,z,w,m,delta\n0,0,0,1.0,1\n1,0,0,2.0,1\n"
+                    "0,0,0,1.5,0\n1,0,0,2.5,1\n")
+    assert main(["decompose", "--cohort", str(tiny), "--folds", "5",
+                 "--grid", "1,2", "--outdir", str(tmp_path / "out")]) == 3
+    assert "more folds than rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["decompose", "curves"])

@@ -16,7 +16,7 @@ from fairsurv.decompose import (
     decompose_ratio,
 )
 from fairsurv.curves import StepCurve
-from fairsurv.dr import assign_folds, crossfit_dr_many
+from fairsurv.dr import FoldPlan, assign_folds, crossfit_dr_many
 from fairsurv.errors import DataError, RatioUndefinedError
 from fairsurv.queries import Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries
@@ -29,6 +29,7 @@ from fairsurv.scm import (
 
 from testkit import (
     brute_po,
+    count_dr_fits,
     make_cr_severed,
     make_cr_two_cause,
     make_indirect_only,
@@ -246,8 +247,8 @@ def dr_series():
     spec = spec_of(make_nic_balanced())
     cohort = sample_cohort(spec, 4000, seed=11)
     estimates = crossfit_dr_many(
-        cohort, queries_for(0, 1), Functional("survival"), grid=GRID,
-        seed=11)
+        FoldPlan(cohort, seed=11), queries_for(0, 1), Functional("survival"),
+        grid=GRID)
     return cohort, estimates, decompose_difference(estimates, 0, 1)
 
 
@@ -277,8 +278,8 @@ def test_dr_effects_match_enumeration_oracle():
     raw = make_nic_balanced()
     cohort = sample_cohort(spec_of(raw), 20000, seed=13)
     estimates = crossfit_dr_many(
-        cohort, queries_for(0, 1), Functional("survival"), grid=GRID,
-        seed=13)
+        FoldPlan(cohort, seed=13), queries_for(0, 1), Functional("survival"),
+        grid=GRID)
     series = decompose_difference(estimates, 0, 1)
     truth = brute_effects(raw, GRID)
     for name in EFFECT_NAMES:
@@ -290,10 +291,10 @@ def test_mixed_fold_assignments_raise():
     spec = spec_of(make_nic_balanced())
     cohort = sample_cohort(spec, 1200, seed=17)
     qs = queries_for(0, 1)
-    first = crossfit_dr_many(cohort, qs[:2], Functional("survival"),
-                             grid=GRID, seed=1)
-    second = crossfit_dr_many(cohort, qs[2:], Functional("survival"),
-                              grid=GRID, seed=2)
+    first = crossfit_dr_many(FoldPlan(cohort, seed=1), qs[:2],
+                             Functional("survival"), grid=GRID)
+    second = crossfit_dr_many(FoldPlan(cohort, seed=2), qs[2:],
+                              Functional("survival"), grid=GRID)
     assert not np.array_equal(first[qs[0]].fold_ids, second[qs[2]].fold_ids)
     merged = {**first, **second}
     with pytest.raises(DataError, match="fold"):
@@ -305,10 +306,10 @@ def test_rmst_tv_is_the_integral_of_survival_tv():
     cohort = sample_cohort(spec, 5000, seed=19)
     fold = assign_folds(cohort, 2, seed=0)
     qs = queries_for(0, 1)
-    surv = crossfit_dr_many(cohort, qs, Functional("survival"), grid=GRID,
-                            fold_ids=fold)
-    rmst = crossfit_dr_many(cohort, qs, Functional("rmst"), grid=GRID,
-                            fold_ids=fold)
+    surv = crossfit_dr_many(FoldPlan(cohort, fold_ids=fold), qs,
+                            Functional("survival"), grid=GRID)
+    rmst = crossfit_dr_many(FoldPlan(cohort, fold_ids=fold), qs,
+                            Functional("rmst"), grid=GRID)
     tv_s = decompose_difference(surv, 0, 1).effect("tv").estimate
     tv_r = decompose_difference(rmst, 0, 1).effect("tv").estimate
     integral = np.zeros_like(tv_r)
@@ -439,6 +440,30 @@ def test_cr_doubly_robust_smoke():
     # shared folds across the per-cause sweeps
     tv = [s.effect("tv").estimate for s in series]
     assert np.max(np.abs(tv[0] + tv[1] + tv[2])) <= 0.05
+
+
+def test_cr_doubly_robust_fits_each_nuisance_once_per_fold_and_target(
+        monkeypatch):
+    cohort = sample_cohort(spec_of(make_cr_two_cause()), 3000, seed=45)
+    fits = count_dr_fits(monkeypatch)
+    series = decompose_cr(cohort, 0, 1, estimator="doubly_robust",
+                          grid=GRID, n_folds=2, seed=7)
+    # per fold: one censoring model, one outcome model for each of the
+    # three targets (cause 1, cause 2, any event), and both propensities
+    assert fits == {"survival": 8, "propensity": 4}
+    # sharing the fits changes nothing: each series equals one built from
+    # its own plan on the same fold labels
+    fold = assign_folds(cohort, 2, seed=7)
+    for shared in series:
+        alone = decompose_difference(
+            crossfit_dr_many(FoldPlan(cohort, seed=7, fold_ids=fold),
+                             queries_for(0, 1), shared.functional, grid=GRID),
+            0, 1, functional=shared.functional, estimator="doubly_robust",
+            grid=GRID)
+        for name in EFFECT_NAMES:
+            for field in ("estimate", "se", "lo", "hi"):
+                assert np.array_equal(getattr(shared.effect(name), field),
+                                      getattr(alone.effect(name), field))
 
 
 def test_cr_cause_selection_and_validation():

@@ -11,6 +11,8 @@ from fairsurv.curves import StepCurve
 from fairsurv.dr import (
     COMPONENT_NAMES,
     DRNuisances,
+    _rmst_weights,
+    FoldPlan,
     assign_folds,
     crossfit_dr,
     crossfit_dr_many,
@@ -36,6 +38,7 @@ from fairsurv.scm import Cohort, sample_cohort
 
 from testkit import (
     brute_po,
+    count_dr_fits,
     make_adversarial,
     make_cr_two_cause,
     make_nic_balanced,
@@ -379,7 +382,8 @@ def test_saturated_no_censoring_equals_group_survival():
     cohort = sample_cohort(spec, 4000, seed=5)
     assert np.all(cohort.delta == 1)
     grid = np.array([1.0, 2.0, 3.0, 4.0])
-    est = crossfit_dr(cohort, (1, 1, 1), SURVIVAL, grid=grid, seed=5)
+    est = crossfit_dr(FoldPlan(cohort, seed=5), (1, 1, 1), SURVIVAL,
+                      grid=grid)
     sel = cohort.x == 1
     empirical = np.array([(cohort.m[sel] > t).mean() for t in grid])
     assert np.max(np.abs(est.estimate - empirical)) <= 1e-6
@@ -389,22 +393,23 @@ def test_cif_complement_identity_without_censoring():
     spec = spec_of(make_no_censoring())
     cohort = sample_cohort(spec, 3000, seed=7)
     grid = np.array([1.0, 2.0, 3.0, 4.0])
-    surv = crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=grid, seed=11)
-    cif = crossfit_dr(
-        cohort, (1, 0, 0), Functional("cif", cause=1), grid=grid, seed=11)
+    surv = crossfit_dr(FoldPlan(cohort, seed=11), (1, 0, 0), SURVIVAL,
+                       grid=grid)
+    cif = crossfit_dr(FoldPlan(cohort, seed=11), (1, 0, 0),
+                      Functional("cif", cause=1), grid=grid)
     assert np.max(np.abs(cif.estimate - (1.0 - surv.estimate))) <= 1e-8
 
 
 def test_row_permutation_with_fixed_folds_is_invariant():
     _, spec, cohort = _nic_setup(900, 23)
     fold = assign_folds(cohort, 2, seed=3)
-    base = crossfit_dr(
-        cohort, (1, 0, 0), SURVIVAL, grid=[1.0, 2.0, 3.0], fold_ids=fold)
+    base = crossfit_dr(FoldPlan(cohort, fold_ids=fold), (1, 0, 0),
+                       SURVIVAL, grid=[1.0, 2.0, 3.0])
     rng = np.random.default_rng(9)
     perm = rng.permutation(cohort.n)
     shuffled = crossfit_dr(
-        cohort.subset(perm), (1, 0, 0), SURVIVAL, grid=[1.0, 2.0, 3.0],
-        fold_ids=fold[perm])
+        FoldPlan(cohort.subset(perm), fold_ids=fold[perm]), (1, 0, 0),
+        SURVIVAL, grid=[1.0, 2.0, 3.0])
     assert np.max(np.abs(base.estimate - shuffled.estimate)) <= 1e-10
     assert np.max(np.abs(base.if_matrix[perm] - shuffled.if_matrix)) <= 1e-10
 
@@ -448,7 +453,8 @@ def _fixed_bundle_sup_error(raw, bundle, n, seed, query=(1, 0, 0)):
     spec = spec_of(raw)
     cohort = sample_cohort(spec, n, seed=seed)
     grid = [1.0, 2.0, 3.0, 4.0]
-    est = crossfit_dr(cohort, query, SURVIVAL, grid=grid, nuisances=bundle)
+    est = crossfit_dr(FoldPlan(cohort, nuisances=bundle), query, SURVIVAL,
+                      grid=grid)
     oracle = np.array([brute_po(raw, *query, t) for t in grid])
     return float(np.max(np.abs(est.estimate - oracle)))
 
@@ -478,20 +484,19 @@ def test_both_nuisances_wrong_is_visibly_biased():
 def test_crossfit_recovers_oracle_when_fitted():
     raw, spec, cohort = _nic_setup(20000, 301)
     grid = [1.0, 2.0, 3.0, 4.0]
-    est = crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=grid, seed=301)
+    est = crossfit_dr(FoldPlan(cohort, seed=301), (1, 0, 0), SURVIVAL,
+                      grid=grid)
     oracle = np.array([brute_po(raw, 1, 0, 0, t) for t in grid])
     assert float(np.max(np.abs(est.estimate - oracle))) <= 0.03
 
 
 def test_crossfit_with_tree_learner_plumbs_through():
     raw, spec, cohort = _nic_setup(1500, 307)
-    est = crossfit_dr(
-        cohort, (1, 0, 0), SURVIVAL, grid=[2.0], seed=307,
-        learners={
-            "outcome_learner": "logrank_tree_ensemble",
-            "outcome_params": {"n_trees": 8},
-        },
-    )
+    plan = FoldPlan(cohort, seed=307, learners={
+        "outcome_learner": "logrank_tree_ensemble",
+        "outcome_params": {"n_trees": 8},
+    })
+    est = crossfit_dr(plan, (1, 0, 0), SURVIVAL, grid=[2.0])
     oracle = brute_po(raw, 1, 0, 0, 2.0)
     assert abs(float(est.estimate[0]) - oracle) <= 0.15
 
@@ -515,26 +520,39 @@ def test_assign_folds_stratifies_both_axes():
             assert max(sizes) - min(sizes) <= 1
 
 
-def test_fold_validation_errors():
+def test_fold_validation_errors(monkeypatch):
     _, spec, cohort = _nic_setup(300, 31)
+    fits = count_dr_fits(monkeypatch)
     with pytest.raises(DataError):
-        crossfit_dr(cohort, (1, 1, 1), SURVIVAL, grid=[2.0], n_folds=1)
+        crossfit_dr(FoldPlan(cohort, n_folds=1), (1, 1, 1), SURVIVAL,
+                    grid=[2.0])
     with pytest.raises(DataError):
         assign_folds(cohort, cohort.n + 1)
     bad = np.where(cohort.x == 1, 0, 1)
     with pytest.raises(FoldAssignmentError):
-        crossfit_dr(cohort, (1, 1, 1), SURVIVAL, grid=[2.0], fold_ids=bad)
+        crossfit_dr(FoldPlan(cohort, fold_ids=bad), (1, 1, 1), SURVIVAL,
+                    grid=[2.0])
     single = cohort.subset(cohort.x == 1)
     with pytest.raises(FoldAssignmentError):
-        crossfit_dr(single, (1, 1, 1), SURVIVAL, grid=[2.0])
+        crossfit_dr(FoldPlan(single), (1, 1, 1), SURVIVAL, grid=[2.0])
     with pytest.raises(DegenerateGroupError):
-        crossfit_dr(single, (1, 1, 0), SURVIVAL, grid=[2.0], fold_ids=None,
-                    nuisances=_hand_bundle())
+        crossfit_dr(FoldPlan(single, fold_ids=None, nuisances=_hand_bundle()),
+                    (1, 1, 0), SURVIVAL, grid=[2.0])
+    # labels must be whole numbers in 0..k-1, checked before any fit
+    fold = assign_folds(cohort, 3, seed=0)
+    with pytest.raises(DataError, match="whole numbers"):
+        crossfit_dr(FoldPlan(cohort, fold_ids=fold + 0.7), (1, 1, 1),
+                    SURVIVAL, grid=[2.0])
+    with pytest.raises(DataError, match=r"0\.\.k-1"):
+        crossfit_dr(FoldPlan(cohort, fold_ids=np.where(fold == 0, -1, fold)),
+                    (1, 1, 1), SURVIVAL, grid=[2.0])
+    assert fits == {"survival": 0, "propensity": 0}
 
 
 def test_centered_influence_has_zero_mean_and_matching_se():
     _, spec, cohort = _nic_setup(2000, 37)
-    est = crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=[1.0, 3.0], seed=37)
+    est = crossfit_dr(FoldPlan(cohort, seed=37), (1, 0, 0), SURVIVAL,
+                      grid=[1.0, 3.0])
     col_means = est.if_matrix.mean(axis=0)
     assert np.max(np.abs(col_means)) <= 1e-12
     manual_se = est.if_matrix.std(axis=0, ddof=1) / np.sqrt(cohort.n)
@@ -548,9 +566,10 @@ def test_shared_nuisance_multi_query_call():
     _, spec, cohort = _nic_setup(2000, 41)
     queries = [PotentialOutcomeQuery(1, 0, 0), PotentialOutcomeQuery(0, 0, 0)]
     results = crossfit_dr_many(
-        cohort, queries, SURVIVAL, grid=[2.0, 3.0], seed=41)
+        FoldPlan(cohort, seed=41), queries, SURVIVAL, grid=[2.0, 3.0])
     assert set(results) == set(queries)
-    solo = crossfit_dr(cohort, queries[0], SURVIVAL, grid=[2.0, 3.0], seed=41)
+    solo = crossfit_dr(FoldPlan(cohort, seed=41), queries[0], SURVIVAL,
+                       grid=[2.0, 3.0])
     assert np.allclose(
         results[queries[0]].estimate, solo.estimate, atol=1e-12)
     assert np.array_equal(results[queries[0]].fold_ids,
@@ -564,9 +583,10 @@ def test_shared_nuisance_multi_query_call():
 def test_rmst_is_exact_step_integral_of_survival_estimate():
     _, spec, cohort = _nic_setup(1500, 43)
     grid = np.array([1.0, 2.0, 3.0, 4.0])
-    surv = crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=grid, seed=43)
-    rmst = crossfit_dr(
-        cohort, (1, 0, 0), Functional("rmst"), grid=grid, seed=43)
+    surv = crossfit_dr(FoldPlan(cohort, seed=43), (1, 0, 0), SURVIVAL,
+                       grid=grid)
+    rmst = crossfit_dr(FoldPlan(cohort, seed=43), (1, 0, 0),
+                       Functional("rmst"), grid=grid)
     s = surv.estimate
     manual = np.array([
         1.0,
@@ -582,13 +602,45 @@ def test_rmst_is_exact_step_integral_of_survival_estimate():
     assert np.max(np.abs(rmst.if_matrix - manual_if)) <= 1e-12
 
 
+def _rmst_weights_loop(grid, horizon):
+    """The entry-by-entry loop `_rmst_weights` replaced, kept verbatim as
+    its oracle."""
+    n_t = grid.size
+    shift = np.zeros(n_t)
+    weights = np.zeros((n_t, n_t))
+    cap = float("inf") if horizon is None else float(horizon)
+    for j in range(n_t):
+        t_eff = min(float(grid[j]), cap)
+        shift[j] = min(t_eff, float(grid[0]))
+        for l in range(j):
+            left = float(grid[l])
+            right = min(float(grid[l + 1]), t_eff) if l + 1 < n_t else t_eff
+            right = min(right, t_eff)
+            if right > left:
+                weights[j, l] = right - left
+    return shift, weights
+
+
+def test_rmst_weights_equal_the_loop_oracle_exactly():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        size = int(rng.integers(1, 40))
+        grid = np.unique(np.round(rng.exponential(2.0, size), 3) + 1e-3)
+        inside = float(rng.uniform(grid[0] / 2, grid[-1] * 1.2))
+        for horizon in (None, inside, float(rng.choice(grid))):
+            shift, weights = _rmst_weights(grid, horizon)
+            want_shift, want_weights = _rmst_weights_loop(grid, horizon)
+            assert np.array_equal(shift, want_shift)
+            assert np.array_equal(weights, want_weights)
+
+
 def test_rmst_horizon_caps_integration():
     _, spec, cohort = _nic_setup(1500, 47)
     grid = np.array([1.0, 2.0, 3.0, 4.0])
-    surv = crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=grid, seed=47)
-    capped = crossfit_dr(
-        cohort, (1, 0, 0), Functional("rmst", horizon=2.5), grid=grid,
-        seed=47)
+    surv = crossfit_dr(FoldPlan(cohort, seed=47), (1, 0, 0), SURVIVAL,
+                       grid=grid)
+    capped = crossfit_dr(FoldPlan(cohort, seed=47), (1, 0, 0),
+                         Functional("rmst", horizon=2.5), grid=grid)
     s = surv.estimate
     expect_at_4 = 1.0 + s[0] + 0.5 * s[1]
     assert capped.estimate[-1] == pytest.approx(expect_at_4, abs=1e-12)
@@ -599,8 +651,8 @@ def test_rmst_horizon_caps_integration():
 def test_cumulative_hazard_not_offered():
     _, spec, cohort = _nic_setup(300, 53)
     with pytest.raises(DataError):
-        crossfit_dr(cohort, (1, 0, 0), Functional("cumulative_hazard"),
-                    grid=[2.0])
+        crossfit_dr(FoldPlan(cohort), (1, 0, 0),
+                    Functional("cumulative_hazard"), grid=[2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +685,8 @@ def test_extreme_weights_are_capped_and_reported():
 def test_cap_must_be_positive_and_finite(cap):
     _, spec, cohort = _nic_setup(300, 61)
     with pytest.raises(DataError):
-        crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=[2.0], cap=cap)
+        crossfit_dr(FoldPlan(cohort, cap=cap), (1, 0, 0), SURVIVAL,
+                    grid=[2.0])
     with pytest.raises(DataError):
         evaluate_influence(cohort, dr_nuisances_from_spec(spec, SURVIVAL),
                            (1, 0, 0), SURVIVAL, [2.0], cap=cap)
@@ -647,7 +700,8 @@ def test_estimate_serializes_to_csv_and_json():
     import json
 
     _, spec, cohort = _nic_setup(800, 59)
-    est = crossfit_dr(cohort, (1, 0, 0), SURVIVAL, grid=[1.0, 2.0], seed=59)
+    est = crossfit_dr(FoldPlan(cohort, seed=59), (1, 0, 0), SURVIVAL,
+                      grid=[1.0, 2.0])
     text = est.to_csv(header_comment="run abc123")
     lines = text.strip().split("\n")
     assert lines[0] == "# run abc123"

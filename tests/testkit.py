@@ -267,3 +267,22 @@ def _brute_cum_hazard(law, t):
         total += p / alive
         alive -= p
     return total
+
+
+def count_dr_fits(monkeypatch):
+    """Count the nuisance fits made through `fairsurv.dr`.
+
+    Wraps its `fit_conditional_survival` and `fit_propensity` bindings
+    and returns the live tally {"survival": n, "propensity": n}.
+    """
+    import fairsurv.dr
+
+    counts = {"survival": 0, "propensity": 0}
+    for key, name in (("survival", "fit_conditional_survival"),
+                      ("propensity", "fit_propensity")):
+        def counted(*args, _fit=getattr(fairsurv.dr, name), _key=key,
+                    **kwargs):
+            counts[_key] += 1
+            return _fit(*args, **kwargs)
+        monkeypatch.setattr(fairsurv.dr, name, counted)
+    return counts
