@@ -137,9 +137,12 @@ def _resolve_config(argv, parser):
     args = parser.parse_args(argv)
     if args.config:
         try:
-            overrides = json.loads(Path(args.config).read_text())
+            overrides = json.loads(
+                Path(args.config).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             parser.error(f"cannot read config file: {exc}")
+        except UnicodeDecodeError as exc:
+            parser.error(f"config file is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
             parser.error(f"config file is not valid JSON: {exc}")
         if not isinstance(overrides, dict):
@@ -263,9 +266,11 @@ def _json_payload(config, body):
 def _load_cohort(config):
     path = Path(config["cohort"])
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read cohort CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cohort CSV is not UTF-8 text: {exc}") from exc
     return Cohort.from_csv(text, n_causes=config.get("n_causes"))
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DataError
 
@@ -24,6 +22,10 @@ _TINY = 1e-15
 
 def _debye1(theta):
     # D1(x) = (1/x) * int_0^x t / (e^t - 1) dt, the order-1 Debye function.
+    # scipy is imported here, not at module level: only the frank family
+    # needs it, and loading it costs more than the rest of the package.
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: t / np.expm1(t), 0.0, theta, limit=200)
     return val / theta
 
@@ -59,6 +61,8 @@ def tau_to_theta(family, tau):
     if family == "gumbel":
         return 1.0 / (1.0 - tau)
     if family == "frank":
+        from scipy.optimize import brentq
+
         target = abs(tau)
         hi = 1.0
         while theta_to_tau("frank", hi) < target:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.special import expit
 
 from .curves import StepCurve, aalen_johansen_cif, kaplan_meier, risk_table
 from .errors import (
@@ -176,23 +175,37 @@ def _leaf_payload(m, delta, target, n_causes):
     return _Leaf(rt.times[keep], chf, None, m.size)
 
 
+def _run_starts(ordered):
+    """Mask of the first entry of each run of equal values down every
+    column of a column-sorted array.  NaNs, sorted last, form one run, as
+    np.unique counts them."""
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    return starts
+
+
 def _candidate_splits(feats, max_thresholds):
     """(feature, threshold) of every candidate split of a node, features
     in column order and thresholds ascending within a feature: the
     midpoints between consecutive distinct values, or, where there are
     more than `max_thresholds` of them, the distinct interior quantiles
-    at `max_thresholds` equally spaced levels."""
+    at `max_thresholds` equally spaced levels.  The node's columns are
+    sorted once, and the quantiles of every feature that needs them are
+    taken in one call."""
+    ordered = np.sort(feats, axis=0)
+    starts = _run_starts(ordered)
+    many = starts.sum(axis=0) - 1 > max_thresholds
+    if many.any():
+        levels = np.linspace(0.0, 1.0, max_thresholds + 2)[1:-1]
+        q = np.sort(np.quantile(feats[:, many], levels, axis=0), axis=0)
+        q_starts = _run_starts(q)
+        quantiles = (q[q_starts[:, k], k] for k in range(q.shape[1]))
     features, thresholds = [np.empty(0, dtype=int)], [np.empty(0)]
     for j in range(feats.shape[1]):
-        col = feats[:, j]
-        uniq = np.unique(col)
+        uniq = ordered[starts[:, j], j]
         if uniq.size < 2:
             continue
-        thr = (uniq[:-1] + uniq[1:]) / 2.0
-        if thr.size > max_thresholds:
-            thr = np.unique(
-                np.quantile(col, np.linspace(0.0, 1.0, max_thresholds + 2)[1:-1])
-            )
+        thr = next(quantiles) if many[j] else (uniq[:-1] + uniq[1:]) / 2.0
         features.append(np.full(thr.size, j))
         thresholds.append(thr)
     return np.concatenate(features), np.concatenate(thresholds)
@@ -527,6 +540,12 @@ class PropensityModel:
         self._marginal = marginal
         self._beta = beta
         self._widths = widths
+        if beta is not None:
+            # scipy loads only for the logistic learner; resolved once here,
+            # not on every scalar predict
+            from scipy.special import expit
+
+            self._expit = expit
 
     @property
     def marginal(self):
@@ -554,7 +573,7 @@ class PropensityModel:
             feats += _numeric_vector(z, self._widths[0], "z")
         if self.conditioning == "zw":
             feats += _numeric_vector(w, self._widths[1], "w")
-        return self._clip(expit(float(np.dot(self._beta, feats))))
+        return self._clip(self._expit(float(np.dot(self._beta, feats))))
 
     def predict_group(self, x, z=None, w=None):
         p1 = self.predict(z, w)
@@ -600,6 +619,8 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
 
     if learner != "logistic_irls":
         raise DataError(f"unknown propensity learner {learner!r}")
+    from scipy.special import expit
+
     blocks = [np.ones((cohort.n, 1))]
     widths = (0, 0)
     if conditioning in ("z", "zw"):

@@ -425,6 +425,71 @@ def _parse_numbers(tokens, kind, name):
         ) from exc
 
 
+def _parse_covariate(columns):
+    """(codes, value table) of a z or w block from its token columns: what
+    `_dedupe` gives over the rows' parsed entries (one value per row, or a
+    tuple per row for a multi-column block), but parsing each distinct
+    token once.  Rows share a code when their entries are equal in every
+    column -- 1, 1.0 and " 1" are equal, a NaN equals nothing, so each NaN
+    row keeps its own code -- and the table holds each code's first row."""
+    parsed, keys = [], []
+    for column in columns:
+        tokens = list(dict.fromkeys(column))  # in order of first appearance
+        index = dict(zip(tokens, itertools.count()))
+        rows = np.fromiter(map(index.__getitem__, column), dtype=np.intp,
+                           count=len(column))
+        values = list(map(_parse_token, tokens))
+        codes, _ = _dedupe(values)
+        key = codes[rows]
+        nan = np.flatnonzero([v != v for v in values])
+        if nan.size:
+            apart = np.flatnonzero(np.isin(rows, nan))
+            key[apart] = len(values) + apart
+        parsed.append((values, rows))
+        keys.append(key)
+    key = keys[0]
+    for more in keys[1:]:  # one key over the block, kept dense
+        key, _ = _first_appearance(key * (more.max() + 1) + more)
+    codes, heads = _first_appearance(key)
+    entries = [[values[i] for i in rows[heads].tolist()]
+               for values, rows in parsed]
+    items = entries[0] if len(entries) == 1 else list(zip(*entries))
+    table = np.fromiter(items, dtype=object, count=len(items))
+    table.flags.writeable = False
+    return codes, table
+
+
+def _csv_cells(text):
+    """Header fields, the set of data row widths, and every data cell in
+    one row-major list.  Blank lines and lines starting with "#" are
+    skipped.  Text without a quote character is split on commas in bulk,
+    which is what csv.reader makes of it; anything else (quoted fields, a
+    line past the csv module's field limit) goes through csv.reader."""
+    lines = [ln for ln in text.splitlines()
+             if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise EmptyCohortError("cohort CSV has no rows")
+    if '"' in text or max(map(len, lines)) > csv.field_size_limit():
+        rows = list(csv.reader(lines))
+        return (rows[0], set(map(len, rows[1:])),
+                list(itertools.chain.from_iterable(rows[1:])))
+    header, body = lines[0].split(","), lines[1:]
+    del lines
+    widths = {commas + 1
+              for commas in set(map(str.count, body, itertools.repeat(",")))}
+    joined = ",".join(body)
+    del body
+    return header, widths, joined.split(",")
+
+
+def _first_appearance(key):
+    """Codes of an integer key array numbered in order of first
+    appearance, and the first row of each code."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse.reshape(-1)], first[order]
+
+
 def cell_members(ids, n_cells):
     """Row indices of every cell, each ascending, as a list of arrays."""
     order = np.argsort(ids, kind="stable")
@@ -528,14 +593,11 @@ class Cohort:
         for name in by:
             codes, size = columns[name]
             key = key * size + codes
-        _, first, inverse = np.unique(key, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        rows = first[order]
+        ids, rows = _first_appearance(key)
         keys = list(zip(self.x[rows].tolist(),
                         self.z_values[self.z_codes[rows]].tolist(),
                         self.w_values[self.w_codes[rows]].tolist()))
-        return np.argsort(order)[inverse.reshape(-1)], keys
+        return ids, keys
 
     # -- CSV ------------------------------------------------------------------
 
@@ -572,12 +634,8 @@ class Cohort:
 
     @classmethod
     def from_csv(cls, text, n_causes=None):
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        if not lines:
-            raise EmptyCohortError("cohort CSV has no rows")
-        rows = list(csv.reader(lines))
-        del lines
-        header = [h.strip() for h in rows[0]]
+        header, widths, cells = _csv_cells(text)
+        header = [h.strip() for h in header]
 
         def block(prefix):
             exact = [i for i, h in enumerate(header) if h == prefix]
@@ -601,22 +659,20 @@ class Cohort:
         if not z_cols or not w_cols:
             raise CohortSchemaError("cohort CSV must include z and w columns")
 
-        if len(rows) == 1:
+        if not widths:
             raise EmptyCohortError("cohort CSV has a header but no rows")
-        if set(map(len, rows)) != {len(header)}:
+        if widths != {len(header)}:
             raise CohortSchemaError("cohort CSV row width does not match header")
-        columns = list(zip(*rows[1:]))
-        del rows
 
-        def covariate(cols):
-            values = [list(map(_parse_token, columns[i])) for i in cols]
-            return _dedupe(values[0] if len(cols) == 1 else list(zip(*values)))
+        def column(i):
+            return cells[i::len(header)]
 
         return cls._from_codes(
-            _parse_numbers(columns[x_col], int, "x"),
-            covariate(z_cols), covariate(w_cols),
-            _parse_numbers(columns[m_col], float, "m"),
-            _parse_numbers(columns[d_col], int, "delta"),
+            _parse_numbers(column(x_col), int, "x"),
+            _parse_covariate([column(i) for i in z_cols]),
+            _parse_covariate([column(i) for i in w_cols]),
+            _parse_numbers(column(m_col), float, "m"),
+            _parse_numbers(column(d_col), int, "delta"),
             n_causes,
         )
 

@@ -579,6 +579,37 @@ def test_exit_code_3_on_non_numeric_csv_entry(tmp_path, capsys, column,
     assert f"column '{column}'" in capsys.readouterr().err
 
 
+def test_cohort_with_a_utf8_bom_reads_like_one_without(nc_cohort_csv,
+                                                      tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + nc_cohort_csv.read_bytes())
+    for name, path in (("plain", nc_cohort_csv), ("bom", bom)):
+        assert main(["curves", "--cohort", str(path), "--grid", "1,2,3",
+                     "--outdir", str(tmp_path / name)]) == 0
+    # the header comment differs: it hashes the config, cohort path included
+    assert (read_table(tmp_path / "bom" / "curves.csv")
+            == read_table(tmp_path / "plain" / "curves.csv"))
+
+
+def test_exit_code_3_on_cohort_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,z,w,m,delta\n0,caf\xe9,0,1.5,1\n1,0,0,2.5,1\n")
+    rc = main(["decompose", "--cohort", str(path), "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "cohort CSV is not UTF-8" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_usage_error(nc_cohort_csv, tmp_path,
+                                                capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": 5, "note": "caf\xe9"}')
+    rc = main(["decompose", "--cohort", str(nc_cohort_csv),
+               "--config", str(config), "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config file is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cap", ["0", "-1", "inf", "nan"])
 def test_exit_code_3_on_nonpositive_or_infinite_cap(nc_cohort_csv, tmp_path,
                                                     capsys, cap):

@@ -21,6 +21,7 @@ from fairsurv.errors import (
 )
 from fairsurv.nuisance import (
     ConditionalSurvivalModel,
+    _candidate_splits,
     _logrank_scores,
     fit_conditional_survival,
     fit_propensity,
@@ -335,6 +336,39 @@ def test_logrank_scores_equal_the_one_split_oracle_exactly():
     assert n_positive > 1000
 
 
+def _reference_thresholds(col, max_thresholds):
+    """Candidate thresholds of one feature, from its own np.unique and
+    np.quantile calls."""
+    uniq = np.unique(col)
+    if uniq.size < 2:
+        return uniq[:0]
+    thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+    if thresholds.size > max_thresholds:
+        levels = np.linspace(0.0, 1.0, max_thresholds + 2)
+        thresholds = np.unique(np.quantile(col, levels[1:-1]))
+    return thresholds
+
+
+def test_candidate_splits_equal_the_per_feature_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(600):
+        n, p = int(rng.integers(20, 300)), int(rng.integers(1, 5))
+        feats = rng.normal(size=(n, p))
+        if trial % 3 == 1:  # ties, signed zeros and NaNs
+            feats = np.round(feats, 1)
+            feats[rng.random((n, p)) < 0.1] = -0.0
+            feats[rng.random((n, p)) < 0.05] = np.nan
+        elif trial % 3 == 2:
+            feats = rng.integers(0, 4, size=(n, p)).astype(float)
+        max_thresholds = int(rng.integers(1, 40))
+        wants = [_reference_thresholds(feats[:, j], max_thresholds)
+                 for j in range(p)]
+        feature, threshold = _candidate_splits(feats, max_thresholds)
+        assert feature.tolist() == [j for j, want in enumerate(wants)
+                                    for _ in want]
+        assert threshold.tobytes() == np.concatenate(wants).tobytes()
+
+
 def _reference_tree(feats, m, ind, depth, params):
     """Preorder (feature, threshold) / leaf-size sequence of the tree the
     scalar search grows: every threshold scored alone by the oracle, the
@@ -344,14 +378,7 @@ def _reference_tree(feats, m, ind, depth, params):
         best_stat, best = 0.0, None
         for j in range(feats.shape[1]):
             col = feats[:, j]
-            uniq = np.unique(col)
-            if uniq.size < 2:
-                continue
-            thresholds = (uniq[:-1] + uniq[1:]) / 2.0
-            if thresholds.size > params["max_thresholds"]:
-                levels = np.linspace(0.0, 1.0, params["max_thresholds"] + 2)
-                thresholds = np.unique(np.quantile(col, levels[1:-1]))
-            for thr in thresholds:
+            for thr in _reference_thresholds(col, params["max_thresholds"]):
                 mask = col <= thr
                 n_left = int(mask.sum())
                 if min(n_left, n - n_left) < params["min_leaf"]:

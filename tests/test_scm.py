@@ -1,9 +1,12 @@
 """Simulator and oracle tests, checked against the brute-force enumerator."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import kendalltau
 
@@ -12,12 +15,15 @@ from fairsurv.errors import (
     CohortSchemaError,
     DataError,
     DegenerateGroupError,
+    EmptyCohortError,
     SpecValidationError,
 )
 from fairsurv.queries import Functional, PotentialOutcomeQuery
 from fairsurv.scm import (
     Cohort,
     SCMSpec,
+    _dedupe,
+    _parse_token,
     oracle_decomposition,
     oracle_potential_outcome,
     sample_cohort,
@@ -372,6 +378,164 @@ def test_equal_csv_tokens_form_one_stratum():
     ids, cells = cohort.cells("z")
     assert ids.tolist() == [0, 0, 1, 0]
     assert [z for _, z, _ in cells] == [1, 2]
+
+
+def _reference_from_csv(text, n_causes=None):
+    """The row-by-row cohort reader: csv.reader rows transposed with zip,
+    every token parsed and deduplicated on its own."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise EmptyCohortError("cohort CSV has no rows")
+    rows = list(csv.reader(lines))
+    header = [h.strip() for h in rows[0]]
+
+    def block(prefix):
+        exact = [i for i, h in enumerate(header) if h == prefix]
+        if exact:
+            return exact
+        numbered = [
+            (int(h[len(prefix):]), i)
+            for i, h in enumerate(header)
+            if h.startswith(prefix) and h[len(prefix):].isdigit()
+        ]
+        return [i for _, i in sorted(numbered)]
+
+    def numbers(tokens, kind, name):
+        try:
+            return np.fromiter(map(kind, tokens), dtype=kind, count=len(tokens))
+        except (ValueError, OverflowError) as exc:
+            raise CohortSchemaError(
+                f"cohort CSV column {name!r} holds an invalid number: {exc}"
+            ) from exc
+
+    try:
+        x_col = header.index("x")
+        m_col = header.index("m")
+        d_col = header.index("delta")
+    except ValueError as exc:
+        raise CohortSchemaError("cohort CSV must include x, m, delta columns") from exc
+    z_cols = block("z")
+    w_cols = block("w")
+    if not z_cols or not w_cols:
+        raise CohortSchemaError("cohort CSV must include z and w columns")
+
+    if len(rows) == 1:
+        raise EmptyCohortError("cohort CSV has a header but no rows")
+    if set(map(len, rows)) != {len(header)}:
+        raise CohortSchemaError("cohort CSV row width does not match header")
+    columns = list(zip(*rows[1:]))
+
+    def covariate(cols):
+        values = [list(map(_parse_token, columns[i])) for i in cols]
+        return _dedupe(values[0] if len(cols) == 1 else list(zip(*values)))
+
+    return Cohort._from_codes(
+        numbers(columns[x_col], int, "x"),
+        covariate(z_cols), covariate(w_cols),
+        numbers(columns[m_col], float, "m"),
+        numbers(columns[d_col], int, "delta"),
+        n_causes,
+    )
+
+
+def _typed(value):
+    """A table entry with the type of each part, so 1 and 1.0 differ."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return [(type(v), repr(v)) for v in parts]
+
+
+def _read(reader, text):
+    """Everything a reader returns, or the error it raises."""
+    try:
+        c = reader(text)
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (c.x.dtype, c.x.tolist(), c.m.dtype, c.m.tobytes(),
+            c.delta.dtype, c.delta.tolist(), c.n_causes,
+            c.z_codes.tolist(), list(map(_typed, c.z_values)),
+            c.w_codes.tolist(), list(map(_typed, c.w_values)))
+
+
+_PLAIN_TOKENS = ["1", "1.0", " 1", "1 ", "2", "-0", "0.0", "a", "b c", "",
+                 "1e3", "1000"]
+_QUOTED_TOKENS = ["x,y", 'say "hi"']
+
+
+def _field(token, quote):
+    if quote or "," in token or '"' in token:
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
+@st.composite
+def _cohort_texts(draw):
+    z_names = draw(st.sampled_from([["z"], ["z1", "z2"], ["z2", "z1", "z3"]]))
+    w_names = draw(st.sampled_from([["w"], ["w1", "w2"]]))
+    names = ["x", *z_names, *w_names, "m", "delta"]
+    if draw(st.booleans()):
+        names.append("note")
+    names = draw(st.permutations(names))
+    number = {
+        "x": st.sampled_from(["0", "1", " 1", "1 "]),
+        "m": st.sampled_from(["0.5", "1", "2.25", " 3", "3.0", "1e1"]),
+        "delta": st.sampled_from(["0", "1", "2", " 1"]),
+    }
+    bad = draw(st.sampled_from([None, None, "x", "m", "delta"]))
+    covariate = st.sampled_from(draw(st.sampled_from(
+        [_PLAIN_TOKENS, _PLAIN_TOKENS + _QUOTED_TOKENS])))
+    quote = draw(st.sampled_from([0.0, 0.3]))  # share of quoted fields
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(1, 25))):
+        row = [draw(number.get(name, covariate)) for name in names]
+        if bad is not None and draw(st.integers(0, 9)) == 0:
+            row[names.index(bad)] = draw(st.sampled_from(["a", "1.5", ""]))
+        lines.append(",".join(
+            _field(token, quote and draw(st.floats(0, 1)) < quote)
+            for token in row))
+        extra = draw(st.sampled_from([None, None, None, "# note", "",
+                                      "   ", "#x,z,w"]))
+        if extra is not None:
+            lines.append(extra)
+    if draw(st.integers(0, 9)) == 0:  # a short or long row
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at] = lines[at] + ",9" if draw(st.booleans()) else "0,1"
+    if draw(st.booleans()):
+        lines.insert(0, "# generated")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cohort_texts())
+def test_csv_reader_matches_the_row_by_row_reference(text):
+    assert _read(Cohort.from_csv, text) == _read(_reference_from_csv, text)
+
+
+@pytest.mark.parametrize("column, token", [
+    ("x", "a"), ("x", "1.0"), ("x", ""), ("x", "9" * 30),
+    ("m", "abc"), ("m", ""), ("m", "1.5.1"),
+    ("delta", "x"), ("delta", " "), ("delta", "9" * 30),
+])
+def test_csv_bad_number_names_its_column_as_the_reference_does(column,
+                                                               token):
+    row = {"x": "1", "z": "0", "w": "0", "m": "2.5", "delta": "1"}
+    row[column] = token
+    text = "x,z,w,m,delta\n0,0,0,1.5,1\n" + ",".join(row.values()) + "\n"
+    with pytest.raises(CohortSchemaError, match=f"column '{column}'") as got:
+        Cohort.from_csv(text)
+    with pytest.raises(CohortSchemaError) as want:
+        _reference_from_csv(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("header", ["x,z,w,m,delta", "x,z1,z2,w,m,delta"])
+def test_csv_nan_covariate_rows_each_keep_their_own_code(header):
+    width = header.count(",") + 1
+    z = ["nan", "1", "nan", "1.0", " nan"]
+    rows = [",".join(["0", *[t] * (width - 4), "0", "1", "1"]) for t in z]
+    text = "\n".join([header, *rows]) + "\n"
+    got, want = Cohort.from_csv(text), _reference_from_csv(text)
+    assert got.z_codes.tolist() == want.z_codes.tolist() == [0, 1, 2, 1, 3]
+    assert list(map(repr, got.z_values)) == list(map(repr, want.z_values))
 
 
 def test_cohort_rejects_bad_rows():
