@@ -21,7 +21,7 @@ Layered API, bottom up:
   curves under the three-block covariate factorization.
 - :mod:`fairsurv.dr` — cross-fitted doubly robust estimation with
   influence-function standard errors; a `FoldPlan` fits each nuisance
-  once per fold and target.
+  once per fold and target, and rows are evaluated in blocks.
 - :mod:`fairsurv.decompose` — effect decompositions on the difference and
   ratio scales, including per-cause competing-risks decompositions.
 - :mod:`fairsurv.copulas` — Archimedean dependence models for the
@@ -59,6 +59,7 @@ from .decompose import (
 from .dr import (
     DRCurveEstimate,
     FoldPlan,
+    InfluenceMoments,
     crossfit_dr,
     crossfit_dr_many,
     evaluate_influence,
@@ -116,6 +117,7 @@ __all__ = [
     "crossfit_dr",
     "crossfit_dr_many",
     "DRCurveEstimate",
+    "InfluenceMoments",
     # decomposition
     "EFFECT_NAMES",
     "EffectSeries",

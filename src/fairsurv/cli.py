@@ -312,13 +312,14 @@ def _tau_tag(tau):
 # ---------------------------------------------------------------------------
 
 def _load_spec_text(spec_arg):
-    if spec_arg == "example":
-        return (resources.files("fairsurv.data") / "example_spec.json"
-                ).read_text()
+    source = (resources.files("fairsurv.data") / "example_spec.json"
+              if spec_arg == "example" else Path(spec_arg))
     try:
-        return Path(spec_arg).read_text()
+        return source.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read spec file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"spec file is not UTF-8 text: {exc}") from exc
 
 
 def cmd_simulate(config):
@@ -412,7 +413,7 @@ def _ic_curves(config, cohort, grid, queries):
     plugin route has no envelope, so its bounds are None.  The dr route
     estimates a query's event and censoring incidence once, over one
     fold plan on the censoring-recoded cohort, and reuses them for every
-    tau before releasing them and moving to the next query.
+    tau.
     """
     specs = [CopulaSpec(config["family"], tau) for tau in config["tau"]]
     per_tau = [{} for _ in specs]
@@ -436,9 +437,6 @@ def _ic_curves(config, cohort, grid, queries):
                 envelope_config={"n_samples": config["envelope_samples"],
                                  "seed": config["seed"]})
             curves[q] = (result.central, result.env_lo, result.env_hi)
-        # both hold per-row influence matrices: free them before the
-        # next query's fits allocate their own
-        del estimates, result
     return per_tau
 
 

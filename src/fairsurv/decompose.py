@@ -25,10 +25,11 @@ On the ratio scale the same four curves give
 
 with the multiplicative identity tv = direct * indirect^-1 * spurious^-1.
 
-Standard errors for composite effects are computed from the per-row
-influence difference of the two curves entering the contrast -- not by
-adding variances -- so the correlation induced by shared rows and
-shared nuisance fits is accounted for.
+Standard errors for composite effects are those of the per-row
+influence combination of the curves entering the contrast -- not sums
+of variances -- so the correlation induced by shared rows and shared
+nuisance fits is accounted for.  The curves' shared influence moments
+give them without per-row storage.
 """
 
 from __future__ import annotations
@@ -73,14 +74,13 @@ def _normalize_po(po_curves):
 
 
 def _po_arrays(entry):
-    """(own grid or None, values, influence matrix or None, fold ids or
-    None) of one potential-outcome curve."""
+    """(own grid or None, values, influence moments or None) of one
+    potential-outcome curve."""
     if isinstance(entry, DRCurveEstimate):
-        return (entry.grid, entry.estimate,
-                np.asarray(entry.if_matrix, dtype=float), entry.fold_ids)
+        return entry.grid, entry.estimate, entry.influence
     if isinstance(entry, StepCurve):
-        return entry.breakpoints, entry.values, None, None
-    return None, entry, None, None
+        return entry.breakpoints, entry.values, None
+    return None, entry, None
 
 
 def _collect(po_curves, x0, x1, grid):
@@ -100,8 +100,8 @@ def _collect(po_curves, x0, x1, grid):
         grid = owned[0]
     grid = _validate_grid(grid)
 
-    values, influence, folds = {}, {}, {}
-    for query, (own, v, m, f) in arrays.items():
+    values, influence = {}, {}
+    for query, (own, v, moments) in arrays.items():
         if own is not None and not np.array_equal(
                 np.asarray(own, dtype=float), grid):
             raise DataError(
@@ -111,21 +111,16 @@ def _collect(po_curves, x0, x1, grid):
             raise DataError(
                 f"curve for query {query.as_tuple()} has {v.shape} values "
                 f"but the grid has {grid.size} points")
-        values[query], influence[query], folds[query] = v, m, f
+        values[query], influence[query] = v, moments
 
-    have_if = all(influence[q] is not None for q in needed)
-    if have_if:
-        shapes = {influence[q].shape for q in needed}
-        if len(shapes) != 1:
-            raise DataError(
-                "influence matrices must cover the same rows for every query")
-        fold_arrays = [folds[q] for q in needed if folds[q] is not None]
-        for other in fold_arrays[1:]:
-            if not np.array_equal(fold_arrays[0], other):
-                raise DataError(
-                    "influence matrices come from different fold assignments; "
-                    "estimate all four queries in one cross-fitting pass")
-    return grid, values, influence, have_if
+    moments = influence[needed[0]]
+    if any(influence[q] is None for q in needed):
+        moments = None
+    elif any(influence[q] is not moments for q in needed):
+        raise DataError(
+            "doubly robust curves come from different cross-fitting passes "
+            "(fold plans); estimate all four queries in one pass")
+    return grid, values, moments
 
 
 def _resolve_estimator(estimator, have_if):
@@ -135,14 +130,9 @@ def _resolve_estimator(estimator, have_if):
         raise DataError(f"unknown estimator kind {estimator!r}")
     if estimator == "doubly_robust" and not have_if:
         raise DataError(
-            "doubly robust series need influence matrices for every query")
+            "doubly robust series need the influence moments of a "
+            "cross-fitted estimate for every query")
     return estimator
-
-
-def _band(if_matrix):
-    n = if_matrix.shape[0]
-    se = if_matrix.std(axis=0, ddof=1) / np.sqrt(n)
-    return se
 
 
 @dataclass
@@ -154,7 +144,6 @@ class EffectSeries:
     se: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-    if_matrix: np.ndarray | None = None
 
 
 @dataclass
@@ -225,24 +214,28 @@ def _infer_functional(po_curves):
     return Functional("survival")
 
 
+# A contrast maps two (values, influence coefficients) pairs to the
+# effect's values and the coefficients (queries x grid) of its influence
+# function in the queries' influence functions; None without them.
+
 def _difference(pos, neg):
-    (v_pos, if_pos), (v_neg, if_neg) = pos, neg
-    return v_pos - v_neg, None if if_pos is None else if_pos - if_neg
+    (v_pos, c_pos), (v_neg, c_neg) = pos, neg
+    return v_pos - v_neg, None if c_pos is None else c_pos - c_neg
 
 
 def _ratio(pos, neg):
-    (v_pos, if_pos), (v_neg, if_neg) = pos, neg
+    (v_pos, c_pos), (v_neg, c_neg) = pos, neg
     ratio = v_pos / v_neg
-    if if_pos is None:
+    if c_pos is None:
         return ratio, None
-    return ratio, (if_pos - ratio[None, :] * if_neg) / v_neg[None, :]
+    return ratio, (c_pos - ratio[None, :] * c_neg) / v_neg[None, :]
 
 
 def _decompose(scale, po_curves, x0, x1, functional, estimator, grid,
                diagnostics):
     x0, x1 = _check_arms(x0, x1)
-    grid, values, influence, have_if = _collect(po_curves, x0, x1, grid)
-    estimator = _resolve_estimator(estimator, have_if)
+    grid, values, moments = _collect(po_curves, x0, x1, grid)
+    estimator = _resolve_estimator(estimator, moments is not None)
     if functional is None:
         functional = _infer_functional(po_curves)
     if scale == "ratio":
@@ -256,23 +249,22 @@ def _decompose(scale, po_curves, x0, x1, functional, estimator, grid,
                     "need strictly positive curves")
 
     dr = estimator == "doubly_robust"
-    curves = {q: (values[q], influence[q] if dr else None) for q in values}
+    curves = {q: (values[q], moments.unit(q) if dr else None)
+              for q in values}
     contrast = _ratio if scale == "ratio" else _difference
     effects = {}
-    for name, (estimate, if_eff) in effect_contrasts(
+    for name, (estimate, coef) in effect_contrasts(
             curves, x0, x1, contrast).items():
-        if if_eff is None:
+        if coef is None:
             effects[name] = EffectSeries(name=name, estimate=estimate)
         else:
-            se = _band(if_eff)
+            se = moments.se(coef)
             effects[name] = EffectSeries(
                 name=name, estimate=estimate, se=se,
                 lo=estimate - Z_CRITICAL * se,
-                hi=estimate + Z_CRITICAL * se,
-                if_matrix=if_eff)
+                hi=estimate + Z_CRITICAL * se)
 
-    info = {"n_rows": next(iter(influence.values())).shape[0]} \
-        if have_if else {}
+    info = {"n_rows": moments.n} if moments is not None else {}
     if diagnostics:
         info.update(diagnostics)
     return DecompositionSeries(
@@ -286,10 +278,10 @@ def decompose_difference(po_curves, x0, x1, *, functional=None,
     """Additive decomposition tv = direct - indirect - spurious.
 
     `po_curves` maps each of the four queries to a curve: a cross-fitted
-    estimate (carrying per-row influence values, which yield standard
-    errors), a step curve, or a plain value array on `grid`.  All four
-    must share one grid and, when influence matrices are present, one
-    fold assignment.
+    estimate (carrying influence moments, which yield standard errors),
+    a step curve, or a plain value array on `grid`.  All four must share
+    one grid; cross-fitted estimates must all come from one
+    `crossfit_dr_many` call.
     """
     return _decompose("difference", po_curves, x0, x1, functional,
                       estimator, grid, diagnostics)
@@ -301,9 +293,8 @@ def decompose_ratio(po_curves, x0, x1, *, functional=None, estimator=None,
 
     Every potential-outcome value must be strictly positive on the grid;
     the first nonpositive value aborts with the offending query and
-    time.  Standard errors (when influence matrices are present) follow
-    the delta method for a ratio, again from per-row influence
-    differences.
+    time.  Standard errors (for cross-fitted estimates) follow the delta
+    method for a ratio, again from the combined influence functions.
     """
     return _decompose("ratio", po_curves, x0, x1, functional, estimator,
                       grid, diagnostics)

@@ -26,6 +26,7 @@ in the diagnostics; neither safeguard fires on well-behaved cohorts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
     DegenerateGroupError,
     EstimationError,
     FoldAssignmentError,
+    GridTooLargeError,
 )
 from .identify import _validate_grid, default_grid, outcome_target
 from .nuisance import (
@@ -234,108 +236,166 @@ def _outcome_values(model, base, x, z, w, grid):
     return curve.evaluate(grid)
 
 
-def _contribution_components(cohort, nuisances, query, functional, grid,
-                             p_condition, epsilon, cap):
-    """Uncentered component arrays (rows x grid) plus trim diagnostics."""
+def _check_cap(cap):
     if not np.isfinite(cap) or cap <= 0.0:
         raise DataError(f"cap must be positive and finite, got {cap!r}")
-    base = _base_kind(functional)
-    if base == "cif":
-        cause = int(functional.cause or 1)
-        if nuisances.outcome.curve_kind != "cif" or \
-                nuisances.outcome.target != cause:
+
+
+def _by_cell(ids, rows):
+    """``(cell id, positions)`` of every (z, w) cell among ``rows``, where
+    ``ids`` are the cohort's cell ids and ``positions`` index ``rows``."""
+    present, local = np.unique(ids[rows], return_inverse=True)
+    return list(zip(present.tolist(),
+                    cell_members(local.reshape(-1), present.size)))
+
+
+class _Contributions:
+    """Uncentered influence contributions of one query under one bundle.
+
+    ``keys`` are the (x, z, w) values of the cohort's ``cells("zw")``.
+    nu(z) is computed once, for the confounder values ``z_wanted``;
+    ``n_fallback`` counts those that fell back to the pooled average.
+    """
+
+    def __init__(self, cohort, keys, nuisances, query, functional, grid,
+                 p_condition, epsilon, cap, z_wanted):
+        _check_cap(cap)
+        base = _base_kind(functional)
+        if base == "cif":
+            self.cause = int(functional.cause or 1)
+            if nuisances.outcome.curve_kind != "cif" or \
+                    nuisances.outcome.target != self.cause:
+                raise EstimationError(
+                    "outcome model does not predict the requested cause")
+        elif nuisances.outcome.curve_kind != "survival":
             raise EstimationError(
-                "outcome model does not predict the requested cause")
-    elif nuisances.outcome.curve_kind != "survival":
-        raise EstimationError("outcome model predicts cumulative incidence "
-                              "but a survival-scale functional was requested")
-    if nuisances.censoring.target != "censoring":
-        raise EstimationError(
-            "censoring bundle entry was not fitted with target='censoring'")
+                "outcome model predicts cumulative incidence but a "
+                "survival-scale functional was requested")
+        if nuisances.censoring.target != "censoring":
+            raise EstimationError(
+                "censoring bundle entry was not fitted with "
+                "target='censoring'")
+        self.cohort, self.keys, self.nuisances, self.query = (
+            cohort, keys, nuisances, query)
+        self.base, self.grid, self.p_condition = base, grid, p_condition
+        self.epsilon, self.cap = epsilon, cap
+        self.nu_map, self.n_fallback = _nu_values(
+            nuisances, query, base, grid, z_wanted)
 
-    grid = np.asarray(grid, dtype=float)
-    n = cohort.n
-    n_t = grid.size
-    x_y, x_w, x_z = query.as_tuple()
+    def _parts(self, rows, cells):
+        """Yield ``(positions, parts)`` per cell of ``cells`` (from
+        ``_by_cell(ids, rows)``) and group X: ``positions`` index ``rows``
+        and ``parts`` holds the (component name, values) pairs that apply
+        to those rows, in COMPONENT_NAMES order."""
+        cohort, nuisances, grid = self.cohort, self.nuisances, self.grid
+        epsilon, p_condition = self.epsilon, self.p_condition
+        x_y, x_w, x_z = self.query.as_tuple()
+        for cell, pos in cells:
+            _, z, w = self.keys[cell]
+            xs = cohort.x[rows[pos]]
+            at = {g: pos[xs == g] for g in (0, 1)}
+            parts = {0: [], 1: []}
+            p_xz_z = nuisances.propensity_z.predict_group(x_z, z=z)
+            p_xw_z = nuisances.propensity_z.predict_group(x_w, z=z)
+            p_xw_zw = nuisances.propensity_zw.predict_group(x_w, z=z, w=w)
+            p_xy_zw = nuisances.propensity_zw.predict_group(x_y, z=z, w=w)
+            f_y = _outcome_values(nuisances.outcome, self.base, x_y, z, w,
+                                  grid)
 
-    comps = {name: np.zeros((n, n_t)) for name in COMPONENT_NAMES}
+            if at[x_y].size:
+                out = parts[x_y]
+                sel1 = rows[at[x_y]]
+                weight = p_xz_z * p_xw_zw / (p_condition * p_xw_z * p_xy_zw)
+                m_rows = cohort.m[sel1]
+                d_rows = cohort.delta[sel1]
+                g_curve = nuisances.censoring.predict_survival(x_y, z, w)
+                if self.base == "survival":
+                    s_curve = nuisances.outcome.predict_survival(x_y, z, w)
+                    g_grid = np.maximum(g_curve.evaluate(grid), epsilon)
+                    core = (m_rows[:, None] > grid[None, :]) / g_grid[None, :]
+                    out.append(("ipcw_core", weight * (core - f_y[None, :])))
 
-    ids, cells = cohort.cells("zw")
-    z_wanted = sorted({z for _, z, _ in cells}, key=repr)
-    nu_map, n_fallback = _nu_values(nuisances, query, base, grid, z_wanted)
+                    cens = d_rows == 0
+                    if np.any(cens):
+                        s_m = np.maximum(s_curve.evaluate(m_rows), epsilon)
+                        g_m = np.maximum(g_curve.evaluate(m_rows), epsilon)
+                        before = m_rows[:, None] <= grid[None, :]
+                        xi1 = (cens[:, None] & before) * (
+                            f_y[None, :] / (s_m * g_m)[:, None])
+                        out.append(("xi_one", weight * xi1))
 
-    for (_, z, w), idx in zip(cells, cell_members(ids, len(cells))):
-        xs = cohort.x[idx]
-        p_xz_z = nuisances.propensity_z.predict_group(x_z, z=z)
-        p_xw_z = nuisances.propensity_z.predict_group(x_w, z=z)
-        p_xw_zw = nuisances.propensity_zw.predict_group(x_w, z=z, w=w)
-        p_xy_zw = nuisances.propensity_zw.predict_group(x_y, z=z, w=w)
-        f_y = _outcome_values(nuisances.outcome, base, x_y, z, w, grid)
+                    times, lams = _censor_increments(
+                        nuisances.censoring, (x_y, z, w), grid)
+                    if times.size:
+                        s_left = np.maximum(s_curve.left_limit(times),
+                                            epsilon)
+                        g_at = np.maximum(g_curve.evaluate(times), epsilon)
+                        prefix = np.concatenate(
+                            ([0.0], np.cumsum(lams / (s_left * g_at))))
+                        i_m = np.searchsorted(times, m_rows, side="right")
+                        i_t = np.searchsorted(times, grid, side="right")
+                        xi2 = f_y[None, :] * prefix[
+                            np.minimum(i_m[:, None], i_t[None, :])]
+                        out.append(("xi_two", -weight * xi2))
+                else:
+                    g_left = np.maximum(g_curve.left_limit(m_rows), epsilon)
+                    hit = ((d_rows == self.cause)[:, None]
+                           & (m_rows[:, None] <= grid[None, :]))
+                    core = hit / g_left[:, None]
+                    out.append(("ipcw_core", weight * (core - f_y[None, :])))
 
-        sel1 = idx[xs == x_y]
-        if sel1.size:
-            weight = p_xz_z * p_xw_zw / (p_condition * p_xw_z * p_xy_zw)
-            m_rows = cohort.m[sel1]
-            d_rows = cohort.delta[sel1]
-            g_curve = nuisances.censoring.predict_survival(x_y, z, w)
-            if base == "survival":
-                s_curve = nuisances.outcome.predict_survival(x_y, z, w)
-                g_grid = np.maximum(g_curve.evaluate(grid), epsilon)
-                core = (m_rows[:, None] > grid[None, :]) / g_grid[None, :]
-                comps["ipcw_core"][sel1] = weight * (core - f_y[None, :])
+            if at[x_w].size:
+                weight = p_xz_z / (p_condition * p_xw_z)
+                parts[x_w].append(("mediator_centering", weight * (
+                    f_y[None, :] - self.nu_map[z][None, :])))
 
-                cens = d_rows == 0
-                if np.any(cens):
-                    s_m = np.maximum(s_curve.evaluate(m_rows), epsilon)
-                    g_m = np.maximum(g_curve.evaluate(m_rows), epsilon)
-                    before = m_rows[:, None] <= grid[None, :]
-                    xi1 = (cens[:, None] & before) * (
-                        f_y[None, :] / (s_m * g_m)[:, None])
-                    comps["xi_one"][sel1] = weight * xi1
+            if at[x_z].size:
+                parts[x_z].append(("conditioning_centering",
+                                   self.nu_map[z][None, :] / p_condition))
 
-                times, lams = _censor_increments(
-                    nuisances.censoring, (x_y, z, w), grid)
-                if times.size:
-                    s_left = np.maximum(s_curve.left_limit(times), epsilon)
-                    g_at = np.maximum(g_curve.evaluate(times), epsilon)
-                    prefix = np.concatenate(
-                        ([0.0], np.cumsum(lams / (s_left * g_at))))
-                    i_m = np.searchsorted(times, m_rows, side="right")
-                    i_t = np.searchsorted(times, grid, side="right")
-                    xi2 = f_y[None, :] * prefix[
-                        np.minimum(i_m[:, None], i_t[None, :])]
-                    comps["xi_two"][sel1] = -weight * xi2
-            else:
-                g_left = np.maximum(g_curve.left_limit(m_rows), epsilon)
-                hit = ((d_rows == cause)[:, None]
-                       & (m_rows[:, None] <= grid[None, :]))
-                core = hit / g_left[:, None]
-                comps["ipcw_core"][sel1] = weight * (core - f_y[None, :])
+            for g in (0, 1):
+                if parts[g]:
+                    yield at[g], parts[g]
 
-        sel2 = idx[xs == x_w]
-        if sel2.size:
-            weight = p_xz_z / (p_condition * p_xw_z)
-            comps["mediator_centering"][sel2] = weight * (
-                f_y[None, :] - nu_map[z][None, :])
+    def components(self, rows, cells):
+        """Component arrays (rows x grid) of ``rows`` after cap trimming,
+        and the number of rows trimmed.
 
-        sel3 = idx[xs == x_z]
-        if sel3.size:
-            comps["conditioning_centering"][sel3] = (
-                nu_map[z][None, :] / p_condition)
+        A row with a non-finite value, or one above ``cap`` in
+        magnitude, is flagged; each such entry's components are scaled so
+        that their sum is ``cap`` in magnitude, or zeroed if not finite.
+        """
+        comps = {name: np.zeros((rows.size, self.grid.size))
+                 for name in COMPONENT_NAMES}
+        for pos, parts in self._parts(rows, cells):
+            for name, values in parts:
+                comps[name][pos] = values
+        total = sum(comps[name] for name in COMPONENT_NAMES)
+        bad = ~np.isfinite(total)
+        over = np.abs(total) > self.cap
+        flagged_rows = np.flatnonzero(np.any(bad | over, axis=1))
+        if flagged_rows.size:
+            scale = np.ones_like(total)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale[over] = self.cap / np.abs(total[over])
+            scale[bad] = 0.0
+            for name in COMPONENT_NAMES:
+                comps[name] *= scale
+                comps[name][bad] = 0.0
+        return comps, int(flagged_rows.size)
 
-    total = sum(comps[name] for name in COMPONENT_NAMES)
-    bad = ~np.isfinite(total)
-    over = np.abs(total) > cap
-    flagged_rows = np.flatnonzero(np.any(bad | over, axis=1))
-    if flagged_rows.size:
-        scale = np.ones_like(total)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale[over] = cap / np.abs(total[over])
-        scale[bad] = 0.0
-        for name in COMPONENT_NAMES:
-            comps[name] *= scale
-            comps[name][bad] = 0.0
-    return comps, int(flagged_rows.size), n_fallback
+    def total(self, rows, cells, out, targets):
+        """Write the summed components of ``rows`` into ``out[targets]``,
+        added in COMPONENT_NAMES order so that each row equals the sum of
+        its untrimmed ``components`` bit for bit; rows no component
+        applies to are left alone."""
+        for pos, parts in self._parts(rows, cells):
+            out[targets[pos]] = sum(values for _, values in parts)
+
+
+def _z_values(keys):
+    """Distinct confounder values of (x, z, w) cell keys."""
+    return sorted({z for _, z, _ in keys}, key=repr)
 
 
 def _censor_increments(model, covariates, grid):
@@ -360,9 +420,11 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
         p_condition = nuisances.group_marginal(query.x_condition)
     if not p_condition > 0.0:
         raise DegenerateGroupError("conditioning group has probability zero")
-    comps, n_flagged, _ = _contribution_components(
-        cohort, nuisances, query, functional, grid, p_condition, epsilon,
-        cap)
+    ids, keys = cohort.cells("zw")
+    rows = np.arange(cohort.n)
+    comps, n_flagged = _Contributions(
+        cohort, keys, nuisances, query, functional, grid, p_condition,
+        epsilon, cap, _z_values(keys)).components(rows, _by_cell(ids, rows))
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
     ind_z = (cohort.x == query.x_condition).astype(float)
     comps["conditioning_centering"] = comps["conditioning_centering"] - (
@@ -513,12 +575,22 @@ def crossfit_dr(plan, query, functional, grid=None):
     return crossfit_dr_many(plan, [query], functional, grid)[_as_query(query)]
 
 
+# Most values (rows x grid points x queries) ``crossfit_dr_many`` holds in
+# one row block; its influence working set is a few blocks, whatever the
+# number of rows.
+_BLOCK_ELEMENTS = 1 << 21
+
+
 def crossfit_dr_many(plan, queries, functional, grid=None):
     """Cross-fitting of several queries over one ``FoldPlan``.
 
-    All queries are evaluated against the plan's fold assignment and
-    per-fold nuisance fits, so differences of the returned per-row
-    influence matrices are valid influence functions for contrasts.
+    Every fold's nuisances are fitted first.  Rows are then evaluated in
+    row order, in blocks of at most ``_BLOCK_ELEMENTS`` values, each row
+    under the bundle fitted without its fold.  A block is folded into
+    running column sums (the estimates) and into per-group moments that
+    all queries share (``InfluenceMoments``), from which the standard
+    error of every query, and of any contrast of them, follows without
+    per-row storage.  ``evaluate_influence`` gives per-row values.
     """
     cohort = plan.cohort
     grid = _validate_grid(default_grid(cohort) if grid is None else grid)
@@ -526,48 +598,53 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
 
     n = cohort.n
     base_functional = functional
+    weights = None
     if functional.kind == "rmst":
         base_functional = Functional(
             "survival" if cohort.n_causes == 1 else "all_cause_survival")
+        shift, weights = _rmst_weights(grid, functional.horizon)
 
     p_cond = {q: float(np.mean(cohort.x == q.x_condition)) for q in queries}
     for q, frac in p_cond.items():
         if frac == 0.0:
             raise DegenerateGroupError(
                 f"no rows in conditioning group {q.x_condition}")
+    _check_cap(plan.cap)
 
-    unc = {q: np.zeros((n, grid.size)) for q in queries}
-    n_flagged = {q: 0 for q in queries}
-    n_fallback = {q: 0 for q in queries}
+    ids, keys = cohort.cells("zw")
+    parts = []
+    for bundle, rows in list(plan.parts(base_functional)):
+        z_wanted = _z_values([keys[c] for c in np.unique(ids[rows]).tolist()])
+        parts.append(([_Contributions(cohort, keys, bundle, q,
+                                      base_functional, grid, p_cond[q],
+                                      plan.epsilon, plan.cap, z_wanted)
+                       for q in queries], rows))
+    sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, weights)
 
-    for bundle, rows in plan.parts(base_functional):
-        part = cohort.subset(rows)
-        for q in queries:
-            comps, flags, fallbacks = _contribution_components(
-                part, bundle, q, base_functional, grid, p_cond[q],
-                plan.epsilon, plan.cap)
-            unc[q][rows] = sum(comps[name] for name in COMPONENT_NAMES)
-            n_flagged[q] += flags
-            n_fallback[q] += fallbacks
-
+    raw = sums / n
+    center = raw if weights is None else np.stack([weights @ r for r in raw])
+    moments = InfluenceMoments(
+        queries=tuple(queries),
+        counts=np.array([count for count, _, _ in groups]),
+        means=np.stack([mean for _, mean, _ in groups]),
+        comoments=np.stack([m2 for _, _, m2 in groups]),
+        condition_weights=np.array(
+            [[(q.x_condition == g) / p_cond[q] for q in queries]
+             for g in (0, 1)]),
+        center=center)
     out = {}
-    for q in queries:
-        estimate = unc[q].mean(axis=0)
-        ind_z = (cohort.x == q.x_condition).astype(float)
-        if_matrix = unc[q] - np.outer(ind_z / p_cond[q], estimate)
-        if functional.kind == "rmst":
-            shift, weights = _rmst_weights(grid, functional.horizon)
-            estimate = shift + weights @ estimate
-            if_matrix = if_matrix @ weights.T
-        se = if_matrix.std(axis=0, ddof=1) / np.sqrt(n)
+    for qi, q in enumerate(queries):
+        estimate = raw[qi] if weights is None else shift + center[qi]
+        se = moments.se(moments.unit(q))
         diagnostics = {
             "n_rows": n,
             "n_folds": plan.n_folds,
             "fold_sizes": np.bincount(plan.fold_ids, minlength=max(
                 plan.n_folds, 1)).tolist(),
             "p_condition": p_cond[q],
-            "n_flagged": n_flagged[q],
-            "n_mediator_fallback": n_fallback[q],
+            "n_flagged": int(n_flagged[qi]),
+            "n_mediator_fallback": sum(
+                contribs[qi].n_fallback for contribs, _ in parts),
             "epsilon": plan.epsilon,
             "cap": plan.cap,
             "seed": plan.seed,
@@ -576,9 +653,151 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
         out[q] = DRCurveEstimate(
             grid=grid, estimate=estimate, se=se,
             lo=estimate - Z_CRITICAL * se, hi=estimate + Z_CRITICAL * se,
-            query=q, functional=functional, if_matrix=if_matrix,
+            query=q, functional=functional, influence=moments,
             fold_ids=plan.fold_ids, diagnostics=diagnostics)
     return out
+
+
+def _stream_rows(plan, parts, ids, grid, weights):
+    """Evaluate every row of ``plan.cohort`` in row blocks.
+
+    ``parts`` pairs each fold's rows with one ``_Contributions`` per
+    query; ``ids`` are the cohort's (z, w) cell ids.  Returns the
+    queries' column sums of the row contributions (queries x grid), the
+    (count, means, co-moments) of the contributions of each group X = 0,
+    1 (mapped through the rmst ``weights`` when given), and the number of
+    trimmed rows of each query.
+    """
+    cohort = plan.cohort
+    n, n_queries = cohort.n, len(parts[0][0])
+    # numpy sums the rows of an (n, T) matrix one after another only when
+    # T > 1 (one column is summed pairwise), so running sums over blocks
+    # reproduce the whole-matrix sum bit for bit; one grid point takes
+    # one block
+    step = n if grid.size == 1 else max(
+        1, _BLOCK_ELEMENTS // (grid.size * n_queries))
+    # row 0 of each query's slab carries the running sum into the next
+    slab = np.empty((n_queries, min(step, n) + 1, grid.size))
+    sums = np.empty((n_queries, grid.size))
+    groups = [(0, np.zeros((n_queries, grid.size)),
+               np.zeros((n_queries, n_queries, grid.size)))] * 2
+    n_flagged = np.zeros(n_queries, dtype=int)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = slab[:, 1:stop - start + 1]
+        block[...] = 0.0
+        for contribs, rows in parts:
+            lo, hi = np.searchsorted(rows, (start, stop))
+            cells = _by_cell(ids, rows[lo:hi])
+            for contrib, out in zip(contribs, block):
+                contrib.total(rows[lo:hi], cells, out, rows[lo:hi] - start)
+        for qi, out in enumerate(block):
+            # NaN compares false, so non-finite rows are caught too
+            flagged = np.flatnonzero(~(np.abs(out).max(axis=1) <= plan.cap))
+            folds = plan.fold_ids[start + flagged]
+            for f, (contribs, _) in enumerate(parts):
+                at = start + flagged[folds == f]
+                if at.size:
+                    comps, trimmed = contribs[qi].components(
+                        at, _by_cell(ids, at))
+                    out[at - start] = sum(comps[name]
+                                          for name in COMPONENT_NAMES)
+                    n_flagged[qi] += trimmed
+            if start:
+                slab[qi, 0] = sums[qi]
+                np.add.reduce(slab[qi, :stop - start + 1], axis=0,
+                              out=sums[qi])
+            else:
+                np.add.reduce(out, axis=0, out=sums[qi])
+        values = block if weights is None else block @ weights.T
+        xs = cohort.x[start:stop]
+        for g in (0, 1):
+            members = xs == g
+            if np.any(members):
+                groups[g] = _merge_moments(
+                    groups[g], _moments(values[:, members]))
+    return sums, groups, n_flagged
+
+
+def _moments(values):
+    """Row count, column means (queries x grid) and centered co-moments
+    (queries x queries x grid) of queries x rows x grid values."""
+    count = values.shape[1]
+    mean = values.sum(axis=1) / count
+    dev = values - mean[:, None, :]
+    m2 = np.empty(mean.shape[:1] + mean.shape)
+    for q in range(len(dev)):
+        for p in range(q + 1):
+            m2[q, p] = m2[p, q] = np.einsum("rt,rt->t", dev[q], dev[p])
+    return count, mean, m2
+
+
+def _merge_moments(a, b):
+    """Moments of the union of two row sets, from the moments of each
+    (the pairwise update of Chan, Golub & LeVeque 1983)."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * (n_b / n),
+            m2_a + m2_b + delta[:, None] * delta[None, :] * (n_a * n_b / n))
+
+
+@dataclass(frozen=True)
+class InfluenceMoments:
+    """What the standard errors of one cross-fitting pass need.
+
+    Per group g (X = g), over the uncentered contributions of the
+    ``queries``: ``counts[g]`` rows, ``means[g]`` (queries x grid) and
+    ``comoments[g]`` (queries x queries x grid, centered sums of
+    products).  Query q's influence value on a row of group g is its
+    contribution minus ``condition_weights[g, q] * center[q]``, where the
+    weight is ``1(x_condition = g) / p_condition`` and ``center`` is the
+    estimate; that shift is constant within a group, so the variance of
+    any linear combination of the queries' influence values follows from
+    these moments exactly.  For rmst, contributions and ``center`` are
+    already mapped to the restricted-mean scale (``center`` without the
+    shift of the curve's first step).
+    """
+
+    queries: tuple
+    counts: np.ndarray
+    means: np.ndarray
+    comoments: np.ndarray
+    condition_weights: np.ndarray
+    center: np.ndarray
+
+    @property
+    def n(self):
+        return int(self.counts.sum())
+
+    def unit(self, query):
+        """Coefficients (queries x grid) that pick out one query."""
+        coef = np.zeros_like(self.center)
+        coef[self.queries.index(query)] = 1.0
+        return coef
+
+    def se(self, coef):
+        """Pointwise standard error of sum_q coef[q] * estimate[q]: the
+        sample standard deviation (ddof 1) of the combined influence
+        values, over sqrt(n)."""
+        n = self.n
+        within = sum(np.einsum("qt,qpt,pt->t", coef, m2, coef)
+                     for m2 in self.comoments)
+        shifted = [np.einsum("qt,qt->t", coef,
+                             mean - weight[:, None] * self.center)
+                   for mean, weight in zip(self.means,
+                                           self.condition_weights)]
+        overall = sum(c * s for c, s in zip(self.counts, shifted)) / n
+        between = sum(c * (s - overall) ** 2
+                      for c, s in zip(self.counts, shifted))
+        # rounding can leave a zero variance a hair below zero
+        return np.sqrt(np.maximum(within + between, 0.0) / (n - 1)) \
+            / np.sqrt(n)
+
+
+# Largest grid x grid weight matrix ``_rmst_weights`` builds (a 4096-point
+# grid); building it takes a few arrays of that size.
+_RMST_MAX_ELEMENTS = 1 << 24
 
 
 def _rmst_weights(grid, horizon):
@@ -588,9 +807,15 @@ def _rmst_weights(grid, horizon):
     one before the first grid time, so the integral to t is an exact
     finite sum; the same weights transport the per-row influence
     matrix.  ``horizon`` (when given) caps the integration time of every
-    grid point.
+    grid point.  Grids whose square exceeds ``_RMST_MAX_ELEMENTS`` raise
+    ``GridTooLargeError`` before anything is allocated.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.size ** 2 > _RMST_MAX_ELEMENTS:
+        raise GridTooLargeError(
+            f"rmst on a {grid.size}-point grid needs {grid.size}^2 weights, "
+            f"more than the {_RMST_MAX_ELEMENTS} allowed; pass --grid-points "
+            f"{math.isqrt(_RMST_MAX_ELEMENTS)} or fewer")
     t_eff = grid if horizon is None else np.minimum(grid, float(horizon))
     widths = np.minimum(grid[None, 1:], t_eff[:, None]) - grid[None, :-1]
     earlier = np.tri(grid.size, grid.size - 1, -1, dtype=bool)  # l < j
@@ -605,7 +830,8 @@ def _rmst_weights(grid, horizon):
 
 @dataclass
 class DRCurveEstimate:
-    """Point estimates, normal-approximation band, and per-row influence."""
+    """Point estimates, normal-approximation band, and the influence
+    moments shared by the queries of its cross-fitting pass."""
 
     grid: np.ndarray
     estimate: np.ndarray
@@ -614,7 +840,7 @@ class DRCurveEstimate:
     hi: np.ndarray
     query: PotentialOutcomeQuery
     functional: Functional
-    if_matrix: np.ndarray
+    influence: InfluenceMoments
     fold_ids: np.ndarray
     diagnostics: dict
 

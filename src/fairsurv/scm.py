@@ -470,7 +470,10 @@ def _csv_cells(text):
     if not lines:
         raise EmptyCohortError("cohort CSV has no rows")
     if '"' in text or max(map(len, lines)) > csv.field_size_limit():
-        rows = list(csv.reader(lines))
+        try:
+            rows = list(csv.reader(lines))
+        except csv.Error as exc:
+            raise CohortSchemaError(f"cohort CSV is malformed: {exc}") from exc
         return (rows[0], set(map(len, rows[1:])),
                 list(itertools.chain.from_iterable(rows[1:])))
     header, body = lines[0].split(","), lines[1:]

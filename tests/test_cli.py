@@ -644,3 +644,55 @@ def test_multicolumn_covariates_autodetected(tmp_path):
 def test_version_flag_exits_cleanly(capsys):
     assert main(["--version"]) == 0
     assert "fairsurv" in capsys.readouterr().out
+
+
+def test_exit_code_3_on_a_field_past_the_csv_field_limit(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    long_field = "z" * (csv.field_size_limit() + 1)
+    path.write_text(f"x,z,w,m,delta\n0,{long_field},0,1.5,1\n1,0,0,2.5,1\n")
+    rc = main(["decompose", "--cohort", str(path), "--outdir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+def test_spec_with_a_utf8_bom_reads_like_one_without(tmp_path):
+    spec_bytes = (resources.files("fairsurv.data")
+                  / "example_spec.json").read_bytes()
+    for name, data in (("plain", spec_bytes),
+                       ("bom", b"\xef\xbb\xbf" + spec_bytes)):
+        spec = tmp_path / f"{name}.json"
+        spec.write_bytes(data)
+        assert main(["simulate", "--spec", str(spec), "--n", "200",
+                     "--outdir", str(tmp_path / name)]) == 0
+    # the config hash covers the spec path, so it alone differs
+    plain, bom = ((tmp_path / name / "cohort.csv").read_text().split("\n", 1)
+                  for name in ("plain", "bom"))
+    assert plain[1] == bom[1]
+    plain, bom = (json.loads((tmp_path / name / "spec.json").read_text())
+                  for name in ("plain", "bom"))
+    assert plain.pop("config_hash") != bom.pop("config_hash")
+    assert plain == bom
+
+
+def test_exit_code_3_on_spec_that_is_not_utf8(tmp_path, capsys):
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes(b'{"note": "caf\xe9"}')
+    rc = main(["simulate", "--spec", str(spec), "--n", "10",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "spec file is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_3_on_rmst_grid_past_the_weight_budget(
+        nc_cohort_csv, tmp_path, capsys, monkeypatch):
+    import fairsurv.dr
+
+    monkeypatch.setattr(fairsurv.dr, "_RMST_MAX_ELEMENTS", 20 * 20 - 1)
+    grid = ",".join(f"{t:g}" for t in np.linspace(0.2, 4.0, 20))
+    rc = main(["decompose", "--cohort", str(nc_cohort_csv), "--functional",
+               "rmst", "--grid", grid, "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "--grid-points 19 or fewer" in capsys.readouterr().err

@@ -34,6 +34,7 @@ from testkit import (
     make_cr_two_cause,
     make_indirect_only,
     make_nic_balanced,
+    reference_crossfit,
     spec_of,
 )
 
@@ -264,7 +265,11 @@ def test_composite_se_comes_from_influence_difference(dr_series):
     n = cohort.n
     a = estimates[PotentialOutcomeQuery(1, 0, 0)]
     b = estimates[PotentialOutcomeQuery(0, 0, 0)]
-    manual = (a.if_matrix - b.if_matrix).std(axis=0, ddof=1) / np.sqrt(n)
+    ref = reference_crossfit(FoldPlan(cohort, seed=11), queries_for(0, 1),
+                             Functional("survival"), GRID)
+    if_a = ref[PotentialOutcomeQuery(1, 0, 0)].if_matrix
+    if_b = ref[PotentialOutcomeQuery(0, 0, 0)].if_matrix
+    manual = (if_a - if_b).std(axis=0, ddof=1) / np.sqrt(n)
     eff = series.effect("direct")
     assert_allclose(eff.se, manual, rtol=0.0, atol=1e-14)
     assert np.array_equal(eff.lo, eff.estimate - 1.959963984540054 * eff.se)
@@ -356,9 +361,12 @@ def test_ratio_dr_band_follows_delta_method(dr_series):
     series = decompose_ratio(estimates, 0, 1)
     a = estimates[PotentialOutcomeQuery(1, 1, 1)]
     b = estimates[PotentialOutcomeQuery(0, 0, 0)]
+    ref = reference_crossfit(FoldPlan(cohort, seed=11), queries_for(0, 1),
+                             Functional("survival"), GRID)
+    if_a = ref[PotentialOutcomeQuery(1, 1, 1)].if_matrix
+    if_b = ref[PotentialOutcomeQuery(0, 0, 0)].if_matrix
     ratio = a.estimate / b.estimate
-    if_eff = (a.if_matrix - ratio[None, :] * b.if_matrix) \
-        / b.estimate[None, :]
+    if_eff = (if_a - ratio[None, :] * if_b) / b.estimate[None, :]
     manual = if_eff.std(axis=0, ddof=1) / np.sqrt(cohort.n)
     eff = series.effect("tv")
     assert_allclose(eff.estimate, ratio, rtol=0.0, atol=0.0)

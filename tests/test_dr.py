@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,12 @@ from fairsurv.dr import (
     influence_cif,
     influence_survival,
 )
+from fairsurv.decompose import decompose_difference, decompose_ratio
 from fairsurv.errors import (
     DataError,
     DegenerateGroupError,
     FoldAssignmentError,
+    GridTooLargeError,
 )
 from fairsurv.nuisance import (
     ConditionalSurvivalModel,
@@ -33,7 +36,8 @@ from fairsurv.nuisance import (
     propensity_from_spec,
     survival_model_from_spec,
 )
-from fairsurv.queries import Functional, PotentialOutcomeQuery
+from fairsurv.queries import Functional, PotentialOutcomeQuery, \
+    effect_contrasts, role_queries
 from fairsurv.scm import Cohort, sample_cohort
 
 from testkit import (
@@ -43,6 +47,7 @@ from testkit import (
     make_cr_two_cause,
     make_nic_balanced,
     make_no_censoring,
+    reference_crossfit,
     spec_of,
 )
 
@@ -403,15 +408,19 @@ def test_cif_complement_identity_without_censoring():
 def test_row_permutation_with_fixed_folds_is_invariant():
     _, spec, cohort = _nic_setup(900, 23)
     fold = assign_folds(cohort, 2, seed=3)
-    base = crossfit_dr(FoldPlan(cohort, fold_ids=fold), (1, 0, 0),
-                       SURVIVAL, grid=[1.0, 2.0, 3.0])
+    base_plan = FoldPlan(cohort, fold_ids=fold)
+    base = crossfit_dr(base_plan, (1, 0, 0), SURVIVAL, grid=[1.0, 2.0, 3.0])
     rng = np.random.default_rng(9)
     perm = rng.permutation(cohort.n)
-    shuffled = crossfit_dr(
-        FoldPlan(cohort.subset(perm), fold_ids=fold[perm]), (1, 0, 0),
-        SURVIVAL, grid=[1.0, 2.0, 3.0])
+    shuffled_plan = FoldPlan(cohort.subset(perm), fold_ids=fold[perm])
+    shuffled = crossfit_dr(shuffled_plan, (1, 0, 0), SURVIVAL,
+                           grid=[1.0, 2.0, 3.0])
     assert np.max(np.abs(base.estimate - shuffled.estimate)) <= 1e-10
-    assert np.max(np.abs(base.if_matrix[perm] - shuffled.if_matrix)) <= 1e-10
+    base_if, shuffled_if = (
+        reference_crossfit(plan, [(1, 0, 0)], SURVIVAL, [1.0, 2.0, 3.0])[
+            PotentialOutcomeQuery(1, 0, 0)].if_matrix
+        for plan in (base_plan, shuffled_plan))
+    assert np.max(np.abs(base_if[perm] - shuffled_if)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +560,13 @@ def test_fold_validation_errors(monkeypatch):
 
 def test_centered_influence_has_zero_mean_and_matching_se():
     _, spec, cohort = _nic_setup(2000, 37)
-    est = crossfit_dr(FoldPlan(cohort, seed=37), (1, 0, 0), SURVIVAL,
-                      grid=[1.0, 3.0])
-    col_means = est.if_matrix.mean(axis=0)
+    plan = FoldPlan(cohort, seed=37)
+    est = crossfit_dr(plan, (1, 0, 0), SURVIVAL, grid=[1.0, 3.0])
+    if_matrix = reference_crossfit(plan, [(1, 0, 0)], SURVIVAL, [1.0, 3.0])[
+        PotentialOutcomeQuery(1, 0, 0)].if_matrix
+    col_means = if_matrix.mean(axis=0)
     assert np.max(np.abs(col_means)) <= 1e-12
-    manual_se = est.if_matrix.std(axis=0, ddof=1) / np.sqrt(cohort.n)
+    manual_se = if_matrix.std(axis=0, ddof=1) / np.sqrt(cohort.n)
     assert np.allclose(est.se, manual_se, atol=0.0)
     assert np.all(est.se >= 0.0)
     assert np.all(est.lo <= est.estimate + 1e-15)
@@ -583,10 +594,13 @@ def test_shared_nuisance_multi_query_call():
 def test_rmst_is_exact_step_integral_of_survival_estimate():
     _, spec, cohort = _nic_setup(1500, 43)
     grid = np.array([1.0, 2.0, 3.0, 4.0])
-    surv = crossfit_dr(FoldPlan(cohort, seed=43), (1, 0, 0), SURVIVAL,
-                       grid=grid)
-    rmst = crossfit_dr(FoldPlan(cohort, seed=43), (1, 0, 0),
-                       Functional("rmst"), grid=grid)
+    plan = FoldPlan(cohort, seed=43)
+    surv = crossfit_dr(plan, (1, 0, 0), SURVIVAL, grid=grid)
+    rmst = crossfit_dr(plan, (1, 0, 0), Functional("rmst"), grid=grid)
+    surv_if, rmst_if = (
+        reference_crossfit(plan, [(1, 0, 0)], functional, grid)[
+            PotentialOutcomeQuery(1, 0, 0)].if_matrix
+        for functional in (SURVIVAL, Functional("rmst")))
     s = surv.estimate
     manual = np.array([
         1.0,
@@ -596,10 +610,10 @@ def test_rmst_is_exact_step_integral_of_survival_estimate():
     ])
     assert np.max(np.abs(rmst.estimate - manual)) <= 1e-12
     widths = np.diff(grid)
-    manual_if = np.zeros_like(surv.if_matrix)
+    manual_if = np.zeros_like(surv_if)
     for j in range(1, grid.size):
-        manual_if[:, j] = surv.if_matrix[:, :j] @ widths[:j]
-    assert np.max(np.abs(rmst.if_matrix - manual_if)) <= 1e-12
+        manual_if[:, j] = surv_if[:, :j] @ widths[:j]
+    assert np.max(np.abs(rmst_if - manual_if)) <= 1e-12
 
 
 def _rmst_weights_loop(grid, horizon):
@@ -653,6 +667,159 @@ def test_cumulative_hazard_not_offered():
     with pytest.raises(DataError):
         crossfit_dr(FoldPlan(cohort), (1, 0, 0),
                     Functional("cumulative_hazard"), grid=[2.0])
+
+
+# ---------------------------------------------------------------------------
+# Streamed cross-fitting against the per-row oracle
+# ---------------------------------------------------------------------------
+#
+# `crossfit_dr_many` evaluates rows in blocks and keeps running sums and
+# per-group moments; `testkit.reference_crossfit` builds the full rows x
+# grid influence matrices.  Estimates must agree bit for bit, standard
+# errors (of queries and of contrasts) to rounding, diagnostics exactly.
+
+def _with_unpaired_confounder(cohort, n_extra, seed):
+    """The cohort plus `n_extra` rows of group 0 at a confounder value (2)
+    that group 1 never shows, shuffled in: queries whose mediator arm is
+    group 1 fall back to the pooled mediator average there, and their
+    weights hit the propensity floor."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([cohort.x, np.zeros(n_extra, dtype=int)])
+    z = list(cohort.z_items) + [2] * n_extra
+    w = list(cohort.w_items) + rng.integers(0, 2, n_extra).tolist()
+    m = np.concatenate([cohort.m, rng.choice([1.0, 2.0, 3.0], n_extra)])
+    delta = np.concatenate([cohort.delta, rng.integers(0, 2, n_extra)])
+    grown = Cohort(x, z, w, m, delta)
+    return grown.subset(rng.permutation(grown.n))
+
+
+def _oracle_effects(reference, n, scale):
+    def difference(pos, neg):
+        return pos[0] - neg[0], pos[1] - neg[1]
+
+    def ratio(pos, neg):
+        r = pos[0] / neg[0]
+        return r, (pos[1] - r[None, :] * neg[1]) / neg[0][None, :]
+
+    curves = {q: (ref.estimate, ref.if_matrix) for q, ref in reference.items()}
+    contrast = ratio if scale == "ratio" else difference
+    return {name: (estimate, if_eff.std(axis=0, ddof=1) / np.sqrt(n))
+            for name, (estimate, if_eff) in effect_contrasts(
+                curves, 0, 1, contrast).items()}
+
+
+def _streamed_case(name):
+    _, spec, cohort = _nic_setup(1500, 71)
+    grid = [1.0, 2.0, 3.0, 4.0]
+    if name == "survival":
+        return FoldPlan(cohort, seed=3), SURVIVAL, grid
+    if name == "one_point_grid":
+        return FoldPlan(cohort, seed=3), SURVIVAL, [2.5]
+    if name == "cap_trimmed":
+        return FoldPlan(cohort, seed=3, cap=1.2), SURVIVAL, grid
+    if name == "rmst":
+        return FoldPlan(cohort, seed=3), Functional("rmst"), grid
+    if name == "rmst_horizon":
+        return (FoldPlan(cohort, seed=3), Functional("rmst", horizon=2.5),
+                grid)
+    if name == "mediator_fallback":
+        return (FoldPlan(_with_unpaired_confounder(cohort, 60, 5), seed=3),
+                SURVIVAL, grid)
+    if name == "fixed_nuisances":
+        return (FoldPlan(cohort, nuisances=dr_nuisances_from_spec(
+            spec, SURVIVAL)), SURVIVAL, grid)
+    cr = sample_cohort(spec_of(make_cr_two_cause()), 1500, seed=73)
+    if name == "cif":
+        return FoldPlan(cr, seed=3), Functional("cif", cause=2), [1.0, 2.0,
+                                                                  3.0]
+    assert name == "all_cause_survival"
+    return FoldPlan(cr, seed=3), Functional("all_cause_survival"), [1.0, 2.0,
+                                                                    3.0]
+
+
+STREAMED_CASES = ["survival", "one_point_grid", "cap_trimmed", "rmst",
+                  "rmst_horizon", "mediator_fallback", "fixed_nuisances",
+                  "cif", "all_cause_survival"]
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 37])
+@pytest.mark.parametrize("case", STREAMED_CASES)
+def test_streamed_crossfit_matches_the_per_row_oracle(monkeypatch, case,
+                                                     rows_per_block):
+    import fairsurv.dr
+
+    plan, functional, grid = _streamed_case(case)
+    queries = role_queries(0, 1)
+    if rows_per_block is not None:
+        monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
+                            rows_per_block * len(grid) * len(queries))
+    streamed = crossfit_dr_many(plan, queries, functional, grid)
+    reference = reference_crossfit(plan, queries, functional, grid)
+    for q in queries:
+        got, want = streamed[q], reference[q]
+        assert np.array_equal(got.estimate, want.estimate)
+        assert_allclose(got.se, want.se, rtol=0.0, atol=1e-14)
+        assert got.diagnostics["n_flagged"] == want.n_flagged
+        assert got.diagnostics["n_mediator_fallback"] \
+            == want.n_mediator_fallback
+    scales = ["difference"]
+    if all(np.all(reference[q].estimate > 0.0) for q in queries):
+        scales.append("ratio")
+    for scale in scales:
+        decompose = decompose_ratio if scale == "ratio" \
+            else decompose_difference
+        series = decompose(streamed, 0, 1)
+        for name, (estimate, se) in _oracle_effects(
+                reference, plan.cohort.n, scale).items():
+            assert np.array_equal(series.effect(name).estimate, estimate)
+            assert_allclose(series.effect(name).se, se, rtol=0.0, atol=1e-14)
+
+
+def test_streamed_cases_exercise_their_safeguards():
+    queries = role_queries(0, 1)
+    for case, key in (("cap_trimmed", "n_flagged"),
+                      ("mediator_fallback", "n_mediator_fallback")):
+        plan, functional, grid = _streamed_case(case)
+        found = crossfit_dr_many(plan, queries, functional, grid)
+        assert sum(found[q].diagnostics[key] for q in queries) > 0
+    # a confounder value with no group-1 rows falls back once per fold
+    # that holds it, however many row blocks it spans
+    plan, functional, grid = _streamed_case("mediator_fallback")
+    found = crossfit_dr_many(plan, queries, functional, grid)
+    assert found[PotentialOutcomeQuery(1, 1, 0)].diagnostics[
+        "n_mediator_fallback"] == 2
+
+
+def test_row_blocks_leave_estimates_unchanged(monkeypatch):
+    import fairsurv.dr
+
+    plan, functional, grid = _streamed_case("survival")
+    queries = role_queries(0, 1)
+    whole = crossfit_dr_many(plan, queries, functional, grid)
+    for rows_per_block in (1, 7, 700):
+        monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
+                            rows_per_block * len(grid) * len(queries))
+        blocked = crossfit_dr_many(plan, queries, functional, grid)
+        for q in queries:
+            assert np.array_equal(blocked[q].estimate, whole[q].estimate)
+            assert_allclose(blocked[q].se, whole[q].se, rtol=0.0, atol=1e-15)
+
+
+def test_rmst_grid_beyond_the_weight_budget_raises_before_fitting(
+        monkeypatch):
+    import fairsurv.dr
+
+    _, spec, cohort = _nic_setup(300, 79)
+    grid = np.linspace(0.5, 4.0, 20)
+    fits = count_dr_fits(monkeypatch)
+    monkeypatch.setattr(fairsurv.dr, "_RMST_MAX_ELEMENTS", 20 * 20 - 1)
+    with pytest.raises(GridTooLargeError, match="--grid-points 19 or fewer"):
+        crossfit_dr(FoldPlan(cohort), (1, 0, 0), Functional("rmst"), grid)
+    assert fits == {"survival": 0, "propensity": 0}
+    assert issubclass(GridTooLargeError, DataError)
+    monkeypatch.setattr(fairsurv.dr, "_RMST_MAX_ELEMENTS", 20 * 20)
+    est = crossfit_dr(FoldPlan(cohort), (1, 0, 0), Functional("rmst"), grid)
+    assert est.estimate.shape == (20,)
 
 
 # ---------------------------------------------------------------------------

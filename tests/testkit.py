@@ -286,3 +286,60 @@ def count_dr_fits(monkeypatch):
             return _fit(*args, **kwargs)
         monkeypatch.setattr(fairsurv.dr, name, counted)
     return counts
+
+
+def reference_crossfit(plan, queries, functional, grid):
+    """The per-row cross-fitting `crossfit_dr_many` streams, kept as its
+    oracle: every fold's rows are evaluated with `evaluate_influence`
+    into one rows x grid matrix per query, whose column means are the
+    estimates and whose centred columns give the standard errors.
+
+    Returns {query: namespace(estimate, se, if_matrix, n_flagged,
+    n_mediator_fallback)}.  It fits through `plan`, so it can share the
+    fits of a `crossfit_dr_many` call on the same plan.
+    """
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from fairsurv.dr import (
+        _as_query, _nu_values, _rmst_weights, evaluate_influence)
+    from fairsurv.queries import Functional
+
+    cohort = plan.cohort
+    grid = np.asarray(grid, dtype=float)
+    base = functional
+    if functional.kind == "rmst":
+        base = Functional("survival" if cohort.n_causes == 1
+                          else "all_cause_survival")
+    scale = "cif" if base.kind == "cif" else "survival"
+    parts = list(plan.parts(base))
+    out = {}
+    for query in queries:
+        query = _as_query(query)
+        p = float(np.mean(cohort.x == query.x_condition))
+        unc = np.zeros((cohort.n, grid.size))
+        n_flagged = n_fallback = 0
+        for bundle, rows in parts:
+            part = cohort.subset(rows)
+            ev = evaluate_influence(part, bundle, query, base, grid,
+                                    p_condition=p, epsilon=plan.epsilon,
+                                    cap=plan.cap)
+            unc[rows] = ev.values
+            n_flagged += ev.n_flagged
+            z_wanted = sorted({z for _, z, _ in part.cells("zw")[1]},
+                              key=repr)
+            n_fallback += _nu_values(bundle, query, scale, grid, z_wanted)[1]
+        estimate = unc.mean(axis=0)
+        ind_z = (cohort.x == query.x_condition).astype(float)
+        if_matrix = unc - np.outer(ind_z / p, estimate)
+        if functional.kind == "rmst":
+            shift, weights = _rmst_weights(grid, functional.horizon)
+            estimate = shift + weights @ estimate
+            if_matrix = if_matrix @ weights.T
+        out[query] = SimpleNamespace(
+            estimate=estimate,
+            se=if_matrix.std(axis=0, ddof=1) / np.sqrt(cohort.n),
+            if_matrix=if_matrix, n_flagged=n_flagged,
+            n_mediator_fallback=n_fallback)
+    return out
