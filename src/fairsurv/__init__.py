@@ -59,7 +59,6 @@ from .decompose import (
 from .dr import (
     DRCurveEstimate,
     FoldPlan,
-    InfluenceMoments,
     crossfit_dr,
     crossfit_dr_many,
     evaluate_influence,
@@ -117,7 +116,6 @@ __all__ = [
     "crossfit_dr",
     "crossfit_dr_many",
     "DRCurveEstimate",
-    "InfluenceMoments",
     # decomposition
     "EFFECT_NAMES",
     "EffectSeries",

@@ -26,7 +26,6 @@ in the diagnostics; neither safeguard fires on well-behaved cohorts.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +35,6 @@ from .errors import (
     DegenerateGroupError,
     EstimationError,
     FoldAssignmentError,
-    GridTooLargeError,
 )
 from .identify import _validate_grid, default_grid, outcome_target
 from .nuisance import (
@@ -177,18 +175,15 @@ def _nu_values(nuisances, query, base, grid, z_wanted):
 
     Returns ({z: (T,) array}, n_fallback) where the fallback pools over
     every x_w row when a confounder value never co-occurs with X = x_w
-    in the rows the bundle was fitted on.
+    in the rows the bundle was fitted on.  Curves are summed as they are
+    predicted, so memory is one curve per confounder value seen with
+    X = x_w, plus one pooled curve shared by every fallback value.
     """
     x_y = query.x_outcome
     x_w = query.x_mediator
-    cache = {}
 
     def f_hat(z, w):
-        key = (z, w)
-        if key not in cache:
-            cache[key] = _outcome_values(nuisances.outcome, base,
-                                         x_y, z, w, grid)
-        return cache[key]
+        return _outcome_values(nuisances.outcome, base, x_y, z, w, grid)
 
     out = {}
     n_fallback = 0
@@ -357,40 +352,54 @@ class _Contributions:
                 if parts[g]:
                     yield at[g], parts[g]
 
-    def components(self, rows, cells):
-        """Component arrays (rows x grid) of ``rows`` after cap trimming,
-        and the number of rows trimmed.
+    def evaluate(self, rows, cells, out, targets, comps=None):
+        """Write the values of ``rows`` (grid columns) into
+        ``out[targets]`` and return the number of rows trimmed; rows no
+        component applies to are left alone.
 
-        A row with a non-finite value, or one above ``cap`` in
-        magnitude, is flagged; each such entry's components are scaled so
-        that their sum is ``cap`` in magnitude, or zeroed if not finite.
+        A row's value adds its components in COMPONENT_NAMES order.  A
+        row with a non-finite value, or one above ``cap`` in magnitude,
+        is trimmed: each such entry's components are scaled so that
+        their sum is ``cap`` in magnitude, or zeroed if not finite.
+        Given ``comps`` (component name -> arrays shaped like ``out``),
+        the components after trimming go to ``comps[name][targets]``.
         """
-        comps = {name: np.zeros((rows.size, self.grid.size))
-                 for name in COMPONENT_NAMES}
+        n_flagged = 0
         for pos, parts in self._parts(rows, cells):
-            for name, values in parts:
-                comps[name][pos] = values
-        total = sum(comps[name] for name in COMPONENT_NAMES)
-        bad = ~np.isfinite(total)
-        over = np.abs(total) > self.cap
-        flagged_rows = np.flatnonzero(np.any(bad | over, axis=1))
-        if flagged_rows.size:
-            scale = np.ones_like(total)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale[over] = self.cap / np.abs(total[over])
-            scale[bad] = 0.0
-            for name in COMPONENT_NAMES:
-                comps[name] *= scale
-                comps[name][bad] = 0.0
-        return comps, int(flagged_rows.size)
+            total = np.broadcast_to(sum(v for _, v in parts),
+                                    (pos.size, self.grid.size))
+            # NaN compares false, so non-finite rows are flagged too
+            flagged = np.flatnonzero(
+                ~(np.abs(total).max(axis=1) <= self.cap))
+            if flagged.size:
+                parts, total = self._trim(parts, total, flagged)
+                n_flagged += flagged.size
+            out[targets[pos]] = total
+            if comps is not None:
+                for name, v in parts:
+                    comps[name][targets[pos]] = v
+        return n_flagged
 
-    def total(self, rows, cells, out, targets):
-        """Write the summed components of ``rows`` into ``out[targets]``,
-        added in COMPONENT_NAMES order so that each row equals the sum of
-        its untrimmed ``components`` bit for bit; rows no component
-        applies to are left alone."""
-        for pos, parts in self._parts(rows, cells):
-            out[targets[pos]] = sum(values for _, values in parts)
+    def _trim(self, parts, total, flagged):
+        """``parts`` and their sum ``total`` with the entries of the rows
+        ``flagged`` scaled (or zeroed) as ``evaluate`` describes."""
+        sub = total[flagged]
+        bad = ~np.isfinite(sub)
+        over = np.abs(sub) > self.cap
+        scale = np.ones_like(sub)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale[over] = self.cap / np.abs(sub[over])
+        scale[bad] = 0.0
+        trimmed = []
+        for name, v in parts:
+            v = np.array(np.broadcast_to(v, total.shape))
+            part = v[flagged] * scale
+            part[bad] = 0.0
+            v[flagged] = part
+            trimmed.append((name, v))
+        total = np.array(total)
+        total[flagged] = sum(v[flagged] for _, v in trimmed)
+        return trimmed, total
 
 
 def _z_values(keys):
@@ -422,9 +431,13 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
         raise DegenerateGroupError("conditioning group has probability zero")
     ids, keys = cohort.cells("zw")
     rows = np.arange(cohort.n)
-    comps, n_flagged = _Contributions(
+    comps = {name: np.zeros((cohort.n, grid.size))
+             for name in COMPONENT_NAMES}
+    n_flagged = _Contributions(
         cohort, keys, nuisances, query, functional, grid, p_condition,
-        epsilon, cap, _z_values(keys)).components(rows, _by_cell(ids, rows))
+        epsilon, cap, _z_values(keys)).evaluate(
+            rows, _by_cell(ids, rows), np.zeros((cohort.n, grid.size)),
+            rows, comps)
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
     ind_z = (cohort.x == query.x_condition).astype(float)
     comps["conditioning_centering"] = comps["conditioning_centering"] - (
@@ -598,11 +611,11 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
 
     n = cohort.n
     base_functional = functional
-    weights = None
+    widths = None
     if functional.kind == "rmst":
         base_functional = Functional(
             "survival" if cohort.n_causes == 1 else "all_cause_survival")
-        shift, weights = _rmst_weights(grid, functional.horizon)
+        shift, widths = _rmst_steps(grid, functional.horizon)
 
     p_cond = {q: float(np.mean(cohort.x == q.x_condition)) for q in queries}
     for q, frac in p_cond.items():
@@ -619,10 +632,10 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
                                       base_functional, grid, p_cond[q],
                                       plan.epsilon, plan.cap, z_wanted)
                        for q in queries], rows))
-    sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, weights)
+    sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, widths)
 
     raw = sums / n
-    center = raw if weights is None else np.stack([weights @ r for r in raw])
+    center = raw if widths is None else _running_rmst(raw, widths)
     moments = InfluenceMoments(
         queries=tuple(queries),
         counts=np.array([count for count, _, _ in groups]),
@@ -634,7 +647,7 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
         center=center)
     out = {}
     for qi, q in enumerate(queries):
-        estimate = raw[qi] if weights is None else shift + center[qi]
+        estimate = raw[qi] if widths is None else shift + center[qi]
         se = moments.se(moments.unit(q))
         diagnostics = {
             "n_rows": n,
@@ -658,15 +671,15 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
     return out
 
 
-def _stream_rows(plan, parts, ids, grid, weights):
+def _stream_rows(plan, parts, ids, grid, widths):
     """Evaluate every row of ``plan.cohort`` in row blocks.
 
     ``parts`` pairs each fold's rows with one ``_Contributions`` per
     query; ``ids`` are the cohort's (z, w) cell ids.  Returns the
     queries' column sums of the row contributions (queries x grid), the
     (count, means, co-moments) of the contributions of each group X = 0,
-    1 (mapped through the rmst ``weights`` when given), and the number of
-    trimmed rows of each query.
+    1 (mapped to running RMST when the rmst step ``widths`` are given),
+    and the number of trimmed rows of each query.
     """
     cohort = plan.cohort
     n, n_queries = cohort.n, len(parts[0][0])
@@ -688,28 +701,18 @@ def _stream_rows(plan, parts, ids, grid, weights):
         block[...] = 0.0
         for contribs, rows in parts:
             lo, hi = np.searchsorted(rows, (start, stop))
-            cells = _by_cell(ids, rows[lo:hi])
-            for contrib, out in zip(contribs, block):
-                contrib.total(rows[lo:hi], cells, out, rows[lo:hi] - start)
+            at = rows[lo:hi]
+            cells = _by_cell(ids, at)
+            for qi, (contrib, out) in enumerate(zip(contribs, block)):
+                n_flagged[qi] += contrib.evaluate(at, cells, out, at - start)
         for qi, out in enumerate(block):
-            # NaN compares false, so non-finite rows are caught too
-            flagged = np.flatnonzero(~(np.abs(out).max(axis=1) <= plan.cap))
-            folds = plan.fold_ids[start + flagged]
-            for f, (contribs, _) in enumerate(parts):
-                at = start + flagged[folds == f]
-                if at.size:
-                    comps, trimmed = contribs[qi].components(
-                        at, _by_cell(ids, at))
-                    out[at - start] = sum(comps[name]
-                                          for name in COMPONENT_NAMES)
-                    n_flagged[qi] += trimmed
             if start:
                 slab[qi, 0] = sums[qi]
                 np.add.reduce(slab[qi, :stop - start + 1], axis=0,
                               out=sums[qi])
             else:
                 np.add.reduce(out, axis=0, out=sums[qi])
-        values = block if weights is None else block @ weights.T
+        values = block if widths is None else _running_rmst(block, widths)
         xs = cohort.x[start:stop]
         for g in (0, 1):
             members = xs == g
@@ -795,33 +798,29 @@ class InfluenceMoments:
             / np.sqrt(n)
 
 
-# Largest grid x grid weight matrix ``_rmst_weights`` builds (a 4096-point
-# grid); building it takes a few arrays of that size.
-_RMST_MAX_ELEMENTS = 1 << 24
-
-
-def _rmst_weights(grid, horizon):
-    """Linear map taking survival values on the grid to running RMST.
+def _rmst_steps(grid, horizon):
+    """Shift and step widths of the linear map from survival values on
+    the grid to running RMST.
 
     The estimate is treated as a right-continuous step curve that equals
-    one before the first grid time, so the integral to t is an exact
-    finite sum; the same weights transport the per-row influence
-    matrix.  ``horizon`` (when given) caps the integration time of every
-    grid point.  Grids whose square exceeds ``_RMST_MAX_ELEMENTS`` raise
-    ``GridTooLargeError`` before anything is allocated.
+    one before the first grid time, so the integral to grid time j is the
+    shift plus ``sum_{l < j} widths[l] * s[l]`` (``_running_rmst``), an
+    exact finite sum; the same map transports influence values.
+    ``horizon`` (when given) caps the integration time of every grid
+    point: steps past it have zero width.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size ** 2 > _RMST_MAX_ELEMENTS:
-        raise GridTooLargeError(
-            f"rmst on a {grid.size}-point grid needs {grid.size}^2 weights, "
-            f"more than the {_RMST_MAX_ELEMENTS} allowed; pass --grid-points "
-            f"{math.isqrt(_RMST_MAX_ELEMENTS)} or fewer")
-    t_eff = grid if horizon is None else np.minimum(grid, float(horizon))
-    widths = np.minimum(grid[None, 1:], t_eff[:, None]) - grid[None, :-1]
-    earlier = np.tri(grid.size, grid.size - 1, -1, dtype=bool)  # l < j
-    weights = np.zeros((grid.size, grid.size))
-    weights[:, :-1] = np.where(earlier & (widths > 0.0), widths, 0.0)
-    return np.minimum(t_eff, grid[0]), weights
+    cap = np.inf if horizon is None else float(horizon)
+    widths = np.maximum(np.minimum(grid[1:], cap) - grid[:-1], 0.0)
+    return np.minimum(np.minimum(grid, cap), grid[0]), widths
+
+
+def _running_rmst(values, widths):
+    """``sum_{l < j} widths[l] * values[..., l]`` for every grid index j
+    of the last axis."""
+    out = np.zeros_like(values)
+    np.cumsum(values[..., :-1] * widths, axis=-1, out=out[..., 1:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ class EmptyCohortError(DataError):
     """An estimator received zero rows."""
 
 
-class GridTooLargeError(DataError):
-    """A time grid is too fine for an estimator's grid x grid arrays."""
-
-
 class DegenerateGroupError(EstimationError):
     """A requested group or stratum has zero probability or zero rows."""
 

@@ -270,6 +270,13 @@ def _mean_cif(leaves):
 # Conditional survival model
 # ---------------------------------------------------------------------------
 
+# Most curve points a model keeps in its prediction cache.  A tree
+# ensemble builds a fresh curve, with up to one point per event time, for
+# every distinct covariate triple; with a continuous covariate that is one
+# per row, so an unbounded cache would grow as rows x event times.
+_CACHE_POINTS = 1 << 18
+
+
 class ConditionalSurvivalModel:
     """Predicts per-covariate survival (or cumulative incidence) curves.
 
@@ -277,7 +284,8 @@ class ConditionalSurvivalModel:
     backoff) or "logrank_tree_ensemble" (bagged log-rank trees, mean
     cumulative hazard).  `target` is "event", "censoring", or a cause
     label; cause targets predict cumulative incidence, the others predict
-    survival curves.
+    survival curves.  Predictions are cached per covariate triple, up to
+    ``_CACHE_POINTS`` curve points; the least recently used go first.
     """
 
     def __init__(self, learner, target, n_causes, fit_report, *,
@@ -290,6 +298,7 @@ class ConditionalSurvivalModel:
         self._trees = trees
         self._widths = widths
         self._cache = {}
+        self._cache_points = 0
 
     @property
     def curve_kind(self):
@@ -328,8 +337,9 @@ class ConditionalSurvivalModel:
         if x not in (0, 1):
             raise DataError("group label must be 0 or 1")
         key = (x, _canonical_item(z), _canonical_item(w))
-        hit = self._cache.get(key)
+        hit = self._cache.pop(key, None)
         if hit is not None:
+            self._cache[key] = hit  # now the most recently used
             return hit
         if self._curves is not None:
             curve = None
@@ -353,6 +363,10 @@ class ConditionalSurvivalModel:
             else:
                 curve = _mean_chf_survival(leaves)
         self._cache[key] = curve
+        self._cache_points += curve.breakpoints.size
+        while self._cache_points > _CACHE_POINTS and len(self._cache) > 1:
+            oldest = self._cache.pop(next(iter(self._cache)))
+            self._cache_points -= oldest.breakpoints.size
         return curve
 
     def predict_survival(self, x, z, w):

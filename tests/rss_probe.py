@@ -7,7 +7,13 @@ a child process.  The default grid takes every distinct event time up to
 the 95th percentile, so it grows with `n` (about 1.9k points at n = 5k).
 The child's peak RSS comes from `os.wait4`.
 
-    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB
+With `continuous-z`, the confounder also gets U(0, 1) jitter, so almost
+every row is its own covariate cell and no confounder value of one fold
+recurs in the other: nu(z) falls back to the pooled average over every
+row of the other fold.  That case fits with the tree and logistic
+learners, since the stratified learner refuses continuous covariates.
+
+    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [continuous-z]
 
 prints the run's figures as JSON and exits 1 unless the child succeeded
 with a peak RSS below LIMIT_MB.
@@ -33,28 +39,37 @@ CLI_CODE = ("import sys; from fairsurv.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
 
 
-def jittered_cohort_csv(n, seed=0):
+CONTINUOUS_Z_LEARNERS = ("--learner", "logrank_tree_ensemble",
+                         "--propensity-learner", "logistic_irls")
+
+
+def jittered_cohort_csv(n, seed=0, continuous_z=False):
     spec = SCMSpec.from_json((resources.files("fairsurv.data")
                               / "example_spec.json").read_text())
     cohort = sample_cohort(spec, n, seed=seed)
-    m = cohort.m + np.random.default_rng(seed).uniform(0.0, 1.0, n)
-    return Cohort(cohort.x, cohort.z_items, cohort.w_items, m,
-                  cohort.delta).to_csv()
+    rng = np.random.default_rng(seed)
+    m = cohort.m + rng.uniform(0.0, 1.0, n)
+    z = cohort.z_items
+    if continuous_z:
+        z = np.round(np.asarray(z, dtype=float) + rng.uniform(0.0, 1.0, n),
+                     6).tolist()
+    return Cohort(cohort.x, z, cohort.w_items, m, cohort.delta).to_csv()
 
 
-def decompose_peak_rss(n, workdir, seed=0):
+def decompose_peak_rss(n, workdir, seed=0, continuous_z=False):
     """Run `decompose` on a jittered n-row cohort under `workdir`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
     workdir = Path(workdir)
     cohort = workdir / "cohort.csv"
-    cohort.write_text(jittered_cohort_csv(n, seed))
+    cohort.write_text(jittered_cohort_csv(n, seed, continuous_z))
+    learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-c", CLI_CODE, "decompose", "--cohort", str(cohort),
-         "--outdir", str(workdir / "out")],
+        [sys.executable, "-c", CLI_CODE, "decompose", *learners,
+         "--cohort", str(cohort), "--outdir", str(workdir / "out")],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     stderr = proc.stderr.read().decode(errors="replace")
     _, status, usage = os.wait4(proc.pid, 0)
@@ -73,9 +88,13 @@ def decompose_peak_rss(n, workdir, seed=0):
 
 def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
+    continuous_z = argv[2:] == ["continuous-z"]
+    if argv[2:] and not continuous_z:
+        sys.exit(f"unknown case {argv[2]!r}; the only one is continuous-z")
     with tempfile.TemporaryDirectory() as workdir:
-        result = decompose_peak_rss(n, workdir)
-    print(json.dumps({"n": n, "limit_mb": limit_mb, **result}))
+        result = decompose_peak_rss(n, workdir, continuous_z=continuous_z)
+    print(json.dumps({"n": n, "limit_mb": limit_mb,
+                      "continuous_z": continuous_z, **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb
     return 0 if ok else 1
 

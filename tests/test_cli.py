@@ -684,15 +684,3 @@ def test_exit_code_3_on_spec_that_is_not_utf8(tmp_path, capsys):
     assert rc == 3
     assert "spec file is not UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_exit_code_3_on_rmst_grid_past_the_weight_budget(
-        nc_cohort_csv, tmp_path, capsys, monkeypatch):
-    import fairsurv.dr
-
-    monkeypatch.setattr(fairsurv.dr, "_RMST_MAX_ELEMENTS", 20 * 20 - 1)
-    grid = ",".join(f"{t:g}" for t in np.linspace(0.2, 4.0, 20))
-    rc = main(["decompose", "--cohort", str(nc_cohort_csv), "--functional",
-               "rmst", "--grid", grid, "--outdir", str(tmp_path)])
-    assert rc == 3
-    assert "--grid-points 19 or fewer" in capsys.readouterr().err

@@ -12,7 +12,8 @@ from fairsurv.curves import StepCurve
 from fairsurv.dr import (
     COMPONENT_NAMES,
     DRNuisances,
-    _rmst_weights,
+    _rmst_steps,
+    _running_rmst,
     FoldPlan,
     assign_folds,
     crossfit_dr,
@@ -28,7 +29,6 @@ from fairsurv.errors import (
     DataError,
     DegenerateGroupError,
     FoldAssignmentError,
-    GridTooLargeError,
 )
 from fairsurv.nuisance import (
     ConditionalSurvivalModel,
@@ -617,8 +617,8 @@ def test_rmst_is_exact_step_integral_of_survival_estimate():
 
 
 def _rmst_weights_loop(grid, horizon):
-    """The entry-by-entry loop `_rmst_weights` replaced, kept verbatim as
-    its oracle."""
+    """The rmst map as an entry-by-entry grid x grid weight matrix, kept
+    verbatim as the oracle of `_rmst_steps` and `_running_rmst`."""
     n_t = grid.size
     shift = np.zeros(n_t)
     weights = np.zeros((n_t, n_t))
@@ -642,10 +642,12 @@ def test_rmst_weights_equal_the_loop_oracle_exactly():
         grid = np.unique(np.round(rng.exponential(2.0, size), 3) + 1e-3)
         inside = float(rng.uniform(grid[0] / 2, grid[-1] * 1.2))
         for horizon in (None, inside, float(rng.choice(grid))):
-            shift, weights = _rmst_weights(grid, horizon)
+            shift, widths = _rmst_steps(grid, horizon)
             want_shift, want_weights = _rmst_weights_loop(grid, horizon)
             assert np.array_equal(shift, want_shift)
-            assert np.array_equal(weights, want_weights)
+            # the running sum maps each unit curve to its weight column
+            assert np.array_equal(
+                _running_rmst(np.eye(grid.size), widths).T, want_weights)
 
 
 def test_rmst_horizon_caps_integration():
@@ -803,23 +805,6 @@ def test_row_blocks_leave_estimates_unchanged(monkeypatch):
         for q in queries:
             assert np.array_equal(blocked[q].estimate, whole[q].estimate)
             assert_allclose(blocked[q].se, whole[q].se, rtol=0.0, atol=1e-15)
-
-
-def test_rmst_grid_beyond_the_weight_budget_raises_before_fitting(
-        monkeypatch):
-    import fairsurv.dr
-
-    _, spec, cohort = _nic_setup(300, 79)
-    grid = np.linspace(0.5, 4.0, 20)
-    fits = count_dr_fits(monkeypatch)
-    monkeypatch.setattr(fairsurv.dr, "_RMST_MAX_ELEMENTS", 20 * 20 - 1)
-    with pytest.raises(GridTooLargeError, match="--grid-points 19 or fewer"):
-        crossfit_dr(FoldPlan(cohort), (1, 0, 0), Functional("rmst"), grid)
-    assert fits == {"survival": 0, "propensity": 0}
-    assert issubclass(GridTooLargeError, DataError)
-    monkeypatch.setattr(fairsurv.dr, "_RMST_MAX_ELEMENTS", 20 * 20)
-    est = crossfit_dr(FoldPlan(cohort), (1, 0, 0), Functional("rmst"), grid)
-    assert est.estimate.shape == (20,)
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,7 @@ def reference_crossfit(plan, queries, functional, grid):
     import numpy as np
 
     from fairsurv.dr import (
-        _as_query, _nu_values, _rmst_weights, evaluate_influence)
+        _as_query, _nu_values, _rmst_steps, _running_rmst, evaluate_influence)
     from fairsurv.queries import Functional
 
     cohort = plan.cohort
@@ -334,9 +334,9 @@ def reference_crossfit(plan, queries, functional, grid):
         ind_z = (cohort.x == query.x_condition).astype(float)
         if_matrix = unc - np.outer(ind_z / p, estimate)
         if functional.kind == "rmst":
-            shift, weights = _rmst_weights(grid, functional.horizon)
-            estimate = shift + weights @ estimate
-            if_matrix = if_matrix @ weights.T
+            shift, widths = _rmst_steps(grid, functional.horizon)
+            estimate = shift + _running_rmst(estimate, widths)
+            if_matrix = _running_rmst(if_matrix, widths)
         out[query] = SimpleNamespace(
             estimate=estimate,
             se=if_matrix.std(axis=0, ddof=1) / np.sqrt(cohort.n),
