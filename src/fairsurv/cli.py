@@ -164,6 +164,8 @@ def _resolve_config(argv, parser):
 
 
 def _validate_config(config, parser):
+    if config["seed"] < 0:
+        parser.error("--seed must be a nonnegative integer")
     command = config["command"]
     if command == "simulate":
         if config["n"] <= 0:

@@ -1,4 +1,5 @@
-"""Right-continuous step curves and classical survival estimators.
+"""Right-continuous step curves, classical survival estimators and the
+curve functionals (restricted means, discrete hazard increments).
 
 The step curve is the common currency of the package: Kaplan-Meier and
 Aalen-Johansen output, conditional model predictions, potential-outcome
@@ -83,25 +84,17 @@ class StepCurve:
 
     def evaluate(self, t):
         """Value at time(s) t; scalar in, scalar out."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0):
-            raise DataError("evaluation times must be nonnegative")
-        idx = np.searchsorted(self.breakpoints, t_arr, side="right") - 1
-        out = np.where(
-            idx >= 0,
-            self.values[np.maximum(idx, 0)] if self.values.size else 0.0,
-            self.value_at_zero,
-        )
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+        return self._lookup(t, "right")
 
     def left_limit(self, t):
         """Value just before time(s) t."""
+        return self._lookup(t, "left")
+
+    def _lookup(self, t, side):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0):
             raise DataError("evaluation times must be nonnegative")
-        idx = np.searchsorted(self.breakpoints, t_arr, side="left") - 1
+        idx = np.searchsorted(self.breakpoints, t_arr, side=side) - 1
         out = np.where(
             idx >= 0,
             self.values[np.maximum(idx, 0)] if self.values.size else 0.0,
@@ -173,6 +166,16 @@ def risk_table(times, deltas, n_causes=None):
     return RiskTable(uniq, at_risk, events, censored, n_causes)
 
 
+def _event_steps(times, events):
+    """Distinct event times with their event and at-risk counts; any
+    positive indicator counts as an event."""
+    rt = risk_table(times, np.minimum(np.asarray(events, dtype=int), 1),
+                    n_causes=1)
+    dj = rt.events[:, 0]
+    keep = dj > 0
+    return rt.times[keep], dj[keep], rt.at_risk[keep]
+
+
 def kaplan_meier(times, events):
     """Product-limit estimate of the survival function.
 
@@ -180,23 +183,15 @@ def kaplan_meier(times, events):
     integer is treated as an event so all-cause curves can reuse this
     entry point with multi-cause labels.
     """
-    t, d = _as_cohort_arrays(times, events)
-    rt = risk_table(t, (d >= 1).astype(int), n_causes=1)
-    dj = rt.events[:, 0]
-    keep = dj > 0
-    factors = 1.0 - dj[keep] / rt.at_risk[keep]
-    surv = np.cumprod(factors)
-    return StepCurve(rt.times[keep], surv, value_at_zero=1.0, kind="survival")
+    u, d, n = _event_steps(times, events)
+    return StepCurve(u, np.cumprod(1.0 - d / n), value_at_zero=1.0,
+                     kind="survival")
 
 
 def nelson_aalen(times, events):
     """Cumulative-hazard estimate, the running sum of d_j / n_j."""
-    t, d = _as_cohort_arrays(times, events)
-    rt = risk_table(t, (d >= 1).astype(int), n_causes=1)
-    dj = rt.events[:, 0]
-    keep = dj > 0
-    chf = np.cumsum(dj[keep] / rt.at_risk[keep])
-    return StepCurve(rt.times[keep], chf, value_at_zero=0.0, kind="hazard")
+    u, d, n = _event_steps(times, events)
+    return StepCurve(u, np.cumsum(d / n), value_at_zero=0.0, kind="hazard")
 
 
 def aalen_johansen_cif(times, deltas, cause, n_causes=None):
@@ -219,17 +214,45 @@ def aalen_johansen_cif(times, deltas, cause, n_causes=None):
     return StepCurve(rt.times[keep], cif, value_at_zero=0.0, kind="cif")
 
 
-def restricted_mean(curve, horizon):
-    """Exact integral of a survival step curve from 0 to `horizon`."""
+def hazard_increments(curve):
+    """Discrete hazard 1 - S(u)/S(u-) of a survival step curve at each of
+    its breakpoints u; 0 where S(u-) = 0."""
+    vals = curve.values
+    prev = np.concatenate(([curve.value_at_zero], vals))[:-1]
+    alive = prev > 0.0
+    return np.where(alive, 1.0 - vals / np.where(alive, prev, 1.0), 0.0)
+
+
+def running_rmst(knots, values, horizon=None):
+    """Running integral of the step function equal to ``values[..., l]``
+    on [knots[l], knots[l + 1]): entry j integrates it from knots[0] to
+    min(knots[j], horizon).  ``knots`` increase; ``values`` runs along
+    them on its last axis and may carry leading axes (the map is linear
+    in ``values``)."""
+    knots = np.asarray(knots, dtype=float)
+    values = np.asarray(values, dtype=float)
+    cap = np.inf if horizon is None else float(horizon)
+    widths = np.maximum(np.minimum(knots[1:], cap) - knots[:-1], 0.0)
+    out = np.zeros_like(values)
+    np.cumsum(values[..., :-1] * widths, axis=-1, out=out[..., 1:])
+    return out
+
+
+def restricted_means(curve, times, horizon=None):
+    """Integral of a survival step curve from 0 to min(t, horizon), at
+    every t of ``times`` (a 1-d array of nonnegative times)."""
     if curve.kind not in ("survival", "generic"):
         raise DataError("restricted mean expects a survival-like curve")
+    times = np.asarray(times, dtype=float)
+    knots = np.union1d(curve.breakpoints, times)
+    running = running_rmst(knots, curve.evaluate(knots), horizon)
+    head = knots[0] if horizon is None else min(knots[0], horizon)
+    return curve.value_at_zero * head + running[np.searchsorted(knots, times)]
+
+
+def restricted_mean(curve, horizon):
+    """Exact integral of a survival step curve from 0 to `horizon`."""
     h = float(horizon)
     if not np.isfinite(h) or h <= 0.0:
         raise DataError("horizon must be positive and finite")
-    bp = curve.breakpoints
-    inside = bp[bp < h]
-    knots = np.concatenate(([0.0], inside, [h]))
-    widths = np.diff(knots)
-    heights = np.asarray(curve.evaluate(knots[:-1]), dtype=float)
-    return float(np.sum(widths * heights))
-
+    return float(restricted_means(curve, [h])[0])

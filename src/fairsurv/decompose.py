@@ -35,7 +35,7 @@ give them without per-row storage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -187,11 +187,7 @@ class DecompositionSeries:
             "estimator": self.estimator,
             "x0": self.x0,
             "x1": self.x1,
-            "functional": {
-                "kind": self.functional.kind,
-                "cause": self.functional.cause,
-                "horizon": self.functional.horizon,
-            },
+            "functional": asdict(self.functional),
             "grid": [float(v) for v in self.grid],
             "effects": {
                 name: {

@@ -26,10 +26,16 @@ in the diagnostics; neither safeguard fires on well-behaved cohorts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .curves import (
+    StepCurve,
+    hazard_increments,
+    restricted_means,
+    running_rmst,
+)
 from .errors import (
     DataError,
     DegenerateGroupError,
@@ -42,7 +48,6 @@ from .nuisance import (
     PropensityModel,
     fit_conditional_survival,
     fit_propensity,
-    predict_censoring_hazard_increments,
     propensity_from_spec,
     survival_model_from_spec,
 )
@@ -319,8 +324,9 @@ class _Contributions:
                             f_y[None, :] / (s_m * g_m)[:, None])
                         out.append(("xi_one", weight * xi1))
 
-                    times, lams = _censor_increments(
-                        nuisances.censoring, (x_y, z, w), grid)
+                    lams = hazard_increments(g_curve)
+                    keep = (lams > 0.0) & (g_curve.breakpoints <= grid[-1])
+                    times, lams = g_curve.breakpoints[keep], lams[keep]
                     if times.size:
                         s_left = np.maximum(s_curve.left_limit(times),
                                             epsilon)
@@ -405,14 +411,6 @@ class _Contributions:
 def _z_values(keys):
     """Distinct confounder values of (x, z, w) cell keys."""
     return sorted({z for _, z, _ in keys}, key=repr)
-
-
-def _censor_increments(model, covariates, grid):
-    pairs = predict_censoring_hazard_increments(model, covariates, grid)
-    if not pairs:
-        return np.empty(0), np.empty(0)
-    arr = np.asarray(pairs, dtype=float)
-    return arr[:, 0], arr[:, 1]
 
 
 def evaluate_influence(cohort, nuisances, query, functional, grid, *,
@@ -610,12 +608,13 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
     queries = list(dict.fromkeys(_as_query(q) for q in queries))
 
     n = cohort.n
-    base_functional = functional
-    widths = None
+    base_functional, rmst = functional, None
     if functional.kind == "rmst":
         base_functional = Functional(
             "survival" if cohort.n_causes == 1 else "all_cause_survival")
-        shift, widths = _rmst_steps(grid, functional.horizon)
+
+        def rmst(values):
+            return running_rmst(grid, values, functional.horizon)
 
     p_cond = {q: float(np.mean(cohort.x == q.x_condition)) for q in queries}
     for q, frac in p_cond.items():
@@ -632,10 +631,10 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
                                       base_functional, grid, p_cond[q],
                                       plan.epsilon, plan.cap, z_wanted)
                        for q in queries], rows))
-    sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, widths)
+    sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, rmst)
 
     raw = sums / n
-    center = raw if widths is None else _running_rmst(raw, widths)
+    center = raw if rmst is None else rmst(raw)
     moments = InfluenceMoments(
         queries=tuple(queries),
         counts=np.array([count for count, _, _ in groups]),
@@ -647,7 +646,11 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
         center=center)
     out = {}
     for qi, q in enumerate(queries):
-        estimate = raw[qi] if widths is None else shift + center[qi]
+        # the estimate's restricted mean, as a step curve equal to one
+        # before the first grid time
+        estimate = raw[qi] if rmst is None else restricted_means(
+            StepCurve(grid, raw[qi], 1.0, "generic"), grid,
+            functional.horizon)
         se = moments.se(moments.unit(q))
         diagnostics = {
             "n_rows": n,
@@ -671,15 +674,15 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
     return out
 
 
-def _stream_rows(plan, parts, ids, grid, widths):
+def _stream_rows(plan, parts, ids, grid, rmst):
     """Evaluate every row of ``plan.cohort`` in row blocks.
 
     ``parts`` pairs each fold's rows with one ``_Contributions`` per
     query; ``ids`` are the cohort's (z, w) cell ids.  Returns the
     queries' column sums of the row contributions (queries x grid), the
     (count, means, co-moments) of the contributions of each group X = 0,
-    1 (mapped to running RMST when the rmst step ``widths`` are given),
-    and the number of trimmed rows of each query.
+    1 (mapped by ``rmst``, the running restricted mean, when given), and
+    the number of trimmed rows of each query.
     """
     cohort = plan.cohort
     n, n_queries = cohort.n, len(parts[0][0])
@@ -712,7 +715,7 @@ def _stream_rows(plan, parts, ids, grid, widths):
                               out=sums[qi])
             else:
                 np.add.reduce(out, axis=0, out=sums[qi])
-        values = block if widths is None else _running_rmst(block, widths)
+        values = block if rmst is None else rmst(block)
         xs = cohort.x[start:stop]
         for g in (0, 1):
             members = xs == g
@@ -759,7 +762,7 @@ class InfluenceMoments:
     any linear combination of the queries' influence values follows from
     these moments exactly.  For rmst, contributions and ``center`` are
     already mapped to the restricted-mean scale (``center`` without the
-    shift of the curve's first step).
+    integral up to the first grid time).
     """
 
     queries: tuple
@@ -798,31 +801,6 @@ class InfluenceMoments:
             / np.sqrt(n)
 
 
-def _rmst_steps(grid, horizon):
-    """Shift and step widths of the linear map from survival values on
-    the grid to running RMST.
-
-    The estimate is treated as a right-continuous step curve that equals
-    one before the first grid time, so the integral to grid time j is the
-    shift plus ``sum_{l < j} widths[l] * s[l]`` (``_running_rmst``), an
-    exact finite sum; the same map transports influence values.
-    ``horizon`` (when given) caps the integration time of every grid
-    point: steps past it have zero width.
-    """
-    grid = np.asarray(grid, dtype=float)
-    cap = np.inf if horizon is None else float(horizon)
-    widths = np.maximum(np.minimum(grid[1:], cap) - grid[:-1], 0.0)
-    return np.minimum(np.minimum(grid, cap), grid[0]), widths
-
-
-def _running_rmst(values, widths):
-    """``sum_{l < j} widths[l] * values[..., l]`` for every grid index j
-    of the last axis."""
-    out = np.zeros_like(values)
-    np.cumsum(values[..., :-1] * widths, axis=-1, out=out[..., 1:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Result container
 # ---------------------------------------------------------------------------
@@ -851,11 +829,7 @@ class DRCurveEstimate:
     def to_json(self, indent=2):
         payload = {
             "query": list(self.query.as_tuple()),
-            "functional": {
-                "kind": self.functional.kind,
-                "cause": self.functional.cause,
-                "horizon": self.functional.horizon,
-            },
+            "functional": asdict(self.functional),
             "grid": [float(v) for v in self.grid],
             "estimate": [float(v) for v in self.estimate],
             "se": [float(v) for v in self.se],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import StepCurve, restricted_mean
+from .curves import StepCurve, hazard_increments, restricted_means
 from .errors import CohortSchemaError, DataError, EmptyCohortError
 from .nuisance import (
     ConditionalSurvivalModel,
@@ -40,21 +40,10 @@ def functional_from_curve(curve, functional, grid):
     if functional.kind in ("survival", "all_cause_survival", "cif"):
         return np.asarray(curve.evaluate(g), dtype=float)
     if functional.kind == "rmst":
-        out = np.empty(g.size)
-        for j, t in enumerate(g):
-            cap = float(t) if functional.horizon is None \
-                else min(float(t), functional.horizon)
-            out[j] = restricted_mean(curve, cap) if cap > 0.0 else 0.0
-        return out
+        return restricted_means(curve, g, functional.horizon)
     if functional.kind == "cumulative_hazard":
-        bp, vals = curve.breakpoints, curve.values
-        if bp.size == 0:
-            return np.zeros(g.size)
-        prev = np.concatenate(([curve.value_at_zero], vals[:-1]))
-        inc = np.where(prev > 0.0, 1.0 - vals / np.where(prev > 0.0, prev, 1.0), 0.0)
-        chf = np.cumsum(inc)
-        idx = np.searchsorted(bp, g, side="right") - 1
-        return np.where(idx >= 0, chf[np.maximum(idx, 0)], 0.0)
+        chf = np.cumsum(hazard_increments(curve))
+        return StepCurve(curve.breakpoints, chf, 0.0, "generic").evaluate(g)
     raise DataError(f"unsupported functional kind {functional.kind!r}")
 
 
@@ -69,10 +58,11 @@ def _validate_grid(grid):
     return g
 
 
-def default_grid(cohort, user_grid=None, percentile=95.0):
-    """Distinct observed event times up to a percentile of M, plus extras."""
+def default_grid(cohort, user_grid=None):
+    """Distinct observed event times up to the 95th percentile of M, plus
+    extras."""
     event_times = np.unique(cohort.m[cohort.delta > 0])
-    cap = float(np.percentile(cohort.m, percentile))
+    cap = float(np.percentile(cohort.m, 95.0))
     pts = event_times[event_times <= cap]
     if user_grid is not None:
         extra = _validate_grid(user_grid)

@@ -22,7 +22,13 @@ import itertools
 
 import numpy as np
 
-from .curves import StepCurve, aalen_johansen_cif, kaplan_meier, risk_table
+from .curves import (
+    StepCurve,
+    aalen_johansen_cif,
+    hazard_increments,
+    kaplan_meier,
+    nelson_aalen,
+)
 from .errors import (
     CohortSchemaError,
     DataError,
@@ -168,11 +174,9 @@ def _leaf_payload(m, delta, target, n_causes):
     if isinstance(target, int):
         curve = aalen_johansen_cif(m, delta, cause=target, n_causes=n_causes)
         return _Leaf(None, None, curve, m.size)
-    rt = risk_table(m, _indicator(delta, target), n_causes=1)
-    d = rt.events[:, 0]
-    keep = d > 0
-    chf = np.concatenate(([0.0], np.cumsum(d[keep] / rt.at_risk[keep])))
-    return _Leaf(rt.times[keep], chf, None, m.size)
+    chf = nelson_aalen(m, _indicator(delta, target))
+    return _Leaf(chf.breakpoints, np.concatenate(([0.0], chf.values)), None,
+                 m.size)
 
 
 def _run_starts(ordered):
@@ -513,20 +517,10 @@ def predict_censoring_hazard_increments(model, covariates, grid):
     g = np.asarray(grid, dtype=float)
     if g.size == 0 or np.any(~np.isfinite(g)):
         raise DataError("grid must be nonempty and finite")
-    t_max = float(g.max())
-    x, z, w = covariates
-    curve = model.predict(x, z, w)
-    out = []
-    prev = curve.value_at_zero
-    for t, v in zip(curve.breakpoints, curve.values):
-        if t > t_max:
-            break
-        if prev > 0.0:
-            inc = 1.0 - v / prev
-            if inc > 0.0:
-                out.append((float(t), float(inc)))
-        prev = v
-    return out
+    curve = model.predict(*covariates)
+    inc = hazard_increments(curve)
+    keep = (inc > 0.0) & (curve.breakpoints <= g.max())
+    return list(zip(curve.breakpoints[keep].tolist(), inc[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +675,7 @@ def survival_model_from_spec(spec, target):
     curves = {}
     for x, z, w in spec.strata():
         if target == "censoring":
-            curve = spec.conditional_censor_survival(x, z, w)
+            curve = spec.conditional_survival(x, z, w, cause="censor")
         elif target == "event":
             curve = spec.conditional_all_cause_survival(x, z, w)
         else:

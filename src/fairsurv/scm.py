@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .copulas import CopulaSpec, sample_uniform_pairs
-from .curves import StepCurve, restricted_mean
+from .curves import StepCurve, restricted_means
 from .errors import (
     CohortSchemaError,
     DataError,
@@ -191,27 +191,27 @@ class SCMSpec:
         return self._event[which - 1][(x, z, w)]
 
     def conditional_survival(self, x, z, w, cause=1):
-        """P(T_cause > t | x, z, w) as a step curve on the finite atoms."""
+        """P(T_cause > t | x, z, w) as a step curve on the finite atoms;
+        cause "censor" reads the censoring law."""
         times, probs = self._law(cause, x, z, w)
         finite = np.isfinite(times)
         surv = 1.0 - np.cumsum(probs[finite])
         surv = np.clip(surv, 0.0, 1.0)
         return StepCurve(times[finite], surv, value_at_zero=1.0, kind="survival")
 
-    def conditional_censor_survival(self, x, z, w):
-        times, probs = self._censor[(x, z, w)]
-        finite = np.isfinite(times)
-        surv = np.clip(1.0 - np.cumsum(probs[finite]), 0.0, 1.0)
-        return StepCurve(times[finite], surv, value_at_zero=1.0, kind="survival")
-
-    def censor_hazard_increments(self, x, z, w):
-        """Discrete censoring hazard P(C = u) / P(C >= u) at each atom."""
-        times, probs = self._censor[(x, z, w)]
+    def _law_hazard(self, which, x, z, w):
+        """Finite atoms u of a law with positive mass, and its discrete
+        hazard P(T = u) / P(T >= u) at each, from the law's masses."""
+        times, probs = self._law(which, x, z, w)
         finite = np.isfinite(times) & (probs > 0)
         t = times[finite]
         p = probs[finite]
         at_risk = 1.0 - np.concatenate(([0.0], np.cumsum(p)[:-1]))
         return t, p / at_risk
+
+    def censor_hazard_increments(self, x, z, w):
+        """Discrete censoring hazard P(C = u) / P(C >= u) at each atom."""
+        return self._law_hazard("censor", x, z, w)
 
     def conditional_cif(self, x, z, w, cause):
         """P(cause wins by t | x, z, w) by enumeration over cause products.
@@ -258,12 +258,8 @@ class SCMSpec:
         """Discrete cumulative hazard sum_{u<=t} P(T=u)/P(T>=u); one cause only."""
         if self.n_causes != 1:
             raise DataError("cumulative hazard functional requires a single cause")
-        times, probs = self._law(1, x, z, w)
-        finite = np.isfinite(times) & (probs > 0)
-        t = times[finite]
-        p = probs[finite]
-        at_risk = 1.0 - np.concatenate(([0.0], np.cumsum(p)[:-1]))
-        return StepCurve(t, np.cumsum(p / at_risk), value_at_zero=0.0, kind="hazard")
+        t, hazard = self._law_hazard(1, x, z, w)
+        return StepCurve(t, np.cumsum(hazard), value_at_zero=0.0, kind="hazard")
 
     def functional_values(self, x, z, w, functional, t_arr):
         """E[functional at each t | x, z, w], exact; expects a 1-d grid."""
@@ -278,13 +274,8 @@ class SCMSpec:
         if kind == "cumulative_hazard":
             return self.conditional_cum_hazard(x, z, w).evaluate(t_arr)
         # rmst: integrate survival up to min(t, horizon)
-        surv = self.conditional_survival(x, z, w)
-        cap = functional.horizon if functional.horizon is not None else np.inf
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            h = min(float(ti), cap)
-            out[i] = 0.0 if h <= 0.0 else restricted_mean(surv, h)
-        return out
+        return restricted_means(self.conditional_survival(x, z, w), t_arr,
+                                functional.horizon)
 
     # -- serialization -------------------------------------------------------
 
@@ -428,35 +419,17 @@ def _parse_numbers(tokens, kind, name):
 def _parse_covariate(columns):
     """(codes, value table) of a z or w block from its token columns: what
     `_dedupe` gives over the rows' parsed entries (one value per row, or a
-    tuple per row for a multi-column block), but parsing each distinct
-    token once.  Rows share a code when their entries are equal in every
-    column -- 1, 1.0 and " 1" are equal, a NaN equals nothing, so each NaN
-    row keeps its own code -- and the table holds each code's first row."""
-    parsed, keys = [], []
+    tuple per row for a multi-column block), parsing each distinct token
+    once.  A column holding a NaN is parsed row by row instead: a NaN
+    equals nothing, so each NaN row keeps its own code."""
+    parsed = []
     for column in columns:
-        tokens = list(dict.fromkeys(column))  # in order of first appearance
-        index = dict(zip(tokens, itertools.count()))
-        rows = np.fromiter(map(index.__getitem__, column), dtype=np.intp,
-                           count=len(column))
-        values = list(map(_parse_token, tokens))
-        codes, _ = _dedupe(values)
-        key = codes[rows]
-        nan = np.flatnonzero([v != v for v in values])
-        if nan.size:
-            apart = np.flatnonzero(np.isin(rows, nan))
-            key[apart] = len(values) + apart
-        parsed.append((values, rows))
-        keys.append(key)
-    key = keys[0]
-    for more in keys[1:]:  # one key over the block, kept dense
-        key, _ = _first_appearance(key * (more.max() + 1) + more)
-    codes, heads = _first_appearance(key)
-    entries = [[values[i] for i in rows[heads].tolist()]
-               for values, rows in parsed]
-    items = entries[0] if len(entries) == 1 else list(zip(*entries))
-    table = np.fromiter(items, dtype=object, count=len(items))
-    table.flags.writeable = False
-    return codes, table
+        memo = {token: _parse_token(token) for token in set(column)}
+        if any(v != v for v in memo.values()):
+            parsed.append(list(map(_parse_token, column)))
+        else:
+            parsed.append(list(map(memo.__getitem__, column)))
+    return _dedupe(parsed[0] if len(parsed) == 1 else list(zip(*parsed)))
 
 
 def _csv_cells(text):

@@ -13,7 +13,11 @@ recurs in the other: nu(z) falls back to the pooled average over every
 row of the other fold.  That case fits with the tree and logistic
 learners, since the stratified learner refuses continuous covariates.
 
-    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [continuous-z]
+With `rmst`, the run decomposes restricted mean survival times
+(`--functional rmst`): every row block's influence values are mapped to
+running restricted means along the whole grid.
+
+    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [continuous-z|rmst]
 
 prints the run's figures as JSON and exits 1 unless the child succeeded
 with a peak RSS below LIMIT_MB.
@@ -56,13 +60,15 @@ def jittered_cohort_csv(n, seed=0, continuous_z=False):
     return Cohort(cohort.x, z, cohort.w_items, m, cohort.delta).to_csv()
 
 
-def decompose_peak_rss(n, workdir, seed=0, continuous_z=False):
+def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False):
     """Run `decompose` on a jittered n-row cohort under `workdir`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
     workdir = Path(workdir)
     cohort = workdir / "cohort.csv"
     cohort.write_text(jittered_cohort_csv(n, seed, continuous_z))
     learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
+    if rmst:
+        learners += ("--functional", "rmst")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -88,13 +94,16 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False):
 
 def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
-    continuous_z = argv[2:] == ["continuous-z"]
-    if argv[2:] and not continuous_z:
-        sys.exit(f"unknown case {argv[2]!r}; the only one is continuous-z")
+    case = argv[2] if argv[2:] else None
+    if argv[3:] or case not in (None, "continuous-z", "rmst"):
+        sys.exit(f"unknown case {' '.join(argv[2:])!r}; "
+                 "the cases are continuous-z and rmst")
     with tempfile.TemporaryDirectory() as workdir:
-        result = decompose_peak_rss(n, workdir, continuous_z=continuous_z)
-    print(json.dumps({"n": n, "limit_mb": limit_mb,
-                      "continuous_z": continuous_z, **result}))
+        result = decompose_peak_rss(n, workdir,
+                                    continuous_z=case == "continuous-z",
+                                    rmst=case == "rmst")
+    print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
+                      **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb
     return 0 if ok else 1
 

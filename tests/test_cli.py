@@ -546,6 +546,25 @@ def test_cr_mode_rejects_functional_flags(cr_cohort_csv, tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--spec", "example", "--n", "50"],
+    ["decompose"],
+    ["decompose", "--mode", "ic", "--tau", "0.5"],
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # rejected before the cohort is read, as a flag or as a config entry
+    if command[0] == "decompose":
+        command = command + ["--cohort", str(tmp_path / "absent.csv")]
+    base = command + ["--outdir", str(tmp_path)]
+    assert main(base + ["--seed", "-1"]) == 2
+    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": -1}')
+    assert main(base + ["--config", str(config)]) == 2
+    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_negative_envelope_samples_is_usage_error(ic_cohort_csv, tmp_path,
                                                   capsys):
     # rejected before the cohort is read, let alone cross-fitted

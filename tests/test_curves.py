@@ -14,10 +14,13 @@ from numpy.testing import assert_allclose
 from fairsurv.curves import (
     StepCurve,
     aalen_johansen_cif,
+    hazard_increments,
     kaplan_meier,
     nelson_aalen,
     restricted_mean,
+    restricted_means,
     risk_table,
+    running_rmst,
 )
 from fairsurv.errors import DataError, EmptyCohortError
 
@@ -226,6 +229,107 @@ def test_rmst_rejects_bad_horizon():
         restricted_mean(s, 0.0)
     with pytest.raises(DataError):
         restricted_mean(s, -1.0)
+
+
+def _rmst_knot_sum(curve, horizon):
+    """Integral of a step curve from 0 to `horizon`, one knot at a time."""
+    if horizon <= 0.0:
+        return 0.0
+    knots = [0.0] + [float(b) for b in curve.breakpoints if b < horizon]
+    knots.append(float(horizon))
+    return sum((right - left) * curve.evaluate(left)
+               for left, right in zip(knots[:-1], knots[1:]))
+
+
+def _random_survival_curve(rng):
+    """A survival step curve with flat steps, and sometimes a drop to 0."""
+    size = int(rng.integers(0, 12))
+    bp = np.unique(np.round(rng.exponential(2.0, size), 2) + 0.01)
+    factors = rng.choice([1.0, 0.9, 0.5, 0.3, 0.0], size=bp.size,
+                         p=[0.25, 0.3, 0.2, 0.15, 0.1])
+    v0 = float(rng.choice([1.0, 0.8]))
+    return StepCurve(bp, v0 * np.cumprod(factors), value_at_zero=v0)
+
+
+def test_restricted_means_match_the_knot_sum_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        curve = _random_survival_curve(rng)
+        bp = curve.breakpoints
+        last = float(bp[-1]) if bp.size else 1.0
+        times = [0.0, last + 1.5, float(rng.uniform(0.0, last + 1.0))]
+        if bp.size:
+            times += [float(rng.choice(bp)), float((bp[0] + bp[-1]) / 2)]
+        times = np.array(times)
+        early = float(rng.uniform(0.0, 1.0) * np.min(times[times > 0.0]))
+        for horizon in (None, float(rng.uniform(0.01, last + 1.0)),
+                        float(rng.choice(bp)) if bp.size else 0.5, early):
+            cap = np.inf if horizon is None else horizon
+            # with and without the time 0, which moves the first knot
+            for at in (times, times[1:]):
+                want = [_rmst_knot_sum(curve, min(t, cap)) for t in at]
+                got = restricted_means(curve, at, horizon)
+                assert np.max(np.abs(got - want)) <= 1e-12
+        for t in times[times > 0.0]:
+            assert abs(restricted_mean(curve, t)
+                       - _rmst_knot_sum(curve, t)) <= 1e-12
+
+
+def test_restricted_means_of_a_curve_without_breakpoints():
+    flat = StepCurve([], [], value_at_zero=0.7)
+    assert_allclose(restricted_means(flat, [0.0, 2.0, 5.0]),
+                    [0.0, 1.4, 3.5], rtol=0, atol=1e-15)
+    assert_allclose(restricted_means(flat, [0.0, 2.0, 5.0], horizon=3.0),
+                    [0.0, 1.4, 2.1], rtol=0, atol=1e-15)
+
+
+def test_running_rmst_is_linear_along_the_last_axis():
+    knots = np.array([0.5, 1.0, 2.5, 4.0])
+    values = np.array([[1.0, 0.8, 0.5, 0.1], [0.0, 1.0, 2.0, 3.0]])
+    got = running_rmst(knots, values, horizon=3.0)
+    assert_allclose(got, [[0.0, 0.5, 1.7, 1.95], [0.0, 0.0, 1.5, 2.5]],
+                    rtol=0, atol=1e-15)
+    assert_allclose(got[0], running_rmst(knots, values[0], 3.0), atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Discrete hazard increments
+# ---------------------------------------------------------------------------
+
+def _hazard_increments_loop(curve, t_max):
+    """The scalar loop that read censoring-hazard increments off a
+    predicted curve, kept as the oracle of `hazard_increments`."""
+    out = []
+    prev = curve.value_at_zero
+    for t, v in zip(curve.breakpoints, curve.values):
+        if t > t_max:
+            break
+        if prev > 0.0:
+            inc = 1.0 - v / prev
+            if inc > 0.0:
+                out.append((float(t), float(inc)))
+        prev = v
+    return out
+
+
+def test_hazard_increments_equal_the_loop_oracle_exactly():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        curve = _random_survival_curve(rng)
+        inc = hazard_increments(curve)
+        assert inc.shape == curve.breakpoints.shape
+        t_max = float(rng.uniform(0.0, 8.0))
+        keep = (inc > 0.0) & (curve.breakpoints <= t_max)
+        assert list(zip(curve.breakpoints[keep].tolist(),
+                        inc[keep].tolist())) == \
+            _hazard_increments_loop(curve, t_max)
+        assert np.all(inc[~keep & (curve.breakpoints <= t_max)] == 0.0)
+
+
+def test_hazard_increments_are_zero_once_the_curve_reaches_zero():
+    curve = StepCurve([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.0, 0.0])
+    assert hazard_increments(curve).tolist() == [0.5, 0.0, 1.0, 0.0]
+    assert hazard_increments(StepCurve([], [])).size == 0
 
 
 # ---------------------------------------------------------------------------

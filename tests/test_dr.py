@@ -8,12 +8,10 @@ from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsurv.curves import StepCurve
+from fairsurv.curves import StepCurve, restricted_means, running_rmst
 from fairsurv.dr import (
     COMPONENT_NAMES,
     DRNuisances,
-    _rmst_steps,
-    _running_rmst,
     FoldPlan,
     assign_folds,
     crossfit_dr,
@@ -618,7 +616,9 @@ def test_rmst_is_exact_step_integral_of_survival_estimate():
 
 def _rmst_weights_loop(grid, horizon):
     """The rmst map as an entry-by-entry grid x grid weight matrix, kept
-    verbatim as the oracle of `_rmst_steps` and `_running_rmst`."""
+    verbatim as the oracle of the rmst map of a doubly robust estimate:
+    `restricted_means` of the step curve that equals one before the
+    first grid time, and `running_rmst` for its influence values."""
     n_t = grid.size
     shift = np.zeros(n_t)
     weights = np.zeros((n_t, n_t))
@@ -642,12 +642,16 @@ def test_rmst_weights_equal_the_loop_oracle_exactly():
         grid = np.unique(np.round(rng.exponential(2.0, size), 3) + 1e-3)
         inside = float(rng.uniform(grid[0] / 2, grid[-1] * 1.2))
         for horizon in (None, inside, float(rng.choice(grid))):
-            shift, widths = _rmst_steps(grid, horizon)
             want_shift, want_weights = _rmst_weights_loop(grid, horizon)
-            assert np.array_equal(shift, want_shift)
             # the running sum maps each unit curve to its weight column
             assert np.array_equal(
-                _running_rmst(np.eye(grid.size), widths).T, want_weights)
+                running_rmst(grid, np.eye(grid.size), horizon).T,
+                want_weights)
+            for l, unit in enumerate(np.eye(grid.size)):
+                estimate = StepCurve(grid, unit, 1.0, "generic")
+                assert np.array_equal(
+                    restricted_means(estimate, grid, horizon),
+                    want_shift + want_weights[:, l])
 
 
 def test_rmst_horizon_caps_integration():

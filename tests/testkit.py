@@ -302,8 +302,8 @@ def reference_crossfit(plan, queries, functional, grid):
 
     import numpy as np
 
-    from fairsurv.dr import (
-        _as_query, _nu_values, _rmst_steps, _running_rmst, evaluate_influence)
+    from fairsurv.curves import StepCurve, restricted_means, running_rmst
+    from fairsurv.dr import _as_query, _nu_values, evaluate_influence
     from fairsurv.queries import Functional
 
     cohort = plan.cohort
@@ -334,9 +334,10 @@ def reference_crossfit(plan, queries, functional, grid):
         ind_z = (cohort.x == query.x_condition).astype(float)
         if_matrix = unc - np.outer(ind_z / p, estimate)
         if functional.kind == "rmst":
-            shift, widths = _rmst_steps(grid, functional.horizon)
-            estimate = shift + _running_rmst(estimate, widths)
-            if_matrix = _running_rmst(if_matrix, widths)
+            estimate = restricted_means(
+                StepCurve(grid, estimate, 1.0, "generic"), grid,
+                functional.horizon)
+            if_matrix = running_rmst(grid, if_matrix, functional.horizon)
         out[query] = SimpleNamespace(
             estimate=estimate,
             se=if_matrix.std(axis=0, ddof=1) / np.sqrt(cohort.n),
