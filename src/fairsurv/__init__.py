@@ -65,7 +65,8 @@ from .dr import (
     fit_dr_nuisances,
 )
 from .errors import DataError, EstimationError, FairsurvError
-from .identify import default_grid, fit_plugin_nuisances, plugin_po
+from .identify import default_grid, fit_plugin_nuisances, plugin_po, \
+    plugin_po_many
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
@@ -109,6 +110,7 @@ __all__ = [
     "default_grid",
     "fit_plugin_nuisances",
     "plugin_po",
+    "plugin_po_many",
     # doubly robust estimation
     "fit_dr_nuisances",
     "evaluate_influence",

@@ -35,11 +35,12 @@ from . import __version__
 from .cge import _incidence_estimates, route1_conditional, \
     route2_population
 from .copulas import CopulaSpec
-from .curves import aalen_johansen_cif, kaplan_meier
 from .decompose import decompose_cr, decompose_difference, decompose_ratio
 from .dr import FoldPlan, crossfit_dr_many
 from .errors import DataError, EstimationError
-from .identify import default_grid, fit_plugin_nuisances, plugin_po
+from .identify import default_grid, fit_plugin_nuisances, outcome_target, \
+    plugin_po_many
+from .nuisance import stratum_curve
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries, table_csv
 from .scm import Cohort, SCMSpec, sample_cohort
@@ -118,8 +119,8 @@ def build_parser():
     analysis(dec)
     dec.add_argument("--scale", choices=("difference", "ratio"),
                      default="difference")
-    dec.add_argument("--x0", type=int, default=0)
-    dec.add_argument("--x1", type=int, default=1)
+    dec.add_argument("--x0", type=int, choices=(0, 1), default=0)
+    dec.add_argument("--x1", type=int, choices=(0, 1), default=1)
 
     cur = sub.add_parser("curves", help="per-group outcome curves")
     analysis(cur)
@@ -339,15 +340,6 @@ def cmd_simulate(config):
 # curves
 # ---------------------------------------------------------------------------
 
-def _empirical_group_curve(sub, functional, grid):
-    if functional.kind == "cif":
-        curve = aalen_johansen_cif(sub.m, sub.delta, functional.cause or 1,
-                                   n_causes=sub.n_causes)
-    else:
-        curve = kaplan_meier(sub.m, (sub.delta > 0).astype(int))
-    return np.asarray(curve.evaluate(grid), dtype=float)
-
-
 def _group_blocks(grid, suffix, c0, c1):
     """`curves.csv` blocks for the two groups' curves and their contrast."""
     return [[grid, f"x0{suffix}", c0], [grid, f"x1{suffix}", c1],
@@ -378,7 +370,8 @@ def cmd_curves(config):
         groups = [cohort.subset(cohort.x == g) for g in (0, 1)]
         for suffix, functional in tagged:
             blocks += _group_blocks(grid, suffix, *(
-                _empirical_group_curve(sub, functional, grid)
+                stratum_curve(sub.m, sub.delta, outcome_target(functional),
+                              sub.n_causes).evaluate(grid)
                 for sub in groups))
     outdir = _outdir(config)
     return _flush([(outdir / "curves.csv",
@@ -398,8 +391,8 @@ def _nic_series(config, cohort, grid):
             cohort, functional, learner=config["learner"],
             propensity_learner=config["propensity_learner"],
             epsilon=config["epsilon"])
-        po = {q: plugin_po(nuisances, cohort, q, functional, grid)
-              for q in queries}
+        po = {q: curve for q, (curve, _) in plugin_po_many(
+            nuisances, cohort, queries, functional, grid).items()}
     else:
         po = crossfit_dr_many(FoldPlan(cohort, **_dr_config(config)),
                               queries, functional, grid=grid)

@@ -47,7 +47,7 @@ from .identify import (
     default_grid,
     fit_plugin_nuisances,
     outcome_target,
-    plugin_po,
+    plugin_po_many,
 )
 from .nuisance import fit_conditional_survival
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
@@ -352,13 +352,10 @@ def decompose_cr(cohort, x0, x1, causes=None, estimator="plugin", *,
                 outcome_by_target[target] = fit_conditional_survival(
                     cohort, target=target, learner=learner)
             nuis = replace(base, outcome=outcome_by_target[target])
-            po, reports = {}, {}
-            for query in queries:
-                curve, report = plugin_po(
-                    nuis, cohort, query, functional, grid,
-                    return_report=True)
-                po[query] = curve
-                reports[str(query.as_tuple())] = report
+            results = plugin_po_many(nuis, cohort, queries, functional, grid)
+            po = {q: curve for q, (curve, _) in results.items()}
+            reports = {str(q.as_tuple()): report
+                       for q, (_, report) in results.items()}
             series.append(decompose_difference(
                 po, x0, x1, functional=functional, estimator="plugin",
                 grid=grid, diagnostics={"plugin_reports": reports}))

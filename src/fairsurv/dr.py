@@ -175,7 +175,7 @@ class InfluenceEvaluation:
         return float(np.max(np.abs(total - self.values), initial=0.0))
 
 
-def _nu_values(nuisances, query, base, grid, z_wanted):
+def _nu_values(nuisances, query, grid, z_wanted):
     """nu(z) = mean of the cross-arm prediction over the x_w group.
 
     Returns ({z: (T,) array}, n_fallback) where the fallback pools over
@@ -188,7 +188,7 @@ def _nu_values(nuisances, query, base, grid, z_wanted):
     x_w = query.x_mediator
 
     def f_hat(z, w):
-        return _outcome_values(nuisances.outcome, base, x_y, z, w, grid)
+        return nuisances.outcome.predict(x_y, z, w).evaluate(grid)
 
     out = {}
     n_fallback = 0
@@ -230,12 +230,6 @@ def _nu_values(nuisances, query, base, grid, z_wanted):
     return out, n_fallback
 
 
-def _outcome_values(model, base, x, z, w, grid):
-    curve = (model.predict_cif(x, z, w) if base == "cif"
-             else model.predict_survival(x, z, w))
-    return curve.evaluate(grid)
-
-
 def _check_cap(cap):
     if not np.isfinite(cap) or cap <= 0.0:
         raise DataError(f"cap must be positive and finite, got {cap!r}")
@@ -250,15 +244,18 @@ def _by_cell(ids, rows):
 
 
 class _Contributions:
-    """Uncentered influence contributions of one query under one bundle.
+    """Uncentered influence contributions of several queries under one
+    bundle.
 
-    ``keys`` are the (x, z, w) values of the cohort's ``cells("zw")``.
-    nu(z) is computed once, for the confounder values ``z_wanted``;
-    ``n_fallback`` counts those that fell back to the pooled average.
+    ``keys`` are the (x, z, w) values of the cohort's ``cells("zw")`` and
+    ``p_conditions`` the queries' conditioning-group fractions.  nu(z) is
+    computed once per (x_outcome, x_mediator) pair, for the confounder
+    values ``z_wanted``; ``n_fallback[q]`` counts those that fell back to
+    the pooled average for query q.
     """
 
-    def __init__(self, cohort, keys, nuisances, query, functional, grid,
-                 p_condition, epsilon, cap, z_wanted):
+    def __init__(self, cohort, keys, nuisances, queries, functional, grid,
+                 p_conditions, epsilon, cap, z_wanted):
         _check_cap(cap)
         base = _base_kind(functional)
         if base == "cif":
@@ -275,103 +272,113 @@ class _Contributions:
             raise EstimationError(
                 "censoring bundle entry was not fitted with "
                 "target='censoring'")
-        self.cohort, self.keys, self.nuisances, self.query = (
-            cohort, keys, nuisances, query)
-        self.base, self.grid, self.p_condition = base, grid, p_condition
+        self.cohort, self.keys, self.nuisances = cohort, keys, nuisances
+        self.queries, self.p_conditions = queries, p_conditions
+        self.base, self.grid = base, grid
         self.epsilon, self.cap = epsilon, cap
-        self.nu_map, self.n_fallback = _nu_values(
-            nuisances, query, base, grid, z_wanted)
+        by_pair = {(q.x_outcome, q.x_mediator): q for q in queries}
+        nu = {pair: _nu_values(nuisances, q, grid, z_wanted)
+              for pair, q in by_pair.items()}
+        self.nu_maps, self.n_fallback = zip(
+            *(nu[(q.x_outcome, q.x_mediator)] for q in queries))
+        self.outcome_groups = sorted({q.x_outcome for q in queries})
 
     def _parts(self, rows, cells):
-        """Yield ``(positions, parts)`` per cell of ``cells`` (from
-        ``_by_cell(ids, rows)``) and group X: ``positions`` index ``rows``
-        and ``parts`` holds the (component name, values) pairs that apply
-        to those rows, in COMPONENT_NAMES order."""
-        cohort, nuisances, grid = self.cohort, self.nuisances, self.grid
-        epsilon, p_condition = self.epsilon, self.p_condition
-        x_y, x_w, x_z = self.query.as_tuple()
+        """Yield ``(query index, positions, parts)`` per cell of ``cells``
+        (from ``_by_cell(ids, rows)``), query and group X: ``positions``
+        index ``rows`` and ``parts`` holds the (component name, values)
+        pairs that apply to those rows, in COMPONENT_NAMES order.  A
+        cell's propensities, outcome curves and unweighted arm terms are
+        derived once; each query scales them by its own weights."""
+        cohort, nuisances = self.cohort, self.nuisances
         for cell, pos in cells:
             _, z, w = self.keys[cell]
             xs = cohort.x[rows[pos]]
             at = {g: pos[xs == g] for g in (0, 1)}
-            parts = {0: [], 1: []}
-            p_xz_z = nuisances.propensity_z.predict_group(x_z, z=z)
-            p_xw_z = nuisances.propensity_z.predict_group(x_w, z=z)
-            p_xw_zw = nuisances.propensity_zw.predict_group(x_w, z=z, w=w)
-            p_xy_zw = nuisances.propensity_zw.predict_group(x_y, z=z, w=w)
-            f_y = _outcome_values(nuisances.outcome, self.base, x_y, z, w,
-                                  grid)
+            p_z = {g: nuisances.propensity_z.predict_group(g, z=z)
+                   for g in (0, 1)}
+            p_zw = {g: nuisances.propensity_zw.predict_group(g, z=z, w=w)
+                    for g in (0, 1)}
+            curves = {g: nuisances.outcome.predict(g, z, w)
+                      for g in self.outcome_groups}
+            f = {g: curve.evaluate(self.grid) for g, curve in curves.items()}
+            arms = {g: self._arm_terms(rows[at[g]], g, z, w, curves[g], f[g])
+                    for g in curves if at[g].size}
+            for qi, (query, p_condition, nu) in enumerate(zip(
+                    self.queries, self.p_conditions, self.nu_maps)):
+                x_y, x_w, x_z = query.as_tuple()
+                parts = {0: [], 1: []}
+                if at[x_y].size:
+                    weight = p_z[x_z] * p_zw[x_w] / (
+                        p_condition * p_z[x_w] * p_zw[x_y])
+                    parts[x_y] += [(name, weight * term)
+                                   for name, term in arms[x_y]]
+                if at[x_w].size:
+                    weight = p_z[x_z] / (p_condition * p_z[x_w])
+                    parts[x_w].append(("mediator_centering", weight * (
+                        f[x_y][None, :] - nu[z][None, :])))
+                if at[x_z].size:
+                    parts[x_z].append(("conditioning_centering",
+                                       nu[z][None, :] / p_condition))
+                for g in (0, 1):
+                    if parts[g]:
+                        yield qi, at[g], parts[g]
 
-            if at[x_y].size:
-                out = parts[x_y]
-                sel1 = rows[at[x_y]]
-                weight = p_xz_z * p_xw_zw / (p_condition * p_xw_z * p_xy_zw)
-                m_rows = cohort.m[sel1]
-                d_rows = cohort.delta[sel1]
-                g_curve = nuisances.censoring.predict_survival(x_y, z, w)
-                if self.base == "survival":
-                    s_curve = nuisances.outcome.predict_survival(x_y, z, w)
-                    g_grid = np.maximum(g_curve.evaluate(grid), epsilon)
-                    core = (m_rows[:, None] > grid[None, :]) / g_grid[None, :]
-                    out.append(("ipcw_core", weight * (core - f_y[None, :])))
+    def _arm_terms(self, sel, x, z, w, s_curve, f_y):
+        """Unweighted (component name, values) outcome-arm terms of the
+        rows ``sel`` of group ``x`` in the (z, w) cell, whose outcome
+        curve is ``s_curve`` and its grid values ``f_y``.  ``xi_two`` is
+        kept negated, as it enters the sum."""
+        grid, epsilon = self.grid, self.epsilon
+        m_rows = self.cohort.m[sel]
+        d_rows = self.cohort.delta[sel]
+        g_curve = self.nuisances.censoring.predict(x, z, w)
+        if self.base == "cif":
+            g_left = np.maximum(g_curve.left_limit(m_rows), epsilon)
+            hit = ((d_rows == self.cause)[:, None]
+                   & (m_rows[:, None] <= grid[None, :]))
+            return [("ipcw_core", hit / g_left[:, None] - f_y[None, :])]
 
-                    cens = d_rows == 0
-                    if np.any(cens):
-                        s_m = np.maximum(s_curve.evaluate(m_rows), epsilon)
-                        g_m = np.maximum(g_curve.evaluate(m_rows), epsilon)
-                        before = m_rows[:, None] <= grid[None, :]
-                        xi1 = (cens[:, None] & before) * (
-                            f_y[None, :] / (s_m * g_m)[:, None])
-                        out.append(("xi_one", weight * xi1))
+        g_grid = np.maximum(g_curve.evaluate(grid), epsilon)
+        core = (m_rows[:, None] > grid[None, :]) / g_grid[None, :]
+        terms = [("ipcw_core", core - f_y[None, :])]
 
-                    lams = hazard_increments(g_curve)
-                    keep = (lams > 0.0) & (g_curve.breakpoints <= grid[-1])
-                    times, lams = g_curve.breakpoints[keep], lams[keep]
-                    if times.size:
-                        s_left = np.maximum(s_curve.left_limit(times),
-                                            epsilon)
-                        g_at = np.maximum(g_curve.evaluate(times), epsilon)
-                        prefix = np.concatenate(
-                            ([0.0], np.cumsum(lams / (s_left * g_at))))
-                        i_m = np.searchsorted(times, m_rows, side="right")
-                        i_t = np.searchsorted(times, grid, side="right")
-                        xi2 = f_y[None, :] * prefix[
-                            np.minimum(i_m[:, None], i_t[None, :])]
-                        out.append(("xi_two", -weight * xi2))
-                else:
-                    g_left = np.maximum(g_curve.left_limit(m_rows), epsilon)
-                    hit = ((d_rows == self.cause)[:, None]
-                           & (m_rows[:, None] <= grid[None, :]))
-                    core = hit / g_left[:, None]
-                    out.append(("ipcw_core", weight * (core - f_y[None, :])))
+        cens = d_rows == 0
+        if np.any(cens):
+            s_m = np.maximum(s_curve.evaluate(m_rows), epsilon)
+            g_m = np.maximum(g_curve.evaluate(m_rows), epsilon)
+            before = m_rows[:, None] <= grid[None, :]
+            terms.append(("xi_one", (cens[:, None] & before) * (
+                f_y[None, :] / (s_m * g_m)[:, None])))
 
-            if at[x_w].size:
-                weight = p_xz_z / (p_condition * p_xw_z)
-                parts[x_w].append(("mediator_centering", weight * (
-                    f_y[None, :] - self.nu_map[z][None, :])))
-
-            if at[x_z].size:
-                parts[x_z].append(("conditioning_centering",
-                                   self.nu_map[z][None, :] / p_condition))
-
-            for g in (0, 1):
-                if parts[g]:
-                    yield at[g], parts[g]
+        lams = hazard_increments(g_curve)
+        keep = (lams > 0.0) & (g_curve.breakpoints <= grid[-1])
+        times, lams = g_curve.breakpoints[keep], lams[keep]
+        if times.size:
+            s_left = np.maximum(s_curve.left_limit(times), epsilon)
+            g_at = np.maximum(g_curve.evaluate(times), epsilon)
+            prefix = np.concatenate(
+                ([0.0], np.cumsum(lams / (s_left * g_at))))
+            i_m = np.searchsorted(times, m_rows, side="right")
+            i_t = np.searchsorted(times, grid, side="right")
+            terms.append(("xi_two", -(f_y[None, :] * prefix[
+                np.minimum(i_m[:, None], i_t[None, :])])))
+        return terms
 
     def evaluate(self, rows, cells, out, targets, comps=None):
-        """Write the values of ``rows`` (grid columns) into
-        ``out[targets]`` and return the number of rows trimmed; rows no
-        component applies to are left alone.
+        """Write query q's values of ``rows`` (grid columns) into
+        ``out[q, targets]`` and return the number of rows trimmed per
+        query; rows no component applies to are left alone.
 
         A row's value adds its components in COMPONENT_NAMES order.  A
         row with a non-finite value, or one above ``cap`` in magnitude,
         is trimmed: each such entry's components are scaled so that
         their sum is ``cap`` in magnitude, or zeroed if not finite.
         Given ``comps`` (component name -> arrays shaped like ``out``),
-        the components after trimming go to ``comps[name][targets]``.
+        the components after trimming go to ``comps[name][q, targets]``.
         """
-        n_flagged = 0
-        for pos, parts in self._parts(rows, cells):
+        n_flagged = np.zeros(len(self.queries), dtype=int)
+        for qi, pos, parts in self._parts(rows, cells):
             total = np.broadcast_to(sum(v for _, v in parts),
                                     (pos.size, self.grid.size))
             # NaN compares false, so non-finite rows are flagged too
@@ -379,11 +386,11 @@ class _Contributions:
                 ~(np.abs(total).max(axis=1) <= self.cap))
             if flagged.size:
                 parts, total = self._trim(parts, total, flagged)
-                n_flagged += flagged.size
-            out[targets[pos]] = total
+                n_flagged[qi] += flagged.size
+            out[qi, targets[pos]] = total
             if comps is not None:
                 for name, v in parts:
-                    comps[name][targets[pos]] = v
+                    comps[name][qi, targets[pos]] = v
         return n_flagged
 
     def _trim(self, parts, total, flagged):
@@ -429,20 +436,21 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
         raise DegenerateGroupError("conditioning group has probability zero")
     ids, keys = cohort.cells("zw")
     rows = np.arange(cohort.n)
-    comps = {name: np.zeros((cohort.n, grid.size))
+    comps = {name: np.zeros((1, cohort.n, grid.size))
              for name in COMPONENT_NAMES}
-    n_flagged = _Contributions(
-        cohort, keys, nuisances, query, functional, grid, p_condition,
+    (n_flagged,) = _Contributions(
+        cohort, keys, nuisances, [query], functional, grid, [p_condition],
         epsilon, cap, _z_values(keys)).evaluate(
-            rows, _by_cell(ids, rows), np.zeros((cohort.n, grid.size)),
+            rows, _by_cell(ids, rows), np.zeros((1, cohort.n, grid.size)),
             rows, comps)
+    comps = {name: comp[0] for name, comp in comps.items()}
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
     ind_z = (cohort.x == query.x_condition).astype(float)
     comps["conditioning_centering"] = comps["conditioning_centering"] - (
         ind_z[:, None] / p_condition) * psi_arr[None, :]
     values = sum(comps[name] for name in COMPONENT_NAMES)
     return InfluenceEvaluation(grid=grid, values=values, components=comps,
-                               n_flagged=n_flagged)
+                               n_flagged=int(n_flagged))
 
 
 def _as_query(query):
@@ -627,10 +635,10 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
     parts = []
     for bundle, rows in list(plan.parts(base_functional)):
         z_wanted = _z_values([keys[c] for c in np.unique(ids[rows]).tolist()])
-        parts.append(([_Contributions(cohort, keys, bundle, q,
-                                      base_functional, grid, p_cond[q],
-                                      plan.epsilon, plan.cap, z_wanted)
-                       for q in queries], rows))
+        parts.append((_Contributions(
+            cohort, keys, bundle, queries, base_functional, grid,
+            [p_cond[q] for q in queries], plan.epsilon, plan.cap, z_wanted),
+            rows))
     sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, rmst)
 
     raw = sums / n
@@ -660,7 +668,7 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
             "p_condition": p_cond[q],
             "n_flagged": int(n_flagged[qi]),
             "n_mediator_fallback": sum(
-                contribs[qi].n_fallback for contribs, _ in parts),
+                contrib.n_fallback[qi] for contrib, _ in parts),
             "epsilon": plan.epsilon,
             "cap": plan.cap,
             "seed": plan.seed,
@@ -677,15 +685,15 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
 def _stream_rows(plan, parts, ids, grid, rmst):
     """Evaluate every row of ``plan.cohort`` in row blocks.
 
-    ``parts`` pairs each fold's rows with one ``_Contributions`` per
-    query; ``ids`` are the cohort's (z, w) cell ids.  Returns the
+    ``parts`` pairs each fold's rows with the ``_Contributions`` of its
+    bundle; ``ids`` are the cohort's (z, w) cell ids.  Returns the
     queries' column sums of the row contributions (queries x grid), the
     (count, means, co-moments) of the contributions of each group X = 0,
     1 (mapped by ``rmst``, the running restricted mean, when given), and
     the number of trimmed rows of each query.
     """
     cohort = plan.cohort
-    n, n_queries = cohort.n, len(parts[0][0])
+    n, n_queries = cohort.n, len(parts[0][0].queries)
     # numpy sums the rows of an (n, T) matrix one after another only when
     # T > 1 (one column is summed pairwise), so running sums over blocks
     # reproduce the whole-matrix sum bit for bit; one grid point takes
@@ -702,12 +710,11 @@ def _stream_rows(plan, parts, ids, grid, rmst):
         stop = min(start + step, n)
         block = slab[:, 1:stop - start + 1]
         block[...] = 0.0
-        for contribs, rows in parts:
+        for contrib, rows in parts:
             lo, hi = np.searchsorted(rows, (start, stop))
             at = rows[lo:hi]
-            cells = _by_cell(ids, at)
-            for qi, (contrib, out) in enumerate(zip(contribs, block)):
-                n_flagged[qi] += contrib.evaluate(at, cells, out, at - start)
+            n_flagged += contrib.evaluate(at, _by_cell(ids, at), block,
+                                          at - start)
         for qi, out in enumerate(block):
             if start:
                 slab[qi, 0] = sums[qi]

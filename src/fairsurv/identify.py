@@ -58,15 +58,11 @@ def _validate_grid(grid):
     return g
 
 
-def default_grid(cohort, user_grid=None):
-    """Distinct observed event times up to the 95th percentile of M, plus
-    extras."""
+def default_grid(cohort):
+    """Distinct observed event times up to the 95th percentile of M."""
     event_times = np.unique(cohort.m[cohort.delta > 0])
     cap = float(np.percentile(cohort.m, 95.0))
     pts = event_times[event_times <= cap]
-    if user_grid is not None:
-        extra = _validate_grid(user_grid)
-        pts = np.unique(np.concatenate((pts, extra)))
     if pts.size == 0:
         raise EmptyCohortError("no event times available to build a grid")
     return pts
@@ -134,6 +130,22 @@ def fit_plugin_nuisances(cohort, functional, learner="stratified",
     )
 
 
+def _group_probabilities(nuisances, z, w):
+    """P(X = g | z, w), P(X = g | z) and P(X = g) of a (z, w) cell, each
+    as {g: probability} for g = 0, 1."""
+    return ({g: nuisances.propensity_zw.predict_group(g, z, w)
+             for g in (0, 1)},
+            {g: nuisances.propensity_z.predict_group(g, z) for g in (0, 1)},
+            {g: nuisances.propensity_marginal.predict_group(g)
+             for g in (0, 1)})
+
+
+def _weight(probabilities, query):
+    p_zw, p_z, p_marginal = probabilities
+    return ((p_zw[query.x_mediator] / p_z[query.x_mediator])
+            * (p_z[query.x_condition] / p_marginal[query.x_condition]))
+
+
 def cell_weight(nuisances, query, z, w):
     """Propensity weight of a (z, w) cell in a plug-in average:
 
@@ -141,69 +153,79 @@ def cell_weight(nuisances, query, z, w):
         -------------------- * ------------------
         P(x_mediator | z)        P(x_condition)
     """
-    ratio_med = (
-        nuisances.propensity_zw.predict_group(query.x_mediator, z, w)
-        / nuisances.propensity_z.predict_group(query.x_mediator, z)
-    )
-    ratio_cond = (
-        nuisances.propensity_z.predict_group(query.x_condition, z)
-        / nuisances.propensity_marginal.predict_group(query.x_condition)
-    )
-    return ratio_med * ratio_cond
+    return _weight(_group_probabilities(nuisances, z, w), query)
 
 
 def plugin_po(nuisances, cohort, query, functional, grid,
               return_report=False):
-    """Weighted plug-in estimate of one potential-outcome curve.
+    """Weighted plug-in estimate of one potential-outcome curve; the
+    one-query case of `plugin_po_many`."""
+    curve, report = plugin_po_many(
+        nuisances, cohort, [query], functional, grid)[query]
+    return (curve, report) if return_report else curve
 
-    Each row i contributes f(x_outcome, z_i, w_i; t) times the
+
+def plugin_po_many(nuisances, cohort, queries, functional, grid):
+    """Weighted plug-in estimates of several potential-outcome curves.
+
+    For each query, row i contributes f(x_outcome, z_i, w_i; t) times the
     `cell_weight` of its (z_i, w_i) cell, and the average is
-    clamped/monotone-projected into a valid curve.
-    Rows whose covariates the outcome model cannot serve are dropped and
-    counted in the report.
+    clamped/monotone-projected into a valid curve.  Rows whose covariates
+    the outcome model cannot serve are dropped and counted in the report.
+    Cells are visited once: a cell's propensities and its functional
+    under each outcome group are computed once and shared by the
+    queries.  Returns {query: (curve, report)}.
     """
     g = _validate_grid(grid)
+    queries = list(dict.fromkeys(queries))
     ids, cells = cohort.cells("zw")
-    weights = np.array([cell_weight(nuisances, query, z, w)
-                        for _, z, w in cells])
-    weight_sums = np.bincount(ids, weights=weights[ids])
+    probabilities = [_group_probabilities(nuisances, z, w)
+                     for _, z, w in cells]
+    weights = np.array([[_weight(p, q) for q in queries]
+                        for p in probabilities])
+    weight_sums = np.stack([np.bincount(ids, weights=column[ids])
+                            for column in weights.T], axis=1)
     counts = np.bincount(ids)
+    arms = sorted({q.x_outcome for q in queries})
 
-    totals = np.zeros(g.size)
-    n_included = 0
-    weight_total = 0.0
-    n_excluded = 0
-    max_weight = 0.0
-    for (_, zi, wi), weight, weight_sum, count in zip(
+    totals = np.zeros((len(queries), g.size))
+    n_included = [0] * len(queries)
+    weight_total = [0.0] * len(queries)
+    max_weight = [0.0] * len(queries)
+    for (_, zi, wi), cell_weights, cell_sums, count in zip(
             cells, weights.tolist(), weight_sums.tolist(), counts.tolist()):
-        try:
-            curve = nuisances.outcome.predict(query.x_outcome, zi, wi)
-        except CohortSchemaError:
-            n_excluded += count
-            continue
-        totals += weight_sum * functional_from_curve(curve, functional, g)
-        n_included += count
-        weight_total += weight_sum
-        max_weight = max(max_weight, weight)
-    if n_included == 0:
-        raise EmptyCohortError("every row was outside the outcome model schema")
-    raw = totals / n_included
+        values = {}
+        for x in arms:
+            try:
+                curve = nuisances.outcome.predict(x, zi, wi)
+            except CohortSchemaError:
+                continue
+            values[x] = functional_from_curve(curve, functional, g)
+        for qi, q in enumerate(queries):
+            if q.x_outcome in values:
+                totals[qi] += cell_sums[qi] * values[q.x_outcome]
+                n_included[qi] += count
+                weight_total[qi] += cell_sums[qi]
+                max_weight[qi] = max(max_weight[qi], cell_weights[qi])
 
     kind = functional.curve_kind
-    fixed, distance = _project(raw, kind)
-    curve = StepCurve(
-        g, fixed, value_at_zero=1.0 if kind == "survival" else 0.0, kind=kind
-    )
-    if not return_report:
-        return curve
-    report = {
-        "n_rows": cohort.n,
-        "n_excluded": n_excluded,
-        "mean_weight": weight_total / n_included,
-        "max_weight": max_weight,
-        "projection_distance": distance,
-    }
-    return curve, report
+    out = {}
+    for qi, q in enumerate(queries):
+        if n_included[qi] == 0:
+            raise EmptyCohortError(
+                "every row was outside the outcome model schema")
+        fixed, distance = _project(totals[qi] / n_included[qi], kind)
+        curve = StepCurve(
+            g, fixed, value_at_zero=1.0 if kind == "survival" else 0.0,
+            kind=kind)
+        out[q] = curve, {
+            "n_rows": cohort.n,
+            "n_excluded": cohort.n - n_included[qi],
+            "mean_weight": weight_total[qi] / n_included[qi],
+            "max_weight": max_weight[qi],
+            "projection_distance": distance,
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------

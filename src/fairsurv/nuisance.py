@@ -63,7 +63,9 @@ def _indicator(delta, target):
     return (delta == target).astype(int)
 
 
-def _stratum_curve(m, delta, target, n_causes):
+def stratum_curve(m, delta, target, n_causes):
+    """Product-limit curve of one stratum's rows: cumulative incidence
+    for a cause target, survival otherwise."""
     if isinstance(target, int):
         return aalen_johansen_cif(m, delta, cause=target, n_causes=n_causes)
     return kaplan_meier(m, _indicator(delta, target))
@@ -274,13 +276,6 @@ def _mean_cif(leaves):
 # Conditional survival model
 # ---------------------------------------------------------------------------
 
-# Most curve points a model keeps in its prediction cache.  A tree
-# ensemble builds a fresh curve, with up to one point per event time, for
-# every distinct covariate triple; with a continuous covariate that is one
-# per row, so an unbounded cache would grow as rows x event times.
-_CACHE_POINTS = 1 << 18
-
-
 class ConditionalSurvivalModel:
     """Predicts per-covariate survival (or cumulative incidence) curves.
 
@@ -288,8 +283,7 @@ class ConditionalSurvivalModel:
     backoff) or "logrank_tree_ensemble" (bagged log-rank trees, mean
     cumulative hazard).  `target` is "event", "censoring", or a cause
     label; cause targets predict cumulative incidence, the others predict
-    survival curves.  Predictions are cached per covariate triple, up to
-    ``_CACHE_POINTS`` curve points; the least recently used go first.
+    survival curves.
     """
 
     def __init__(self, learner, target, n_causes, fit_report, *,
@@ -301,8 +295,6 @@ class ConditionalSurvivalModel:
         self._curves = curves
         self._trees = trees
         self._widths = widths
-        self._cache = {}
-        self._cache_points = 0
 
     @property
     def curve_kind(self):
@@ -336,42 +328,27 @@ class ConditionalSurvivalModel:
         return cls("stratified", target, n_causes, report, curves=table)
 
     def predict(self, x, z, w):
-        """Curve for one covariate triple (cached per distinct triple)."""
+        """Curve for one covariate triple."""
         x = int(x)
         if x not in (0, 1):
             raise DataError("group label must be 0 or 1")
         key = (x, _canonical_item(z), _canonical_item(w))
-        hit = self._cache.pop(key, None)
-        if hit is not None:
-            self._cache[key] = hit  # now the most recently used
-            return hit
         if self._curves is not None:
-            curve = None
             for probe in (key, key[:2], key[:1], ()):
                 if probe in self._curves:
-                    curve = self._curves[probe]
-                    break
-            if curve is None:
-                raise CohortSchemaError(
-                    f"covariates {key!r} outside the fitted schema"
-                )
-        else:
-            feats = (
-                [float(x)]
-                + _numeric_vector(z, self._widths[0], "z")
-                + _numeric_vector(w, self._widths[1], "w")
+                    return self._curves[probe]
+            raise CohortSchemaError(
+                f"covariates {key!r} outside the fitted schema"
             )
-            leaves = [_route(tree, feats) for tree in self._trees]
-            if isinstance(self.target, int):
-                curve = _mean_cif(leaves)
-            else:
-                curve = _mean_chf_survival(leaves)
-        self._cache[key] = curve
-        self._cache_points += curve.breakpoints.size
-        while self._cache_points > _CACHE_POINTS and len(self._cache) > 1:
-            oldest = self._cache.pop(next(iter(self._cache)))
-            self._cache_points -= oldest.breakpoints.size
-        return curve
+        feats = (
+            [float(x)]
+            + _numeric_vector(z, self._widths[0], "z")
+            + _numeric_vector(w, self._widths[1], "w")
+        )
+        leaves = [_route(tree, feats) for tree in self._trees]
+        if isinstance(self.target, int):
+            return _mean_cif(leaves)
+        return _mean_chf_survival(leaves)
 
     def predict_survival(self, x, z, w):
         if self.curve_kind != "survival":
@@ -415,7 +392,7 @@ def _fit_stratified(cohort, target, params):
             )
 
     def curve_on(sel):
-        return _stratum_curve(
+        return stratum_curve(
             cohort.m[sel], cohort.delta[sel], target, cohort.n_causes
         )
 

@@ -17,7 +17,12 @@ With `rmst`, the run decomposes restricted mean survival times
 (`--functional rmst`): every row block's influence values are mapped to
 running restricted means along the whole grid.
 
-    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [continuous-z|rmst]
+With `plugin`, the `continuous-z` cohort is decomposed by the plug-in
+estimator (`--estimator plugin`, same learners).  Its working memory is
+one curve per query, whatever the number of covariate cells; keeping
+each cell's curves of both groups would take about 600 MB at n = 10k.
+
+    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [continuous-z|rmst|plugin]
 
 prints the run's figures as JSON and exits 1 unless the child succeeded
 with a peak RSS below LIMIT_MB.
@@ -60,7 +65,8 @@ def jittered_cohort_csv(n, seed=0, continuous_z=False):
     return Cohort(cohort.x, z, cohort.w_items, m, cohort.delta).to_csv()
 
 
-def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False):
+def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
+                       plugin=False):
     """Run `decompose` on a jittered n-row cohort under `workdir`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
     workdir = Path(workdir)
@@ -69,6 +75,8 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False):
     learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
     if rmst:
         learners += ("--functional", "rmst")
+    if plugin:
+        learners += ("--estimator", "plugin")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -95,13 +103,13 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False):
 def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
     case = argv[2] if argv[2:] else None
-    if argv[3:] or case not in (None, "continuous-z", "rmst"):
+    if argv[3:] or case not in (None, "continuous-z", "rmst", "plugin"):
         sys.exit(f"unknown case {' '.join(argv[2:])!r}; "
-                 "the cases are continuous-z and rmst")
+                 "the cases are continuous-z, rmst and plugin")
     with tempfile.TemporaryDirectory() as workdir:
-        result = decompose_peak_rss(n, workdir,
-                                    continuous_z=case == "continuous-z",
-                                    rmst=case == "rmst")
+        result = decompose_peak_rss(
+            n, workdir, continuous_z=case in ("continuous-z", "plugin"),
+            rmst=case == "rmst", plugin=case == "plugin")
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
                       **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb

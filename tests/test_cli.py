@@ -565,6 +565,23 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("arms", [["--x0", "2"], ["--x0", "-1", "--x1", "0"],
+                                  ["--x1", "3"]])
+def test_arm_outside_zero_one_is_usage_error(tmp_path, capsys, arms):
+    # rejected before the cohort is read, as a flag or as a config entry
+    base = ["decompose", "--cohort", str(tmp_path / "absent.csv"),
+            "--outdir", str(tmp_path)]
+    assert main(base + arms) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {flag.lstrip("-"): int(value)
+         for flag, value in zip(arms[::2], arms[1::2])}))
+    assert main(base + ["--config", str(config)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_negative_envelope_samples_is_usage_error(ic_cohort_csv, tmp_path,
                                                   capsys):
     # rejected before the cohort is read, let alone cross-fitted

@@ -40,7 +40,9 @@ from fairsurv.scm import Cohort, sample_cohort
 
 from testkit import (
     brute_po,
+    continuous_confounder_cohort,
     count_dr_fits,
+    count_predictions,
     make_adversarial,
     make_cr_two_cause,
     make_nic_balanced,
@@ -809,6 +811,29 @@ def test_row_blocks_leave_estimates_unchanged(monkeypatch):
         for q in queries:
             assert np.array_equal(blocked[q].estimate, whole[q].estimate)
             assert_allclose(blocked[q].se, whole[q].se, rtol=0.0, atol=1e-15)
+
+
+def test_queries_of_one_call_share_every_prediction(monkeypatch):
+    # four role queries, tree learners and a continuous confounder in one
+    # row block: each model predicts each covariate triple exactly once
+    cohort = continuous_confounder_cohort(400, 13)
+    plan = FoldPlan(cohort, seed=5, learners={
+        "outcome_learner": "logrank_tree_ensemble",
+        "censoring_learner": "logrank_tree_ensemble",
+        "propensity_learner": "logistic_irls",
+        "outcome_params": {"n_trees": 4},
+        "censoring_params": {"n_trees": 4}})
+    queries = role_queries(0, 1)
+    calls = count_predictions(monkeypatch)
+    crossfit_dr_many(plan, queries, SURVIVAL, [1.0, 2.0, 4.0, 6.0])
+    # per row: the outcome curves of both groups and the censoring curve
+    # of its own group; per (outcome, mediator) group pair, the pooled
+    # nu(z) over the mediator group's rows of the other fold
+    pairs = {(q.x_outcome, q.x_mediator) for q in queries}
+    pooled = sum(int(np.sum(cohort.x == x_w)) for _, x_w in pairs)
+    assert len(pairs) == 3
+    assert len(calls) == 3 * cohort.n + pooled
+    assert max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------

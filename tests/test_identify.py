@@ -1,6 +1,7 @@
 """Weighted plug-in and direct-summation potential-outcome estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from fairsurv.identify import (
     fit_plugin_nuisances,
     functional_from_curve,
     plugin_po,
+    plugin_po_many,
 )
 from fairsurv.nuisance import ConditionalSurvivalModel
-from fairsurv.queries import Functional, PotentialOutcomeQuery
+from fairsurv.queries import Functional, PotentialOutcomeQuery, role_queries
 from fairsurv.scm import Cohort, SCMSpec, oracle_po_curve, sample_cohort
 
-from testkit import make_nic_balanced, make_severed, spec_of
+from testkit import count_predictions, make_nic_balanced, make_severed, \
+    spec_of
 
 SURVIVAL = Functional("survival")
 
@@ -281,13 +284,52 @@ def test_rows_outside_model_schema_are_dropped_and_counted():
     assert report["n_excluded"] == 2  # the two (z=1, w=1) rows
 
 
-def test_default_grid_caps_at_percentile_and_merges_user_points():
+def _partly_served(cohort):
+    """Plug-in nuisances of `cohort` whose outcome model serves group 1
+    everywhere but group 0 only at z = 0."""
+    model = ConditionalSurvivalModel.from_curves({
+        (0, 0, 0): StepCurve([1.0, 2.0], [0.8, 0.5]),
+        (0, 0, 1): StepCurve([1.5], [0.6]),
+        (1,): StepCurve([0.5, 2.5], [0.9, 0.3]),
+    }, "event")
+    return replace(fit_plugin_nuisances(cohort, SURVIVAL), outcome=model)
+
+
+@pytest.mark.parametrize("functional", [
+    SURVIVAL, Functional("rmst", horizon=2.0),
+    Functional("cumulative_hazard")])
+def test_plugin_po_many_equals_one_query_calls(functional):
+    _, cohort = _nic_cohort(600, seed=29)
+    grid = [0.5, 1.0, 2.0, 3.0]
+    queries = role_queries(0, 1)
+    for nuis in (fit_plugin_nuisances(cohort, SURVIVAL),
+                 _partly_served(cohort)):
+        many = plugin_po_many(nuis, cohort, queries, functional, grid)
+        assert list(many) == queries
+        for q in queries:
+            curve, report = plugin_po(nuis, cohort, q, functional, grid,
+                                      return_report=True)
+            assert np.array_equal(many[q][0].values, curve.values)
+            assert many[q][1] == report
+    # group 0 cannot be served at z = 1, so the rows there are dropped
+    excluded = {q: many[q][1]["n_excluded"] for q in queries}
+    assert all((n > 0) == (q.x_outcome == 0) for q, n in excluded.items())
+
+
+def test_plugin_po_many_predicts_each_group_and_cell_once(monkeypatch):
+    _, cohort = _nic_cohort(600, seed=31)
+    nuis = fit_plugin_nuisances(cohort, SURVIVAL)
+    calls = count_predictions(monkeypatch)
+    plugin_po_many(nuis, cohort, role_queries(0, 1), SURVIVAL, [1.0, 2.0])
+    assert len(calls) == 2 * len(cohort.cells("zw")[1])
+    assert max(calls.values()) == 1
+
+
+def test_default_grid_caps_at_percentile():
     cohort = Cohort([0, 1, 0, 1, 0], [0] * 5, [0] * 5,
                     [1.0, 2.0, 3.0, 4.0, 100.0], [1, 1, 0, 1, 1])
     grid = default_grid(cohort)
     np.testing.assert_array_equal(grid, [1.0, 2.0, 4.0])
-    grid = default_grid(cohort, user_grid=[2.5])
-    np.testing.assert_array_equal(grid, [1.0, 2.0, 2.5, 4.0])
 
 
 def test_grid_validation_errors():

@@ -253,36 +253,6 @@ def test_tree_same_seed_reproduces_predictions():
     np.testing.assert_array_equal(ca.values, cb.values)
 
 
-def test_tree_prediction_cache_is_bounded_and_eviction_is_exact(
-        monkeypatch):
-    import fairsurv.nuisance
-
-    rng = np.random.default_rng(8)
-    n = 300
-    z = np.round(rng.normal(size=n), 6)
-    cohort = Cohort(rng.integers(0, 2, n), z.tolist(), [0] * n,
-                    rng.exponential(2.0, n), rng.integers(0, 2, n))
-    kws = dict(learner="logrank_tree_ensemble", n_trees=5, seed=3)
-    unbounded = fit_conditional_survival(cohort, target="event", **kws)
-    want = {float(v): unbounded.predict(1, float(v), 0) for v in z[:60]}
-    size = max(curve.breakpoints.size for curve in want.values())
-    monkeypatch.setattr(fairsurv.nuisance, "_CACHE_POINTS", 3 * size)
-    bounded = fit_conditional_survival(cohort, target="event", **kws)
-    for _ in range(2):  # the second pass predicts evicted triples again
-        for v, curve in want.items():
-            got = bounded.predict(1, v, 0)
-            np.testing.assert_array_equal(got.breakpoints, curve.breakpoints)
-            np.testing.assert_array_equal(got.values, curve.values)
-            assert bounded._cache_points <= 3 * size
-            assert bounded._cache_points == sum(
-                c.breakpoints.size for c in bounded._cache.values())
-    assert len(bounded._cache) < len(want)
-    # a hit becomes the most recently used entry
-    first = next(iter(bounded._cache))
-    bounded.predict(*first)
-    assert next(reversed(bounded._cache)) == first
-
-
 # ---------------------------------------------------------------------------
 # Log-rank splitting
 # ---------------------------------------------------------------------------

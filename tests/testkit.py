@@ -288,6 +288,44 @@ def count_dr_fits(monkeypatch):
     return counts
 
 
+def count_predictions(monkeypatch):
+    """Count the curve predictions of every `ConditionalSurvivalModel`.
+
+    Wraps the class's `predict` and returns the live tally
+    {(id(model), x, z, w): calls}.
+    """
+    from collections import Counter
+
+    from fairsurv.nuisance import ConditionalSurvivalModel
+
+    calls = Counter()
+    predict = ConditionalSurvivalModel.predict
+
+    def counted(model, x, z, w):
+        calls[(id(model), x, z, w)] += 1
+        return predict(model, x, z, w)
+    monkeypatch.setattr(ConditionalSurvivalModel, "predict", counted)
+    return calls
+
+
+def continuous_confounder_cohort(n, seed):
+    """Rows with a continuous confounder, a binary mediator and censored
+    exponential times; group, mediator, event and censoring all depend
+    on the confounder, and almost every row is its own (z, w) cell."""
+    import numpy as np
+
+    from fairsurv.scm import Cohort
+
+    rng = np.random.default_rng(seed)
+    z = np.round(rng.normal(size=n), 6)
+    x = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.6 * z))).astype(int)
+    w = (rng.random(n) < 0.3 + 0.4 * x).astype(int)
+    t = rng.exponential(1.0 / (0.2 * np.exp(0.5 * x + 0.4 * w + 0.3 * z)))
+    c = rng.exponential(1.0 / (0.1 * np.exp(0.2 * z)))
+    return Cohort(x, z.tolist(), w, np.round(np.minimum(t, c), 4),
+                  (t <= c).astype(int))
+
+
 def reference_crossfit(plan, queries, functional, grid):
     """The per-row cross-fitting `crossfit_dr_many` streams, kept as its
     oracle: every fold's rows are evaluated with `evaluate_influence`
@@ -312,7 +350,6 @@ def reference_crossfit(plan, queries, functional, grid):
     if functional.kind == "rmst":
         base = Functional("survival" if cohort.n_causes == 1
                           else "all_cause_survival")
-    scale = "cif" if base.kind == "cif" else "survival"
     parts = list(plan.parts(base))
     out = {}
     for query in queries:
@@ -329,7 +366,7 @@ def reference_crossfit(plan, queries, functional, grid):
             n_flagged += ev.n_flagged
             z_wanted = sorted({z for _, z, _ in part.cells("zw")[1]},
                               key=repr)
-            n_fallback += _nu_values(bundle, query, scale, grid, z_wanted)[1]
+            n_fallback += _nu_values(bundle, query, grid, z_wanted)[1]
         estimate = unc.mean(axis=0)
         ind_z = (cohort.x == query.x_condition).astype(float)
         if_matrix = unc - np.outer(ind_z / p, estimate)
