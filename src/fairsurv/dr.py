@@ -180,25 +180,36 @@ def _nu_values(nuisances, query, grid, z_wanted):
 
     Returns ({z: (T,) array}, n_fallback) where the fallback pools over
     every x_w row when a confounder value never co-occurs with X = x_w
-    in the rows the bundle was fitted on.  Curves are summed as they are
-    predicted, so memory is one curve per confounder value seen with
-    X = x_w, plus one pooled curve shared by every fallback value.
+    in the rows the bundle was fitted on.  Curves are predicted in
+    blocks and summed as they come, so memory is a block of curves, one
+    sum per confounder value and one pooled sum shared by every
+    fallback value.
     """
     x_y = query.x_outcome
     x_w = query.x_mediator
 
-    def f_hat(z, w):
-        return nuisances.outcome.predict(x_y, z, w).evaluate(grid)
+    def f_hat(pairs):
+        """The outcome curves of x_y at (z, w) ``pairs`` on the grid, in
+        order, predicted in blocks of at most ``_BLOCK_ELEMENTS`` values."""
+        triples = [(x_y, z, w) for z, w in pairs]
+        step = max(1, _BLOCK_ELEMENTS // grid.size)
+        for start in range(0, len(triples), step):
+            block = triples[start:start + step]
+            for curve in nuisances.outcome.predict_many(block):
+                yield curve.evaluate(grid)
 
     out = {}
-    n_fallback = 0
     if nuisances.mediator_table is not None:
+        laws = []
         for z in z_wanted:
             law = nuisances.mediator_table.get((x_w, z))
             if law is None:
                 raise EstimationError(
                     f"mediator law missing for group {x_w} at z={z!r}")
-            out[z] = sum(p * f_hat(z, w) for w, p in law.items())
+            laws.append((z, law))
+        values = f_hat([(z, w) for z, law in laws for w in law])
+        for z, law in laws:
+            out[z] = sum(p * next(values) for p in law.values())
         return out, 0
     if nuisances.mediator_cohort is None:
         raise EstimationError(
@@ -213,21 +224,18 @@ def _nu_values(nuisances, query, grid, z_wanted):
     if not pooled:
         raise DegenerateGroupError(
             f"no rows with X={x_w} available to average the mediator over")
-    pooled_total = sum(pooled.values())
-    pooled_value = None
-    for z in z_wanted:
-        table = counts.get(z)
-        if table is None:
-            if pooled_value is None:
-                pooled_value = sum(
-                    c * f_hat(zj, wj) for (zj, wj), c in pooled.items()
-                ) / pooled_total
-            out[z] = pooled_value
-            n_fallback += 1
-            continue
-        total = sum(table.values())
-        out[z] = sum(c * f_hat(z, w) for w, c in table.items()) / total
-    return out, n_fallback
+    seen = [z for z in z_wanted if z in counts]
+    if len(seen) < len(z_wanted):
+        values = f_hat(pooled)
+        pooled_value = sum(c * next(values) for c in pooled.values()) / sum(
+            pooled.values())
+        out = dict.fromkeys(z_wanted, pooled_value)
+    values = f_hat([(z, w) for z in seen for w in counts[z]])
+    for z in seen:
+        table = counts[z]
+        out[z] = sum(c * next(values) for c in table.values()) / sum(
+            table.values())
+    return out, len(z_wanted) - len(seen)
 
 
 def _check_cap(cap):
@@ -287,22 +295,29 @@ class _Contributions:
         """Yield ``(query index, positions, parts)`` per cell of ``cells``
         (from ``_by_cell(ids, rows)``), query and group X: ``positions``
         index ``rows`` and ``parts`` holds the (component name, values)
-        pairs that apply to those rows, in COMPONENT_NAMES order.  A
-        cell's propensities, outcome curves and unweighted arm terms are
-        derived once; each query scales them by its own weights."""
+        pairs that apply to those rows, in COMPONENT_NAMES order.  The
+        outcome and censoring curves of every cell are predicted in one
+        call per model; a cell's propensities, outcome curves and
+        unweighted arm terms are derived once, and each query scales
+        them by its own weights."""
         cohort, nuisances = self.cohort, self.nuisances
-        for cell, pos in cells:
-            _, z, w = self.keys[cell]
-            xs = cohort.x[rows[pos]]
-            at = {g: pos[xs == g] for g in (0, 1)}
+        cells = [(self.keys[cell][1:], pos) for cell, pos in cells]
+        by_group = [{g: pos[cohort.x[rows[pos]] == g] for g in (0, 1)}
+                    for _, pos in cells]
+        outcome = iter(nuisances.outcome.predict_many(
+            [(g, z, w) for (z, w), _ in cells for g in self.outcome_groups]))
+        censoring = iter(nuisances.censoring.predict_many(
+            [(g, z, w) for ((z, w), _), at in zip(cells, by_group)
+             for g in self.outcome_groups if at[g].size]))
+        for ((z, w), _), at in zip(cells, by_group):
             p_z = {g: nuisances.propensity_z.predict_group(g, z=z)
                    for g in (0, 1)}
             p_zw = {g: nuisances.propensity_zw.predict_group(g, z=z, w=w)
                     for g in (0, 1)}
-            curves = {g: nuisances.outcome.predict(g, z, w)
-                      for g in self.outcome_groups}
+            curves = {g: next(outcome) for g in self.outcome_groups}
             f = {g: curve.evaluate(self.grid) for g, curve in curves.items()}
-            arms = {g: self._arm_terms(rows[at[g]], g, z, w, curves[g], f[g])
+            arms = {g: self._arm_terms(rows[at[g]], curves[g],
+                                       next(censoring), f[g])
                     for g in curves if at[g].size}
             for qi, (query, p_condition, nu) in enumerate(zip(
                     self.queries, self.p_conditions, self.nu_maps)):
@@ -324,15 +339,14 @@ class _Contributions:
                     if parts[g]:
                         yield qi, at[g], parts[g]
 
-    def _arm_terms(self, sel, x, z, w, s_curve, f_y):
+    def _arm_terms(self, sel, s_curve, g_curve, f_y):
         """Unweighted (component name, values) outcome-arm terms of the
-        rows ``sel`` of group ``x`` in the (z, w) cell, whose outcome
-        curve is ``s_curve`` and its grid values ``f_y``.  ``xi_two`` is
-        kept negated, as it enters the sum."""
+        rows ``sel`` of one group in one (z, w) cell, whose outcome curve
+        is ``s_curve``, its grid values ``f_y``, and censoring curve
+        ``g_curve``.  ``xi_two`` is kept negated, as it enters the sum."""
         grid, epsilon = self.grid, self.epsilon
         m_rows = self.cohort.m[sel]
         d_rows = self.cohort.delta[sel]
-        g_curve = self.nuisances.censoring.predict(x, z, w)
         if self.base == "cif":
             g_left = np.maximum(g_curve.left_limit(m_rows), epsilon)
             hit = ((d_rows == self.cause)[:, None]
@@ -457,42 +471,6 @@ def _as_query(query):
     if isinstance(query, PotentialOutcomeQuery):
         return query
     return PotentialOutcomeQuery(*query)
-
-
-def _row_cohort(row, n_causes):
-    return Cohort(
-        x=[row["x"]], z=[row["z"]], w=[row["w"]],
-        m=[row["m"]], delta=[row["delta"]], n_causes=n_causes,
-    )
-
-
-def influence_survival(row, nuisances, query, t, *, psi=0.0,
-                       p_condition=None, epsilon=0.01, cap=50.0):
-    """Survival-scale influence value for a single row at one time.
-
-    ``row`` is a mapping with keys x, z, w, m, delta.  ``psi`` is the
-    centering value; the default 0 returns the uncentered contribution.
-    """
-    cohort = _row_cohort(row, nuisances.outcome.n_causes)
-    kind = ("survival" if nuisances.outcome.n_causes == 1
-            else "all_cause_survival")
-    ev = evaluate_influence(
-        cohort, nuisances, query, Functional(kind), [float(t)], psi=psi,
-        p_condition=p_condition, epsilon=epsilon, cap=cap,
-    )
-    return float(ev.values[0, 0])
-
-
-def influence_cif(row, nuisances, query, k, t, *, psi=0.0,
-                  p_condition=None, epsilon=0.01, cap=50.0):
-    """Cumulative-incidence influence value for a single row at one time."""
-    cohort = _row_cohort(row, nuisances.outcome.n_causes)
-    ev = evaluate_influence(
-        cohort, nuisances, query, Functional("cif", cause=int(k)),
-        [float(t)], psi=psi, p_condition=p_condition, epsilon=epsilon,
-        cap=cap,
-    )
-    return float(ev.values[0, 0])
 
 
 # ---------------------------------------------------------------------------

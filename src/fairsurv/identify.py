@@ -192,15 +192,15 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     n_included = [0] * len(queries)
     weight_total = [0.0] * len(queries)
     max_weight = [0.0] * len(queries)
-    for (_, zi, wi), cell_weights, cell_sums, count in zip(
-            cells, weights.tolist(), weight_sums.tolist(), counts.tolist()):
-        values = {}
-        for x in arms:
-            try:
-                curve = nuisances.outcome.predict(x, zi, wi)
-            except CohortSchemaError:
-                continue
-            values[x] = functional_from_curve(curve, functional, g)
+    predicted = {x: _served_curves(nuisances.outcome,
+                                   [(x, z, w) for _, z, w in cells])
+                 for x in arms}
+    for cell_weights, cell_sums, count, *curves in zip(
+            weights.tolist(), weight_sums.tolist(), counts.tolist(),
+            *predicted.values()):
+        values = {x: functional_from_curve(curve, functional, g)
+                  for x, curve in zip(predicted, curves)
+                  if curve is not None}
         for qi, q in enumerate(queries):
             if q.x_outcome in values:
                 totals[qi] += cell_sums[qi] * values[q.x_outcome]
@@ -228,59 +228,25 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Direct summation over discrete tables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CohortTables:
-    """Empirical frequency tables of a discrete cohort."""
-
-    group: dict          # {x: P(x)}
-    confounder: dict     # {x: {z: P(z | x)}}
-    mediator: dict       # {(x, z): {w: P(w | x, z)}}
+# Covariate triples one ``predict_many`` call of ``plugin_po_many`` takes.
+_CELL_BLOCK = 128
 
 
-def empirical_tables(cohort):
-    n_x = np.bincount(cohort.x, minlength=2).tolist()
-    group = {x: n_x[x] / cohort.n for x in (0, 1)}
-    confounder = {x: {} for x in (0, 1)}
-    n_xz = {}
-    ids, cells = cohort.cells("xz")
-    for (x, z, _), c in zip(cells, np.bincount(ids).tolist()):
-        confounder[x][z] = c / n_x[x]
-        n_xz[(x, z)] = c
-    mediator = {}
-    ids, cells = cohort.cells("xzw")
-    for (x, z, w), c in zip(cells, np.bincount(ids).tolist()):
-        mediator.setdefault((x, z), {})[w] = c / n_xz[(x, z)]
-    return CohortTables(group=group, confounder=confounder, mediator=mediator)
+def _served_curves(model, triples):
+    """Yield the predicted curve of each triple, or None where the model's
+    schema does not cover it, predicting ``_CELL_BLOCK`` triples per
+    call."""
+    for start in range(0, len(triples), _CELL_BLOCK):
+        block = triples[start:start + _CELL_BLOCK]
+        try:
+            curves = model.predict_many(block)
+        except CohortSchemaError:  # some triple is outside the schema
+            curves = [_served_curve(model, triple) for triple in block]
+        yield from curves
 
 
-def exact_plugin_po(outcome_model, tables, query, functional, grid):
-    """Direct evaluation of sum_z P(z|x_cond) sum_w P(w|x_med,z) f(...).
-
-    Matches plugin_po with unclipped frequency-table propensities up to
-    floating rounding; exists as the transparent summation form.
-    """
-    g = _validate_grid(grid)
-    conf = tables.confounder.get(query.x_condition)
-    if conf is None:
-        raise DataError("confounder table missing the conditioning group")
-    totals = np.zeros(g.size)
-    for z, pz in conf.items():
-        med = tables.mediator.get((query.x_mediator, z))
-        if med is None:
-            raise DataError(
-                f"mediator table missing stratum {(query.x_mediator, z)!r}"
-            )
-        for w, pw in med.items():
-            f = functional_from_curve(
-                outcome_model.predict(query.x_outcome, z, w), functional, g
-            )
-            totals += pz * pw * f
-    kind = functional.curve_kind
-    fixed, _ = _project(totals, kind)
-    return StepCurve(
-        g, fixed, value_at_zero=1.0 if kind == "survival" else 0.0, kind=kind
-    )
+def _served_curve(model, triple):
+    try:
+        return model.predict(*triple)
+    except CohortSchemaError:
+        return None

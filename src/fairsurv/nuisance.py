@@ -10,22 +10,26 @@ splits are the midpoints between consecutive distinct values of each
 feature, or at most `max_thresholds` distinct interior quantiles; those
 leaving fewer than `min_leaf` rows on a side are dropped, the rest are
 scored together in one array pass by the two-sample log-rank
-chi-square, and the first strictly largest positive score wins.  Tree
+chi-square, and the first strictly largest positive score wins.  The
+fitted trees are flat parallel node arrays.  A batch prediction routes
+all of its rows through every tree at once and builds one curve per
+distinct leaf set (the tuple of leaves, one per tree).  Tree
 parameters: n_trees >= 1, min_leaf >= 10, 0 <= max_depth <= 6,
 max_thresholds >= 1, seed.  Propensities come from frequency tables or
-IRLS logistic fits, clipped away from 0 and 1.
+IRLS logistic fits, clipped away from 0 and 1; the logistic learner
+refuses covariates that are not finite.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .curves import (
     StepCurve,
     aalen_johansen_cif,
-    hazard_increments,
     kaplan_meier,
     nelson_aalen,
 )
@@ -33,7 +37,6 @@ from .errors import (
     CohortSchemaError,
     DataError,
     DegenerateGroupError,
-    EstimationError,
 )
 from .scm import _canonical_item, cell_members
 
@@ -105,24 +108,11 @@ def _sorted_cells(values):
 # Log-rank survival trees
 # ---------------------------------------------------------------------------
 
-class _Leaf:
-    __slots__ = ("times", "chf", "curve", "n_rows")
-
-    def __init__(self, times, chf, curve, n_rows):
-        self.times = times
-        self.chf = chf
-        self.curve = curve
-        self.n_rows = n_rows
-
-
-class _Split:
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature, threshold, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+# Most values (leaf sets x union-grid times) one block of
+# ``_Forest.mean_curves`` sums; its working set is a few such blocks.  A
+# larger block bought no measurable speed and raised the peak memory of a
+# plug-in pass over a continuous confounder.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def _logrank_scores(left, m, ind):
@@ -172,13 +162,17 @@ def _row_sums(a):
     return np.sum(np.ascontiguousarray(a), axis=1)
 
 
-def _leaf_payload(m, delta, target, n_causes):
+def _leaf_payload(m, delta, target, n_causes, depth):
+    """(jump times, values before and from each jump, rows, depth) of a
+    leaf: its step function is the cause's incidence for a cause target,
+    the cumulative hazard otherwise."""
     if isinstance(target, int):
         curve = aalen_johansen_cif(m, delta, cause=target, n_causes=n_causes)
-        return _Leaf(None, None, curve, m.size)
-    chf = nelson_aalen(m, _indicator(delta, target))
-    return _Leaf(chf.breakpoints, np.concatenate(([0.0], chf.values)), None,
-                 m.size)
+    else:
+        curve = nelson_aalen(m, _indicator(delta, target))
+    return (curve.breakpoints,
+            np.concatenate(([curve.value_at_zero], curve.values)), m.size,
+            depth)
 
 
 def _run_starts(ordered):
@@ -217,9 +211,14 @@ def _candidate_splits(feats, max_thresholds):
     return np.concatenate(features), np.concatenate(thresholds)
 
 
-def _grow_tree(feats, m, delta, ind, target, n_causes, depth, params, stats):
+def _grow_tree(feats, m, delta, ind, target, n_causes, depth, params,
+               nodes, leaves):
+    """Append the tree grown on these rows to ``nodes`` in preorder, as
+    (feature, threshold, left, right, leaf) entries, and its leaves'
+    payloads to ``leaves``; returns the index of its root."""
+    index = len(nodes)
+    nodes.append(None)
     n = m.size
-    stats["max_depth_observed"] = max(stats["max_depth_observed"], depth)
     if depth < params["max_depth"] and n >= 2 * params["min_leaf"]:
         feature, threshold = _candidate_splits(feats, params["max_thresholds"])
         left = feats[:, feature].T <= threshold[:, None]
@@ -230,46 +229,111 @@ def _grow_tree(feats, m, delta, ind, target, n_causes, depth, params, stats):
         if scores.size and scores.max() > 0.0:
             k = int(np.argmax(scores))  # the first maximum wins
             mask = left[k]
-            return _Split(
-                int(feature[k]), float(threshold[k]),
-                _grow_tree(feats[mask], m[mask], delta[mask], ind[mask],
-                           target, n_causes, depth + 1, params, stats),
-                _grow_tree(feats[~mask], m[~mask], delta[~mask], ind[~mask],
-                           target, n_causes, depth + 1, params, stats),
-            )
-    stats["n_leaves"] += 1
-    stats["min_leaf_size_observed"] = min(stats["min_leaf_size_observed"], n)
-    return _leaf_payload(m, delta, target, n_causes)
+            lo = _grow_tree(feats[mask], m[mask], delta[mask], ind[mask],
+                            target, n_causes, depth + 1, params, nodes,
+                            leaves)
+            hi = _grow_tree(feats[~mask], m[~mask], delta[~mask], ind[~mask],
+                            target, n_causes, depth + 1, params, nodes,
+                            leaves)
+            nodes[index] = (int(feature[k]), float(threshold[k]), lo, hi, -1)
+            return index
+    nodes[index] = (0, 0.0, index, index, len(leaves))
+    leaves.append(_leaf_payload(m, delta, target, n_causes, depth))
+    return index
 
 
-def _route(tree, features):
-    node = tree
-    while isinstance(node, _Split):
-        node = node.left if features[node.feature] <= node.threshold else node.right
-    return node
+class _Forest:
+    """The trees of an ensemble as flat parallel arrays over all their
+    nodes, the layout of scikit-learn's ``Tree`` for one tree.
 
+    Node i sends a feature row to ``left[i]`` if ``row[feature[i]] <=
+    threshold[i]`` (NaN goes right) and to ``right[i]`` otherwise.  A
+    leaf has ``leaf[i] >= 0``, its index among the ensemble's leaves, and
+    points to itself on both sides.  Tree k is rooted at ``roots[k]``.
+    On ``grid``, the union of every leaf's jump times, leaf j's step
+    function is run-length encoded: for i in ``range(bounds[j],
+    bounds[j + 1])`` it takes the value ``steps[i]`` on ``runs[i]``
+    consecutive grid times (first the value before its first jump, then
+    the value from each jump on).
+    """
 
-def _mean_chf_survival(leaves):
-    times = [leaf.times for leaf in leaves if leaf.times.size]
-    if not times:
-        return StepCurve([], [], value_at_zero=1.0, kind="survival")
-    grid = np.unique(np.concatenate(times))
-    chf = np.zeros(grid.size)
-    for leaf in leaves:
-        chf += leaf.chf[np.searchsorted(leaf.times, grid, side="right")]
-    chf /= len(leaves)
-    return StepCurve(grid, np.exp(-chf), value_at_zero=1.0, kind="survival")
+    def __init__(self, roots, nodes, leaves):
+        self.roots = np.array(roots)
+        self.feature, self.threshold, self.left, self.right, self.leaf = (
+            np.array(column) for column in zip(*nodes))
+        times, steps, n_rows, depths = zip(*leaves)
+        self.grid = np.unique(np.concatenate(times))
+        pos = np.searchsorted(self.grid, np.concatenate(times))
+        ends = np.cumsum([t.size for t in times])
+        self.bounds = np.concatenate(([0], ends + np.arange(1, ends.size + 1)))
+        self.steps = np.concatenate(steps)
+        # a leaf's runs end at its jumps and at the end of the grid
+        self.runs = (np.insert(pos, ends, self.grid.size)
+                     - np.insert(pos, np.concatenate(([0], ends[:-1])), 0))
+        self.n_rows = np.array(n_rows)
+        self.depth = max(depths)
 
+    def leaf_sets(self, feats):
+        """Leaf of every row of ``feats`` in every tree (rows x trees)."""
+        node = np.tile(self.roots, (feats.shape[0], 1))
+        rows = np.arange(feats.shape[0])[:, None]
+        for _ in range(self.depth):
+            go_left = feats[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.leaf[node]
 
-def _mean_cif(leaves):
-    times = [leaf.curve.breakpoints for leaf in leaves if leaf.curve.breakpoints.size]
-    if not times:
-        return StepCurve([], [], value_at_zero=0.0, kind="cif")
-    grid = np.unique(np.concatenate(times))
-    total = np.zeros(grid.size)
-    for leaf in leaves:
-        total += leaf.curve.evaluate(grid)
-    return StepCurve(grid, total / len(leaves), value_at_zero=0.0, kind="cif")
+    def mean_curves(self, sets, kind):
+        """One curve per row of ``sets`` (distinct leaf sets, one leaf per
+        tree): the mean of the leaves' step functions on the union of
+        their jump times, the leaves summed in tree order, and for a
+        survival curve exp(-mean cumulative hazard).
+
+        Leaf sets are taken in blocks of at most ``_BLOCK_ELEMENTS`` sets
+        x grid times.  A block builds the grid values of the leaves its
+        sets reach, for as many trees at a time as fit in as many
+        values, and adds them to the sets' running sums tree by tree, so
+        a value is the same sum in the same order whatever the block."""
+        n_trees = sets.shape[1]
+        width = max(self.grid.size, 1)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        curves = []
+        for start in range(0, len(sets), step):
+            block = sets[start:start + step]
+            total = np.zeros((len(block), self.grid.size))
+            jumps = np.zeros(total.shape, dtype=bool)
+            # trees whose reached leaves' grid values fit in one block
+            group = max(1, _BLOCK_ELEMENTS // (
+                width * min(len(block), 2 ** self.depth)))
+            for first in range(0, n_trees, group):
+                leaves = block[:, first:first + group]
+                used = np.unique(leaves)
+                values, at = self._on_grid(used)
+                for local in np.searchsorted(used, leaves).T:
+                    total += values[local]
+                    jumps |= at[local]
+            mean = total[jumps] / n_trees
+            values = mean if kind == "cif" else np.exp(-mean)
+            times = np.broadcast_to(self.grid, jumps.shape)[jumps]
+            cuts = np.cumsum(jumps.sum(axis=1))[:-1]
+            curves += [StepCurve(t, v, 0.0 if kind == "cif" else 1.0, kind)
+                       for t, v in zip(np.split(times, cuts),
+                                       np.split(values, cuts))]
+        return curves
+
+    def _on_grid(self, leaves):
+        """Values on ``grid`` of the step functions of ``leaves``, and the
+        mask of their jump times (both leaves x grid), decoded from their
+        runs; each leaf's last run ends its row."""
+        lo = self.bounds[leaves]
+        sizes = self.bounds[leaves + 1] - lo
+        # the runs of every leaf, leaf after leaf
+        at = np.arange(sizes.sum()) + np.repeat(
+            lo - np.cumsum(sizes) + sizes, sizes)
+        values = np.repeat(self.steps[at], self.runs[at])
+        jumps = np.zeros(values.size, dtype=bool)
+        jumps[np.delete(np.cumsum(self.runs[at]), np.cumsum(sizes) - 1)] = True
+        return (values.reshape(leaves.size, -1),
+                jumps.reshape(leaves.size, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +351,13 @@ class ConditionalSurvivalModel:
     """
 
     def __init__(self, learner, target, n_causes, fit_report, *,
-                 curves=None, trees=None, widths=None):
+                 curves=None, forest=None, widths=None):
         self.learner = learner
         self.target = target
         self.n_causes = n_causes
         self.fit_report = fit_report
         self._curves = curves
-        self._trees = trees
+        self._forest = forest
         self._widths = widths
 
     @property
@@ -328,37 +392,39 @@ class ConditionalSurvivalModel:
         return cls("stratified", target, n_causes, report, curves=table)
 
     def predict(self, x, z, w):
-        """Curve for one covariate triple."""
-        x = int(x)
-        if x not in (0, 1):
+        """Curve for one covariate triple; see `predict_many`."""
+        return self.predict_many([(x, z, w)])[0]
+
+    def predict_many(self, triples):
+        """Curves for covariate triples (x, z, w), in order.
+
+        The tree learner routes every triple through all trees at once and
+        builds one curve per distinct leaf set (the tuple of leaves it
+        reaches, one per tree), shared by the triples that reach it.
+        """
+        triples = [(int(x), z, w) for x, z, w in triples]
+        if any(x not in (0, 1) for x, _, _ in triples):
             raise DataError("group label must be 0 or 1")
-        key = (x, _canonical_item(z), _canonical_item(w))
         if self._curves is not None:
-            for probe in (key, key[:2], key[:1], ()):
-                if probe in self._curves:
-                    return self._curves[probe]
-            raise CohortSchemaError(
-                f"covariates {key!r} outside the fitted schema"
-            )
-        feats = (
+            return [self._lookup(x, z, w) for x, z, w in triples]
+        if not triples:
+            return []
+        feats = np.array([
             [float(x)]
             + _numeric_vector(z, self._widths[0], "z")
             + _numeric_vector(w, self._widths[1], "w")
-        )
-        leaves = [_route(tree, feats) for tree in self._trees]
-        if isinstance(self.target, int):
-            return _mean_cif(leaves)
-        return _mean_chf_survival(leaves)
+            for x, z, w in triples])
+        sets, inverse = np.unique(self._forest.leaf_sets(feats), axis=0,
+                                  return_inverse=True)
+        curves = self._forest.mean_curves(sets, self.curve_kind)
+        return [curves[i] for i in inverse.reshape(-1).tolist()]
 
-    def predict_survival(self, x, z, w):
-        if self.curve_kind != "survival":
-            raise EstimationError("model predicts cumulative incidence, not survival")
-        return self.predict(x, z, w)
-
-    def predict_cif(self, x, z, w):
-        if self.curve_kind != "cif":
-            raise EstimationError("model predicts survival, not cumulative incidence")
-        return self.predict(x, z, w)
+    def _lookup(self, x, z, w):
+        key = (x, _canonical_item(z), _canonical_item(w))
+        for probe in (key, key[:2], key[:1], ()):
+            if probe in self._curves:
+                return self._curves[probe]
+        raise CohortSchemaError(f"covariates {key!r} outside the fitted schema")
 
 
 def fit_conditional_survival(cohort, target="event", learner="stratified",
@@ -450,54 +516,26 @@ def _fit_tree_ensemble(cohort, target, params):
     )
     ind = _indicator(cohort.delta, target)
     rng = np.random.default_rng(opts["seed"])
-    stats = {
-        "n_leaves": 0,
-        "min_leaf_size_observed": cohort.n,
-        "max_depth_observed": 0,
-    }
-    trees = []
+    roots, nodes, leaves = [], [], []
     for _ in range(opts["n_trees"]):
         boot = rng.integers(0, cohort.n, cohort.n)
-        trees.append(
-            _grow_tree(
-                feats[boot], cohort.m[boot], cohort.delta[boot], ind[boot],
-                target, cohort.n_causes, 0, opts, stats,
-            )
-        )
+        roots.append(_grow_tree(
+            feats[boot], cohort.m[boot], cohort.delta[boot], ind[boot],
+            target, cohort.n_causes, 0, opts, nodes, leaves))
+    forest = _Forest(roots, nodes, leaves)
     report = {
         "learner": "logrank_tree_ensemble",
         "target": _target_label(target),
         "n_rows": cohort.n,
         **opts,
-        "mean_leaves_per_tree": stats["n_leaves"] / opts["n_trees"],
-        "min_leaf_size_observed": stats["min_leaf_size_observed"],
-        "max_depth_observed": stats["max_depth_observed"],
+        "mean_leaves_per_tree": forest.n_rows.size / opts["n_trees"],
+        "min_leaf_size_observed": int(forest.n_rows.min()),
+        "max_depth_observed": forest.depth,
     }
     return ConditionalSurvivalModel(
         "logrank_tree_ensemble", target, cohort.n_causes, report,
-        trees=trees, widths=(z_mat.shape[1], w_mat.shape[1]),
+        forest=forest, widths=(z_mat.shape[1], w_mat.shape[1]),
     )
-
-
-def predict_censoring_hazard_increments(model, covariates, grid):
-    """Discrete censoring-hazard increments up to max(grid).
-
-    Returns (time, increment) pairs at the model's jump locations, with
-    increments read off the predicted censoring-survival curve through
-    the product identity 1 - G(u)/G(u-); on a per-stratum product-limit
-    fit these equal the raw d/n increments exactly.
-    """
-    if model.target != "censoring":
-        raise EstimationError(
-            "hazard increments require a model fitted with target='censoring'"
-        )
-    g = np.asarray(grid, dtype=float)
-    if g.size == 0 or np.any(~np.isfinite(g)):
-        raise DataError("grid must be nonempty and finite")
-    curve = model.predict(*covariates)
-    inc = hazard_increments(curve)
-    keep = (inc > 0.0) & (curve.breakpoints <= g.max())
-    return list(zip(curve.breakpoints[keep].tolist(), inc[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +563,6 @@ class PropensityModel:
         self._marginal = marginal
         self._beta = beta
         self._widths = widths
-        if beta is not None:
-            # scipy loads only for the logistic learner; resolved once here,
-            # not on every scalar predict
-            from scipy.special import expit
-
-            self._expit = expit
 
     @property
     def marginal(self):
@@ -558,7 +590,8 @@ class PropensityModel:
             feats += _numeric_vector(z, self._widths[0], "z")
         if self.conditioning == "zw":
             feats += _numeric_vector(w, self._widths[1], "w")
-        return self._clip(self._expit(float(np.dot(self._beta, feats))))
+        _require_finite(feats)
+        return self._clip(_expit(float(np.dot(self._beta, feats))))
 
     def predict_group(self, x, z=None, w=None):
         p1 = self.predict(z, w)
@@ -604,8 +637,6 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
 
     if learner != "logistic_irls":
         raise DataError(f"unknown propensity learner {learner!r}")
-    from scipy.special import expit
-
     blocks = [np.ones((cohort.n, 1))]
     widths = (0, 0)
     if conditioning in ("z", "zw"):
@@ -617,11 +648,12 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
         blocks.append(w_mat)
         widths = (widths[0], w_mat.shape[1])
     design = np.hstack(blocks)
+    _require_finite(design)
     beta = np.zeros(design.shape[1])
     converged = False
     n_iter = 0
     for n_iter in range(1, 51):
-        mu = expit(design @ beta)
+        mu = _expit_array(design @ beta)
         weight = np.maximum(mu * (1.0 - mu), 1e-12)
         hess = (design * weight[:, None]).T @ design
         hess[np.diag_indices_from(hess)] += 1e-10
@@ -630,7 +662,7 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
         if np.max(np.abs(step)) < 1e-10:
             converged = True
             break
-    raw = expit(design @ beta)
+    raw = _expit_array(design @ beta)
     report.update(
         n_iter=n_iter,
         converged=converged,
@@ -640,6 +672,25 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
         learner, conditioning, epsilon, report,
         beta=beta, marginal=marginal, widths=widths,
     )
+
+
+def _expit(v):
+    """1 / (1 + exp(-v)), bit for bit ``scipy.special.expit``; 0.0 where
+    exp(-v) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def _expit_array(v):
+    return np.array([_expit(x) for x in v.tolist()])
+
+
+def _require_finite(feats):
+    if not np.all(np.isfinite(feats)):
+        raise CohortSchemaError(
+            "z and w must be finite for the logistic propensity learner")
 
 
 # ---------------------------------------------------------------------------

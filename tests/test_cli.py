@@ -615,6 +615,29 @@ def test_exit_code_3_on_non_numeric_csv_entry(tmp_path, capsys, column,
     assert f"column '{column}'" in capsys.readouterr().err
 
 
+def test_exit_code_3_on_non_finite_confounder_for_the_logistic_learner(
+        tmp_path, capsys):
+    # one NaN in z1 of a 60-row cohort
+    rng = np.random.default_rng(8)
+    n = 60
+    z = [tuple(r) for r in np.round(rng.normal(size=(n, 2)), 3).tolist()]
+    z[7] = (float("nan"), z[7][1])
+    cohort = Cohort(x=[i % 2 for i in range(n)], z=z,
+                    w=[i % 3 % 2 for i in range(n)],
+                    m=np.round(rng.exponential(2.0, n), 2) + 0.01,
+                    delta=rng.integers(0, 2, n))
+    path = tmp_path / "nan.csv"
+    path.write_text(cohort.to_csv())
+    assert "nan" in path.read_text().splitlines()[8]
+    out = tmp_path / "out"
+    rc = main(["decompose", "--learner", "logrank_tree_ensemble",
+               "--propensity-learner", "logistic_irls", "--cohort", str(path),
+               "--outdir", str(out)])
+    assert rc == 3
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cohort_with_a_utf8_bom_reads_like_one_without(nc_cohort_csv,
                                                       tmp_path):
     bom = tmp_path / "bom.csv"

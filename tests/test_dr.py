@@ -19,8 +19,6 @@ from fairsurv.dr import (
     dr_nuisances_from_spec,
     evaluate_influence,
     fit_dr_nuisances,
-    influence_cif,
-    influence_survival,
 )
 from fairsurv.decompose import decompose_difference, decompose_ratio
 from fairsurv.errors import (
@@ -43,6 +41,8 @@ from testkit import (
     continuous_confounder_cohort,
     count_dr_fits,
     count_predictions,
+    influence_cif,
+    influence_survival,
     make_adversarial,
     make_cr_two_cause,
     make_nic_balanced,

@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 from fairsurv.curves import StepCurve, restricted_mean
 from fairsurv.errors import DataError
 from fairsurv.identify import (
-    CohortTables,
     default_grid,
-    empirical_tables,
-    exact_plugin_po,
     fit_plugin_nuisances,
     functional_from_curve,
     plugin_po,
@@ -24,8 +21,15 @@ from fairsurv.nuisance import ConditionalSurvivalModel
 from fairsurv.queries import Functional, PotentialOutcomeQuery, role_queries
 from fairsurv.scm import Cohort, SCMSpec, oracle_po_curve, sample_cohort
 
-from testkit import count_predictions, make_nic_balanced, make_severed, \
-    spec_of
+from testkit import (
+    CohortTables,
+    count_predictions,
+    empirical_tables,
+    exact_plugin_po,
+    make_nic_balanced,
+    make_severed,
+    spec_of,
+)
 
 SURVIVAL = Functional("survival")
 

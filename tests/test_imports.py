@@ -40,8 +40,7 @@ def test_import_loads_no_scipy(module):
 
 def test_scipy_paths_return_the_same_values_in_a_fresh_process():
     # the values these calls returned while scipy was imported at module
-    # level; the Frank calibration and the logistic learner now load it
-    # on first use
+    # level; the Frank calibration loads it on first use
     code = f"""
 import json, sys
 import fairsurv.cli
@@ -64,3 +63,23 @@ print(json.dumps({{"theta": repr(theta),
                           "p": "0.42146272469649115",
                           "n_iter": 5,
                           "scipy_loaded": True}
+
+
+def test_logistic_learner_loads_no_scipy():
+    # the values the logistic fit returned when it called scipy's expit
+    code = f"""
+import json, sys
+from fairsurv.nuisance import fit_propensity
+from fairsurv.scm import Cohort
+n = 40
+cohort = Cohort(x=[int(i * 5 % 7 < 3) for i in range(n)],
+                z=[(i * 7 % 11) / 10 for i in range(n)],
+                w=[i % 3 for i in range(n)],
+                m=[1.0 + i % 4 for i in range(n)], delta=[1] * n)
+model = fit_propensity(cohort, "zw", learner="logistic_irls")
+print(json.dumps({{"p": repr(model.predict(0.5, 1)),
+                  "n_iter": model.fit_report["n_iter"],
+                  "scipy": {_scipy_modules()}}}))
+"""
+    assert _run(code) == {"p": "0.42146272469649115", "n_iter": 5,
+                          "scipy": []}

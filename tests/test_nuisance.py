@@ -22,10 +22,10 @@ from fairsurv.errors import (
 from fairsurv.nuisance import (
     ConditionalSurvivalModel,
     _candidate_splits,
+    _expit,
     _logrank_scores,
     fit_conditional_survival,
     fit_propensity,
-    predict_censoring_hazard_increments,
     propensity_from_spec,
     survival_model_from_spec,
 )
@@ -33,9 +33,13 @@ from fairsurv.scm import Cohort, sample_cohort
 from fairsurv.specs import bundled_scenario
 
 from testkit import (
+    count_curves,
     make_cr_two_cause,
     make_light_hazard_balanced,
     make_nic_balanced,
+    predict_censoring_hazard_increments,
+    predict_cif,
+    predict_survival,
     spec_of,
 )
 
@@ -195,9 +199,9 @@ def test_predict_survival_and_cif_guard_each_other():
     surv = fit_conditional_survival(cohort, target="event")
     cif = fit_conditional_survival(cohort, target=1)
     with pytest.raises(EstimationError):
-        surv.predict_cif(0, 0, 0)
+        predict_cif(surv, 0, 0, 0)
     with pytest.raises(EstimationError):
-        cif.predict_survival(0, 0, 0)
+        predict_survival(cif, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +400,12 @@ def _reference_tree(feats, m, ind, depth, params):
     return [n]
 
 
-def _fitted_tree(node):
-    if hasattr(node, "feature"):
-        return ([(node.feature, node.threshold)]
-                + _fitted_tree(node.left) + _fitted_tree(node.right))
-    return [node.n_rows]
+def _fitted_tree(forest, node):
+    if forest.leaf[node] < 0:
+        return ([(int(forest.feature[node]), float(forest.threshold[node]))]
+                + _fitted_tree(forest, forest.left[node])
+                + _fitted_tree(forest, forest.right[node]))
+    return [int(forest.n_rows[forest.leaf[node]])]
 
 
 def test_tree_structure_matches_the_scalar_reference_grower():
@@ -422,10 +427,10 @@ def test_tree_structure_matches_the_scalar_reference_grower():
         )
         ind = _TARGET_INDICATORS[target](delta).astype(int)
         rng_boot = np.random.default_rng(7)
-        for tree in model._trees:
+        for root in model._forest.roots:
             boot = rng_boot.integers(0, n, n)
             want = _reference_tree(feats[boot], m[boot], ind[boot], 0, params)
-            assert _fitted_tree(tree) == want
+            assert _fitted_tree(model._forest, root) == want
             features += [item[0] for item in want if isinstance(item, tuple)]
     # the first maximum wins: x, never its copy w
     assert len(features) >= 12 and 0 in features and 3 not in features
@@ -451,9 +456,146 @@ def test_tree_cif_without_splits_is_the_bootstrap_mean_aalen_johansen():
                                        n_causes=cohort.n_causes))
     grid = np.unique(np.concatenate([c.breakpoints for c in cifs]))
     want = np.mean([c.evaluate(grid) for c in cifs], axis=0)
-    got = model.predict_cif(1, 0, 0)
+    got = predict_cif(model, 1, 0, 0)
     np.testing.assert_array_equal(got.breakpoints, grid)
     np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batch prediction
+# ---------------------------------------------------------------------------
+
+def _tree_cohort(n=240, seed=17):
+    """Two continuous confounder columns, a binary mediator and two
+    causes."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, n)
+    z = np.round(rng.normal(size=(n, 2)), 3)
+    w = rng.integers(0, 2, n)
+    m = np.round(rng.exponential(1.0 / np.exp(0.5 * z[:, 0] + 0.4 * x)), 2)
+    delta = rng.choice(3, size=n, p=[0.3, 0.45, 0.25])
+    return Cohort(x, [tuple(r) for r in z.tolist()], w.tolist(), m + 0.01,
+                  delta)
+
+
+def _row_triples(cohort, n):
+    return list(zip(cohort.x.tolist()[:n], cohort.z_items[:n],
+                    cohort.w_items[:n]))
+
+
+def _same_curve(a, b):
+    return (a.kind == b.kind and a.value_at_zero == b.value_at_zero
+            and a.breakpoints.tobytes() == b.breakpoints.tobytes()
+            and a.values.tobytes() == b.values.tobytes())
+
+
+def _walked_curve(forest, feats, kind):
+    """(leaf set, times, values) of one feature row: each tree walked
+    node by node, and the leaves' step functions summed one after
+    another on the union of their jump times."""
+    leaves = []
+    for node in forest.roots.tolist():
+        while forest.leaf[node] < 0:
+            go_left = feats[forest.feature[node]] <= forest.threshold[node]
+            node = forest.left[node] if go_left else forest.right[node]
+        leaves.append(int(forest.leaf[node]))
+    steps = []
+    for j in leaves:
+        runs = slice(forest.bounds[j], forest.bounds[j + 1])
+        steps.append((forest.grid[np.cumsum(forest.runs[runs])[:-1]],
+                      forest.steps[runs]))
+    grid = np.unique(np.concatenate([times for times, _ in steps]))
+    total = np.zeros(grid.size)
+    for times, values in steps:
+        total += values[np.searchsorted(times, grid, side="right")]
+    mean = total / len(leaves)
+    return tuple(leaves), grid, mean if kind == "cif" else np.exp(-mean)
+
+
+def _feats(triple):
+    x, z, w = triple
+    return [float(x)] + [float(v) for v in z] + [float(w)]
+
+
+@pytest.mark.parametrize("n_trees", [1, 7])
+@pytest.mark.parametrize("target", ["event", "censoring", 1, 2])
+def test_predict_many_equals_predict_per_triple(target, n_trees):
+    cohort = _tree_cohort()
+    model = fit_conditional_survival(
+        cohort, target=target, learner="logrank_tree_ensemble",
+        n_trees=n_trees, seed=3)
+    triples = _row_triples(cohort, 60)
+    # the other group, repeated triples and a NaN confounder (routed
+    # right at every split on it)
+    triples += [(1 - x, z, w) for x, z, w in triples[:20]] + triples[:15]
+    triples.append((1, (float("nan"), 0.2), 0))
+    many = model.predict_many(triples)
+    assert len(many) == len(triples)
+    for triple, curve in zip(triples, many):
+        assert _same_curve(curve, model.predict(*triple))
+        _, times, values = _walked_curve(model._forest, _feats(triple),
+                                         model.curve_kind)
+        assert times.tobytes() == curve.breakpoints.tobytes()
+        assert values.tobytes() == curve.values.tobytes()
+
+
+def test_predict_many_serves_leaves_without_events():
+    # events only at z > 0: a row at z = -0.9 reaches, in every tree, a
+    # leaf without events, and its curve has no jumps
+    n = 200
+    z = np.linspace(-1.0, 1.0, n)
+    cohort = Cohort([0, 1] * (n // 2), z.tolist(), [0] * n,
+                    1.0 + np.arange(n) % 7, (z > 0).astype(int))
+    model = fit_conditional_survival(
+        cohort, target="event", learner="logrank_tree_ensemble",
+        n_trees=5, seed=2)
+    triples = [(0, -0.9, 0), (1, 0.9, 0), (1, -0.9, 0), (0, -0.9, 0)]
+    many = model.predict_many(triples)
+    for triple, curve in zip(triples, many):
+        assert _same_curve(curve, model.predict(*triple))
+    empty = many[0]
+    assert empty.breakpoints.size == 0 and empty.value_at_zero == 1.0
+    assert many[1].breakpoints.size > 0
+    assert model.predict_many([]) == []
+    # no leaf of the ensemble has a jump
+    censored = Cohort([0, 1] * (n // 2), z.tolist(), [0] * n,
+                      1.0 + np.arange(n) % 7, [0] * n)
+    for target in ("event", 1):
+        model = fit_conditional_survival(
+            censored, target=target, learner="logrank_tree_ensemble",
+            n_trees=3, seed=2)
+        for curve in model.predict_many(triples):
+            assert curve.breakpoints.size == 0
+            assert curve.value_at_zero == (0.0 if target == 1 else 1.0)
+
+
+def test_predict_many_refuses_a_group_label_outside_0_1():
+    cohort = _tree_cohort()
+    model = fit_conditional_survival(
+        cohort, learner="logrank_tree_ensemble", n_trees=2)
+    triples = _row_triples(cohort, 3)
+    with pytest.raises(DataError):
+        model.predict_many(triples + [(2,) + triples[0][1:]])
+    with pytest.raises(DataError):
+        model.predict(-1, *triples[0][1:])
+
+
+def test_one_curve_is_built_per_leaf_set(monkeypatch):
+    cohort = _tree_cohort()
+    model = fit_conditional_survival(
+        cohort, target="censoring", learner="logrank_tree_ensemble",
+        n_trees=4, max_depth=2, seed=5)
+    triples = _row_triples(cohort, cohort.n)
+    triples += [(1 - x, z, w) for x, z, w in triples]
+    sets = [_walked_curve(model._forest, _feats(t), model.curve_kind)[0]
+            for t in triples]
+    built = count_curves(monkeypatch)
+    many = model.predict_many(triples)
+    # far fewer leaf sets than triples, and one curve for each
+    assert len(built) == len(set(sets)) < len(triples) // 4
+    first = {}
+    for leaf_set, curve in zip(sets, many):
+        assert first.setdefault(leaf_set, curve) is curve
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +769,45 @@ def test_logistic_irls_matches_reference_mle():
     assert model.predict(z=2, w=0) == pytest.approx(0.6832924441, abs=1e-6)
     assert model.predict(z=2, w=1) == pytest.approx(0.9831361632, abs=1e-6)
     assert model.fit_report["converged"]
+
+
+def test_expit_helper_matches_scipy_bit_for_bit():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(4)
+    v = np.concatenate(
+        [rng.normal(scale=s, size=20_000) for s in (0.5, 2.0, 10.0, 40.0)]
+        + [[709.0, -709.0, 710.0, -710.0, 800.0, -800.0, 0.0, -0.0,
+            np.nan]])
+    got = np.array([_expit(item) for item in v.tolist()])
+    assert got.tobytes() == expit(v).tobytes()
+
+
+def _logistic_cohort(z=None, w=None):
+    n = 40
+    z = [(i * 7 % 11) / 10 for i in range(n)] if z is None else z
+    w = [i % 3 for i in range(n)] if w is None else w
+    return Cohort(x=[int(i * 5 % 7 < 3) for i in range(n)], z=z, w=w,
+                  m=[1.0 + i % 4 for i in range(n)], delta=[1] * n)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_logistic_learner_refuses_non_finite_covariates(bad):
+    z = [(i * 7 % 11) / 10 for i in range(40)]
+    w = [float(i % 3) for i in range(40)]
+    z[5], w[6] = bad, bad
+    for cohort, conditioning in ((_logistic_cohort(z=z), "z"),
+                                 (_logistic_cohort(w=w), "zw")):
+        with pytest.raises(CohortSchemaError):
+            fit_propensity(cohort, conditioning, learner="logistic_irls")
+    # a non-finite column the model does not condition on is not read
+    fit_propensity(_logistic_cohort(w=w), "z", learner="logistic_irls")
+    model = fit_propensity(_logistic_cohort(), "zw", learner="logistic_irls")
+    for z_value, w_value in ((bad, 1), (0.5, bad)):
+        with pytest.raises(CohortSchemaError):
+            model.predict(z_value, w_value)
+        with pytest.raises(CohortSchemaError):
+            model.predict_group(0, z_value, w_value)
 
 
 def test_logistic_predict_accepts_numeric_strings():

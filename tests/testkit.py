@@ -1,4 +1,7 @@
-"""Shared test fixtures and the independent brute-force oracle.
+"""Shared test fixtures, the independent brute-force oracle, and the
+package's test-only helpers (prediction counters, guarded prediction
+wrappers, the direct-summation plug-in oracle, single-row influence
+values).
 
 `brute_po` enumerates every (z, w, latent-time) configuration with plain
 Python loops over the raw probability tables.  It deliberately shares no
@@ -8,6 +11,7 @@ suite are frozen from (or checked live against) this implementation.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from fairsurv.copulas import CopulaSpec
 from fairsurv.scm import SCMSpec
@@ -291,21 +295,86 @@ def count_dr_fits(monkeypatch):
 def count_predictions(monkeypatch):
     """Count the curve predictions of every `ConditionalSurvivalModel`.
 
-    Wraps the class's `predict` and returns the live tally
-    {(id(model), x, z, w): calls}.
+    Wraps the class's `predict_many`, through which `predict` also goes,
+    and returns the live tally {(id(model), x, z, w): predictions}.
     """
     from collections import Counter
 
     from fairsurv.nuisance import ConditionalSurvivalModel
 
     calls = Counter()
-    predict = ConditionalSurvivalModel.predict
+    predict_many = ConditionalSurvivalModel.predict_many
 
-    def counted(model, x, z, w):
-        calls[(id(model), x, z, w)] += 1
-        return predict(model, x, z, w)
-    monkeypatch.setattr(ConditionalSurvivalModel, "predict", counted)
+    def counted(model, triples):
+        triples = list(triples)
+        for x, z, w in triples:
+            calls[(id(model), x, z, w)] += 1
+        return predict_many(model, triples)
+    monkeypatch.setattr(ConditionalSurvivalModel, "predict_many", counted)
     return calls
+
+
+def count_curves(monkeypatch):
+    """Count the step curves `fairsurv.nuisance` constructs.
+
+    Wraps the module's `StepCurve` binding and returns the live list of
+    the curves built through it.
+    """
+    import fairsurv.nuisance
+
+    built = []
+
+    def counted(*args, _cls=fairsurv.nuisance.StepCurve, **kwargs):
+        built.append(_cls(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(fairsurv.nuisance, "StepCurve", counted)
+    return built
+
+
+def predict_survival(model, x, z, w):
+    """`model.predict`, refused unless the model predicts survival."""
+    from fairsurv.errors import EstimationError
+
+    if model.curve_kind != "survival":
+        raise EstimationError(
+            "model predicts cumulative incidence, not survival")
+    return model.predict(x, z, w)
+
+
+def predict_cif(model, x, z, w):
+    """`model.predict`, refused unless the model predicts incidence."""
+    from fairsurv.errors import EstimationError
+
+    if model.curve_kind != "cif":
+        raise EstimationError(
+            "model predicts survival, not cumulative incidence")
+    return model.predict(x, z, w)
+
+
+def predict_censoring_hazard_increments(model, covariates, grid):
+    """Discrete censoring-hazard increments up to max(grid).
+
+    Returns (time, increment) pairs at the model's jump locations, with
+    increments read off the predicted censoring-survival curve through
+    the product identity 1 - G(u)/G(u-); on a per-stratum product-limit
+    fit these equal the raw d/n increments exactly.
+    """
+    import numpy as np
+
+    from fairsurv.curves import hazard_increments
+    from fairsurv.errors import DataError, EstimationError
+
+    if model.target != "censoring":
+        raise EstimationError(
+            "hazard increments require a model fitted with target='censoring'"
+        )
+    g = np.asarray(grid, dtype=float)
+    if g.size == 0 or np.any(~np.isfinite(g)):
+        raise DataError("grid must be nonempty and finite")
+    curve = model.predict(*covariates)
+    inc = hazard_increments(curve)
+    keep = (inc > 0.0) & (curve.breakpoints <= g.max())
+    return list(zip(curve.breakpoints[keep].tolist(), inc[keep].tolist()))
 
 
 def continuous_confounder_cohort(n, seed):
@@ -381,3 +450,121 @@ def reference_crossfit(plan, queries, functional, grid):
             if_matrix=if_matrix, n_flagged=n_flagged,
             n_mediator_fallback=n_fallback)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Direct summation over discrete tables: the oracle of `plugin_po`
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CohortTables:
+    """Empirical frequency tables of a discrete cohort."""
+
+    group: dict          # {x: P(x)}
+    confounder: dict     # {x: {z: P(z | x)}}
+    mediator: dict       # {(x, z): {w: P(w | x, z)}}
+
+
+def empirical_tables(cohort):
+    import numpy as np
+
+    n_x = np.bincount(cohort.x, minlength=2).tolist()
+    group = {x: n_x[x] / cohort.n for x in (0, 1)}
+    confounder = {x: {} for x in (0, 1)}
+    n_xz = {}
+    ids, cells = cohort.cells("xz")
+    for (x, z, _), c in zip(cells, np.bincount(ids).tolist()):
+        confounder[x][z] = c / n_x[x]
+        n_xz[(x, z)] = c
+    mediator = {}
+    ids, cells = cohort.cells("xzw")
+    for (x, z, w), c in zip(cells, np.bincount(ids).tolist()):
+        mediator.setdefault((x, z), {})[w] = c / n_xz[(x, z)]
+    return CohortTables(group=group, confounder=confounder, mediator=mediator)
+
+
+def exact_plugin_po(outcome_model, tables, query, functional, grid):
+    """Direct evaluation of sum_z P(z|x_cond) sum_w P(w|x_med,z) f(...).
+
+    Matches plugin_po with unclipped frequency-table propensities up to
+    floating rounding; exists as the transparent summation form.
+    """
+    import numpy as np
+
+    from fairsurv.curves import StepCurve
+    from fairsurv.errors import DataError
+    from fairsurv.identify import (
+        _project,
+        _validate_grid,
+        functional_from_curve,
+    )
+
+    g = _validate_grid(grid)
+    conf = tables.confounder.get(query.x_condition)
+    if conf is None:
+        raise DataError("confounder table missing the conditioning group")
+    totals = np.zeros(g.size)
+    for z, pz in conf.items():
+        med = tables.mediator.get((query.x_mediator, z))
+        if med is None:
+            raise DataError(
+                f"mediator table missing stratum {(query.x_mediator, z)!r}"
+            )
+        for w, pw in med.items():
+            f = functional_from_curve(
+                outcome_model.predict(query.x_outcome, z, w), functional, g
+            )
+            totals += pz * pw * f
+    kind = functional.curve_kind
+    fixed, _ = _project(totals, kind)
+    return StepCurve(
+        g, fixed, value_at_zero=1.0 if kind == "survival" else 0.0, kind=kind
+    )
+
+
+# ---------------------------------------------------------------------------
+# Single-row influence values: wrappers of `evaluate_influence`
+# ---------------------------------------------------------------------------
+
+def _row_cohort(row, n_causes):
+    from fairsurv.scm import Cohort
+
+    return Cohort(
+        x=[row["x"]], z=[row["z"]], w=[row["w"]],
+        m=[row["m"]], delta=[row["delta"]], n_causes=n_causes,
+    )
+
+
+def influence_survival(row, nuisances, query, t, *, psi=0.0,
+                       p_condition=None, epsilon=0.01, cap=50.0):
+    """Survival-scale influence value for a single row at one time.
+
+    ``row`` is a mapping with keys x, z, w, m, delta.  ``psi`` is the
+    centering value; the default 0 returns the uncentered contribution.
+    """
+    from fairsurv.dr import evaluate_influence
+    from fairsurv.queries import Functional
+
+    cohort = _row_cohort(row, nuisances.outcome.n_causes)
+    kind = ("survival" if nuisances.outcome.n_causes == 1
+            else "all_cause_survival")
+    ev = evaluate_influence(
+        cohort, nuisances, query, Functional(kind), [float(t)], psi=psi,
+        p_condition=p_condition, epsilon=epsilon, cap=cap,
+    )
+    return float(ev.values[0, 0])
+
+
+def influence_cif(row, nuisances, query, k, t, *, psi=0.0,
+                  p_condition=None, epsilon=0.01, cap=50.0):
+    """Cumulative-incidence influence value for a single row at one time."""
+    from fairsurv.dr import evaluate_influence
+    from fairsurv.queries import Functional
+
+    cohort = _row_cohort(row, nuisances.outcome.n_causes)
+    ev = evaluate_influence(
+        cohort, nuisances, query, Functional("cif", cause=int(k)),
+        [float(t)], psi=psi, p_condition=p_condition, epsilon=epsilon,
+        cap=cap,
+    )
+    return float(ev.values[0, 0])
