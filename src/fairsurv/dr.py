@@ -180,9 +180,9 @@ def _nu_values(nuisances, query, grid, z_wanted):
 
     Returns ({z: (T,) array}, n_fallback) where the fallback pools over
     every x_w row when a confounder value never co-occurs with X = x_w
-    in the rows the bundle was fitted on.  Curves are predicted in
-    blocks and summed as they come, so memory is a block of curves, one
-    sum per confounder value and one pooled sum shared by every
+    in the rows the bundle was fitted on.  Curves are summed as they
+    are predicted, so memory is one of the model's prediction blocks,
+    one sum per confounder value and one pooled sum shared by every
     fallback value.
     """
     x_y = query.x_outcome
@@ -190,13 +190,9 @@ def _nu_values(nuisances, query, grid, z_wanted):
 
     def f_hat(pairs):
         """The outcome curves of x_y at (z, w) ``pairs`` on the grid, in
-        order, predicted in blocks of at most ``_BLOCK_ELEMENTS`` values."""
-        triples = [(x_y, z, w) for z, w in pairs]
-        step = max(1, _BLOCK_ELEMENTS // grid.size)
-        for start in range(0, len(triples), step):
-            block = triples[start:start + step]
-            for curve in nuisances.outcome.predict_many(block):
-                yield curve.evaluate(grid)
+        order."""
+        return (curve.evaluate(grid) for curve in nuisances.outcome
+                .predict_many([(x_y, z, w) for z, w in pairs]))
 
     out = {}
     if nuisances.mediator_table is not None:
@@ -296,19 +292,24 @@ class _Contributions:
         (from ``_by_cell(ids, rows)``), query and group X: ``positions``
         index ``rows`` and ``parts`` holds the (component name, values)
         pairs that apply to those rows, in COMPONENT_NAMES order.  The
-        outcome and censoring curves of every cell are predicted in one
-        call per model; a cell's propensities, outcome curves and
-        unweighted arm terms are derived once, and each query scales
-        them by its own weights."""
+        outcome and censoring curves of every cell are streamed from one
+        `predict_many` call per model; a cell's propensities, outcome
+        curves and unweighted arm terms are derived once, and each query
+        scales them by its own weights."""
         cohort, nuisances = self.cohort, self.nuisances
-        cells = [(self.keys[cell][1:], pos) for cell, pos in cells]
+        # Each cell writes only its own rows, so the visiting order
+        # changes no value.  In key order, nearby covariate values, which
+        # tend to reach the same tree leaves, fall in one prediction
+        # block and share its curves.
+        cells = sorted(((self.keys[cell][1:], pos) for cell, pos in cells),
+                       key=lambda cell: repr(cell[0]))
         by_group = [{g: pos[cohort.x[rows[pos]] == g] for g in (0, 1)}
                     for _, pos in cells]
-        outcome = iter(nuisances.outcome.predict_many(
-            [(g, z, w) for (z, w), _ in cells for g in self.outcome_groups]))
-        censoring = iter(nuisances.censoring.predict_many(
+        outcome = nuisances.outcome.predict_many(
+            [(g, z, w) for (z, w), _ in cells for g in self.outcome_groups])
+        censoring = nuisances.censoring.predict_many(
             [(g, z, w) for ((z, w), _), at in zip(cells, by_group)
-             for g in self.outcome_groups if at[g].size]))
+             for g in self.outcome_groups if at[g].size])
         for ((z, w), _), at in zip(cells, by_group):
             p_z = {g: nuisances.propensity_z.predict_group(g, z=z)
                    for g in (0, 1)}

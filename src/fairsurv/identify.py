@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import StepCurve, hazard_increments, restricted_means
-from .errors import CohortSchemaError, DataError, EmptyCohortError
+from .errors import DataError, EmptyCohortError
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
@@ -192,9 +192,8 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     n_included = [0] * len(queries)
     weight_total = [0.0] * len(queries)
     max_weight = [0.0] * len(queries)
-    predicted = {x: _served_curves(nuisances.outcome,
-                                   [(x, z, w) for _, z, w in cells])
-                 for x in arms}
+    predicted = {x: nuisances.outcome.predict_many(
+        [(x, z, w) for _, z, w in cells], skip_unserved=True) for x in arms}
     for cell_weights, cell_sums, count, *curves in zip(
             weights.tolist(), weight_sums.tolist(), counts.tolist(),
             *predicted.values()):
@@ -226,27 +225,3 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
             "projection_distance": distance,
         }
     return out
-
-
-# Covariate triples one ``predict_many`` call of ``plugin_po_many`` takes.
-_CELL_BLOCK = 128
-
-
-def _served_curves(model, triples):
-    """Yield the predicted curve of each triple, or None where the model's
-    schema does not cover it, predicting ``_CELL_BLOCK`` triples per
-    call."""
-    for start in range(0, len(triples), _CELL_BLOCK):
-        block = triples[start:start + _CELL_BLOCK]
-        try:
-            curves = model.predict_many(block)
-        except CohortSchemaError:  # some triple is outside the schema
-            curves = [_served_curve(model, triple) for triple in block]
-        yield from curves
-
-
-def _served_curve(model, triple):
-    try:
-        return model.predict(*triple)
-    except CohortSchemaError:
-        return None

@@ -11,8 +11,9 @@ feature, or at most `max_thresholds` distinct interior quantiles; those
 leaving fewer than `min_leaf` rows on a side are dropped, the rest are
 scored together in one array pass by the two-sample log-rank
 chi-square, and the first strictly largest positive score wins.  The
-fitted trees are flat parallel node arrays.  A batch prediction routes
-all of its rows through every tree at once and builds one curve per
+fitted trees are flat parallel node arrays.  A batch prediction takes
+its rows in blocks bounded by the length of the curves they return,
+routes a block through every tree at once and builds one curve per
 distinct leaf set (the tuple of leaves, one per tree).  Tree
 parameters: n_trees >= 1, min_leaf >= 10, 0 <= max_depth <= 6,
 max_thresholds >= 1, seed.  Propensities come from frequency tables or
@@ -108,10 +109,11 @@ def _sorted_cells(values):
 # Log-rank survival trees
 # ---------------------------------------------------------------------------
 
-# Most values (leaf sets x union-grid times) one block of
-# ``_Forest.mean_curves`` sums; its working set is a few such blocks.  A
-# larger block bought no measurable speed and raised the peak memory of a
-# plug-in pass over a continuous confounder.
+# Most values (triples x union-grid times) in the curves of one block of
+# ``ConditionalSurvivalModel.predict_many``, and in the leaf values one
+# pass of ``_Forest.mean_curves`` decodes.  2^20 ran a continuous
+# confounder's decompose 4-19 % faster, but raised the plug-in peak
+# from 76 to 104 MB at n = 10k.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -282,43 +284,44 @@ class _Forest:
             node = np.where(go_left, self.left[node], self.right[node])
         return self.leaf[node]
 
+    def predict(self, feats, kind):
+        """The curve of every row of ``feats``: one curve per distinct
+        leaf set, shared by the rows that reach it."""
+        if not feats:
+            return []
+        sets, inverse = np.unique(self.leaf_sets(np.array(feats)), axis=0,
+                                  return_inverse=True)
+        curves = self.mean_curves(sets, kind)
+        return [curves[i] for i in inverse.reshape(-1).tolist()]
+
     def mean_curves(self, sets, kind):
         """One curve per row of ``sets`` (distinct leaf sets, one leaf per
         tree): the mean of the leaves' step functions on the union of
         their jump times, the leaves summed in tree order, and for a
         survival curve exp(-mean cumulative hazard).
 
-        Leaf sets are taken in blocks of at most ``_BLOCK_ELEMENTS`` sets
-        x grid times.  A block builds the grid values of the leaves its
-        sets reach, for as many trees at a time as fit in as many
-        values, and adds them to the sets' running sums tree by tree, so
-        a value is the same sum in the same order whatever the block."""
+        The grid values of the leaves the sets reach are built for as
+        many trees at a time as fit in ``_BLOCK_ELEMENTS`` values and
+        added to the sets' running sums tree by tree, so a value is the
+        same sum in the same order whatever the grouping."""
         n_trees = sets.shape[1]
-        width = max(self.grid.size, 1)
-        step = max(1, _BLOCK_ELEMENTS // width)
-        curves = []
-        for start in range(0, len(sets), step):
-            block = sets[start:start + step]
-            total = np.zeros((len(block), self.grid.size))
-            jumps = np.zeros(total.shape, dtype=bool)
-            # trees whose reached leaves' grid values fit in one block
-            group = max(1, _BLOCK_ELEMENTS // (
-                width * min(len(block), 2 ** self.depth)))
-            for first in range(0, n_trees, group):
-                leaves = block[:, first:first + group]
-                used = np.unique(leaves)
-                values, at = self._on_grid(used)
-                for local in np.searchsorted(used, leaves).T:
-                    total += values[local]
-                    jumps |= at[local]
-            mean = total[jumps] / n_trees
-            values = mean if kind == "cif" else np.exp(-mean)
-            times = np.broadcast_to(self.grid, jumps.shape)[jumps]
-            cuts = np.cumsum(jumps.sum(axis=1))[:-1]
-            curves += [StepCurve(t, v, 0.0 if kind == "cif" else 1.0, kind)
-                       for t, v in zip(np.split(times, cuts),
-                                       np.split(values, cuts))]
-        return curves
+        total = np.zeros((len(sets), self.grid.size))
+        jumps = np.zeros(total.shape, dtype=bool)
+        group = max(1, _BLOCK_ELEMENTS // (
+            max(self.grid.size, 1) * min(len(sets), 2 ** self.depth)))
+        for first in range(0, n_trees, group):
+            leaves = sets[:, first:first + group]
+            used = np.unique(leaves)
+            values, at = self._on_grid(used)
+            for local in np.searchsorted(used, leaves).T:
+                total += values[local]
+                jumps |= at[local]
+        mean = total[jumps] / n_trees
+        values = mean if kind == "cif" else np.exp(-mean)
+        times = np.broadcast_to(self.grid, jumps.shape)[jumps]
+        cuts = np.cumsum(jumps.sum(axis=1))[:-1]
+        return [StepCurve(t, v, 0.0 if kind == "cif" else 1.0, kind)
+                for t, v in zip(np.split(times, cuts), np.split(values, cuts))]
 
     def _on_grid(self, leaves):
         """Values on ``grid`` of the step functions of ``leaves``, and the
@@ -393,31 +396,39 @@ class ConditionalSurvivalModel:
 
     def predict(self, x, z, w):
         """Curve for one covariate triple; see `predict_many`."""
-        return self.predict_many([(x, z, w)])[0]
+        return next(self.predict_many([(x, z, w)]))
 
-    def predict_many(self, triples):
-        """Curves for covariate triples (x, z, w), in order.
+    def predict_many(self, triples, *, skip_unserved=False):
+        """Yield the curves of covariate triples (x, z, w), in order.
 
-        The tree learner routes every triple through all trees at once and
-        builds one curve per distinct leaf set (the tuple of leaves it
-        reaches, one per tree), shared by the triples that reach it.
+        With ``skip_unserved``, a triple outside the fitted schema yields
+        None instead of raising CohortSchemaError.  The tree learner
+        predicts blocks of at most ``_BLOCK_ELEMENTS`` // (union-grid
+        times) triples, so one block's curves hold at most that many
+        values whatever grid the caller evaluates them on.  It routes
+        every triple of a block through all trees at once and builds one
+        curve per distinct leaf set (the tuple of leaves it reaches, one
+        per tree), shared by the triples that reach it.
         """
         triples = [(int(x), z, w) for x, z, w in triples]
         if any(x not in (0, 1) for x, _, _ in triples):
             raise DataError("group label must be 0 or 1")
         if self._curves is not None:
-            return [self._lookup(x, z, w) for x, z, w in triples]
-        if not triples:
-            return []
-        feats = np.array([
-            [float(x)]
-            + _numeric_vector(z, self._widths[0], "z")
-            + _numeric_vector(w, self._widths[1], "w")
-            for x, z, w in triples])
-        sets, inverse = np.unique(self._forest.leaf_sets(feats), axis=0,
-                                  return_inverse=True)
-        curves = self._forest.mean_curves(sets, self.curve_kind)
-        return [curves[i] for i in inverse.reshape(-1).tolist()]
+            for triple in triples:
+                yield _served(self._lookup, triple, skip_unserved)
+            return
+        step = max(1, _BLOCK_ELEMENTS // max(self._forest.grid.size, 1))
+        for start in range(0, len(triples), step):
+            feats = [_served(self._features, triple, skip_unserved)
+                     for triple in triples[start:start + step]]
+            curves = iter(self._forest.predict(
+                [row for row in feats if row is not None], self.curve_kind))
+            for row in feats:
+                yield None if row is None else next(curves)
+
+    def _features(self, x, z, w):
+        return ([float(x)] + _numeric_vector(z, self._widths[0], "z")
+                + _numeric_vector(w, self._widths[1], "w"))
 
     def _lookup(self, x, z, w):
         key = (x, _canonical_item(z), _canonical_item(w))
@@ -425,6 +436,17 @@ class ConditionalSurvivalModel:
             if probe in self._curves:
                 return self._curves[probe]
         raise CohortSchemaError(f"covariates {key!r} outside the fitted schema")
+
+
+def _served(method, triple, skip_unserved):
+    """``method(*triple)``, or None if it finds the triple outside the
+    fitted schema and ``skip_unserved`` is set."""
+    try:
+        return method(*triple)
+    except CohortSchemaError:
+        if skip_unserved:
+            return None
+        raise
 
 
 def fit_conditional_survival(cohort, target="event", learner="stratified",
@@ -684,7 +706,13 @@ def _expit(v):
 
 
 def _expit_array(v):
-    return np.array([_expit(x) for x in v.tolist()])
+    """``_expit`` of every entry of ``v``: math.exp is mapped over the
+    entries in C, and numpy's + and / round as Python's do."""
+    over = v < -709.0  # where exp(-v) may overflow
+    exp = map(math.exp, np.where(over, 0.0, -v).tolist())
+    out = 1.0 / (1.0 + np.fromiter(exp, float, v.size))
+    out[over] = [_expit(x) for x in v[over].tolist()]
+    return out
 
 
 def _require_finite(feats):

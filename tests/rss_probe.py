@@ -17,15 +17,21 @@ With `rmst`, the run decomposes restricted mean survival times
 (`--functional rmst`): every row block's influence values are mapped to
 running restricted means along the whole grid.
 
+With `short-grid`, the `continuous-z` cohort is decomposed on a
+5-point grid (`--grid-points 5`).  The predicted curves still have as
+many points as the forest's union of leaf jump times, so this case
+checks that their memory is bounded by that length, not by the grid's.
+
 With `plugin`, the `continuous-z` cohort is decomposed by the plug-in
 estimator (`--estimator plugin`, same learners).  Its working memory is
 one curve per query, whatever the number of covariate cells; keeping
 each cell's curves of both groups would take about 600 MB at n = 10k.
 
-    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [continuous-z|rmst|plugin]
+    PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [CASE]
 
-prints the run's figures as JSON and exits 1 unless the child succeeded
-with a peak RSS below LIMIT_MB.
+with CASE one of continuous-z, short-grid, rmst and plugin, prints the
+run's figures as JSON and exits 1 unless the child succeeded with a
+peak RSS below LIMIT_MB.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ def jittered_cohort_csv(n, seed=0, continuous_z=False):
 
 
 def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
-                       plugin=False):
+                       plugin=False, grid_points=None):
     """Run `decompose` on a jittered n-row cohort under `workdir`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
     workdir = Path(workdir)
@@ -77,6 +83,8 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
         learners += ("--functional", "rmst")
     if plugin:
         learners += ("--estimator", "plugin")
+    if grid_points is not None:
+        learners += ("--grid-points", str(grid_points))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -103,13 +111,16 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
 def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
     case = argv[2] if argv[2:] else None
-    if argv[3:] or case not in (None, "continuous-z", "rmst", "plugin"):
+    if argv[3:] or case not in (None, "continuous-z", "short-grid", "rmst",
+                                "plugin"):
         sys.exit(f"unknown case {' '.join(argv[2:])!r}; "
-                 "the cases are continuous-z, rmst and plugin")
+                 "the cases are continuous-z, short-grid, rmst and plugin")
     with tempfile.TemporaryDirectory() as workdir:
         result = decompose_peak_rss(
-            n, workdir, continuous_z=case in ("continuous-z", "plugin"),
-            rmst=case == "rmst", plugin=case == "plugin")
+            n, workdir,
+            continuous_z=case in ("continuous-z", "short-grid", "plugin"),
+            rmst=case == "rmst", plugin=case == "plugin",
+            grid_points=5 if case == "short-grid" else None)
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
                       **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb

@@ -836,6 +836,38 @@ def test_queries_of_one_call_share_every_prediction(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_tree_prediction_blocks_do_not_grow_with_a_short_grid(monkeypatch):
+    # one grid point makes each fold one row block; the tree learner
+    # still predicts in blocks of at most _BLOCK_ELEMENTS curve values,
+    # and the estimates do not move
+    import fairsurv.nuisance
+    from fairsurv.nuisance import _Forest
+
+    cohort = continuous_confounder_cohort(400, 13)
+    plan = FoldPlan(cohort, seed=5, learners={
+        "outcome_learner": "logrank_tree_ensemble",
+        "censoring_learner": "logrank_tree_ensemble",
+        "propensity_learner": "logistic_irls",
+        "outcome_params": {"n_trees": 4},
+        "censoring_params": {"n_trees": 4}})
+    queries = role_queries(0, 1)
+    whole = crossfit_dr_many(plan, queries, SURVIVAL, [2.0])
+    monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS", 2000)
+    blocks = []
+    predict = _Forest.predict
+
+    def recorded(self, feats, kind):
+        blocks.append((len(feats), self.grid.size))
+        return predict(self, feats, kind)
+    monkeypatch.setattr(_Forest, "predict", recorded)
+    blocked = crossfit_dr_many(plan, queries, SURVIVAL, [2.0])
+    assert all(rows <= max(1, 2000 // width) for rows, width in blocks)
+    assert max(rows for rows, _ in blocks) < cohort.n // 4
+    for q in queries:
+        assert np.array_equal(blocked[q].estimate, whole[q].estimate)
+        assert np.array_equal(blocked[q].se, whole[q].se)
+
+
 # ---------------------------------------------------------------------------
 # Trimming safeguards
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from fairsurv.nuisance import (
     ConditionalSurvivalModel,
     _candidate_splits,
     _expit,
+    _expit_array,
     _logrank_scores,
     fit_conditional_survival,
     fit_propensity,
@@ -529,7 +530,7 @@ def test_predict_many_equals_predict_per_triple(target, n_trees):
     # right at every split on it)
     triples += [(1 - x, z, w) for x, z, w in triples[:20]] + triples[:15]
     triples.append((1, (float("nan"), 0.2), 0))
-    many = model.predict_many(triples)
+    many = list(model.predict_many(triples))
     assert len(many) == len(triples)
     for triple, curve in zip(triples, many):
         assert _same_curve(curve, model.predict(*triple))
@@ -550,13 +551,13 @@ def test_predict_many_serves_leaves_without_events():
         cohort, target="event", learner="logrank_tree_ensemble",
         n_trees=5, seed=2)
     triples = [(0, -0.9, 0), (1, 0.9, 0), (1, -0.9, 0), (0, -0.9, 0)]
-    many = model.predict_many(triples)
+    many = list(model.predict_many(triples))
     for triple, curve in zip(triples, many):
         assert _same_curve(curve, model.predict(*triple))
     empty = many[0]
     assert empty.breakpoints.size == 0 and empty.value_at_zero == 1.0
     assert many[1].breakpoints.size > 0
-    assert model.predict_many([]) == []
+    assert list(model.predict_many([])) == []
     # no leaf of the ensemble has a jump
     censored = Cohort([0, 1] * (n // 2), z.tolist(), [0] * n,
                       1.0 + np.arange(n) % 7, [0] * n)
@@ -575,7 +576,7 @@ def test_predict_many_refuses_a_group_label_outside_0_1():
         cohort, learner="logrank_tree_ensemble", n_trees=2)
     triples = _row_triples(cohort, 3)
     with pytest.raises(DataError):
-        model.predict_many(triples + [(2,) + triples[0][1:]])
+        list(model.predict_many(triples + [(2,) + triples[0][1:]]))
     with pytest.raises(DataError):
         model.predict(-1, *triples[0][1:])
 
@@ -590,12 +591,59 @@ def test_one_curve_is_built_per_leaf_set(monkeypatch):
     sets = [_walked_curve(model._forest, _feats(t), model.curve_kind)[0]
             for t in triples]
     built = count_curves(monkeypatch)
-    many = model.predict_many(triples)
+    many = list(model.predict_many(triples))
     # far fewer leaf sets than triples, and one curve for each
     assert len(built) == len(set(sets)) < len(triples) // 4
     first = {}
     for leaf_set, curve in zip(sets, many):
         assert first.setdefault(leaf_set, curve) is curve
+
+
+def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
+    import fairsurv.nuisance
+
+    cohort = _tree_cohort()
+    model = fit_conditional_survival(
+        cohort, target="event", learner="logrank_tree_ensemble",
+        n_trees=6, seed=4)
+    triples = _row_triples(cohort, 100)
+    whole = list(model.predict_many(triples))
+    forest = model._forest
+    # at most 7 triples' curves of union-grid length per block
+    monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS",
+                        7 * forest.grid.size + 3)
+    blocks = []
+    predict = type(forest).predict
+
+    def recorded(self, feats, kind):
+        blocks.append(len(feats))
+        return predict(self, feats, kind)
+    monkeypatch.setattr(type(forest), "predict", recorded)
+    blocked = list(model.predict_many(triples))
+    assert blocks == [7] * 14 + [2]
+    assert all(_same_curve(a, b) for a, b in zip(whole, blocked))
+    assert all(curve.breakpoints.size <= forest.grid.size
+               for curve in blocked)
+
+
+def test_predict_many_can_skip_triples_outside_the_schema():
+    cohort = _tree_cohort()
+    tree = fit_conditional_survival(
+        cohort, learner="logrank_tree_ensemble", n_trees=3, seed=1)
+    triples = _row_triples(cohort, 4)
+    bad = [(0, ("a", 0.1), 0), (1, (0.2,), 1)]  # non-numeric, too narrow
+    table = ConditionalSurvivalModel.from_curves(
+        {(0, 1, 0): tree.predict(*triples[0])}, target="event")
+    for model, served, unserved in ((tree, triples, bad),
+                                    (table, [(0, 1, 0)], [(1, 1, 0)])):
+        got = list(model.predict_many(served[:1] + unserved + served[1:],
+                                      skip_unserved=True))
+        assert got[1:1 + len(unserved)] == [None] * len(unserved)
+        kept = got[:1] + got[1 + len(unserved):]
+        assert all(_same_curve(curve, model.predict(*triple))
+                   for curve, triple in zip(kept, served))
+        with pytest.raises(CohortSchemaError):
+            list(model.predict_many(served + unserved))
 
 
 # ---------------------------------------------------------------------------
@@ -777,10 +825,11 @@ def test_expit_helper_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(4)
     v = np.concatenate(
         [rng.normal(scale=s, size=20_000) for s in (0.5, 2.0, 10.0, 40.0)]
-        + [[709.0, -709.0, 710.0, -710.0, 800.0, -800.0, 0.0, -0.0,
-            np.nan]])
+        + [[709.0, -709.0, -709.5, 710.0, -710.0, 800.0, -800.0, 0.0,
+            -0.0, np.nan]])
     got = np.array([_expit(item) for item in v.tolist()])
     assert got.tobytes() == expit(v).tobytes()
+    assert _expit_array(v).tobytes() == expit(v).tobytes()
 
 
 def _logistic_cohort(z=None, w=None):

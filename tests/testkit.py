@@ -305,11 +305,11 @@ def count_predictions(monkeypatch):
     calls = Counter()
     predict_many = ConditionalSurvivalModel.predict_many
 
-    def counted(model, triples):
+    def counted(model, triples, **kwargs):
         triples = list(triples)
         for x, z, w in triples:
             calls[(id(model), x, z, w)] += 1
-        return predict_many(model, triples)
+        return predict_many(model, triples, **kwargs)
     monkeypatch.setattr(ConditionalSurvivalModel, "predict_many", counted)
     return calls
 
