@@ -35,11 +35,10 @@ from . import __version__
 from .cge import _incidence_estimates, route1_conditional, \
     route2_population
 from .copulas import CopulaSpec
-from .decompose import decompose_cr, decompose_difference, decompose_ratio
-from .dr import FoldPlan, crossfit_dr_many
+from .decompose import _series, cr_functionals, decompose_cr
+from .dr import FoldPlan
 from .errors import DataError, EstimationError
-from .identify import default_grid, fit_plugin_nuisances, outcome_target, \
-    plugin_po_many
+from .identify import default_grid, fit_plugin_nuisances, outcome_target
 from .nuisance import stratum_curve
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries, table_csv
@@ -297,7 +296,7 @@ def _functional(config):
 
 
 def _dr_config(config):
-    """`FoldPlan` keywords; one learner fits outcome and censoring."""
+    """`FoldPlan` keywords, whose learner mapping both estimators read."""
     learners = {"outcome_learner": config["learner"],
                 "censoring_learner": config["learner"],
                 "propensity_learner": config["propensity_learner"]}
@@ -359,12 +358,8 @@ def cmd_curves(config):
                                     *(curves[q][0] for q in queries))
     else:
         if mode == "cr":
-            if cohort.n_causes < 2:
-                raise DataError(
-                    "cr mode needs a cohort with competing causes")
-            tagged = [(f":cause{k}", Functional("cif", cause=k))
-                      for k in range(1, cohort.n_causes + 1)]
-            tagged.append((":allcause", Functional("all_cause_survival")))
+            tagged = [(f":cause{f.cause}" if f.kind == "cif"
+                       else ":allcause", f) for f in cr_functionals(cohort)]
         else:
             tagged = [("", _functional(config))]
         groups = [cohort.subset(cohort.x == g) for g in (0, 1)]
@@ -382,48 +377,29 @@ def cmd_curves(config):
 # decompose
 # ---------------------------------------------------------------------------
 
-def _nic_series(config, cohort, grid):
-    functional = _functional(config)
-    x0, x1 = config["x0"], config["x1"]
-    queries = role_queries(x0, x1)
-    if config["estimator"] == "plugin":
-        nuisances = fit_plugin_nuisances(
-            cohort, functional, learner=config["learner"],
-            propensity_learner=config["propensity_learner"],
-            epsilon=config["epsilon"])
-        po = {q: curve for q, (curve, _) in plugin_po_many(
-            nuisances, cohort, queries, functional, grid).items()}
-    else:
-        po = crossfit_dr_many(FoldPlan(cohort, **_dr_config(config)),
-                              queries, functional, grid=grid)
-    reducer = (decompose_ratio if config.get("scale") == "ratio"
-               else decompose_difference)
-    return reducer(po, x0, x1, functional=functional, grid=grid)
-
-
 def _ic_curves(config, cohort, grid, queries):
     """Latent survival of each query under every --tau value.
 
-    Returns one {query: (central, env_lo, env_hi)} dict per tau; the
-    plugin route has no envelope, so its bounds are None.  The dr route
+    Returns one {query: (central, env_lo, env_hi)} dict per tau.  The
+    plugin route fits only the propensities (all the conditional route
+    reads) and has no envelope, so its bounds are None.  The dr route
     estimates a query's event and censoring incidence once, over one
     fold plan on the censoring-recoded cohort, and reuses them for every
     tau.
     """
     specs = [CopulaSpec(config["family"], tau) for tau in config["tau"]]
     per_tau = [{} for _ in specs]
+    fit_config = _dr_config(config)
     if config["estimator"] == "plugin":
         nuisances = fit_plugin_nuisances(
-            cohort, Functional("survival"), learner=config["learner"],
-            propensity_learner=config["propensity_learner"],
-            epsilon=config["epsilon"])
+            cohort, None, epsilon=config["epsilon"], **fit_config["learners"])
         for curves, spec in zip(per_tau, specs):
             for q in queries:
                 curves[q] = (np.asarray(route1_conditional(
                     cohort, spec, nuisances, q, grid).values, dtype=float),
                     None, None)
         return per_tau
-    plan = FoldPlan(cohort.censoring_as_cause(), **_dr_config(config))
+    plan = FoldPlan(cohort.censoring_as_cause(), **fit_config)
     for q in queries:
         estimates = _incidence_estimates(plan, q, grid)
         for curves, spec in zip(per_tau, specs):
@@ -462,8 +438,11 @@ def cmd_decompose(config):
                    "estimator": config["estimator"], "n_rows": cohort.n,
                    "grid_points": int(grid.size)}
 
+    estimator = "doubly_robust" if config["estimator"] == "dr" else "plugin"
     if config["mode"] == "nic":
-        series = _nic_series(config, cohort, grid)
+        (series,) = _series(
+            cohort, [_functional(config)], config["x0"], config["x1"],
+            estimator, grid, scale=config.get("scale"), **_dr_config(config))
         writes.append((outdir / "decomposition.csv",
                        series.to_csv(header_comment=header)))
         writes.append((outdir / "decomposition.json",
@@ -471,9 +450,7 @@ def cmd_decompose(config):
         diagnostics["series"] = series.diagnostics
     elif config["mode"] == "cr":
         series_list = decompose_cr(
-            cohort, config["x0"], config["x1"],
-            estimator=("doubly_robust" if config["estimator"] == "dr"
-                       else "plugin"),
+            cohort, config["x0"], config["x1"], estimator=estimator,
             grid=grid, **_dr_config(config))
         tags = [str(s.functional.cause) if s.functional.kind == "cif"
                 else "all" for s in series_list]

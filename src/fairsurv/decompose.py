@@ -49,7 +49,7 @@ from .identify import (
     outcome_target,
     plugin_po_many,
 )
-from .nuisance import fit_conditional_survival
+from .nuisance import fit_outcome
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries, table_csv
 
@@ -296,75 +296,85 @@ def decompose_ratio(po_curves, x0, x1, *, functional=None, estimator=None,
                       grid, diagnostics)
 
 
+def cr_functionals(cohort, causes=None):
+    """The functionals of a competing-causes run on ``cohort``: the
+    incidence of each of ``causes`` (default: every cause), then
+    all-cause survival."""
+    if cohort.n_causes < 2:
+        raise DataError("competing-cause analysis needs at least two causes")
+    causes = [int(k) for k in (range(1, cohort.n_causes + 1)
+                               if causes is None else causes)]
+    if not causes:
+        raise DataError("causes must name at least one event type")
+    if len(set(causes)) != len(causes):
+        raise DataError("causes must not repeat")
+    for k in causes:
+        if not 1 <= k <= cohort.n_causes:
+            raise DataError(f"cause {k} outside 1..{cohort.n_causes}")
+    return [*(Functional("cif", cause=k) for k in causes),
+            Functional("all_cause_survival")]
+
+
+def _series(cohort, functionals, x0, x1, estimator, grid, *,
+            scale="difference", learners=None, epsilon=0.01, n_folds=2,
+            seed=0, cap=50.0):
+    """One decomposition series per functional, from one fit plan: a
+    `FoldPlan`, or the plug-in's propensities plus one outcome model per
+    functional (its series carry the reports of `plugin_po_many`).
+    `learners` is the learner mapping of both estimators."""
+    if estimator not in ("plugin", "doubly_robust"):
+        raise DataError(f"unknown estimator kind {estimator!r}")
+    reducer = decompose_ratio if scale == "ratio" else decompose_difference
+    queries = role_queries(x0, x1)
+    if estimator == "doubly_robust":
+        plan = FoldPlan(cohort, n_folds, seed, learners=learners,
+                        epsilon=epsilon, cap=cap)
+    else:
+        learners = learners or {}
+        propensities = fit_plugin_nuisances(cohort, None, epsilon=epsilon,
+                                            **learners)
+    series = []
+    for functional in functionals:
+        if estimator == "doubly_robust":
+            po = crossfit_dr_many(plan, queries, functional, grid=grid)
+            diagnostics = None
+        else:
+            nuisances = replace(propensities, outcome=fit_outcome(
+                cohort, outcome_target(functional), **learners))
+            results = plugin_po_many(nuisances, cohort, queries, functional,
+                                     grid)
+            po = {q: curve for q, (curve, _) in results.items()}
+            diagnostics = {"plugin_reports": {
+                str(q.as_tuple()): report
+                for q, (_, report) in results.items()}}
+        series.append(reducer(po, x0, x1, functional=functional,
+                              estimator=estimator, grid=grid,
+                              diagnostics=diagnostics))
+    return series
+
+
 def decompose_cr(cohort, x0, x1, causes=None, estimator="plugin", *,
                  grid=None, learners=None, epsilon=0.01, n_folds=2, seed=0,
                  cap=50.0):
     """Per-cause incidence decompositions plus the all-cause survival one.
 
     Returns one difference-scale series per requested cause (on the
-    cause's incidence scale) followed by one for all-cause survival.
-    All series share the outcome-model weights — under the plugin
-    estimator also the exact propensity fits — so the per-time identity
+    cause's incidence scale) followed by one for all-cause survival, all
+    from one fit plan: one `FoldPlan`, or one fit of each propensity and
+    one outcome model per series.  All series share the outcome-model
+    weights, under the plug-in estimator also the propensity fits, so
+    the per-time identity
 
         sum_k tv_k(t) = -tv_all_cause(t)
 
     holds up to floating rounding whenever no propensity was clipped.
-    `learners` takes the learner keywords of `fit_dr_nuisances`; the
-    plugin estimator reads its outcome and propensity entries.
+    `learners` is the learner mapping of both estimators, the learner
+    keywords of `fit_dr_nuisances`; an unknown key is a DataError before
+    any fit.
     """
     x0, x1 = _check_arms(x0, x1)
-    if cohort.n_causes < 2:
-        raise DataError(
-            "competing-cause decomposition needs at least two causes")
-    if causes is None:
-        causes = list(range(1, cohort.n_causes + 1))
-    else:
-        causes = [int(k) for k in causes]
-        if not causes:
-            raise DataError("causes must name at least one event type")
-        if len(set(causes)) != len(causes):
-            raise DataError("causes must not repeat")
-        for k in causes:
-            if not 1 <= k <= cohort.n_causes:
-                raise DataError(
-                    f"cause {k} outside 1..{cohort.n_causes}")
-    if estimator not in ("plugin", "doubly_robust"):
-        raise DataError(f"unknown estimator kind {estimator!r}")
-
+    functionals = cr_functionals(cohort, causes)
     grid = default_grid(cohort) if grid is None else _validate_grid(grid)
-    queries = role_queries(x0, x1)
-    functionals = [Functional("cif", cause=k) for k in causes]
-    functionals.append(Functional("all_cause_survival"))
-
-    series = []
-    if estimator == "plugin":
-        learners = learners or {}
-        learner = learners.get("outcome_learner", "stratified")
-        base = fit_plugin_nuisances(
-            cohort, Functional("all_cause_survival"), learner=learner,
-            propensity_learner=learners.get("propensity_learner",
-                                            "frequency_table"),
-            epsilon=epsilon)
-        outcome_by_target = {"event": base.outcome}
-        for functional in functionals:
-            target = outcome_target(functional)
-            if target not in outcome_by_target:
-                outcome_by_target[target] = fit_conditional_survival(
-                    cohort, target=target, learner=learner)
-            nuis = replace(base, outcome=outcome_by_target[target])
-            results = plugin_po_many(nuis, cohort, queries, functional, grid)
-            po = {q: curve for q, (curve, _) in results.items()}
-            reports = {str(q.as_tuple()): report
-                       for q, (_, report) in results.items()}
-            series.append(decompose_difference(
-                po, x0, x1, functional=functional, estimator="plugin",
-                grid=grid, diagnostics={"plugin_reports": reports}))
-    else:
-        plan = FoldPlan(cohort, n_folds, seed, learners=learners,
-                        epsilon=epsilon, cap=cap)
-        for functional in functionals:
-            estimates = crossfit_dr_many(plan, queries, functional, grid=grid)
-            series.append(decompose_difference(
-                estimates, x0, x1, functional=functional,
-                estimator="doubly_robust", grid=grid))
-    return series
+    return _series(cohort, functionals, x0, x1, estimator, grid,
+                   learners=learners, epsilon=epsilon, n_folds=n_folds,
+                   seed=seed, cap=cap)

@@ -46,7 +46,9 @@ from .identify import _validate_grid, default_grid, outcome_target
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
+    check_learners,
     fit_conditional_survival,
+    fit_outcome,
     fit_propensity,
     propensity_from_spec,
     survival_model_from_spec,
@@ -97,31 +99,17 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
                      propensity_learner="frequency_table", epsilon=0.01,
                      outcome_params=None, censoring_params=None):
     """Fit the full nuisance bundle on one cohort (or fold complement)."""
-    outcome = _fit_outcome(cohort, _dr_target(functional), outcome_learner,
-                           outcome_params)
-    censoring = fit_conditional_survival(
-        cohort, target="censoring", learner=censoring_learner,
-        **(censoring_params or {}),
-    )
-    propensity_zw = fit_propensity(
-        cohort, "zw", learner=propensity_learner, epsilon=epsilon)
-    propensity_z = fit_propensity(
-        cohort, "z", learner=propensity_learner, epsilon=epsilon)
     return DRNuisances(
-        outcome=outcome,
-        censoring=censoring,
-        propensity_zw=propensity_zw,
-        propensity_z=propensity_z,
-        mediator_cohort=cohort,
-    )
-
-
-def _fit_outcome(cohort, target, outcome_learner="stratified",
-                 outcome_params=None, **_other_learners):
-    """A bundle's outcome model, from a full learner mapping."""
-    return fit_conditional_survival(
-        cohort, target=target, learner=outcome_learner,
-        **(outcome_params or {}))
+        outcome=fit_outcome(cohort, _dr_target(functional), outcome_learner,
+                            outcome_params),
+        censoring=fit_conditional_survival(
+            cohort, target="censoring", learner=censoring_learner,
+            **(censoring_params or {})),
+        propensity_zw=fit_propensity(
+            cohort, "zw", learner=propensity_learner, epsilon=epsilon),
+        propensity_z=fit_propensity(
+            cohort, "z", learner=propensity_learner, epsilon=epsilon),
+        mediator_cohort=cohort)
 
 
 def dr_nuisances_from_spec(spec, functional):
@@ -538,7 +526,7 @@ class FoldPlan:
                  nuisances=None, epsilon=0.01, cap=50.0, fold_ids=None):
         self.cohort, self.seed, self.epsilon, self.cap = (
             cohort, seed, epsilon, cap)
-        self.learners = dict(learners or {})
+        self.learners = check_learners(learners)
         self._fixed = nuisances
         if nuisances is not None:
             self.fold_ids, self.n_folds = np.zeros(cohort.n, dtype=int), 0
@@ -563,7 +551,7 @@ class FoldPlan:
                     epsilon=self.epsilon, **self.learners)
             elif target not in bundles:
                 shared = next(iter(bundles.values()))
-                bundles[target] = replace(shared, outcome=_fit_outcome(
+                bundles[target] = replace(shared, outcome=fit_outcome(
                     shared.mediator_cohort, target, **self.learners))
             yield bundles[target], np.flatnonzero(self.fold_ids == f)
 

@@ -21,7 +21,8 @@ from .errors import DataError, EmptyCohortError
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
-    fit_conditional_survival,
+    check_learners,
+    fit_outcome,
     fit_propensity,
 )
 from .queries import Functional, PotentialOutcomeQuery
@@ -103,7 +104,8 @@ def _project(values, kind):
 
 @dataclass(frozen=True)
 class PluginNuisances:
-    """The fitted pieces the weighted estimator consumes."""
+    """The fitted pieces the weighted estimator consumes; ``outcome`` is
+    None when only the propensities were fitted."""
 
     outcome: ConditionalSurvivalModel
     propensity_zw: PropensityModel
@@ -111,23 +113,18 @@ class PluginNuisances:
     propensity_marginal: PropensityModel
 
 
-def fit_plugin_nuisances(cohort, functional, learner="stratified",
-                         propensity_learner="frequency_table",
-                         epsilon=0.01, **learner_params):
-    """Fit the outcome model and all three propensities on one cohort."""
-    outcome = fit_conditional_survival(
-        cohort, target=outcome_target(functional), learner=learner,
-        **learner_params,
-    )
+def fit_plugin_nuisances(cohort, functional, *, epsilon=0.01, **learners):
+    """Fit the outcome model of ``functional`` (none if it is None) and
+    all three propensities on one cohort.  ``learners`` are the learner
+    keywords of ``fit_dr_nuisances``; the censoring ones go unused."""
+    learners = check_learners(learners)
+    learner = learners.get("propensity_learner", "frequency_table")
     return PluginNuisances(
-        outcome=outcome,
-        propensity_zw=fit_propensity(
-            cohort, "zw", learner=propensity_learner, epsilon=epsilon),
-        propensity_z=fit_propensity(
-            cohort, "z", learner=propensity_learner, epsilon=epsilon),
-        propensity_marginal=fit_propensity(
-            cohort, "marginal", learner=propensity_learner, epsilon=epsilon),
-    )
+        outcome=None if functional is None else fit_outcome(
+            cohort, outcome_target(functional), **learners),
+        **{f"propensity_{conditioning}": fit_propensity(
+            cohort, conditioning, learner=learner, epsilon=epsilon)
+           for conditioning in ("zw", "z", "marginal")})
 
 
 def _group_probabilities(nuisances, z, w):

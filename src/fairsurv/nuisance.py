@@ -468,6 +468,30 @@ def fit_conditional_survival(cohort, target="event", learner="stratified",
     raise DataError(f"unknown learner {learner!r}")
 
 
+# The keys of the learner mapping both estimators read: the learner
+# keywords of `fit_dr_nuisances` (the plug-in has no censoring model).
+LEARNER_KEYS = ("outcome_learner", "outcome_params", "censoring_learner",
+                "censoring_params", "propensity_learner")
+
+
+def check_learners(learners):
+    """A copy of the learner mapping ``learners`` (None: every default);
+    a key outside LEARNER_KEYS is a DataError."""
+    learners = dict(learners or {})
+    unknown = [key for key in learners if key not in LEARNER_KEYS]
+    if unknown:
+        raise DataError(f"unknown learner keys {unknown}")
+    return learners
+
+
+def fit_outcome(cohort, target, outcome_learner="stratified",
+                outcome_params=None, **_other_learners):
+    """The outcome model of ``target``, from a learner mapping."""
+    return fit_conditional_survival(
+        cohort, target=target, learner=outcome_learner,
+        **(outcome_params or {}))
+
+
 def _fit_stratified(cohort, target, params):
     max_categories = int(params.pop("max_categories", 128))
     if params:

@@ -1,10 +1,11 @@
-"""Bundled generative scenario for the command line, demos, and tests.
+"""Generative scenario of the library quick start, also used by tests.
 
 A severely imbalanced two-group cohort: the focal group (x = 0) carries
-4.2% of the population, events are rare (marginal event fraction below
-10%), and censoring is heavy, so inverse-weighting code paths are
-exercised at a realistic operating point rather than a cozy balanced
-one.
+4.2% of the population, events (times 1-8) are rare, below 10% of rows,
+and censoring (times 0.5-8.5) is heavy, so inverse-weighting code paths
+run at a realistic operating point.  `fairsurv simulate --spec example`
+samples another model, `data/example_spec.json`: the same group mix but
+its own mediator law, events on 10-90 and censoring on 15-95.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _geometric(grid, hazard, tail):
 
 
 def bundled_scenario():
-    """The packaged default scenario (see module docstring)."""
+    """The quick-start scenario (see module docstring)."""
     p_xz = {(0, 0): 0.025, (0, 1): 0.017, (1, 0): 0.52, (1, 1): 0.438}
     p_w = {
         (x, z): {1: 0.25 + 0.35 * x + 0.15 * z, 0: 0.75 - 0.35 * x - 0.15 * z}

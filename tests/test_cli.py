@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from fairsurv.cli import main
+from fairsurv.identify import fit_plugin_nuisances, plugin_po_many
+from fairsurv.queries import Functional, role_queries
 from fairsurv.scm import Cohort, SCMSpec, sample_cohort
 
 from testkit import (
     brute_po,
-    count_dr_fits,
+    count_fits,
     make_cr_two_cause,
     make_ic_clayton,
     make_nic_balanced,
@@ -285,7 +287,6 @@ def test_ic_plugin_route_emits_centrals_only(ic_cohort_csv, tmp_path):
 def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
                                               monkeypatch):
     import fairsurv.cge
-    import fairsurv.cli
     from fairsurv.dr import crossfit_dr_many
 
     calls = []
@@ -294,8 +295,7 @@ def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
         calls.append((tuple(queries), functional.cause))
         return crossfit_dr_many(plan, queries, functional, **kwargs)
 
-    for module in (fairsurv.cge, fairsurv.cli):
-        monkeypatch.setattr(module, "crossfit_dr_many", counted)
+    monkeypatch.setattr(fairsurv.cge, "crossfit_dr_many", counted)
     assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
                  "--tau", "0.2,0.5,0.8", "--envelope-samples", "10",
                  "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
@@ -307,7 +307,7 @@ def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
 
 def test_ic_nuisances_fitted_once_per_fold_and_cause(ic_cohort_csv, tmp_path,
                                                     monkeypatch):
-    fits = count_dr_fits(monkeypatch)
+    fits = count_fits(monkeypatch)
     assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
                  "--tau", "0.2,0.5,0.8", "--envelope-samples", "10",
                  "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
@@ -317,19 +317,58 @@ def test_ic_nuisances_fitted_once_per_fold_and_cause(ic_cohort_csv, tmp_path,
     assert fits == {"survival": 6, "propensity": 4}
 
 
-def test_decompose_reruns_byte_identical(ic_cohort_csv, tmp_path):
-    args = ["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
-            "--tau", "0.3,0.5", "--estimator", "dr",
-            "--envelope-samples", "30", "--grid", "1,2,3"]
+BASE_FILES = ["decomposition.csv", "decomposition.json", "diagnostics.json"]
+IC_RERUN = ["--mode", "ic", "--tau", "0.3,0.5", "--envelope-samples", "30"]
+
+
+@pytest.mark.parametrize("cohort, args, names", [
+    ("nc", ["--estimator", "dr"], BASE_FILES),
+    ("nc", ["--estimator", "dr", "--scale", "ratio"], BASE_FILES),
+    ("nc", ["--estimator", "plugin"], BASE_FILES),
+    ("cr", ["--mode", "cr", "--estimator", "dr"], BASE_FILES),
+    ("cr", ["--mode", "cr", "--estimator", "plugin"], BASE_FILES),
+    ("ic", [*IC_RERUN, "--estimator", "dr"],
+     BASE_FILES + ["envelope_tau0.3.csv", "envelope_tau0.5.csv"]),
+    ("ic", [*IC_RERUN, "--estimator", "plugin"], BASE_FILES),
+], ids=["nic-dr", "nic-dr-ratio", "nic-plugin", "cr-dr", "cr-plugin",
+        "ic-dr", "ic-plugin"])
+def test_decompose_reruns_byte_identical(request, tmp_path, cohort, args,
+                                         names):
+    path = request.getfixturevalue(f"{cohort}_cohort_csv")
+    args = ["decompose", "--cohort", str(path), *args, "--grid", "1,2,3"]
     assert main(args + ["--outdir", str(tmp_path / "a")]) == 0
     assert main(args + ["--outdir", str(tmp_path / "b")]) == 0
-    names = [p.name for p in sorted((tmp_path / "a").iterdir())]
-    assert names == ["decomposition.csv", "decomposition.json",
-                     "diagnostics.json", "envelope_tau0.3.csv",
-                     "envelope_tau0.5.csv"]
+    assert [p.name for p in sorted((tmp_path / "a").iterdir())] == names
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
+
+
+def test_ic_plugin_route_fits_no_outcome_model(ic_cohort_csv, tmp_path,
+                                              monkeypatch):
+    fits = count_fits(monkeypatch)
+    assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+                 "--tau", "0.2,0.5", "--estimator", "plugin",
+                 "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
+    # the conditional route weights empirical cell incidences by the
+    # three propensities and reads no outcome model
+    assert fits == {"survival": 0, "propensity": 3}
+
+
+def test_nic_plugin_writes_plugin_reports(nc_cohort_csv, tmp_path):
+    assert main(["decompose", "--cohort", str(nc_cohort_csv),
+                 "--estimator", "plugin", "--grid", "1,2,3",
+                 "--outdir", str(tmp_path)]) == 0
+    cohort = Cohort.from_csv(nc_cohort_csv.read_text())
+    survival = Functional("survival")
+    results = plugin_po_many(fit_plugin_nuisances(cohort, survival), cohort,
+                             role_queries(0, 1), survival, [1.0, 2.0, 3.0])
+    expected = {str(q.as_tuple()): report
+                for q, (_, report) in results.items()}
+    decomposition = json.loads((tmp_path / "decomposition.json").read_text())
+    diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert decomposition["diagnostics"]["plugin_reports"] == expected
+    assert diagnostics["series"]["plugin_reports"] == expected
 
 
 def test_plugin_rmst_without_horizon_integrates_to_each_time(nc_cohort_csv,

@@ -1,6 +1,7 @@
 """Decomposition series: identities, bands, and the competing-cause sweep."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from fairsurv.decompose import (
 from fairsurv.curves import StepCurve
 from fairsurv.dr import FoldPlan, assign_folds, crossfit_dr_many
 from fairsurv.errors import DataError, RatioUndefinedError
+from fairsurv.identify import fit_plugin_nuisances, outcome_target, \
+    plugin_po_many
+from fairsurv.nuisance import fit_conditional_survival
 from fairsurv.queries import Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries
 from fairsurv.scm import (
@@ -29,7 +33,7 @@ from fairsurv.scm import (
 
 from testkit import (
     brute_po,
-    count_dr_fits,
+    count_fits,
     make_cr_severed,
     make_cr_two_cause,
     make_indirect_only,
@@ -453,7 +457,7 @@ def test_cr_doubly_robust_smoke():
 def test_cr_doubly_robust_fits_each_nuisance_once_per_fold_and_target(
         monkeypatch):
     cohort = sample_cohort(spec_of(make_cr_two_cause()), 3000, seed=45)
-    fits = count_dr_fits(monkeypatch)
+    fits = count_fits(monkeypatch)
     series = decompose_cr(cohort, 0, 1, estimator="doubly_robust",
                           grid=GRID, n_folds=2, seed=7)
     # per fold: one censoring model, one outcome model for each of the
@@ -500,6 +504,54 @@ def test_cr_cause_selection_and_validation():
         with pytest.raises(DataError, match="unknown propensity learner"):
             decompose_cr(cohort, 0, 1, estimator=estimator,
                          learners={"propensity_learner": "bogus"})
+
+
+def test_unknown_learner_key_is_a_data_error_before_any_fit(monkeypatch):
+    cohort = sample_cohort(spec_of(make_cr_two_cause()), 2000, seed=43)
+    fits = count_fits(monkeypatch)
+    misspelt = {"outcome_lerner": "logrank_tree_ensemble"}
+    for estimator in ("plugin", "doubly_robust"):
+        with pytest.raises(DataError, match="unknown learner keys"):
+            decompose_cr(cohort, 0, 1, estimator=estimator,
+                         learners=misspelt)
+    with pytest.raises(DataError, match="unknown learner keys"):
+        FoldPlan(cohort, learners=misspelt)
+    assert fits == {"survival": 0, "propensity": 0}
+
+
+def test_cr_plugin_reads_outcome_params():
+    cohort = sample_cohort(spec_of(make_cr_two_cause()), 2000, seed=43)
+    learners = {"outcome_learner": "logrank_tree_ensemble",
+                "outcome_params": {"n_trees": 3},
+                "propensity_learner": "logistic_irls"}
+    series = decompose_cr(cohort, 0, 1, grid=GRID, learners=learners)
+    # the same series by hand, from three-tree outcome models
+    for shared in series:
+        functional = shared.functional
+        nuisances = replace(
+            fit_plugin_nuisances(cohort, functional,
+                                 propensity_learner="logistic_irls"),
+            outcome=fit_conditional_survival(
+                cohort, target=outcome_target(functional),
+                learner="logrank_tree_ensemble", n_trees=3))
+        po = {q: curve for q, (curve, _) in plugin_po_many(
+            nuisances, cohort, queries_for(0, 1), functional, GRID).items()}
+        alone = decompose_difference(po, 0, 1, functional=functional,
+                                     estimator="plugin", grid=GRID)
+        for name in EFFECT_NAMES:
+            assert np.array_equal(shared.effect(name).estimate,
+                                  alone.effect(name).estimate)
+
+
+def test_cr_plugin_fits_each_propensity_once_and_one_outcome_per_series(
+        monkeypatch):
+    cohort = sample_cohort(spec_of(make_cr_two_cause()), 2000, seed=43)
+    fits = count_fits(monkeypatch)
+    series = decompose_cr(cohort, 0, 1, grid=GRID)
+    # three propensities (zw, z, marginal) and an outcome model for each
+    # series: cause 1, cause 2 and any event
+    assert len(series) == 3
+    assert fits == {"survival": 3, "propensity": 3}
 
 
 # ---------------------------------------------------------------------------

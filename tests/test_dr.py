@@ -39,7 +39,7 @@ from fairsurv.scm import Cohort, sample_cohort
 from testkit import (
     brute_po,
     continuous_confounder_cohort,
-    count_dr_fits,
+    count_fits,
     count_predictions,
     influence_cif,
     influence_survival,
@@ -531,7 +531,7 @@ def test_assign_folds_stratifies_both_axes():
 
 def test_fold_validation_errors(monkeypatch):
     _, spec, cohort = _nic_setup(300, 31)
-    fits = count_dr_fits(monkeypatch)
+    fits = count_fits(monkeypatch)
     with pytest.raises(DataError):
         crossfit_dr(FoldPlan(cohort, n_folds=1), (1, 1, 1), SURVIVAL,
                     grid=[2.0])

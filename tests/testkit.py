@@ -273,22 +273,30 @@ def _brute_cum_hazard(law, t):
     return total
 
 
-def count_dr_fits(monkeypatch):
-    """Count the nuisance fits made through `fairsurv.dr`.
+def count_fits(monkeypatch):
+    """Count the nuisance fits the estimators make.
 
-    Wraps its `fit_conditional_survival` and `fit_propensity` bindings
-    and returns the live tally {"survival": n, "propensity": n}.
+    Wraps `fit_conditional_survival` and `fit_propensity` wherever a
+    fairsurv module binds them, so each fit is counted once whichever
+    module makes it, and returns the live tally
+    {"survival": n, "propensity": n}.
     """
-    import fairsurv.dr
+    import sys
+
+    import fairsurv.nuisance
 
     counts = {"survival": 0, "propensity": 0}
     for key, name in (("survival", "fit_conditional_survival"),
                       ("propensity", "fit_propensity")):
-        def counted(*args, _fit=getattr(fairsurv.dr, name), _key=key,
-                    **kwargs):
+        fit = getattr(fairsurv.nuisance, name)
+
+        def counted(*args, _fit=fit, _key=key, **kwargs):
             counts[_key] += 1
             return _fit(*args, **kwargs)
-        monkeypatch.setattr(fairsurv.dr, name, counted)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").split(".")[0] == "fairsurv" \
+                    and getattr(module, name, None) is fit:
+                monkeypatch.setattr(module, name, counted)
     return counts
 
 
