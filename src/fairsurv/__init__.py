@@ -37,6 +37,7 @@ from .cge import (
     Route2Result,
     cge_bounded,
     cge_classical,
+    incidence_estimates,
     route1_conditional,
     route2_population,
 )
@@ -131,6 +132,7 @@ __all__ = [
     "cge_bounded",
     "CGEState",
     "route1_conditional",
+    "incidence_estimates",
     "route2_population",
     "Route2Result",
     # errors

@@ -24,9 +24,11 @@ Route II applies it to population-level potential-outcome incidence
 curves estimated by cross-fitted one-step correction (censoring recoded
 as a competing event, so no row is treated as incomplete), and wraps
 the result in an uncertainty envelope built from band corners plus
-uniformly sampled admissible incidence trajectories.  The envelope is a
-sensitivity band: it propagates the incidence-band uncertainty through
-a nonlinear map and carries no formal coverage guarantee.
+uniformly sampled admissible incidence trajectories.  Neither the
+incidence pair nor the envelope draws depend on the copula, so one
+call reconstructs a query under every assumed dependence.  The envelope
+is a sensitivity band: it propagates the incidence-band uncertainty
+through a nonlinear map and carries no formal coverage guarantee.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ import numpy as np
 
 from .copulas import CopulaSpec, generator, generator_inverse
 from .curves import StepCurve
-from .dr import Z_CRITICAL, FoldPlan, crossfit_dr_many
+from .dr import Z_CRITICAL, crossfit_dr_many
 from .errors import (
     CoincidentJumpError,
     DataError,
     InfeasibleBandsError,
 )
-from .identify import _validate_grid, cell_weight, default_grid
+from .identify import _validate_grid, cell_weight
 from .queries import Functional, table_csv
 from .scm import cell_members
 
@@ -359,12 +361,46 @@ def _sanitize_cif_pair(ct, cc):
     return ct, cc, n_scaled
 
 
-def _incidence_estimates(plan, query, grid):
+def incidence_estimates(plan, query, grid=None):
     """Cross-fitted event (cause 1) and censoring (cause 2) incidence of
-    one query, over a fold plan on a censoring-recoded cohort."""
+    one query, over a fold plan on a censoring-recoded cohort
+    (``Cohort.censoring_as_cause``).  The default grid is that of the
+    recoded cohort, whose censoring times are jumps of the second curve,
+    so it resolves them as well as the event times."""
     return tuple(crossfit_dr_many(
         plan, [query], Functional("cif", cause=k), grid=grid)[query]
         for k in (1, 2))
+
+
+def _draw_trajectories(lo_t, hi_t, lo_c, hi_c, n_samples, seed):
+    """Up to `n_samples` admissible incidence pairs drawn inside the bands.
+
+    Attempt i sorts lo + u * (hi - lo) for each band, where u is the
+    attempt's event, then censoring, uniforms of one seeded stream; it
+    is admissible when both stay inside their bands and sum to at most
+    one.  Attempts are drawn `n_samples` at a time, at most
+    500 * n_samples in all.  Returns the accepted (k, m) event and
+    censoring arrays in attempt order, and the number of attempts up to
+    the last accepted one (all of them when fewer than `n_samples` were
+    accepted).
+    """
+    rng = np.random.default_rng(seed)
+    cap = 500 * n_samples
+    kept_t, kept_c = [np.empty((0, lo_t.size))], [np.empty((0, lo_t.size))]
+    accepted = attempts = 0
+    while accepted < n_samples and attempts < cap:
+        u = rng.random((min(n_samples, cap - attempts), 2, lo_t.size))
+        draw_t = np.sort(lo_t + u[:, 0] * (hi_t - lo_t), axis=1)
+        draw_c = np.sort(lo_c + u[:, 1] * (hi_c - lo_c), axis=1)
+        ok = np.flatnonzero(np.all(
+            (draw_t >= lo_t) & (draw_t <= hi_t) & (draw_c >= lo_c)
+            & (draw_c <= hi_c) & (draw_t + draw_c <= 1.0 + _SUM_SLACK),
+            axis=1))[:n_samples - accepted]
+        kept_t.append(draw_t[ok])
+        kept_c.append(draw_c[ok])
+        accepted += ok.size
+        attempts += int(ok[-1]) + 1 if accepted == n_samples else len(u)
+    return np.concatenate(kept_t), np.concatenate(kept_c), attempts
 
 
 @dataclass
@@ -399,58 +435,29 @@ class Route2Result:
                            self.env_hi, self.tau]], header_comment)
 
 
-def route2_population(cohort, spec, query, grid=None, dr_config=None,
-                      envelope_config=None, *, cif_estimates=None):
-    """Population-route reconstruction of one latent potential outcome.
+def route2_population(cif_estimates, specs, *, n_samples=200, seed=0):
+    """Population-route reconstruction of one latent potential outcome
+    under each copula of `specs`; returns one `Route2Result` per spec.
 
-    Censoring is recoded as a second competing event, so the whole
-    sample is fully observed and the cross-fitted one-step estimator
-    yields incidence curves (with bands) for both the event and the
-    censoring cause under the query.  The bounded recursion on the
-    central curves gives the point reconstruction; corners of the
-    bands and uniformly sampled admissible trajectories within them
-    span the envelope.  `dr_config` holds `FoldPlan` keywords.  Pass
-    `cif_estimates=(event, censoring)` with objects carrying
-    grid/estimate/se to skip the estimation step.
+    `cif_estimates` is a query's (event, censoring) incidence pair, as
+    `incidence_estimates` returns it: objects carrying grid, estimate
+    and se on one shared grid.  The bounded recursion on the central
+    curves gives the point reconstruction; the four corners of the
+    bands and `n_samples` admissible trajectories sampled uniformly
+    inside them (seeded by `seed`) span the envelope.  None of these
+    depends on the copula, so they are built once and each spec runs one
+    recursion over all of them.
     """
-    envelope_config = dict(envelope_config or {})
-    n_samples = int(envelope_config.pop("n_samples", 200))
-    sample_seed = int(envelope_config.pop("seed", 0))
-    if envelope_config:
-        raise DataError(
-            f"unknown envelope options {sorted(envelope_config)!r}")
+    est_t, est_c = cif_estimates
+    grid = _validate_grid(est_t.grid)
+    if not np.array_equal(np.asarray(est_c.grid, float), grid):
+        raise DataError("incidence estimates must share the grid")
     if n_samples < 0:
         raise DataError("n_samples must be nonnegative")
 
-    if cif_estimates is None:
-        recoded = cohort.censoring_as_cause()
-        if grid is None:
-            # the recoded cohort: censoring times are jump points of the
-            # second incidence curve, so the grid must resolve them too
-            grid = default_grid(recoded)
-        grid = _validate_grid(grid)
-        est_t, est_c = _incidence_estimates(
-            FoldPlan(recoded, **(dr_config or {})), query, grid)
-    else:
-        est_t, est_c = cif_estimates
-        grid = _validate_grid(est_t.grid if grid is None else grid)
-        if (not np.array_equal(np.asarray(est_t.grid, float), grid)
-                or not np.array_equal(np.asarray(est_c.grid, float), grid)):
-            raise DataError("incidence estimates must share the grid")
-
-    lo_t = np.clip(np.asarray(est_t.estimate) - Z_CRITICAL
-                   * np.asarray(est_t.se), 0.0, 1.0)
-    hi_t = np.clip(np.asarray(est_t.estimate) + Z_CRITICAL
-                   * np.asarray(est_t.se), 0.0, 1.0)
-    lo_c = np.clip(np.asarray(est_c.estimate) - Z_CRITICAL
-                   * np.asarray(est_c.se), 0.0, 1.0)
-    hi_c = np.clip(np.asarray(est_c.estimate) + Z_CRITICAL
-                   * np.asarray(est_c.se), 0.0, 1.0)
-    lo_t = np.maximum.accumulate(lo_t)
-    hi_t = np.maximum.accumulate(hi_t)
-    lo_c = np.maximum.accumulate(lo_c)
-    hi_c = np.maximum.accumulate(hi_c)
-
+    lo_t, hi_t, lo_c, hi_c = (np.maximum.accumulate(np.clip(
+        np.asarray(est.estimate) + sign * Z_CRITICAL * np.asarray(est.se),
+        0.0, 1.0)) for est in (est_t, est_c) for sign in (-1.0, 1.0))
     infeasible = np.flatnonzero(lo_t + lo_c > 1.0 + _SUM_SLACK)
     if infeasible.size:
         j = int(infeasible[0])
@@ -460,58 +467,32 @@ def route2_population(cohort, spec, query, grid=None, dr_config=None,
 
     ct_central, cc_central, n_scaled = _sanitize_cif_pair(
         np.asarray(est_t.estimate), np.asarray(est_c.estimate))
-    members_t, members_c = [ct_central], [cc_central]
-    corner_scaled = 0
-    for band_t in (lo_t, hi_t):
-        for band_c in (lo_c, hi_c):
-            ct, cc, scaled = _sanitize_cif_pair(band_t, band_c)
-            corner_scaled += scaled
-            members_t.append(ct)
-            members_c.append(cc)
-
-    rng = np.random.default_rng(sample_seed)
-    accepted = 0
-    attempts = 0
-    max_attempts = max(500 * n_samples, 1)
-    while accepted < n_samples and attempts < max_attempts:
-        attempts += 1
-        draw_t = np.sort(lo_t + rng.random(grid.size) * (hi_t - lo_t))
-        draw_c = np.sort(lo_c + rng.random(grid.size) * (hi_c - lo_c))
-        ok = (np.all(draw_t >= lo_t) and np.all(draw_t <= hi_t)
-              and np.all(draw_c >= lo_c) and np.all(draw_c <= hi_c)
-              and np.all(draw_t + draw_c <= 1.0 + _SUM_SLACK))
-        if not ok:
-            continue
-        members_t.append(draw_t)
-        members_c.append(draw_c)
-        accepted += 1
-    if n_samples > 0 and accepted < n_samples:
+    corners = [_sanitize_cif_pair(band_t, band_c)
+               for band_t in (lo_t, hi_t) for band_c in (lo_c, hi_c)]
+    draws_t, draws_c, attempts = _draw_trajectories(
+        lo_t, hi_t, lo_c, hi_c, n_samples, seed)
+    accepted = len(draws_t)
+    if accepted < n_samples:
         raise InfeasibleBandsError(
             f"only {accepted} of {n_samples} sampled incidence "
             f"trajectories were admissible after {attempts} attempts")
-
-    # one recursion over the central pair, the corners and the samples
-    rows = _bounded_rows(np.vstack(members_t), np.vstack(members_c), spec)
-    state = _bounded_state(
-        grid, StepCurve(grid, ct_central, value_at_zero=0.0, kind="cif"),
-        StepCurve(grid, cc_central, value_at_zero=0.0, kind="cif"), spec,
-        rows)
-    midpoints = rows[4]
-    return Route2Result(
-        grid=grid,
-        central=state.s_hat,
-        env_lo=midpoints.min(axis=0),
-        env_hi=midpoints.max(axis=0),
-        tau=spec.kendall_tau,
-        family=spec.family,
-        state=state,
-        cif_t_estimate=est_t,
-        cif_c_estimate=est_c,
-        diagnostics={
-            "n_samples_accepted": accepted,
-            "n_sample_attempts": attempts,
-            "n_central_scaled_points": n_scaled,
-            "n_corner_scaled_points": corner_scaled,
-            "sample_seed": sample_seed,
-        },
-    )
+    # per spec, one recursion over the central pair, corners and samples
+    members_t = np.vstack([ct_central, *(c[0] for c in corners), draws_t])
+    members_c = np.vstack([cc_central, *(c[1] for c in corners), draws_c])
+    cif_t = StepCurve(grid, ct_central, value_at_zero=0.0, kind="cif")
+    cif_c = StepCurve(grid, cc_central, value_at_zero=0.0, kind="cif")
+    results = []
+    for spec in specs:
+        rows = _bounded_rows(members_t, members_c, spec)
+        state = _bounded_state(grid, cif_t, cif_c, spec, rows)
+        results.append(Route2Result(
+            grid=grid, central=state.s_hat, env_lo=rows[4].min(axis=0),
+            env_hi=rows[4].max(axis=0), tau=spec.kendall_tau,
+            family=spec.family, state=state, cif_t_estimate=est_t,
+            cif_c_estimate=est_c, diagnostics={
+                "n_samples_accepted": accepted,
+                "n_sample_attempts": attempts,
+                "n_central_scaled_points": n_scaled,
+                "n_corner_scaled_points": sum(c[2] for c in corners),
+            }))
+    return results

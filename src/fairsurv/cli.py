@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cge import _incidence_estimates, route1_conditional, \
+from .cge import incidence_estimates, route1_conditional, \
     route2_population
 from .copulas import CopulaSpec
 from .decompose import _series, cr_functionals, decompose_cr
@@ -193,6 +193,11 @@ def _validate_config(config, parser):
         if len(set(tau)) != len(tau) \
                 or len({_tau_tag(t) for t in tau}) != len(tau):
             parser.error("--tau values must be distinct, also as %g tags")
+        for t in tau:
+            try:
+                CopulaSpec(config["family"], t)
+            except DataError as exc:
+                parser.error(f"--tau {_tau_tag(t)}: {exc}")
     elif tau:
         parser.error("--tau only applies to ic mode")
     if mode == "cr" and functional != "survival":
@@ -352,8 +357,8 @@ def cmd_curves(config):
     blocks = []
     if mode == "ic":
         queries = [PotentialOutcomeQuery.observational(g) for g in (0, 1)]
-        for tau, curves in zip(config["tau"],
-                               _ic_curves(config, cohort, grid, queries)):
+        for tau, curves in zip(config["tau"], _ic_curves(
+                config, cohort, grid, queries)[0]):
             blocks += _group_blocks(grid, f":tau{_tau_tag(tau)}",
                                     *(curves[q][0] for q in queries))
     else:
@@ -380,12 +385,12 @@ def cmd_curves(config):
 def _ic_curves(config, cohort, grid, queries):
     """Latent survival of each query under every --tau value.
 
-    Returns one {query: (central, env_lo, env_hi)} dict per tau.  The
-    plugin route fits only the propensities (all the conditional route
-    reads) and has no envelope, so its bounds are None.  The dr route
-    estimates a query's event and censoring incidence once, over one
-    fold plan on the censoring-recoded cohort, and reuses them for every
-    tau.
+    Returns one {query: (central, env_lo, env_hi)} dict per tau, and the
+    envelope counts of each query.  The plugin route fits only the
+    propensities (all the conditional route reads) and has no envelope,
+    so its bounds and counts are None.  The dr route estimates a query's
+    event and censoring incidence once, over one fold plan on the
+    censoring-recoded cohort, and draws its envelope once for every tau.
     """
     specs = [CopulaSpec(config["family"], tau) for tau in config["tau"]]
     per_tau = [{} for _ in specs]
@@ -398,17 +403,17 @@ def _ic_curves(config, cohort, grid, queries):
                 curves[q] = (np.asarray(route1_conditional(
                     cohort, spec, nuisances, q, grid).values, dtype=float),
                     None, None)
-        return per_tau
+        return per_tau, None
     plan = FoldPlan(cohort.censoring_as_cause(), **fit_config)
+    counts = {}
     for q in queries:
-        estimates = _incidence_estimates(plan, q, grid)
-        for curves, spec in zip(per_tau, specs):
-            result = route2_population(
-                cohort, spec, q, grid=grid, cif_estimates=estimates,
-                envelope_config={"n_samples": config["envelope_samples"],
-                                 "seed": config["seed"]})
+        results = route2_population(
+            incidence_estimates(plan, q, grid), specs,
+            n_samples=config["envelope_samples"], seed=config["seed"])
+        for curves, result in zip(per_tau, results):
             curves[q] = (result.central, result.env_lo, result.env_hi)
-    return per_tau
+        counts[str(q.as_tuple())] = results[0].diagnostics
+    return per_tau, counts
 
 
 def _envelope_difference(pos, neg):
@@ -467,7 +472,8 @@ def cmd_decompose(config):
     else:  # ic
         tau_list = config["tau"]
         x0, x1 = config["x0"], config["x1"]
-        per_tau = _ic_curves(config, cohort, grid, role_queries(x0, x1))
+        per_tau, counts = _ic_curves(config, cohort, grid,
+                                     role_queries(x0, x1))
         blocks, payload = [], {}
         for tau, curves in zip(tau_list, per_tau):
             effects = effect_contrasts(curves, x0, x1, _envelope_difference)
@@ -489,6 +495,8 @@ def cmd_decompose(config):
                        _json_payload(config, {"grid": _floats(grid),
                                               "effects": payload})))
         diagnostics["tau"] = [float(t) for t in tau_list]
+        if counts is not None:
+            diagnostics["envelopes"] = counts
 
     writes.append((outdir / "diagnostics.json",
                    _json_payload(config, diagnostics)))

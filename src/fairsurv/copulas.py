@@ -26,7 +26,8 @@ def _debye1(theta):
     # needs it, and loading it costs more than the rest of the package.
     from scipy.integrate import quad
 
-    val, _ = quad(lambda t: t / np.expm1(t), 0.0, theta, limit=200)
+    with np.errstate(over="ignore"):  # expm1 overflows to inf: t/inf = 0
+        val, _ = quad(lambda t: t / np.expm1(t), 0.0, theta, limit=200)
     return val / theta
 
 

@@ -27,9 +27,16 @@ estimator (`--estimator plugin`, same learners).  Its working memory is
 one curve per query, whatever the number of covariate cells; keeping
 each cell's curves of both groups would take about 600 MB at n = 10k.
 
+With `ic`, the example spec's discrete times are kept (no jitter) and
+the cohort is decomposed in `ic` mode under three taus with 2,000
+envelope samples per query (`--mode ic --tau 0.2,0.5,0.8
+--envelope-samples 2000`).  Each query's envelope is drawn once, in
+batches of at most 2,000 attempts; drawing the whole 10^6-attempt cap
+at once would take about 290 MB for the uniforms alone.
+
     PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [CASE]
 
-with CASE one of continuous-z, short-grid, rmst and plugin, prints the
+with CASE one of continuous-z, short-grid, rmst, plugin and ic, prints the
 run's figures as JSON and exits 1 unless the child succeeded with a
 peak RSS below LIMIT_MB.
 """
@@ -56,14 +63,16 @@ CLI_CODE = ("import sys; from fairsurv.cli import main; "
 
 CONTINUOUS_Z_LEARNERS = ("--learner", "logrank_tree_ensemble",
                          "--propensity-learner", "logistic_irls")
+IC_ARGS = ("--mode", "ic", "--tau", "0.2,0.5,0.8",
+           "--envelope-samples", "2000")
 
 
-def jittered_cohort_csv(n, seed=0, continuous_z=False):
+def probe_cohort_csv(n, seed=0, continuous_z=False, continuous_m=True):
     spec = SCMSpec.from_json((resources.files("fairsurv.data")
                               / "example_spec.json").read_text())
     cohort = sample_cohort(spec, n, seed=seed)
     rng = np.random.default_rng(seed)
-    m = cohort.m + rng.uniform(0.0, 1.0, n)
+    m = cohort.m + rng.uniform(0.0, 1.0, n) if continuous_m else cohort.m
     z = cohort.z_items
     if continuous_z:
         z = np.round(np.asarray(z, dtype=float) + rng.uniform(0.0, 1.0, n),
@@ -72,13 +81,17 @@ def jittered_cohort_csv(n, seed=0, continuous_z=False):
 
 
 def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
-                       plugin=False, grid_points=None):
-    """Run `decompose` on a jittered n-row cohort under `workdir`; returns
+                       plugin=False, grid_points=None, ic=False):
+    """Run `decompose` on an n-row cohort under `workdir`, jittered
+    unless `ic`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
     workdir = Path(workdir)
     cohort = workdir / "cohort.csv"
-    cohort.write_text(jittered_cohort_csv(n, seed, continuous_z))
+    cohort.write_text(probe_cohort_csv(n, seed, continuous_z,
+                                       continuous_m=not ic))
     learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
+    if ic:
+        learners += IC_ARGS
     if rmst:
         learners += ("--functional", "rmst")
     if plugin:
@@ -112,15 +125,16 @@ def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
     case = argv[2] if argv[2:] else None
     if argv[3:] or case not in (None, "continuous-z", "short-grid", "rmst",
-                                "plugin"):
-        sys.exit(f"unknown case {' '.join(argv[2:])!r}; "
-                 "the cases are continuous-z, short-grid, rmst and plugin")
+                                "plugin", "ic"):
+        sys.exit(f"unknown case {' '.join(argv[2:])!r}; the cases are "
+                 "continuous-z, short-grid, rmst, plugin and ic")
     with tempfile.TemporaryDirectory() as workdir:
         result = decompose_peak_rss(
             n, workdir,
             continuous_z=case in ("continuous-z", "short-grid", "plugin"),
             rmst=case == "rmst", plugin=case == "plugin",
-            grid_points=5 if case == "short-grid" else None)
+            grid_points=5 if case == "short-grid" else None,
+            ic=case == "ic")
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
                       **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb

@@ -12,7 +12,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fairsurv.cge import cge_bounded, cge_classical, route2_population
+from fairsurv.cge import cge_bounded, cge_classical, incidence_estimates, \
+    route2_population
 from fairsurv.cli import main
 from fairsurv.copulas import CopulaSpec
 from fairsurv.curves import StepCurve, aalen_johansen_cif, kaplan_meier
@@ -332,23 +333,20 @@ def test_acceptance_07_reconstruction_reduces_and_tightens():
 def test_acceptance_08_latent_reconstruction_and_envelopes():
     raw = make_ic_clayton(0.5)
     cohort = sample_cohort(spec_of(raw), 50_000, seed=1081)
-    env = {"n_samples": 60, "seed": 0}
+    plan = FoldPlan(cohort.censoring_as_cause())
+    specs = [CopulaSpec("clayton", tau) for tau in (0.1, 0.5, 0.8)]
     sup = 0.0
+    contained = True
     for g in (0, 1):
         query = PotentialOutcomeQuery.observational(g)
         # default grid: reconstruction needs every censoring jump resolved,
         # so the estimator derives the grid from the recoded cohort
-        result = route2_population(
-            cohort, CopulaSpec("clayton", 0.5), query, envelope_config=env)
-        oracle = oracle_curve(raw, query, grid=result.grid)
-        sup = max(sup, float(np.max(np.abs(result.central - oracle))))
-    contained = True
-    for tau in (0.1, 0.5, 0.8):
-        for g in (0, 1):
-            result = route2_population(
-                cohort, CopulaSpec("clayton", tau),
-                PotentialOutcomeQuery.observational(g),
-                envelope_config=env)
+        results = route2_population(incidence_estimates(plan, query), specs,
+                                    n_samples=60, seed=0)
+        matched = results[1]
+        oracle = oracle_curve(raw, query, grid=matched.grid)
+        sup = max(sup, float(np.max(np.abs(matched.central - oracle))))
+        for result in results:
             contained &= bool(
                 np.all(result.env_lo <= result.central + 1e-12)
                 and np.all(result.central <= result.env_hi + 1e-12))

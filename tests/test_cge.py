@@ -13,12 +13,15 @@ from fairsurv.cge import (
     Route2Result,
     cge_bounded,
     cge_classical,
+    incidence_estimates,
     route1_conditional,
     route2_population,
 )
-from fairsurv.cge import _bounded_rows, _empirical_cif_pair
+from fairsurv.cge import _bounded_rows, _draw_trajectories, \
+    _empirical_cif_pair
 from fairsurv.copulas import CopulaSpec, generator, generator_inverse
 from fairsurv.curves import StepCurve, kaplan_meier
+from fairsurv.dr import Z_CRITICAL, FoldPlan
 from fairsurv.errors import (
     CoincidentJumpError,
     DataError,
@@ -33,6 +36,7 @@ from testkit import (
     make_cr_two_cause,
     make_ic_clayton,
     make_nic_balanced,
+    reference_envelope_draws,
     spec_of,
 )
 
@@ -526,22 +530,20 @@ def route2_toy_cohort():
 GRID3 = np.array([1.0, 2.0, 3.0])
 
 
-def test_route2_zero_width_bands_collapse_to_central(route2_toy_cohort):
+def test_route2_zero_width_bands_collapse_to_central():
     est_t = _estimate(GRID3, [0.2, 0.3, 0.35], [0.0, 0.0, 0.0])
     est_c = _estimate(GRID3, [0.1, 0.2, 0.25], [0.0, 0.0, 0.0])
-    result = route2_population(
-        route2_toy_cohort, CLAYTON, PotentialOutcomeQuery(1, 1, 1),
-        grid=GRID3, cif_estimates=(est_t, est_c),
-        envelope_config={"n_samples": 25})
+    (result,) = route2_population((est_t, est_c), [CLAYTON], n_samples=25)
     np.testing.assert_array_equal(result.env_lo, result.central)
     np.testing.assert_array_equal(result.env_hi, result.central)
 
 
 def test_route2_envelope_contains_central_and_is_monotone(ic_cohort):
     grid = ic_grid(ic_cohort)
-    result = route2_population(
-        ic_cohort, CLAYTON, PotentialOutcomeQuery(1, 1, 1), grid=grid,
-        envelope_config={"n_samples": 40})
+    estimates = incidence_estimates(
+        FoldPlan(ic_cohort.censoring_as_cause()),
+        PotentialOutcomeQuery(1, 1, 1), grid)
+    (result,) = route2_population(estimates, [CLAYTON], n_samples=40)
     assert np.all(result.env_lo <= result.central)
     assert np.all(result.central <= result.env_hi)
     assert np.all(np.diff(result.env_lo) <= 1e-12)
@@ -556,8 +558,10 @@ def test_route2_central_tracks_latent_oracle_across_tau():
         cohort = sample_cohort(spec_of(raw), 50000, seed=101)
         times = np.unique(cohort.m)
         grid = times[times <= 4.0]
-        result = route2_population(
-            cohort, CopulaSpec("clayton", tau), query, grid=grid)
+        estimates = incidence_estimates(
+            FoldPlan(cohort.censoring_as_cause()), query, grid)
+        (result,) = route2_population(estimates,
+                                      [CopulaSpec("clayton", tau)])
         latent = np.array([brute_po(raw, 1, 1, 1, t, kind="survival")
                            for t in grid])
         assert float(np.max(np.abs(result.central - latent))) <= 0.05
@@ -565,77 +569,105 @@ def test_route2_central_tracks_latent_oracle_across_tau():
         assert np.all(result.central <= result.env_hi)
 
 
-def test_route2_given_estimates_match_fitting_inside(route2_toy_cohort):
-    from fairsurv.cge import _incidence_estimates
-    from fairsurv.dr import FoldPlan
-
-    query = PotentialOutcomeQuery(1, 0, 1)
-    envelope = {"n_samples": 20, "seed": 3}
-    inside = route2_population(route2_toy_cohort, CLAYTON, query,
-                               dr_config={"n_folds": 3, "seed": 5},
-                               envelope_config=envelope)
-    recoded = route2_toy_cohort.censoring_as_cause()
-    estimates = _incidence_estimates(FoldPlan(recoded, 3, 5), query,
-                                     inside.grid)
-    given = route2_population(route2_toy_cohort, CLAYTON, query,
-                              envelope_config=envelope,
-                              cif_estimates=estimates)
-    np.testing.assert_array_equal(given.grid, inside.grid)
-    np.testing.assert_array_equal(given.central, inside.central)
-    np.testing.assert_array_equal(given.env_lo, inside.env_lo)
-    np.testing.assert_array_equal(given.env_hi, inside.env_hi)
-
-
-def test_route2_infeasible_bands_raise(route2_toy_cohort):
+def test_route2_infeasible_bands_raise():
     est_t = _estimate(GRID3, [0.7, 0.7, 0.7], [0.0, 0.0, 0.0])
     est_c = _estimate(GRID3, [0.6, 0.6, 0.6], [0.0, 0.0, 0.0])
     with pytest.raises(InfeasibleBandsError, match="t=1"):
-        route2_population(
-            route2_toy_cohort, CLAYTON, PotentialOutcomeQuery(1, 1, 1),
-            grid=GRID3, cif_estimates=(est_t, est_c))
+        route2_population((est_t, est_c), [CLAYTON])
 
 
-def test_route2_widening_bands_never_shrink_corner_envelope(
-        route2_toy_cohort):
+def test_route2_widening_bands_never_shrink_corner_envelope():
     est_t = _estimate(GRID3, [0.30, 0.42, 0.47], [0.04, 0.05, 0.05])
     est_c = _estimate(GRID3, [0.28, 0.40, 0.46], [0.04, 0.05, 0.05])
     wide_t = _estimate(GRID3, est_t.estimate, 2.0 * est_t.se)
     wide_c = _estimate(GRID3, est_c.estimate, 2.0 * est_c.se)
-    query = PotentialOutcomeQuery(1, 1, 1)
-    narrow = route2_population(
-        route2_toy_cohort, CLAYTON, query, grid=GRID3,
-        cif_estimates=(est_t, est_c), envelope_config={"n_samples": 0})
-    wide = route2_population(
-        route2_toy_cohort, CLAYTON, query, grid=GRID3,
-        cif_estimates=(wide_t, wide_c), envelope_config={"n_samples": 0})
+    (narrow,) = route2_population((est_t, est_c), [CLAYTON], n_samples=0)
+    (wide,) = route2_population((wide_t, wide_c), [CLAYTON], n_samples=0)
     assert np.all(wide.env_lo <= narrow.env_lo + 1e-12)
     assert np.all(wide.env_hi >= narrow.env_hi - 1e-12)
 
 
-def test_route2_sampling_rejects_inadmissible_trajectories(
-        route2_toy_cohort):
-    # bands wide enough that upper corners break the sum constraint:
+def _rejecting_estimates():
+    # bands wide enough that upper corners break the sum constraint
+    return (_estimate(GRID3, [0.30, 0.42, 0.47], [0.04, 0.05, 0.05]),
+            _estimate(GRID3, [0.28, 0.40, 0.46], [0.04, 0.05, 0.05]))
+
+
+def test_route2_sampling_rejects_inadmissible_trajectories():
     # some draws must be rejected, yet the run stays deterministic
-    est_t = _estimate(GRID3, [0.30, 0.42, 0.47], [0.04, 0.05, 0.05])
-    est_c = _estimate(GRID3, [0.28, 0.40, 0.46], [0.04, 0.05, 0.05])
-    query = PotentialOutcomeQuery(1, 1, 1)
-    kwargs = dict(grid=GRID3, cif_estimates=(est_t, est_c),
-                  envelope_config={"n_samples": 50, "seed": 7})
-    result = route2_population(route2_toy_cohort, CLAYTON, query, **kwargs)
+    kwargs = dict(n_samples=50, seed=7)
+    (result,) = route2_population(_rejecting_estimates(), [CLAYTON],
+                                  **kwargs)
     assert result.diagnostics["n_samples_accepted"] == 50
     assert result.diagnostics["n_sample_attempts"] > 50
     assert result.diagnostics["n_corner_scaled_points"] > 0
-    rerun = route2_population(route2_toy_cohort, CLAYTON, query, **kwargs)
+    (rerun,) = route2_population(_rejecting_estimates(), [CLAYTON],
+                                 **kwargs)
     np.testing.assert_array_equal(result.env_lo, rerun.env_lo)
     np.testing.assert_array_equal(result.env_hi, rerun.env_hi)
+
+
+def _bands(est_t, est_c):
+    return [np.maximum.accumulate(np.clip(
+        est.estimate + sign * Z_CRITICAL * est.se, 0.0, 1.0))
+        for est in (est_t, est_c) for sign in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, 7, 50])
+def test_batched_envelope_draws_match_one_attempt_at_a_time(n_samples):
+    bands = _bands(*_rejecting_estimates())
+    draws_t, draws_c, attempts = _draw_trajectories(*bands, n_samples, 7)
+    ref_t, ref_c, accepted, ref_attempts = reference_envelope_draws(
+        GRID3, *bands, n_samples, 7)
+    assert len(draws_t) == len(draws_c) == accepted == n_samples
+    assert attempts == ref_attempts
+    if n_samples:
+        assert attempts > n_samples     # the bands do reject draws
+    np.testing.assert_array_equal(draws_t, np.reshape(ref_t, (-1, 3)))
+    np.testing.assert_array_equal(draws_c, np.reshape(ref_c, (-1, 3)))
+
+
+def test_batched_envelope_draws_give_up_at_the_attempt_cap():
+    # every draw sums above one, though the lower corner is admissible
+    est = _estimate(GRID3, [0.75, 0.75, 0.75], [0.128, 0.128, 0.128])
+    bands = _bands(est, est)
+    draws_t, draws_c, attempts = _draw_trajectories(*bands, 3, 0)
+    assert reference_envelope_draws(GRID3, *bands, 3, 0) \
+        == ([], [], 0, 1500)
+    assert draws_t.shape == draws_c.shape == (0, 3)
+    assert attempts == 1500
+    with pytest.raises(InfeasibleBandsError,
+                       match="only 0 of 3 .* after 1500 attempts"):
+        route2_population((est, est), [CLAYTON], n_samples=3)
+
+
+def test_route2_sweep_equals_one_call_per_spec():
+    specs = [CopulaSpec("clayton", 0.3), CopulaSpec("gumbel", 0.5),
+             CopulaSpec("frank", -0.4)]
+    sweep = route2_population(_rejecting_estimates(), specs, n_samples=30,
+                              seed=4)
+    assert [r.tau for r in sweep] == [0.3, 0.5, -0.4]
+    for spec, swept in zip(specs, sweep):
+        (single,) = route2_population(_rejecting_estimates(), [spec],
+                                      n_samples=30, seed=4)
+        for name in ("grid", "central", "env_lo", "env_hi"):
+            np.testing.assert_array_equal(getattr(swept, name),
+                                          getattr(single, name))
+        for name in ("s_lo", "s_hi", "g_lo", "g_hi", "s_hat", "g_hat"):
+            np.testing.assert_array_equal(getattr(swept.state, name),
+                                          getattr(single.state, name))
+        assert swept.state.diagnostics == single.state.diagnostics
+        assert swept.diagnostics == single.diagnostics
+        assert swept.family == spec.family
 
 
 def test_route2_default_grid_resolves_censoring_jumps(route2_toy_cohort):
     # after recoding, censoring times are incidence jumps: the default
     # grid must carry them alongside the event times
-    result = route2_population(route2_toy_cohort, CLAYTON,
-                               PotentialOutcomeQuery(1, 1, 1),
-                               envelope_config={"n_samples": 10})
+    estimates = incidence_estimates(
+        FoldPlan(route2_toy_cohort.censoring_as_cause()),
+        PotentialOutcomeQuery(1, 1, 1))
+    (result,) = route2_population(estimates, [CLAYTON], n_samples=10)
     recoded = Cohort(route2_toy_cohort.x, route2_toy_cohort.z_items,
                      route2_toy_cohort.w_items, route2_toy_cohort.m,
                      np.where(route2_toy_cohort.delta == 1, 1, 2),
@@ -645,25 +677,16 @@ def test_route2_default_grid_resolves_censoring_jumps(route2_toy_cohort):
 
 
 def test_route2_rejects_competing_causes():
+    # Route II's estimates come from the censoring-recoded cohort
     cohort = sample_cohort(spec_of(make_cr_two_cause()), 400, seed=9)
     with pytest.raises(DataError, match="single event"):
-        route2_population(cohort, CLAYTON, PotentialOutcomeQuery(1, 1, 1))
+        cohort.censoring_as_cause()
 
 
-def test_route2_rejects_unknown_envelope_options(route2_toy_cohort):
-    with pytest.raises(DataError, match="unknown envelope option"):
-        route2_population(route2_toy_cohort, CLAYTON,
-                          PotentialOutcomeQuery(1, 1, 1),
-                          envelope_config={"n_draws": 5})
-
-
-def test_route2_csv_layout(route2_toy_cohort):
+def test_route2_csv_layout():
     est_t = _estimate(GRID3, [0.2, 0.3, 0.35], [0.01, 0.01, 0.01])
     est_c = _estimate(GRID3, [0.1, 0.2, 0.25], [0.01, 0.01, 0.01])
-    result = route2_population(
-        route2_toy_cohort, CLAYTON, PotentialOutcomeQuery(1, 1, 1),
-        grid=GRID3, cif_estimates=(est_t, est_c),
-        envelope_config={"n_samples": 5})
+    (result,) = route2_population((est_t, est_c), [CLAYTON], n_samples=5)
     text = result.to_csv(header_comment="config=abc123")
     lines = text.strip().split("\n")
     assert lines[0] == "# config=abc123"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -305,6 +306,56 @@ def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
     assert {cause for _, cause in calls} == {1, 2}
 
 
+def test_ic_envelope_drawn_once_per_query(ic_cohort_csv, tmp_path,
+                                          monkeypatch):
+    import fairsurv.cge
+    import fairsurv.cli
+    from fairsurv.cge import _draw_trajectories, route2_population
+
+    calls, draws = [], []
+
+    def counted(estimates, specs, **kwargs):
+        calls.append(len(specs))
+        return route2_population(estimates, specs, **kwargs)
+
+    def drawn(*args):
+        draws.append(args[4])
+        return _draw_trajectories(*args)
+
+    monkeypatch.setattr(fairsurv.cli, "route2_population", counted)
+    monkeypatch.setattr(fairsurv.cge, "_draw_trajectories", drawn)
+    assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+                 "--tau", "0.2,0.5,0.8", "--envelope-samples", "10",
+                 "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
+    # one envelope per query, shared by the three taus
+    assert calls == [3] * 4
+    assert draws == [10] * 4
+
+
+def test_ic_diagnostics_report_each_envelope_once(ic_cohort_csv, tmp_path):
+    args = ["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+            "--tau", "0.2,0.5", "--envelope-samples", "10",
+            "--grid", "1,2,3"]
+    assert main(args + ["--outdir", str(tmp_path / "a")]) == 0
+    assert main(args + ["--outdir", str(tmp_path / "b")]) == 0
+    text = (tmp_path / "a" / "diagnostics.json").read_text()
+    assert (tmp_path / "b" / "diagnostics.json").read_text() == text
+    envelopes = json.loads(text)["envelopes"]
+    assert sorted(envelopes) == sorted(str(q.as_tuple())
+                                       for q in role_queries(0, 1))
+    for counts in envelopes.values():
+        assert sorted(counts) == ["n_central_scaled_points",
+                                  "n_corner_scaled_points",
+                                  "n_sample_attempts", "n_samples_accepted"]
+        assert counts["n_samples_accepted"] == 10
+        assert counts["n_sample_attempts"] >= 10
+    # the conditional route draws no envelope
+    assert main(args + ["--estimator", "plugin",
+                        "--outdir", str(tmp_path / "p")]) == 0
+    assert "envelopes" not in json.loads(
+        (tmp_path / "p" / "diagnostics.json").read_text())
+
+
 def test_ic_nuisances_fitted_once_per_fold_and_cause(ic_cohort_csv, tmp_path,
                                                     monkeypatch):
     fits = count_fits(monkeypatch)
@@ -568,6 +619,23 @@ def test_usage_errors_for_flag_conflicts(nc_cohort_csv, tmp_path, capsys):
     assert main(["decompose", "--cohort", str(tiny), "--folds", "5",
                  "--grid", "1,2", "--outdir", str(tmp_path / "out")]) == 3
     assert "more folds than rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, tau", [
+    ("clayton", "1.5"), ("independence", "0.5"), ("gumbel", "-0.2"),
+    ("frank", "0.999999")])
+def test_tau_outside_the_family_range_is_usage_error(tmp_path, capsys,
+                                                     family, tau):
+    # rejected before the cohort is read, without a stray warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["decompose", "--cohort", str(tmp_path / "absent.csv"),
+                     "--mode", "ic", "--family", family, "--tau", tau,
+                     "--outdir", str(tmp_path)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert f"--tau {tau}: " in err and "RuntimeWarning" not in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["decompose", "curves"])

@@ -460,6 +460,39 @@ def reference_crossfit(plan, queries, functional, grid):
     return out
 
 
+def reference_envelope_draws(grid, lo_t, hi_t, lo_c, hi_c, n_samples,
+                             sample_seed):
+    """Route II's envelope sampler drawing one attempt at a time, kept as
+    the oracle of `cge._draw_trajectories`, which draws attempts in
+    batches from the same stream.
+
+    Returns the accepted event and censoring trajectories (lists of
+    arrays, in attempt order), the accepted count and the attempt count.
+    """
+    import numpy as np
+
+    from fairsurv.cge import _SUM_SLACK
+
+    members_t, members_c = [], []
+    rng = np.random.default_rng(sample_seed)
+    accepted = 0
+    attempts = 0
+    max_attempts = max(500 * n_samples, 1)
+    while accepted < n_samples and attempts < max_attempts:
+        attempts += 1
+        draw_t = np.sort(lo_t + rng.random(grid.size) * (hi_t - lo_t))
+        draw_c = np.sort(lo_c + rng.random(grid.size) * (hi_c - lo_c))
+        ok = (np.all(draw_t >= lo_t) and np.all(draw_t <= hi_t)
+              and np.all(draw_c >= lo_c) and np.all(draw_c <= hi_c)
+              and np.all(draw_t + draw_c <= 1.0 + _SUM_SLACK))
+        if not ok:
+            continue
+        members_t.append(draw_t)
+        members_c.append(draw_c)
+        accepted += 1
+    return members_t, members_c, accepted, attempts
+
+
 # ---------------------------------------------------------------------------
 # Direct summation over discrete tables: the oracle of `plugin_po`
 # ---------------------------------------------------------------------------
