@@ -19,6 +19,45 @@ _MONOTONE_SLACK = 1e-12
 # Curve kinds and the shape constraint each one enforces.
 _KINDS = ("survival", "cif", "hazard", "generic")
 
+# Most values in a padded block of the grouped product-limit core, a
+# block of tree predictions or of ``_Forest.mean_curves`` leaf values,
+# and a chunk of a tree node's candidates x rows.  2^20 ran a continuous
+# confounder's decompose 4-19 % faster, but raised the plug-in peak from
+# 76 to 104 MB at n = 10k.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _check_steps(times, values, value_at_zero, kind, heads):
+    """A step curve's checks on consecutive curves' jumps at once, heads
+    the index of each curve's first: times finite, nonnegative and rising
+    within a curve, values of ``kind``'s shape from ``value_at_zero``."""
+    if times.size and (not np.all(np.isfinite(times))
+                       or np.any(times[heads] < 0.0)):
+        raise DataError("breakpoints must be finite and nonnegative")
+    before = np.empty_like(times)
+    before[1:] = times[:-1]
+    before[heads] = -np.inf
+    if np.any(times <= before):
+        raise DataError("breakpoints must be strictly increasing")
+    if kind not in _KINDS:
+        raise DataError(f"unknown curve kind {kind!r}")
+    before = np.empty_like(values)
+    before[1:] = values[:-1]
+    before[heads] = value_at_zero
+    rise = values - before
+    if kind in ("survival", "cif"):
+        name, sign, trend = (("survival curve", -1.0, "increasing")
+                             if kind == "survival" else
+                             ("cumulative incidence", 1.0, "decreasing"))
+        if np.any(sign * rise < -_MONOTONE_SLACK):
+            raise DataError(f"{name} must be non-{trend}")
+        seq = np.append(values, value_at_zero)
+        if np.any(seq > 1.0 + _MONOTONE_SLACK) or np.any(seq < -_MONOTONE_SLACK):
+            raise DataError(f"{name} must stay within [0, 1]")
+    elif kind == "hazard":
+        if np.any(rise < -_MONOTONE_SLACK) or value_at_zero < -_MONOTONE_SLACK:
+            raise DataError("cumulative hazard must be non-decreasing")
+
 
 class StepCurve:
     """A right-continuous piecewise-constant function on [0, inf).
@@ -45,31 +84,19 @@ class StepCurve:
         vals = np.asarray(values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size:
             raise DataError("breakpoints and values must be 1-d and equally long")
-        if bp.size and (not np.all(np.isfinite(bp)) or bp[0] < 0.0):
-            raise DataError("breakpoints must be finite and nonnegative")
-        if bp.size > 1 and np.any(np.diff(bp) <= 0.0):
-            raise DataError("breakpoints must be strictly increasing")
-        if kind not in _KINDS:
-            raise DataError(f"unknown curve kind {kind!r}")
         v0 = float(value_at_zero)
-        seq = np.concatenate(([v0], vals))
-        if kind == "survival":
-            if np.any(np.diff(seq) > _MONOTONE_SLACK):
-                raise DataError("survival curve must be non-increasing")
-            if np.any(seq > 1.0 + _MONOTONE_SLACK) or np.any(seq < -_MONOTONE_SLACK):
-                raise DataError("survival curve must stay within [0, 1]")
-        elif kind == "cif":
-            if np.any(np.diff(seq) < -_MONOTONE_SLACK):
-                raise DataError("cumulative incidence must be non-decreasing")
-            if np.any(seq > 1.0 + _MONOTONE_SLACK) or np.any(seq < -_MONOTONE_SLACK):
-                raise DataError("cumulative incidence must stay within [0, 1]")
-        elif kind == "hazard":
-            if np.any(np.diff(seq) < -_MONOTONE_SLACK) or v0 < -_MONOTONE_SLACK:
-                raise DataError("cumulative hazard must be non-decreasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "value_at_zero", v0)
-        object.__setattr__(self, "kind", kind)
+        _check_steps(bp, vals, v0, kind, [0] if bp.size else [])
+        for name, value in zip(self.__slots__, (bp, vals, v0, kind)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _checked(cls, *fields):
+        """The curve of (breakpoints, values, value_at_zero, kind) that
+        already passed ``_check_steps``."""
+        curve = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(curve, name, value)
+        return curve
 
     def __setattr__(self, name, value):  # curves are immutable once built
         raise AttributeError("StepCurve is immutable")
@@ -114,19 +141,6 @@ class StepCurve:
         return StepCurve(g, self.evaluate(g), self.value_at_zero, self.kind)
 
 
-class RiskTable:
-    """Per-distinct-time risk set and event counts for a cohort."""
-
-    __slots__ = ("times", "at_risk", "events", "censored", "n_causes")
-
-    def __init__(self, times, at_risk, events, censored, n_causes):
-        self.times = times
-        self.at_risk = at_risk
-        self.events = events          # shape (n_times, n_causes)
-        self.censored = censored
-        self.n_causes = n_causes
-
-
 def _as_cohort_arrays(times, deltas):
     t = np.asarray(times, dtype=float)
     d = np.asarray(deltas, dtype=int)
@@ -141,39 +155,70 @@ def _as_cohort_arrays(times, deltas):
     return t, d
 
 
-def risk_table(times, deltas, n_causes=None):
-    """Tabulate at-risk counts, per-cause events, and censorings.
+def product_limit_steps(times, events, bounds, kind, cause=None):
+    """Jump times and values of the step function of each group of rows,
+    from the group's rows alone, and each group's jump count.
 
-    The at-risk set at a distinct time u is everyone with observed time
-    >= u, so tied censorings are still at risk for tied events.
+    Group g is the rows ``bounds[g]:bounds[g + 1]`` (an integer array;
+    nonempty groups) in ascending ``times``, ``events`` their labels;
+    ``kind`` is ``hazard`` (Nelson-Aalen, any cause an event),
+    ``survival`` (Kaplan-Meier, likewise) or ``cif`` (Aalen-Johansen
+    incidence of ``cause``).  Tied censorings stay at risk for tied
+    events.  The jumps pass the checks of a step curve of ``kind``.
     """
-    t, d = _as_cohort_arrays(times, deltas)
-    if n_causes is None:
-        n_causes = max(int(d.max()), 1)
-    if np.any(d > n_causes):
-        raise DataError("event indicator exceeds the declared number of causes")
-    order = np.argsort(t, kind="mergesort")
-    t, d = t[order], d[order]
-    uniq, start = np.unique(t, return_index=True)
-    n = t.size
-    at_risk = n - start
-    events = np.zeros((uniq.size, n_causes), dtype=np.int64)
-    censored = np.zeros(uniq.size, dtype=np.int64)
-    slot = np.searchsorted(uniq, t)
-    for k in range(1, n_causes + 1):
-        np.add.at(events[:, k - 1], slot[d == k], 1)
-    np.add.at(censored, slot[d == 0], 1)
-    return RiskTable(uniq, at_risk, events, censored, n_causes)
+    new = np.ones(times.size, dtype=bool)
+    new[1:] = times[1:] != times[:-1]
+    new[bounds[:-1]] = True
+    first = np.flatnonzero(new)
+    d_all = np.add.reduceat(events > 0, first, dtype=np.intp)
+    keep = d_all > 0
+    group = np.searchsorted(bounds, first[keep], side="right") - 1
+    d, n = d_all[keep], bounds[group + 1] - first[keep]
+    sizes = np.bincount(group, minlength=bounds.size - 1)
+    heads = (np.cumsum(sizes) - sizes)[sizes > 0]
+    if kind == "hazard":
+        values = _accumulate(np.add, d / n, sizes)
+    else:
+        values = _accumulate(np.multiply, 1.0 - d / n, sizes)
+    if kind == "cif":  # dCIF_k(u) = S_all(u-) * d_k(u) / n(u)
+        before = np.empty_like(values)
+        before[1:] = values[:-1]
+        before[heads] = 1.0
+        own = np.add.reduceat(events == cause, first, dtype=np.intp)[keep]
+        values = _accumulate(np.add, before * own / n, sizes)
+    jumps = times[first[keep]]
+    _check_steps(jumps, values, float(kind == "survival"), kind, heads)
+    return jumps, values, sizes
 
 
-def _event_steps(times, events):
-    """Distinct event times with their event and at-risk counts; any
-    positive indicator counts as an event."""
-    rt = risk_table(times, np.minimum(np.asarray(events, dtype=int), 1),
-                    n_causes=1)
-    dj = rt.events[:, 0]
-    keep = dj > 0
-    return rt.times[keep], dj[keep], rt.at_risk[keep]
+def _accumulate(ufunc, values, sizes):
+    """``ufunc.accumulate`` within each consecutive group of ``sizes``
+    entries of ``values``, every group alone and in order.  Groups go in
+    rows padded with the ufunc's identity, as many rows at a time as fit
+    in ``_BLOCK_ELEMENTS`` values."""
+    if sizes.size == 1:
+        return ufunc.accumulate(values)
+    out = np.empty_like(values)
+    width = max(int(sizes.max()), 1)
+    ends = np.cumsum(sizes)
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for g in range(0, sizes.size, step):
+        size = sizes[g:g + step]
+        lo, hi = ends[g] - size[0], ends[g + size.size - 1]
+        row = np.repeat(np.arange(size.size), size)
+        col = np.arange(hi - lo) - np.repeat(np.cumsum(size) - size, size)
+        block = np.full((size.size, width), float(ufunc.identity))
+        block[row, col] = values[lo:hi]
+        out[lo:hi] = ufunc.accumulate(block, axis=1)[row, col]
+    return out
+
+
+def _estimate(times, events, kind, cause=None):
+    """The ``kind`` step curve of one cohort, its rows sorted by time."""
+    order = np.argsort(times, kind="stable")
+    jumps, values, _ = product_limit_steps(
+        times[order], events[order], np.array([0, times.size]), kind, cause)
+    return StepCurve._checked(jumps, values, float(kind == "survival"), kind)
 
 
 def kaplan_meier(times, events):
@@ -183,15 +228,12 @@ def kaplan_meier(times, events):
     integer is treated as an event so all-cause curves can reuse this
     entry point with multi-cause labels.
     """
-    u, d, n = _event_steps(times, events)
-    return StepCurve(u, np.cumprod(1.0 - d / n), value_at_zero=1.0,
-                     kind="survival")
+    return _estimate(*_as_cohort_arrays(times, events), "survival")
 
 
 def nelson_aalen(times, events):
     """Cumulative-hazard estimate, the running sum of d_j / n_j."""
-    u, d, n = _event_steps(times, events)
-    return StepCurve(u, np.cumsum(d / n), value_at_zero=0.0, kind="hazard")
+    return _estimate(*_as_cohort_arrays(times, events), "hazard")
 
 
 def aalen_johansen_cif(times, deltas, cause, n_causes=None):
@@ -203,15 +245,13 @@ def aalen_johansen_cif(times, deltas, cause, n_causes=None):
     t, d = _as_cohort_arrays(times, deltas)
     if cause < 1:
         raise DataError("cause labels start at 1 (0 is censoring)")
-    rt = risk_table(t, d, n_causes=n_causes)
-    if cause > rt.n_causes:
+    if n_causes is None:
+        n_causes = max(int(d.max()), 1)
+    if np.any(d > n_causes):
+        raise DataError("event indicator exceeds the declared number of causes")
+    if cause > n_causes:
         raise DataError("cause exceeds the declared number of causes")
-    d_all = rt.events.sum(axis=1)
-    s_all_left = np.concatenate(([1.0], np.cumprod(1.0 - d_all / rt.at_risk)))[:-1]
-    inc = s_all_left * rt.events[:, cause - 1] / rt.at_risk
-    keep = d_all > 0  # curve only moves at event times
-    cif = np.cumsum(inc)[keep]
-    return StepCurve(rt.times[keep], cif, value_at_zero=0.0, kind="cif")
+    return _estimate(t, d, "cif", cause)
 
 
 def hazard_increments(curve):

@@ -4,21 +4,23 @@ Two survival learners are provided.  The stratified learner groups rows
 by the exact (group, confounder, mediator) combination and fits a
 product-limit curve per stratum, backing off to coarser strata when a
 combination has no rows.  The tree learner bags log-rank-split survival
-trees, one per bootstrap resample, and averages cumulative hazards (or,
-for a cause target, incidence curves) across trees.  A node's candidate
-splits are the midpoints between consecutive distinct values of each
-feature, or at most `max_thresholds` distinct interior quantiles; those
-leaving fewer than `min_leaf` rows on a side are dropped, the rest are
-scored together in one array pass by the two-sample log-rank
-chi-square, and the first strictly largest positive score wins.  The
-fitted trees are flat parallel node arrays.  A batch prediction takes
-its rows in blocks bounded by the length of the curves they return,
-routes a block through every tree at once and builds one curve per
-distinct leaf set (the tuple of leaves, one per tree).  Tree
-parameters: n_trees >= 1, min_leaf >= 10, 0 <= max_depth <= 6,
-max_thresholds >= 1, seed.  Propensities come from frequency tables or
-IRLS logistic fits, clipped away from 0 and 1; the logistic learner
-refuses covariates that are not finite.
+trees, one per bootstrap resample sorted by time once, and averages
+cumulative hazards (or, for a cause target, incidence curves) across
+trees.  A split keeps each side's rows in time order.  A node's
+candidate splits are the midpoints between consecutive distinct values
+of each feature, or at most `max_thresholds` distinct interior
+quantiles; those leaving fewer than `min_leaf` rows on a side are
+dropped, the rest are scored by the two-sample log-rank chi-square in
+chunks of at most ``_BLOCK_ELEMENTS`` // rows candidates, and the first
+strictly largest positive score wins.  A tree's leaf step functions
+come from one grouped product-limit pass.  The fitted trees are flat
+parallel node arrays.  A batch prediction takes its rows in blocks
+bounded by the length of the curves they return, routes a block through
+every tree at once and builds one curve per distinct leaf set (the tuple
+of leaves, one per tree).  Tree parameters: n_trees >= 1, min_leaf >=
+10, 0 <= max_depth <= 6, max_thresholds >= 1, seed.  Propensities come
+from frequency tables or IRLS logistic fits, clipped away from 0 and 1;
+the logistic learner refuses covariates that are not finite.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import math
 import numpy as np
 
 from .curves import (
+    _BLOCK_ELEMENTS,
     StepCurve,
     aalen_johansen_cif,
     kaplan_meier,
-    nelson_aalen,
+    product_limit_steps,
 )
 from .errors import (
     CohortSchemaError,
@@ -109,45 +112,36 @@ def _sorted_cells(values):
 # Log-rank survival trees
 # ---------------------------------------------------------------------------
 
-# Most values (triples x union-grid times) in the curves of one block of
-# ``ConditionalSurvivalModel.predict_many``, and in the leaf values one
-# pass of ``_Forest.mean_curves`` decodes.  2^20 ran a continuous
-# confounder's decompose 4-19 % faster, but raised the plug-in peak
-# from 76 to 104 MB at n = 10k.
-_BLOCK_ELEMENTS = 1 << 18
-
-
 def _logrank_scores(left, m, ind):
     """Two-sample log-rank chi-square of every candidate split of a node.
 
-    `left` is a (candidates, rows) boolean matrix: row k marks the node
-    rows candidate k sends left.  The event times, the totals at risk and
-    the total events do not depend on the split, so they are computed
-    once; left at-risk counts are a cumulative count over the rows in
-    descending time order and left event counts a per-time sum over the
-    event rows.  Every array is candidates x rows or candidates x event
-    times.  A candidate whose variance is not positive scores 0.
+    The node's rows come in ascending time ``m``; row k of the boolean
+    (candidates, rows) ``left`` marks the rows candidate k sends left.
+    Event times (runs of equal times among the event rows), totals at
+    risk and total events do not depend on the split; left at-risk
+    counts are one cumulative count over the reversed columns, left
+    event counts a per-time sum over the event rows.  A candidate whose
+    variance is not positive scores 0.
     """
-    events = ind > 0
-    ev, d = np.unique(m[events], return_counts=True)
+    ev_rows = np.flatnonzero(ind > 0)
     chi = np.zeros(left.shape[0])
-    if ev.size == 0:
+    if ev_rows.size == 0:
         return chi
-    ascending = np.argsort(m, kind="stable")
-    n = m.size - np.searchsorted(m[ascending], ev, side="left")
-    n_l = np.cumsum(left[:, ascending[::-1]], axis=1)[:, n - 1]
-    ev_rows = np.flatnonzero(events)
-    ev_rows = ev_rows[np.argsort(m[ev_rows], kind="stable")]
-    starts = np.concatenate(([0], np.cumsum(d)[:-1]))
+    t = m[ev_rows]
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    d = np.diff(np.append(starts, t.size))
+    n = m.size - np.searchsorted(m, t[starts], side="left")
+    n_l = np.cumsum(left[:, ::-1], axis=1)[:, n - 1]
     d_l = np.add.reduceat(left[:, ev_rows], starts, axis=1, dtype=np.intp)
 
     n_l, d_l = n_l.astype(float), d_l.astype(float)
     n, d = n.astype(float), d.astype(float)
     n_r = n - n_l
     observed_minus_expected = _row_sums(d_l - n_l * d / n)
-    multi = n > 1
+    multi = np.count_nonzero(n > 1)  # a prefix: at-risk counts fall
     var = _row_sums(
-        (n_l * n_r * d * (n - d))[:, multi] / (n[multi] ** 2 * (n[multi] - 1.0))
+        (n_l * n_r * d * (n - d))[:, :multi]
+        / (n[:multi] ** 2 * (n[:multi] - 1.0))
     )
     # Squared with Python's float power, as a single split's statistic is:
     # libm pow and x * x can differ in the last place, enough to reorder
@@ -164,19 +158,6 @@ def _row_sums(a):
     return np.sum(np.ascontiguousarray(a), axis=1)
 
 
-def _leaf_payload(m, delta, target, n_causes, depth):
-    """(jump times, values before and from each jump, rows, depth) of a
-    leaf: its step function is the cause's incidence for a cause target,
-    the cumulative hazard otherwise."""
-    if isinstance(target, int):
-        curve = aalen_johansen_cif(m, delta, cause=target, n_causes=n_causes)
-    else:
-        curve = nelson_aalen(m, _indicator(delta, target))
-    return (curve.breakpoints,
-            np.concatenate(([curve.value_at_zero], curve.values)), m.size,
-            depth)
-
-
 def _run_starts(ordered):
     """Mask of the first entry of each run of equal values down every
     column of a column-sorted array.  NaNs, sorted last, form one run, as
@@ -186,20 +167,35 @@ def _run_starts(ordered):
     return starts
 
 
-def _candidate_splits(feats, max_thresholds):
+def _quantiles(ordered, levels):
+    """``np.quantile(columns, levels, axis=0)`` of column-sorted columns by
+    numpy's 'linear' rule: virtual index (rows - 1) * level, numpy's
+    interpolation between its floor and the next, NaN for NaN columns."""
+    at = (ordered.shape[0] - 1) * levels
+    lo = np.floor(at).astype(np.intp)
+    lo, hi = np.where(at >= ordered.shape[0] - 1, -1, (lo, lo + 1))
+    gamma = (at - lo)[:, None]
+    below, above = ordered[lo], ordered[hi]
+    diff = above - below
+    q = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    np.copyto(q, ordered[-1], where=np.isnan(ordered[-1]))
+    return q
+
+
+def _candidate_splits(feats, max_thresholds, levels):
     """(feature, threshold) of every candidate split of a node, features
     in column order and thresholds ascending within a feature: the
     midpoints between consecutive distinct values, or, where there are
     more than `max_thresholds` of them, the distinct interior quantiles
-    at `max_thresholds` equally spaced levels.  The node's columns are
-    sorted once, and the quantiles of every feature that needs them are
-    taken in one call."""
+    at the `max_thresholds` equally spaced ``levels``.  The node's
+    columns are sorted once; the quantiles come from the sorted
+    columns."""
     ordered = np.sort(feats, axis=0)
     starts = _run_starts(ordered)
     many = starts.sum(axis=0) - 1 > max_thresholds
     if many.any():
-        levels = np.linspace(0.0, 1.0, max_thresholds + 2)[1:-1]
-        q = np.sort(np.quantile(feats[:, many], levels, axis=0), axis=0)
+        q = np.sort(_quantiles(ordered[:, many], levels), axis=0)
         q_starts = _run_starts(q)
         quantiles = (q[q_starts[:, k], k] for k in range(q.shape[1]))
     features, thresholds = [np.empty(0, dtype=int)], [np.empty(0)]
@@ -213,34 +209,45 @@ def _candidate_splits(feats, max_thresholds):
     return np.concatenate(features), np.concatenate(thresholds)
 
 
-def _grow_tree(feats, m, delta, ind, target, n_causes, depth, params,
-               nodes, leaves):
-    """Append the tree grown on these rows to ``nodes`` in preorder, as
-    (feature, threshold, left, right, leaf) entries, and its leaves'
-    payloads to ``leaves``; returns the index of its root."""
-    index = len(nodes)
-    nodes.append(None)
+def _best_split(feats, m, ind, params):
+    """(feature, threshold) of the first strictly largest positive
+    log-rank score among the candidates leaving `min_leaf` rows on each
+    side, or None.  Scoring candidates in chunks of at most
+    ``_BLOCK_ELEMENTS`` // rows bounds the candidates x rows arrays."""
+    feature, threshold = _candidate_splits(
+        feats, params["max_thresholds"], params["levels"])
     n = m.size
-    if depth < params["max_depth"] and n >= 2 * params["min_leaf"]:
-        feature, threshold = _candidate_splits(feats, params["max_thresholds"])
-        left = feats[:, feature].T <= threshold[:, None]
+    best, top = None, 0.0
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for first in range(0, feature.size, step):
+        f, thr = feature[first:first + step], threshold[first:first + step]
+        left = feats[:, f].T <= thr[:, None]
         n_left = left.sum(axis=1)
         fits = np.minimum(n_left, n - n_left) >= params["min_leaf"]
-        left, feature, threshold = left[fits], feature[fits], threshold[fits]
-        scores = _logrank_scores(left, m, ind)
-        if scores.size and scores.max() > 0.0:
+        scores = _logrank_scores(left[fits], m, ind)
+        if scores.size and scores.max() > top:
             k = int(np.argmax(scores))  # the first maximum wins
-            mask = left[k]
-            lo = _grow_tree(feats[mask], m[mask], delta[mask], ind[mask],
-                            target, n_causes, depth + 1, params, nodes,
-                            leaves)
-            hi = _grow_tree(feats[~mask], m[~mask], delta[~mask], ind[~mask],
-                            target, n_causes, depth + 1, params, nodes,
-                            leaves)
-            nodes[index] = (int(feature[k]), float(threshold[k]), lo, hi, -1)
+            top, best = scores[k], (int(f[fits][k]), float(thr[fits][k]))
+    return best
+
+
+def _grow_tree(feats, m, ind, rows, depth, params, nodes, leaves):
+    """Append the tree grown on ``rows`` (indices into ``feats``, ``m``,
+    ``ind`` in ascending time, kept by each split) to ``nodes`` in
+    preorder as (feature, threshold, left, right, leaf), and its leaves'
+    (rows, depth) to ``leaves``; returns the index of its root."""
+    index = len(nodes)
+    nodes.append(None)
+    if depth < params["max_depth"] and rows.size >= 2 * params["min_leaf"]:
+        split = _best_split(feats[rows], m[rows], ind[rows], params)
+        if split is not None:
+            mask = feats[rows, split[0]] <= split[1]
+            lo, hi = (_grow_tree(feats, m, ind, rows[side], depth + 1, params,
+                                 nodes, leaves) for side in (mask, ~mask))
+            nodes[index] = (*split, lo, hi, -1)
             return index
     nodes[index] = (0, 0.0, index, index, len(leaves))
-    leaves.append(_leaf_payload(m, delta, target, n_causes, depth))
+    leaves.append((rows, depth))
     return index
 
 
@@ -259,21 +266,20 @@ class _Forest:
     the value from each jump on).
     """
 
-    def __init__(self, roots, nodes, leaves):
+    def __init__(self, roots, nodes, leaves, times, values, n_jumps):
         self.roots = np.array(roots)
         self.feature, self.threshold, self.left, self.right, self.leaf = (
             np.array(column) for column in zip(*nodes))
-        times, steps, n_rows, depths = zip(*leaves)
-        self.grid = np.unique(np.concatenate(times))
-        pos = np.searchsorted(self.grid, np.concatenate(times))
-        ends = np.cumsum([t.size for t in times])
+        self.grid = np.unique(times)
+        pos = np.searchsorted(self.grid, times)
+        ends = np.cumsum(n_jumps)
         self.bounds = np.concatenate(([0], ends + np.arange(1, ends.size + 1)))
-        self.steps = np.concatenate(steps)
+        self.steps = np.insert(values, ends - n_jumps, 0.0)
         # a leaf's runs end at its jumps and at the end of the grid
         self.runs = (np.insert(pos, ends, self.grid.size)
                      - np.insert(pos, np.concatenate(([0], ends[:-1])), 0))
-        self.n_rows = np.array(n_rows)
-        self.depth = max(depths)
+        self.n_rows = np.array([size for size, _ in leaves])
+        self.depth = max(depth for _, depth in leaves)
 
     def leaf_sets(self, feats):
         """Leaf of every row of ``feats`` in every tree (rows x trees)."""
@@ -561,14 +567,28 @@ def _fit_tree_ensemble(cohort, target, params):
         [cohort.x.astype(float), z_mat, w_mat]
     )
     ind = _indicator(cohort.delta, target)
+    # quantile levels, which only nodes of max_thresholds + 2 rows need
+    grow = dict(opts, levels=None if opts["max_thresholds"] + 2 > cohort.n
+                else np.linspace(0.0, 1.0, opts["max_thresholds"] + 2)[1:-1])
+    kind, labels = (("cif", cohort.delta) if isinstance(target, int)
+                    else ("hazard", ind))
     rng = np.random.default_rng(opts["seed"])
-    roots, nodes, leaves = [], [], []
+    roots, nodes, leaves, passes = [], [], [], []
     for _ in range(opts["n_trees"]):
         boot = rng.integers(0, cohort.n, cohort.n)
-        roots.append(_grow_tree(
-            feats[boot], cohort.m[boot], cohort.delta[boot], ind[boot],
-            target, cohort.n_causes, 0, opts, nodes, leaves))
-    forest = _Forest(roots, nodes, leaves)
+        rows = boot[np.argsort(cohort.m[boot], kind="stable")]
+        tree = len(leaves)
+        roots.append(_grow_tree(feats, cohort.m, ind, rows, 0, grow, nodes,
+                                leaves))
+        grown = leaves[tree:]
+        rows = np.concatenate([r for r, _ in grown])
+        passes.append(product_limit_steps(
+            cohort.m[rows], labels[rows],
+            np.cumsum([0] + [r.size for r, _ in grown]), kind, target))
+        leaves[tree:] = [(r.size, depth) for r, depth in grown]
+    # rebinding frees the per-tree parts before the forest is built
+    passes = [np.concatenate(parts) for parts in zip(*passes)]
+    forest = _Forest(roots, nodes, leaves, *passes)
     report = {
         "learner": "logrank_tree_ensemble",
         "target": _target_label(target),

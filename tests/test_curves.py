@@ -17,9 +17,9 @@ from fairsurv.curves import (
     hazard_increments,
     kaplan_meier,
     nelson_aalen,
+    product_limit_steps,
     restricted_mean,
     restricted_means,
-    risk_table,
     running_rmst,
 )
 from fairsurv.errors import DataError, EmptyCohortError
@@ -142,6 +142,44 @@ def test_na_with_ties_and_censoring():
     assert_allclose(h.evaluate(2.0), 0.2)
     assert_allclose(h.evaluate(4.0), 0.45)
     assert_allclose(h.evaluate(7.0), 0.95)
+
+
+# ---------------------------------------------------------------------------
+# The grouped product-limit core
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("block", [1 << 18, 7])
+def test_grouped_core_equals_one_estimate_per_group(monkeypatch, block):
+    # a block of 7 values pads one group at a time
+    import fairsurv.curves
+
+    monkeypatch.setattr(fairsurv.curves, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(1, 40, 60)
+    times = [np.sort(rng.integers(0, 12, k)).astype(float) for k in sizes]
+    labels = [rng.choice(3, size=k, p=[0.5, 0.3, 0.2]) for k in sizes]
+    labels[3][:] = 0  # a group without events
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    for kind, one in (("survival", kaplan_meier), ("hazard", nelson_aalen),
+                      ("cif", lambda m, d: aalen_johansen_cif(m, d, 2, 2))):
+        jumps, values, n_jumps = product_limit_steps(
+            np.concatenate(times), np.concatenate(labels), bounds, kind, 2)
+        assert n_jumps[3] == 0
+        ends = np.cumsum(n_jumps)
+        for m, d, lo, hi in zip(times, labels, ends - n_jumps, ends):
+            curve = one(m, d)
+            assert jumps[lo:hi].tobytes() == curve.breakpoints.tobytes()
+            assert values[lo:hi].tobytes() == curve.values.tobytes()
+
+
+def test_grouped_core_keeps_the_step_curve_checks():
+    events = np.ones(4, dtype=int)
+    with pytest.raises(DataError, match="strictly increasing"):
+        product_limit_steps(np.array([1.0, 2.0, 2.0, 1.0]), events,
+                            np.array([0, 2, 4]), "hazard")
+    with pytest.raises(DataError, match="finite and nonnegative"):
+        product_limit_steps(np.array([1.0, 2.0, -1.0, 3.0]), events,
+                            np.array([0, 2, 4]), "survival")
 
 
 @given(
@@ -330,15 +368,3 @@ def test_hazard_increments_are_zero_once_the_curve_reaches_zero():
     curve = StepCurve([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.0, 0.0])
     assert hazard_increments(curve).tolist() == [0.5, 0.0, 1.0, 0.0]
     assert hazard_increments(StepCurve([], [])).size == 0
-
-
-# ---------------------------------------------------------------------------
-# Risk table
-# ---------------------------------------------------------------------------
-
-def test_risk_table_counts():
-    rt = risk_table([2, 4, 4, 5, 7], [1, 0, 1, 1, 0], n_causes=1)
-    assert_allclose(rt.times, [2, 4, 5, 7])
-    assert_allclose(rt.at_risk, [5, 4, 2, 1])
-    assert_allclose(rt.events[:, 0], [1, 1, 1, 0])
-    assert_allclose(rt.censored, [0, 1, 0, 1])

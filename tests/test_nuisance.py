@@ -41,6 +41,7 @@ from testkit import (
     predict_censoring_hazard_increments,
     predict_cif,
     predict_survival,
+    reference_forest,
     spec_of,
 )
 
@@ -333,6 +334,9 @@ def test_logrank_scores_equal_the_one_split_oracle_exactly():
             np.sort(rng.normal(size=int(rng.integers(1, 40)))),
         ))
         left = col <= thresholds[:, None]
+        # the scorer takes a node's rows in ascending time order
+        order = np.argsort(m, kind="stable")
+        m, ind, left = m[order], ind[order], left[:, order]
         got = _logrank_scores(left, m, ind)
         want = _oracle_scores(left, m, ind)
         assert got.shape == want.shape
@@ -368,7 +372,8 @@ def test_candidate_splits_equal_the_per_feature_reference():
         max_thresholds = int(rng.integers(1, 40))
         wants = [_reference_thresholds(feats[:, j], max_thresholds)
                  for j in range(p)]
-        feature, threshold = _candidate_splits(feats, max_thresholds)
+        levels = np.linspace(0.0, 1.0, max_thresholds + 2)[1:-1]
+        feature, threshold = _candidate_splits(feats, max_thresholds, levels)
         assert feature.tolist() == [j for j, want in enumerate(wants)
                                     for _ in want]
         assert threshold.tobytes() == np.concatenate(wants).tobytes()
@@ -460,6 +465,106 @@ def test_tree_cif_without_splits_is_the_bootstrap_mean_aalen_johansen():
     got = predict_cif(model, 1, 0, 0)
     np.testing.assert_array_equal(got.breakpoints, grid)
     np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+
+_FOREST_ARRAYS = ("roots", "feature", "threshold", "left", "right", "leaf",
+                  "grid", "bounds", "steps", "runs", "n_rows")
+
+
+def _same_forest(got, want):
+    for name in _FOREST_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.depth == want.depth
+
+
+def _awkward_cohort(n=300, seed=23):
+    """Integer times (heavy ties), two causes, and three confounder
+    columns: one rounded to a tenth, its zeros all -0.0 (where a column
+    holds both signed zeros, the zero a quantile lands on keeps the sign
+    that numpy's partition leaves there, which depends on row order), one
+    with 10 % NaN and one continuous."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, n)
+    z = rng.normal(size=(n, 3))
+    z[:, 0] = np.round(z[:, 0], 1)
+    z[z[:, 0] == 0.0, 0] = -0.0
+    z[rng.random(n) < 0.1, 1] = np.nan
+    w = rng.integers(0, 2, n)
+    rate = np.exp(0.6 * np.nan_to_num(z[:, 0]) + 0.4 * x - 0.3 * w)
+    m = np.ceil(4.0 * rng.exponential(1.0 / rate))
+    delta = rng.choice(3, size=n, p=[0.3, 0.45, 0.25])
+    return Cohort(x, [tuple(r) for r in z.tolist()], w.tolist(), m, delta)
+
+
+@pytest.mark.parametrize("max_thresholds", [1, 10**6])
+@pytest.mark.parametrize("max_depth", [0, 6])
+@pytest.mark.parametrize("target", ["event", "censoring", 1])
+def test_forest_equals_the_recursive_reference_grower_bytewise(
+        target, max_depth, max_thresholds):
+    cohort = _awkward_cohort()
+    params = dict(n_trees=4, seed=9, max_depth=max_depth,
+                  max_thresholds=max_thresholds)
+    model = fit_conditional_survival(
+        cohort, target=target, learner="logrank_tree_ensemble", **params)
+    want = reference_forest(cohort, target, **params)
+    _same_forest(model._forest, want)
+    assert (want.leaf >= 0).sum() > (4 if max_depth else 3)
+
+
+def test_tree_fit_makes_no_estimator_or_quantile_call_per_leaf(monkeypatch):
+    import fairsurv.curves
+    import fairsurv.nuisance
+
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+    for module in (fairsurv.curves, fairsurv.nuisance):
+        for name in ("kaplan_meier", "nelson_aalen", "aalen_johansen_cif"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    monkeypatch.setattr(np, "quantile", counted("quantile", np.quantile))
+    cohort = _tree_cohort()
+    for target in ("event", "censoring", 1):
+        # 4 thresholds: the continuous columns split at quantiles
+        model = fit_conditional_survival(
+            cohort, target=target, learner="logrank_tree_ensemble",
+            n_trees=3, max_thresholds=4)
+        assert model._forest.n_rows.size > 6
+    assert calls == []
+
+
+def test_candidate_scoring_is_bounded_whatever_max_thresholds():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    n = 4000
+    x = rng.integers(0, 2, n)
+    z = rng.normal(size=(n, 2))
+    w = rng.integers(0, 2, n)
+    m = np.round(rng.exponential(1.0 / np.exp(0.5 * z[:, 0] + 0.4 * x)), 3)
+    delta = rng.choice(3, size=n, p=[0.3, 0.45, 0.25])
+    cohort = Cohort(x, [tuple(r) for r in z.tolist()], w.tolist(), m, delta)
+    # max_thresholds = rows: every midpoint is a candidate
+    every = fit_conditional_survival(
+        cohort, learner="logrank_tree_ensemble", n_trees=1,
+        max_thresholds=n)
+    tracemalloc.start()
+    try:
+        unbounded = fit_conditional_survival(
+            cohort, learner="logrank_tree_ensemble", n_trees=1,
+            max_thresholds=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _same_forest(unbounded._forest, every._forest)
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

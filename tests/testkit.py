@@ -494,6 +494,161 @@ def reference_envelope_draws(grid, lo_t, hi_t, lo_c, hi_c, n_samples,
 
 
 # ---------------------------------------------------------------------------
+# The recursive log-rank grower: the oracle of the tree learner
+# ---------------------------------------------------------------------------
+
+def reference_logrank_scores(left, m, ind):
+    """Two-sample log-rank chi-square of every candidate split of a node
+    whose rows come in any order: sorts the node's times and gathers the
+    columns of ``left`` in time order."""
+    import numpy as np
+
+    from fairsurv.nuisance import _row_sums
+
+    events = ind > 0
+    ev, d = np.unique(m[events], return_counts=True)
+    chi = np.zeros(left.shape[0])
+    if ev.size == 0:
+        return chi
+    ascending = np.argsort(m, kind="stable")
+    n = m.size - np.searchsorted(m[ascending], ev, side="left")
+    n_l = np.cumsum(left[:, ascending[::-1]], axis=1)[:, n - 1]
+    ev_rows = np.flatnonzero(events)
+    ev_rows = ev_rows[np.argsort(m[ev_rows], kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(d)[:-1]))
+    d_l = np.add.reduceat(left[:, ev_rows], starts, axis=1, dtype=np.intp)
+
+    n_l, d_l = n_l.astype(float), d_l.astype(float)
+    n, d = n.astype(float), d.astype(float)
+    n_r = n - n_l
+    observed_minus_expected = _row_sums(d_l - n_l * d / n)
+    multi = n > 1
+    var = _row_sums(
+        (n_l * n_r * d * (n - d))[:, multi] / (n[multi] ** 2 * (n[multi] - 1.0))
+    )
+    squared = np.array([o**2 for o in observed_minus_expected.tolist()])
+    np.divide(squared, var, out=chi, where=var > 0.0)
+    return chi
+
+
+def reference_candidate_splits(feats, max_thresholds):
+    """Candidate splits of a node, the quantiles from ``np.quantile``."""
+    import numpy as np
+
+    from fairsurv.nuisance import _run_starts
+
+    ordered = np.sort(feats, axis=0)
+    starts = _run_starts(ordered)
+    many = starts.sum(axis=0) - 1 > max_thresholds
+    if many.any():
+        levels = np.linspace(0.0, 1.0, max_thresholds + 2)[1:-1]
+        q = np.sort(np.quantile(feats[:, many], levels, axis=0), axis=0)
+        q_starts = _run_starts(q)
+        quantiles = (q[q_starts[:, k], k] for k in range(q.shape[1]))
+    features, thresholds = [np.empty(0, dtype=int)], [np.empty(0)]
+    for j in range(feats.shape[1]):
+        uniq = ordered[starts[:, j], j]
+        if uniq.size < 2:
+            continue
+        thr = next(quantiles) if many[j] else (uniq[:-1] + uniq[1:]) / 2.0
+        features.append(np.full(thr.size, j))
+        thresholds.append(thr)
+    return np.concatenate(features), np.concatenate(thresholds)
+
+
+def reference_leaf_payload(m, delta, target, n_causes, depth):
+    """A leaf's (jump times, values before and from each jump, rows,
+    depth), from one estimator call on its rows."""
+    import numpy as np
+
+    from fairsurv.curves import aalen_johansen_cif, nelson_aalen
+    from fairsurv.nuisance import _indicator
+
+    if isinstance(target, int):
+        curve = aalen_johansen_cif(m, delta, cause=target, n_causes=n_causes)
+    else:
+        curve = nelson_aalen(m, _indicator(delta, target))
+    return (curve.breakpoints,
+            np.concatenate(([curve.value_at_zero], curve.values)), m.size,
+            depth)
+
+
+def reference_grow_tree(feats, m, delta, ind, target, n_causes, depth,
+                        params, nodes, leaves):
+    """The tree grown on these rows, in bootstrap order, appended to
+    ``nodes`` in preorder and its leaf payloads to ``leaves``."""
+    import numpy as np
+
+    index = len(nodes)
+    nodes.append(None)
+    n = m.size
+    if depth < params["max_depth"] and n >= 2 * params["min_leaf"]:
+        feature, threshold = reference_candidate_splits(
+            feats, params["max_thresholds"])
+        left = feats[:, feature].T <= threshold[:, None]
+        n_left = left.sum(axis=1)
+        fits = np.minimum(n_left, n - n_left) >= params["min_leaf"]
+        left, feature, threshold = left[fits], feature[fits], threshold[fits]
+        scores = reference_logrank_scores(left, m, ind)
+        if scores.size and scores.max() > 0.0:
+            k = int(np.argmax(scores))  # the first maximum wins
+            mask = left[k]
+            lo = reference_grow_tree(
+                feats[mask], m[mask], delta[mask], ind[mask], target,
+                n_causes, depth + 1, params, nodes, leaves)
+            hi = reference_grow_tree(
+                feats[~mask], m[~mask], delta[~mask], ind[~mask], target,
+                n_causes, depth + 1, params, nodes, leaves)
+            nodes[index] = (int(feature[k]), float(threshold[k]), lo, hi, -1)
+            return index
+    nodes[index] = (0, 0.0, index, index, len(leaves))
+    leaves.append(reference_leaf_payload(m, delta, target, n_causes, depth))
+    return index
+
+
+def reference_forest(cohort, target, n_trees=50, min_leaf=10, max_depth=6,
+                     seed=0, max_thresholds=32):
+    """The flat arrays of the tree ensemble grown one tree at a time on
+    its bootstrap rows in draw order, every node's times sorted anew,
+    every leaf's step function from its own estimator call: the oracle
+    of the tree learner's `_Forest` (a namespace of the same arrays)."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from fairsurv.nuisance import _indicator, _numeric_matrix
+
+    params = dict(min_leaf=min_leaf, max_depth=max_depth,
+                  max_thresholds=max_thresholds)
+    feats = np.column_stack([
+        cohort.x.astype(float),
+        _numeric_matrix(cohort.z_codes, cohort.z_values, "z"),
+        _numeric_matrix(cohort.w_codes, cohort.w_values, "w")])
+    ind = _indicator(cohort.delta, target)
+    rng = np.random.default_rng(seed)
+    roots, nodes, leaves = [], [], []
+    for _ in range(n_trees):
+        boot = rng.integers(0, cohort.n, cohort.n)
+        roots.append(reference_grow_tree(
+            feats[boot], cohort.m[boot], cohort.delta[boot], ind[boot],
+            target, cohort.n_causes, 0, params, nodes, leaves))
+    out = SimpleNamespace(roots=np.array(roots))
+    out.feature, out.threshold, out.left, out.right, out.leaf = (
+        np.array(column) for column in zip(*nodes))
+    times, steps, n_rows, depths = zip(*leaves)
+    out.grid = np.unique(np.concatenate(times))
+    pos = np.searchsorted(out.grid, np.concatenate(times))
+    ends = np.cumsum([t.size for t in times])
+    out.bounds = np.concatenate(([0], ends + np.arange(1, ends.size + 1)))
+    out.steps = np.concatenate(steps)
+    out.runs = (np.insert(pos, ends, out.grid.size)
+                - np.insert(pos, np.concatenate(([0], ends[:-1])), 0))
+    out.n_rows = np.array(n_rows)
+    out.depth = max(depths)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Direct summation over discrete tables: the oracle of `plugin_po`
 # ---------------------------------------------------------------------------
 
