@@ -45,7 +45,7 @@ from .errors import (
     DataError,
     InfeasibleBandsError,
 )
-from .identify import _validate_grid, cell_weight
+from .identify import _validate_grid, cell_weights
 from .queries import Functional, table_csv
 from .scm import cell_members
 
@@ -309,19 +309,19 @@ def route1_conditional(cohort, spec, nuisances, query, grid):
     arm_rows = np.flatnonzero(cohort.x == arm)
     if arm_rows.size == 0:
         raise DataError(f"no rows in outcome arm {arm}")
-    zw_ids, cells = cohort.cells("zw")
-    z_ids, z_cells = cohort.cells("z")
-    z_cell = {z: i for i, (_, z, _) in enumerate(z_cells)}
-    by_zw = cell_members(zw_ids[arm_rows], len(cells))
-    by_z = cell_members(z_ids[arm_rows], len(z_cells))
+    zw_ids, first = cohort.cells("zw")
+    z_ids, z_first = cohort.cells("z")
+    by_zw = cell_members(zw_ids[arm_rows], first.size)
+    by_z = cell_members(z_ids[arm_rows], z_first.size)
 
+    weights = cell_weights(nuisances, [query], cohort, first)[:, 0].tolist()
     contributions = []
-    for c, (_, z, w) in enumerate(cells):
-        members = by_zw[c] if by_zw[c].size else by_z[z_cell[z]]
+    for c, z_cell in enumerate(z_ids[first].tolist()):
+        members = by_zw[c] if by_zw[c].size else by_z[z_cell]
         idx = arm_rows[members] if members.size else arm_rows
         cif_t, cif_c = _empirical_cif_pair(
             cohort.m[idx], cohort.delta[idx], grid)
-        contributions.append(cell_weight(nuisances, query, z, w)
+        contributions.append(weights[c]
                              * cge_bounded(cif_t, cif_c, spec, grid).s_hat)
     # summed one row at a time, in row order: np.sum would round
     # differently, and a cumsum over rows x grid holds that whole matrix

@@ -163,63 +163,63 @@ class InfluenceEvaluation:
         return float(np.max(np.abs(total - self.values), initial=0.0))
 
 
-def _nu_values(nuisances, query, grid, z_wanted):
+def _nu_values(nuisances, query, grid, cohort, z_wanted):
     """nu(z) = mean of the cross-arm prediction over the x_w group.
 
-    Returns ({z: (T,) array}, n_fallback) where the fallback pools over
-    every x_w row when a confounder value never co-occurs with X = x_w
-    in the rows the bundle was fitted on.  Curves are summed as they
-    are predicted, so memory is one of the model's prediction blocks,
-    one sum per confounder value and one pooled sum shared by every
-    fallback value.
+    Returns ({code: (T,) array}, n_fallback) for the confounder codes
+    ``z_wanted`` of ``cohort``, where the fallback pools over every x_w
+    row when a confounder value never co-occurs with X = x_w in the rows
+    the bundle was fitted on (matched by value).  Curves are summed as
+    they are predicted, so memory is one of the model's prediction
+    blocks, one sum per confounder value and one pooled sum shared by
+    every fallback value.
     """
-    x_y = query.x_outcome
-    x_w = query.x_mediator
+    x_y, x_w = query.x_outcome, query.x_mediator
+    wanted = dict(zip(z_wanted, cohort.z_values[z_wanted].tolist()))
 
-    def f_hat(pairs):
-        """The outcome curves of x_y at (z, w) ``pairs`` on the grid, in
-        order."""
-        return (curve.evaluate(grid) for curve in nuisances.outcome
-                .predict_many([(x_y, z, w) for z, w in pairs]))
+    def f_hat(source, rows):  # x_y's outcome curves on the grid, in order
+        return (curve.evaluate(grid) for curve in
+                nuisances.outcome.predict_many(x_y, source, rows))
 
     out = {}
     if nuisances.mediator_table is not None:
         laws = []
-        for z in z_wanted:
+        for code, z in wanted.items():
             law = nuisances.mediator_table.get((x_w, z))
             if law is None:
                 raise EstimationError(
                     f"mediator law missing for group {x_w} at z={z!r}")
-            laws.append((z, law))
-        values = f_hat([(z, w) for z, law in laws for w in law])
-        for z, law in laws:
-            out[z] = sum(p * next(values) for p in law.values())
+            laws.append((code, law))
+        zs, ws = zip(*((wanted[code], w) for code, law in laws for w in law))
+        n = len(zs)
+        values = f_hat(Cohort([0] * n, zs, ws, [0] * n, [0] * n), range(n))
+        for code, law in laws:
+            out[code] = sum(p * next(values) for p in law.values())
         return out, 0
-    if nuisances.mediator_cohort is None:
+    mediators = nuisances.mediator_cohort
+    if mediators is None:
         raise EstimationError(
             "nuisance bundle carries neither a mediator cohort nor a table")
-    ids, cells = nuisances.mediator_cohort.cells("xzw")
-    counts = {}
-    pooled = {}
-    for (x, z, w), c in zip(cells, np.bincount(ids).tolist()):
-        if x == x_w:
-            counts.setdefault(z, {})[w] = c
-            pooled[(z, w)] = c
-    if not pooled:
+    # each x_w cell's first row and row count, in order of first appearance
+    ids, first = mediators.cells("xzw")
+    mine = mediators.x[first] == x_w
+    first, counts = first[mine], np.bincount(ids)[mine].tolist()
+    if not first.size:
         raise DegenerateGroupError(
             f"no rows with X={x_w} available to average the mediator over")
-    seen = [z for z in z_wanted if z in counts]
-    if len(seen) < len(z_wanted):
-        values = f_hat(pooled)
-        pooled_value = sum(c * next(values) for c in pooled.values()) / sum(
-            pooled.values())
-        out = dict.fromkeys(z_wanted, pooled_value)
-    values = f_hat([(z, w) for z in seen for w in counts[z]])
-    for z in seen:
-        table = counts[z]
-        out[z] = sum(c * next(values) for c in table.values()) / sum(
-            table.values())
-    return out, len(z_wanted) - len(seen)
+    cells = {}  # z value -> its x_w cells
+    for cell, z in enumerate(mediators.z_values[mediators.z_codes[first]]):
+        cells.setdefault(z, []).append(cell)
+    seen = {code: cells[z] for code, z in wanted.items() if z in cells}
+    if len(seen) < len(wanted):
+        values = f_hat(mediators, first)
+        out = dict.fromkeys(
+            wanted, sum(c * next(values) for c in counts) / sum(counts))
+    values = f_hat(mediators, first[[c for cs in seen.values() for c in cs]])
+    for code, group in seen.items():
+        out[code] = sum(counts[c] * next(values) for c in group) / sum(
+            counts[c] for c in group)
+    return out, len(wanted) - len(seen)
 
 
 def _check_cap(cap):
@@ -228,26 +228,24 @@ def _check_cap(cap):
 
 
 def _by_cell(ids, rows):
-    """``(cell id, positions)`` of every (z, w) cell among ``rows``, where
-    ``ids`` are the cohort's cell ids and ``positions`` index ``rows``."""
+    """Positions in ``rows`` of every (z, w) cell among them, where ``ids``
+    are the cohort's cell ids."""
     present, local = np.unique(ids[rows], return_inverse=True)
-    return list(zip(present.tolist(),
-                    cell_members(local.reshape(-1), present.size)))
+    return cell_members(local.reshape(-1), present.size) if rows.size else []
 
 
 class _Contributions:
     """Uncentered influence contributions of several queries under one
-    bundle.
+    bundle, for rows of ``cohort`` among ``rows``.
 
-    ``keys`` are the (x, z, w) values of the cohort's ``cells("zw")`` and
-    ``p_conditions`` the queries' conditioning-group fractions.  nu(z) is
-    computed once per (x_outcome, x_mediator) pair, for the confounder
-    values ``z_wanted``; ``n_fallback[q]`` counts those that fell back to
-    the pooled average for query q.
+    ``p_conditions`` are the queries' conditioning-group fractions.
+    nu(z) is computed once per (x_outcome, x_mediator) pair, for the
+    confounder values of ``rows``; ``n_fallback[q]`` counts those that
+    fell back to the pooled average for query q.
     """
 
-    def __init__(self, cohort, keys, nuisances, queries, functional, grid,
-                 p_conditions, epsilon, cap, z_wanted):
+    def __init__(self, cohort, nuisances, queries, functional, grid,
+                 p_conditions, epsilon, cap, rows):
         _check_cap(cap)
         base = _base_kind(functional)
         if base == "cif":
@@ -264,12 +262,13 @@ class _Contributions:
             raise EstimationError(
                 "censoring bundle entry was not fitted with "
                 "target='censoring'")
-        self.cohort, self.keys, self.nuisances = cohort, keys, nuisances
+        self.cohort, self.nuisances = cohort, nuisances
         self.queries, self.p_conditions = queries, p_conditions
         self.base, self.grid = base, grid
         self.epsilon, self.cap = epsilon, cap
+        z_wanted = np.unique(cohort.z_codes[rows]).tolist()
         by_pair = {(q.x_outcome, q.x_mediator): q for q in queries}
-        nu = {pair: _nu_values(nuisances, q, grid, z_wanted)
+        nu = {pair: _nu_values(nuisances, q, grid, cohort, z_wanted)
               for pair, q in by_pair.items()}
         self.nu_maps, self.n_fallback = zip(
             *(nu[(q.x_outcome, q.x_mediator)] for q in queries))
@@ -279,31 +278,39 @@ class _Contributions:
         """Yield ``(query index, positions, parts)`` per cell of ``cells``
         (from ``_by_cell(ids, rows)``), query and group X: ``positions``
         index ``rows`` and ``parts`` holds the (component name, values)
-        pairs that apply to those rows, in COMPONENT_NAMES order.  The
-        outcome and censoring curves of every cell are streamed from one
-        `predict_many` call per model; a cell's propensities, outcome
-        curves and unweighted arm terms are derived once, and each query
-        scales them by its own weights."""
+        pairs that apply to those rows, in COMPONENT_NAMES order.  Each
+        model predicts all cells, at a row of each, in one call; a cell's
+        propensities, outcome curves and unweighted arm terms are derived
+        once, and each query scales them by its own weights."""
         cohort, nuisances = self.cohort, self.nuisances
-        # Each cell writes only its own rows, so the visiting order
-        # changes no value.  In key order, nearby covariate values, which
-        # tend to reach the same tree leaves, fall in one prediction
-        # block and share its curves.
-        cells = sorted(((self.keys[cell][1:], pos) for cell, pos in cells),
-                       key=lambda cell: repr(cell[0]))
+        # The visiting order changes no value (a cell writes only its own
+        # rows) but decides which cells share a tree prediction block.  In
+        # repr order of their (z, w) values, nearby values, which tend to
+        # reach the same leaves, share one; in code order the `short-grid`
+        # probe took 83.4 s, not 43.0 s, and peaked at 90.8, not 81.9 MB.
+        first = rows[[pos[0] for pos in cells]]
+        keys = list(map(repr, zip(
+            cohort.z_values[cohort.z_codes[first]].tolist(),
+            cohort.w_values[cohort.w_codes[first]].tolist())))
+        order = sorted(range(len(cells)), key=keys.__getitem__)
+        cells, first = [cells[i] for i in order], first[order]
         by_group = [{g: pos[cohort.x[rows[pos]] == g] for g in (0, 1)}
-                    for _, pos in cells]
-        outcome = nuisances.outcome.predict_many(
-            [(g, z, w) for (z, w), _ in cells for g in self.outcome_groups])
+                    for pos in cells]
+        groups = self.outcome_groups
+        x_out = np.tile(groups, len(cells))
+        at_out = np.repeat(first, len(groups))
+        has_rows = np.array([at[g].size > 0 for at in by_group
+                             for g in groups], dtype=bool)
+        outcome = nuisances.outcome.predict_many(x_out, cohort, at_out)
         censoring = nuisances.censoring.predict_many(
-            [(g, z, w) for ((z, w), _), at in zip(cells, by_group)
-             for g in self.outcome_groups if at[g].size])
-        for ((z, w), _), at in zip(cells, by_group):
-            p_z = {g: nuisances.propensity_z.predict_group(g, z=z)
-                   for g in (0, 1)}
-            p_zw = {g: nuisances.propensity_zw.predict_group(g, z=z, w=w)
-                    for g in (0, 1)}
-            curves = {g: next(outcome) for g in self.outcome_groups}
+            x_out[has_rows], cohort, at_out[has_rows])
+        x_both, at_both = np.tile((0, 1), len(cells)), np.repeat(first, 2)
+        propensities = zip(*(
+            model.predict_many(x_both, cohort, at_both).reshape(-1, 2).tolist()
+            for model in (nuisances.propensity_z, nuisances.propensity_zw)))
+        for at, z, (p_z, p_zw) in zip(
+                by_group, cohort.z_codes[first].tolist(), propensities):
+            curves = {g: next(outcome) for g in groups}
             f = {g: curve.evaluate(self.grid) for g, curve in curves.items()}
             arms = {g: self._arm_terms(rows[at[g]], curves[g],
                                        next(censoring), f[g])
@@ -418,11 +425,6 @@ class _Contributions:
         return trimmed, total
 
 
-def _z_values(keys):
-    """Distinct confounder values of (x, z, w) cell keys."""
-    return sorted({z for _, z, _ in keys}, key=repr)
-
-
 def evaluate_influence(cohort, nuisances, query, functional, grid, *,
                        psi=0.0, p_condition=None, epsilon=0.01, cap=50.0):
     """Influence values for every row at every grid time, centered at psi.
@@ -437,13 +439,13 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
         p_condition = nuisances.group_marginal(query.x_condition)
     if not p_condition > 0.0:
         raise DegenerateGroupError("conditioning group has probability zero")
-    ids, keys = cohort.cells("zw")
+    ids, _ = cohort.cells("zw")
     rows = np.arange(cohort.n)
     comps = {name: np.zeros((1, cohort.n, grid.size))
              for name in COMPONENT_NAMES}
     (n_flagged,) = _Contributions(
-        cohort, keys, nuisances, [query], functional, grid, [p_condition],
-        epsilon, cap, _z_values(keys)).evaluate(
+        cohort, nuisances, [query], functional, grid, [p_condition],
+        epsilon, cap, rows).evaluate(
             rows, _by_cell(ids, rows), np.zeros((1, cohort.n, grid.size)),
             rows, comps)
     comps = {name: comp[0] for name, comp in comps.items()}
@@ -598,14 +600,11 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
                 f"no rows in conditioning group {q.x_condition}")
     _check_cap(plan.cap)
 
-    ids, keys = cohort.cells("zw")
-    parts = []
-    for bundle, rows in list(plan.parts(base_functional)):
-        z_wanted = _z_values([keys[c] for c in np.unique(ids[rows]).tolist()])
-        parts.append((_Contributions(
-            cohort, keys, bundle, queries, base_functional, grid,
-            [p_cond[q] for q in queries], plan.epsilon, plan.cap, z_wanted),
-            rows))
+    ids, _ = cohort.cells("zw")
+    parts = [(_Contributions(cohort, bundle, queries, base_functional, grid,
+                             [p_cond[q] for q in queries], plan.epsilon,
+                             plan.cap, rows), rows)
+             for bundle, rows in list(plan.parts(base_functional))]
     sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, rmst)
 
     raw = sums / n

@@ -127,30 +127,22 @@ def fit_plugin_nuisances(cohort, functional, *, epsilon=0.01, **learners):
            for conditioning in ("zw", "z", "marginal")})
 
 
-def _group_probabilities(nuisances, z, w):
-    """P(X = g | z, w), P(X = g | z) and P(X = g) of a (z, w) cell, each
-    as {g: probability} for g = 0, 1."""
-    return ({g: nuisances.propensity_zw.predict_group(g, z, w)
-             for g in (0, 1)},
-            {g: nuisances.propensity_z.predict_group(g, z) for g in (0, 1)},
-            {g: nuisances.propensity_marginal.predict_group(g)
-             for g in (0, 1)})
-
-
-def _weight(probabilities, query):
-    p_zw, p_z, p_marginal = probabilities
-    return ((p_zw[query.x_mediator] / p_z[query.x_mediator])
-            * (p_z[query.x_condition] / p_marginal[query.x_condition]))
-
-
-def cell_weight(nuisances, query, z, w):
-    """Propensity weight of a (z, w) cell in a plug-in average:
+def cell_weights(nuisances, queries, cohort, rows):
+    """Propensity weights (rows x queries) of ``rows`` of ``cohort`` in a
+    plug-in average: for a query, a row with covariates (z, w) weighs
 
         P(x_mediator | z, w)   P(x_condition | z)
         -------------------- * ------------------
         P(x_mediator | z)        P(x_condition)
     """
-    return _weight(_group_probabilities(nuisances, z, w), query)
+    groups, both = np.repeat((0, 1), len(rows)), np.concatenate([rows, rows])
+    p_zw, p_z, p_marginal = (
+        model.predict_many(groups, cohort, both).reshape(2, -1)
+        for model in (nuisances.propensity_zw, nuisances.propensity_z,
+                      nuisances.propensity_marginal))
+    return np.stack([(p_zw[q.x_mediator] / p_z[q.x_mediator])
+                     * (p_z[q.x_condition] / p_marginal[q.x_condition])
+                     for q in queries], axis=1)
 
 
 def plugin_po(nuisances, cohort, query, functional, grid,
@@ -166,7 +158,7 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     """Weighted plug-in estimates of several potential-outcome curves.
 
     For each query, row i contributes f(x_outcome, z_i, w_i; t) times the
-    `cell_weight` of its (z_i, w_i) cell, and the average is
+    `cell_weights` of its (z_i, w_i) cell, and the average is
     clamped/monotone-projected into a valid curve.  Rows whose covariates
     the outcome model cannot serve are dropped and counted in the report.
     Cells are visited once: a cell's propensities and its functional
@@ -175,11 +167,8 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     """
     g = _validate_grid(grid)
     queries = list(dict.fromkeys(queries))
-    ids, cells = cohort.cells("zw")
-    probabilities = [_group_probabilities(nuisances, z, w)
-                     for _, z, w in cells]
-    weights = np.array([[_weight(p, q) for q in queries]
-                        for p in probabilities])
+    ids, first = cohort.cells("zw")
+    weights = cell_weights(nuisances, queries, cohort, first)
     weight_sums = np.stack([np.bincount(ids, weights=column[ids])
                             for column in weights.T], axis=1)
     counts = np.bincount(ids)
@@ -190,8 +179,8 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     weight_total = [0.0] * len(queries)
     max_weight = [0.0] * len(queries)
     predicted = {x: nuisances.outcome.predict_many(
-        [(x, z, w) for _, z, w in cells], skip_unserved=True) for x in arms}
-    for cell_weights, cell_sums, count, *curves in zip(
+        x, cohort, first, skip_unserved=True) for x in arms}
+    for weight, cell_sums, count, *curves in zip(
             weights.tolist(), weight_sums.tolist(), counts.tolist(),
             *predicted.values()):
         values = {x: functional_from_curve(curve, functional, g)
@@ -202,7 +191,7 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
                 totals[qi] += cell_sums[qi] * values[q.x_outcome]
                 n_included[qi] += count
                 weight_total[qi] += cell_sums[qi]
-                max_weight[qi] = max(max_weight[qi], cell_weights[qi])
+                max_weight[qi] = max(max_weight[qi], weight[qi])
 
     kind = functional.curve_kind
     out = {}

@@ -42,7 +42,7 @@ from .errors import (
     DataError,
     DegenerateGroupError,
 )
-from .scm import _canonical_item, cell_members
+from .scm import Cohort, _canonical_item, cell_members
 
 
 def _target_label(target):
@@ -106,6 +106,36 @@ def _numeric_vector(value, width, name):
 
 def _sorted_cells(values):
     return sorted(values, key=repr)
+
+
+def _labelled(x, rows):
+    """The group labels ``x`` (one, or one per row; anything but 0 or 1 is
+    a DataError) and the row indices ``rows``, as arrays."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    labels = np.broadcast_to(np.asarray(x, dtype=float), rows.shape)
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise DataError("group label must be 0 or 1")
+    return labels.astype(int), rows
+
+
+def _covariates(cohort, rows):
+    """The z and w values of ``rows`` of ``cohort``, as two lists."""
+    return (cohort.z_values[cohort.z_codes[rows]].tolist(),
+            cohort.w_values[cohort.w_codes[rows]].tolist())
+
+
+def _per_row(predict, x, cohort, rows, skip_unserved=False):
+    """``predict(x, z, w)`` of every row of ``rows`` under its label in
+    ``x``, with z and w read off the cohort's code columns and value
+    tables.  None, for covariates outside the fitted schema, is a
+    CohortSchemaError unless ``skip_unserved``."""
+    z, w = _covariates(cohort, rows)
+    out = list(map(predict, x.tolist(), z, w))
+    if None in out and not skip_unserved:
+        i = out.index(None)
+        raise CohortSchemaError(f"covariates {(int(x[i]), z[i], w[i])!r} "
+                                "outside the fitted schema")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,57 +432,46 @@ class ConditionalSurvivalModel:
 
     def predict(self, x, z, w):
         """Curve for one covariate triple; see `predict_many`."""
-        return next(self.predict_many([(x, z, w)]))
+        return next(self.predict_many(x, Cohort([0], [z], [w], [0], [0]),
+                                      [0]))
 
-    def predict_many(self, triples, *, skip_unserved=False):
-        """Yield the curves of covariate triples (x, z, w), in order.
-
-        With ``skip_unserved``, a triple outside the fitted schema yields
-        None instead of raising CohortSchemaError.  The tree learner
-        predicts blocks of at most ``_BLOCK_ELEMENTS`` // (union-grid
-        times) triples, so one block's curves hold at most that many
-        values whatever grid the caller evaluates them on.  It routes
-        every triple of a block through all trees at once and builds one
-        curve per distinct leaf set (the tuple of leaves it reaches, one
-        per tree), shared by the triples that reach it.
-        """
-        triples = [(int(x), z, w) for x, z, w in triples]
-        if any(x not in (0, 1) for x, _, _ in triples):
-            raise DataError("group label must be 0 or 1")
+    def predict_many(self, x, cohort, rows, *, skip_unserved=False):
+        """Yield the curves of ``rows`` of ``cohort`` (indices, repeats
+        allowed) under group labels ``x`` (one, or one per row), in order;
+        covariates match the fit's by value.  With ``skip_unserved``, a
+        row outside the fitted schema yields None instead of raising
+        CohortSchemaError.  The tree learner predicts blocks of at most
+        ``_BLOCK_ELEMENTS`` // (union-grid times) rows, so one block's
+        curves hold at most that many values whatever grid the caller
+        evaluates them on.  It routes a block's rows through all trees at
+        once and builds one curve per distinct leaf set (the tuple of
+        leaves it reaches, one per tree), shared by its rows."""
+        x, rows = _labelled(x, rows)
         if self._curves is not None:
-            for triple in triples:
-                yield _served(self._lookup, triple, skip_unserved)
+            yield from _per_row(self._lookup, x, cohort, rows, skip_unserved)
             return
         step = max(1, _BLOCK_ELEMENTS // max(self._forest.grid.size, 1))
-        for start in range(0, len(triples), step):
-            feats = [_served(self._features, triple, skip_unserved)
-                     for triple in triples[start:start + step]]
+        for start in range(0, rows.size, step):
+            block = slice(start, start + step)
+            feats = _per_row(self._features, x[block], cohort, rows[block],
+                             skip_unserved)
             curves = iter(self._forest.predict(
                 [row for row in feats if row is not None], self.curve_kind))
             for row in feats:
                 yield None if row is None else next(curves)
 
     def _features(self, x, z, w):
-        return ([float(x)] + _numeric_vector(z, self._widths[0], "z")
-                + _numeric_vector(w, self._widths[1], "w"))
+        try:
+            return ([float(x)] + _numeric_vector(z, self._widths[0], "z")
+                    + _numeric_vector(w, self._widths[1], "w"))
+        except CohortSchemaError:
+            return None
 
     def _lookup(self, x, z, w):
-        key = (x, _canonical_item(z), _canonical_item(w))
-        for probe in (key, key[:2], key[:1], ()):
+        for probe in ((x, z, w), (x, z), (x,), ()):
             if probe in self._curves:
                 return self._curves[probe]
-        raise CohortSchemaError(f"covariates {key!r} outside the fitted schema")
-
-
-def _served(method, triple, skip_unserved):
-    """``method(*triple)``, or None if it finds the triple outside the
-    fitted schema and ``skip_unserved`` is set."""
-    try:
-        return method(*triple)
-    except CohortSchemaError:
-        if skip_unserved:
-            return None
-        raise
+        return None
 
 
 def fit_conditional_survival(cohort, target="event", learner="stratified",
@@ -516,10 +535,11 @@ def _fit_stratified(cohort, target, params):
 
     curves = {(): curve_on(slice(None))}
     for by in ("x", "xz", "xzw"):
-        ids, cells = cohort.cells(by)
-        for key, rows in zip(cells, cell_members(ids, len(cells))):
+        ids, first = cohort.cells(by)
+        keys = list(zip(cohort.x[first].tolist(), *_covariates(cohort, first)))
+        for key, rows in zip(keys, cell_members(ids, len(keys))):
             curves[key[:len(by)]] = curve_on(rows)
-    full = set(cells)  # the (x, z, w) strata with rows
+    full = set(keys)  # the (x, z, w) strata with rows
 
     xs = _sorted_cells({k[0] for k in full})
     zs = _sorted_cells({k[1] for k in full})
@@ -635,33 +655,37 @@ class PropensityModel:
         """Unconditional P(X=1) seen at fit time (unclipped)."""
         return self._marginal
 
-    def _clip(self, p):
-        return float(min(max(p, self.epsilon), 1.0 - self.epsilon))
-
     def predict(self, z=None, w=None):
+        return self.predict_group(1, z, w)
+
+    def predict_group(self, x, z=None, w=None):
         if self.conditioning != "marginal" and z is None:
             raise DataError("this model conditions on z")
         if self.conditioning == "zw" and w is None:
             raise DataError("this model conditions on z and w")
-        if self.learner == "frequency_table":
-            if self.conditioning == "marginal":
-                raw = self._marginal
-            else:
-                key = (_canonical_item(z),) if self.conditioning == "z" else (
-                    _canonical_item(z), _canonical_item(w))
-                raw = self._table.get(key, self._marginal)
-            return self._clip(raw)
-        feats = [1.0]
-        if self.conditioning in ("z", "zw"):
-            feats += _numeric_vector(z, self._widths[0], "z")
-        if self.conditioning == "zw":
-            feats += _numeric_vector(w, self._widths[1], "w")
-        _require_finite(feats)
-        return self._clip(_expit(float(np.dot(self._beta, feats))))
+        return float(self.predict_many(x, Cohort([0], [z], [w], [0], [0]),
+                                       [0])[0])
 
-    def predict_group(self, x, z=None, w=None):
-        p1 = self.predict(z, w)
-        return p1 if int(x) == 1 else 1.0 - p1
+    def predict_many(self, x, cohort, rows):
+        """P(X = x | conditioning set) of ``rows`` of ``cohort``, as an
+        array; ``x`` and ``rows`` as in the survival model's entry."""
+        x, rows = _labelled(x, rows)
+        return np.array(_per_row(self._predict, x, cohort, rows), dtype=float)
+
+    def _predict(self, x, z, w):
+        if self.learner == "frequency_table":  # empty for "marginal"
+            key = (z,) if self.conditioning == "z" else (z, w)
+            raw = self._table.get(key, self._marginal)
+        else:
+            feats = [1.0]
+            if self.conditioning in ("z", "zw"):
+                feats += _numeric_vector(z, self._widths[0], "z")
+            if self.conditioning == "zw":
+                feats += _numeric_vector(w, self._widths[1], "w")
+            _require_finite(feats)
+            raw = _expit(float(np.dot(self._beta, feats)))
+        p1 = float(min(max(raw, self.epsilon), 1.0 - self.epsilon))
+        return p1 if x == 1 else 1.0 - p1
 
 
 def fit_propensity(cohort, conditioning, learner="frequency_table",
@@ -686,10 +710,11 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
         table = {}
         raw = np.full(cohort.n, marginal)
         if conditioning != "marginal":
-            ids, cells = cohort.cells(conditioning)
-            share = (np.bincount(ids[cohort.x == 1], minlength=len(cells))
+            ids, first = cohort.cells(conditioning)
+            share = (np.bincount(ids[cohort.x == 1], minlength=first.size)
                      / np.bincount(ids))
-            keys = [cell[1:1 + len(conditioning)] for cell in cells]
+            keys = [pair[:len(conditioning)]
+                    for pair in zip(*_covariates(cohort, first))]
             table = dict(zip(keys, share.tolist()))
             raw = share[ids]
         report["n_strata"] = len(table)

@@ -561,7 +561,7 @@ class Cohort:
     def cells(self, by):
         """Cell id of every row over the columns named in ``by``, any of
         "x", "z", "w", numbered in order of first appearance, plus the
-        (x, z, w) values of each cell's first row."""
+        first row of each cell."""
         columns = {"x": (self.x, 2),
                    "z": (self.z_codes, len(self.z_values)),
                    "w": (self.w_codes, len(self.w_values))}
@@ -569,11 +569,7 @@ class Cohort:
         for name in by:
             codes, size = columns[name]
             key = key * size + codes
-        ids, rows = _first_appearance(key)
-        keys = list(zip(self.x[rows].tolist(),
-                        self.z_values[self.z_codes[rows]].tolist(),
-                        self.w_values[self.w_codes[rows]].tolist()))
-        return ids, keys
+        return _first_appearance(key)
 
     # -- CSV ------------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from testkit import (
     brute_po,
     continuous_confounder_cohort,
     count_fits,
+    count_propensity_calls,
     count_predictions,
     influence_cif,
     influence_survival,
@@ -834,6 +835,68 @@ def test_queries_of_one_call_share_every_prediction(monkeypatch):
     assert len(pairs) == 3
     assert len(calls) == 3 * cohort.n + pooled
     assert max(calls.values()) == 1
+
+
+def test_each_propensity_model_predicts_once_per_row_block(monkeypatch):
+    # one call per row block and fold predicts every (z, w) cell of the
+    # block's rows of that fold, both groups at once
+    import fairsurv.dr
+
+    plan, functional, grid = _streamed_case("survival")
+    queries = role_queries(0, 1)
+    rows_per_block = 100
+    monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
+                        rows_per_block * len(grid) * len(queries))
+    calls = count_propensity_calls(monkeypatch)
+    crossfit_dr_many(plan, queries, functional, grid)
+    n_blocks = -(-plan.cohort.n // rows_per_block)
+    bundles = [bundle for fold in plan._bundles for bundle in fold.values()]
+    assert len(bundles) == 2 and n_blocks == 15
+    assert calls == {id(model): n_blocks for bundle in bundles
+                     for model in (bundle.propensity_z, bundle.propensity_zw)}
+
+
+def _recoded(cohort, order):
+    """The rows ``order`` of ``cohort`` as a cohort of their own, whose
+    covariate codes number the values in their new order of first
+    appearance."""
+    return Cohort(cohort.x[order], [cohort.z_items[i] for i in order],
+                  [cohort.w_items[i] for i in order], cohort.m[order],
+                  cohort.delta[order], cohort.n_causes)
+
+
+@pytest.mark.parametrize("learner", ["stratified", "logrank_tree_ensemble"])
+def test_influence_joins_covariates_by_value_across_value_tables(learner):
+    # a bundle fitted on one cohort, evaluated on the same rows shuffled
+    # into a cohort whose value tables list the covariates in another
+    # order: every row's values are unchanged, bit for bit
+    if learner == "stratified":
+        _, _, cohort = _nic_setup(600, 41)
+        learners = {}
+    else:
+        cohort = continuous_confounder_cohort(300, 7)
+        learners = dict(outcome_learner=learner, censoring_learner=learner,
+                        propensity_learner="logistic_irls",
+                        outcome_params={"n_trees": 4},
+                        censoring_params={"n_trees": 4})
+    bundle = fit_dr_nuisances(cohort, SURVIVAL, **learners)
+    perm = np.random.default_rng(2).permutation(cohort.n)
+    # lead with a row whose z and w codes are not 0: they become code 0
+    lead = np.flatnonzero((cohort.z_codes[perm] != 0)
+                          & (cohort.w_codes[perm] != 0))[0]
+    perm[[0, lead]] = perm[[lead, 0]]
+    shuffled = _recoded(cohort, perm)
+    assert not np.array_equal(shuffled.z_codes, cohort.z_codes[perm])
+    assert not np.array_equal(shuffled.w_codes, cohort.w_codes[perm])
+    grid = [1.0, 2.0, 4.0]
+    for query in role_queries(0, 1):
+        own = evaluate_influence(cohort, bundle, query, SURVIVAL, grid)
+        other = evaluate_influence(shuffled, bundle, query, SURVIVAL, grid)
+        assert other.values.tobytes() == own.values[perm].tobytes()
+        for name in COMPONENT_NAMES:
+            assert (other.components[name].tobytes()
+                    == own.components[name][perm].tobytes())
+        assert other.n_flagged == own.n_flagged
 
 
 def test_tree_prediction_blocks_do_not_grow_with_a_short_grid(monkeypatch):

@@ -24,6 +24,7 @@ from fairsurv.scm import Cohort, SCMSpec, oracle_po_curve, sample_cohort
 from testkit import (
     CohortTables,
     count_predictions,
+    count_propensity_calls,
     empirical_tables,
     exact_plugin_po,
     make_nic_balanced,
@@ -327,6 +328,15 @@ def test_plugin_po_many_predicts_each_group_and_cell_once(monkeypatch):
     plugin_po_many(nuis, cohort, role_queries(0, 1), SURVIVAL, [1.0, 2.0])
     assert len(calls) == 2 * len(cohort.cells("zw")[1])
     assert max(calls.values()) == 1
+
+
+def test_plugin_po_many_calls_each_propensity_model_once(monkeypatch):
+    _, cohort = _nic_cohort(600, seed=31)
+    nuis = fit_plugin_nuisances(cohort, SURVIVAL)
+    calls = count_propensity_calls(monkeypatch)
+    plugin_po_many(nuis, cohort, role_queries(0, 1), SURVIVAL, [1.0, 2.0])
+    assert calls == {id(model): 1 for model in (
+        nuis.propensity_zw, nuis.propensity_z, nuis.propensity_marginal)}
 
 
 def test_default_grid_caps_at_percentile():

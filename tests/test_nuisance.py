@@ -41,6 +41,7 @@ from testkit import (
     predict_censoring_hazard_increments,
     predict_cif,
     predict_survival,
+    predict_triples,
     reference_forest,
     spec_of,
 )
@@ -635,7 +636,7 @@ def test_predict_many_equals_predict_per_triple(target, n_trees):
     # right at every split on it)
     triples += [(1 - x, z, w) for x, z, w in triples[:20]] + triples[:15]
     triples.append((1, (float("nan"), 0.2), 0))
-    many = list(model.predict_many(triples))
+    many = list(predict_triples(model, triples))
     assert len(many) == len(triples)
     for triple, curve in zip(triples, many):
         assert _same_curve(curve, model.predict(*triple))
@@ -656,13 +657,13 @@ def test_predict_many_serves_leaves_without_events():
         cohort, target="event", learner="logrank_tree_ensemble",
         n_trees=5, seed=2)
     triples = [(0, -0.9, 0), (1, 0.9, 0), (1, -0.9, 0), (0, -0.9, 0)]
-    many = list(model.predict_many(triples))
+    many = list(predict_triples(model, triples))
     for triple, curve in zip(triples, many):
         assert _same_curve(curve, model.predict(*triple))
     empty = many[0]
     assert empty.breakpoints.size == 0 and empty.value_at_zero == 1.0
     assert many[1].breakpoints.size > 0
-    assert list(model.predict_many([])) == []
+    assert list(predict_triples(model, [])) == []
     # no leaf of the ensemble has a jump
     censored = Cohort([0, 1] * (n // 2), z.tolist(), [0] * n,
                       1.0 + np.arange(n) % 7, [0] * n)
@@ -670,7 +671,7 @@ def test_predict_many_serves_leaves_without_events():
         model = fit_conditional_survival(
             censored, target=target, learner="logrank_tree_ensemble",
             n_trees=3, seed=2)
-        for curve in model.predict_many(triples):
+        for curve in predict_triples(model, triples):
             assert curve.breakpoints.size == 0
             assert curve.value_at_zero == (0.0 if target == 1 else 1.0)
 
@@ -679,11 +680,17 @@ def test_predict_many_refuses_a_group_label_outside_0_1():
     cohort = _tree_cohort()
     model = fit_conditional_survival(
         cohort, learner="logrank_tree_ensemble", n_trees=2)
+    propensity = fit_propensity(cohort, "zw", learner="logistic_irls")
     triples = _row_triples(cohort, 3)
-    with pytest.raises(DataError):
-        list(model.predict_many(triples + [(2,) + triples[0][1:]]))
-    with pytest.raises(DataError):
-        model.predict(-1, *triples[0][1:])
+    for bad in (0.5, 2, -1, math.nan):
+        with pytest.raises(DataError):
+            list(predict_triples(model, triples + [(bad,) + triples[0][1:]]))
+        with pytest.raises(DataError):
+            model.predict(bad, *triples[0][1:])
+        with pytest.raises(DataError):
+            propensity.predict_group(bad, *triples[0][1:])
+        with pytest.raises(DataError):
+            propensity.predict_many([0, 1, bad], cohort, [0, 1, 2])
 
 
 def test_one_curve_is_built_per_leaf_set(monkeypatch):
@@ -696,7 +703,7 @@ def test_one_curve_is_built_per_leaf_set(monkeypatch):
     sets = [_walked_curve(model._forest, _feats(t), model.curve_kind)[0]
             for t in triples]
     built = count_curves(monkeypatch)
-    many = list(model.predict_many(triples))
+    many = list(predict_triples(model, triples))
     # far fewer leaf sets than triples, and one curve for each
     assert len(built) == len(set(sets)) < len(triples) // 4
     first = {}
@@ -712,7 +719,7 @@ def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
         cohort, target="event", learner="logrank_tree_ensemble",
         n_trees=6, seed=4)
     triples = _row_triples(cohort, 100)
-    whole = list(model.predict_many(triples))
+    whole = list(predict_triples(model, triples))
     forest = model._forest
     # at most 7 triples' curves of union-grid length per block
     monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS",
@@ -724,7 +731,7 @@ def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
         blocks.append(len(feats))
         return predict(self, feats, kind)
     monkeypatch.setattr(type(forest), "predict", recorded)
-    blocked = list(model.predict_many(triples))
+    blocked = list(predict_triples(model, triples))
     assert blocks == [7] * 14 + [2]
     assert all(_same_curve(a, b) for a, b in zip(whole, blocked))
     assert all(curve.breakpoints.size <= forest.grid.size
@@ -741,14 +748,14 @@ def test_predict_many_can_skip_triples_outside_the_schema():
         {(0, 1, 0): tree.predict(*triples[0])}, target="event")
     for model, served, unserved in ((tree, triples, bad),
                                     (table, [(0, 1, 0)], [(1, 1, 0)])):
-        got = list(model.predict_many(served[:1] + unserved + served[1:],
-                                      skip_unserved=True))
+        got = list(predict_triples(model, served[:1] + unserved + served[1:],
+                                   skip_unserved=True))
         assert got[1:1 + len(unserved)] == [None] * len(unserved)
         kept = got[:1] + got[1 + len(unserved):]
         assert all(_same_curve(curve, model.predict(*triple))
                    for curve, triple in zip(kept, served))
         with pytest.raises(CohortSchemaError):
-            list(model.predict_many(served + unserved))
+            list(predict_triples(model, served + unserved))
 
 
 # ---------------------------------------------------------------------------

@@ -375,9 +375,9 @@ def test_equal_csv_tokens_form_one_stratum():
     cohort = Cohort.from_csv(text)
     assert cohort.z_items == [1, 1, 2, 1]
     assert cohort.z_values.tolist() == [1, 2]
-    ids, cells = cohort.cells("z")
+    ids, first = cohort.cells("z")
     assert ids.tolist() == [0, 0, 1, 0]
-    assert [z for _, z, _ in cells] == [1, 2]
+    assert [cohort.z_items[i] for i in first] == [1, 2]
 
 
 def _reference_from_csv(text, n_causes=None):

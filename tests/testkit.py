@@ -304,22 +304,60 @@ def count_predictions(monkeypatch):
     """Count the curve predictions of every `ConditionalSurvivalModel`.
 
     Wraps the class's `predict_many`, through which `predict` also goes,
-    and returns the live tally {(id(model), x, z, w): predictions}.
+    and returns the live tally {(id(model), x, z, w): predictions}, with
+    z and w read off the rows of the cohort each call predicts.
     """
     from collections import Counter
+
+    import numpy as np
 
     from fairsurv.nuisance import ConditionalSurvivalModel
 
     calls = Counter()
     predict_many = ConditionalSurvivalModel.predict_many
 
-    def counted(model, triples, **kwargs):
-        triples = list(triples)
-        for x, z, w in triples:
-            calls[(id(model), x, z, w)] += 1
-        return predict_many(model, triples, **kwargs)
+    def counted(model, x, cohort, rows, **kwargs):
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        for triple in zip(np.broadcast_to(x, rows.shape).tolist(),
+                          cohort.z_values[cohort.z_codes[rows]].tolist(),
+                          cohort.w_values[cohort.w_codes[rows]].tolist()):
+            calls[(id(model), *triple)] += 1
+        return predict_many(model, x, cohort, rows, **kwargs)
     monkeypatch.setattr(ConditionalSurvivalModel, "predict_many", counted)
     return calls
+
+
+def count_propensity_calls(monkeypatch):
+    """Count the `predict_many` calls of every `PropensityModel`, through
+    which `predict` and `predict_group` also go; returns the live tally
+    {id(model): calls}."""
+    from collections import Counter
+
+    from fairsurv.nuisance import PropensityModel
+
+    calls = Counter()
+    predict_many = PropensityModel.predict_many
+
+    def counted(model, *args, **kwargs):
+        calls[id(model)] += 1
+        return predict_many(model, *args, **kwargs)
+    monkeypatch.setattr(PropensityModel, "predict_many", counted)
+    return calls
+
+
+def predict_triples(model, triples, **kwargs):
+    """``model.predict_many`` of covariate triples (x, z, w): the triples'
+    (z, w) go into a cohort, one row each, and x into the group labels.
+    No triples predict the rows of a one-row cohort that are none."""
+    import numpy as np
+
+    from fairsurv.scm import Cohort
+
+    triples = list(triples)
+    x, z, w = zip(*triples) if triples else ([], [0], [0])
+    n = len(z)
+    cohort = Cohort([0] * n, list(z), list(w), [0.0] * n, [0] * n)
+    return model.predict_many(list(x), cohort, np.arange(len(x)), **kwargs)
 
 
 def count_curves(monkeypatch):
@@ -441,9 +479,8 @@ def reference_crossfit(plan, queries, functional, grid):
                                     cap=plan.cap)
             unc[rows] = ev.values
             n_flagged += ev.n_flagged
-            z_wanted = sorted({z for _, z, _ in part.cells("zw")[1]},
-                              key=repr)
-            n_fallback += _nu_values(bundle, query, grid, z_wanted)[1]
+            n_fallback += _nu_values(bundle, query, grid, part,
+                                     np.unique(part.z_codes).tolist())[1]
         estimate = unc.mean(axis=0)
         ind_z = (cohort.x == query.x_condition).astype(float)
         if_matrix = unc - np.outer(ind_z / p, estimate)
@@ -668,14 +705,17 @@ def empirical_tables(cohort):
     group = {x: n_x[x] / cohort.n for x in (0, 1)}
     confounder = {x: {} for x in (0, 1)}
     n_xz = {}
-    ids, cells = cohort.cells("xz")
-    for (x, z, _), c in zip(cells, np.bincount(ids).tolist()):
+    z_items, w_items = cohort.z_items, cohort.w_items
+    ids, first = cohort.cells("xz")
+    for i, c in zip(first.tolist(), np.bincount(ids).tolist()):
+        x, z = int(cohort.x[i]), z_items[i]
         confounder[x][z] = c / n_x[x]
         n_xz[(x, z)] = c
     mediator = {}
-    ids, cells = cohort.cells("xzw")
-    for (x, z, w), c in zip(cells, np.bincount(ids).tolist()):
-        mediator.setdefault((x, z), {})[w] = c / n_xz[(x, z)]
+    ids, first = cohort.cells("xzw")
+    for i, c in zip(first.tolist(), np.bincount(ids).tolist()):
+        x, z = int(cohort.x[i]), z_items[i]
+        mediator.setdefault((x, z), {})[w_items[i]] = c / n_xz[(x, z)]
     return CohortTables(group=group, confounder=confounder, mediator=mediator)
 
 
