@@ -18,7 +18,8 @@ increment happen first within the step), takes midpoints as point
 estimates, re-projects them onto the additive identity, and iterates.
 Bounds collapse as the grid refines.
 
-Route I applies the bounded recursion inside covariate strata and
+Route I applies the bounded recursion inside covariate strata, one
+batched call per copula over blocks of strata for every query, and
 aggregates with the same propensity weighting as the plug-in estimator;
 Route II applies it to population-level potential-outcome incidence
 curves estimated by cross-fitted one-step correction (censoring recoded
@@ -38,13 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import CopulaSpec, generator, generator_inverse
-from .curves import StepCurve
+from .curves import _BLOCK_ELEMENTS, StepCurve
 from .dr import Z_CRITICAL, crossfit_dr_many
-from .errors import (
-    CoincidentJumpError,
-    DataError,
-    InfeasibleBandsError,
-)
+from .errors import CoincidentJumpError, DataError, InfeasibleBandsError
 from .identify import _validate_grid, cell_weights
 from .queries import Functional, table_csv
 from .scm import cell_members
@@ -102,32 +99,22 @@ def cge_classical(cif_t, cif_c, spec):
     if merged.size == 0:
         raise DataError("both incidence curves are identically zero")
 
-    is_event = np.isin(merged, jumps_t)
-    s_vals = np.empty(merged.size)
-    g_vals = np.empty(merged.size)
+    is_event = np.isin(merged, jumps_t).tolist()
+    s_vals, g_vals = np.empty(merged.size), np.empty(merged.size)
     s_prev, g_prev = 1.0, 1.0
     for i, t in enumerate(merged):
         s_all = 1.0 - cif_t.evaluate(t) - cif_c.evaluate(t)
         if s_all < -_SUM_SLACK:
-            raise DataError(
-                f"incidence curves sum above one at t={t:g}")
-        s_all = max(s_all, 0.0)
+            raise DataError(f"incidence curves sum above one at t={t:g}")
+        # the jumping curve's marginal moves, the other one's is held
+        held = g_prev if is_event[i] else s_prev
+        value = 0.0 if s_all <= 0.0 else float(_invert_nonneg(
+            spec, generator(spec, s_all) - generator(spec, held))[0])
         if is_event[i]:
-            if s_all <= 0.0:
-                s_prev = 0.0
-            else:
-                value, _ = _invert_nonneg(
-                    spec, generator(spec, s_all) - generator(spec, g_prev))
-                s_prev = min(float(value), s_prev)
+            s_prev = min(value, s_prev)
         else:
-            if s_all <= 0.0:
-                g_prev = 0.0
-            else:
-                value, _ = _invert_nonneg(
-                    spec, generator(spec, s_all) - generator(spec, s_prev))
-                g_prev = min(float(value), g_prev)
-        s_vals[i] = s_prev
-        g_vals[i] = g_prev
+            g_prev = min(value, g_prev)
+        s_vals[i], g_vals[i] = s_prev, g_prev
     s_vals = np.clip(s_vals, 0.0, 1.0)
     g_vals = np.clip(g_vals, 0.0, 1.0)
     return (StepCurve(merged, s_vals, value_at_zero=1.0, kind="survival"),
@@ -280,57 +267,74 @@ def cge_bounded(cif_t, cif_c, spec, grid):
 # Route I: per-stratum reconstruction, aggregated by propensity weights
 # ---------------------------------------------------------------------------
 
-def _empirical_cif_pair(m, delta, grid):
-    """Sub-distribution incidence curves of observed rows on a grid."""
-    ct = np.array([np.mean((m <= t) & (delta == 1)) for t in grid])
-    cc = np.array([np.mean((m <= t) & (delta == 0)) for t in grid])
-    return (StepCurve(grid, ct, value_at_zero=0.0, kind="cif"),
-            StepCurve(grid, cc, value_at_zero=0.0, kind="cif"))
+def _trajectories(cohort, zw_ids, first, arms):
+    """The distinct row sets of Route I's latent curves, and the (cells x
+    arms) index of the one each cell reads in an arm: its rows there,
+    else the arm's rows sharing its confounder, else the whole arm."""
+    z_ids, z_first = cohort.cells("z")
+    members, pick = [], []
+    for arm in arms:
+        rows = np.flatnonzero(cohort.x == arm)
+        if rows.size == 0:
+            raise DataError(f"no rows in outcome arm {arm}")
+        groups = cell_members(zw_ids[rows], first.size) + cell_members(
+            z_ids[rows], z_first.size) + [np.arange(rows.size)]
+        sizes, source = np.array(list(map(len, groups))), np.arange(first.size)
+        for fallback in (first.size + z_ids[first], len(groups) - 1):
+            source = np.where(sizes[source] > 0, source, fallback)
+        used, index = np.unique(source, return_inverse=True)
+        pick.append(len(members) + index)
+        members += [rows[groups[g]] for g in used.tolist()]
+    return members, np.stack(pick, axis=1)
 
 
-def route1_conditional(cohort, spec, nuisances, query, grid):
-    """Stratum-wise bounded reconstruction, plug-in weighted into a PO curve.
+def _incidence(cohort, members, grid):
+    """Event and censoring incidence on `grid` of each row set, as (k, m)
+    arrays: counts over set sizes, equal to `np.mean` bit for bit."""
+    sizes = np.array(list(map(len, members)))
+    rows = np.concatenate(members)
+    key = (np.repeat(2 * np.arange(sizes.size), sizes) + cohort.delta[rows]) \
+        * (grid.size + 1) + np.searchsorted(grid, cohort.m[rows])
+    counts = np.bincount(key, minlength=2 * sizes.size * (grid.size + 1))
+    cif = np.cumsum(counts.reshape(sizes.size, 2, -1)[:, :, :-1], axis=2)
+    cif = cif / sizes[:, None, None]
+    return cif[:, 1], cif[:, 0]
 
-    Within every covariate cell of the outcome arm the observed rows
-    give empirical event/censoring incidence on the grid; the bounded
-    recursion turns each pair into a latent survival midpoint, and the
-    stratum curves are averaged with the same mediator/conditioning
-    propensity ratios as the plug-in estimator.  Cells unseen in the
-    outcome arm fall back to the arm pooled on the confounder, then to
-    the whole arm.
+
+def route1_conditional(cohort, specs, nuisances, queries, grid):
+    """Stratum-wise bounded reconstruction, plug-in weighted into PO curves.
+
+    In every covariate cell of an outcome arm (`_trajectories` for unseen
+    ones) the rows' empirical event/censoring incidence goes through the
+    bounded recursion, one call per copula and block of at most
+    ``_BLOCK_ELEMENTS`` values, and the latent midpoints are averaged with
+    the plug-in estimator's propensity ratios.  Returns one {query:
+    StepCurve} per spec of `specs`, in spec order.
     """
     if cohort.n_causes != 1:
-        raise DataError(
-            "informative-censoring reconstruction covers a single event "
-            "type")
+        raise DataError("informative-censoring reconstruction covers a "
+                        "single event type")
     grid = _validate_grid(grid)
-
-    arm = query.x_outcome
-    arm_rows = np.flatnonzero(cohort.x == arm)
-    if arm_rows.size == 0:
-        raise DataError(f"no rows in outcome arm {arm}")
+    queries = list(dict.fromkeys(queries))
+    arms = sorted({q.x_outcome for q in queries})
     zw_ids, first = cohort.cells("zw")
-    z_ids, z_first = cohort.cells("z")
-    by_zw = cell_members(zw_ids[arm_rows], first.size)
-    by_z = cell_members(z_ids[arm_rows], z_first.size)
-
-    weights = cell_weights(nuisances, [query], cohort, first)[:, 0].tolist()
-    contributions = []
-    for c, z_cell in enumerate(z_ids[first].tolist()):
-        members = by_zw[c] if by_zw[c].size else by_z[z_cell]
-        idx = arm_rows[members] if members.size else arm_rows
-        cif_t, cif_c = _empirical_cif_pair(
-            cohort.m[idx], cohort.delta[idx], grid)
-        contributions.append(weights[c]
-                             * cge_bounded(cif_t, cif_c, spec, grid).s_hat)
-    # summed one row at a time, in row order: np.sum would round
-    # differently, and a cumsum over rows x grid holds that whole matrix
-    # or, in blocks, runs many times slower on long grids
-    totals = np.zeros(grid.size)
+    members, pick = _trajectories(cohort, zw_ids, first, arms)
+    latent = np.empty((len(specs), len(members), grid.size))
+    step = max(1, _BLOCK_ELEMENTS // grid.size)
+    for b in range(0, len(members), step):
+        cif_t, cif_c = _incidence(cohort, members[b:b + step], grid)
+        for s, spec in enumerate(specs):
+            latent[s, b:b + step] = _bounded_rows(cif_t, cif_c, spec)[4]
+    weights = cell_weights(nuisances, queries, cohort, first)
+    pick = pick[:, [arms.index(q.x_outcome) for q in queries]]
+    # summed row by row, in row order: np.sum would round differently,
+    # and a cumsum over rows x grid holds that matrix or runs slower
+    totals = np.zeros((len(specs), len(queries), grid.size))
     for c in zw_ids.tolist():
-        totals += contributions[c]
-    values = np.clip(totals / cohort.n, 0.0, 1.0)
-    return StepCurve(grid, values, value_at_zero=1.0, kind="survival")
+        totals += weights[c, :, None] * latent[:, pick[c]]
+    return [{q: StepCurve(grid, v, value_at_zero=1.0, kind="survival")
+             for q, v in zip(queries, values)}
+            for values in np.clip(totals / cohort.n, 0.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------

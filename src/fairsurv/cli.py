@@ -387,10 +387,11 @@ def _ic_curves(config, cohort, grid, queries):
 
     Returns one {query: (central, env_lo, env_hi)} dict per tau, and the
     envelope counts of each query.  The plugin route fits only the
-    propensities (all the conditional route reads) and has no envelope,
-    so its bounds and counts are None.  The dr route estimates a query's
-    event and censoring incidence once, over one fold plan on the
-    censoring-recoded cohort, and draws its envelope once for every tau.
+    propensities (all the conditional route reads), makes one call for
+    every query and tau and has no envelope: its bounds and counts are
+    None.  The dr route estimates a query's event and censoring incidence
+    once, over one fold plan on the censoring-recoded cohort, and draws
+    its envelope once for every tau.
     """
     specs = [CopulaSpec(config["family"], tau) for tau in config["tau"]]
     per_tau = [{} for _ in specs]
@@ -398,11 +399,10 @@ def _ic_curves(config, cohort, grid, queries):
     if config["estimator"] == "plugin":
         nuisances = fit_plugin_nuisances(
             cohort, None, epsilon=config["epsilon"], **fit_config["learners"])
-        for curves, spec in zip(per_tau, specs):
+        for curves, result in zip(per_tau, route1_conditional(
+                cohort, specs, nuisances, queries, grid)):
             for q in queries:
-                curves[q] = (np.asarray(route1_conditional(
-                    cohort, spec, nuisances, q, grid).values, dtype=float),
-                    None, None)
+                curves[q] = (result[q].values, None, None)
         return per_tau, None
     plan = FoldPlan(cohort.censoring_as_cause(), **fit_config)
     counts = {}

@@ -20,10 +20,10 @@ _MONOTONE_SLACK = 1e-12
 _KINDS = ("survival", "cif", "hazard", "generic")
 
 # Most values in a padded block of the grouped product-limit core, a
-# block of tree predictions or of ``_Forest.mean_curves`` leaf values,
-# and a chunk of a tree node's candidates x rows.  2^20 ran a continuous
-# confounder's decompose 4-19 % faster, but raised the plug-in peak from
-# 76 to 104 MB at n = 10k.
+# block of tree predictions, of ``_Forest.mean_curves`` leaf values or of
+# Route I's incidence, and a chunk of a tree node's candidates x rows.
+# 2^20 ran a continuous confounder's decompose 4-19 % faster, but raised
+# the plug-in peak from 76 to 104 MB at n = 10k.
 _BLOCK_ELEMENTS = 1 << 18
 
 

@@ -89,10 +89,6 @@ class DRNuisances:
     mediator_cohort: Cohort = None
     mediator_table: dict = None
 
-    def group_marginal(self, x):
-        p1 = self.propensity_z.marginal
-        return p1 if int(x) == 1 else 1.0 - p1
-
 
 def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
                      censoring_learner="stratified",
@@ -436,7 +432,8 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
     grid = _validate_grid(grid)
     query = _as_query(query)
     if p_condition is None:
-        p_condition = nuisances.group_marginal(query.x_condition)
+        p1 = nuisances.propensity_z.marginal
+        p_condition = p1 if query.x_condition == 1 else 1.0 - p1
     if not p_condition > 0.0:
         raise DegenerateGroupError("conditioning group has probability zero")
     ids, _ = cohort.cells("zw")

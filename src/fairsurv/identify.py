@@ -25,7 +25,6 @@ from .nuisance import (
     fit_outcome,
     fit_propensity,
 )
-from .queries import Functional, PotentialOutcomeQuery
 
 
 def outcome_target(functional):

@@ -34,11 +34,18 @@ envelope samples per query (`--mode ic --tau 0.2,0.5,0.8
 batches of at most 2,000 attempts; drawing the whole 10^6-attempt cap
 at once would take about 290 MB for the uniforms alone.
 
+With `ic-plugin`, the jittered cohort of the default case is decomposed
+in `ic` mode by the plug-in estimator under three taus (`--mode ic
+--estimator plugin --tau 0.2,0.5,0.8`).  Every (outcome arm, covariate
+cell) latent curve spans the whole default grid; the recursions run over
+blocks of cells, so their working set does not grow with the number of
+cells.
+
     PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [CASE]
 
-with CASE one of continuous-z, short-grid, rmst, plugin and ic, prints the
-run's figures as JSON and exits 1 unless the child succeeded with a
-peak RSS below LIMIT_MB.
+with CASE one of continuous-z, short-grid, rmst, plugin, ic and
+ic-plugin, prints the run's figures as JSON and exits 1 unless the child
+succeeded with a peak RSS below LIMIT_MB.
 """
 
 from __future__ import annotations
@@ -65,6 +72,8 @@ CONTINUOUS_Z_LEARNERS = ("--learner", "logrank_tree_ensemble",
                          "--propensity-learner", "logistic_irls")
 IC_ARGS = ("--mode", "ic", "--tau", "0.2,0.5,0.8",
            "--envelope-samples", "2000")
+IC_PLUGIN_ARGS = ("--mode", "ic", "--estimator", "plugin",
+                  "--tau", "0.2,0.5,0.8")
 
 
 def probe_cohort_csv(n, seed=0, continuous_z=False, continuous_m=True):
@@ -81,7 +90,8 @@ def probe_cohort_csv(n, seed=0, continuous_z=False, continuous_m=True):
 
 
 def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
-                       plugin=False, grid_points=None, ic=False):
+                       plugin=False, grid_points=None, ic=False,
+                       ic_plugin=False):
     """Run `decompose` on an n-row cohort under `workdir`, jittered
     unless `ic`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
@@ -92,6 +102,8 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
     learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
     if ic:
         learners += IC_ARGS
+    if ic_plugin:
+        learners += IC_PLUGIN_ARGS
     if rmst:
         learners += ("--functional", "rmst")
     if plugin:
@@ -125,16 +137,16 @@ def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
     case = argv[2] if argv[2:] else None
     if argv[3:] or case not in (None, "continuous-z", "short-grid", "rmst",
-                                "plugin", "ic"):
+                                "plugin", "ic", "ic-plugin"):
         sys.exit(f"unknown case {' '.join(argv[2:])!r}; the cases are "
-                 "continuous-z, short-grid, rmst, plugin and ic")
+                 "continuous-z, short-grid, rmst, plugin, ic and ic-plugin")
     with tempfile.TemporaryDirectory() as workdir:
         result = decompose_peak_rss(
             n, workdir,
             continuous_z=case in ("continuous-z", "short-grid", "plugin"),
             rmst=case == "rmst", plugin=case == "plugin",
             grid_points=5 if case == "short-grid" else None,
-            ic=case == "ic")
+            ic=case == "ic", ic_plugin=case == "ic-plugin")
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
                       **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb

@@ -38,6 +38,7 @@ from fairsurv.scm import sample_cohort
 
 from testkit import (
     brute_po,
+    empirical_cif_pair,
     make_adversarial,
     make_cr_two_cause,
     make_ic_clayton,
@@ -283,14 +284,13 @@ def test_acceptance_06_competing_risks_normalization():
 
 def test_acceptance_07_reconstruction_reduces_and_tightens():
     cohort = sample_cohort(spec_of(make_ic_clayton(0.5)), 4000, seed=1071)
-    from fairsurv.cge import _empirical_cif_pair
     # the largest observed time is a pure censoring atom that exhausts the
     # remaining mass (cif_t + cif_c reaches 1 there); at that point the
     # sharp lower bound collapses to zero and the band midpoint departs
     # from the point recursion by design, so compare inside follow-up only
     jumps = np.unique(cohort.m)
     jumps = jumps[jumps < jumps.max()]
-    cif_t, cif_c = _empirical_cif_pair(cohort.m, cohort.delta, jumps)
+    cif_t, cif_c = empirical_cif_pair(cohort.m, cohort.delta, jumps)
 
     # independence recursion reproduces the product-limit curve
     indep = CopulaSpec("independence", 0.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairsurv.cge
 from fairsurv.cge import (
     CGEState,
     Route2Result,
@@ -17,8 +18,8 @@ from fairsurv.cge import (
     route1_conditional,
     route2_population,
 )
-from fairsurv.cge import _bounded_rows, _draw_trajectories, \
-    _empirical_cif_pair
+from fairsurv.cge import _bounded_rows, _draw_trajectories, _incidence, \
+    _trajectories
 from fairsurv.copulas import CopulaSpec, generator, generator_inverse
 from fairsurv.curves import StepCurve, kaplan_meier
 from fairsurv.dr import Z_CRITICAL, FoldPlan
@@ -28,11 +29,12 @@ from fairsurv.errors import (
     InfeasibleBandsError,
 )
 from fairsurv.identify import default_grid, fit_plugin_nuisances, plugin_po
-from fairsurv.queries import Functional, PotentialOutcomeQuery
+from fairsurv.queries import Functional, PotentialOutcomeQuery, role_queries
 from fairsurv.scm import Cohort, sample_cohort
 
 from testkit import (
     brute_po,
+    empirical_cif_pair,
     make_cr_two_cause,
     make_ic_clayton,
     make_nic_balanced,
@@ -87,7 +89,7 @@ def test_classical_clayton_hand_values():
 
 def test_classical_independence_matches_km(nic_cohort):
     times = np.unique(nic_cohort.m)
-    cif_t, cif_c = _empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
+    cif_t, cif_c = empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
     surv, cens = cge_classical(cif_t, cif_c, INDEP)
     km_event = kaplan_meier(nic_cohort.m, nic_cohort.delta)
     km_censor = kaplan_meier(nic_cohort.m, 1 - nic_cohort.delta)
@@ -151,7 +153,7 @@ def test_bounded_collapses_to_classical_on_cohort_curves(nic_cohort):
     # event atoms {1..4} and censoring atoms {0.5..3.5} never coincide
     times = np.unique(nic_cohort.m)
     times = times[times <= 4.0]
-    cif_t, cif_c = _empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
+    cif_t, cif_c = empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
     surv, cens = cge_classical(cif_t, cif_c, CLAYTON)
     state = cge_bounded(cif_t, cif_c, CLAYTON, times)
     np.testing.assert_allclose(state.s_hat, surv.evaluate(times),
@@ -219,7 +221,7 @@ def test_bounded_midpoint_tracks_product_limit_at_independence():
 def test_bounded_state_invariants(nic_cohort):
     times = np.unique(nic_cohort.m)
     times = times[times <= 4.0]
-    cif_t, cif_c = _empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
+    cif_t, cif_c = empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
     state = cge_bounded(cif_t, cif_c, CLAYTON, times)
     for seq in (state.s_lo, state.s_hi, state.g_lo, state.g_hi,
                 state.s_hat, state.g_hat):
@@ -238,7 +240,7 @@ def test_bounded_state_invariants(nic_cohort):
 def test_bounded_independence_matches_km(nic_cohort):
     times = np.unique(nic_cohort.m)
     times = times[times <= 4.0]
-    cif_t, cif_c = _empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
+    cif_t, cif_c = empirical_cif_pair(nic_cohort.m, nic_cohort.delta, times)
     state = cge_bounded(cif_t, cif_c, INDEP, times)
     km = kaplan_meier(nic_cohort.m, nic_cohort.delta)
     np.testing.assert_allclose(state.s_hat, km.evaluate(times),
@@ -415,10 +417,12 @@ def ic_grid(cohort):
 def test_route1_independence_equals_plugin(ic_cohort, ic_nuisances):
     grid = ic_grid(ic_cohort)
     query = PotentialOutcomeQuery(1, 1, 1)
-    curve = route1_conditional(ic_cohort, INDEP, ic_nuisances, query, grid)
+    [curves] = route1_conditional(ic_cohort, [INDEP], ic_nuisances, [query],
+                                  grid)
     base = plugin_po(ic_nuisances, ic_cohort, query, Functional("survival"),
                      grid)
-    np.testing.assert_allclose(curve.values, base.values, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(curves[query].values, base.values, rtol=0,
+                               atol=1e-6)
 
 
 def test_route1_single_stratum_equals_bounded_midpoint():
@@ -429,68 +433,173 @@ def test_route1_single_stratum_equals_bounded_midpoint():
         rng.choice([1.0, 2.0, 3.0], n), rng.integers(0, 2, n), n_causes=1)
     nuis = fit_plugin_nuisances(cohort, Functional("survival"))
     grid = np.array([1.0, 2.0, 3.0])
-    curve = route1_conditional(cohort, CLAYTON, nuis,
-                               PotentialOutcomeQuery(1, 1, 1), grid)
+    query = PotentialOutcomeQuery(1, 1, 1)
+    [curves] = route1_conditional(cohort, [CLAYTON], nuis, [query], grid)
     arm = cohort.subset(cohort.x == 1)
-    cif_t, cif_c = _empirical_cif_pair(arm.m, arm.delta, grid)
+    cif_t, cif_c = empirical_cif_pair(arm.m, arm.delta, grid)
     state = cge_bounded(cif_t, cif_c, CLAYTON, grid)
-    np.testing.assert_allclose(curve.values, state.s_hat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curves[query].values, state.s_hat, rtol=0,
+                               atol=1e-12)
 
 
 def test_route1_row_order_sum_on_continuous_times():
     # continuous times make the grid about as long as the cohort; the
     # stratum curves must still be summed exactly as a row-by-row
-    # accumulation over the cohort would
+    # accumulation over the cohort would, for every query and copula of
+    # one call
     rng = np.random.default_rng(11)
     n = 400
     cohort = Cohort(
         rng.integers(0, 2, n), rng.integers(0, 3, n), rng.integers(0, 2, n),
         rng.exponential(5.0, n), rng.integers(0, 2, n), n_causes=1)
     nuis = fit_plugin_nuisances(cohort, Functional("survival"))
-    query = PotentialOutcomeQuery(1, 0, 1)
+    queries = role_queries(0, 1)
+    specs = [CLAYTON, CopulaSpec("frank", -0.4)]
     grid = np.unique(cohort.m)[:-1]
-    curve = route1_conditional(cohort, CLAYTON, nuis, query, grid)
+    results = route1_conditional(cohort, specs, nuis, queries, grid)
+    assert len(results) == len(specs)
 
     z_items, w_items = cohort.z_items, cohort.w_items
-    latent = {}
-    for zi, wi in set(zip(z_items, w_items)):
-        idx = np.array([j for j in range(n) if cohort.x[j] == 1
-                        and z_items[j] == zi and w_items[j] == wi])
-        cif_t, cif_c = _empirical_cif_pair(cohort.m[idx], cohort.delta[idx],
-                                           grid)
-        latent[zi, wi] = cge_bounded(cif_t, cif_c, CLAYTON, grid).s_hat
-    totals = np.zeros(grid.size)
-    for zi, wi in zip(z_items, w_items):
-        weight = (
-            nuis.propensity_zw.predict_group(0, zi, wi)
-            / nuis.propensity_z.predict_group(0, zi)
-            * (nuis.propensity_z.predict_group(1, zi)
-               / nuis.propensity_marginal.predict_group(1)))
-        totals += weight * latent[zi, wi]
-    np.testing.assert_array_equal(curve.values,
-                                  np.clip(totals / n, 0.0, 1.0))
+    weights = {}
+    for q in queries:
+        for zi, wi in set(zip(z_items, w_items)):
+            weights[q, zi, wi] = (
+                nuis.propensity_zw.predict_group(q.x_mediator, zi, wi)
+                / nuis.propensity_z.predict_group(q.x_mediator, zi)
+                * (nuis.propensity_z.predict_group(q.x_condition, zi)
+                   / nuis.propensity_marginal.predict_group(q.x_condition)))
+    for spec, curves in zip(specs, results):
+        latent = {}
+        for x in (0, 1):
+            for zi, wi in set(zip(z_items, w_items)):
+                idx = np.array([j for j in range(n) if cohort.x[j] == x
+                                and z_items[j] == zi and w_items[j] == wi])
+                cif_t, cif_c = empirical_cif_pair(
+                    cohort.m[idx], cohort.delta[idx], grid)
+                latent[x, zi, wi] = cge_bounded(cif_t, cif_c, spec,
+                                                grid).s_hat
+        assert set(curves) == set(queries)
+        for q in queries:
+            totals = np.zeros(grid.size)
+            for zi, wi in zip(z_items, w_items):
+                totals += weights[q, zi, wi] * latent[q.x_outcome, zi, wi]
+            np.testing.assert_array_equal(curves[q].values,
+                                          np.clip(totals / n, 0.0, 1.0))
+
+
+def _four_cell_cohort(n=400, seed=5):
+    rng = np.random.default_rng(seed)
+    return Cohort(
+        rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n),
+        rng.choice([1.0, 2.0, 3.0, 4.0], n), rng.integers(0, 2, n),
+        n_causes=1)
+
+
+def _count_recursions(monkeypatch):
+    calls = []
+    for name in ("_bounded_rows", "cge_bounded"):
+        def counted(*args, _fn=getattr(fairsurv.cge, name), _name=name,
+                    **kwargs):
+            # rows of a batched recursion; cge_bounded runs one pair
+            calls.append((_name, len(args[0]) if _name == "_bounded_rows"
+                          else 1))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fairsurv.cge, name, counted)
+    return calls
+
+
+def test_route1_runs_one_recursion_per_copula(monkeypatch):
+    # every query and tau from one set of cell incidence arrays: on four
+    # cells, 4 queries x 3 taus take one batched recursion per tau and no
+    # single-pair cge_bounded call
+    cohort = _four_cell_cohort()
+    nuis = fit_plugin_nuisances(cohort, None)
+    calls = _count_recursions(monkeypatch)
+    specs = [CopulaSpec("clayton", tau) for tau in (0.2, 0.5, 0.8)]
+    results = route1_conditional(cohort, specs, nuis, role_queries(0, 1),
+                                 np.array([1.0, 2.0, 3.0]))
+    assert [len(curves) for curves in results] == [4, 4, 4]
+    # 4 cells under each of the two outcome arms
+    assert calls == [("_bounded_rows", 8)] * 3
+
+
+def test_route1_blocks_are_bounded_and_leave_curves_unchanged(monkeypatch):
+    cohort = _four_cell_cohort()
+    nuis = fit_plugin_nuisances(cohort, None)
+    specs = [CLAYTON, CopulaSpec("gumbel", 0.6)]
+    queries = role_queries(1, 0)
+    grid = np.array([1.0, 2.0, 3.0])
+    whole = route1_conditional(cohort, specs, nuis, queries, grid)
+    calls = _count_recursions(monkeypatch)
+    monkeypatch.setattr(fairsurv.cge, "_BLOCK_ELEMENTS", 3 * grid.size)
+    blocked = route1_conditional(cohort, specs, nuis, queries, grid)
+    assert calls == [("_bounded_rows", k) for k in (3, 3, 3, 3, 2, 2)]
+    for got, want in zip(blocked, whole):
+        for q in queries:
+            assert got[q].values.tobytes() == want[q].values.tobytes()
+
+
+def test_cell_incidence_equals_per_time_reference():
+    # arm 1 has no row in cell (z=1, w=1), so that cell reads arm 1's
+    # z=1 rows; arm 0 has no row with z=2, so those cells read all of arm
+    # 0; arm 1's cell (0, 0) has no censored rows.  Grid times tie
+    # observed times, fall between them and lie beyond them all.
+    rng = np.random.default_rng(8)
+    cells = {1: [(0, 0, 7), (0, 1, 11), (1, 0, 13), (2, 0, 9), (2, 1, 5)],
+             0: [(0, 0, 6), (0, 1, 17), (1, 0, 3), (1, 1, 19)]}
+    x, z, w = (np.array(col) for col in zip(*(
+        (arm, zi, wi) for arm, rows in cells.items()
+        for zi, wi, k in rows for _ in range(k))))
+    order = rng.permutation(x.size)
+    x, z, w = x[order], z[order], w[order]
+    m = rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], x.size)
+    delta = rng.integers(0, 2, x.size)
+    delta[(x == 1) & (z == 0) & (w == 0)] = 1
+    cohort = Cohort(x, z, w, m, delta, n_causes=1)
+    grid = np.array([0.5, 1.0, 2.5, 3.0, 4.0, 6.0])
+    zw_ids, first = cohort.cells("zw")
+    members, pick = _trajectories(cohort, zw_ids, first, [0, 1])
+    cif_t, cif_c = _incidence(cohort, members, grid)
+    levels = set()
+    for c, row in enumerate(first):
+        for a, arm in enumerate((0, 1)):
+            for level, rows in (("zw", zw_ids == c), ("z", z == z[row]),
+                                ("x", np.ones(x.size, bool))):
+                rows &= x == arm
+                if rows.any():
+                    break
+            levels.add(level)
+            want_t, want_c = empirical_cif_pair(m[rows], delta[rows], grid)
+            assert cif_t[pick[c, a]].tobytes() == want_t.values.tobytes()
+            assert cif_c[pick[c, a]].tobytes() == want_c.values.tobytes()
+    assert levels == {"zw", "z", "x"}
+    # one member set per arm and seen cell, one per arm's fallback
+    assert len(members) == 4 + 5 + 1 + 1
+    no_censoring = pick[zw_ids[np.flatnonzero(
+        (x == 1) & (z == 0) & (w == 0))[0]], 1]
+    assert np.all(cif_c[no_censoring] == 0.0)
 
 
 def test_route1_recovers_latent_truth_under_true_copula(ic_cohort,
                                                         ic_nuisances):
     raw = make_ic_clayton(0.5)
     grid = ic_grid(ic_cohort)
-    for query in (PotentialOutcomeQuery(1, 1, 1),
-                  PotentialOutcomeQuery(0, 0, 0)):
-        curve = route1_conditional(ic_cohort, CLAYTON, ic_nuisances, query,
-                                   grid)
+    queries = [PotentialOutcomeQuery(1, 1, 1), PotentialOutcomeQuery(0, 0, 0)]
+    [curves] = route1_conditional(ic_cohort, [CLAYTON], ic_nuisances,
+                                  queries, grid)
+    for query in queries:
         arm = query.x_outcome
         latent = np.array([brute_po(raw, arm, arm, arm, t, kind="survival")
                            for t in grid])
-        assert float(np.max(np.abs(curve.values - latent))) <= 0.04
+        assert float(np.max(np.abs(curves[query].values - latent))) <= 0.04
 
 
 def test_route1_rejects_competing_causes():
     cohort = sample_cohort(spec_of(make_cr_two_cause()), 500, seed=9)
     nuis = fit_plugin_nuisances(cohort, Functional("all_cause_survival"))
     with pytest.raises(DataError, match="single event"):
-        route1_conditional(cohort, CLAYTON, nuis,
-                           PotentialOutcomeQuery(1, 1, 1),
+        route1_conditional(cohort, [CLAYTON], nuis,
+                           [PotentialOutcomeQuery(1, 1, 1)],
                            np.array([1.0, 2.0]))
 
 
@@ -504,12 +613,13 @@ def test_route1_unseen_stratum_falls_back_to_arm():
                     rng.integers(0, 2, 160), n_causes=1)
     nuis = fit_plugin_nuisances(cohort, Functional("survival"))
     grid = np.array([1.0, 2.0])
-    curve = route1_conditional(cohort, CLAYTON, nuis,
-                               PotentialOutcomeQuery(1, 1, 1), grid)
+    query = PotentialOutcomeQuery(1, 1, 1)
+    [curves] = route1_conditional(cohort, [CLAYTON], nuis, [query], grid)
     arm = cohort.subset(cohort.x == 1)
-    cif_t, cif_c = _empirical_cif_pair(arm.m, arm.delta, grid)
+    cif_t, cif_c = empirical_cif_pair(arm.m, arm.delta, grid)
     state = cge_bounded(cif_t, cif_c, CLAYTON, grid)
-    np.testing.assert_allclose(curve.values, state.s_hat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curves[query].values, state.s_hat, rtol=0,
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,24 @@ def test_ic_plugin_route_emits_centrals_only(ic_cohort_csv, tmp_path):
         assert r[4] == "" and r[5] == ""
 
 
+def test_ic_plugin_reconstructs_every_query_and_tau_in_one_call(
+        ic_cohort_csv, tmp_path, monkeypatch):
+    import fairsurv.cli
+    from fairsurv.cge import route1_conditional
+
+    calls = []
+
+    def counted(cohort, specs, nuisances, queries, grid):
+        calls.append((len(specs), len(queries)))
+        return route1_conditional(cohort, specs, nuisances, queries, grid)
+
+    monkeypatch.setattr(fairsurv.cli, "route1_conditional", counted)
+    assert main(["decompose", "--cohort", str(ic_cohort_csv), "--mode", "ic",
+                 "--tau", "0.2,0.5", "--estimator", "plugin", "--grid",
+                 "1,2,3", "--outdir", str(tmp_path)]) == 0
+    assert calls == [(2, 4)]
+
+
 def test_ic_incidence_estimated_once_per_query(ic_cohort_csv, tmp_path,
                                               monkeypatch):
     import fairsurv.cge

@@ -497,6 +497,20 @@ def reference_crossfit(plan, queries, functional, grid):
     return out
 
 
+def empirical_cif_pair(m, delta, grid):
+    """Sub-distribution incidence curves of observed rows on a grid, one
+    `np.mean` of the indicators per grid time: the reference of Route
+    I's cell incidence (`cge._incidence`)."""
+    import numpy as np
+
+    from fairsurv.curves import StepCurve
+
+    ct = np.array([np.mean((m <= t) & (delta == 1)) for t in grid])
+    cc = np.array([np.mean((m <= t) & (delta == 0)) for t in grid])
+    return (StepCurve(grid, ct, value_at_zero=0.0, kind="cif"),
+            StepCurve(grid, cc, value_at_zero=0.0, kind="cif"))
+
+
 def reference_envelope_draws(grid, lo_t, hi_t, lo_c, hi_c, n_samples,
                              sample_seed):
     """Route II's envelope sampler drawing one attempt at a time, kept as
