@@ -257,10 +257,15 @@ def aalen_johansen_cif(times, deltas, cause, n_causes=None):
 def hazard_increments(curve):
     """Discrete hazard 1 - S(u)/S(u-) of a survival step curve at each of
     its breakpoints u; 0 where S(u-) = 0."""
-    vals = curve.values
-    prev = np.concatenate(([curve.value_at_zero], vals))[:-1]
+    return _increments(np.concatenate(([curve.value_at_zero], curve.values)))
+
+
+def _increments(values):
+    """``hazard_increments`` along the last axis of survival values that
+    start with the value at zero: 1 - S(u)/S(u-) at each later entry."""
+    prev, now = values[..., :-1], values[..., 1:]
     alive = prev > 0.0
-    return np.where(alive, 1.0 - vals / np.where(alive, prev, 1.0), 0.0)
+    return np.where(alive, 1.0 - now / np.where(alive, prev, 1.0), 0.0)
 
 
 def running_rmst(knots, values, horizon=None):

@@ -21,6 +21,12 @@ censoring support, and with a correct outcome model it is unbiased for
 any censoring table.  Denominators are floored at ``epsilon`` and rows
 whose evaluation exceeds ``cap`` in magnitude are rescaled and counted
 in the diagnostics; neither safeguard fires on well-behaved cohorts.
+
+No curve is built to evaluate them: the models' predictions at a run of
+covariate cells come as block values (``predict_values``), every curve
+a row of one (curves x union grid) array, read at the grid, the rows'
+times and the censoring jump times by one ``searchsorted`` each, and
+all cells of the run are evaluated as arrays.
 """
 
 from __future__ import annotations
@@ -30,12 +36,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .curves import (
-    StepCurve,
-    hazard_increments,
-    restricted_means,
-    running_rmst,
-)
+from .curves import StepCurve, _increments, restricted_means, running_rmst
 from .errors import (
     DataError,
     DegenerateGroupError,
@@ -54,7 +55,7 @@ from .nuisance import (
     survival_model_from_spec,
 )
 from .queries import Functional, PotentialOutcomeQuery, table_csv
-from .scm import Cohort, cell_members
+from .scm import Cohort
 
 COMPONENT_NAMES = (
     "ipcw_core",
@@ -80,6 +81,8 @@ class DRNuisances:
     exact mediator law is known instead (generative-spec tables, or a
     deliberate misspecification study), pass ``mediator_table`` mapping
     ``(x, z) -> {w: probability}`` and it takes precedence.
+    ``mediator_cells`` is ``mediator_cohort.cells("xzw")``, computed
+    where it is needed when not given.
     """
 
     outcome: ConditionalSurvivalModel
@@ -88,6 +91,7 @@ class DRNuisances:
     propensity_z: PropensityModel
     mediator_cohort: Cohort = None
     mediator_table: dict = None
+    mediator_cells: tuple = None
 
 
 def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
@@ -105,7 +109,7 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
             cohort, "zw", learner=propensity_learner, epsilon=epsilon),
         propensity_z=fit_propensity(
             cohort, "z", learner=propensity_learner, epsilon=epsilon),
-        mediator_cohort=cohort)
+        mediator_cohort=cohort, mediator_cells=cohort.cells("xzw"))
 
 
 def dr_nuisances_from_spec(spec, functional):
@@ -173,9 +177,13 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted):
     x_y, x_w = query.x_outcome, query.x_mediator
     wanted = dict(zip(z_wanted, cohort.z_values[z_wanted].tolist()))
 
-    def f_hat(source, rows):  # x_y's outcome curves on the grid, in order
-        return (curve.evaluate(grid) for curve in
-                nuisances.outcome.predict_many(x_y, source, rows))
+    def f_hat(source, rows):  # x_y's outcome values on the grid, in order
+        model = nuisances.outcome
+        cols = np.searchsorted(model.grid, grid, side="right")
+        for values, index in model.predict_values(x_y, source, rows):
+            on_grid = values[:, cols]
+            for i in index.tolist():
+                yield on_grid[i]
 
     out = {}
     if nuisances.mediator_table is not None:
@@ -197,7 +205,7 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted):
         raise EstimationError(
             "nuisance bundle carries neither a mediator cohort nor a table")
     # each x_w cell's first row and row count, in order of first appearance
-    ids, first = mediators.cells("xzw")
+    ids, first = nuisances.mediator_cells or mediators.cells("xzw")
     mine = mediators.x[first] == x_w
     first, counts = first[mine], np.bincount(ids)[mine].tolist()
     if not first.size:
@@ -221,13 +229,6 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted):
 def _check_cap(cap):
     if not np.isfinite(cap) or cap <= 0.0:
         raise DataError(f"cap must be positive and finite, got {cap!r}")
-
-
-def _by_cell(ids, rows):
-    """Positions in ``rows`` of every (z, w) cell among them, where ``ids``
-    are the cohort's cell ids."""
-    present, local = np.unique(ids[rows], return_inverse=True)
-    return cell_members(local.reshape(-1), present.size) if rows.size else []
 
 
 class _Contributions:
@@ -269,112 +270,15 @@ class _Contributions:
         self.nu_maps, self.n_fallback = zip(
             *(nu[(q.x_outcome, q.x_mediator)] for q in queries))
         self.outcome_groups = sorted({q.x_outcome for q in queries})
+        # each model's block-value column of every grid time
+        self.outcome_cols, self.censoring_cols = (
+            np.searchsorted(model.grid, grid, side="right")
+            for model in (nuisances.outcome, nuisances.censoring))
 
-    def _parts(self, rows, cells):
-        """Yield ``(query index, positions, parts)`` per cell of ``cells``
-        (from ``_by_cell(ids, rows)``), query and group X: ``positions``
-        index ``rows`` and ``parts`` holds the (component name, values)
-        pairs that apply to those rows, in COMPONENT_NAMES order.  Each
-        model predicts all cells, at a row of each, in one call; a cell's
-        propensities, outcome curves and unweighted arm terms are derived
-        once, and each query scales them by its own weights."""
-        cohort, nuisances = self.cohort, self.nuisances
-        # The visiting order changes no value (a cell writes only its own
-        # rows) but decides which cells share a tree prediction block.  In
-        # repr order of their (z, w) values, nearby values, which tend to
-        # reach the same leaves, share one; in code order the `short-grid`
-        # probe took 83.4 s, not 43.0 s, and peaked at 90.8, not 81.9 MB.
-        first = rows[[pos[0] for pos in cells]]
-        keys = list(map(repr, zip(
-            cohort.z_values[cohort.z_codes[first]].tolist(),
-            cohort.w_values[cohort.w_codes[first]].tolist())))
-        order = sorted(range(len(cells)), key=keys.__getitem__)
-        cells, first = [cells[i] for i in order], first[order]
-        by_group = [{g: pos[cohort.x[rows[pos]] == g] for g in (0, 1)}
-                    for pos in cells]
-        groups = self.outcome_groups
-        x_out = np.tile(groups, len(cells))
-        at_out = np.repeat(first, len(groups))
-        has_rows = np.array([at[g].size > 0 for at in by_group
-                             for g in groups], dtype=bool)
-        outcome = nuisances.outcome.predict_many(x_out, cohort, at_out)
-        censoring = nuisances.censoring.predict_many(
-            x_out[has_rows], cohort, at_out[has_rows])
-        x_both, at_both = np.tile((0, 1), len(cells)), np.repeat(first, 2)
-        propensities = zip(*(
-            model.predict_many(x_both, cohort, at_both).reshape(-1, 2).tolist()
-            for model in (nuisances.propensity_z, nuisances.propensity_zw)))
-        for at, z, (p_z, p_zw) in zip(
-                by_group, cohort.z_codes[first].tolist(), propensities):
-            curves = {g: next(outcome) for g in groups}
-            f = {g: curve.evaluate(self.grid) for g, curve in curves.items()}
-            arms = {g: self._arm_terms(rows[at[g]], curves[g],
-                                       next(censoring), f[g])
-                    for g in curves if at[g].size}
-            for qi, (query, p_condition, nu) in enumerate(zip(
-                    self.queries, self.p_conditions, self.nu_maps)):
-                x_y, x_w, x_z = query.as_tuple()
-                parts = {0: [], 1: []}
-                if at[x_y].size:
-                    weight = p_z[x_z] * p_zw[x_w] / (
-                        p_condition * p_z[x_w] * p_zw[x_y])
-                    parts[x_y] += [(name, weight * term)
-                                   for name, term in arms[x_y]]
-                if at[x_w].size:
-                    weight = p_z[x_z] / (p_condition * p_z[x_w])
-                    parts[x_w].append(("mediator_centering", weight * (
-                        f[x_y][None, :] - nu[z][None, :])))
-                if at[x_z].size:
-                    parts[x_z].append(("conditioning_centering",
-                                       nu[z][None, :] / p_condition))
-                for g in (0, 1):
-                    if parts[g]:
-                        yield qi, at[g], parts[g]
-
-    def _arm_terms(self, sel, s_curve, g_curve, f_y):
-        """Unweighted (component name, values) outcome-arm terms of the
-        rows ``sel`` of one group in one (z, w) cell, whose outcome curve
-        is ``s_curve``, its grid values ``f_y``, and censoring curve
-        ``g_curve``.  ``xi_two`` is kept negated, as it enters the sum."""
-        grid, epsilon = self.grid, self.epsilon
-        m_rows = self.cohort.m[sel]
-        d_rows = self.cohort.delta[sel]
-        if self.base == "cif":
-            g_left = np.maximum(g_curve.left_limit(m_rows), epsilon)
-            hit = ((d_rows == self.cause)[:, None]
-                   & (m_rows[:, None] <= grid[None, :]))
-            return [("ipcw_core", hit / g_left[:, None] - f_y[None, :])]
-
-        g_grid = np.maximum(g_curve.evaluate(grid), epsilon)
-        core = (m_rows[:, None] > grid[None, :]) / g_grid[None, :]
-        terms = [("ipcw_core", core - f_y[None, :])]
-
-        cens = d_rows == 0
-        if np.any(cens):
-            s_m = np.maximum(s_curve.evaluate(m_rows), epsilon)
-            g_m = np.maximum(g_curve.evaluate(m_rows), epsilon)
-            before = m_rows[:, None] <= grid[None, :]
-            terms.append(("xi_one", (cens[:, None] & before) * (
-                f_y[None, :] / (s_m * g_m)[:, None])))
-
-        lams = hazard_increments(g_curve)
-        keep = (lams > 0.0) & (g_curve.breakpoints <= grid[-1])
-        times, lams = g_curve.breakpoints[keep], lams[keep]
-        if times.size:
-            s_left = np.maximum(s_curve.left_limit(times), epsilon)
-            g_at = np.maximum(g_curve.evaluate(times), epsilon)
-            prefix = np.concatenate(
-                ([0.0], np.cumsum(lams / (s_left * g_at))))
-            i_m = np.searchsorted(times, m_rows, side="right")
-            i_t = np.searchsorted(times, grid, side="right")
-            terms.append(("xi_two", -(f_y[None, :] * prefix[
-                np.minimum(i_m[:, None], i_t[None, :])])))
-        return terms
-
-    def evaluate(self, rows, cells, out, targets, comps=None):
+    def evaluate(self, rows, ids, out, targets, comps=None):
         """Write query q's values of ``rows`` (grid columns) into
-        ``out[q, targets]`` and return the number of rows trimmed per
-        query; rows no component applies to are left alone.
+        ``out[q, targets]``, which holds zeros, and return the number of
+        rows trimmed per query; ``ids`` are the cohort's (z, w) cell ids.
 
         A row's value adds its components in COMPONENT_NAMES order.  A
         row with a non-finite value, or one above ``cap`` in magnitude,
@@ -382,43 +286,270 @@ class _Contributions:
         their sum is ``cap`` in magnitude, or zeroed if not finite.
         Given ``comps`` (component name -> arrays shaped like ``out``),
         the components after trimming go to ``comps[name][q, targets]``.
-        """
+
+        Cells go in runs that fit one prediction block of each model,
+        which predicts a run's cells, at a row of each, in one call per
+        group.  Cells go in repr order of their (z, w) values, so nearby
+        values, which tend to reach the same leaves, share a tree
+        prediction block (in code order the `short-grid` probe took
+        83.4 s, not 43.0 s, and peaked at 90.8, not 81.9 MB)."""
         n_flagged = np.zeros(len(self.queries), dtype=int)
-        for qi, pos, parts in self._parts(rows, cells):
-            total = np.broadcast_to(sum(v for _, v in parts),
-                                    (pos.size, self.grid.size))
-            # NaN compares false, so non-finite rows are flagged too
-            flagged = np.flatnonzero(
-                ~(np.abs(total).max(axis=1) <= self.cap))
-            if flagged.size:
-                parts, total = self._trim(parts, total, flagged)
-                n_flagged[qi] += flagged.size
-            out[qi, targets[pos]] = total
-            if comps is not None:
-                for name, v in parts:
-                    comps[name][qi, targets[pos]] = v
+        if not rows.size:
+            return n_flagged
+        cohort, nuisances = self.cohort, self.nuisances
+        _, first, cell = np.unique(ids[rows], return_index=True,
+                                   return_inverse=True)
+        first, cell = rows[first], cell.reshape(-1)
+        keys = list(map(repr, zip(
+            cohort.z_values[cohort.z_codes[first]].tolist(),
+            cohort.w_values[cohort.w_codes[first]].tolist())))
+        order = sorted(range(first.size), key=keys.__getitem__)
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[order] = np.arange(first.size)
+        first, cell = first[order], rank[cell]
+        p_z, p_zw = (model.predict_many(np.tile((0, 1), first.size), cohort,
+                                        np.repeat(first, 2)).reshape(-1, 2)
+                     for model in (nuisances.propensity_z,
+                                   nuisances.propensity_zw))
+        step = min(nuisances.outcome.block_rows,
+                   nuisances.censoring.block_rows)
+        order = np.lexsort((cell, cohort.x[rows], cell // step))
+        rows, cell, targets = rows[order], cell[order], targets[order]
+        runs = np.searchsorted(cell // step * step, np.arange(
+            0, first.size + step, step))
+        for lo, a, b in zip(range(0, first.size, step), runs, runs[1:]):
+            cells = slice(lo, lo + step)
+            n_flagged += _CellRun(
+                self, first[cells], p_z[cells], p_zw[cells], rows[a:b],
+                cell[a:b] - lo).add_to(out, targets[a:b], comps)
         return n_flagged
 
-    def _trim(self, parts, total, flagged):
-        """``parts`` and their sum ``total`` with the entries of the rows
-        ``flagged`` scaled (or zeroed) as ``evaluate`` describes."""
-        sub = total[flagged]
-        bad = ~np.isfinite(sub)
-        over = np.abs(sub) > self.cap
-        scale = np.ones_like(sub)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale[over] = self.cap / np.abs(sub[over])
-        scale[bad] = 0.0
-        trimmed = []
-        for name, v in parts:
-            v = np.array(np.broadcast_to(v, total.shape))
-            part = v[flagged] * scale
-            part[bad] = 0.0
-            v[flagged] = part
-            trimmed.append((name, v))
-        total = np.array(total)
-        total[flagged] = sum(v[flagged] for _, v in trimmed)
-        return trimmed, total
+
+class _CellRun:
+    """The rows ``rows`` (by group and cell) of a run of (z, w) cells,
+    ``cell`` the run's cell of each, with every model's curves at the
+    cells' first rows ``first`` as block values and the cells'
+    propensities ``p_z``, ``p_zw`` (cells x group)."""
+
+    def __init__(self, contrib, first, p_z, p_zw, rows, cell):
+        self.contrib, self.cell = contrib, cell
+        cohort, nuisances = contrib.cohort, contrib.nuisances
+        self.x, self.m = cohort.x[rows], cohort.m[rows]
+        self.delta = cohort.delta[rows]
+        self.z = cohort.z_codes[first].tolist()
+        self.s, self.g, self.g_row = {}, {}, {}
+        self.censored, self.prefix = {}, {}
+        for g in contrib.outcome_groups:
+            (self.s[g],) = nuisances.outcome.predict_values(g, cohort, first)
+            mine = self.x == g
+            # the cells with rows of group g
+            at = np.flatnonzero(np.bincount(cell[mine], minlength=first.size))
+            if not at.size:
+                continue
+            (self.g[g],) = nuisances.censoring.predict_values(
+                g, cohort, first[at])
+            # each cell's censoring curve, as a row of the block values
+            self.g_row[g] = np.zeros(first.size, dtype=np.intp)
+            self.g_row[g][at] = self.g[g][1]
+            if contrib.base == "survival":
+                self.censored[g] = np.zeros(first.size, dtype=bool)
+                self.censored[g][cell[mine & (self.delta == 0)]] = True
+                self.prefix[g] = self._prefix(g, at)
+        self.weights = [  # per query: arm and mediator weights per cell
+            (p_z[:, x_z] * p_zw[:, x_w] / (
+                p_condition * p_z[:, x_w] * p_zw[:, x_y]),
+             p_z[:, x_z] / (p_condition * p_z[:, x_w]))
+            for (x_y, x_w, x_z), p_condition in zip(
+                (q.as_tuple() for q in contrib.queries), contrib.p_conditions)]
+
+    def _prefix(self, g, at):
+        """The censoring grid up to the last grid time, and for each cell
+        of ``at`` (of group g) the ``xi_two`` prefix sums over it and
+        whether ``xi_two`` applies (its censoring curve has a positive
+        hazard increment there).  The increments 1 - G(u)/G(u-) are zero
+        at times a cell's curve does not jump at, so its sums equal the
+        sums over its jumps alone."""
+        contrib = self.contrib
+        eps, censoring = contrib.epsilon, contrib.nuisances.censoring
+        u = np.searchsorted(censoring.grid, contrib.grid[-1], side="right")
+        times = censoring.grid[:u]
+        g_values, g_index = self.g[g]
+        lams = _increments(g_values[:, :u + 1])
+        keep = lams > 0.0
+        s_values, s_index = self.s[g]
+        den = np.maximum(s_values[:, np.searchsorted(
+            contrib.nuisances.outcome.grid, times, side="left")], eps)[
+                s_index[at]]
+        den *= np.maximum(g_values[:, 1:u + 1], eps)[g_index]
+        prefix = np.zeros((at.size, u + 1))
+        np.divide(lams[g_index], den, out=prefix[:, 1:], where=keep[g_index])
+        np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+        applies = np.zeros(len(self.z), dtype=bool)
+        applies[at] = keep.any(axis=1)[g_index]
+        prefixes = np.zeros(applies.size, dtype=np.intp)
+        prefixes[at] = np.arange(at.size)
+        return times, prefix, applies, prefixes
+
+    def add_to(self, out, targets, comps):
+        """Write every query's values of the run's rows into ``out[q,
+        targets]`` and their components into ``comps``, as
+        `_Contributions.evaluate` describes; returns the number of rows
+        trimmed per query.  The rows go in pieces of one group, of at
+        most ``_BLOCK_ELEMENTS`` // 8 values of every query, whose
+        components are added one at a time; trimmed rows have theirs
+        computed again."""
+        contrib = self.contrib
+        n_queries, cap = len(contrib.queries), contrib.cap
+        n_flagged = np.zeros(n_queries, dtype=int)
+        step = max(1, _BLOCK_ELEMENTS // 8 // (n_queries * contrib.grid.size))
+        for g, at in self._pieces(step):
+            rows = self.m[at], self.delta[at], self.cell[at]
+            acc = np.zeros((n_queries, rows[0].size, contrib.grid.size))
+            touched = self._add(acc, g, rows, comps and (comps, targets[at]))
+            for qi in touched:
+                total = acc[qi]
+                # NaN compares false, so non-finite rows are flagged
+                flagged = np.flatnonzero(
+                    ~(np.abs(total).max(axis=1) <= cap))
+                if flagged.size:
+                    n_flagged[qi] += flagged.size
+                    sub = total[flagged]
+                    bad = ~np.isfinite(sub)
+                    over = np.abs(sub) > cap
+                    scale = np.ones_like(sub)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        scale[over] = cap / np.abs(sub[over])
+                    scale[bad] = 0.0
+                    trimmed = {qi: np.zeros_like(sub)}
+                    self._add(trimmed, g, (
+                        column[flagged] for column in rows), comps and (
+                            comps, targets[at][flagged]), (scale, bad))
+                    total[flagged] = trimmed[qi]
+                out[qi, targets[at]] = total
+        return n_flagged
+
+    def _pieces(self, step):
+        """(group, rows) of each piece of the run: rows of one group, at
+        most ``step`` of them, holding whole cells where the cells fit,
+        so that a large cell fills pieces of its own."""
+        split = np.searchsorted(self.x, 1)  # the run's rows go by group
+        cell = self.cell
+        for g, (lo, end) in enumerate(((0, split), (split, cell.size))):
+            while lo < end:
+                hi = min(lo + step, end)
+                if hi < end and cell[hi] == cell[hi - 1] != cell[lo]:
+                    hi = lo + np.searchsorted(cell[lo:hi], cell[hi])
+                yield g, slice(lo, hi)
+                lo = hi
+
+    def _add(self, acc, g, rows, comps, scaled=None):
+        """Add the weighted components of ``rows`` (m, delta and cell of
+        rows of group g) to ``acc[q]`` for each query q, in COMPONENT_NAMES
+        order, and with ``comps`` (the components and the rows' targets)
+        write them there; returns the queries that took any.  With
+        ``scaled`` (scale, mask), only the queries of ``acc`` take theirs,
+        multiplied by scale and zeroed where the mask is set."""
+        touched = set()
+        for name, qi, at, values in self._terms(g, *rows):
+            if scaled is not None:
+                if qi not in acc:
+                    continue
+                values = values * scaled[0][at]
+                values[scaled[1][at]] = 0.0
+            acc[qi][at] += values
+            touched.add(qi)
+            if comps:
+                comps[0][name][qi, comps[1][at]] = values
+        return sorted(touched)
+
+    def _terms(self, g, m, delta, cell):
+        """Yield ``(name, query index, at, values)`` for rows of group g
+        (their m, delta and cell, ascending): query q's weighted component
+        ``name`` at the rows ``at`` (a slice or indices), for every (name,
+        q) that applies to them, in COMPONENT_NAMES order.  What depends
+        on the cell alone is computed once per cell, and spread over the
+        rows (broadcast, when they share one cell)."""
+        contrib = self.contrib
+        cells, row = np.unique(cell, return_inverse=True)
+
+        def rows(per_cell):  # the rows' entries of per-cell values
+            return per_cell if cells.size == 1 else per_cell[row]
+        cols = contrib.outcome_cols
+        f = {x_y: values[index[cells][:, None], cols]  # cells x grid
+             for x_y, (values, index) in self.s.items()}
+        for name in (COMPONENT_NAMES[:1] if contrib.base == "cif"
+                     else COMPONENT_NAMES[:3]) if g in self.g else ():
+            at, term = self._arm_term(name, g, m, delta, cells, row, rows,
+                                      f[g])
+            for qi, query in enumerate(contrib.queries):
+                if query.x_outcome == g and term is not None:
+                    weight = self.weights[qi][0][cell[at]]
+                    yield name, qi, at, weight[:, None] * term
+        everything = slice(None)
+        for qi, (query, p_condition, nu) in enumerate(zip(
+                contrib.queries, contrib.p_conditions, contrib.nu_maps)):
+            if g in (query.x_mediator, query.x_condition):
+                nu_z = np.array([nu[self.z[c]] for c in cells.tolist()])
+            if g == query.x_mediator:
+                weight = self.weights[qi][1][cells]
+                yield "mediator_centering", qi, everything, rows(weight[
+                    :, None] * (f[query.x_outcome] - nu_z))
+            if g == query.x_condition:
+                yield ("conditioning_centering", qi, everything,
+                       rows(nu_z / p_condition))
+
+    def _arm_term(self, name, g, m, delta, cells, row, rows, f_y):
+        """The rows (a slice or indices) of rows of group g, with ``m``,
+        ``delta``, cell ``cells[row]`` and their cells' outcome values
+        ``f_y`` (``rows`` spreads per-cell values over the rows), that
+        component ``name`` of the outcome arm applies to, and its
+        unweighted values there; (None, None) if it applies to none.
+        ``xi_two`` is kept negated, as it enters the sum."""
+        contrib = self.contrib
+        grid, eps = contrib.grid, contrib.epsilon
+        outcome, censoring = (contrib.nuisances.outcome,
+                              contrib.nuisances.censoring)
+        g_values, g_row = self.g[g][0], self.g_row[g][cells]
+        if name == "ipcw_core":
+            if contrib.base == "cif":
+                g_left = np.maximum(g_values[g_row[row], np.searchsorted(
+                    censoring.grid, m, side="left")], eps)
+                term = ((delta == contrib.cause)[:, None]
+                        & (m[:, None] <= grid[None, :])) / g_left[:, None]
+            else:
+                g_grid = np.maximum(
+                    g_values[g_row[:, None], contrib.censoring_cols], eps)
+                term = (m[:, None] > grid[None, :]) / rows(g_grid)
+            term -= rows(f_y)
+            return slice(None), term
+        # xi_one applies to the cells with a censored row of group g,
+        # xi_two to those whose censoring curve has a positive increment
+        times, prefix, applies, prefixes = self.prefix[g]
+        applies = (self.censored[g] if name == "xi_one" else applies)[
+            cells][row]
+        if not applies.any():
+            return None, None
+        if applies.all():
+            at, f_at = slice(None), rows(f_y)
+        else:
+            at = np.flatnonzero(applies)
+            f_at = f_y[row[at]]
+        m, delta, row = m[at], delta[at], row[at]
+        if name == "xi_one":
+            s_values, s_index = self.s[g]
+            s_m = np.maximum(s_values[s_index[cells][row], np.searchsorted(
+                outcome.grid, m, side="right")], eps)
+            g_m = np.maximum(g_values[g_row[row], np.searchsorted(
+                censoring.grid, m, side="right")], eps)
+            before = m[:, None] <= grid[None, :]
+            return at, ((delta == 0)[:, None] & before) * (
+                f_at / (s_m * g_m)[:, None])
+        # at most i_m <= len(times) censoring times precede a row's m, so
+        # the grid's censoring columns need no cap at the last grid time
+        i_m = np.searchsorted(times, m, side="right")
+        flat = (prefixes[cells][row] * prefix.shape[1])[:, None] + np.minimum(
+            i_m[:, None], contrib.censoring_cols)
+        return at, -(f_at * prefix.ravel()[flat])
 
 
 def evaluate_influence(cohort, nuisances, query, functional, grid, *,
@@ -436,14 +567,13 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
         p_condition = p1 if query.x_condition == 1 else 1.0 - p1
     if not p_condition > 0.0:
         raise DegenerateGroupError("conditioning group has probability zero")
-    ids, _ = cohort.cells("zw")
     rows = np.arange(cohort.n)
     comps = {name: np.zeros((1, cohort.n, grid.size))
              for name in COMPONENT_NAMES}
     (n_flagged,) = _Contributions(
         cohort, nuisances, [query], functional, grid, [p_condition],
         epsilon, cap, rows).evaluate(
-            rows, _by_cell(ids, rows), np.zeros((1, cohort.n, grid.size)),
+            rows, cohort.cells("zw")[0], np.zeros((1, cohort.n, grid.size)),
             rows, comps)
     comps = {name: comp[0] for name, comp in comps.items()}
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
@@ -514,11 +644,12 @@ class FoldPlan:
     """Folds, estimator settings and per-fold nuisance fits of a run.
 
     Folds are ``assign_folds(cohort, n_folds, seed)`` or the given
-    ``fold_ids``.  A fold's first outcome target fits the whole bundle on
-    its complement; later targets reuse its censoring model, propensities
-    and mediator cohort and fit only an outcome model.  A fixed
-    ``nuisances`` bundle is evaluated on every row instead (one part,
-    fold id 0, ``n_folds`` 0).
+    ``fold_ids``; ``cell_ids`` are the cohort's (z, w) cell ids.  A
+    fold's first outcome target fits the whole bundle on its complement;
+    later targets reuse its censoring model, propensities and mediator
+    cohort and fit only an outcome model.  A fixed ``nuisances`` bundle
+    is evaluated on every row instead (one part, fold id 0, ``n_folds``
+    0).
     """
 
     def __init__(self, cohort, n_folds=2, seed=0, *, learners=None,
@@ -535,6 +666,7 @@ class FoldPlan:
         else:
             self.fold_ids, self.n_folds = _fold_labels(cohort, fold_ids)
         self._bundles = [{} for _ in range(self.n_folds)]
+        self.cell_ids, _ = cohort.cells("zw")
 
     def parts(self, functional):
         """Yield ``(bundle, rows)`` per fold: the bundle fitted without the
@@ -597,12 +729,11 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
                 f"no rows in conditioning group {q.x_condition}")
     _check_cap(plan.cap)
 
-    ids, _ = cohort.cells("zw")
     parts = [(_Contributions(cohort, bundle, queries, base_functional, grid,
                              [p_cond[q] for q in queries], plan.epsilon,
                              plan.cap, rows), rows)
              for bundle, rows in list(plan.parts(base_functional))]
-    sums, groups, n_flagged = _stream_rows(plan, parts, ids, grid, rmst)
+    sums, groups, n_flagged = _stream_rows(plan, parts, grid, rmst)
 
     raw = sums / n
     center = raw if rmst is None else rmst(raw)
@@ -645,11 +776,11 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
     return out
 
 
-def _stream_rows(plan, parts, ids, grid, rmst):
+def _stream_rows(plan, parts, grid, rmst):
     """Evaluate every row of ``plan.cohort`` in row blocks.
 
     ``parts`` pairs each fold's rows with the ``_Contributions`` of its
-    bundle; ``ids`` are the cohort's (z, w) cell ids.  Returns the
+    bundle.  Returns the
     queries' column sums of the row contributions (queries x grid), the
     (count, means, co-moments) of the contributions of each group X = 0,
     1 (mapped by ``rmst``, the running restricted mean, when given), and
@@ -676,7 +807,7 @@ def _stream_rows(plan, parts, ids, grid, rmst):
         for contrib, rows in parts:
             lo, hi = np.searchsorted(rows, (start, stop))
             at = rows[lo:hi]
-            n_flagged += contrib.evaluate(at, _by_cell(ids, at), block,
+            n_flagged += contrib.evaluate(at, plan.cell_ids, block,
                                           at - start)
         for qi, out in enumerate(block):
             if start:

@@ -15,12 +15,15 @@ chunks of at most ``_BLOCK_ELEMENTS`` // rows candidates, and the first
 strictly largest positive score wins.  A tree's leaf step functions
 come from one grouped product-limit pass.  The fitted trees are flat
 parallel node arrays.  A batch prediction takes its rows in blocks
-bounded by the length of the curves they return, routes a block through
-every tree at once and builds one curve per distinct leaf set (the tuple
-of leaves, one per tree).  Tree parameters: n_trees >= 1, min_leaf >=
-10, 0 <= max_depth <= 6, max_thresholds >= 1, seed.  Propensities come
-from frequency tables or IRLS logistic fits, clipped away from 0 and 1;
-the logistic learner refuses covariates that are not finite.
+bounded by the length of the curves they return and routes a block
+through every tree at once.  The values of each distinct leaf set (the
+tuple of leaves, one per tree) on the forest's union grid are computed
+and checked once per block; `predict_values` yields them as they are,
+`predict_many` builds one curve per leaf set from them.  Tree
+parameters: n_trees >= 1, min_leaf >= 10, 0 <= max_depth <= 6,
+max_thresholds >= 1, seed.  Propensities come from frequency tables or
+IRLS logistic fits, clipped away from 0 and 1; the logistic learner
+refuses covariates that are not finite.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 from .curves import (
     _BLOCK_ELEMENTS,
     StepCurve,
+    _check_steps,
     aalen_johansen_cif,
     kaplan_meier,
     product_limit_steps,
@@ -321,28 +325,34 @@ class _Forest:
         return self.leaf[node]
 
     def predict(self, feats, kind):
-        """The curve of every row of ``feats``: one curve per distinct
-        leaf set, shared by the rows that reach it."""
+        """Grid values of every row of ``feats``: ``mean_values`` of their
+        distinct leaf sets, and the set each row reaches."""
         if not feats:
-            return []
+            return (np.empty((0, self.grid.size + 1)),
+                    np.zeros((0, self.grid.size), dtype=bool),
+                    np.zeros(0, dtype=np.intp))
         sets, inverse = np.unique(self.leaf_sets(np.array(feats)), axis=0,
                                   return_inverse=True)
-        curves = self.mean_curves(sets, kind)
-        return [curves[i] for i in inverse.reshape(-1).tolist()]
+        return (*self.mean_values(sets, kind), inverse.reshape(-1))
 
-    def mean_curves(self, sets, kind):
-        """One curve per row of ``sets`` (distinct leaf sets, one leaf per
-        tree): the mean of the leaves' step functions on the union of
-        their jump times, the leaves summed in tree order, and for a
-        survival curve exp(-mean cumulative hazard).
+    def mean_values(self, sets, kind):
+        """The curve of every row of ``sets`` (distinct leaf sets, one leaf
+        per tree) on ``grid``, the union of the leaves' jump times: the
+        mean of the leaves' step functions, the leaves summed in tree
+        order, and for a survival curve exp(-mean cumulative hazard).
+        Returns the values (sets x 1 + grid; column 0 is the value at
+        zero, the curve's before its first grid time) and the mask of
+        each curve's jump times (sets x grid).  Between jumps a curve's
+        value repeats exactly.  The jumps pass a step curve's checks,
+        run once for all sets.
 
         The grid values of the leaves the sets reach are built for as
         many trees at a time as fit in ``_BLOCK_ELEMENTS`` values and
         added to the sets' running sums tree by tree, so a value is the
         same sum in the same order whatever the grouping."""
         n_trees = sets.shape[1]
-        total = np.zeros((len(sets), self.grid.size))
-        jumps = np.zeros(total.shape, dtype=bool)
+        sums = np.zeros((len(sets), self.grid.size))
+        jumps = np.zeros(sums.shape, dtype=bool)
         group = max(1, _BLOCK_ELEMENTS // (
             max(self.grid.size, 1) * min(len(sets), 2 ** self.depth)))
         for first in range(0, n_trees, group):
@@ -350,14 +360,17 @@ class _Forest:
             used = np.unique(leaves)
             values, at = self._on_grid(used)
             for local in np.searchsorted(used, leaves).T:
-                total += values[local]
+                sums += values[local]
                 jumps |= at[local]
-        mean = total[jumps] / n_trees
-        values = mean if kind == "cif" else np.exp(-mean)
-        times = np.broadcast_to(self.grid, jumps.shape)[jumps]
-        cuts = np.cumsum(jumps.sum(axis=1))[:-1]
-        return [StepCurve(t, v, 0.0 if kind == "cif" else 1.0, kind)
-                for t, v in zip(np.split(times, cuts), np.split(values, cuts))]
+        total = np.zeros((len(sets), self.grid.size + 1))
+        np.divide(sums, n_trees, out=total[:, 1:])
+        if kind != "cif":
+            np.exp(np.negative(total, out=total), out=total)
+        counts = jumps.sum(axis=1)
+        _check_steps(np.broadcast_to(self.grid, jumps.shape)[jumps],
+                     total[:, 1:][jumps], float(kind != "cif"), kind,
+                     (np.cumsum(counts) - counts)[counts > 0])
+        return total, jumps
 
     def _on_grid(self, leaves):
         """Values on ``grid`` of the step functions of ``leaves``, and the
@@ -398,10 +411,21 @@ class ConditionalSurvivalModel:
         self._curves = curves
         self._forest = forest
         self._widths = widths
+        # the union grid of block values: every jump time of the forest's
+        # leaves, or of the table's curves
+        self.grid = forest.grid if forest is not None else np.unique(
+            np.concatenate([np.empty(0)] + [
+                c.breakpoints for c in curves.values()]))
 
     @property
     def curve_kind(self):
         return "cif" if isinstance(self.target, int) else "survival"
+
+    @property
+    def block_rows(self):
+        """Most rows of one prediction block: ``_BLOCK_ELEMENTS`` //
+        (union-grid times)."""
+        return max(1, _BLOCK_ELEMENTS // max(self.grid.size, 1))
 
     @classmethod
     def from_curves(cls, curves, target, n_causes=1, fit_report=None):
@@ -440,25 +464,64 @@ class ConditionalSurvivalModel:
         allowed) under group labels ``x`` (one, or one per row), in order;
         covariates match the fit's by value.  With ``skip_unserved``, a
         row outside the fitted schema yields None instead of raising
-        CohortSchemaError.  The tree learner predicts blocks of at most
-        ``_BLOCK_ELEMENTS`` // (union-grid times) rows, so one block's
-        curves hold at most that many values whatever grid the caller
-        evaluates them on.  It routes a block's rows through all trees at
-        once and builds one curve per distinct leaf set (the tuple of
-        leaves it reaches, one per tree), shared by its rows."""
+        CohortSchemaError.  The tree learner builds its curves from the
+        block values of `predict_values`, one curve per distinct leaf set
+        (the tuple of leaves it reaches, one per tree), shared by its
+        rows."""
         x, rows = _labelled(x, rows)
         if self._curves is not None:
             yield from _per_row(self._lookup, x, cohort, rows, skip_unserved)
             return
-        step = max(1, _BLOCK_ELEMENTS // max(self._forest.grid.size, 1))
+        kind = self.curve_kind
+        for feats, (values, jumps, index) in self._tree_blocks(
+                x, cohort, rows, skip_unserved):
+            # the jumps were checked when the values were made
+            cuts = np.cumsum(jumps.sum(axis=1))[:-1]
+            curves = [StepCurve._checked(t, v, float(kind != "cif"), kind)
+                      for t, v in zip(np.split(np.broadcast_to(
+                          self.grid, jumps.shape)[jumps], cuts), np.split(
+                              values[:, 1:][jumps], cuts))]
+            del values, jumps  # not held while the curves are yielded
+            sets = iter(index.tolist())
+            for row in feats:
+                yield None if row is None else curves[next(sets)]
+
+    def predict_values(self, x, cohort, rows):
+        """Yield ``(values, index)`` per block of at most ``block_rows`` of
+        ``rows`` (``x`` and ``rows`` as in `predict_many`), in order: the
+        block's i-th row's curve is ``values[index[i]]`` on ``grid``,
+        with its value at zero in column 0, so that at times t,
+        ``values[index, np.searchsorted(grid, t, side)]`` reads its
+        ``evaluate`` (side "right") and ``left_limit`` (side "left") bit
+        for bit.  The tree learner routes a block's rows through all
+        trees at once and computes the values of each distinct leaf set
+        once; the table learner evaluates each distinct curve of a block
+        on the union of its curves' jump times."""
+        x, rows = _labelled(x, rows)
+        if self._forest is not None:
+            for _, (values, _, index) in self._tree_blocks(x, cohort, rows):
+                yield values, index
+            return
+        for start in range(0, rows.size, self.block_rows):
+            block = slice(start, start + self.block_rows)
+            curves = _per_row(self._lookup, x[block], cohort, rows[block])
+            ids = list(map(id, curves))
+            table = dict(zip(ids, curves))
+            keys, index = np.unique(ids, return_inverse=True)
+            yield np.array([np.append(table[k].value_at_zero, table[
+                k].evaluate(self.grid)) for k in keys.tolist()]), index
+
+    def _tree_blocks(self, x, cohort, rows, skip_unserved=False):
+        """Per block of at most ``block_rows`` rows: their feature rows
+        (None where unserved) and the forest's block values of the
+        served ones."""
+        step = self.block_rows
         for start in range(0, rows.size, step):
             block = slice(start, start + step)
             feats = _per_row(self._features, x[block], cohort, rows[block],
                              skip_unserved)
-            curves = iter(self._forest.predict(
-                [row for row in feats if row is not None], self.curve_kind))
-            for row in feats:
-                yield None if row is None else next(curves)
+            yield feats, self._forest.predict(
+                [row for row in feats if row is not None], self.curve_kind)
 
     def _features(self, x, z, w):
         try:

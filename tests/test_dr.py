@@ -37,8 +37,11 @@ from fairsurv.queries import Functional, PotentialOutcomeQuery, \
 from fairsurv.scm import Cohort, sample_cohort
 
 from testkit import (
+    ReferenceContributions,
+    _by_cell,
     brute_po,
     continuous_confounder_cohort,
+    count_curves,
     count_fits,
     count_propensity_calls,
     count_predictions,
@@ -49,6 +52,7 @@ from testkit import (
     make_nic_balanced,
     make_no_censoring,
     reference_crossfit,
+    reference_influence,
     spec_of,
 )
 
@@ -929,6 +933,203 @@ def test_tree_prediction_blocks_do_not_grow_with_a_short_grid(monkeypatch):
     for q in queries:
         assert np.array_equal(blocked[q].estimate, whole[q].estimate)
         assert np.array_equal(blocked[q].se, whole[q].se)
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation against the per-cell oracle
+# ---------------------------------------------------------------------------
+#
+# `_Contributions.evaluate` reads every curve off the models' block values
+# and evaluates all cells of a run at once; `testkit.ReferenceContributions`
+# is the per-cell evaluation it replaced.  Values, components, trimming
+# counts and the streamed row-block output must agree bit for bit.
+
+TREE_LEARNERS = dict(outcome_learner="logrank_tree_ensemble",
+                     censoring_learner="logrank_tree_ensemble",
+                     propensity_learner="logistic_irls",
+                     outcome_params={"n_trees": 5},
+                     censoring_params={"n_trees": 5})
+
+
+def _two_halves(cohort):
+    even = np.arange(cohort.n) % 2 == 0
+    return cohort.subset(even), cohort.subset(~even)
+
+
+def _oracle_case(name):
+    """(evaluated cohort, bundle fitted on other rows, functional, grid,
+    cap) of one block-path case."""
+    if name.startswith("tree"):
+        cohort = continuous_confounder_cohort(400, 5)
+        functional, grid = SURVIVAL, [0.5, 1.0, 2.0, 4.0, 6.0]
+        if name == "tree_cif":
+            causes = np.random.default_rng(1).integers(1, 3, cohort.n)
+            cohort = Cohort(cohort.x, cohort.z_items, cohort.w_items,
+                            cohort.m, np.where(cohort.delta == 1, causes, 0))
+            functional = Functional("cif", cause=2)
+        fit, evaluated = _two_halves(cohort)
+        bundle = fit_dr_nuisances(fit, functional, **TREE_LEARNERS)
+        if name == "tree_non_finite":
+            bundle.outcome._forest.steps[5] = np.nan
+        if name == "tree_censoring_past_grid":
+            grid = [0.3, 0.6]
+        return evaluated, bundle, functional, grid, 2.0
+    if name == "cif":
+        fit, evaluated = _two_halves(
+            sample_cohort(spec_of(make_cr_two_cause()), 1200, seed=7))
+        functional = Functional("cif", cause=2)
+        return (evaluated, fit_dr_nuisances(fit, functional), functional,
+                [1.0, 2.0, 3.0], 50.0)
+    _, _, cohort = _nic_setup(1200, 3)
+    fit, evaluated = _two_halves(cohort)
+    if name == "mediator_fallback":
+        evaluated = _with_unpaired_confounder(evaluated, 30, 5)
+    if name == "no_censored_cell":
+        cell = (np.array(evaluated.z_items) == 0) & (
+            np.array(evaluated.w_items) == 0)
+        evaluated = Cohort(evaluated.x, evaluated.z_items, evaluated.w_items,
+                           evaluated.m, np.where(cell, 1, evaluated.delta))
+    grid = [2.5] if name == "one_point_grid" else [1.0, 2.0, 3.0, 4.0]
+    return (evaluated, fit_dr_nuisances(fit, SURVIVAL), SURVIVAL, grid,
+            1.2 if name == "cap_trimmed" else 50.0)
+
+
+ORACLE_CASES = ["survival", "cif", "cap_trimmed", "one_point_grid",
+                "mediator_fallback", "no_censored_cell", "tree_survival",
+                "tree_cif", "tree_non_finite", "tree_censoring_past_grid"]
+
+
+@pytest.mark.parametrize("pieces", ["default", "few_rows"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
+                                                     pieces):
+    import fairsurv.dr
+    import fairsurv.nuisance
+    from fairsurv.dr import _Contributions
+
+    cohort, bundle, functional, grid, cap = _oracle_case(case)
+    queries = role_queries(0, 1)
+    if pieces == "few_rows":
+        # pieces of at most 5 rows of every query: most hold part of one
+        # cell, whose per-cell values broadcast over its rows
+        monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
+                            8 * len(queries) * len(grid) * 5)
+    flagged = 0
+    for query in queries:
+        got = evaluate_influence(cohort, bundle, query, functional, grid,
+                                 cap=cap)
+        want = reference_influence(cohort, bundle, query, functional, grid,
+                                   cap=cap)
+        assert got.values.tobytes() == want.values.tobytes()
+        for name in COMPONENT_NAMES:
+            assert (got.components[name].tobytes()
+                    == want.components[name].tobytes()), name
+        assert got.n_flagged == want.n_flagged
+        flagged += got.n_flagged
+    # streamed row blocks that split cells, and (trees) runs of a few
+    # cells each
+    monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS", 7 * max(
+        bundle.outcome.grid.size, bundle.censoring.grid.size))
+    grid = np.asarray(grid, dtype=float)
+    p = [float(np.mean(cohort.x == q.x_condition)) for q in queries]
+    everything = np.arange(cohort.n)
+    args = (cohort, bundle, queries, functional, grid, p, 0.01, cap,
+            everything)
+    block, oracle = _Contributions(*args), ReferenceContributions(*args)
+    ids = cohort.cells("zw")[0]
+    for lo, hi in ((0, 37), (37, 150), (150, cohort.n)):
+        rows = everything[lo:hi]
+        got = np.zeros((len(queries), rows.size, grid.size))
+        want = np.zeros_like(got)
+        assert np.array_equal(
+            block.evaluate(rows, ids, got, rows - lo),
+            oracle.evaluate(rows, _by_cell(ids, rows), want, rows - lo))
+        assert got.tobytes() == want.tobytes()
+    # each case exercises what it is named after
+    if case in ("cap_trimmed", "tree_non_finite"):
+        assert flagged > 0
+    if case == "mediator_fallback":
+        assert sum(block.n_fallback) > 0
+    if case == "no_censored_cell":
+        cell = (np.array(cohort.z_items) == 0) & (
+            np.array(cohort.w_items) == 0)
+        assert cell.any() and not np.any(cohort.delta[cell] == 0)
+    if case == "tree_censoring_past_grid":
+        assert bundle.censoring.grid[-1] > grid[-1]
+
+
+def test_doubly_robust_evaluation_builds_no_step_curves(monkeypatch):
+    # tree learners: every curve is read off block values, none is built
+    cohort = continuous_confounder_cohort(300, 9)
+    plan = FoldPlan(cohort, seed=2, learners=TREE_LEARNERS)
+    queries = role_queries(0, 1)
+    want = crossfit_dr_many(plan, queries, SURVIVAL, [0.5, 1.0, 2.0, 4.0])
+    built = count_curves(monkeypatch)
+    got = crossfit_dr_many(plan, queries, SURVIVAL, [0.5, 1.0, 2.0, 4.0])
+    assert built == []
+    for q in queries:
+        assert got[q].estimate.tobytes() == want[q].estimate.tobytes()
+
+
+@pytest.mark.parametrize("corruption", ["falling_hazard",
+                                        "incidence_above_one", "nan"])
+def test_a_corrupted_leaf_fails_the_block_checks_as_a_curve(corruption):
+    # one leaf value of the outcome forest is corrupted: the block path
+    # raises DataError exactly where building the curve does
+    cohort = continuous_confounder_cohort(300, 9)
+    functional = SURVIVAL
+    if corruption == "incidence_above_one":
+        cohort = Cohort(cohort.x, cohort.z_items, cohort.w_items, cohort.m,
+                        np.where(cohort.delta == 1, 1 + cohort.x, 0))
+        functional = Functional("cif", cause=1)
+    plan = FoldPlan(cohort, seed=2, learners=TREE_LEARNERS)
+    bundle, rows = next(plan.parts(functional))
+    forest = bundle.outcome._forest
+    # the values of a leaf the first evaluated row reaches, from its last
+    # (from its first, for a NaN)
+    row = [float(cohort.x[rows[0]]), float(cohort.z_items[rows[0]]),
+           float(cohort.w_items[rows[0]])]
+    leaf = int(forest.leaf_sets(np.array([row]))[0, 0])
+    start = forest.bounds[leaf] if corruption == "nan" else \
+        forest.bounds[leaf + 1] - 1
+    forest.steps[start:forest.bounds[leaf + 1]] = {
+        "falling_hazard": -1e3, "nan": np.nan,
+        "incidence_above_one": 1e3}[corruption]
+    queries = role_queries(0, 1)
+    if corruption == "nan":
+        # a NaN passes a step curve's checks; its rows are trimmed
+        assert np.isnan(bundle.outcome.predict(*row).values).any()
+        found = crossfit_dr_many(plan, queries, functional, [0.5, 1.0, 2.0])
+        assert sum(found[q].diagnostics["n_flagged"] for q in queries) > 0
+        return
+    with pytest.raises(DataError):
+        bundle.outcome.predict(*row)
+    with pytest.raises(DataError):
+        crossfit_dr_many(plan, queries, functional, [0.5, 1.0, 2.0])
+
+
+def test_cell_ids_are_found_once_per_plan_and_mediator_cohort(
+        monkeypatch, tmp_path):
+    # an ic run of eight cross-fits over one fold plan: the (z, w) cell
+    # ids once for the plan, the (x, z, w) ones once per fold's bundle
+    import sys
+
+    from fairsurv.cli import main
+
+    cells = Cohort.cells
+    calls = []
+
+    def counted(cohort, by):
+        if sys._getframe(1).f_globals.get("__name__") == "fairsurv.dr":
+            calls.append(by)
+        return cells(cohort, by)
+    monkeypatch.setattr(Cohort, "cells", counted)
+    cohort = sample_cohort(spec_of(make_nic_balanced()), 2000, seed=0)
+    (tmp_path / "cohort.csv").write_text(cohort.to_csv())
+    assert main(["decompose", "--mode", "ic", "--tau", "0.2,0.5,0.8",
+                 "--cohort", str(tmp_path / "cohort.csv"),
+                 "--outdir", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == ["xzw", "xzw", "zw"]
 
 
 # ---------------------------------------------------------------------------

@@ -738,6 +738,59 @@ def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
                for curve in blocked)
 
 
+def _block_reads(model, x, cohort, rows, times, side):
+    """Every row's curve read off ``predict_values`` at ``times``."""
+    out = []
+    for values, index in model.predict_values(x, cohort, rows):
+        out.append(values[index[:, None], np.searchsorted(
+            model.grid, times, side=side)[None, :]])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("learner, target", [
+    ("logrank_tree_ensemble", "event"), ("logrank_tree_ensemble", "censoring"),
+    ("logrank_tree_ensemble", 2), ("stratified", 1)])
+def test_block_values_read_like_the_curves_bit_for_bit(monkeypatch, learner,
+                                                       target):
+    # the dense (curves x union grid) values, with the value at zero in
+    # front, read at searchsorted(grid, t, side) equal each predicted
+    # curve's evaluate (side "right") and left_limit (side "left")
+    import fairsurv.nuisance
+
+    if learner == "stratified":
+        fitted = sample_cohort(spec_of(make_cr_two_cause()), 600, seed=5)
+        model = fit_conditional_survival(fitted, target=target)
+        jitter = np.random.default_rng(1).uniform(0.0, 0.5, fitted.n)
+        cohort = Cohort(fitted.x, fitted.z_items, fitted.w_items,
+                        fitted.m + jitter, fitted.delta)
+    else:
+        cohort = _tree_cohort()
+        model = fit_conditional_survival(
+            cohort, target=target, learner=learner, n_trees=6, seed=3)
+    # several blocks, and (stratified) many rows sharing one curve
+    monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS",
+                        17 * max(model.grid.size, 1))
+    rows = np.arange(cohort.n)
+    x = np.tile((0, 1), cohort.n)[:cohort.n]
+    curves = list(model.predict_many(x, cohort, rows))
+    grid = model.grid
+    rng = np.random.default_rng(11)
+    times = {
+        "union grid": grid,
+        "random": np.sort(rng.uniform(0.0, 1.2 * grid[-1], 3000)),
+        "observed": cohort.m,
+        "below the first jump": np.array([0.0, grid[0] / 2, grid[0]]),
+        "past the last jump": grid[-1] + np.array([0.0, 1e-9, 1.0, 1e6]),
+    }
+    for label, t in times.items():
+        for side, read in (("right", "evaluate"), ("left", "left_limit")):
+            block = _block_reads(model, x, cohort, rows, t, side)
+            want = np.stack([getattr(curve, read)(t) for curve in curves])
+            assert block.tobytes() == want.tobytes(), (label, side)
+    if learner == "stratified":
+        assert len({id(curve) for curve in curves}) < cohort.n // 10
+
+
 def test_predict_many_can_skip_triples_outside_the_schema():
     cohort = _tree_cohort()
     tree = fit_conditional_survival(
