@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .curves import _BLOCK_ELEMENTS as _PIECE_ELEMENTS
 from .curves import StepCurve, _increments, restricted_means, running_rmst
 from .errors import (
     DataError,
@@ -67,6 +68,13 @@ COMPONENT_NAMES = (
 
 Z_CRITICAL = 1.959963984540054  # two-sided 95% normal quantile
 
+# A cell of at least this many values (rows x grid points) is evaluated in
+# pieces of its own, which broadcast its per-cell values; smaller cells
+# share pieces and gather them per row.  Gathering 2^13 values costs about
+# what a piece's Python work does (1.4 ns a value, 20-30 us per query and
+# piece, measured on a 2-vCPU VM).
+_CELL_ELEMENTS = 1 << 13
+
 
 # ---------------------------------------------------------------------------
 # Nuisance bundle
@@ -81,8 +89,6 @@ class DRNuisances:
     exact mediator law is known instead (generative-spec tables, or a
     deliberate misspecification study), pass ``mediator_table`` mapping
     ``(x, z) -> {w: probability}`` and it takes precedence.
-    ``mediator_cells`` is ``mediator_cohort.cells("xzw")``, computed
-    where it is needed when not given.
     """
 
     outcome: ConditionalSurvivalModel
@@ -91,7 +97,6 @@ class DRNuisances:
     propensity_z: PropensityModel
     mediator_cohort: Cohort = None
     mediator_table: dict = None
-    mediator_cells: tuple = None
 
 
 def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
@@ -109,7 +114,7 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
             cohort, "zw", learner=propensity_learner, epsilon=epsilon),
         propensity_z=fit_propensity(
             cohort, "z", learner=propensity_learner, epsilon=epsilon),
-        mediator_cohort=cohort, mediator_cells=cohort.cells("xzw"))
+        mediator_cohort=cohort)
 
 
 def dr_nuisances_from_spec(spec, functional):
@@ -163,7 +168,8 @@ class InfluenceEvaluation:
         return float(np.max(np.abs(total - self.values), initial=0.0))
 
 
-def _nu_values(nuisances, query, grid, cohort, z_wanted):
+def _nu_values(nuisances, query, grid, cohort, z_wanted,
+               mediator_cells=None):
     """nu(z) = mean of the cross-arm prediction over the x_w group.
 
     Returns ({code: (T,) array}, n_fallback) for the confounder codes
@@ -172,7 +178,8 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted):
     the bundle was fitted on (matched by value).  Curves are summed as
     they are predicted, so memory is one of the model's prediction
     blocks, one sum per confounder value and one pooled sum shared by
-    every fallback value.
+    every fallback value.  ``mediator_cells`` are the mediator cohort's
+    (x, z, w) cells, found here when not given.
     """
     x_y, x_w = query.x_outcome, query.x_mediator
     wanted = dict(zip(z_wanted, cohort.z_values[z_wanted].tolist()))
@@ -205,7 +212,7 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted):
         raise EstimationError(
             "nuisance bundle carries neither a mediator cohort nor a table")
     # each x_w cell's first row and row count, in order of first appearance
-    ids, first = nuisances.mediator_cells or mediators.cells("xzw")
+    ids, first = mediator_cells or mediators.cells("xzw")
     mine = mediators.x[first] == x_w
     first, counts = first[mine], np.bincount(ids)[mine].tolist()
     if not first.size:
@@ -237,12 +244,13 @@ class _Contributions:
 
     ``p_conditions`` are the queries' conditioning-group fractions.
     nu(z) is computed once per (x_outcome, x_mediator) pair, for the
-    confounder values of ``rows``; ``n_fallback[q]`` counts those that
-    fell back to the pooled average for query q.
+    confounder values of ``rows`` (``nu[pair]``; ``mediator_cells`` as
+    in `_nu_values`); ``n_fallback[q]`` counts those that fell back to
+    the pooled average for query q.
     """
 
     def __init__(self, cohort, nuisances, queries, functional, grid,
-                 p_conditions, epsilon, cap, rows):
+                 p_conditions, epsilon, cap, rows, mediator_cells=None):
         _check_cap(cap)
         base = _base_kind(functional)
         if base == "cif":
@@ -265,10 +273,11 @@ class _Contributions:
         self.epsilon, self.cap = epsilon, cap
         z_wanted = np.unique(cohort.z_codes[rows]).tolist()
         by_pair = {(q.x_outcome, q.x_mediator): q for q in queries}
-        nu = {pair: _nu_values(nuisances, q, grid, cohort, z_wanted)
+        nu = {pair: _nu_values(nuisances, q, grid, cohort, z_wanted,
+                               mediator_cells)
               for pair, q in by_pair.items()}
-        self.nu_maps, self.n_fallback = zip(
-            *(nu[(q.x_outcome, q.x_mediator)] for q in queries))
+        self.nu = {pair: values for pair, (values, _) in nu.items()}
+        self.n_fallback = [nu[q.x_outcome, q.x_mediator][1] for q in queries]
         self.outcome_groups = sorted({q.x_outcome for q in queries})
         # each model's block-value column of every grid time
         self.outcome_cols, self.censoring_cols = (
@@ -336,9 +345,11 @@ class _CellRun:
         cohort, nuisances = contrib.cohort, contrib.nuisances
         self.x, self.m = cohort.x[rows], cohort.m[rows]
         self.delta = cohort.delta[rows]
-        self.z = cohort.z_codes[first].tolist()
-        self.s, self.g, self.g_row = {}, {}, {}
-        self.censored, self.prefix = {}, {}
+        # per (x_outcome, x_mediator) pair: nu(z) at each cell (cells x grid)
+        z = cohort.z_codes[first].tolist()
+        self.nu_z = {pair: np.array([nu[code] for code in z])
+                     for pair, nu in contrib.nu.items()}
+        self.s, self.g, self.censored, self.prefix = {}, {}, {}, {}
         for g in contrib.outcome_groups:
             (self.s[g],) = nuisances.outcome.predict_values(g, cohort, first)
             mine = self.x == g
@@ -346,11 +357,11 @@ class _CellRun:
             at = np.flatnonzero(np.bincount(cell[mine], minlength=first.size))
             if not at.size:
                 continue
-            (self.g[g],) = nuisances.censoring.predict_values(
+            ((values, index),) = nuisances.censoring.predict_values(
                 g, cohort, first[at])
             # each cell's censoring curve, as a row of the block values
-            self.g_row[g] = np.zeros(first.size, dtype=np.intp)
-            self.g_row[g][at] = self.g[g][1]
+            self.g[g] = values, np.zeros(first.size, dtype=np.intp)
+            self.g[g][1][at] = index
             if contrib.base == "survival":
                 self.censored[g] = np.zeros(first.size, dtype=bool)
                 self.censored[g][cell[mine & (self.delta == 0)]] = True
@@ -363,17 +374,17 @@ class _CellRun:
                 (q.as_tuple() for q in contrib.queries), contrib.p_conditions)]
 
     def _prefix(self, g, at):
-        """The censoring grid up to the last grid time, and for each cell
-        of ``at`` (of group g) the ``xi_two`` prefix sums over it and
-        whether ``xi_two`` applies (its censoring curve has a positive
-        hazard increment there).  The increments 1 - G(u)/G(u-) are zero
-        at times a cell's curve does not jump at, so its sums equal the
-        sums over its jumps alone."""
+        """The censoring grid up to the last grid time, the ``xi_two``
+        prefix sums over it of the cells ``at`` (of group g), and each
+        cell's row of those sums, -1 where ``xi_two`` does not apply (its
+        censoring curve has no positive hazard increment there).  The
+        increments 1 - G(u)/G(u-) are zero at times a cell's curve does
+        not jump at, so its sums equal the sums over its jumps alone."""
         contrib = self.contrib
         eps, censoring = contrib.epsilon, contrib.nuisances.censoring
         u = np.searchsorted(censoring.grid, contrib.grid[-1], side="right")
         times = censoring.grid[:u]
-        g_values, g_index = self.g[g]
+        g_values, g_index = self.g[g][0], self.g[g][1][at]
         lams = _increments(g_values[:, :u + 1])
         keep = lams > 0.0
         s_values, s_index = self.s[g]
@@ -384,33 +395,36 @@ class _CellRun:
         prefix = np.zeros((at.size, u + 1))
         np.divide(lams[g_index], den, out=prefix[:, 1:], where=keep[g_index])
         np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
-        applies = np.zeros(len(self.z), dtype=bool)
-        applies[at] = keep.any(axis=1)[g_index]
-        prefixes = np.zeros(applies.size, dtype=np.intp)
-        prefixes[at] = np.arange(at.size)
-        return times, prefix, applies, prefixes
+        row = np.full(self.g[g][1].size, -1, dtype=np.intp)
+        row[at] = np.where(keep.any(axis=1)[g_index], np.arange(at.size), -1)
+        return times, prefix, row
 
     def add_to(self, out, targets, comps):
         """Write every query's values of the run's rows into ``out[q,
         targets]`` and their components into ``comps``, as
         `_Contributions.evaluate` describes; returns the number of rows
         trimmed per query.  The rows go in pieces of one group, of at
-        most ``_BLOCK_ELEMENTS`` // 8 values of every query, whose
-        components are added one at a time; trimmed rows have theirs
-        computed again."""
+        most ``_PIECE_ELEMENTS`` values of every query (the budget of a
+        prediction block), whose components are added one at a time;
+        trimmed rows have theirs computed again and scaled."""
         contrib = self.contrib
         n_queries, cap = len(contrib.queries), contrib.cap
         n_flagged = np.zeros(n_queries, dtype=int)
-        step = max(1, _BLOCK_ELEMENTS // 8 // (n_queries * contrib.grid.size))
+        step = max(1, _PIECE_ELEMENTS // (n_queries * contrib.grid.size))
         for g, at in self._pieces(step):
             rows = self.m[at], self.delta[at], self.cell[at]
-            acc = np.zeros((n_queries, rows[0].size, contrib.grid.size))
-            touched = self._add(acc, g, rows, comps and (comps, targets[at]))
+            mine = targets[at]  # the rows' targets
+            acc = np.zeros((n_queries, mine.size, contrib.grid.size))
+            touched = set()
+            for name, qi, where, values in self._terms(g, *rows):
+                acc[qi][where] += values
+                touched.add(qi)
+                if comps:
+                    comps[name][qi, mine[where]] = values
             for qi in touched:
                 total = acc[qi]
                 # NaN compares false, so non-finite rows are flagged
-                flagged = np.flatnonzero(
-                    ~(np.abs(total).max(axis=1) <= cap))
+                flagged = np.flatnonzero(~(np.abs(total).max(axis=1) <= cap))
                 if flagged.size:
                     n_flagged[qi] += flagged.size
                     sub = total[flagged]
@@ -420,47 +434,33 @@ class _CellRun:
                     with np.errstate(divide="ignore", invalid="ignore"):
                         scale[over] = cap / np.abs(sub[over])
                     scale[bad] = 0.0
-                    trimmed = {qi: np.zeros_like(sub)}
-                    self._add(trimmed, g, (
-                        column[flagged] for column in rows), comps and (
-                            comps, targets[at][flagged]), (scale, bad))
-                    total[flagged] = trimmed[qi]
-                out[qi, targets[at]] = total
+                    total[flagged] = 0.0
+                    for name, qj, where, values in self._terms(
+                            g, *(column[flagged] for column in rows)):
+                        if qj == qi:
+                            values = values * scale[where]
+                            values[bad[where]] = 0.0
+                            total[flagged[where]] += values
+                            if comps:
+                                comps[name][qi, mine[flagged[where]]] = values
+                out[qi, mine] = total
         return n_flagged
 
     def _pieces(self, step):
-        """(group, rows) of each piece of the run: rows of one group, at
-        most ``step`` of them, holding whole cells where the cells fit,
-        so that a large cell fills pieces of its own."""
+        """(group, rows) of each piece of the run: at most ``step`` rows of
+        one group.  A cell of ``_CELL_ELEMENTS`` values or more fills
+        pieces of its own, where its per-cell values broadcast; smaller
+        cells share pieces."""
         split = np.searchsorted(self.x, 1)  # the run's rows go by group
-        cell = self.cell
-        for g, (lo, end) in enumerate(((0, split), (split, cell.size))):
-            while lo < end:
-                hi = min(lo + step, end)
-                if hi < end and cell[hi] == cell[hi - 1] != cell[lo]:
-                    hi = lo + np.searchsorted(cell[lo:hi], cell[hi])
-                yield g, slice(lo, hi)
-                lo = hi
-
-    def _add(self, acc, g, rows, comps, scaled=None):
-        """Add the weighted components of ``rows`` (m, delta and cell of
-        rows of group g) to ``acc[q]`` for each query q, in COMPONENT_NAMES
-        order, and with ``comps`` (the components and the rows' targets)
-        write them there; returns the queries that took any.  With
-        ``scaled`` (scale, mask), only the queries of ``acc`` take theirs,
-        multiplied by scale and zeroed where the mask is set."""
-        touched = set()
-        for name, qi, at, values in self._terms(g, *rows):
-            if scaled is not None:
-                if qi not in acc:
-                    continue
-                values = values * scaled[0][at]
-                values[scaled[1][at]] = 0.0
-            acc[qi][at] += values
-            touched.add(qi)
-            if comps:
-                comps[0][name][qi, comps[1][at]] = values
-        return sorted(touched)
+        # each (group, cell)'s first row, and the end; cut around big cells
+        bounds = np.union1d(np.flatnonzero(np.diff(self.cell)) + 1,
+                            (0, split, self.cell.size))
+        big = np.diff(bounds) * self.contrib.grid.size >= _CELL_ELEMENTS
+        cuts = np.union1d(np.union1d(bounds[:-1][big], bounds[1:][big]),
+                          (0, split, self.cell.size)).tolist()
+        for lo, end in zip(cuts, cuts[1:]):
+            for start in range(lo, end, step):
+                yield int(lo >= split), slice(start, min(start + step, end))
 
     def _terms(self, g, m, delta, cell):
         """Yield ``(name, query index, at, values)`` for rows of group g
@@ -486,10 +486,10 @@ class _CellRun:
                     weight = self.weights[qi][0][cell[at]]
                     yield name, qi, at, weight[:, None] * term
         everything = slice(None)
-        for qi, (query, p_condition, nu) in enumerate(zip(
-                contrib.queries, contrib.p_conditions, contrib.nu_maps)):
+        for qi, (query, p_condition) in enumerate(zip(
+                contrib.queries, contrib.p_conditions)):
             if g in (query.x_mediator, query.x_condition):
-                nu_z = np.array([nu[self.z[c]] for c in cells.tolist()])
+                nu_z = self.nu_z[query.x_outcome, query.x_mediator][cells]
             if g == query.x_mediator:
                 weight = self.weights[qi][1][cells]
                 yield "mediator_centering", qi, everything, rows(weight[
@@ -509,7 +509,7 @@ class _CellRun:
         grid, eps = contrib.grid, contrib.epsilon
         outcome, censoring = (contrib.nuisances.outcome,
                               contrib.nuisances.censoring)
-        g_values, g_row = self.g[g][0], self.g_row[g][cells]
+        g_values, g_row = self.g[g][0], self.g[g][1][cells]
         if name == "ipcw_core":
             if contrib.base == "cif":
                 g_left = np.maximum(g_values[g_row[row], np.searchsorted(
@@ -523,10 +523,11 @@ class _CellRun:
             term -= rows(f_y)
             return slice(None), term
         # xi_one applies to the cells with a censored row of group g,
-        # xi_two to those whose censoring curve has a positive increment
-        times, prefix, applies, prefixes = self.prefix[g]
-        applies = (self.censored[g] if name == "xi_one" else applies)[
-            cells][row]
+        # xi_two to those with a row of prefix sums
+        times, prefix, prefix_row = self.prefix[g]
+        prefix_row = prefix_row[cells][row]
+        applies = self.censored[g][cells][row] if name == "xi_one" else (
+            prefix_row >= 0)
         if not applies.any():
             return None, None
         if applies.all():
@@ -547,7 +548,7 @@ class _CellRun:
         # at most i_m <= len(times) censoring times precede a row's m, so
         # the grid's censoring columns need no cap at the last grid time
         i_m = np.searchsorted(times, m, side="right")
-        flat = (prefixes[cells][row] * prefix.shape[1])[:, None] + np.minimum(
+        flat = (prefix_row[at] * prefix.shape[1])[:, None] + np.minimum(
             i_m[:, None], contrib.censoring_cols)
         return at, -(f_at * prefix.ravel()[flat])
 
@@ -645,11 +646,11 @@ class FoldPlan:
 
     Folds are ``assign_folds(cohort, n_folds, seed)`` or the given
     ``fold_ids``; ``cell_ids`` are the cohort's (z, w) cell ids.  A
-    fold's first outcome target fits the whole bundle on its complement;
-    later targets reuse its censoring model, propensities and mediator
-    cohort and fit only an outcome model.  A fixed ``nuisances`` bundle
-    is evaluated on every row instead (one part, fold id 0, ``n_folds``
-    0).
+    fold's first outcome target fits the whole bundle on its complement,
+    whose (x, z, w) cells are found then; later targets reuse its
+    censoring model, propensities and mediator cohort and fit only an
+    outcome model.  A fixed ``nuisances`` bundle is evaluated on every
+    row instead (one part, fold id 0, ``n_folds`` 0).
     """
 
     def __init__(self, cohort, n_folds=2, seed=0, *, learners=None,
@@ -666,13 +667,16 @@ class FoldPlan:
         else:
             self.fold_ids, self.n_folds = _fold_labels(cohort, fold_ids)
         self._bundles = [{} for _ in range(self.n_folds)]
+        self._mediator_cells = [None] * self.n_folds
         self.cell_ids, _ = cohort.cells("zw")
 
     def parts(self, functional):
-        """Yield ``(bundle, rows)`` per fold: the bundle fitted without the
-        fold for the functional's target, and the fold's row indices."""
+        """Yield ``(bundle, rows, mediator_cells)`` per fold: the bundle
+        fitted without the fold for the functional's target, the fold's
+        row indices and the (x, z, w) cells of the bundle's mediator
+        cohort (None for a fixed bundle: `_nu_values` finds them)."""
         if self._fixed is not None:
-            yield self._fixed, np.arange(self.cohort.n)
+            yield self._fixed, np.arange(self.cohort.n), None
             return
         target = _dr_target(functional)
         for f, bundles in enumerate(self._bundles):
@@ -680,11 +684,14 @@ class FoldPlan:
                 bundles[target] = fit_dr_nuisances(
                     self.cohort.subset(self.fold_ids != f), functional,
                     epsilon=self.epsilon, **self.learners)
+                self._mediator_cells[f] = bundles[
+                    target].mediator_cohort.cells("xzw")
             elif target not in bundles:
                 shared = next(iter(bundles.values()))
                 bundles[target] = replace(shared, outcome=fit_outcome(
                     shared.mediator_cohort, target, **self.learners))
-            yield bundles[target], np.flatnonzero(self.fold_ids == f)
+            yield (bundles[target], np.flatnonzero(self.fold_ids == f),
+                   self._mediator_cells[f])
 
 
 def crossfit_dr(plan, query, functional, grid=None):
@@ -731,8 +738,8 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
 
     parts = [(_Contributions(cohort, bundle, queries, base_functional, grid,
                              [p_cond[q] for q in queries], plan.epsilon,
-                             plan.cap, rows), rows)
-             for bundle, rows in list(plan.parts(base_functional))]
+                             plan.cap, rows, cells), rows)
+             for bundle, rows, cells in list(plan.parts(base_functional))]
     sums, groups, n_flagged = _stream_rows(plan, parts, grid, rmst)
 
     raw = sums / n

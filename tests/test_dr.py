@@ -1,5 +1,6 @@
 """Cross-fitted one-step estimator and its influence-function pieces."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -990,16 +991,21 @@ def _oracle_case(name):
         evaluated = Cohort(evaluated.x, evaluated.z_items, evaluated.w_items,
                            evaluated.m, np.where(cell, 1, evaluated.delta))
     grid = [2.5] if name == "one_point_grid" else [1.0, 2.0, 3.0, 4.0]
-    return (evaluated, fit_dr_nuisances(fit, SURVIVAL), SURVIVAL, grid,
+    bundle = fit_dr_nuisances(fit, SURVIVAL)
+    if name == "swapped_mediator_cohort":
+        # nu(z) averages over the cells of the bundle's own mediator rows
+        bundle = replace(bundle, mediator_cohort=evaluated)
+    return (evaluated, bundle, SURVIVAL, grid,
             1.2 if name == "cap_trimmed" else 50.0)
 
 
 ORACLE_CASES = ["survival", "cif", "cap_trimmed", "one_point_grid",
-                "mediator_fallback", "no_censored_cell", "tree_survival",
+                "mediator_fallback", "no_censored_cell",
+                "swapped_mediator_cohort", "tree_survival",
                 "tree_cif", "tree_non_finite", "tree_censoring_past_grid"]
 
 
-@pytest.mark.parametrize("pieces", ["default", "few_rows"])
+@pytest.mark.parametrize("pieces", ["default", "few_rows", "cells_apart"])
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
                                                      pieces):
@@ -1012,8 +1018,12 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
     if pieces == "few_rows":
         # pieces of at most 5 rows of every query: most hold part of one
         # cell, whose per-cell values broadcast over its rows
-        monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
-                            8 * len(queries) * len(grid) * 5)
+        monkeypatch.setattr(fairsurv.dr, "_PIECE_ELEMENTS",
+                            len(queries) * len(grid) * 5)
+    if pieces == "cells_apart":
+        # cells of 100 rows or more take pieces of their own, smaller ones
+        # share pieces (the stratified cases have both kinds)
+        monkeypatch.setattr(fairsurv.dr, "_CELL_ELEMENTS", len(grid) * 100)
     flagged = 0
     for query in queries:
         got = evaluate_influence(cohort, bundle, query, functional, grid,
@@ -1083,7 +1093,7 @@ def test_a_corrupted_leaf_fails_the_block_checks_as_a_curve(corruption):
                         np.where(cohort.delta == 1, 1 + cohort.x, 0))
         functional = Functional("cif", cause=1)
     plan = FoldPlan(cohort, seed=2, learners=TREE_LEARNERS)
-    bundle, rows = next(plan.parts(functional))
+    bundle, rows, _ = next(plan.parts(functional))
     forest = bundle.outcome._forest
     # the values of a leaf the first evaluated row reaches, from its last
     # (from its first, for a NaN)

@@ -494,7 +494,7 @@ def reference_crossfit(plan, queries, functional, grid):
         p = float(np.mean(cohort.x == query.x_condition))
         unc = np.zeros((cohort.n, grid.size))
         n_flagged = n_fallback = 0
-        for bundle, rows in parts:
+        for bundle, rows, _ in parts:
             part = cohort.subset(rows)
             ev = evaluate_influence(part, bundle, query, base, grid,
                                     p_condition=p, epsilon=plan.epsilon,
