@@ -26,7 +26,9 @@ No curve is built to evaluate them: the models' predictions at a run of
 covariate cells come as block values (``predict_values``), every curve
 a row of one (curves x union grid) array, read at the grid, the rows'
 times and the censoring jump times by one ``searchsorted`` each, and
-all cells of the run are evaluated as arrays.
+all cells of the run are evaluated as arrays.  Rows equal in group,
+cell, event label and time have equal values, so each such class is
+evaluated at one row and copied to the others.
 """
 
 from __future__ import annotations
@@ -233,6 +235,14 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted,
     return out, len(wanted) - len(seen)
 
 
+def _row_classes(cohort):
+    """Each row's class id: rows equal in group, (z, w) cell, event label
+    and time have equal influence values under one bundle.  Ids go in
+    the smallest integer type that holds them."""
+    ids, first = cohort.cells("xzwdm")
+    return ids.astype(np.min_scalar_type(first.size))
+
+
 def _check_cap(cap):
     if not np.isfinite(cap) or cap <= 0.0:
         raise DataError(f"cap must be positive and finite, got {cap!r}")
@@ -284,10 +294,11 @@ class _Contributions:
             np.searchsorted(model.grid, grid, side="right")
             for model in (nuisances.outcome, nuisances.censoring))
 
-    def evaluate(self, rows, ids, out, targets, comps=None):
+    def evaluate(self, rows, cells, classes, out, targets, comps=None):
         """Write query q's values of ``rows`` (grid columns) into
         ``out[q, targets]``, which holds zeros, and return the number of
-        rows trimmed per query; ``ids`` are the cohort's (z, w) cell ids.
+        rows trimmed per query; ``cells`` are the cohort's (z, w) cell ids
+        and ``classes`` its row classes (`_row_classes`).
 
         A row's value adds its components in COMPONENT_NAMES order.  A
         row with a non-finite value, or one above ``cap`` in magnitude,
@@ -296,17 +307,29 @@ class _Contributions:
         Given ``comps`` (component name -> arrays shaped like ``out``),
         the components after trimming go to ``comps[name][q, targets]``.
 
-        Cells go in runs that fit one prediction block of each model,
-        which predicts a run's cells, at a row of each, in one call per
-        group.  Cells go in repr order of their (z, w) values, so nearby
-        values, which tend to reach the same leaves, share a tree
-        prediction block (in code order the `short-grid` probe took
-        83.4 s, not 43.0 s, and peaked at 90.8, not 81.9 MB)."""
+        Rows of one class have equal values and components, so only the
+        first row of each class among ``rows`` is evaluated; its values
+        (and components) are then copied to the class's other rows, and
+        a trimmed class counts each of its rows.  Cells go in runs that
+        fit one prediction block of each model, which predicts a run's
+        cells, at a row of each, in one call per group.  Cells go in repr
+        order of their (z, w) values, so nearby values, which tend to
+        reach the same leaves, share a tree prediction block (in code
+        order the `short-grid` probe took 83.4 s, not 43.0 s, and peaked
+        at 90.8, not 81.9 MB)."""
         n_flagged = np.zeros(len(self.queries), dtype=int)
         if not rows.size:
             return n_flagged
+        _, first, of = np.unique(classes[rows], return_index=True,
+                                 return_inverse=True)
+        of = of.reshape(-1)
+        counts = np.bincount(of)  # each class's rows
+        copies = np.ones(rows.size, dtype=bool)
+        copies[first] = False
+        sources, copies = targets[first][of[copies]], targets[copies]
+        rows, targets = rows[first], targets[first]
         cohort, nuisances = self.cohort, self.nuisances
-        _, first, cell = np.unique(ids[rows], return_index=True,
+        _, first, cell = np.unique(cells[rows], return_index=True,
                                    return_inverse=True)
         first, cell = rows[first], cell.reshape(-1)
         keys = list(map(repr, zip(
@@ -323,25 +346,34 @@ class _Contributions:
         step = min(nuisances.outcome.block_rows,
                    nuisances.censoring.block_rows)
         order = np.lexsort((cell, cohort.x[rows], cell // step))
-        rows, cell, targets = rows[order], cell[order], targets[order]
+        rows, cell, targets, counts = (
+            rows[order], cell[order], targets[order], counts[order])
         runs = np.searchsorted(cell // step * step, np.arange(
             0, first.size + step, step))
         for lo, a, b in zip(range(0, first.size, step), runs, runs[1:]):
-            cells = slice(lo, lo + step)
+            run = slice(lo, lo + step)
             n_flagged += _CellRun(
-                self, first[cells], p_z[cells], p_zw[cells], rows[a:b],
-                cell[a:b] - lo).add_to(out, targets[a:b], comps)
+                self, first[run], p_z[run], p_zw[run], rows[a:b],
+                cell[a:b] - lo, counts[a:b]).add_to(out, targets[a:b], comps)
+        # copied in chunks of a piece's size, so no block-sized gather
+        chunk = max(1, _PIECE_ELEMENTS // self.grid.size)
+        for values in [out, *(comps or {}).values()]:
+            for query in values:  # rows x grid
+                for lo in range(0, copies.size, chunk):
+                    query[copies[lo:lo + chunk]] = query.take(
+                        sources[lo:lo + chunk], axis=0)
         return n_flagged
 
 
 class _CellRun:
     """The rows ``rows`` (by group and cell) of a run of (z, w) cells,
-    ``cell`` the run's cell of each, with every model's curves at the
-    cells' first rows ``first`` as block values and the cells'
-    propensities ``p_z``, ``p_zw`` (cells x group)."""
+    ``cell`` the run's cell of each and ``counts`` the rows each stands
+    for, with every model's curves at the cells' first rows ``first`` as
+    block values and the cells' propensities ``p_z``, ``p_zw`` (cells x
+    group)."""
 
-    def __init__(self, contrib, first, p_z, p_zw, rows, cell):
-        self.contrib, self.cell = contrib, cell
+    def __init__(self, contrib, first, p_z, p_zw, rows, cell, counts):
+        self.contrib, self.cell, self.counts = contrib, cell, counts
         cohort, nuisances = contrib.cohort, contrib.nuisances
         self.x, self.m = cohort.x[rows], cohort.m[rows]
         self.delta = cohort.delta[rows]
@@ -403,10 +435,11 @@ class _CellRun:
         """Write every query's values of the run's rows into ``out[q,
         targets]`` and their components into ``comps``, as
         `_Contributions.evaluate` describes; returns the number of rows
-        trimmed per query.  The rows go in pieces of one group, of at
-        most ``_PIECE_ELEMENTS`` values of every query (the budget of a
-        prediction block), whose components are added one at a time;
-        trimmed rows have theirs computed again and scaled."""
+        trimmed per query, each counted as the rows it stands for.  The
+        rows go in pieces of one group, of at most ``_PIECE_ELEMENTS``
+        values of every query (the budget of a prediction block), whose
+        components are added one at a time; trimmed rows have theirs
+        computed again and scaled."""
         contrib = self.contrib
         n_queries, cap = len(contrib.queries), contrib.cap
         n_flagged = np.zeros(n_queries, dtype=int)
@@ -426,7 +459,7 @@ class _CellRun:
                 # NaN compares false, so non-finite rows are flagged
                 flagged = np.flatnonzero(~(np.abs(total).max(axis=1) <= cap))
                 if flagged.size:
-                    n_flagged[qi] += flagged.size
+                    n_flagged[qi] += self.counts[at][flagged].sum()
                     sub = total[flagged]
                     bad = ~np.isfinite(sub)
                     over = np.abs(sub) > cap
@@ -574,8 +607,8 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
     (n_flagged,) = _Contributions(
         cohort, nuisances, [query], functional, grid, [p_condition],
         epsilon, cap, rows).evaluate(
-            rows, cohort.cells("zw")[0], np.zeros((1, cohort.n, grid.size)),
-            rows, comps)
+            rows, cohort.cells("zw")[0], _row_classes(cohort),
+            np.zeros((1, cohort.n, grid.size)), rows, comps)
     comps = {name: comp[0] for name, comp in comps.items()}
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
     ind_z = (cohort.x == query.x_condition).astype(float)
@@ -645,7 +678,9 @@ class FoldPlan:
     """Folds, estimator settings and per-fold nuisance fits of a run.
 
     Folds are ``assign_folds(cohort, n_folds, seed)`` or the given
-    ``fold_ids``; ``cell_ids`` are the cohort's (z, w) cell ids.  A
+    ``fold_ids``; ``cell_ids`` are the cohort's (z, w) cell ids and
+    ``class_ids`` its row classes (`_row_classes`): within a fold, rows
+    of one class share one influence evaluation.  A
     fold's first outcome target fits the whole bundle on its complement,
     whose (x, z, w) cells are found then; later targets reuse its
     censoring model, propensities and mediator cohort and fit only an
@@ -669,6 +704,7 @@ class FoldPlan:
         self._bundles = [{} for _ in range(self.n_folds)]
         self._mediator_cells = [None] * self.n_folds
         self.cell_ids, _ = cohort.cells("zw")
+        self.class_ids = _row_classes(cohort)
 
     def parts(self, functional):
         """Yield ``(bundle, rows, mediator_cells)`` per fold: the bundle
@@ -814,8 +850,8 @@ def _stream_rows(plan, parts, grid, rmst):
         for contrib, rows in parts:
             lo, hi = np.searchsorted(rows, (start, stop))
             at = rows[lo:hi]
-            n_flagged += contrib.evaluate(at, plan.cell_ids, block,
-                                          at - start)
+            n_flagged += contrib.evaluate(at, plan.cell_ids, plan.class_ids,
+                                          block, at - start)
         for qi, out in enumerate(block):
             if start:
                 slab[qi, 0] = sums[qi]
@@ -835,10 +871,11 @@ def _stream_rows(plan, parts, grid, rmst):
 
 def _moments(values):
     """Row count, column means (queries x grid) and centered co-moments
-    (queries x queries x grid) of queries x rows x grid values."""
+    (queries x queries x grid) of queries x rows x grid values, which
+    are overwritten with their deviations from the means."""
     count = values.shape[1]
     mean = values.sum(axis=1) / count
-    dev = values - mean[:, None, :]
+    dev = np.subtract(values, mean[:, None, :], out=values)
     m2 = np.empty(mean.shape[:1] + mean.shape)
     for q in range(len(dev)):
         for p in range(q + 1):

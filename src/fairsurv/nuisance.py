@@ -46,7 +46,7 @@ from .errors import (
     DataError,
     DegenerateGroupError,
 )
-from .scm import Cohort, _canonical_item, cell_members
+from .scm import Cohort, _canonical_item
 
 
 def _target_label(target):
@@ -591,17 +591,27 @@ def _fit_stratified(cohort, target, params):
                 "it looks continuous — use the tree learner"
             )
 
-    def curve_on(sel):
-        return stratum_curve(
-            cohort.m[sel], cohort.delta[sel], target, cohort.n_causes
-        )
-
-    curves = {(): curve_on(slice(None))}
-    for by in ("x", "xz", "xzw"):
+    # each level's strata in one product-limit pass: rows by stratum, each
+    # stratum's in time order (ties in row order, as `stratum_curve` has)
+    kind = "cif" if isinstance(target, int) else "survival"
+    events = cohort.delta if kind == "cif" else _indicator(cohort.delta,
+                                                          target)
+    by_time = np.argsort(cohort.m, kind="stable")
+    curves = {}
+    for by in ("", "x", "xz", "xzw"):
         ids, first = cohort.cells(by)
+        # small integers sort stably by radix
+        order = by_time[np.argsort(ids[by_time].astype(
+            np.min_scalar_type(first.size)), kind="stable")]
+        bounds = np.append(0, np.cumsum(np.bincount(ids)))
+        jumps, values, sizes = product_limit_steps(
+            cohort.m[order], events[order], bounds, kind, target)
+        cuts = np.cumsum(sizes)[:-1]
         keys = list(zip(cohort.x[first].tolist(), *_covariates(cohort, first)))
-        for key, rows in zip(keys, cell_members(ids, len(keys))):
-            curves[key[:len(by)]] = curve_on(rows)
+        for key, t, v in zip(keys, np.split(jumps, cuts),
+                             np.split(values, cuts)):
+            curves[key[:len(by)]] = StepCurve._checked(
+                t, v, float(kind == "survival"), kind)
     full = set(keys)  # the (x, z, w) strata with rows
 
     xs = _sorted_cells({k[0] for k in full})

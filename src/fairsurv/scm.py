@@ -458,6 +458,16 @@ def _csv_cells(text):
     return header, widths, joined.split(",")
 
 
+# Largest cell key `Cohort.cells` builds before it renumbers the key.
+_KEY_LIMIT = np.iinfo(np.int64).max
+
+
+def _codes(values):
+    """Codes of ``values`` numbered in sorted order, and their count."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return codes.reshape(-1), distinct.size
+
+
 def _first_appearance(key):
     """Codes of an integer key array numbered in order of first
     appearance, and the first row of each code."""
@@ -560,16 +570,23 @@ class Cohort:
 
     def cells(self, by):
         """Cell id of every row over the columns named in ``by``, any of
-        "x", "z", "w", numbered in order of first appearance, plus the
-        first row of each cell."""
-        columns = {"x": (self.x, 2),
-                   "z": (self.z_codes, len(self.z_values)),
-                   "w": (self.w_codes, len(self.w_values))}
-        key = np.zeros(self.n, dtype=np.int64)
+        "x", "z", "w", "d" (the event label) and "m" (the observed time),
+        numbered in order of first appearance, plus the first row of each
+        cell."""
+        columns = {"x": lambda: (self.x, 2),
+                   "z": lambda: (self.z_codes, len(self.z_values)),
+                   "w": lambda: (self.w_codes, len(self.w_values)),
+                   "d": lambda: (self.delta, self.n_causes + 1),
+                   "m": lambda: _codes(self.m)}
+        key, bound = np.zeros(self.n, dtype=np.int64), 1  # key < bound
         for name in by:
-            codes, size = columns[name]
+            codes, size = columns[name]()
+            if bound * size > _KEY_LIMIT:  # renumber the key densely first
+                key, bound = _codes(key)
             key = key * size + codes
-        return _first_appearance(key)
+            bound *= size
+        # in the smallest type, which a few cells make quick to sort
+        return _first_appearance(key.astype(np.min_scalar_type(bound - 1)))
 
     # -- CSV ------------------------------------------------------------------
 

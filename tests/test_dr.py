@@ -742,6 +742,11 @@ def _streamed_case(name):
     if name == "fixed_nuisances":
         return (FoldPlan(cohort, nuisances=dr_nuisances_from_spec(
             spec, SURVIVAL)), SURVIVAL, grid)
+    if name == "distinct_rows":  # continuous times: no row class repeats
+        return (FoldPlan(Cohort(cohort.x, cohort.z_items, cohort.w_items,
+                                cohort.m + np.random.default_rng(6).uniform(
+                                    0.0, 1e-3, cohort.n), cohort.delta),
+                         seed=3), SURVIVAL, grid)
     cr = sample_cohort(spec_of(make_cr_two_cause()), 1500, seed=73)
     if name == "cif":
         return FoldPlan(cr, seed=3), Functional("cif", cause=2), [1.0, 2.0,
@@ -753,7 +758,7 @@ def _streamed_case(name):
 
 STREAMED_CASES = ["survival", "one_point_grid", "cap_trimmed", "rmst",
                   "rmst_horizon", "mediator_fallback", "fixed_nuisances",
-                  "cif", "all_cause_survival"]
+                  "distinct_rows", "cif", "all_cause_survival"]
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 37])
@@ -985,6 +990,11 @@ def _oracle_case(name):
     fit, evaluated = _two_halves(cohort)
     if name == "mediator_fallback":
         evaluated = _with_unpaired_confounder(evaluated, 30, 5)
+    if name == "distinct_rows":
+        # continuous times: every row is a class of its own
+        evaluated = Cohort(evaluated.x, evaluated.z_items, evaluated.w_items,
+                           evaluated.m + np.random.default_rng(4).uniform(
+                               0.0, 1e-3, evaluated.n), evaluated.delta)
     if name == "no_censored_cell":
         cell = (np.array(evaluated.z_items) == 0) & (
             np.array(evaluated.w_items) == 0)
@@ -1001,7 +1011,7 @@ def _oracle_case(name):
 
 ORACLE_CASES = ["survival", "cif", "cap_trimmed", "one_point_grid",
                 "mediator_fallback", "no_censored_cell",
-                "swapped_mediator_cohort", "tree_survival",
+                "swapped_mediator_cohort", "distinct_rows", "tree_survival",
                 "tree_cif", "tree_non_finite", "tree_censoring_past_grid"]
 
 
@@ -1011,7 +1021,7 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
                                                      pieces):
     import fairsurv.dr
     import fairsurv.nuisance
-    from fairsurv.dr import _Contributions
+    from fairsurv.dr import _Contributions, _row_classes
 
     cohort, bundle, functional, grid, cap = _oracle_case(case)
     queries = role_queries(0, 1)
@@ -1024,6 +1034,7 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
         # cells of 100 rows or more take pieces of their own, smaller ones
         # share pieces (the stratified cases have both kinds)
         monkeypatch.setattr(fairsurv.dr, "_CELL_ELEMENTS", len(grid) * 100)
+    classes = _row_classes(cohort)
     flagged = 0
     for query in queries:
         got = evaluate_influence(cohort, bundle, query, functional, grid,
@@ -1036,6 +1047,13 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
                     == want.components[name].tobytes()), name
         assert got.n_flagged == want.n_flagged
         flagged += got.n_flagged
+        if case == "cap_trimmed":
+            # a trimmed row peaks at the cap; rows of a trimmed class are
+            # each counted
+            trimmed = np.isclose(np.abs(got.values).max(axis=1), cap,
+                                 rtol=1e-12, atol=0.0)
+            assert got.n_flagged == np.sum(trimmed)
+            assert np.unique(classes[trimmed]).size < got.n_flagged
     # streamed row blocks that split cells, and (trees) runs of a few
     # cells each
     monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS", 7 * max(
@@ -1046,16 +1064,26 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
     args = (cohort, bundle, queries, functional, grid, p, 0.01, cap,
             everything)
     block, oracle = _Contributions(*args), ReferenceContributions(*args)
-    ids = cohort.cells("zw")[0]
+    ids, classes = cohort.cells("zw")[0], _row_classes(cohort)
     for lo, hi in ((0, 37), (37, 150), (150, cohort.n)):
         rows = everything[lo:hi]
         got = np.zeros((len(queries), rows.size, grid.size))
         want = np.zeros_like(got)
         assert np.array_equal(
-            block.evaluate(rows, ids, got, rows - lo),
+            block.evaluate(rows, ids, classes, got, rows - lo),
             oracle.evaluate(rows, _by_cell(ids, rows), want, rows - lo))
         assert got.tobytes() == want.tobytes()
-    # each case exercises what it is named after
+    # each case exercises what it is named after; the discrete cohorts'
+    # rows repeat, within the three row blocks and both groups
+    n_classes = np.unique(classes).size
+    if case == "distinct_rows" or case.startswith("tree"):
+        assert n_classes == cohort.n
+    else:
+        assert n_classes < cohort.n // 4
+        assert all(np.unique(classes[lo:hi]).size < hi - lo
+                   for lo, hi in ((37, 150), (150, cohort.n)))
+        assert all(np.unique(classes[cohort.x == g]).size
+                   < np.sum(cohort.x == g) for g in (0, 1))
     if case in ("cap_trimmed", "tree_non_finite"):
         assert flagged > 0
     if case == "mediator_fallback":
@@ -1121,7 +1149,8 @@ def test_a_corrupted_leaf_fails_the_block_checks_as_a_curve(corruption):
 def test_cell_ids_are_found_once_per_plan_and_mediator_cohort(
         monkeypatch, tmp_path):
     # an ic run of eight cross-fits over one fold plan: the (z, w) cell
-    # ids once for the plan, the (x, z, w) ones once per fold's bundle
+    # ids and the row classes once for the plan, the (x, z, w) cells once
+    # per fold's bundle
     import sys
 
     from fairsurv.cli import main
@@ -1139,7 +1168,54 @@ def test_cell_ids_are_found_once_per_plan_and_mediator_cohort(
     assert main(["decompose", "--mode", "ic", "--tau", "0.2,0.5,0.8",
                  "--cohort", str(tmp_path / "cohort.csv"),
                  "--outdir", str(tmp_path / "out")]) == 0
-    assert sorted(calls) == ["xzw", "xzw", "zw"]
+    assert sorted(calls) == ["xzw", "xzw", "xzwdm", "zw"]
+
+
+@pytest.mark.parametrize("times", ["discrete", "continuous"])
+def test_cell_runs_evaluate_each_row_class_once_per_call(monkeypatch, times):
+    # rows equal in group, (z, w), label and time reach the cell runs of
+    # an evaluation call once; the discrete cohort's classes repeat
+    # across folds, row blocks and both groups, the continuous one's
+    # rows are classes of their own
+    import fairsurv.dr
+    from fairsurv.dr import _CellRun, _Contributions
+
+    if times == "discrete":
+        plan = FoldPlan(_nic_setup(1500, 71)[2], seed=3)
+    else:
+        plan = FoldPlan(continuous_confounder_cohort(300, 9), seed=2,
+                        learners=TREE_LEARNERS)
+    cohort, grid, queries = plan.cohort, [1.0, 2.0, 3.0, 4.0], \
+        role_queries(0, 1)
+    keys = list(zip(cohort.x.tolist(), cohort.z_items, cohort.w_items,
+                    cohort.delta.tolist(), cohort.m.tolist()))
+    calls = []
+    evaluate, run = _Contributions.evaluate, _CellRun.__init__
+
+    def evaluating(contrib, rows, *args, **kwargs):
+        calls.append(([keys[i] for i in rows.tolist()], []))
+        return evaluate(contrib, rows, *args, **kwargs)
+
+    def running(cell_run, contrib, first, p_z, p_zw, rows, *args):
+        calls[-1][1].extend(keys[i] for i in rows.tolist())
+        run(cell_run, contrib, first, p_z, p_zw, rows, *args)
+    monkeypatch.setattr(_Contributions, "evaluate", evaluating)
+    monkeypatch.setattr(_CellRun, "__init__", running)
+    monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
+                        400 * len(grid) * len(queries))
+    crossfit_dr_many(plan, queries, SURVIVAL, grid)
+    assert len(calls) == 2 * -(-cohort.n // 400)
+    for wanted, evaluated in calls:
+        assert sorted(evaluated) == sorted(set(wanted))
+    n_evaluated = sum(len(evaluated) for _, evaluated in calls)
+    if times == "continuous":
+        assert n_evaluated == len(set(keys)) == cohort.n
+        return
+    # a class spans folds and blocks: evaluated once in each call it has
+    # rows in
+    assert len(set(keys)) < n_evaluated < cohort.n // 2
+    assert all(len({key for key in keys if key[0] == g}) < np.sum(
+        cohort.x == g) for g in (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from fairsurv.nuisance import (
     fit_conditional_survival,
     fit_propensity,
     propensity_from_spec,
+    stratum_curve,
     survival_model_from_spec,
 )
 from fairsurv.scm import Cohort, sample_cohort
@@ -188,6 +189,56 @@ def test_cif_target_equals_subset_aalen_johansen():
     pred = model.predict(1, 0, 1)
     np.testing.assert_array_equal(pred.breakpoints, aj.breakpoints)
     np.testing.assert_array_equal(pred.values, aj.values)
+
+
+@pytest.mark.parametrize("target", ["event", "censoring", 1, 2])
+def test_stratified_curves_equal_stratum_curve_bit_for_bit(target):
+    # every stratum of every level, (), (x,), (x, z) and (x, z, w), is the
+    # product-limit curve of its rows alone; times tie within strata and
+    # one (x, z, w) combination has no rows, so predictions back off
+    cohort = sample_cohort(spec_of(make_cr_two_cause()), 1500, seed=5)
+    z, w = np.array(cohort.z_items), np.array(cohort.w_items)
+    cohort = cohort.subset(~((cohort.x == 1) & (z == 1) & (w == 0)))
+    model = fit_conditional_survival(cohort, target=target)
+    assert model.fit_report["n_fallback_cells"] == 1
+    assert np.unique(cohort.m).size < cohort.n // 10
+    columns = (cohort.x, np.array(cohort.z_items), np.array(cohort.w_items))
+    full = set(zip(*(column.tolist() for column in columns)))
+    assert set(model._curves) == {key[:k] for key in full for k in range(4)}
+    for key, curve in model._curves.items():
+        rows = np.ones(cohort.n, dtype=bool)
+        for column, value in zip(columns, key):
+            rows &= column == value
+        want = stratum_curve(cohort.m[rows], cohort.delta[rows], target,
+                             cohort.n_causes)
+        assert curve.breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert curve.values.tobytes() == want.values.tobytes()
+        assert (curve.value_at_zero, curve.kind) == (want.value_at_zero,
+                                                     want.kind)
+
+
+def test_stratified_fit_makes_one_product_limit_pass_per_level(
+        monkeypatch):
+    # no estimator call per stratum: one grouped pass per level
+    import fairsurv.nuisance
+
+    estimators = []
+    for name in ("kaplan_meier", "aalen_johansen_cif"):
+        monkeypatch.setattr(fairsurv.nuisance, name,
+                            lambda *args, _name=name, **kwargs:
+                            estimators.append(_name))
+    passes = []
+    steps = fairsurv.nuisance.product_limit_steps
+
+    def counted(*args, **kwargs):
+        passes.append(args[3])
+        return steps(*args, **kwargs)
+    monkeypatch.setattr(fairsurv.nuisance, "product_limit_steps", counted)
+    cohort = sample_cohort(spec_of(make_cr_two_cause()), 1000, seed=2)
+    for target in ("event", "censoring", 1, 2):
+        fit_conditional_survival(cohort, target=target)
+    assert estimators == []
+    assert passes == ["survival"] * 8 + ["cif"] * 8
 
 
 def test_cause_label_beyond_cohort_causes_is_rejected():

@@ -380,6 +380,34 @@ def test_equal_csv_tokens_form_one_stratum():
     assert [cohort.z_items[i] for i in first] == [1, 2]
 
 
+@pytest.mark.parametrize("key_limit", [None, 7])
+def test_cells_by_label_and_time_number_rows_by_value(monkeypatch,
+                                                       key_limit):
+    # rows equal in group, confounder, mediator, event label and time
+    # share a cell, numbered in order of first appearance; a key that
+    # would pass the limit is renumbered densely on the way, ids unchanged
+    import fairsurv.scm
+
+    if key_limit is not None:
+        monkeypatch.setattr(fairsurv.scm, "_KEY_LIMIT", key_limit)
+    cohort = sample_cohort(spec_of(make_nic_balanced()), 300, seed=4)
+    cohort = Cohort(cohort.x, cohort.z_items, cohort.w_items,
+                    np.where(cohort.x == 1, cohort.m, cohort.m + 0.5),
+                    cohort.delta)
+    for by, columns in (("xzwdm", (cohort.x.tolist(), cohort.z_items,
+                                   cohort.w_items, cohort.delta.tolist(),
+                                   cohort.m.tolist())),
+                        ("dm", (cohort.delta.tolist(), cohort.m.tolist())),
+                        ("zw", (cohort.z_items, cohort.w_items))):
+        numbered = {}
+        want = [numbered.setdefault(key, len(numbered))
+                for key in zip(*columns)]
+        ids, first = cohort.cells(by)
+        assert ids.tolist() == want
+        assert first.tolist() == [want.index(i) for i in range(len(numbered))]
+    assert 1 < cohort.cells("xzwdm")[1].size < cohort.n  # rows repeat
+
+
 def _reference_from_csv(text, n_causes=None):
     """The row-by-row cohort reader: csv.reader rows transposed with zip,
     every token parsed and deduplicated on its own."""

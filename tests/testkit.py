@@ -465,9 +465,10 @@ def continuous_confounder_cohort(n, seed):
 
 def reference_crossfit(plan, queries, functional, grid):
     """The per-row cross-fitting `crossfit_dr_many` streams, kept as its
-    oracle: every fold's rows are evaluated with `evaluate_influence`
-    into one rows x grid matrix per query, whose column means are the
-    estimates and whose centred columns give the standard errors.
+    oracle: every fold's rows are evaluated cell by cell with
+    `reference_influence`, every row on its own, into one rows x grid
+    matrix per query, whose column means are the estimates and whose
+    centred columns give the standard errors.
 
     Returns {query: namespace(estimate, se, if_matrix, n_flagged,
     n_mediator_fallback)}.  It fits through `plan`, so it can share the
@@ -478,7 +479,7 @@ def reference_crossfit(plan, queries, functional, grid):
     import numpy as np
 
     from fairsurv.curves import StepCurve, restricted_means, running_rmst
-    from fairsurv.dr import _as_query, _nu_values, evaluate_influence
+    from fairsurv.dr import _as_query, _nu_values
     from fairsurv.queries import Functional
 
     cohort = plan.cohort
@@ -496,9 +497,9 @@ def reference_crossfit(plan, queries, functional, grid):
         n_flagged = n_fallback = 0
         for bundle, rows, _ in parts:
             part = cohort.subset(rows)
-            ev = evaluate_influence(part, bundle, query, base, grid,
-                                    p_condition=p, epsilon=plan.epsilon,
-                                    cap=plan.cap)
+            ev = reference_influence(part, bundle, query, base, grid,
+                                     p_condition=p, epsilon=plan.epsilon,
+                                     cap=plan.cap)
             unc[rows] = ev.values
             n_flagged += ev.n_flagged
             n_fallback += _nu_values(bundle, query, grid, part,
