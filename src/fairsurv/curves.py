@@ -20,7 +20,7 @@ _MONOTONE_SLACK = 1e-12
 _KINDS = ("survival", "cif", "hazard", "generic")
 
 # Most values in a padded block of the grouped product-limit core, a
-# block of tree predictions, of ``_Forest.mean_curves`` leaf values or of
+# block of tree predictions, of ``_Forest.mean_values`` leaf values or of
 # Route I's incidence, and a chunk of a tree node's candidates x rows.
 # 2^20 ran a continuous confounder's decompose 4-19 % faster, but raised
 # the plug-in peak from 76 to 104 MB at n = 10k.
@@ -283,16 +283,46 @@ def running_rmst(knots, values, horizon=None):
     return out
 
 
+def restricted_mean_values(grid, values, jumps, times, horizon=None):
+    """`restricted_means` of a block of survival step curves (curves x
+    times): curve i is ``values[i, 0]`` before ``grid[0]`` and ``values[i,
+    j + 1]`` from ``grid[j]`` on, with breakpoints where ``jumps[i]``.  On
+    the union of ``grid`` and ``times`` the running sum adds an exact zero
+    off a curve's own knots (its breakpoints and ``times``), so each
+    integral is the same sum in the same order as over those knots."""
+    times = np.asarray(times, dtype=float)
+    knots = np.union1d(grid, times)
+    at = np.searchsorted(knots, times)
+    own = np.zeros((len(values), knots.size), dtype=bool)
+    own[:, np.searchsorted(knots, grid)] = jumps
+    own[:, at] = True
+    # each knot's step from its curve's previous knot, at the value just
+    # before it
+    last = np.maximum.accumulate(
+        np.where(own, np.arange(knots.size), -1), axis=1)[:, :-1]
+    cap = np.inf if horizon is None else float(horizon)
+    widths = np.maximum(np.minimum(knots[1:], cap) - knots[last], 0.0)
+    steps = np.zeros(own.shape)
+    np.multiply(values[:, np.searchsorted(grid, knots[:-1], side="right")],
+                widths, out=steps[:, 1:], where=own[:, 1:] & (last >= 0))
+    del last, widths
+    np.cumsum(steps, axis=1, out=steps)
+    head = knots[np.argmax(own, axis=1)]
+    if horizon is not None:
+        head = np.minimum(head, horizon)
+    return values[:, :1] * head[:, None] + steps[:, at]
+
+
 def restricted_means(curve, times, horizon=None):
     """Integral of a survival step curve from 0 to min(t, horizon), at
-    every t of ``times`` (a 1-d array of nonnegative times)."""
+    every t of ``times`` (a 1-d array of nonnegative times): the one-curve
+    case of `restricted_mean_values`."""
     if curve.kind not in ("survival", "generic"):
         raise DataError("restricted mean expects a survival-like curve")
-    times = np.asarray(times, dtype=float)
-    knots = np.union1d(curve.breakpoints, times)
-    running = running_rmst(knots, curve.evaluate(knots), horizon)
-    head = knots[0] if horizon is None else min(knots[0], horizon)
-    return curve.value_at_zero * head + running[np.searchsorted(knots, times)]
+    bp = curve.breakpoints
+    return restricted_mean_values(
+        bp, np.append(curve.value_at_zero, curve.values)[None, :],
+        np.ones((1, bp.size), dtype=bool), times, horizon)[0]
 
 
 def restricted_mean(curve, horizon):

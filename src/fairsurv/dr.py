@@ -189,7 +189,7 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted,
     def f_hat(source, rows):  # x_y's outcome values on the grid, in order
         model = nuisances.outcome
         cols = np.searchsorted(model.grid, grid, side="right")
-        for values, index in model.predict_values(x_y, source, rows):
+        for values, _, index in model.predict_values(x_y, source, rows):
             on_grid = values[:, cols]
             for i in index.tolist():
                 yield on_grid[i]
@@ -383,13 +383,15 @@ class _CellRun:
                      for pair, nu in contrib.nu.items()}
         self.s, self.g, self.censored, self.prefix = {}, {}, {}, {}
         for g in contrib.outcome_groups:
-            (self.s[g],) = nuisances.outcome.predict_values(g, cohort, first)
+            ((values, _, index),) = nuisances.outcome.predict_values(
+                g, cohort, first)
+            self.s[g] = values, index
             mine = self.x == g
             # the cells with rows of group g
             at = np.flatnonzero(np.bincount(cell[mine], minlength=first.size))
             if not at.size:
                 continue
-            ((values, index),) = nuisances.censoring.predict_values(
+            ((values, _, index),) = nuisances.censoring.predict_values(
                 g, cohort, first[at])
             # each cell's censoring curve, as a row of the block values
             self.g[g] = values, np.zeros(first.size, dtype=np.intp)

@@ -6,8 +6,8 @@ mediator law follows x_mediator, and the covariate mix is that of group
 x_condition.  The weighted estimator averages the outcome model's
 per-stratum functional over rows, reweighting each row by propensity
 ratios so the mediator and conditioning arms land on the requested
-groups; the summation form evaluates the same expression directly from
-frequency tables when covariates are discrete.
+groups.  The functional is computed on the outcome model's block values
+(``predict_values``), every distinct curve of a block once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import StepCurve, hazard_increments, restricted_means
+from .curves import StepCurve, _increments, restricted_mean_values
 from .errors import DataError, EmptyCohortError
 from .nuisance import (
     ConditionalSurvivalModel,
@@ -34,16 +34,21 @@ def outcome_target(functional):
     return "event"
 
 
-def functional_from_curve(curve, functional, grid):
-    """Evaluate a structural functional of one conditional curve."""
-    g = np.atleast_1d(np.asarray(grid, dtype=float))
+def _functional_values(model, values, jumps, functional, grid):
+    """The structural functional of every curve of a block of ``model``'s
+    values and jumps (see `ConditionalSurvivalModel.predict_values`) at
+    the times ``grid``, as (curves x grid)."""
+    cols = np.searchsorted(model.grid, grid, side="right")
     if functional.kind in ("survival", "all_cause_survival", "cif"):
-        return np.asarray(curve.evaluate(g), dtype=float)
+        return values[:, cols]
     if functional.kind == "rmst":
-        return restricted_means(curve, g, functional.horizon)
+        return restricted_mean_values(model.grid, values, jumps, grid,
+                                      functional.horizon)
     if functional.kind == "cumulative_hazard":
-        chf = np.cumsum(hazard_increments(curve))
-        return StepCurve(curve.breakpoints, chf, 0.0, "generic").evaluate(g)
+        # between a curve's jumps its increments are exact zeros
+        chf = np.zeros_like(values)
+        np.cumsum(_increments(values), axis=1, out=chf[:, 1:])
+        return chf[:, cols]
     raise DataError(f"unsupported functional kind {functional.kind!r}")
 
 
@@ -162,7 +167,8 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     the outcome model cannot serve are dropped and counted in the report.
     Cells are visited once: a cell's propensities and its functional
     under each outcome group are computed once and shared by the
-    queries.  Returns {query: (curve, report)}.
+    queries, and each query's sum adds the cells in order of first
+    appearance.  Returns {query: (curve, report)}.
     """
     g = _validate_grid(grid)
     queries = list(dict.fromkeys(queries))
@@ -171,42 +177,47 @@ def plugin_po_many(nuisances, cohort, queries, functional, grid):
     weight_sums = np.stack([np.bincount(ids, weights=column[ids])
                             for column in weights.T], axis=1)
     counts = np.bincount(ids)
-    arms = sorted({q.x_outcome for q in queries})
 
     totals = np.zeros((len(queries), g.size))
-    n_included = [0] * len(queries)
-    weight_total = [0.0] * len(queries)
-    max_weight = [0.0] * len(queries)
-    predicted = {x: nuisances.outcome.predict_many(
-        x, cohort, first, skip_unserved=True) for x in arms}
-    for weight, cell_sums, count, *curves in zip(
-            weights.tolist(), weight_sums.tolist(), counts.tolist(),
-            *predicted.values()):
-        values = {x: functional_from_curve(curve, functional, g)
-                  for x, curve in zip(predicted, curves)
-                  if curve is not None}
-        for qi, q in enumerate(queries):
-            if q.x_outcome in values:
-                totals[qi] += cell_sums[qi] * values[q.x_outcome]
-                n_included[qi] += count
-                weight_total[qi] += cell_sums[qi]
-                max_weight[qi] = max(max_weight[qi], weight[qi])
+    served = {}
+    for x in sorted({q.x_outcome for q in queries}):
+        served[x], start = [], 0
+        for values, jumps, index in nuisances.outcome.predict_values(
+                x, cohort, first, skip_unserved=True):
+            mine = index >= 0
+            served[x].append(mine)
+            cells = start + np.flatnonzero(mine)
+            start += index.size
+            values = _functional_values(nuisances.outcome, values, jumps,
+                                        functional, g)
+            for qi, q in enumerate(queries):
+                if q.x_outcome == x:
+                    # the running total, then each cell's term in order
+                    terms = np.empty((cells.size + 1, g.size))
+                    terms[0] = totals[qi]
+                    np.take(values, index[mine], axis=0, out=terms[1:])
+                    terms[1:] *= weight_sums[cells, qi, None]
+                    totals[qi] = np.cumsum(terms, axis=0, out=terms)[-1]
+        served[x] = np.concatenate(served[x])
 
     kind = functional.curve_kind
     out = {}
     for qi, q in enumerate(queries):
-        if n_included[qi] == 0:
+        mine = served[q.x_outcome]
+        n_included = int(counts[mine].sum())
+        if n_included == 0:
             raise EmptyCohortError(
                 "every row was outside the outcome model schema")
-        fixed, distance = _project(totals[qi] / n_included[qi], kind)
+        weight_total = float(np.cumsum(weight_sums[mine, qi])[-1])
+        fixed, distance = _project(totals[qi] / n_included, kind)
         curve = StepCurve(
             g, fixed, value_at_zero=1.0 if kind == "survival" else 0.0,
             kind=kind)
         out[q] = curve, {
             "n_rows": cohort.n,
-            "n_excluded": cohort.n - n_included[qi],
-            "mean_weight": weight_total[qi] / n_included[qi],
-            "max_weight": max_weight[qi],
+            "n_excluded": cohort.n - n_included,
+            "mean_weight": weight_total / n_included,
+            "max_weight": float(np.max(weights[mine, qi], initial=0.0)),
             "projection_distance": distance,
         }
     return out

@@ -18,12 +18,12 @@ parallel node arrays.  A batch prediction takes its rows in blocks
 bounded by the length of the curves they return and routes a block
 through every tree at once.  The values of each distinct leaf set (the
 tuple of leaves, one per tree) on the forest's union grid are computed
-and checked once per block; `predict_values` yields them as they are,
-`predict_many` builds one curve per leaf set from them.  Tree
-parameters: n_trees >= 1, min_leaf >= 10, 0 <= max_depth <= 6,
-max_thresholds >= 1, seed.  Propensities come from frequency tables or
-IRLS logistic fits, clipped away from 0 and 1; the logistic learner
-refuses covariates that are not finite.
+and checked once per block, with the mask of each set's jump times;
+`predict_values` yields them as they are, and `predict` builds its one
+curve from them.  Tree parameters: n_trees >= 1, min_leaf >= 10,
+0 <= max_depth <= 6, max_thresholds >= 1, seed.  Propensities come from
+frequency tables or IRLS logistic fits, clipped away from 0 and 1; the
+logistic learner refuses covariates that are not finite.
 """
 
 from __future__ import annotations
@@ -455,73 +455,59 @@ class ConditionalSurvivalModel:
         return cls("stratified", target, n_causes, report, curves=table)
 
     def predict(self, x, z, w):
-        """Curve for one covariate triple; see `predict_many`."""
-        return next(self.predict_many(x, Cohort([0], [z], [w], [0], [0]),
-                                      [0]))
-
-    def predict_many(self, x, cohort, rows, *, skip_unserved=False):
-        """Yield the curves of ``rows`` of ``cohort`` (indices, repeats
-        allowed) under group labels ``x`` (one, or one per row), in order;
-        covariates match the fit's by value.  With ``skip_unserved``, a
-        row outside the fitted schema yields None instead of raising
-        CohortSchemaError.  The tree learner builds its curves from the
-        block values of `predict_values`, one curve per distinct leaf set
-        (the tuple of leaves it reaches, one per tree), shared by its
-        rows."""
-        x, rows = _labelled(x, rows)
+        """Curve for one covariate triple; a table model's is the stored
+        curve, the tree learner's is built from `predict_values`."""
+        x, rows = _labelled(x, [0])
+        cohort = Cohort([0], [z], [w], [0], [0])
         if self._curves is not None:
-            yield from _per_row(self._lookup, x, cohort, rows, skip_unserved)
-            return
-        kind = self.curve_kind
-        for feats, (values, jumps, index) in self._tree_blocks(
-                x, cohort, rows, skip_unserved):
-            # the jumps were checked when the values were made
-            cuts = np.cumsum(jumps.sum(axis=1))[:-1]
-            curves = [StepCurve._checked(t, v, float(kind != "cif"), kind)
-                      for t, v in zip(np.split(np.broadcast_to(
-                          self.grid, jumps.shape)[jumps], cuts), np.split(
-                              values[:, 1:][jumps], cuts))]
-            del values, jumps  # not held while the curves are yielded
-            sets = iter(index.tolist())
-            for row in feats:
-                yield None if row is None else curves[next(sets)]
+            return _per_row(self._lookup, x, cohort, rows)[0]
+        ((values, jumps, index),) = self.predict_values(x, cohort, rows)
+        row, at = values[index[0]], jumps[index[0]]
+        # the jumps were checked when the values were made
+        return StepCurve._checked(self.grid[at], row[1:][at], float(row[0]),
+                                  self.curve_kind)
 
-    def predict_values(self, x, cohort, rows):
-        """Yield ``(values, index)`` per block of at most ``block_rows`` of
-        ``rows`` (``x`` and ``rows`` as in `predict_many`), in order: the
-        block's i-th row's curve is ``values[index[i]]`` on ``grid``,
-        with its value at zero in column 0, so that at times t,
-        ``values[index, np.searchsorted(grid, t, side)]`` reads its
-        ``evaluate`` (side "right") and ``left_limit`` (side "left") bit
-        for bit.  The tree learner routes a block's rows through all
-        trees at once and computes the values of each distinct leaf set
-        once; the table learner evaluates each distinct curve of a block
-        on the union of its curves' jump times."""
+    def predict_values(self, x, cohort, rows, *, skip_unserved=False):
+        """Yield ``(values, jumps, index)`` per block of at most
+        ``block_rows`` of ``rows`` of ``cohort`` (indices, repeats allowed)
+        under group labels ``x`` (one, or one per row), in order;
+        covariates match the fit's by value.  The block's i-th row's curve
+        is ``values[index[i]]`` on ``grid``, with its value at zero in
+        column 0, so that at times t, ``values[index, np.searchsorted(grid,
+        t, side)]`` reads its ``evaluate`` (side "right") and
+        ``left_limit`` (side "left") bit for bit, and ``jumps[index[i]]``
+        marks its breakpoints on ``grid``.  A row outside the fitted schema
+        is a CohortSchemaError, or with ``skip_unserved`` gets index -1."""
         x, rows = _labelled(x, rows)
-        if self._forest is not None:
-            for _, (values, _, index) in self._tree_blocks(x, cohort, rows):
-                yield values, index
-            return
-        for start in range(0, rows.size, self.block_rows):
-            block = slice(start, start + self.block_rows)
-            curves = _per_row(self._lookup, x[block], cohort, rows[block])
-            ids = list(map(id, curves))
-            table = dict(zip(ids, curves))
-            keys, index = np.unique(ids, return_inverse=True)
-            yield np.array([np.append(table[k].value_at_zero, table[
-                k].evaluate(self.grid)) for k in keys.tolist()]), index
-
-    def _tree_blocks(self, x, cohort, rows, skip_unserved=False):
-        """Per block of at most ``block_rows`` rows: their feature rows
-        (None where unserved) and the forest's block values of the
-        served ones."""
         step = self.block_rows
         for start in range(0, rows.size, step):
-            block = slice(start, start + step)
-            feats = _per_row(self._features, x[block], cohort, rows[block],
-                             skip_unserved)
-            yield feats, self._forest.predict(
-                [row for row in feats if row is not None], self.curve_kind)
+            # not bound here, so no block is held while the next is made
+            yield self._block(x[start:start + step], cohort,
+                              rows[start:start + step], skip_unserved)
+
+    def _block(self, x, cohort, rows, skip_unserved):
+        """One block of `predict_values`: the tree learner routes its rows
+        through all trees at once and computes the values of each distinct
+        leaf set (the tuple of leaves a row reaches, one per tree) once; the
+        table learner evaluates each distinct curve once."""
+        found = _per_row(self._lookup if self._forest is None else
+                         self._features, x, cohort, rows, skip_unserved)
+        served = [item for item in found if item is not None]
+        if self._forest is not None:
+            values, jumps, sets = self._forest.predict(served, self.curve_kind)
+        else:
+            ids = list(map(id, served))
+            table = dict(zip(ids, served))
+            keys, sets = np.unique(ids, return_inverse=True)
+            values = np.empty((keys.size, self.grid.size + 1))
+            jumps = np.zeros((keys.size, self.grid.size), dtype=bool)
+            for k, curve in enumerate(map(table.get, keys.tolist())):
+                values[k, 0] = curve.value_at_zero
+                values[k, 1:] = curve.evaluate(self.grid)
+                jumps[k, np.searchsorted(self.grid, curve.breakpoints)] = True
+        index = np.full(len(found), -1, dtype=np.intp)
+        index[[item is not None for item in found]] = sets
+        return values, jumps, index
 
     def _features(self, x, z, w):
         try:

@@ -27,6 +27,11 @@ estimator (`--estimator plugin`, same learners).  Its working memory is
 one curve per query, whatever the number of covariate cells; keeping
 each cell's curves of both groups would take about 600 MB at n = 10k.
 
+With `plugin-rmst`, the `plugin` case decomposes restricted mean
+survival times (`--functional rmst`).  Each prediction block's
+restricted means are summed over the union of the forest's grid and the
+evaluation grid, so its arrays are longer than the `plugin` case's.
+
 With `ic`, the example spec's discrete times are kept (no jitter) and
 the cohort is decomposed in `ic` mode under three taus with 2,000
 envelope samples per query (`--mode ic --tau 0.2,0.5,0.8
@@ -43,9 +48,9 @@ cells.
 
     PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [CASE]
 
-with CASE one of continuous-z, short-grid, rmst, plugin, ic and
-ic-plugin, prints the run's figures as JSON and exits 1 unless the child
-succeeded with a peak RSS below LIMIT_MB.
+with CASE one of continuous-z, short-grid, rmst, plugin, plugin-rmst,
+ic and ic-plugin, prints the run's figures as JSON and exits 1 unless
+the child succeeded with a peak RSS below LIMIT_MB.
 """
 
 from __future__ import annotations
@@ -137,14 +142,17 @@ def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
     case = argv[2] if argv[2:] else None
     if argv[3:] or case not in (None, "continuous-z", "short-grid", "rmst",
-                                "plugin", "ic", "ic-plugin"):
+                                "plugin", "plugin-rmst", "ic", "ic-plugin"):
         sys.exit(f"unknown case {' '.join(argv[2:])!r}; the cases are "
-                 "continuous-z, short-grid, rmst, plugin, ic and ic-plugin")
+                 "continuous-z, short-grid, rmst, plugin, plugin-rmst, ic "
+                 "and ic-plugin")
     with tempfile.TemporaryDirectory() as workdir:
         result = decompose_peak_rss(
             n, workdir,
-            continuous_z=case in ("continuous-z", "short-grid", "plugin"),
-            rmst=case == "rmst", plugin=case == "plugin",
+            continuous_z=case in ("continuous-z", "short-grid", "plugin",
+                                  "plugin-rmst"),
+            rmst=case in ("rmst", "plugin-rmst"),
+            plugin=case in ("plugin", "plugin-rmst"),
             grid_points=5 if case == "short-grid" else None,
             ic=case == "ic", ic_plugin=case == "ic-plugin")
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,

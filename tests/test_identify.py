@@ -13,7 +13,6 @@ from fairsurv.errors import DataError
 from fairsurv.identify import (
     default_grid,
     fit_plugin_nuisances,
-    functional_from_curve,
     plugin_po,
     plugin_po_many,
 )
@@ -23,12 +22,16 @@ from fairsurv.scm import Cohort, SCMSpec, oracle_po_curve, sample_cohort
 
 from testkit import (
     CohortTables,
+    continuous_confounder_cohort,
+    count_curves,
     count_predictions,
     count_propensity_calls,
     empirical_tables,
     exact_plugin_po,
+    functional_from_curve,
     make_nic_balanced,
     make_severed,
+    reference_plugin_po_many,
     spec_of,
 )
 
@@ -319,6 +322,61 @@ def test_plugin_po_many_equals_one_query_calls(functional):
     # group 0 cannot be served at z = 1, so the rows there are dropped
     excluded = {q: many[q][1]["n_excluded"] for q in queries}
     assert all((n > 0) == (q.x_outcome == 0) for q, n in excluded.items())
+
+
+def _learner_nuisances(learner, functional):
+    """A cohort and its plug-in nuisances for ``functional``: stratified
+    on a discrete cohort, trees with logistic propensities on a continuous
+    confounder, or `_partly_served`."""
+    if learner == "tree":
+        cohort = continuous_confounder_cohort(200, 4)
+        return cohort, fit_plugin_nuisances(
+            cohort, functional, outcome_learner="logrank_tree_ensemble",
+            outcome_params={"n_trees": 4, "seed": 1},
+            propensity_learner="logistic_irls")
+    _, cohort = _nic_cohort(600, seed=29)
+    if learner == "partly_served":
+        return cohort, _partly_served(cohort)
+    return cohort, fit_plugin_nuisances(cohort, functional)
+
+
+@pytest.mark.parametrize("functional", [
+    SURVIVAL, Functional("cif", cause=1), Functional("all_cause_survival"),
+    Functional("cumulative_hazard"), Functional("rmst")])
+@pytest.mark.parametrize("learner", ["stratified", "tree", "partly_served"])
+def test_plugin_po_many_equals_the_per_cell_oracle(learner, functional):
+    # the block functionals add the same terms in the same order as the
+    # per-cell loop, on grids and horizons before, between, on and past
+    # the model's jump times; a one-point grid is where np.add.reduce
+    # would sum the cells pairwise
+    cohort, nuis = _learner_nuisances(learner, functional)
+    t = nuis.outcome.grid
+    between = (t[t.size // 2] + t[t.size // 2 + 1]) / 2
+    grids = [[between], [0.0, t[0] / 2, t[0], between, t[-1], t[-1] + 1.0]]
+    functionals = [functional]
+    if functional.kind == "rmst":
+        functionals += [Functional("rmst", horizon=h)
+                        for h in (t[0] / 2, between, t[-1] + 1.0)]
+    queries = role_queries(0, 1)
+    for grid in grids:
+        for f in functionals:
+            got = plugin_po_many(nuis, cohort, queries, f, grid)
+            want = reference_plugin_po_many(nuis, cohort, queries, f, grid)
+            for q in queries:
+                assert got[q][0].values.tobytes() == \
+                    want[q][0].values.tobytes(), (grid, f, q)
+                assert got[q][1] == want[q][1]
+    if learner == "partly_served":
+        assert any(got[q][1]["n_excluded"] > 0 for q in queries)
+
+
+def test_plugin_po_many_builds_no_step_curve(monkeypatch):
+    # tree learner: the functional is read off block values, so no cell's
+    # curve is built
+    cohort, nuis = _learner_nuisances("tree", SURVIVAL)
+    built = count_curves(monkeypatch)
+    plugin_po_many(nuis, cohort, role_queries(0, 1), SURVIVAL, [0.5, 1.0])
+    assert built == []
 
 
 def test_plugin_po_many_predicts_each_group_and_cell_once(monkeypatch):

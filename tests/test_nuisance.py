@@ -41,6 +41,7 @@ from testkit import (
     make_nic_balanced,
     predict_censoring_hazard_increments,
     predict_cif,
+    predict_rows,
     predict_survival,
     predict_triples,
     reference_forest,
@@ -670,6 +671,18 @@ def _walked_curve(forest, feats, kind):
     return tuple(leaves), grid, mean if kind == "cif" else np.exp(-mean)
 
 
+def _triple_curves(model, triples, **kwargs):
+    """Each triple's curve read off its row of ``predict_values``: the
+    values at its jumps, and its value at zero; None where unserved."""
+    out = []
+    for values, jumps, index in predict_triples(model, triples, **kwargs):
+        for i in index.tolist():
+            out.append(None if i < 0 else StepCurve(
+                model.grid[jumps[i]], values[i, 1:][jumps[i]], values[i, 0],
+                model.curve_kind))
+    return out
+
+
 def _feats(triple):
     x, z, w = triple
     return [float(x)] + [float(v) for v in z] + [float(w)]
@@ -687,7 +700,7 @@ def test_predict_many_equals_predict_per_triple(target, n_trees):
     # right at every split on it)
     triples += [(1 - x, z, w) for x, z, w in triples[:20]] + triples[:15]
     triples.append((1, (float("nan"), 0.2), 0))
-    many = list(predict_triples(model, triples))
+    many = _triple_curves(model, triples)
     assert len(many) == len(triples)
     for triple, curve in zip(triples, many):
         assert _same_curve(curve, model.predict(*triple))
@@ -708,13 +721,13 @@ def test_predict_many_serves_leaves_without_events():
         cohort, target="event", learner="logrank_tree_ensemble",
         n_trees=5, seed=2)
     triples = [(0, -0.9, 0), (1, 0.9, 0), (1, -0.9, 0), (0, -0.9, 0)]
-    many = list(predict_triples(model, triples))
+    many = _triple_curves(model, triples)
     for triple, curve in zip(triples, many):
         assert _same_curve(curve, model.predict(*triple))
     empty = many[0]
     assert empty.breakpoints.size == 0 and empty.value_at_zero == 1.0
     assert many[1].breakpoints.size > 0
-    assert list(predict_triples(model, [])) == []
+    assert _triple_curves(model, []) == []
     # no leaf of the ensemble has a jump
     censored = Cohort([0, 1] * (n // 2), z.tolist(), [0] * n,
                       1.0 + np.arange(n) % 7, [0] * n)
@@ -722,7 +735,7 @@ def test_predict_many_serves_leaves_without_events():
         model = fit_conditional_survival(
             censored, target=target, learner="logrank_tree_ensemble",
             n_trees=3, seed=2)
-        for curve in predict_triples(model, triples):
+        for curve in _triple_curves(model, triples):
             assert curve.breakpoints.size == 0
             assert curve.value_at_zero == (0.0 if target == 1 else 1.0)
 
@@ -735,7 +748,7 @@ def test_predict_many_refuses_a_group_label_outside_0_1():
     triples = _row_triples(cohort, 3)
     for bad in (0.5, 2, -1, math.nan):
         with pytest.raises(DataError):
-            list(predict_triples(model, triples + [(bad,) + triples[0][1:]]))
+            _triple_curves(model, triples + [(bad,) + triples[0][1:]])
         with pytest.raises(DataError):
             model.predict(bad, *triples[0][1:])
         with pytest.raises(DataError):
@@ -744,7 +757,7 @@ def test_predict_many_refuses_a_group_label_outside_0_1():
             propensity.predict_many([0, 1, bad], cohort, [0, 1, 2])
 
 
-def test_one_curve_is_built_per_leaf_set(monkeypatch):
+def test_block_values_hold_one_row_per_leaf_set(monkeypatch):
     cohort = _tree_cohort()
     model = fit_conditional_survival(
         cohort, target="censoring", learner="logrank_tree_ensemble",
@@ -754,12 +767,14 @@ def test_one_curve_is_built_per_leaf_set(monkeypatch):
     sets = [_walked_curve(model._forest, _feats(t), model.curve_kind)[0]
             for t in triples]
     built = count_curves(monkeypatch)
-    many = list(predict_triples(model, triples))
-    # far fewer leaf sets than triples, and one curve for each
-    assert len(built) == len(set(sets)) < len(triples) // 4
+    ((values, jumps, index),) = predict_triples(model, triples)
+    # far fewer leaf sets than triples, one row of values for each, and
+    # no curve built
+    assert built == []
+    assert len(values) == len(jumps) == len(set(sets)) < len(triples) // 4
     first = {}
-    for leaf_set, curve in zip(sets, many):
-        assert first.setdefault(leaf_set, curve) is curve
+    for leaf_set, row in zip(sets, index.tolist()):
+        assert first.setdefault(leaf_set, row) == row
 
 
 def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
@@ -770,7 +785,7 @@ def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
         cohort, target="event", learner="logrank_tree_ensemble",
         n_trees=6, seed=4)
     triples = _row_triples(cohort, 100)
-    whole = list(predict_triples(model, triples))
+    whole = _triple_curves(model, triples)
     forest = model._forest
     # at most 7 triples' curves of union-grid length per block
     monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS",
@@ -782,7 +797,7 @@ def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
         blocks.append(len(feats))
         return predict(self, feats, kind)
     monkeypatch.setattr(type(forest), "predict", recorded)
-    blocked = list(predict_triples(model, triples))
+    blocked = _triple_curves(model, triples)
     assert blocks == [7] * 14 + [2]
     assert all(_same_curve(a, b) for a, b in zip(whole, blocked))
     assert all(curve.breakpoints.size <= forest.grid.size
@@ -792,7 +807,7 @@ def test_predict_many_blocks_are_bounded_by_the_forest_grid(monkeypatch):
 def _block_reads(model, x, cohort, rows, times, side):
     """Every row's curve read off ``predict_values`` at ``times``."""
     out = []
-    for values, index in model.predict_values(x, cohort, rows):
+    for values, _, index in model.predict_values(x, cohort, rows):
         out.append(values[index[:, None], np.searchsorted(
             model.grid, times, side=side)[None, :]])
     return np.concatenate(out)
@@ -823,7 +838,7 @@ def test_block_values_read_like_the_curves_bit_for_bit(monkeypatch, learner,
                         17 * max(model.grid.size, 1))
     rows = np.arange(cohort.n)
     x = np.tile((0, 1), cohort.n)[:cohort.n]
-    curves = list(model.predict_many(x, cohort, rows))
+    curves = list(predict_rows(model, x, cohort, rows))
     grid = model.grid
     rng = np.random.default_rng(11)
     times = {
@@ -852,14 +867,24 @@ def test_predict_many_can_skip_triples_outside_the_schema():
         {(0, 1, 0): tree.predict(*triples[0])}, target="event")
     for model, served, unserved in ((tree, triples, bad),
                                     (table, [(0, 1, 0)], [(1, 1, 0)])):
-        got = list(predict_triples(model, served[:1] + unserved + served[1:],
-                                   skip_unserved=True))
+        got = _triple_curves(model, served[:1] + unserved + served[1:],
+                             skip_unserved=True)
         assert got[1:1 + len(unserved)] == [None] * len(unserved)
         kept = got[:1] + got[1 + len(unserved):]
         assert all(_same_curve(curve, model.predict(*triple))
                    for curve, triple in zip(kept, served))
         with pytest.raises(CohortSchemaError):
             list(predict_triples(model, served + unserved))
+
+
+def test_a_table_model_predicts_its_stored_curve():
+    # the stored curve itself, kind and all, not one rebuilt from values
+    stored = StepCurve([1.0, 2.0], [0.2, 0.7], 0.0, "generic")
+    model = ConditionalSurvivalModel.from_curves({(1, "a"): stored}, "event")
+    assert model.predict(1, "a", 3) is stored
+    ((values, jumps, index),) = predict_triples(model, [(1, "a", 3)])
+    assert jumps[index[0]].tolist() == [True, True]
+    assert values[index[0]].tolist() == [0.0, 0.2, 0.7]
 
 
 # ---------------------------------------------------------------------------

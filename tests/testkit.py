@@ -1,7 +1,7 @@
 """Shared test fixtures, the independent brute-force oracle, and the
 package's test-only helpers (prediction counters, guarded prediction
-wrappers, the direct-summation plug-in oracle, single-row influence
-values).
+wrappers, the per-curve functional and the per-cell and direct-summation
+plug-in oracles, single-row influence values).
 
 `brute_po` enumerates every (z, w, latent-time) configuration with plain
 Python loops over the raw probability tables.  It deliberately shares no
@@ -314,31 +314,23 @@ def count_fits(monkeypatch):
 def count_predictions(monkeypatch):
     """Count the curve predictions of every `ConditionalSurvivalModel`.
 
-    Wraps the class's two batch entries, `predict_many` (through which
-    `predict` also goes) and `predict_values`, and returns the live
-    tally {(id(model), x, z, w): predictions}, with z and w read off the
-    rows of the cohort each call predicts.
+    Wraps the class's batch entry `predict_values` (through which the
+    tree learner's `predict` also goes), and returns the live tally
+    {(id(model), x, z, w): predictions}, with z and w read off the rows
+    of the cohort each call predicts.
     """
     from collections import Counter
-
-    import numpy as np
 
     from fairsurv.nuisance import ConditionalSurvivalModel
 
     calls = Counter()
+    entry = ConditionalSurvivalModel.predict_values
 
-    def counting(entry):
-        def counted(model, x, cohort, rows, **kwargs):
-            rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-            for triple in zip(np.broadcast_to(x, rows.shape).tolist(),
-                              cohort.z_values[cohort.z_codes[rows]].tolist(),
-                              cohort.w_values[cohort.w_codes[rows]].tolist()):
-                calls[(id(model), *triple)] += 1
-            return entry(model, x, cohort, rows, **kwargs)
-        return counted
-    for name in ("predict_many", "predict_values"):
-        monkeypatch.setattr(ConditionalSurvivalModel, name, counting(
-            getattr(ConditionalSurvivalModel, name)))
+    def counted(model, x, cohort, rows, **kwargs):
+        for triple in _row_triples(x, cohort, rows):
+            calls[(id(model), *triple)] += 1
+        return entry(model, x, cohort, rows, **kwargs)
+    monkeypatch.setattr(ConditionalSurvivalModel, "predict_values", counted)
     return calls
 
 
@@ -361,9 +353,10 @@ def count_propensity_calls(monkeypatch):
 
 
 def predict_triples(model, triples, **kwargs):
-    """``model.predict_many`` of covariate triples (x, z, w): the triples'
-    (z, w) go into a cohort, one row each, and x into the group labels.
-    No triples predict the rows of a one-row cohort that are none."""
+    """``model.predict_values`` of covariate triples (x, z, w): the
+    triples' (z, w) go into a cohort, one row each, and x into the group
+    labels.  No triples predict the rows of a one-row cohort that are
+    none."""
     import numpy as np
 
     from fairsurv.scm import Cohort
@@ -372,7 +365,24 @@ def predict_triples(model, triples, **kwargs):
     x, z, w = zip(*triples) if triples else ([], [0], [0])
     n = len(z)
     cohort = Cohort([0] * n, list(z), list(w), [0.0] * n, [0] * n)
-    return model.predict_many(list(x), cohort, np.arange(len(x)), **kwargs)
+    return model.predict_values(list(x), cohort, np.arange(len(x)), **kwargs)
+
+
+def _row_triples(x, cohort, rows):
+    """(x, z, w) of every row of ``rows`` of ``cohort`` under its group
+    label in ``x`` (one, or one per row), in order."""
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    return zip(np.broadcast_to(x, rows.shape).tolist(),
+               cohort.z_values[cohort.z_codes[rows]].tolist(),
+               cohort.w_values[cohort.w_codes[rows]].tolist())
+
+
+def predict_rows(model, x, cohort, rows):
+    """``model.predict`` of every row of ``rows`` of ``cohort`` under its
+    group label in ``x`` (one, or one per row), in order."""
+    return (model.predict(*triple) for triple in _row_triples(x, cohort, rows))
 
 
 def count_curves(monkeypatch):
@@ -756,6 +766,86 @@ def empirical_tables(cohort):
     return CohortTables(group=group, confounder=confounder, mediator=mediator)
 
 
+def functional_from_curve(curve, functional, grid):
+    """A structural functional of one conditional curve at ``grid``, kept
+    as the per-curve oracle of the plug-in's block functionals."""
+    import numpy as np
+
+    from fairsurv.curves import StepCurve, restricted_means
+    from fairsurv.errors import DataError
+
+    g = np.atleast_1d(np.asarray(grid, dtype=float))
+    if functional.kind in ("survival", "all_cause_survival", "cif"):
+        return np.asarray(curve.evaluate(g), dtype=float)
+    if functional.kind == "rmst":
+        return restricted_means(curve, g, functional.horizon)
+    if functional.kind == "cumulative_hazard":
+        chf = np.cumsum(hazard_increments(curve))
+        return StepCurve(curve.breakpoints, chf, 0.0, "generic").evaluate(g)
+    raise DataError(f"unsupported functional kind {functional.kind!r}")
+
+
+def reference_plugin_po_many(nuisances, cohort, queries, functional, grid):
+    """The per-cell loop `plugin_po_many` runs on blocks, kept as its
+    oracle: each (z, w) cell's curve under each outcome group comes from
+    `predict` and its functional from `functional_from_curve`, and each
+    query's sums add the cells one at a time in order of first
+    appearance.  A cell the outcome model cannot serve under a group is
+    skipped for that group's queries.  Returns {query: (curve, report)}."""
+    import numpy as np
+
+    from fairsurv.curves import StepCurve
+    from fairsurv.errors import CohortSchemaError, EmptyCohortError
+    from fairsurv.identify import _project, cell_weights
+
+    g = _validate_grid(grid)
+    queries = list(dict.fromkeys(queries))
+    ids, first = cohort.cells("zw")
+    weights = cell_weights(nuisances, queries, cohort, first)
+    weight_sums = np.stack([np.bincount(ids, weights=column[ids])
+                            for column in weights.T], axis=1)
+    counts = np.bincount(ids)
+    arms = sorted({q.x_outcome for q in queries})
+    totals = np.zeros((len(queries), g.size))
+    n_included = [0] * len(queries)
+    weight_total = [0.0] * len(queries)
+    max_weight = [0.0] * len(queries)
+    for weight, cell_sums, count, z, w in zip(
+            weights.tolist(), weight_sums.tolist(), counts.tolist(),
+            cohort.z_values[cohort.z_codes[first]].tolist(),
+            cohort.w_values[cohort.w_codes[first]].tolist()):
+        values = {}
+        for x in arms:
+            try:
+                curve = nuisances.outcome.predict(x, z, w)
+            except CohortSchemaError:
+                continue
+            values[x] = functional_from_curve(curve, functional, g)
+        for qi, q in enumerate(queries):
+            if q.x_outcome in values:
+                totals[qi] += cell_sums[qi] * values[q.x_outcome]
+                n_included[qi] += count
+                weight_total[qi] += cell_sums[qi]
+                max_weight[qi] = max(max_weight[qi], weight[qi])
+    kind = functional.curve_kind
+    out = {}
+    for qi, q in enumerate(queries):
+        if n_included[qi] == 0:
+            raise EmptyCohortError(
+                "every row was outside the outcome model schema")
+        fixed, distance = _project(totals[qi] / n_included[qi], kind)
+        out[q] = StepCurve(
+            g, fixed, value_at_zero=1.0 if kind == "survival" else 0.0,
+            kind=kind), {
+            "n_rows": cohort.n,
+            "n_excluded": cohort.n - n_included[qi],
+            "mean_weight": weight_total[qi] / n_included[qi],
+            "max_weight": max_weight[qi],
+            "projection_distance": distance,
+        }
+    return out
+
+
 def exact_plugin_po(outcome_model, tables, query, functional, grid):
     """Direct evaluation of sum_z P(z|x_cond) sum_w P(w|x_med,z) f(...).
 
@@ -766,11 +856,7 @@ def exact_plugin_po(outcome_model, tables, query, functional, grid):
 
     from fairsurv.curves import StepCurve
     from fairsurv.errors import DataError
-    from fairsurv.identify import (
-        _project,
-        _validate_grid,
-        functional_from_curve,
-    )
+    from fairsurv.identify import _project
 
     g = _validate_grid(grid)
     conf = tables.confounder.get(query.x_condition)
@@ -865,7 +951,7 @@ def reference_nu_values(nuisances, query, grid, cohort, z_wanted):
 
     def f_hat(source, rows):  # x_y's outcome curves on the grid, in order
         return (curve.evaluate(grid) for curve in
-                nuisances.outcome.predict_many(x_y, source, rows))
+                predict_rows(nuisances.outcome, x_y, source, rows))
 
     out = {}
     if nuisances.mediator_table is not None:
@@ -935,21 +1021,12 @@ class ReferenceContributions(_Contributions):
         (from ``_by_cell(ids, rows)``), query and group X: ``positions``
         index ``rows`` and ``parts`` holds the (component name, values)
         pairs that apply to those rows, in COMPONENT_NAMES order.  Each
-        model predicts all cells, at a row of each, in one call; a cell's
-        propensities, outcome curves and unweighted arm terms are derived
-        once, and each query scales them by its own weights."""
+        survival model predicts a cell's curves at a row of it, each
+        propensity model all cells in one call; a cell's propensities,
+        outcome curves and unweighted arm terms are derived once, and each
+        query scales them by its own weights."""
         cohort, nuisances = self.cohort, self.nuisances
-        # The visiting order changes no value (a cell writes only its own
-        # rows) but decides which cells share a tree prediction block.  In
-        # repr order of their (z, w) values, nearby values, which tend to
-        # reach the same leaves, share one; in code order the `short-grid`
-        # probe took 83.4 s, not 43.0 s, and peaked at 90.8, not 81.9 MB.
         first = rows[[pos[0] for pos in cells]]
-        keys = list(map(repr, zip(
-            cohort.z_values[cohort.z_codes[first]].tolist(),
-            cohort.w_values[cohort.w_codes[first]].tolist())))
-        order = sorted(range(len(cells)), key=keys.__getitem__)
-        cells, first = [cells[i] for i in order], first[order]
         by_group = [{g: pos[cohort.x[rows[pos]] == g] for g in (0, 1)}
                     for pos in cells]
         groups = self.outcome_groups
@@ -957,9 +1034,9 @@ class ReferenceContributions(_Contributions):
         at_out = np.repeat(first, len(groups))
         has_rows = np.array([at[g].size > 0 for at in by_group
                              for g in groups], dtype=bool)
-        outcome = nuisances.outcome.predict_many(x_out, cohort, at_out)
-        censoring = nuisances.censoring.predict_many(
-            x_out[has_rows], cohort, at_out[has_rows])
+        outcome = predict_rows(nuisances.outcome, x_out, cohort, at_out)
+        censoring = predict_rows(nuisances.censoring, x_out[has_rows],
+                                 cohort, at_out[has_rows])
         x_both, at_both = np.tile((0, 1), len(cells)), np.repeat(first, 2)
         propensities = zip(*(
             model.predict_many(x_both, cohort, at_both).reshape(-1, 2).tolist()
