@@ -254,15 +254,10 @@ def aalen_johansen_cif(times, deltas, cause, n_causes=None):
     return _estimate(t, d, "cif", cause)
 
 
-def hazard_increments(curve):
-    """Discrete hazard 1 - S(u)/S(u-) of a survival step curve at each of
-    its breakpoints u; 0 where S(u-) = 0."""
-    return _increments(np.concatenate(([curve.value_at_zero], curve.values)))
-
-
 def _increments(values):
-    """``hazard_increments`` along the last axis of survival values that
-    start with the value at zero: 1 - S(u)/S(u-) at each later entry."""
+    """Discrete hazard increments along the last axis of survival values
+    that start with the value at zero: 1 - S(u)/S(u-) at each later
+    entry, 0 where S(u-) = 0."""
     prev, now = values[..., :-1], values[..., 1:]
     alive = prev > 0.0
     return np.where(alive, 1.0 - now / np.where(alive, prev, 1.0), 0.0)

@@ -28,7 +28,8 @@ a row of one (curves x union grid) array, read at the grid, the rows'
 times and the censoring jump times by one ``searchsorted`` each, and
 all cells of the run are evaluated as arrays.  Rows equal in group,
 cell, event label and time have equal values, so each such class is
-evaluated at one row and copied to the others.
+evaluated at one row; the standard errors' moments weight it by its
+rows, and its rows read its values only where the estimates sum them.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .nuisance import (
     survival_model_from_spec,
 )
 from .queries import Functional, PotentialOutcomeQuery, table_csv
-from .scm import Cohort
+from .scm import Cohort, _first_appearance
 
 COMPONENT_NAMES = (
     "ipcw_core",
@@ -294,40 +295,30 @@ class _Contributions:
             np.searchsorted(model.grid, grid, side="right")
             for model in (nuisances.outcome, nuisances.censoring))
 
-    def evaluate(self, rows, cells, classes, out, targets, comps=None):
+    def evaluate(self, rows, counts, cells, out, targets, comps=None):
         """Write query q's values of ``rows`` (grid columns) into
         ``out[q, targets]``, which holds zeros, and return the number of
         rows trimmed per query; ``cells`` are the cohort's (z, w) cell ids
-        and ``classes`` its row classes (`_row_classes`).
+        and each row stands for ``counts`` rows of its class
+        (`_row_classes`), which have equal values.
 
         A row's value adds its components in COMPONENT_NAMES order.  A
         row with a non-finite value, or one above ``cap`` in magnitude,
         is trimmed: each such entry's components are scaled so that
-        their sum is ``cap`` in magnitude, or zeroed if not finite.
-        Given ``comps`` (component name -> arrays shaped like ``out``),
-        the components after trimming go to ``comps[name][q, targets]``.
+        their sum is ``cap`` in magnitude, or zeroed if not finite; it
+        counts as the rows it stands for.  Given ``comps`` (component
+        name -> arrays shaped like ``out``), the components after
+        trimming go to ``comps[name][q, targets]``.
 
-        Rows of one class have equal values and components, so only the
-        first row of each class among ``rows`` is evaluated; its values
-        (and components) are then copied to the class's other rows, and
-        a trimmed class counts each of its rows.  Cells go in runs that
-        fit one prediction block of each model, which predicts a run's
-        cells, at a row of each, in one call per group.  Cells go in repr
-        order of their (z, w) values, so nearby values, which tend to
-        reach the same leaves, share a tree prediction block (in code
-        order the `short-grid` probe took 83.4 s, not 43.0 s, and peaked
-        at 90.8, not 81.9 MB)."""
+        Cells go in runs that fit one prediction block of each model,
+        which predicts a run's cells, at a row of each, in one call per
+        group.  Cells go in repr order of their (z, w) values, so nearby
+        values, which tend to reach the same leaves, share a tree
+        prediction block (in code order the `short-grid` probe took
+        83.4 s, not 43.0 s, and peaked at 90.8, not 81.9 MB)."""
         n_flagged = np.zeros(len(self.queries), dtype=int)
         if not rows.size:
             return n_flagged
-        _, first, of = np.unique(classes[rows], return_index=True,
-                                 return_inverse=True)
-        of = of.reshape(-1)
-        counts = np.bincount(of)  # each class's rows
-        copies = np.ones(rows.size, dtype=bool)
-        copies[first] = False
-        sources, copies = targets[first][of[copies]], targets[copies]
-        rows, targets = rows[first], targets[first]
         cohort, nuisances = self.cohort, self.nuisances
         _, first, cell = np.unique(cells[rows], return_index=True,
                                    return_inverse=True)
@@ -355,13 +346,6 @@ class _Contributions:
             n_flagged += _CellRun(
                 self, first[run], p_z[run], p_zw[run], rows[a:b],
                 cell[a:b] - lo, counts[a:b]).add_to(out, targets[a:b], comps)
-        # copied in chunks of a piece's size, so no block-sized gather
-        chunk = max(1, _PIECE_ELEMENTS // self.grid.size)
-        for values in [out, *(comps or {}).values()]:
-            for query in values:  # rows x grid
-                for lo in range(0, copies.size, chunk):
-                    query[copies[lo:lo + chunk]] = query.take(
-                        sources[lo:lo + chunk], axis=0)
         return n_flagged
 
 
@@ -603,15 +587,17 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
         p_condition = p1 if query.x_condition == 1 else 1.0 - p1
     if not p_condition > 0.0:
         raise DegenerateGroupError("conditioning group has probability zero")
-    rows = np.arange(cohort.n)
-    comps = {name: np.zeros((1, cohort.n, grid.size))
+    # each row class is evaluated at its first row, then read by its rows
+    classes, first = cohort.cells("xzwdm")
+    comps = {name: np.zeros((1, first.size, grid.size))
              for name in COMPONENT_NAMES}
     (n_flagged,) = _Contributions(
         cohort, nuisances, [query], functional, grid, [p_condition],
-        epsilon, cap, rows).evaluate(
-            rows, cohort.cells("zw")[0], _row_classes(cohort),
-            np.zeros((1, cohort.n, grid.size)), rows, comps)
-    comps = {name: comp[0] for name, comp in comps.items()}
+        epsilon, cap, np.arange(cohort.n)).evaluate(
+            first, np.bincount(classes), cohort.cells("zw")[0],
+            np.zeros((1, first.size, grid.size)), np.arange(first.size),
+            comps)
+    comps = {name: comp[0][classes] for name, comp in comps.items()}
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
     ind_z = (cohort.x == query.x_condition).astype(float)
     comps["conditioning_centering"] = comps["conditioning_centering"] - (
@@ -774,11 +760,11 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
                 f"no rows in conditioning group {q.x_condition}")
     _check_cap(plan.cap)
 
-    parts = [(_Contributions(cohort, bundle, queries, base_functional, grid,
-                             [p_cond[q] for q in queries], plan.epsilon,
-                             plan.cap, rows, cells), rows)
-             for bundle, rows, cells in list(plan.parts(base_functional))]
-    sums, groups, n_flagged = _stream_rows(plan, parts, grid, rmst)
+    contribs = [_Contributions(cohort, bundle, queries, base_functional,
+                               grid, [p_cond[q] for q in queries],
+                               plan.epsilon, plan.cap, rows, cells)
+                for bundle, rows, cells in list(plan.parts(base_functional))]
+    sums, groups, n_flagged = _stream_rows(plan, contribs, grid, rmst)
 
     raw = sums / n
     center = raw if rmst is None else rmst(raw)
@@ -807,7 +793,7 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
             "p_condition": p_cond[q],
             "n_flagged": int(n_flagged[qi]),
             "n_mediator_fallback": sum(
-                contrib.n_fallback[qi] for contrib, _ in parts),
+                contrib.n_fallback[qi] for contrib in contribs),
             "epsilon": plan.epsilon,
             "cap": plan.cap,
             "seed": plan.seed,
@@ -821,67 +807,103 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
     return out
 
 
-def _stream_rows(plan, parts, grid, rmst):
+def _stream_rows(plan, contribs, grid, rmst):
     """Evaluate every row of ``plan.cohort`` in row blocks.
 
-    ``parts`` pairs each fold's rows with the ``_Contributions`` of its
-    bundle.  Returns the
-    queries' column sums of the row contributions (queries x grid), the
-    (count, means, co-moments) of the contributions of each group X = 0,
-    1 (mapped by ``rmst``, the running restricted mean, when given), and
-    the number of trimmed rows of each query.
+    ``contribs[f]`` holds the ``_Contributions`` of fold f's bundle.
+    Returns the queries' column sums of the row contributions (queries x
+    grid), the (count, means, co-moments) of the contributions of each
+    group X = 0, 1 (mapped by ``rmst``, the running restricted mean, when
+    given), and the number of trimmed rows of each query.
+
+    A block's rows of one (fold, row class) have equal contributions, so
+    each such slot is evaluated once, at its first row; the moments are
+    taken over the slots, each weighted by its rows.  The column sums
+    add the block's rows in row order (summing the slots' values times
+    their counts instead moved the `ic` Route II estimates, which branch
+    on their inputs, by up to 0.51), so every row reads its slot's values
+    before they are summed.
     """
     cohort = plan.cohort
-    n, n_queries = cohort.n, len(parts[0][0].queries)
-    # numpy sums the rows of an (n, T) matrix one after another only when
-    # T > 1 (one column is summed pairwise), so running sums over blocks
-    # reproduce the whole-matrix sum bit for bit; one grid point takes
-    # one block
+    n, n_queries = cohort.n, len(contribs[0].queries)
     step = n if grid.size == 1 else max(
         1, _BLOCK_ELEMENTS // (grid.size * n_queries))
-    # row 0 of each query's slab carries the running sum into the next
-    slab = np.empty((n_queries, min(step, n) + 1, grid.size))
+    # a slab row holds every query's values of one row, so a gather or a
+    # sum runs over rows of queries x grid values; row 0 carries the
+    # running sums into the next block
+    slab = np.empty((min(step, n) + 1, n_queries, grid.size))
     sums = np.empty((n_queries, grid.size))
     groups = [(0, np.zeros((n_queries, grid.size)),
                np.zeros((n_queries, n_queries, grid.size)))] * 2
     n_flagged = np.zeros(n_queries, dtype=int)
+    chunk = max(1, _PIECE_ELEMENTS // (grid.size * n_queries))
+    n_classes = int(plan.class_ids.max()) + 1
+    bound = (int(plan.fold_ids.max()) + 1) * n_classes
     for start in range(0, n, step):
         stop = min(start + step, n)
-        block = slab[:, 1:stop - start + 1]
-        block[...] = 0.0
-        for contrib, rows in parts:
-            lo, hi = np.searchsorted(rows, (start, stop))
-            at = rows[lo:hi]
-            n_flagged += contrib.evaluate(at, plan.cell_ids, plan.class_ids,
-                                          block, at - start)
-        for qi, out in enumerate(block):
-            if start:
-                slab[qi, 0] = sums[qi]
-                np.add.reduce(slab[qi, :stop - start + 1], axis=0,
-                              out=sums[qi])
-            else:
-                np.add.reduce(out, axis=0, out=sums[qi])
-        values = block if rmst is None else rmst(block)
-        xs = cohort.x[start:stop]
+        # slot j of the block's (fold, class) pairs, numbered by first
+        # appearance, sits at slab row 1 + j: no later than its first row
+        slot, first = _first_appearance(
+            (plan.fold_ids[start:stop] * n_classes
+             + plan.class_ids[start:stop]).astype(
+                 np.min_scalar_type(bound - 1)))
+        first += start
+        counts = np.bincount(slot)
+        heads = slab[1:first.size + 1]
+        heads[...] = 0.0
+        by_query = heads.transpose(1, 0, 2)
+        folds = plan.fold_ids[first]
+        for f, contrib in enumerate(contribs):
+            mine = np.flatnonzero(folds == f)
+            n_flagged += contrib.evaluate(first[mine], counts[mine],
+                                          plan.cell_ids, by_query, mine)
+        values = by_query if rmst is None else rmst(by_query)
+        xs = cohort.x[first]
         for g in (0, 1):
             members = xs == g
             if np.any(members):
-                groups[g] = _merge_moments(
-                    groups[g], _moments(values[:, members]))
+                groups[g] = _merge_moments(groups[g], _moments(
+                    values[:, members], counts[members]))
+        del values
+        # each row reads its slot from the back, in chunks: the slots a
+        # chunk reads sit at or before its rows and after none it wrote;
+        # in mode "clip", a gather into contiguous rows away from the
+        # slots it reads takes no buffer
+        for hi in range(stop - start, 0, -chunk):
+            lo = max(hi - chunk, 0)
+            np.take(heads, slot[lo:hi], axis=0, out=slab[1 + lo:1 + hi],
+                    mode="clip")
+        # numpy adds the rows of a matrix one after another unless it has
+        # one column, which it sums pairwise; so running sums over blocks
+        # reproduce the whole-matrix sums of each query bit for bit, and
+        # one grid point takes one block, summed a query at a time
+        block = slab[1:stop - start + 1]
+        if start:
+            slab[0] = sums
+            np.add.reduce(slab[:stop - start + 1], axis=0, out=sums)
+        elif grid.size > 1:
+            np.add.reduce(block, axis=0, out=sums)
+        else:
+            for qi in range(n_queries):
+                np.add.reduce(np.ascontiguousarray(block[:, qi]), axis=0,
+                              out=sums[qi])
     return sums, groups, n_flagged
 
 
-def _moments(values):
+def _moments(values, counts):
     """Row count, column means (queries x grid) and centered co-moments
-    (queries x queries x grid) of queries x rows x grid values, which
-    are overwritten with their deviations from the means."""
-    count = values.shape[1]
-    mean = values.sum(axis=1) / count
+    (queries x queries x grid) of queries x classes x grid values, class
+    c standing for ``counts[c]`` equal rows; ``values`` are overwritten
+    with their deviations from the means."""
+    count = int(counts.sum())
+    weights = counts.astype(float)
+    mean = np.einsum("c,qct->qt", weights, values) / count
     dev = np.subtract(values, mean[:, None, :], out=values)
     m2 = np.empty(mean.shape[:1] + mean.shape)
     for q in range(len(dev)):
         for p in range(q + 1):
-            m2[q, p] = m2[p, q] = np.einsum("rt,rt->t", dev[q], dev[p])
+            m2[q, p] = m2[p, q] = np.einsum("c,ct,ct->t", weights, dev[q],
+                                            dev[p])
     return count, mean, m2
 
 

@@ -458,6 +458,73 @@ def _csv_cells(text):
     return header, widths, joined.split(",")
 
 
+# The most digits of a token `_integer_table` parses: any 18 fit in an
+# int64.
+_TOKEN_DIGITS = 18
+
+
+def _integer_table(text):
+    """Header fields and the rows x header-width int64 table of a cohort
+    CSV whose body, everything after the header line, is nothing but
+    ASCII digits, commas and "\\n", every line as wide as the header and
+    every token of 1 to 18 digits; None for any other text.  The header
+    is the one `_csv_cells` finds, and the table holds the tokens it
+    would split off, parsed by one numpy call."""
+    start = 0
+    while True:  # skip blank and "#" lines, as `_csv_cells` does
+        end = text.find("\n", start)
+        if end < 0:
+            return None
+        line = text[start:end]
+        if line.strip() and not line.startswith("#"):
+            break
+        start = end + 1
+    head = text[:end + 1]
+    if ('"' in line or len(line) > csv.field_size_limit()
+            or head.splitlines() != head.split("\n")[:-1]):
+        return None
+    header = line.split(",")
+    body = text[end + 1:]
+    if not body.isascii():
+        return None
+    body = body.encode("ascii")
+    if body.translate(None, b"0123456789,\n"):
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    chars = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(chars < ord("0"))  # each token's separator
+    width = len(header)
+    rows = ends.size // width
+    # a "\n" ends every width-th token and no other
+    if (ends.size % width or body.count(b"\n") != rows
+            or np.any(chars[ends[width - 1::width]] != ord("\n"))):
+        return None
+    gaps = ends[1:] - ends[:-1]  # each later token's digits, plus one
+    if not 0 < ends[0] <= _TOKEN_DIGITS or gaps.size and (
+            gaps.min() < 2 or gaps.max() > _TOKEN_DIGITS + 1):
+        return None
+    return header, np.fromstring(body.replace(b"\n", b","), dtype=np.int64,
+                                 sep=",").reshape(rows, width)
+
+
+def _integer_covariate(block):
+    """What `_parse_covariate` gives for the integer tokens of a z or w
+    block (rows x columns): codes in order of first appearance and a
+    read-only table of Python ints, or of tuples of them when the block
+    has several columns."""
+    key = block[:, 0] if block.shape[1] == 1 else np.unique(
+        block, axis=0, return_inverse=True)[1].reshape(-1)
+    # in the smallest type, which a few values make quick to sort
+    codes, first = _first_appearance(key.astype(np.min_scalar_type(
+        int(key.max()))))
+    entries = block[first].tolist()
+    table = np.fromiter((row[0] if len(row) == 1 else tuple(row)
+                         for row in entries), dtype=object, count=len(entries))
+    table.flags.writeable = False
+    return codes, table
+
+
 # Largest cell key `Cohort.cells` builds before it renumbers the key.
 _KEY_LIMIT = np.iinfo(np.int64).max
 
@@ -623,7 +690,15 @@ class Cohort:
 
     @classmethod
     def from_csv(cls, text, n_causes=None):
-        header, widths, cells = _csv_cells(text)
+        """Cohort of a CSV text.  A body of integer tokens alone
+        (`_integer_table`) is parsed by numpy in one pass; any other goes
+        through `_csv_cells` token by token.  Both give the same
+        cohort."""
+        integers = _integer_table(text)
+        if integers is None:
+            header, widths, cells = _csv_cells(text)
+        else:
+            header, table = integers
         header = [h.strip() for h in header]
 
         def block(prefix):
@@ -648,6 +723,15 @@ class Cohort:
         if not z_cols or not w_cols:
             raise CohortSchemaError("cohort CSV must include z and w columns")
 
+        if integers is not None:
+            return cls._from_codes(
+                table[:, x_col].copy(),
+                _integer_covariate(table[:, z_cols]),
+                _integer_covariate(table[:, w_cols]),
+                table[:, m_col].astype(float),
+                table[:, d_col].copy(),
+                n_causes,
+            )
         if not widths:
             raise EmptyCohortError("cohort CSV has a header but no rows")
         if widths != {len(header)}:

@@ -39,6 +39,11 @@ envelope samples per query (`--mode ic --tau 0.2,0.5,0.8
 batches of at most 2,000 attempts; drawing the whole 10^6-attempt cap
 at once would take about 290 MB for the uniforms alone.
 
+With `integer`, the example spec's discrete times are kept (no jitter)
+and the cohort is decomposed as in the default case.  Its CSV body holds
+integers alone, which the cohort reader parses in one numpy pass, and
+its rows repeat: a few hundred (fold, row class) pairs at any n.
+
 With `ic-plugin`, the jittered cohort of the default case is decomposed
 in `ic` mode by the plug-in estimator under three taus (`--mode ic
 --estimator plugin --tau 0.2,0.5,0.8`).  Every (outcome arm, covariate
@@ -49,8 +54,8 @@ cells.
     PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [CASE]
 
 with CASE one of continuous-z, short-grid, rmst, plugin, plugin-rmst,
-ic and ic-plugin, prints the run's figures as JSON and exits 1 unless
-the child succeeded with a peak RSS below LIMIT_MB.
+ic, ic-plugin and integer, prints the run's figures as JSON and exits 1
+unless the child succeeded with a peak RSS below LIMIT_MB.
 """
 
 from __future__ import annotations
@@ -96,14 +101,14 @@ def probe_cohort_csv(n, seed=0, continuous_z=False, continuous_m=True):
 
 def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
                        plugin=False, grid_points=None, ic=False,
-                       ic_plugin=False):
+                       ic_plugin=False, integer=False):
     """Run `decompose` on an n-row cohort under `workdir`, jittered
-    unless `ic`; returns
+    unless `ic` or `integer`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
     workdir = Path(workdir)
     cohort = workdir / "cohort.csv"
     cohort.write_text(probe_cohort_csv(n, seed, continuous_z,
-                                       continuous_m=not ic))
+                                       continuous_m=not (ic or integer)))
     learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
     if ic:
         learners += IC_ARGS
@@ -142,10 +147,11 @@ def main(argv):
     n, limit_mb = int(argv[0]), float(argv[1])
     case = argv[2] if argv[2:] else None
     if argv[3:] or case not in (None, "continuous-z", "short-grid", "rmst",
-                                "plugin", "plugin-rmst", "ic", "ic-plugin"):
+                                "plugin", "plugin-rmst", "ic", "ic-plugin",
+                                "integer"):
         sys.exit(f"unknown case {' '.join(argv[2:])!r}; the cases are "
-                 "continuous-z, short-grid, rmst, plugin, plugin-rmst, ic "
-                 "and ic-plugin")
+                 "continuous-z, short-grid, rmst, plugin, plugin-rmst, ic, "
+                 "ic-plugin and integer")
     with tempfile.TemporaryDirectory() as workdir:
         result = decompose_peak_rss(
             n, workdir,
@@ -154,7 +160,8 @@ def main(argv):
             rmst=case in ("rmst", "plugin-rmst"),
             plugin=case in ("plugin", "plugin-rmst"),
             grid_points=5 if case == "short-grid" else None,
-            ic=case == "ic", ic_plugin=case == "ic-plugin")
+            ic=case == "ic", ic_plugin=case == "ic-plugin",
+            integer=case == "integer")
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
                       **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb

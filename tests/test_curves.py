@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from fairsurv.curves import (
     StepCurve,
+    _increments,
     aalen_johansen_cif,
-    hazard_increments,
     kaplan_meier,
     nelson_aalen,
     product_limit_steps,
@@ -336,7 +336,7 @@ def test_running_rmst_is_linear_along_the_last_axis():
 
 def _hazard_increments_loop(curve, t_max):
     """The scalar loop that read censoring-hazard increments off a
-    predicted curve, kept as the oracle of `hazard_increments`."""
+    predicted curve, kept as the oracle of `_increments`."""
     out = []
     prev = curve.value_at_zero
     for t, v in zip(curve.breakpoints, curve.values):
@@ -354,7 +354,8 @@ def test_hazard_increments_equal_the_loop_oracle_exactly():
     rng = np.random.default_rng(29)
     for _ in range(500):
         curve = _random_survival_curve(rng)
-        inc = hazard_increments(curve)
+        inc = _increments(np.concatenate(([curve.value_at_zero],
+                                          curve.values)))
         assert inc.shape == curve.breakpoints.shape
         t_max = float(rng.uniform(0.0, 8.0))
         keep = (inc > 0.0) & (curve.breakpoints <= t_max)
@@ -365,6 +366,6 @@ def test_hazard_increments_equal_the_loop_oracle_exactly():
 
 
 def test_hazard_increments_are_zero_once_the_curve_reaches_zero():
-    curve = StepCurve([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.0, 0.0])
-    assert hazard_increments(curve).tolist() == [0.5, 0.0, 1.0, 0.0]
-    assert hazard_increments(StepCurve([], [])).size == 0
+    assert _increments(np.array([1.0, 0.5, 0.5, 0.0, 0.0])).tolist() == [
+        0.5, 0.0, 1.0, 0.0]
+    assert _increments(np.array([1.0])).size == 0

@@ -824,6 +824,34 @@ def test_row_blocks_leave_estimates_unchanged(monkeypatch):
             assert_allclose(blocked[q].se, whole[q].se, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("rows_per_block", [None, 500])
+def test_moments_take_one_entry_per_fold_and_row_class(monkeypatch,
+                                                       rows_per_block):
+    # discrete times repeat every (fold, row class) many times in a row
+    # block; the moments see each of the block's pairs once, not its rows
+    import fairsurv.dr
+
+    plan, functional, grid = _streamed_case("survival")
+    queries = role_queries(0, 1)
+    step = plan.cohort.n if rows_per_block is None else rows_per_block
+    monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
+                        step * len(grid) * len(queries))
+    moments, seen = fairsurv.dr._moments, []
+
+    def spy(values, *args):
+        seen.append(values.shape[1])
+        return moments(values, *args)
+
+    monkeypatch.setattr(fairsurv.dr, "_moments", spy)
+    crossfit_dr_many(plan, queries, functional, grid)
+    pairs = [len(set(zip(plan.fold_ids[lo:lo + step].tolist(),
+                         plan.class_ids[lo:lo + step].tolist())))
+             for lo in range(0, plan.cohort.n, step)]
+    assert len(seen) == 2 * len(pairs)  # each block holds both groups
+    assert all(a + b <= n for a, b, n in zip(seen[::2], seen[1::2], pairs))
+    assert max(pairs) < step // 2
+
+
 def test_queries_of_one_call_share_every_prediction(monkeypatch):
     # four role queries, tree learners and a continuous confounder in one
     # row block: each model predicts each covariate triple exactly once
@@ -1022,6 +1050,7 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
     import fairsurv.dr
     import fairsurv.nuisance
     from fairsurv.dr import _Contributions, _row_classes
+    from fairsurv.scm import _first_appearance
 
     cohort, bundle, functional, grid, cap = _oracle_case(case)
     queries = role_queries(0, 1)
@@ -1067,12 +1096,15 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
     ids, classes = cohort.cells("zw")[0], _row_classes(cohort)
     for lo, hi in ((0, 37), (37, 150), (150, cohort.n)):
         rows = everything[lo:hi]
-        got = np.zeros((len(queries), rows.size, grid.size))
-        want = np.zeros_like(got)
+        # each class of the block at its first row, read by its rows
+        slot, first = _first_appearance(classes[rows])
+        heads = np.zeros((len(queries), first.size, grid.size))
+        want = np.zeros((len(queries), rows.size, grid.size))
         assert np.array_equal(
-            block.evaluate(rows, ids, classes, got, rows - lo),
+            block.evaluate(rows[first], np.bincount(slot), ids, heads,
+                           np.arange(first.size)),
             oracle.evaluate(rows, _by_cell(ids, rows), want, rows - lo))
-        assert got.tobytes() == want.tobytes()
+        assert heads[:, slot].tobytes() == want.tobytes()
     # each case exercises what it is named after; the discrete cohorts'
     # rows repeat, within the three row blocks and both groups
     n_classes = np.unique(classes).size

@@ -486,6 +486,11 @@ def _read(reader, text):
 
 _PLAIN_TOKENS = ["1", "1.0", " 1", "1 ", "2", "-0", "0.0", "a", "b c", "",
                  "1e3", "1000"]
+# integer tokens, with leading zeros and the longest token the integer
+# reader parses (18 digits); each near miss sends a text to the token
+# reader
+_INTEGER_TOKENS = ["0", "1", "2", "007", "7", "10", "9" * 18]
+_NEAR_MISSES = [".", "-", "blank line", "\r\n", "short row", "19 digits"]
 _QUOTED_TOKENS = ["x,y", 'say "hi"']
 
 
@@ -503,6 +508,8 @@ def _cohort_texts(draw):
     if draw(st.booleans()):
         names.append("note")
     names = draw(st.permutations(names))
+    if draw(st.booleans()):
+        return draw(_integer_cohort_texts(names))
     number = {
         "x": st.sampled_from(["0", "1", " 1", "1 "]),
         "m": st.sampled_from(["0.5", "1", "2.25", " 3", "3.0", "1e1"]),
@@ -532,10 +539,82 @@ def _cohort_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
-@settings(max_examples=300, deadline=None)
+@st.composite
+def _integer_cohort_texts(draw, names):
+    """Cohort texts under the header ``names`` whose body is integers
+    alone, or one near miss away."""
+    number = {"x": st.sampled_from(["0", "1", "01", "00"]),
+              "delta": st.sampled_from(["0", "1", "2", "001"])}
+    token = st.sampled_from(_INTEGER_TOKENS)
+    rows = [[draw(number.get(name, token)) for name in names]
+            for _ in range(draw(st.integers(1, 25)))]
+    near_miss = draw(st.one_of(st.none(), st.sampled_from(_NEAR_MISSES)))
+    if near_miss in (".", "-", "19 digits"):
+        row = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(names) - 1))
+        row[at] = {".": "1.5", "-": "-" + row[at],
+                   "19 digits": "1" + "0" * 18}[near_miss]
+    lines = [",".join(row) for row in rows]
+    if near_miss == "blank line":
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if near_miss == "short row":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at].rsplit(",", 1)[0]
+    lead = draw(st.lists(st.sampled_from(["# generated", "", "   ", "#x,z"]),
+                         max_size=3))
+    text = "\n".join([*lead, ",".join(names), *lines])
+    if near_miss == "\r\n":
+        text = text.replace("\n", "\r\n")
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+# half the texts have integer bodies; the other half keep the 300 of the
+# token reader
+@settings(max_examples=600, deadline=None)
 @given(_cohort_texts())
 def test_csv_reader_matches_the_row_by_row_reference(text):
     assert _read(Cohort.from_csv, text) == _read(_reference_from_csv, text)
+
+
+_INTEGER_BODY = ("# fairsurv simulate\n\n   \n"
+                 "z2,x,w1,z1,extra,w2,m,delta\n"
+                 "007,0,1,7,5,0,010,1\n"
+                 "7,1,1,007,5,0,10,0\n"
+                 "999999999999999999,01,0,7,9,00,999999999999999999,2\n")
+
+
+@pytest.mark.parametrize("near_miss, text", [
+    (None, _INTEGER_BODY),
+    (None, _INTEGER_BODY[:-1]),  # no final newline
+    (None, "x,z,w,m,delta\n0,1,2,3,1"),
+    (".", _INTEGER_BODY.replace("010", "1.5")),
+    ("-", _INTEGER_BODY.replace(",9,", ",-9,")),
+    ("blank line", _INTEGER_BODY.replace("1\n7,", "1\n\n7,")),
+    ("\r\n", _INTEGER_BODY.replace("\n", "\r\n")),
+    ("short row", _INTEGER_BODY.replace(",5,0,10,0", ",5,0,10")),
+    ("19 digits", _INTEGER_BODY.replace("999999999999999999,0", "1" + "0" * 18
+                                         + ",0")),
+], ids=["integers", "no_final_newline", "one_row", "decimal_point", "sign",
+        "blank_line", "crlf", "short_row", "19_digits"])
+def test_integer_bodies_bypass_the_token_reader(monkeypatch, near_miss,
+                                                text):
+    # a body of integers alone is parsed in one pass, never token by
+    # token; one near miss sends the text to the token reader; both read
+    # it as the row-by-row reference does
+    import fairsurv.scm
+
+    tokens = fairsurv.scm._csv_cells
+    calls = []
+
+    def token_reader(text):
+        calls.append(text)
+        if near_miss is None:
+            raise AssertionError("an integer body reached the token reader")
+        return tokens(text)
+
+    monkeypatch.setattr(fairsurv.scm, "_csv_cells", token_reader)
+    assert _read(Cohort.from_csv, text) == _read(_reference_from_csv, text)
+    assert len(calls) == (near_miss is not None)
 
 
 @pytest.mark.parametrize("column, token", [

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairsurv.copulas import CopulaSpec
-from fairsurv.curves import hazard_increments
+from fairsurv.curves import _increments
 from fairsurv.dr import (
     COMPONENT_NAMES,
     InfluenceEvaluation,
@@ -439,7 +439,7 @@ def predict_censoring_hazard_increments(model, covariates, grid):
     """
     import numpy as np
 
-    from fairsurv.curves import hazard_increments
+    from fairsurv.curves import _increments
     from fairsurv.errors import DataError, EstimationError
 
     if model.target != "censoring":
@@ -450,7 +450,7 @@ def predict_censoring_hazard_increments(model, covariates, grid):
     if g.size == 0 or np.any(~np.isfinite(g)):
         raise DataError("grid must be nonempty and finite")
     curve = model.predict(*covariates)
-    inc = hazard_increments(curve)
+    inc = _increments(np.concatenate(([curve.value_at_zero], curve.values)))
     keep = (inc > 0.0) & (curve.breakpoints <= g.max())
     return list(zip(curve.breakpoints[keep].tolist(), inc[keep].tolist()))
 
@@ -780,7 +780,8 @@ def functional_from_curve(curve, functional, grid):
     if functional.kind == "rmst":
         return restricted_means(curve, g, functional.horizon)
     if functional.kind == "cumulative_hazard":
-        chf = np.cumsum(hazard_increments(curve))
+        chf = np.cumsum(_increments(np.concatenate(
+            ([curve.value_at_zero], curve.values))))
         return StepCurve(curve.breakpoints, chf, 0.0, "generic").evaluate(g)
     raise DataError(f"unsupported functional kind {functional.kind!r}")
 
@@ -1094,7 +1095,8 @@ class ReferenceContributions(_Contributions):
             terms.append(("xi_one", (cens[:, None] & before) * (
                 f_y[None, :] / (s_m * g_m)[:, None])))
 
-        lams = hazard_increments(g_curve)
+        lams = _increments(np.concatenate(([g_curve.value_at_zero],
+                                           g_curve.values)))
         keep = (lams > 0.0) & (g_curve.breakpoints <= grid[-1])
         times, lams = g_curve.breakpoints[keep], lams[keep]
         if times.size:
