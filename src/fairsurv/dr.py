@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .curves import _BLOCK_ELEMENTS as _PIECE_ELEMENTS
-from .curves import StepCurve, _increments, restricted_means, running_rmst
+from .curves import _increments, running_rmst
 from .errors import (
     DataError,
     DegenerateGroupError,
@@ -70,13 +70,6 @@ COMPONENT_NAMES = (
 )
 
 Z_CRITICAL = 1.959963984540054  # two-sided 95% normal quantile
-
-# A cell of at least this many values (rows x grid points) is evaluated in
-# pieces of its own, which broadcast its per-cell values; smaller cells
-# share pieces and gather them per row.  Gathering 2^13 values costs about
-# what a piece's Python work does (1.4 ns a value, 20-30 us per query and
-# piece, measured on a 2-vCPU VM).
-_CELL_ELEMENTS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +460,11 @@ class _CellRun:
 
     def _pieces(self, step):
         """(group, rows) of each piece of the run: at most ``step`` rows of
-        one group.  A cell of ``_CELL_ELEMENTS`` values or more fills
-        pieces of its own, where its per-cell values broadcast; smaller
-        cells share pieces."""
+        one group, cut only where the group changes."""
         split = np.searchsorted(self.x, 1)  # the run's rows go by group
-        # each (group, cell)'s first row, and the end; cut around big cells
-        bounds = np.union1d(np.flatnonzero(np.diff(self.cell)) + 1,
-                            (0, split, self.cell.size))
-        big = np.diff(bounds) * self.contrib.grid.size >= _CELL_ELEMENTS
-        cuts = np.union1d(np.union1d(bounds[:-1][big], bounds[1:][big]),
-                          (0, split, self.cell.size)).tolist()
-        for lo, end in zip(cuts, cuts[1:]):
+        for g, (lo, end) in enumerate(((0, split), (split, self.cell.size))):
             for start in range(lo, end, step):
-                yield int(lo >= split), slice(start, min(start + step, end))
+                yield g, slice(start, min(start + step, end))
 
     def _terms(self, g, m, delta, cell):
         """Yield ``(name, query index, at, values)`` for rows of group g
@@ -779,11 +764,10 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
         center=center)
     out = {}
     for qi, q in enumerate(queries):
-        # the estimate's restricted mean, as a step curve equal to one
-        # before the first grid time
-        estimate = raw[qi] if rmst is None else restricted_means(
-            StepCurve(grid, raw[qi], 1.0, "generic"), grid,
-            functional.horizon)
+        # the estimate's restricted mean: survival is one before the first
+        # grid time
+        estimate = raw[qi] if rmst is None else center[qi] + min(
+            grid[0], functional.horizon or np.inf)
         se = moments.se(moments.unit(q))
         diagnostics = {
             "n_rows": n,

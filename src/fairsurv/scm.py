@@ -701,17 +701,30 @@ class Cohort:
             header, table = integers
         header = [h.strip() for h in header]
 
+        def ambiguous(cols):  # a CohortSchemaError naming header[cols]
+            cols = sorted(cols)
+            return CohortSchemaError(
+                "cohort CSV header is ambiguous: "
+                + ", ".join(repr(header[i]) for i in cols) + " at columns "
+                + ", ".join(str(i + 1) for i in cols))
+
         def block(prefix):
             exact = [i for i, h in enumerate(header) if h == prefix]
-            if exact:
-                return exact
-            numbered = [
+            numbered = sorted(
                 (int(h[len(prefix):]), i)
                 for i, h in enumerate(header)
                 if h.startswith(prefix) and h[len(prefix):].isdigit()
-            ]
-            return [i for _, i in sorted(numbered)]
+            )
+            # one bare column, or numbered ones of distinct numbers
+            if (len(exact) + bool(numbered) > 1
+                    or len({k for k, _ in numbered}) < len(numbered)):
+                raise ambiguous(exact + [i for _, i in numbered])
+            return exact or [i for _, i in numbered]
 
+        for name in ("x", "m", "delta"):
+            if header.count(name) > 1:
+                raise ambiguous(
+                    [i for i, h in enumerate(header) if h == name])
         try:
             x_col = header.index("x")
             m_col = header.index("m")

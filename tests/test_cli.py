@@ -413,6 +413,23 @@ def test_decompose_reruns_byte_identical(request, tmp_path, cohort, args,
             == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("cohort, args", [
+    ("nc", []),
+    ("cr", ["--mode", "cr"]),
+    ("ic", [*IC_RERUN, "--estimator", "dr"]),
+    ("ic", [*IC_RERUN, "--estimator", "plugin"]),
+], ids=["nic", "cr", "ic-dr", "ic-plugin"])
+def test_curves_reruns_byte_identical(request, tmp_path, cohort, args):
+    path = request.getfixturevalue(f"{cohort}_cohort_csv")
+    args = ["curves", "--cohort", str(path), *args, "--grid", "1,2,3"]
+    assert main(args + ["--outdir", str(tmp_path / "a")]) == 0
+    assert main(args + ["--outdir", str(tmp_path / "b")]) == 0
+    assert [p.name for p in sorted((tmp_path / "a").iterdir())] == [
+        "curves.csv"]
+    assert ((tmp_path / "a" / "curves.csv").read_bytes()
+            == (tmp_path / "b" / "curves.csv").read_bytes())
+
+
 def test_ic_plugin_route_fits_no_outcome_model(ic_cohort_csv, tmp_path,
                                               monkeypatch):
     fits = count_fits(monkeypatch)
@@ -781,6 +798,15 @@ def test_exit_code_3_on_cohort_that_is_not_utf8(tmp_path, capsys):
     rc = main(["decompose", "--cohort", str(path), "--outdir", str(tmp_path)])
     assert rc == 3
     assert "cohort CSV is not UTF-8" in capsys.readouterr().err
+
+
+def test_exit_code_3_on_cohort_with_ambiguous_header(tmp_path, capsys):
+    path = tmp_path / "two_z.csv"
+    path.write_text("x,z,w,z1,m,delta\n0,0,0,1,1.5,1\n1,0,0,1,2.5,1\n")
+    rc = main(["decompose", "--cohort", str(path), "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "cohort CSV header is ambiguous" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.csv").exists()
 
 
 def test_config_that_is_not_utf8_is_usage_error(nc_cohort_csv, tmp_path,

@@ -1043,7 +1043,7 @@ ORACLE_CASES = ["survival", "cif", "cap_trimmed", "one_point_grid",
                 "tree_cif", "tree_non_finite", "tree_censoring_past_grid"]
 
 
-@pytest.mark.parametrize("pieces", ["default", "few_rows", "cells_apart"])
+@pytest.mark.parametrize("pieces", ["default", "few_rows"])
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
                                                      pieces):
@@ -1059,10 +1059,6 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
         # cell, whose per-cell values broadcast over its rows
         monkeypatch.setattr(fairsurv.dr, "_PIECE_ELEMENTS",
                             len(queries) * len(grid) * 5)
-    if pieces == "cells_apart":
-        # cells of 100 rows or more take pieces of their own, smaller ones
-        # share pieces (the stratified cases have both kinds)
-        monkeypatch.setattr(fairsurv.dr, "_CELL_ELEMENTS", len(grid) * 100)
     classes = _row_classes(cohort)
     flagged = 0
     for query in queries:
@@ -1126,6 +1122,42 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
         assert cell.any() and not np.any(cohort.delta[cell] == 0)
     if case == "tree_censoring_past_grid":
         assert bundle.censoring.grid[-1] > grid[-1]
+
+
+def test_influence_pieces_hold_step_rows_of_one_group(monkeypatch):
+    # per group, a cell of 2,500 rows x 4 grid points (at least 2^13
+    # values) between cells of 123 and 77 rows; continuous times make
+    # every row a class of its own
+    import fairsurv.dr
+
+    sizes = (123, 2500, 77)
+    z = np.tile(np.repeat([0, 1, 2], sizes), 2)
+    x = np.repeat([0, 1], sum(sizes))
+    rng = np.random.default_rng(3)
+    cohort = Cohort(x, z, np.zeros_like(z), rng.exponential(3.0, x.size),
+                    rng.integers(0, 2, x.size))
+    grid = [1.0, 2.0, 3.0, 4.0]
+    assert sizes[1] * len(grid) >= 1 << 13
+    bundle = fit_dr_nuisances(cohort, SURVIVAL)
+    want = evaluate_influence(cohort, bundle, (1, 0, 0), SURVIVAL, grid)
+    step = 1000
+    monkeypatch.setattr(fairsurv.dr, "_PIECE_ELEMENTS", len(grid) * step)
+    pieces = []
+    cut = fairsurv.dr._CellRun._pieces
+
+    def recorded(self, size):
+        for g, at in cut(self, size):
+            pieces.append((g, at.start, at.stop))
+            yield g, at
+    monkeypatch.setattr(fairsurv.dr._CellRun, "_pieces", recorded)
+    got = evaluate_influence(cohort, bundle, (1, 0, 0), SURVIVAL, grid)
+    # one run of the three cells: consecutive pieces of ``step`` rows per
+    # group, only the last one shorter
+    n_group = sum(sizes)
+    assert pieces == [(g, g * n_group + lo, g * n_group + min(lo + step,
+                                                              n_group))
+                      for g in (0, 1) for lo in range(0, n_group, step)]
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_doubly_robust_evaluation_builds_no_step_curves(monkeypatch):

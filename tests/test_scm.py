@@ -576,6 +576,20 @@ def test_csv_reader_matches_the_row_by_row_reference(text):
     assert _read(Cohort.from_csv, text) == _read(_reference_from_csv, text)
 
 
+def _count_token_reads(monkeypatch):
+    """The texts `Cohort.from_csv` hands the token reader from now on."""
+    import fairsurv.scm
+
+    tokens, calls = fairsurv.scm._csv_cells, []
+
+    def token_reader(text):
+        calls.append(text)
+        return tokens(text)
+
+    monkeypatch.setattr(fairsurv.scm, "_csv_cells", token_reader)
+    return calls
+
+
 _INTEGER_BODY = ("# fairsurv simulate\n\n   \n"
                  "z2,x,w1,z1,extra,w2,m,delta\n"
                  "007,0,1,7,5,0,010,1\n"
@@ -601,18 +615,7 @@ def test_integer_bodies_bypass_the_token_reader(monkeypatch, near_miss,
     # a body of integers alone is parsed in one pass, never token by
     # token; one near miss sends the text to the token reader; both read
     # it as the row-by-row reference does
-    import fairsurv.scm
-
-    tokens = fairsurv.scm._csv_cells
-    calls = []
-
-    def token_reader(text):
-        calls.append(text)
-        if near_miss is None:
-            raise AssertionError("an integer body reached the token reader")
-        return tokens(text)
-
-    monkeypatch.setattr(fairsurv.scm, "_csv_cells", token_reader)
+    calls = _count_token_reads(monkeypatch)
     assert _read(Cohort.from_csv, text) == _read(_reference_from_csv, text)
     assert len(calls) == (near_miss is not None)
 
@@ -632,6 +635,47 @@ def test_csv_bad_number_names_its_column_as_the_reference_does(column,
     with pytest.raises(CohortSchemaError) as want:
         _reference_from_csv(text)
     assert str(got.value) == str(want.value)
+
+
+def _header_text(header, body):
+    """Two rows under ``header``: integers alone, or with a decimal m."""
+    m = "2" if body == "integer" else "2.5"
+    rows = [[m if name.strip() == "m" else str(value)
+             for name in header.split(",")] for value in (0, 1)]
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+@pytest.mark.parametrize("body", ["integer", "decimal"])
+@pytest.mark.parametrize("header, names", [
+    ("x,x,z,w,m,delta", "'x', 'x' at columns 1, 2"),
+    ("x ,z,w, x,m,delta", "'x', 'x' at columns 1, 4"),
+    ("x,z,m,w,m,delta", "'m', 'm' at columns 3, 5"),
+    ("delta,x,z,w,m,delta", "'delta', 'delta' at columns 1, 6"),
+    ("x,z,w,z,m,delta", "'z', 'z' at columns 2, 4"),
+    ("x,z,w,m,delta,w", "'w', 'w' at columns 3, 6"),
+    ("x,z1,w,z01,m,delta", "'z1', 'z01' at columns 2, 4"),
+    ("x,z,w1,w01,m,delta", "'w1', 'w01' at columns 3, 4"),
+    ("x,z1,z,w,m,delta", "'z1', 'z' at columns 2, 3"),
+    ("x,z,w,w2,m,delta", "'w', 'w2' at columns 3, 4"),
+], ids=["x", "x_spaced", "m", "delta", "z", "w", "z1_z01", "w1_w01",
+        "z_z1", "w_w2"])
+def test_csv_ambiguous_header_is_a_schema_error(monkeypatch, header, names,
+                                                body):
+    # on both reader paths: an integer body never reaches the token
+    # reader, a decimal one does
+    calls = _count_token_reads(monkeypatch)
+    with pytest.raises(CohortSchemaError, match=f"ambiguous: {names}$"):
+        Cohort.from_csv(_header_text(header, body))
+    assert len(calls) == (body == "decimal")
+
+
+@pytest.mark.parametrize("body", ["integer", "decimal"])
+def test_csv_repeated_unused_column_is_ignored(monkeypatch, body):
+    calls = _count_token_reads(monkeypatch)
+    assert (_read(Cohort.from_csv, _header_text("note,x,z,w,note,m,delta",
+                                                body))
+            == _read(Cohort.from_csv, _header_text("x,z,w,m,delta", body)))
+    assert len(calls) == 2 * (body == "decimal")
 
 
 @pytest.mark.parametrize("header", ["x,z,w,m,delta", "x,z1,z2,w,m,delta"])
