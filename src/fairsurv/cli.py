@@ -172,10 +172,6 @@ def _validate_config(config, parser):
             parser.error("--n must be a positive integer")
         return
     mode = config["mode"]
-    if mode not in _MODES:
-        parser.error(f"unknown mode {mode!r}")
-    if config["estimator"] not in _ESTIMATORS:
-        parser.error(f"unknown estimator {config['estimator']!r}")
     functional = config["functional"]
     if functional == "cif":
         if config.get("cause") is None:

@@ -6,23 +6,25 @@ product-limit curve per stratum, backing off to coarser strata when a
 combination has no rows.  The tree learner bags log-rank-split survival
 trees, one per bootstrap resample sorted by time once, and averages
 cumulative hazards (or, for a cause target, incidence curves) across
-trees.  A split keeps each side's rows in time order.  A node's
-candidate splits are the midpoints between consecutive distinct values
-of each feature, or at most `max_thresholds` distinct interior
-quantiles; those leaving fewer than `min_leaf` rows on a side are
-dropped, the rest are scored by the two-sample log-rank chi-square in
-chunks of at most ``_BLOCK_ELEMENTS`` // rows candidates, and the first
-strictly largest positive score wins.  A tree's leaf step functions
-come from one grouped product-limit pass.  The fitted trees are flat
-parallel node arrays.  A batch prediction takes its rows in blocks
-bounded by the length of the curves they return and routes a block
-through every tree at once.  The values of each distinct leaf set (the
-tuple of leaves, one per tree) on the forest's union grid are computed
-and checked once per block, with the mask of each set's jump times;
-`predict_values` yields them as they are, and `predict` builds its one
-curve from them.  Tree parameters: n_trees >= 1, min_leaf >= 10,
-0 <= max_depth <= 6, max_thresholds >= 1, seed.  Propensities come from
-frequency tables or IRLS logistic fits, clipped away from 0 and 1; the
+trees.  A node's candidate splits are the midpoints between consecutive
+distinct values of each feature, or at most `max_thresholds` distinct
+interior quantiles; those leaving `min_leaf` rows on each side are scored
+by the two-sample log-rank chi-square in chunks of at most
+``_BLOCK_ELEMENTS`` // rows candidates, and the first strictly largest
+positive score wins.  The fitted trees are flat parallel node arrays.  A
+batch prediction takes its rows in blocks bounded by the length of the
+curves they return.  The tree learner
+routes a block through every tree at once and computes and checks the
+values of each distinct leaf set (the tuple of leaves, one per tree) on
+the forest's union grid once; the stratified learner looks up each
+distinct (x, z code, w code) triple once.  Tree parameters: n_trees >= 1,
+min_leaf >= 10, 0 <= max_depth <= 6, max_thresholds >= 1, seed.
+Propensities come from frequency tables or IRLS logistic fits, clipped
+away from 0 and 1.  The tree and logistic learners read z and w through
+one conversion, `_numeric_covariates`: each distinct value-table entry
+among a call's rows becomes floats once.  A fit refuses entries that are
+not numbers, a prediction accepts numeric strings, and a row whose
+entries are not numbers of the fitted widths is not served.  The
 logistic learner refuses covariates that are not finite.
 """
 
@@ -82,34 +84,50 @@ def stratum_curve(m, delta, target, n_causes):
     return kaplan_meier(m, _indicator(delta, target))
 
 
-def _numeric_matrix(codes, values, name):
-    """Covariate column as a float matrix, one row per cohort row;
-    non-numeric entries are refused."""
-    present, inverse = np.unique(codes, return_inverse=True)
-    width = len(values[codes[0]]) if isinstance(values[codes[0]], tuple) else 1
-    for item in values[present]:
-        if not all(isinstance(v, (int, float))
-                   for v in (item if isinstance(item, tuple) else (item,))):
-            raise CohortSchemaError(
-                f"{name} must be numeric for this learner, got {item!r}")
-    table = [_numeric_vector(v, width, name) for v in values[present]]
-    return np.array(table, dtype=float)[inverse.reshape(-1)]
+def _numeric_covariates(cohort, rows, columns, lead, widths=None):
+    """The ``rows`` of ``cohort`` as one float matrix: the column ``lead``,
+    then a block of floats per covariate in ``columns`` ("z", "w" or
+    both); the blocks' widths; and per row the message of its first entry
+    (z before w) that `_numeric_vector` refuses, "" where none is.  Each
+    distinct value-table entry among the rows is converted once.  A fit
+    passes no ``widths``: a covariate's first row sets its width, and a
+    refused entry is a CohortSchemaError."""
+    blocks, found = [np.asarray(lead, dtype=float)[:, None]], []
+    why = np.full(rows.size, "", dtype=object)
+    for name in columns:
+        codes, values = (getattr(cohort, name + part)
+                         for part in ("_codes", "_values"))
+        present, inverse = np.unique(codes[rows], return_inverse=True)
+        width = (Cohort._width(values[codes[rows[:1]]]) if widths is None
+                 else widths[len(found)])
+        table = np.full((present.size, width), np.nan)
+        failed = np.full(present.size, "", dtype=object)
+        for k, item in enumerate(values[present].tolist()):
+            try:
+                table[k] = _numeric_vector(item, width, name, widths is None)
+            except CohortSchemaError as exc:
+                if widths is None:
+                    raise
+                failed[k] = str(exc)
+        blocks.append(table[inverse])
+        why = np.where(why.astype(bool), why, failed[inverse])
+        found.append(width)
+    return np.hstack(blocks), tuple(found), why
 
 
-def _numeric_vector(value, width, name):
-    """One covariate entry as floats; numeric strings are accepted."""
-    item = _canonical_item(value)
+def _numeric_vector(item, width, name, fit=False):
+    """One value-table entry as ``width`` floats.  Numeric strings are
+    accepted, except by a fit."""
     vals = item if isinstance(item, tuple) else (item,)
+    if fit and not all(isinstance(v, (int, float)) for v in vals):
+        raise CohortSchemaError(
+            f"{name} must be numeric for this learner, got {item!r}")
     if len(vals) != width:
         raise CohortSchemaError(f"{name} has width {len(vals)}, expected {width}")
     try:
         return [float(v) for v in vals]
     except (TypeError, ValueError):
         raise CohortSchemaError(f"{name} must be numeric for this learner")
-
-
-def _sorted_cells(values):
-    return sorted(values, key=repr)
 
 
 def _labelled(x, rows):
@@ -128,18 +146,12 @@ def _covariates(cohort, rows):
             cohort.w_values[cohort.w_codes[rows]].tolist())
 
 
-def _per_row(predict, x, cohort, rows, skip_unserved=False):
-    """``predict(x, z, w)`` of every row of ``rows`` under its label in
-    ``x``, with z and w read off the cohort's code columns and value
-    tables.  None, for covariates outside the fitted schema, is a
-    CohortSchemaError unless ``skip_unserved``."""
-    z, w = _covariates(cohort, rows)
-    out = list(map(predict, x.tolist(), z, w))
-    if None in out and not skip_unserved:
-        i = out.index(None)
-        raise CohortSchemaError(f"covariates {(int(x[i]), z[i], w[i])!r} "
-                                "outside the fitted schema")
-    return out
+def _distinct(cohort, rows, x=0):
+    """The first of each distinct (x, z code, w code) among ``rows`` of
+    ``cohort`` under labels ``x``, and the index of every row's."""
+    key = ((x * len(cohort.z_values) + cohort.z_codes[rows])
+           * len(cohort.w_values) + cohort.w_codes[rows])
+    return np.unique(key, return_index=True, return_inverse=True)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +339,11 @@ class _Forest:
     def predict(self, feats, kind):
         """Grid values of every row of ``feats``: ``mean_values`` of their
         distinct leaf sets, and the set each row reaches."""
-        if not feats:
+        if not len(feats):
             return (np.empty((0, self.grid.size + 1)),
                     np.zeros((0, self.grid.size), dtype=bool),
                     np.zeros(0, dtype=np.intp))
-        sets, inverse = np.unique(self.leaf_sets(np.array(feats)), axis=0,
+        sets, inverse = np.unique(self.leaf_sets(feats), axis=0,
                                   return_inverse=True)
         return (*self.mean_values(sets, kind), inverse.reshape(-1))
 
@@ -460,7 +472,7 @@ class ConditionalSurvivalModel:
         x, rows = _labelled(x, [0])
         cohort = Cohort([0], [z], [w], [0], [0])
         if self._curves is not None:
-            return _per_row(self._lookup, x, cohort, rows)[0]
+            return self._served(x, cohort, rows)[0][0]
         ((values, jumps, index),) = self.predict_values(x, cohort, rows)
         row, at = values[index[0]], jumps[index[0]]
         # the jumps were checked when the values were made
@@ -490,37 +502,47 @@ class ConditionalSurvivalModel:
         through all trees at once and computes the values of each distinct
         leaf set (the tuple of leaves a row reaches, one per tree) once; the
         table learner evaluates each distinct curve once."""
-        found = _per_row(self._lookup if self._forest is None else
-                         self._features, x, cohort, rows, skip_unserved)
-        served = [item for item in found if item is not None]
+        found, served = self._served(x, cohort, rows, skip_unserved)
         if self._forest is not None:
-            values, jumps, sets = self._forest.predict(served, self.curve_kind)
+            values, jumps, sets = self._forest.predict(found[served],
+                                                       self.curve_kind)
         else:
-            ids = list(map(id, served))
-            table = dict(zip(ids, served))
-            keys, sets = np.unique(ids, return_inverse=True)
-            values = np.empty((keys.size, self.grid.size + 1))
-            jumps = np.zeros((keys.size, self.grid.size), dtype=bool)
-            for k, curve in enumerate(map(table.get, keys.tolist())):
+            curves = found[served]
+            _, first, sets = np.unique(list(map(id, curves)),
+                                       return_index=True, return_inverse=True)
+            values = np.empty((first.size, self.grid.size + 1))
+            jumps = np.zeros((first.size, self.grid.size), dtype=bool)
+            for k, curve in enumerate(curves[first].tolist()):
                 values[k, 0] = curve.value_at_zero
                 values[k, 1:] = curve.evaluate(self.grid)
                 jumps[k, np.searchsorted(self.grid, curve.breakpoints)] = True
-        index = np.full(len(found), -1, dtype=np.intp)
-        index[[item is not None for item in found]] = sets
+        index = np.full(rows.size, -1, dtype=np.intp)
+        index[served] = sets
         return values, jumps, index
 
-    def _features(self, x, z, w):
-        try:
-            return ([float(x)] + _numeric_vector(z, self._widths[0], "z")
-                    + _numeric_vector(w, self._widths[1], "w"))
-        except CohortSchemaError:
-            return None
-
-    def _lookup(self, x, z, w):
-        for probe in ((x, z, w), (x, z), (x,), ()):
-            if probe in self._curves:
-                return self._curves[probe]
-        return None
+    def _served(self, x, cohort, rows, skip_unserved=False):
+        """The tree learner's feature rows (x, then z and w as floats) or
+        the table learner's stored curves (one lookup per distinct (x, z
+        code, w code), backing off to (x, z), (x,) and ()) of ``rows`` of
+        ``cohort`` under labels ``x``, with the mask of the rows served; an
+        unserved row is a CohortSchemaError unless ``skip_unserved``."""
+        if self._forest is not None:
+            found, _, why = _numeric_covariates(cohort, rows, "zw", x,
+                                                self._widths)
+            served = ~why.astype(bool)
+        else:
+            first, inverse = _distinct(cohort, rows, x)
+            keys = zip(x[first].tolist(), *_covariates(cohort, rows[first]))
+            stored = (next((self._curves[key[:n]] for n in (3, 2, 1, 0)
+                            if key[:n] in self._curves), None) for key in keys)
+            found = np.fromiter(stored, object, first.size)[inverse]
+            served = found.astype(bool)  # None where no stratum matches
+        if not (skip_unserved or served.all()):
+            i = int(np.argmin(served))
+            (z,), (w,) = _covariates(cohort, rows[i:i + 1])
+            raise CohortSchemaError(f"covariates {(int(x[i]), z, w)!r} "
+                                    "outside the fitted schema")
+        return found, served
 
 
 def fit_conditional_survival(cohort, target="event", learner="stratified",
@@ -599,21 +621,14 @@ def _fit_stratified(cohort, target, params):
             curves[key[:len(by)]] = StepCurve._checked(
                 t, v, float(kind == "survival"), kind)
     full = set(keys)  # the (x, z, w) strata with rows
-
-    xs = _sorted_cells({k[0] for k in full})
-    zs = _sorted_cells({k[1] for k in full})
-    ws = _sorted_cells({k[2] for k in full})
-    fallback = [
-        cell
-        for cell in itertools.product(xs, zs, ws)
-        if cell not in full
-    ]
+    levels = [sorted({k[i] for k in full}, key=repr) for i in range(3)]
+    fallback = [c for c in itertools.product(*levels) if c not in full]
     report = {
         "learner": "stratified",
         "target": _target_label(target),
         "n_rows": cohort.n,
         "n_strata": len(full),
-        "n_cells": len(xs) * len(zs) * len(ws),
+        "n_cells": math.prod(map(len, levels)),
         "n_fallback_cells": len(fallback),
         "fallback_cells": [repr(cell) for cell in fallback],
     }
@@ -640,11 +655,8 @@ def _fit_tree_ensemble(cohort, target, params):
         raise DataError("max depth must be between 0 and 6")
     if opts["max_thresholds"] < 1:
         raise DataError("max_thresholds must be at least 1")
-    z_mat = _numeric_matrix(cohort.z_codes, cohort.z_values, "z")
-    w_mat = _numeric_matrix(cohort.w_codes, cohort.w_values, "w")
-    feats = np.column_stack(
-        [cohort.x.astype(float), z_mat, w_mat]
-    )
+    feats, widths, _ = _numeric_covariates(cohort, np.arange(cohort.n), "zw",
+                                           cohort.x)
     ind = _indicator(cohort.delta, target)
     # quantile levels, which only nodes of max_thresholds + 2 rows need
     grow = dict(opts, levels=None if opts["max_thresholds"] + 2 > cohort.n
@@ -679,15 +691,17 @@ def _fit_tree_ensemble(cohort, target, params):
     }
     return ConditionalSurvivalModel(
         "logrank_tree_ensemble", target, cohort.n_causes, report,
-        forest=forest, widths=(z_mat.shape[1], w_mat.shape[1]),
-    )
+        forest=forest, widths=widths)
 
 
 # ---------------------------------------------------------------------------
 # Propensity models
 # ---------------------------------------------------------------------------
 
-_CONDITIONING = ("marginal", "z", "zw")
+# the covariates each conditioning set reads
+_COLUMNS = {"marginal": "", "z": "z", "zw": "zw"}
+_CONDITIONING = tuple(_COLUMNS)
+_NOT_FINITE = "z and w must be finite for the logistic propensity learner"
 
 
 class PropensityModel:
@@ -729,22 +743,24 @@ class PropensityModel:
         """P(X = x | conditioning set) of ``rows`` of ``cohort``, as an
         array; ``x`` and ``rows`` as in the survival model's entry."""
         x, rows = _labelled(x, rows)
-        return np.array(_per_row(self._predict, x, cohort, rows), dtype=float)
-
-    def _predict(self, x, z, w):
         if self.learner == "frequency_table":  # empty for "marginal"
-            key = (z,) if self.conditioning == "z" else (z, w)
-            raw = self._table.get(key, self._marginal)
+            first, inverse = _distinct(cohort, rows)
+            raw = np.array([self._table.get(
+                pair[:len(self.conditioning)], self._marginal) for pair in
+                zip(*_covariates(cohort, rows[first]))], dtype=float)[inverse]
         else:
-            feats = [1.0]
-            if self.conditioning in ("z", "zw"):
-                feats += _numeric_vector(z, self._widths[0], "z")
-            if self.conditioning == "zw":
-                feats += _numeric_vector(w, self._widths[1], "w")
-            _require_finite(feats)
-            raw = _expit(float(np.dot(self._beta, feats)))
-        p1 = float(min(max(raw, self.epsilon), 1.0 - self.epsilon))
-        return p1 if x == 1 else 1.0 - p1
+            feats, _, why = _numeric_covariates(
+                cohort, rows, _COLUMNS[self.conditioning],
+                np.ones(rows.size), self._widths)
+            bad = why.astype(bool) | ~np.isfinite(feats).all(axis=1)
+            if bad.any():  # the first such row's first fault
+                raise CohortSchemaError(why[np.argmax(bad)] or _NOT_FINITE)
+            # a (1, k) @ (k, 1) product runs np.dot's kernel on each row, so
+            # every sum is np.dot(beta, row)'s bit for bit (feats @ beta is not)
+            raw = _expit_array(np.matmul(feats[:, None, :],
+                                         self._beta[:, None]).reshape(-1))
+        p1 = np.minimum(np.maximum(raw, self.epsilon), 1.0 - self.epsilon)
+        return np.where(x == 1, p1, 1.0 - p1)
 
 
 def fit_propensity(cohort, conditioning, learner="frequency_table",
@@ -787,18 +803,10 @@ def fit_propensity(cohort, conditioning, learner="frequency_table",
 
     if learner != "logistic_irls":
         raise DataError(f"unknown propensity learner {learner!r}")
-    blocks = [np.ones((cohort.n, 1))]
-    widths = (0, 0)
-    if conditioning in ("z", "zw"):
-        z_mat = _numeric_matrix(cohort.z_codes, cohort.z_values, "z")
-        blocks.append(z_mat)
-        widths = (z_mat.shape[1], 0)
-    if conditioning == "zw":
-        w_mat = _numeric_matrix(cohort.w_codes, cohort.w_values, "w")
-        blocks.append(w_mat)
-        widths = (widths[0], w_mat.shape[1])
-    design = np.hstack(blocks)
-    _require_finite(design)
+    design, widths, _ = _numeric_covariates(
+        cohort, np.arange(cohort.n), _COLUMNS[conditioning], np.ones(cohort.n))
+    if not np.all(np.isfinite(design)):
+        raise CohortSchemaError(_NOT_FINITE)
     beta = np.zeros(design.shape[1])
     converged = False
     n_iter = 0
@@ -841,12 +849,6 @@ def _expit_array(v):
     out = 1.0 / (1.0 + np.fromiter(exp, float, v.size))
     out[over] = [_expit(x) for x in v[over].tolist()]
     return out
-
-
-def _require_finite(feats):
-    if not np.all(np.isfinite(feats)):
-        raise CohortSchemaError(
-            "z and w must be finite for the logistic propensity learner")
 
 
 # ---------------------------------------------------------------------------

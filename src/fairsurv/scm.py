@@ -713,7 +713,7 @@ class Cohort:
             numbered = sorted(
                 (int(h[len(prefix):]), i)
                 for i, h in enumerate(header)
-                if h.startswith(prefix) and h[len(prefix):].isdigit()
+                if h.startswith(prefix) and h[len(prefix):].isdecimal()
             )
             # one bare column, or numbered ones of distinct numbers
             if (len(exact) + bool(numbered) > 1

@@ -567,6 +567,17 @@ def test_unknown_config_key_is_usage_error(nc_cohort_csv, tmp_path, capsys):
     rc = main(["decompose", "--cohort", str(nc_cohort_csv),
                "--config", str(cfg), "--outdir", str(tmp_path)])
     assert rc == 2
+    # an unknown mode or estimator is refused by the flag's own choices,
+    # as a flag or as a config entry
+    for key in ("mode", "estimator"):
+        base = ["decompose", "--cohort", str(nc_cohort_csv),
+                "--outdir", str(tmp_path / "out")]
+        assert main(base + [f"--{key}", "xx"]) == 2
+        assert "invalid choice: 'xx'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: "xx"}))
+        assert main(base + ["--config", str(cfg)]) == 2
+        assert "invalid choice: 'xx'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_header_comment_carries_version_and_hash(nc_cohort_csv, tmp_path):
@@ -798,6 +809,17 @@ def test_exit_code_3_on_cohort_that_is_not_utf8(tmp_path, capsys):
     rc = main(["decompose", "--cohort", str(path), "--outdir", str(tmp_path)])
     assert rc == 3
     assert "cohort CSV is not UTF-8" in capsys.readouterr().err
+
+
+def test_exit_code_3_on_cohort_with_a_superscript_column_suffix(tmp_path,
+                                                                capsys):
+    path = tmp_path / "z_squared.csv"
+    path.write_text("x,z\u00b2,w,m,delta\n0,0,0,1.5,1\n1,1,0,2.5,1\n",
+                    encoding="utf-8")
+    rc = main(["curves", "--cohort", str(path), "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "must include z and w columns" in capsys.readouterr().err
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def test_exit_code_3_on_cohort_with_ambiguous_header(tmp_path, capsys):

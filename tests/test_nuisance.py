@@ -21,6 +21,7 @@ from fairsurv.errors import (
 )
 from fairsurv.nuisance import (
     ConditionalSurvivalModel,
+    PropensityModel,
     _candidate_splits,
     _expit,
     _expit_array,
@@ -35,6 +36,7 @@ from fairsurv.scm import Cohort, sample_cohort
 from fairsurv.specs import bundled_scenario
 
 from testkit import (
+    continuous_confounder_cohort,
     count_curves,
     make_cr_two_cause,
     make_light_hazard_balanced,
@@ -45,6 +47,8 @@ from testkit import (
     predict_survival,
     predict_triples,
     reference_forest,
+    reference_predict_values,
+    reference_propensities,
     spec_of,
 )
 
@@ -885,6 +889,229 @@ def test_a_table_model_predicts_its_stored_curve():
     ((values, jumps, index),) = predict_triples(model, [(1, "a", 3)])
     assert jumps[index[0]].tolist() == [True, True]
     assert values[index[0]].tolist() == [0.0, 0.2, 0.7]
+
+
+# ---------------------------------------------------------------------------
+# One covariate conversion: the columnar model inputs against the per-row
+# oracle
+# ---------------------------------------------------------------------------
+
+def _multicolumn_cohort(n=200, seed=6):
+    """Integer and decimal confounder columns z1, z2 read from a CSV."""
+    rng = np.random.default_rng(seed)
+    lines = ["x,z1,z2,w,m,delta"] + [
+        f"{rng.integers(0, 2)},{rng.integers(0, 3)},"
+        f"{rng.integers(0, 40) / 8},{rng.integers(0, 2)},"
+        f"{rng.integers(1, 60) / 4},{rng.integers(0, 2)}" for _ in range(n)]
+    return Cohort.from_csv("\n".join(lines) + "\n")
+
+
+def _restyled(cohort, z_of, w_of):
+    """``cohort`` with each row's z and w entries mapped by ``z_of`` and
+    ``w_of`` (of the row index and the entry)."""
+    return Cohort(cohort.x, [z_of(i, v) for i, v in enumerate(cohort.z_items)],
+                  [w_of(i, v) for i, v in enumerate(cohort.w_items)],
+                  cohort.m, cohort.delta, cohort.n_causes)
+
+
+def _as_strings(i, v):
+    """An entry as numeric strings: " 1" on odd rows, "1.0" on even."""
+    text = (lambda u: f" {u}" if i % 2 else repr(float(u)))
+    return tuple(map(text, v)) if isinstance(v, tuple) else text(v)
+
+
+def _partly_unserved(i, v):
+    """Every 5th entry not numeric, every 7th of another width."""
+    if i % 5 == 0:
+        return "abc"
+    if i % 7 == 0:
+        return v[:1] if isinstance(v, tuple) else (v, v)
+    return v
+
+
+def _conversion_cases(fitted):
+    """The cohorts each model of ``fitted`` predicts: itself, string-coded,
+    numeric-string, partly unserved, discrete and continuous."""
+    return {
+        "same": fitted,
+        "string-coded": _restyled(fitted, lambda i, v: f"z{v}",
+                                  lambda i, v: f"w{v}"),
+        "numeric-string": _restyled(fitted, _as_strings, _as_strings),
+        "partly unserved": _restyled(fitted, _partly_unserved,
+                                     lambda i, v: None if i % 9 == 4 else v),
+        "discrete": sample_cohort(spec_of(make_nic_balanced()), 150, seed=3),
+        "continuous-z": continuous_confounder_cohort(150, seed=4),
+    }
+
+
+def _conversion_models(fitted):
+    """Every learner fitted on ``fitted``; the stratified learner only
+    where the covariates are discrete."""
+    tree = fit_conditional_survival(fitted, "censoring",
+                                    learner="logrank_tree_ensemble",
+                                    n_trees=3, seed=2)
+    # a table of three strata and no () stratum, so that it serves only
+    # some rows of group 1
+    first = _row_triples(fitted, 2)
+    curves = {first[0]: tree.predict(*first[0]),
+              first[1][:2]: tree.predict(*first[1]),
+              (0,): tree.predict(0, *first[0][1:])}
+    survival = {
+        "tree": tree,
+        "tree cif": fit_conditional_survival(
+            fitted, 1, learner="logrank_tree_ensemble", n_trees=2, seed=5),
+        "curve table": ConditionalSurvivalModel.from_curves(curves, "event"),
+    }
+    if np.unique(fitted.z_codes).size <= 128:
+        survival["stratified"] = fit_conditional_survival(fitted, "event")
+    propensity = {
+        f"{learner} {conditioning}": fit_propensity(
+            fitted, conditioning, learner=learner)
+        for learner in ("frequency_table", "logistic_irls")
+        for conditioning in ("marginal", "z", "zw")}
+    return survival, propensity
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and message it raises."""
+    try:
+        return call()
+    except (CohortSchemaError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fitted", ["discrete", "multi-column",
+                                    "continuous-z"])
+def test_model_inputs_equal_the_per_row_oracle_bytewise(monkeypatch, fitted):
+    import fairsurv.nuisance
+
+    fitted = {
+        "discrete": lambda: sample_cohort(spec_of(make_nic_balanced()), 300,
+                                          seed=2),
+        "multi-column": _multicolumn_cohort,
+        "continuous-z": lambda: continuous_confounder_cohort(300, seed=9),
+    }[fitted]()
+    survival, propensity = _conversion_models(fitted)
+    raised, skipped = set(), set()
+    for case, cohort in _conversion_cases(fitted).items():
+        rng = np.random.default_rng(len(case))
+        rows = rng.integers(0, cohort.n, cohort.n + 40)  # repeats, any order
+        for x in (rng.integers(0, 2, rows.size), 1):
+            for name, model in survival.items():
+                # several blocks of a few dozen rows
+                monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS",
+                                    37 * max(model.grid.size, 1))
+                for skip in (False, True):
+                    got, want = (_outcome(lambda: list(predict(
+                        model, x, cohort, rows, skip_unserved=skip)))
+                        for predict in (type(model).predict_values,
+                                        reference_predict_values))
+                    label = (case, name, skip)
+                    if isinstance(want, tuple):
+                        assert got == want, label
+                        raised.add(name)
+                        continue
+                    assert len(got) == len(want) > 1, label
+                    for block, oracle in zip(got, want):
+                        for a, b in zip(block, oracle):
+                            assert a.dtype == b.dtype, label
+                            assert a.shape == b.shape, label
+                            assert a.tobytes() == b.tobytes(), label
+                    if any((index < 0).any() for _, _, index in got):
+                        skipped.add(name)
+            for name, model in propensity.items():
+                got = _outcome(lambda: model.predict_many(x, cohort, rows))
+                want = _outcome(
+                    lambda: reference_propensities(model, x, cohort, rows))
+                if isinstance(want, tuple):
+                    assert got == want, (case, name)
+                    raised.add(name)
+                else:
+                    assert got.dtype == want.dtype, (case, name)
+                    assert got.tobytes() == want.tobytes(), (case, name)
+    # the cases reach every unserved path
+    assert {"tree", "tree cif", "curve table", "logistic_irls z",
+            "logistic_irls zw"} <= raised
+    assert {"tree", "tree cif", "curve table"} <= skipped
+
+
+def test_each_prediction_converts_each_distinct_entry_once(monkeypatch):
+    import fairsurv.nuisance
+
+    rng = np.random.default_rng(8)
+    n = 1000
+    x = rng.integers(0, 2, n)
+    cohort = Cohort(x, rng.choice([-0.5, 0.25, 1.5], n).tolist(),
+                    rng.integers(0, 2, n).tolist(),
+                    np.round(rng.exponential(1.0, n), 2) + 0.01,
+                    rng.integers(0, 2, n))
+    tree = fit_conditional_survival(cohort, learner="logrank_tree_ensemble",
+                                    n_trees=2, seed=1)
+    logistic = fit_propensity(cohort, "zw", learner="logistic_irls")
+    calls = []
+    convert = fairsurv.nuisance._numeric_vector
+
+    def counted(item, *args, **kwargs):
+        calls.append(item)
+        return convert(item, *args, **kwargs)
+    monkeypatch.setattr(fairsurv.nuisance, "_numeric_vector", counted)
+    monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS",
+                        300 * tree.grid.size)
+    rows = np.arange(n)
+    blocks = 0
+    for _ in tree.predict_values(x, cohort, rows):
+        assert 0 < len(calls) <= 5  # 3 z entries and 2 w entries
+        calls.clear()
+        blocks += 1
+    assert blocks == 4
+    for label in (x, 0, 1):
+        logistic.predict_many(label, cohort, rows)
+        assert 0 < len(calls) <= 5
+        calls.clear()
+
+
+def _logistic_rows(rng, n, width):
+    """Random feature rows of ``width`` columns, a share of them scaled
+    past exp's overflow cutoff under a unit-scale beta."""
+    scale = rng.choice([0.5, 4.0, 60.0, 900.0], size=(n, 1))
+    return np.round(rng.normal(size=(n, width)) * scale, 3)
+
+
+@pytest.mark.parametrize("split", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0),
+                                   (6, 0), (2, 3), (1, 5)])
+def test_logistic_probability_is_the_per_row_dot_bit_for_bit(split):
+    # every row's probability is _expit(np.dot(beta, row)) as bits, for
+    # design rows (1, z, w) of widths 2 to 7; epsilon 0 clips nothing
+    n, width = 20_000, sum(split)
+    rng = np.random.default_rng(width * 10 + split[1])
+    feats = _logistic_rows(rng, n, width)
+    beta = rng.normal(size=width + 1)
+    z, w = feats[:, :split[0]], feats[:, split[0]:]
+    entries = (lambda block: block[:, 0].tolist() if block.shape[1] == 1
+               else list(map(tuple, block.tolist())))
+    cohort = Cohort([0] * n, entries(z), entries(w) if split[1] else [0] * n,
+                    [1.0] * n, [0] * n)
+    model = PropensityModel("logistic_irls", "zw" if split[1] else "z", 0.0,
+                            {}, beta=beta, marginal=0.5,
+                            widths=split if split[1] else split[:1])
+    got = model.predict_many(1, cohort, np.arange(n))
+    dots = [float(np.dot(beta, [1.0] + row)) for row in feats.tolist()]
+    assert min(dots) < -709.0 and max(dots) > 709.0
+    assert got.tobytes() == np.array([_expit(v) for v in dots]).tobytes()
+
+
+def test_logistic_probability_of_the_intercept_alone_is_exact():
+    # width 1: the marginal design row (1,) under many intercepts
+    rng = np.random.default_rng(1)
+    cohort = Cohort([0], [0], [0], [1.0], [0])
+    betas = np.concatenate([rng.normal(scale=s, size=500)
+                            for s in (1.0, 30.0, 800.0)])
+    got = [PropensityModel("logistic_irls", "marginal", 0.0, {},
+                           beta=np.array([b]), marginal=0.5,
+                           widths=()).predict_many(1, cohort, [0])[0]
+           for b in betas.tolist()]
+    want = [_expit(float(np.dot([b], [1.0]))) for b in betas.tolist()]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -670,6 +670,22 @@ def test_csv_ambiguous_header_is_a_schema_error(monkeypatch, header, names,
 
 
 @pytest.mark.parametrize("body", ["integer", "decimal"])
+@pytest.mark.parametrize("header", ["x,z\u00b2,w,m,delta",
+                                    "x,z,w\u00b3,m,delta"])
+def test_csv_superscript_suffix_numbers_no_column(header, body):
+    # "\u00b2" is a digit to str.isdigit but no number to int(): the column
+    # is not a numbered z or w column, so the block is missing
+    with pytest.raises(CohortSchemaError,
+                       match="must include z and w columns$"):
+        Cohort.from_csv(_header_text(header, body))
+    # beside a numbered column it is an unused one
+    assert (_read(Cohort.from_csv, _header_text(
+        header.replace("x,", "x,z1,w1,").replace(",z,", ",")
+        .replace(",w,", ","), body))
+        == _read(Cohort.from_csv, _header_text("x,z1,w1,m,delta", body)))
+
+
+@pytest.mark.parametrize("body", ["integer", "decimal"])
 def test_csv_repeated_unused_column_is_ignored(monkeypatch, body):
     calls = _count_token_reads(monkeypatch)
     assert (_read(Cohort.from_csv, _header_text("note,x,z,w,note,m,delta",

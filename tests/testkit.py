@@ -1,7 +1,8 @@
 """Shared test fixtures, the independent brute-force oracle, and the
 package's test-only helpers (prediction counters, guarded prediction
-wrappers, the per-curve functional and the per-cell and direct-summation
-plug-in oracles, single-row influence values).
+wrappers, the per-row oracles of the models' covariate conversion, the
+per-curve functional and the per-cell and direct-summation plug-in
+oracles, single-row influence values).
 
 `brute_po` enumerates every (z, w, latent-time) configuration with plain
 Python loops over the raw probability tables.  It deliberately shares no
@@ -700,14 +701,12 @@ def reference_forest(cohort, target, n_trees=50, min_leaf=10, max_depth=6,
 
     import numpy as np
 
-    from fairsurv.nuisance import _indicator, _numeric_matrix
+    from fairsurv.nuisance import _indicator, _numeric_covariates
 
     params = dict(min_leaf=min_leaf, max_depth=max_depth,
                   max_thresholds=max_thresholds)
-    feats = np.column_stack([
-        cohort.x.astype(float),
-        _numeric_matrix(cohort.z_codes, cohort.z_values, "z"),
-        _numeric_matrix(cohort.w_codes, cohort.w_values, "w")])
+    feats = _numeric_covariates(cohort, np.arange(cohort.n), "zw",
+                                cohort.x)[0]
     ind = _indicator(cohort.delta, target)
     rng = np.random.default_rng(seed)
     roots, nodes, leaves = [], [], []
@@ -730,6 +729,130 @@ def reference_forest(cohort, target, n_trees=50, min_leaf=10, max_depth=6,
     out.n_rows = np.array(n_rows)
     out.depth = max(depths)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-row model inputs: the oracle of the models' one covariate conversion
+# ---------------------------------------------------------------------------
+
+def _reference_numeric_vector(value, width, name):
+    """One covariate entry as floats; numeric strings are accepted."""
+    from fairsurv.errors import CohortSchemaError
+    from fairsurv.scm import _canonical_item
+
+    item = _canonical_item(value)
+    vals = item if isinstance(item, tuple) else (item,)
+    if len(vals) != width:
+        raise CohortSchemaError(
+            f"{name} has width {len(vals)}, expected {width}")
+    try:
+        return [float(v) for v in vals]
+    except (TypeError, ValueError):
+        raise CohortSchemaError(f"{name} must be numeric for this learner")
+
+
+def reference_per_row(predict, x, cohort, rows, skip_unserved=False):
+    """``predict(x, z, w)`` of every row of ``rows`` under its label in
+    ``x`` (arrays), with z and w read off the cohort's code columns and
+    value tables, one row at a time.  None, for covariates outside the
+    fitted schema, is a CohortSchemaError unless ``skip_unserved``."""
+    from fairsurv.errors import CohortSchemaError
+
+    z = cohort.z_values[cohort.z_codes[rows]].tolist()
+    w = cohort.w_values[cohort.w_codes[rows]].tolist()
+    out = list(map(predict, x.tolist(), z, w))
+    if None in out and not skip_unserved:
+        i = out.index(None)
+        raise CohortSchemaError(f"covariates {(int(x[i]), z[i], w[i])!r} "
+                                "outside the fitted schema")
+    return out
+
+
+def reference_served(model):
+    """A survival model's per-row predicate: the tree learner's feature
+    list, or the table learner's stored curve with backoff to (x, z),
+    (x,) and (); None for a row the model does not serve."""
+    from fairsurv.errors import CohortSchemaError
+
+    def lookup(x, z, w):
+        for probe in ((x, z, w), (x, z), (x,), ()):
+            if probe in model._curves:
+                return model._curves[probe]
+        return None
+
+    def features(x, z, w):
+        try:
+            return ([float(x)]
+                    + _reference_numeric_vector(z, model._widths[0], "z")
+                    + _reference_numeric_vector(w, model._widths[1], "w"))
+        except CohortSchemaError:
+            return None
+    return lookup if model._forest is None else features
+
+
+def reference_predict_values(model, x, cohort, rows, skip_unserved=False):
+    """The blocks of ``model.predict_values`` built from the per-row
+    predicate of each block's rows, as a list."""
+    import numpy as np
+
+    from fairsurv.nuisance import _labelled
+
+    x, rows = _labelled(x, rows)
+    blocks, step = [], model.block_rows
+    for start in range(0, rows.size, step):
+        found = reference_per_row(
+            reference_served(model), x[start:start + step], cohort,
+            rows[start:start + step], skip_unserved)
+        served = [item for item in found if item is not None]
+        if model._forest is not None:
+            feats = np.array(served, dtype=float).reshape(
+                len(served), 1 + sum(model._widths))
+            values, jumps, sets = model._forest.predict(feats,
+                                                        model.curve_kind)
+        else:
+            ids = list(map(id, served))
+            table = dict(zip(ids, served))
+            keys, sets = np.unique(ids, return_inverse=True)
+            values = np.empty((keys.size, model.grid.size + 1))
+            jumps = np.zeros((keys.size, model.grid.size), dtype=bool)
+            for k, curve in enumerate(map(table.get, keys.tolist())):
+                values[k, 0] = curve.value_at_zero
+                values[k, 1:] = curve.evaluate(model.grid)
+                jumps[k, np.searchsorted(model.grid, curve.breakpoints)] = True
+        index = np.full(len(found), -1, dtype=np.intp)
+        index[[item is not None for item in found]] = sets
+        blocks.append((values, jumps, index))
+    return blocks
+
+
+def reference_propensities(model, x, cohort, rows):
+    """``model.predict_many(x, cohort, rows)`` of a `PropensityModel`,
+    one row at a time: a table lookup, or the logistic learner's
+    `_expit` of ``np.dot(beta, row)``, clipped."""
+    import numpy as np
+
+    from fairsurv.errors import CohortSchemaError
+    from fairsurv.nuisance import _expit, _labelled
+
+    def predict(x, z, w):
+        if model.learner == "frequency_table":  # empty for "marginal"
+            key = (z,) if model.conditioning == "z" else (z, w)
+            raw = model._table.get(key, model.marginal)
+        else:
+            feats = [1.0]
+            if model.conditioning in ("z", "zw"):
+                feats += _reference_numeric_vector(z, model._widths[0], "z")
+            if model.conditioning == "zw":
+                feats += _reference_numeric_vector(w, model._widths[1], "w")
+            if not np.all(np.isfinite(feats)):
+                raise CohortSchemaError("z and w must be finite for the "
+                                        "logistic propensity learner")
+            raw = _expit(float(np.dot(model._beta, feats)))
+        p1 = float(min(max(raw, model.epsilon), 1.0 - model.epsilon))
+        return p1 if x == 1 else 1.0 - p1
+
+    x, rows = _labelled(x, rows)
+    return np.array(reference_per_row(predict, x, cohort, rows), dtype=float)
 
 
 # ---------------------------------------------------------------------------
