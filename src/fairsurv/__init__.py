@@ -47,7 +47,6 @@ from .curves import (
     aalen_johansen_cif,
     kaplan_meier,
     nelson_aalen,
-    restricted_mean,
 )
 from .decompose import (
     EFFECT_NAMES,
@@ -60,14 +59,12 @@ from .decompose import (
 from .dr import (
     DRCurveEstimate,
     FoldPlan,
-    crossfit_dr,
     crossfit_dr_many,
     evaluate_influence,
     fit_dr_nuisances,
 )
 from .errors import DataError, EstimationError, FairsurvError
-from .identify import default_grid, fit_plugin_nuisances, plugin_po, \
-    plugin_po_many
+from .identify import default_grid, fit_plugin_nuisances, plugin_po_many
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
@@ -101,7 +98,6 @@ __all__ = [
     "kaplan_meier",
     "nelson_aalen",
     "aalen_johansen_cif",
-    "restricted_mean",
     # nuisance models
     "ConditionalSurvivalModel",
     "fit_conditional_survival",
@@ -110,13 +106,11 @@ __all__ = [
     # identification
     "default_grid",
     "fit_plugin_nuisances",
-    "plugin_po",
     "plugin_po_many",
     # doubly robust estimation
     "fit_dr_nuisances",
     "evaluate_influence",
     "FoldPlan",
-    "crossfit_dr",
     "crossfit_dr_many",
     "DRCurveEstimate",
     # decomposition

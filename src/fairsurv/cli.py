@@ -37,9 +37,10 @@ from .cge import incidence_estimates, route1_conditional, \
 from .copulas import CopulaSpec
 from .decompose import _series, cr_functionals, decompose_cr
 from .dr import FoldPlan
-from .errors import DataError, EstimationError
-from .identify import default_grid, fit_plugin_nuisances, outcome_target
-from .nuisance import stratum_curve
+from .errors import DataError, EmptyCohortError, EstimationError
+from .identify import _validate_grid, default_grid, fit_plugin_nuisances, \
+    outcome_target
+from .nuisance import stratum_curves
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries, table_csv
 from .scm import Cohort, SCMSpec, sample_cohort
@@ -279,16 +280,18 @@ def _load_cohort(config):
 
 def _resolve_grid(config, cohort):
     if config.get("grid") is not None:
-        return np.asarray(sorted(set(config["grid"])), dtype=float)
-    if config.get("grid_points") is not None:
+        grid = np.asarray(sorted(set(config["grid"])), dtype=float)
+    elif config.get("grid_points") is not None:
         qs = np.linspace(0.05, 0.95, int(config["grid_points"]))
-        pts = np.unique(np.quantile(cohort.m, qs))
-        return pts[pts > 0.0]
-    if config.get("mode") == "ic":
+        grid = np.unique(np.quantile(cohort.m, qs))
+        grid = grid[grid > 0.0]
+    elif config.get("mode") == "ic":
         # reconstruction treats censoring as a second event type, so the
         # grid must resolve censoring jumps as well as event jumps
-        return default_grid(cohort.censoring_as_cause())
-    return default_grid(cohort)
+        grid = default_grid(cohort.censoring_as_cause())
+    else:
+        grid = default_grid(cohort)
+    return _validate_grid(grid)
 
 
 def _functional(config):
@@ -363,12 +366,14 @@ def cmd_curves(config):
                        else ":allcause", f) for f in cr_functionals(cohort)]
         else:
             tagged = [("", _functional(config))]
-        groups = [cohort.subset(cohort.x == g) for g in (0, 1)]
         for suffix, functional in tagged:
+            (_, first, curves), = stratum_curves(
+                cohort, outcome_target(functional), ["x"])
+            by_group = dict(zip(cohort.x[first].tolist(), curves))
+            if len(by_group) < 2:
+                raise EmptyCohortError("curves needs rows in both groups")
             blocks += _group_blocks(grid, suffix, *(
-                stratum_curve(sub.m, sub.delta, outcome_target(functional),
-                              sub.n_causes).evaluate(grid)
-                for sub in groups))
+                by_group[g].evaluate(grid) for g in (0, 1)))
     outdir = _outdir(config)
     return _flush([(outdir / "curves.csv",
                     table_csv("t,series,value", blocks, _header(config)))])

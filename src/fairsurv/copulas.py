@@ -143,18 +143,6 @@ def generator_inverse(spec, s):
     return np.where(np.isinf(s), 0.0, out)
 
 
-def copula_cdf(spec, u, v):
-    """C(u, v) = phi^{-1}(phi(u) + phi(v))."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = generator_inverse(spec, generator(spec, u) + generator(spec, v))
-    # exact on the boundary regardless of float noise in the generator
-    out = np.where((u <= 0.0) | (v <= 0.0), 0.0, out)
-    out = np.where(v >= 1.0, u, out)
-    out = np.where(u >= 1.0, np.where(v >= 1.0, 1.0, v), out)
-    return out if out.ndim else float(out)
-
-
 def conditional_cdf(spec, u, v):
     """P(V <= v | U = u) = d C(u, v) / du, vectorized over arrays."""
     u = np.clip(np.asarray(u, dtype=float), _TINY, 1.0 - _TINY)

@@ -318,11 +318,3 @@ def restricted_means(curve, times, horizon=None):
     return restricted_mean_values(
         bp, np.append(curve.value_at_zero, curve.values)[None, :],
         np.ones((1, bp.size), dtype=bool), times, horizon)[0]
-
-
-def restricted_mean(curve, horizon):
-    """Exact integral of a survival step curve from 0 to `horizon`."""
-    h = float(horizon)
-    if not np.isfinite(h) or h <= 0.0:
-        raise DataError("horizon must be positive and finite")
-    return float(restricted_means(curve, [h])[0])

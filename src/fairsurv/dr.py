@@ -55,8 +55,6 @@ from .nuisance import (
     fit_conditional_survival,
     fit_outcome,
     fit_propensity,
-    propensity_from_spec,
-    survival_model_from_spec,
 )
 from .queries import Functional, PotentialOutcomeQuery, table_csv
 from .scm import Cohort, _first_appearance
@@ -113,18 +111,6 @@ def fit_dr_nuisances(cohort, functional, *, outcome_learner="stratified",
         mediator_cohort=cohort)
 
 
-def dr_nuisances_from_spec(spec, functional):
-    """Exact nuisance bundle read off a generative spec (no estimation)."""
-    target = _dr_target(functional)
-    return DRNuisances(
-        outcome=survival_model_from_spec(spec, target),
-        censoring=survival_model_from_spec(spec, "censoring"),
-        propensity_zw=propensity_from_spec(spec, "zw"),
-        propensity_z=propensity_from_spec(spec, "z"),
-        mediator_table=dict(spec.p_w_given_xz),
-    )
-
-
 def _dr_target(functional):
     if functional.kind == "cumulative_hazard":
         raise DataError(
@@ -158,10 +144,6 @@ class InfluenceEvaluation:
     values: np.ndarray
     components: dict
     n_flagged: int
-
-    def component_gap(self):
-        total = sum(self.components[name] for name in COMPONENT_NAMES)
-        return float(np.max(np.abs(total - self.values), initial=0.0))
 
 
 def _nu_values(nuisances, query, grid, cohort, z_wanted,
@@ -701,11 +683,6 @@ class FoldPlan:
                     shared.mediator_cohort, target, **self.learners))
             yield (bundles[target], np.flatnonzero(self.fold_ids == f),
                    self._mediator_cells[f])
-
-
-def crossfit_dr(plan, query, functional, grid=None):
-    """Cross-fitted one-step estimate of one potential-outcome curve."""
-    return crossfit_dr_many(plan, [query], functional, grid)[_as_query(query)]
 
 
 # Most values (rows x grid points x queries) ``crossfit_dr_many`` holds in

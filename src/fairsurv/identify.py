@@ -65,7 +65,8 @@ def _validate_grid(grid):
 
 def default_grid(cohort):
     """Distinct observed event times up to the 95th percentile of M."""
-    event_times = np.unique(cohort.m[cohort.delta > 0])
+    event_times = cohort.m_times[np.bincount(
+        cohort.m_codes[cohort.delta > 0], minlength=cohort.m_times.size) > 0]
     cap = float(np.percentile(cohort.m, 95.0))
     pts = event_times[event_times <= cap]
     if pts.size == 0:
@@ -147,15 +148,6 @@ def cell_weights(nuisances, queries, cohort, rows):
     return np.stack([(p_zw[q.x_mediator] / p_z[q.x_mediator])
                      * (p_z[q.x_condition] / p_marginal[q.x_condition])
                      for q in queries], axis=1)
-
-
-def plugin_po(nuisances, cohort, query, functional, grid,
-              return_report=False):
-    """Weighted plug-in estimate of one potential-outcome curve; the
-    one-query case of `plugin_po_many`."""
-    curve, report = plugin_po_many(
-        nuisances, cohort, [query], functional, grid)[query]
-    return (curve, report) if return_report else curve
 
 
 def plugin_po_many(nuisances, cohort, queries, functional, grid):

@@ -39,8 +39,6 @@ from .curves import (
     _BLOCK_ELEMENTS,
     StepCurve,
     _check_steps,
-    aalen_johansen_cif,
-    kaplan_meier,
     product_limit_steps,
 )
 from .errors import (
@@ -55,11 +53,13 @@ def _target_label(target):
     return f"cause:{target}" if isinstance(target, int) else target
 
 
-def _normalize_target(target):
+def _normalize_target(target, n_causes=math.inf):
     if target in ("event", "censoring"):
         return target
     if isinstance(target, (int, np.integer)) and not isinstance(target, bool):
         k = int(target)
+        if k > n_causes:
+            raise DataError("cause label exceeds the cohort's cause count")
         if k >= 1:
             return k
     raise DataError(
@@ -76,12 +76,29 @@ def _indicator(delta, target):
     return (delta == target).astype(int)
 
 
-def stratum_curve(m, delta, target, n_causes):
-    """Product-limit curve of one stratum's rows: cumulative incidence
-    for a cause target, survival otherwise."""
-    if isinstance(target, int):
-        return aalen_johansen_cif(m, delta, cause=target, n_causes=n_causes)
-    return kaplan_meier(m, _indicator(delta, target))
+def stratum_curves(cohort, target, levels):
+    """Product-limit curve of every cell of ``cohort.cells(by)`` for each
+    ``by`` in ``levels``, from the cell's rows alone: cumulative incidence
+    for a cause target, survival otherwise.  Yields (by, first row of each
+    cell, curves in cell order) per level, from one grouped pass over the
+    rows by cell, each cell's rows in time order and ties in row order."""
+    target = _normalize_target(target, cohort.n_causes)
+    kind = "cif" if isinstance(target, int) else "survival"
+    events = cohort.delta if kind == "cif" else _indicator(cohort.delta,
+                                                          target)
+    v0 = float(kind == "survival")
+    # codes of at most 2^16 distinct times sort stably by radix
+    by_time = np.argsort(cohort.m_codes, kind="stable")
+    for by in levels:
+        ids, first = cohort.cells(by)
+        order = by_time[np.argsort(ids[by_time].astype(
+            np.min_scalar_type(first.size)), kind="stable")]
+        bounds = np.append(0, np.cumsum(np.bincount(ids)))
+        jumps, values, sizes = product_limit_steps(
+            cohort.m[order], events[order], bounds, kind, target)
+        cuts = np.cumsum(sizes)[:-1]
+        yield by, first, [StepCurve._checked(t, v, v0, kind) for t, v in zip(
+            np.split(jumps, cuts), np.split(values, cuts))]
 
 
 def _numeric_covariates(cohort, rows, columns, lead, widths=None):
@@ -415,7 +432,7 @@ class ConditionalSurvivalModel:
     """
 
     def __init__(self, learner, target, n_causes, fit_report, *,
-                 curves=None, forest=None, widths=None):
+                 curves=None, forest=None, widths=None, grid=None):
         self.learner = learner
         self.target = target
         self.n_causes = n_causes
@@ -425,9 +442,7 @@ class ConditionalSurvivalModel:
         self._widths = widths
         # the union grid of block values: every jump time of the forest's
         # leaves, or of the table's curves
-        self.grid = forest.grid if forest is not None else np.unique(
-            np.concatenate([np.empty(0)] + [
-                c.breakpoints for c in curves.values()]))
+        self.grid = grid
 
     @property
     def curve_kind(self):
@@ -464,7 +479,9 @@ class ConditionalSurvivalModel:
         report.setdefault("learner", "stratified")
         report.setdefault("target", _target_label(target))
         report.setdefault("source", "curve-table")
-        return cls("stratified", target, n_causes, report, curves=table)
+        return cls("stratified", target, n_causes, report, curves=table,
+                   grid=np.unique(np.concatenate([np.empty(0)] + [
+                       c.breakpoints for c in table.values()])))
 
     def predict(self, x, z, w):
         """Curve for one covariate triple; a table model's is the stored
@@ -554,9 +571,7 @@ def fit_conditional_survival(cohort, target="event", learner="stratified",
     max_categories.  Tree params: n_trees, min_leaf, max_depth, seed,
     max_thresholds.
     """
-    target = _normalize_target(target)
-    if isinstance(target, int) and target > cohort.n_causes:
-        raise DataError("cause label exceeds the cohort's cause count")
+    target = _normalize_target(target, cohort.n_causes)
     if learner == "stratified":
         return _fit_stratified(cohort, target, params)
     if learner == "logrank_tree_ensemble":
@@ -599,27 +614,11 @@ def _fit_stratified(cohort, target, params):
                 "it looks continuous — use the tree learner"
             )
 
-    # each level's strata in one product-limit pass: rows by stratum, each
-    # stratum's in time order (ties in row order, as `stratum_curve` has)
-    kind = "cif" if isinstance(target, int) else "survival"
-    events = cohort.delta if kind == "cif" else _indicator(cohort.delta,
-                                                          target)
-    by_time = np.argsort(cohort.m, kind="stable")
     curves = {}
-    for by in ("", "x", "xz", "xzw"):
-        ids, first = cohort.cells(by)
-        # small integers sort stably by radix
-        order = by_time[np.argsort(ids[by_time].astype(
-            np.min_scalar_type(first.size)), kind="stable")]
-        bounds = np.append(0, np.cumsum(np.bincount(ids)))
-        jumps, values, sizes = product_limit_steps(
-            cohort.m[order], events[order], bounds, kind, target)
-        cuts = np.cumsum(sizes)[:-1]
+    for by, first, level in stratum_curves(cohort, target,
+                                           ("", "x", "xz", "xzw")):
         keys = list(zip(cohort.x[first].tolist(), *_covariates(cohort, first)))
-        for key, t, v in zip(keys, np.split(jumps, cuts),
-                             np.split(values, cuts)):
-            curves[key[:len(by)]] = StepCurve._checked(
-                t, v, float(kind == "survival"), kind)
+        curves.update((key[:len(by)], c) for key, c in zip(keys, level))
     full = set(keys)  # the (x, z, w) strata with rows
     levels = [sorted({k[i] for k in full}, key=repr) for i in range(3)]
     fallback = [c for c in itertools.product(*levels) if c not in full]
@@ -632,9 +631,10 @@ def _fit_stratified(cohort, target, params):
         "n_fallback_cells": len(fallback),
         "fallback_cells": [repr(cell) for cell in fallback],
     }
+    # the root stratum's curve jumps at every stratum's jump times
     return ConditionalSurvivalModel(
-        "stratified", target, cohort.n_causes, report, curves=curves
-    )
+        "stratified", target, cohort.n_causes, report, curves=curves,
+        grid=curves[()].breakpoints)
 
 
 def _fit_tree_ensemble(cohort, target, params):
@@ -667,7 +667,7 @@ def _fit_tree_ensemble(cohort, target, params):
     roots, nodes, leaves, passes = [], [], [], []
     for _ in range(opts["n_trees"]):
         boot = rng.integers(0, cohort.n, cohort.n)
-        rows = boot[np.argsort(cohort.m[boot], kind="stable")]
+        rows = boot[np.argsort(cohort.m_codes[boot], kind="stable")]
         tree = len(leaves)
         roots.append(_grow_tree(feats, cohort.m, ind, rows, 0, grow, nodes,
                                 leaves))
@@ -691,7 +691,7 @@ def _fit_tree_ensemble(cohort, target, params):
     }
     return ConditionalSurvivalModel(
         "logrank_tree_ensemble", target, cohort.n_causes, report,
-        forest=forest, widths=widths)
+        forest=forest, widths=widths, grid=forest.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -849,50 +849,3 @@ def _expit_array(v):
     out = 1.0 / (1.0 + np.fromiter(exp, float, v.size))
     out[over] = [_expit(x) for x in v[over].tolist()]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exact tables from a generative spec
-# ---------------------------------------------------------------------------
-
-def survival_model_from_spec(spec, target):
-    """Exact per-stratum curves read off a generative spec's laws."""
-    target = _normalize_target(target)
-    curves = {}
-    for x, z, w in spec.strata():
-        if target == "censoring":
-            curve = spec.conditional_survival(x, z, w, cause="censor")
-        elif target == "event":
-            curve = spec.conditional_all_cause_survival(x, z, w)
-        else:
-            curve = spec.conditional_cif(x, z, w, cause=target)
-        curves[(x, z, w)] = curve
-    return ConditionalSurvivalModel.from_curves(
-        curves, target, n_causes=spec.n_causes,
-        fit_report={"source": "generative-spec"},
-    )
-
-
-def propensity_from_spec(spec, conditioning):
-    """Exact group probabilities implied by a generative spec."""
-    if conditioning not in _CONDITIONING:
-        raise DataError(f"conditioning must be one of {_CONDITIONING}")
-    marginal = sum(spec.p_xz[(1, z)] for z in spec.z_support)
-    table = {}
-    if conditioning == "z":
-        for z in spec.z_support:
-            denom = spec.p_xz[(0, z)] + spec.p_xz[(1, z)]
-            table[(z,)] = spec.p_xz[(1, z)] / denom
-    elif conditioning == "zw":
-        for z in spec.z_support:
-            for w in spec.w_support:
-                joint = {
-                    x: spec.p_xz[(x, z)] * spec.p_w_given_xz[(x, z)][w]
-                    for x in (0, 1)
-                }
-                table[(z, w)] = joint[1] / (joint[0] + joint[1])
-    return PropensityModel(
-        "frequency_table", conditioning, 0.0,
-        {"source": "generative-spec", "conditioning": conditioning},
-        table=table, marginal=marginal,
-    )

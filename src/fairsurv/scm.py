@@ -175,14 +175,6 @@ class SCMSpec:
             raise DegenerateGroupError(f"group {x} has zero probability")
         return {z: self.p_xz.get((x, z), 0.0) / px for z in self.z_support}
 
-    def event_support(self):
-        """Sorted union of finite event-time atoms across strata and causes."""
-        pts = set()
-        for canon in self._event:
-            for times, probs in canon.values():
-                pts.update(t for t, p in zip(times, probs) if np.isfinite(t) and p > 0)
-        return np.array(sorted(pts))
-
     # -- conditional laws ----------------------------------------------------
 
     def _law(self, which, x, z, w):
@@ -208,10 +200,6 @@ class SCMSpec:
         p = probs[finite]
         at_risk = 1.0 - np.concatenate(([0.0], np.cumsum(p)[:-1]))
         return t, p / at_risk
-
-    def censor_hazard_increments(self, x, z, w):
-        """Discrete censoring hazard P(C = u) / P(C >= u) at each atom."""
-        return self._law_hazard("censor", x, z, w)
 
     def conditional_cif(self, x, z, w, cause):
         """P(cause wins by t | x, z, w) by enumeration over cause products.
@@ -529,12 +517,6 @@ def _integer_covariate(block):
 _KEY_LIMIT = np.iinfo(np.int64).max
 
 
-def _codes(values):
-    """Codes of ``values`` numbered in sorted order, and their count."""
-    distinct, codes = np.unique(values, return_inverse=True)
-    return codes.reshape(-1), distinct.size
-
-
 def _first_appearance(key):
     """Codes of an integer key array numbered in order of first
     appearance, and the first row of each code."""
@@ -557,9 +539,12 @@ class Cohort:
     multi-column layout.  Each column is encoded once, at construction,
     as integer codes (``z_codes``, ``w_codes``) plus a read-only
     code -> canonical value table (``z_values``, ``w_values``); equal
-    entries (1 and 1.0) share a code.  Subsets and recodes slice the
-    codes and share the tables.  ``z_items``/``w_items`` rebuild the
-    per-row values on demand.
+    entries (1 and 1.0) share a code.  The times ``m`` keep the given
+    floats and are encoded once too: ``m_codes`` ranks each row among the
+    ascending distinct times ``m_times`` (where -0.0 reads 0.0), in the
+    smallest unsigned type.  Subsets and recodes slice the codes and share
+    the tables, which may hold entries that none of a subset's rows has.
+    ``z_items``/``w_items`` rebuild the per-row values on demand.
     """
 
     def __init__(self, x, z, w, m, delta, n_causes=None):
@@ -568,13 +553,13 @@ class Cohort:
                      delta, n_causes)
 
     @classmethod
-    def _from_codes(cls, x, z, w, m, delta, n_causes):
-        """Cohort over already encoded (codes, table) pairs z and w."""
+    def _from_codes(cls, x, *fields):
+        """Cohort over encoded (codes, table) pairs z, w and maybe m_coded."""
         cohort = cls.__new__(cls)
-        cohort._assign(np.asarray(x, dtype=int), z, w, m, delta, n_causes)
+        cohort._assign(np.asarray(x, dtype=int), *fields)
         return cohort
 
-    def _assign(self, x, z, w, m, delta, n_causes):
+    def _assign(self, x, z, w, m, delta, n_causes, m_coded=None):
         n = x.size
         if n == 0:
             raise EmptyCohortError("cohort has no rows")
@@ -595,6 +580,12 @@ class Cohort:
         self.n_causes = int(n_causes) if n_causes is not None else inferred
         if self.n_causes < inferred:
             raise CohortSchemaError("delta exceeds the declared number of causes")
+        if m_coded is None:  # after the checks: no NaN reaches np.unique
+            times, codes = np.unique(self.m, return_inverse=True)
+            times += 0.0  # -0.0 + 0.0 is 0.0
+            times.flags.writeable = False
+            m_coded = codes.astype(np.min_scalar_type(times.size - 1)), times
+        self.m_codes, self.m_times = m_coded
 
     @property
     def n(self):
@@ -621,6 +612,7 @@ class Cohort:
             self.m[idx],
             self.delta[idx],
             self.n_causes,
+            (self.m_codes[idx], self.m_times),
         )
 
     def censoring_as_cause(self):
@@ -633,23 +625,24 @@ class Cohort:
         return Cohort._from_codes(
             self.x, (self.z_codes, self.z_values),
             (self.w_codes, self.w_values), self.m,
-            np.where(self.delta == 1, 1, 2), 2)
+            np.where(self.delta == 1, 1, 2), 2, (self.m_codes, self.m_times))
 
     def cells(self, by):
         """Cell id of every row over the columns named in ``by``, any of
         "x", "z", "w", "d" (the event label) and "m" (the observed time),
         numbered in order of first appearance, plus the first row of each
         cell."""
-        columns = {"x": lambda: (self.x, 2),
-                   "z": lambda: (self.z_codes, len(self.z_values)),
-                   "w": lambda: (self.w_codes, len(self.w_values)),
-                   "d": lambda: (self.delta, self.n_causes + 1),
-                   "m": lambda: _codes(self.m)}
+        columns = {"x": (self.x, 2),
+                   "z": (self.z_codes, len(self.z_values)),
+                   "w": (self.w_codes, len(self.w_values)),
+                   "d": (self.delta, self.n_causes + 1),
+                   "m": (self.m_codes, len(self.m_times))}
         key, bound = np.zeros(self.n, dtype=np.int64), 1  # key < bound
         for name in by:
-            codes, size = columns[name]()
+            codes, size = columns[name]
             if bound * size > _KEY_LIMIT:  # renumber the key densely first
-                key, bound = _codes(key)
+                distinct, key = np.unique(key, return_inverse=True)
+                bound = distinct.size
             key = key * size + codes
             bound *= size
         # in the smallest type, which a few cells make quick to sort

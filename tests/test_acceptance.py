@@ -22,22 +22,18 @@ from fairsurv.decompose import decompose_cr, decompose_difference, \
 from fairsurv.dr import (
     DRNuisances,
     FoldPlan,
-    crossfit_dr,
     crossfit_dr_many,
-    dr_nuisances_from_spec,
     evaluate_influence,
 )
-from fairsurv.identify import fit_plugin_nuisances, plugin_po
-from fairsurv.nuisance import (
-    ConditionalSurvivalModel,
-    propensity_from_spec,
-    survival_model_from_spec,
-)
+from fairsurv.identify import fit_plugin_nuisances
+from fairsurv.nuisance import ConditionalSurvivalModel
 from fairsurv.queries import Functional, PotentialOutcomeQuery
 from fairsurv.scm import sample_cohort
 
 from testkit import (
     brute_po,
+    crossfit_dr,
+    dr_nuisances_from_spec,
     empirical_cif_pair,
     make_adversarial,
     make_cr_two_cause,
@@ -45,7 +41,10 @@ from testkit import (
     make_indirect_only,
     make_nic_balanced,
     make_severed,
+    plugin_po,
+    propensity_from_spec,
     spec_of,
+    survival_model_from_spec,
 )
 
 SURVIVAL = Functional("survival")

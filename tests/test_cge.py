@@ -28,7 +28,7 @@ from fairsurv.errors import (
     DataError,
     InfeasibleBandsError,
 )
-from fairsurv.identify import default_grid, fit_plugin_nuisances, plugin_po
+from fairsurv.identify import default_grid, fit_plugin_nuisances
 from fairsurv.queries import Functional, PotentialOutcomeQuery, role_queries
 from fairsurv.scm import Cohort, sample_cohort
 
@@ -38,6 +38,7 @@ from testkit import (
     make_cr_two_cause,
     make_ic_clayton,
     make_nic_balanced,
+    plugin_po,
     reference_envelope_draws,
     spec_of,
 )

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 import warnings
 from importlib import resources
 
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 from fairsurv.cli import main
-from fairsurv.identify import fit_plugin_nuisances, plugin_po_many
-from fairsurv.queries import Functional, role_queries
+from fairsurv.dr import FoldPlan
+from fairsurv.identify import default_grid, fit_plugin_nuisances, \
+    plugin_po_many
+from fairsurv.nuisance import fit_conditional_survival
+from fairsurv.queries import Functional, _cell, role_queries
 from fairsurv.scm import Cohort, SCMSpec, sample_cohort
 
 from testkit import (
@@ -22,6 +26,7 @@ from testkit import (
     make_no_censoring,
     make_symmetric_null,
     spec_of,
+    stratum_curve,
 )
 
 
@@ -189,6 +194,131 @@ def test_curves_ic_mode_emits_per_tau_series(ic_cohort_csv, tmp_path):
     a = np.array([v for _, v in series["x0:tau0.2"]])
     b = np.array([v for _, v in series["x0:tau0.6"]])
     assert np.max(np.abs(a - b)) > 1e-4
+
+
+def _jittered_cr_cohort(n, seed):
+    """A two-cause cohort whose times are continuous: the cr example's
+    times plus a jitter below 0.01, so ties are rare."""
+    base = sample_cohort(spec_of(make_cr_two_cause()), n, seed=seed)
+    jitter = np.random.default_rng(seed).random(n) * 0.01
+    return Cohort(base.x, base.z_items, base.w_items, base.m + jitter,
+                  base.delta, n_causes=2)
+
+
+@pytest.mark.parametrize("args, series", [
+    ([], {"": "event"}),
+    (["--functional", "cif", "--cause", "2"], {"": 2}),
+    (["--mode", "cr"], {":cause1": 1, ":cause2": 2, ":allcause": "event"}),
+])
+def test_curves_equal_the_per_group_estimators_bit_for_bit(tmp_path, args,
+                                                           series):
+    # each group's curve from the grouped product-limit pass has the bits
+    # of kaplan_meier / aalen_johansen_cif on that group's rows
+    cohort = _jittered_cr_cohort(1200, 8)
+    path = tmp_path / "c.csv"
+    path.write_text(cohort.to_csv())
+    cohort = Cohort.from_csv(path.read_text())
+    assert main(["curves", "--cohort", str(path), *args,
+                 "--outdir", str(tmp_path)]) == 0
+    _, rows = read_table(tmp_path / "curves.csv")
+    grid = default_grid(cohort)
+    want = []
+    for suffix, target in series.items():
+        curves = [stratum_curve(cohort.m[cohort.x == g],
+                                cohort.delta[cohort.x == g], target,
+                                cohort.n_causes).evaluate(grid)
+                  for g in (0, 1)]
+        for name, values in zip(("x0", "x1", "tv"),
+                                (*curves, curves[1] - curves[0])):
+            want += [[_cell(t), name + suffix, _cell(v)]
+                     for t, v in zip(grid, values)]
+    assert rows == want
+
+
+def _float_sorts(monkeypatch):
+    """Record (function, calling module, dtype kind) of every np.argsort
+    and np.unique call a fairsurv module makes from now on."""
+    calls = []
+    for name in ("argsort", "unique"):
+        def record(a, *args, _name=name, _original=getattr(np, name),
+                   **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("fairsurv"):
+                calls.append((_name, caller, np.asarray(a).dtype.kind))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, record)
+    return calls
+
+
+def test_fits_grids_and_curves_sort_no_float_times(tmp_path, monkeypatch):
+    # the cohort codes its times once, at construction; a fold
+    # complement's stratified fit, the default grid and the curves command
+    # sort its integer codes, never the float times
+    cohort = _jittered_cr_cohort(1500, 5)
+    path = tmp_path / "c.csv"
+    path.write_text(cohort.to_csv())
+    complement = cohort.subset(FoldPlan(cohort, seed=3).fold_ids != 0)
+    calls = _float_sorts(monkeypatch)
+    for target in ("event", "censoring", 1, 2):
+        fit_conditional_survival(complement, target=target)
+    assert default_grid(complement).size > 100
+    for args in ([], ["--functional", "cif", "--cause", "1"],
+                 ["--mode", "cr"]):
+        assert main(["curves", "--cohort", str(path), *args,
+                     "--outdir", str(tmp_path / "out")]) == 0
+    floats = [call for call in calls
+              if call[2] == "f" and call[1] != "fairsurv.scm"]
+    assert floats == []
+    assert ("argsort", "fairsurv.nuisance", "u") in calls
+
+
+@pytest.mark.parametrize("command", ["curves", "decompose"])
+@pytest.mark.parametrize("mode", ["nic", "cr"])
+@pytest.mark.parametrize("grid", ["nan", "inf", "1,nan", "-1,2"])
+def test_grid_that_is_not_finite_and_nonnegative_is_exit_3(
+        cr_cohort_csv, tmp_path, capsys, command, mode, grid):
+    out = tmp_path / "out"
+    assert main([command, "--cohort", str(cr_cohort_csv), "--mode", mode,
+                 f"--grid={grid}", "--outdir", str(out)]) == 3
+    assert "grid points must be finite and nonnegative" \
+        in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["curves", "decompose"])
+def test_quantile_grid_with_no_positive_point_is_exit_3(tmp_path, capsys,
+                                                        command):
+    path = tmp_path / "zeros.csv"
+    path.write_text("x,z,w,m,delta\n" + "".join(
+        f"{i % 2},0,0,0,{i % 3 > 0:d}\n" for i in range(40)))
+    out = tmp_path / "out"
+    assert main([command, "--cohort", str(path), "--grid-points", "3",
+                 "--outdir", str(out)]) == 3
+    assert "grid must be a nonempty 1-d array" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--functional", "cif", "--cause", "3"],
+     "cause label exceeds the cohort's cause count"),
+    (["--mode", "cr"], "needs at least two causes"),
+])
+def test_curves_cause_beyond_the_cohort_is_exit_3(nc_cohort_csv, tmp_path,
+                                                  capsys, args, message):
+    assert main(["curves", "--cohort", str(nc_cohort_csv), *args,
+                 "--outdir", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_curves_on_one_group_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "one_group.csv"
+    path.write_text("x,z,w,m,delta\n" + "".join(
+        f"1,0,0,{1 + i % 4},1\n" for i in range(20)))
+    out = tmp_path / "out"
+    assert main(["curves", "--cohort", str(path), "--outdir", str(out)]) == 3
+    assert "curves needs rows in both groups" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

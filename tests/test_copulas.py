@@ -19,7 +19,6 @@ from fairsurv.copulas import (
     CopulaSpec,
     conditional_cdf,
     conditional_inverse,
-    copula_cdf,
     generator,
     generator_inverse,
     sample_uniform_pairs,
@@ -27,6 +26,8 @@ from fairsurv.copulas import (
     theta_to_tau,
 )
 from fairsurv.errors import DataError
+
+from testkit import copula_cdf
 
 U_GRID = np.linspace(0.02, 0.98, 25)
 

@@ -18,11 +18,12 @@ from fairsurv.curves import (
     kaplan_meier,
     nelson_aalen,
     product_limit_steps,
-    restricted_mean,
     restricted_means,
     running_rmst,
 )
 from fairsurv.errors import DataError, EmptyCohortError
+
+from testkit import restricted_mean
 
 
 # ---------------------------------------------------------------------------

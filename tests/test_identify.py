@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsurv.curves import StepCurve, restricted_mean
+from fairsurv.curves import StepCurve
 from fairsurv.errors import DataError
 from fairsurv.identify import (
     default_grid,
     fit_plugin_nuisances,
-    plugin_po,
     plugin_po_many,
 )
 from fairsurv.nuisance import ConditionalSurvivalModel
@@ -27,11 +26,14 @@ from testkit import (
     count_predictions,
     count_propensity_calls,
     empirical_tables,
+    event_support,
     exact_plugin_po,
     functional_from_curve,
     make_nic_balanced,
     make_severed,
+    plugin_po,
     reference_plugin_po_many,
+    restricted_mean,
     spec_of,
 )
 
@@ -55,7 +57,7 @@ def _unclipped_nuisances(cohort, functional=SURVIVAL):
 def test_observational_query_is_the_conditional_mean():
     spec, cohort = _nic_cohort(4000, seed=41)
     nuis = _unclipped_nuisances(cohort)
-    grid = spec.event_support()
+    grid = event_support(spec)
     for x in (0, 1):
         curve = plugin_po(
             nuis, cohort, PotentialOutcomeQuery.observational(x), SURVIVAL, grid
@@ -77,7 +79,7 @@ def test_severed_pathways_make_all_queries_agree():
     spec = spec_of(make_severed())
     cohort = sample_cohort(spec, 50000, seed=43)
     nuis = _unclipped_nuisances(cohort)
-    grid = spec.event_support()
+    grid = event_support(spec)
     reference = None
     for xo in (0, 1):
         for xm in (0, 1):
@@ -95,7 +97,7 @@ def test_severed_pathways_make_all_queries_agree():
 def test_plugin_tracks_enumeration_oracle_at_scale():
     spec, cohort = _nic_cohort(100000, seed=47)
     nuis = fit_plugin_nuisances(cohort, SURVIVAL)
-    grid = spec.event_support()
+    grid = event_support(spec)
     for q in (
         PotentialOutcomeQuery(1, 0, 0),
         PotentialOutcomeQuery(0, 1, 1),
@@ -114,7 +116,7 @@ def test_exact_summation_matches_weighted_plugin():
     spec, cohort = _nic_cohort(3000, seed=53)
     nuis = _unclipped_nuisances(cohort)
     tables = empirical_tables(cohort)
-    grid = spec.event_support()
+    grid = event_support(spec)
     for q in (
         PotentialOutcomeQuery(1, 0, 0),
         PotentialOutcomeQuery(0, 0, 1),
@@ -172,7 +174,7 @@ def test_exact_summation_agrees_with_generic_oracle_on_same_tables():
         event_laws=event_laws,
         censor_law={key: {99.0: 1.0} for key in event_laws},
     )
-    grid = spec.event_support()
+    grid = event_support(spec)
     for q in (PotentialOutcomeQuery(1, 0, 0), PotentialOutcomeQuery(0, 1, 1)):
         a = exact_plugin_po(nuis.outcome, tables, q, SURVIVAL, grid).evaluate(grid)
         b = oracle_po_curve(rebuilt, q, SURVIVAL, grid).evaluate(grid)
@@ -238,7 +240,7 @@ def test_rmst_without_horizon_integrates_up_to_each_grid_time():
 def test_cumulative_hazard_matches_oracle_shape():
     spec, cohort = _nic_cohort(60000, seed=71)
     nuis = fit_plugin_nuisances(cohort, Functional("cumulative_hazard"))
-    grid = spec.event_support()
+    grid = event_support(spec)
     q = PotentialOutcomeQuery(1, 1, 1)
     est = plugin_po(nuis, cohort, q, Functional("cumulative_hazard"), grid)
     truth = oracle_po_curve(spec, q, Functional("cumulative_hazard"), grid)

@@ -28,16 +28,15 @@ from fairsurv.nuisance import (
     _logrank_scores,
     fit_conditional_survival,
     fit_propensity,
-    propensity_from_spec,
-    stratum_curve,
-    survival_model_from_spec,
 )
 from fairsurv.scm import Cohort, sample_cohort
 from fairsurv.specs import bundled_scenario
 
 from testkit import (
+    censor_hazard_increments,
     continuous_confounder_cohort,
     count_curves,
+    event_support,
     make_cr_two_cause,
     make_light_hazard_balanced,
     make_nic_balanced,
@@ -46,10 +45,13 @@ from testkit import (
     predict_rows,
     predict_survival,
     predict_triples,
+    propensity_from_spec,
     reference_forest,
     reference_predict_values,
     reference_propensities,
     spec_of,
+    stratum_curve,
+    survival_model_from_spec,
 )
 
 
@@ -90,7 +92,7 @@ def test_stratified_recovers_generative_curves():
     spec = spec_of(raw)
     cohort = sample_cohort(spec, 20000, seed=11)
     model = fit_conditional_survival(cohort, target="event")
-    grid = spec.event_support()
+    grid = event_support(spec)
     for x, z, w in spec.strata():
         true = spec.conditional_survival(x, z, w).evaluate(grid)
         est = model.predict(x, z, w).evaluate(grid)
@@ -104,7 +106,7 @@ def test_tree_ensemble_recovers_generative_curves():
     model = fit_conditional_survival(
         cohort, target="event", learner="logrank_tree_ensemble", seed=5
     )
-    grid = spec.event_support()
+    grid = event_support(spec)
     for x, z, w in spec.strata():
         true = spec.conditional_survival(x, z, w).evaluate(grid)
         est = model.predict(x, z, w).evaluate(grid)
@@ -224,14 +226,14 @@ def test_stratified_curves_equal_stratum_curve_bit_for_bit(target):
 
 def test_stratified_fit_makes_one_product_limit_pass_per_level(
         monkeypatch):
-    # no estimator call per stratum: one grouped pass per level
+    # no estimator call per stratum: one grouped pass per level (the
+    # one-cohort estimators all run `curves._estimate`)
+    import fairsurv.curves
     import fairsurv.nuisance
 
     estimators = []
-    for name in ("kaplan_meier", "aalen_johansen_cif"):
-        monkeypatch.setattr(fairsurv.nuisance, name,
-                            lambda *args, _name=name, **kwargs:
-                            estimators.append(_name))
+    monkeypatch.setattr(fairsurv.curves, "_estimate",
+                        lambda *args, **kwargs: estimators.append(args))
     passes = []
     steps = fairsurv.nuisance.product_limit_steps
 
@@ -1172,7 +1174,7 @@ def test_spec_table_increments_match_the_generative_hazard():
     spec = spec_of(make_nic_balanced())
     model = survival_model_from_spec(spec, "censoring")
     for x, z, w in spec.strata():
-        times, incs = spec.censor_hazard_increments(x, z, w)
+        times, incs = censor_hazard_increments(spec, x, z, w)
         pairs = predict_censoring_hazard_increments(
             model, (x, z, w), [float(np.max(times))]
         )
@@ -1187,7 +1189,7 @@ def test_spec_table_increments_match_the_generative_hazard():
 def test_spec_table_model_reproduces_the_laws():
     spec = spec_of(make_nic_balanced())
     model = survival_model_from_spec(spec, "event")
-    grid = spec.event_support()
+    grid = event_support(spec)
     for x, z, w in spec.strata():
         np.testing.assert_allclose(
             model.predict(x, z, w).evaluate(grid),

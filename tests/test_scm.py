@@ -370,6 +370,69 @@ def test_subset_and_recode_share_value_tables():
     assert np.array_equal(recoded.delta, np.where(cohort.delta == 1, 1, 2))
 
 
+def _check_time_codes(cohort, table):
+    """The cohort's time codes index ``table`` and rank its rows' times."""
+    assert cohort.m_times is table
+    assert not table.flags.writeable
+    assert np.all(table[cohort.m_codes] == cohort.m)
+    codes = cohort.m_codes.astype(np.int64)
+    assert np.array_equal(np.sign(codes[:, None] - codes[None, :]),
+                          np.sign(cohort.m[:, None] - cohort.m[None, :]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, -0.0, 1.0, 2.5]), min_size=1,
+                max_size=40), st.integers(0, 2 ** 32 - 1))
+def test_times_are_coded_once_and_shared_by_subsets(times, seed):
+    n = len(times)
+    cohort = Cohort([i // 2 % 2 for i in range(n)], [0] * n, [0] * n, times,
+                    [i % 2 for i in range(n)])
+    table = cohort.m_times
+    # the ascending distinct times, each row's rank in the smallest type
+    assert np.array_equal(table, np.unique(times))
+    assert np.all(np.diff(table) > 0.0) and not np.signbit(table).any()
+    assert cohort.m_codes.dtype == np.min_scalar_type(table.size - 1)
+    assert cohort.m.tobytes() == np.asarray(times, dtype=float).tobytes()
+    _check_time_codes(cohort, table)
+    rng = np.random.default_rng(seed)
+    mask = rng.random(n) < 0.5
+    mask[rng.integers(n)] = True
+    repeats = rng.integers(0, n, 2 * n)
+    perm = rng.permutation(n)
+    for index in (mask, repeats, perm):
+        part = cohort.subset(index)
+        assert part.m.tobytes() == cohort.m[index].tobytes()
+        _check_time_codes(part, table)
+    _check_time_codes(cohort.censoring_as_cause(), table)
+    _check_time_codes(cohort.subset(perm).censoring_as_cause(), table)
+
+
+def test_zero_and_negative_zero_times_share_one_code():
+    # -0.0 == 0.0: one code, and the table holds +0.0; m keeps each row's
+    # sign bit
+    cohort = Cohort([0, 1, 0, 1], [0] * 4, [0] * 4, [-0.0, 1.0, 0.0, -0.0],
+                    [1, 1, 0, 1])
+    assert cohort.m_codes.tolist() == [0, 1, 0, 0]
+    assert cohort.m_times.tobytes() == np.array([0.0, 1.0]).tobytes()
+    assert np.signbit(cohort.m).tolist() == [True, False, False, True]
+    assert cohort.cells("m")[0].tolist() == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("m, message", [
+    ([[1.0, 2.0]], "m and delta must align with x"),
+    ([1.0], "m and delta must align with x"),
+    ([1.0, float("nan")], "observed times must be finite and nonnegative"),
+    ([1.0, float("inf")], "observed times must be finite and nonnegative"),
+    ([1.0, -2.0], "observed times must be finite and nonnegative"),
+])
+def test_bad_times_fail_before_they_are_coded(m, message):
+    with pytest.raises(CohortSchemaError) as caught:
+        Cohort([0, 1], [0, 0], [0, 0], m, [1, 1])
+    assert type(caught.value) is CohortSchemaError
+    assert str(caught.value) == message
+
+
 def test_equal_csv_tokens_form_one_stratum():
     text = "x,z,w,m,delta\n0,1,0,1,1\n1,1.0,0,2,1\n1,2,0,3,0\n0, 1,0,4,1\n"
     cohort = Cohort.from_csv(text)

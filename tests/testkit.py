@@ -2,7 +2,8 @@
 package's test-only helpers (prediction counters, guarded prediction
 wrappers, the per-row oracles of the models' covariate conversion, the
 per-curve functional and the per-cell and direct-summation plug-in
-oracles, single-row influence values).
+oracles, single-row influence values, and the one-query, one-horizon,
+per-stratum and spec-table entry points only tests call).
 
 `brute_po` enumerates every (z, w, latent-time) configuration with plain
 Python loops over the raw probability tables.  It deliberately shares no
@@ -16,16 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairsurv.copulas import CopulaSpec
-from fairsurv.curves import _increments
+from fairsurv.copulas import CopulaSpec, generator, generator_inverse
+from fairsurv.curves import (
+    _increments,
+    aalen_johansen_cif,
+    kaplan_meier,
+    restricted_means,
+)
 from fairsurv.dr import (
     COMPONENT_NAMES,
+    DRNuisances,
     InfluenceEvaluation,
     _as_query,
     _Contributions,
+    _dr_target,
+    crossfit_dr_many,
 )
-from fairsurv.errors import DegenerateGroupError, EstimationError
-from fairsurv.identify import _validate_grid
+from fairsurv.errors import DataError, DegenerateGroupError, EstimationError
+from fairsurv.identify import _validate_grid, plugin_po_many
+from fairsurv.nuisance import (
+    _CONDITIONING,
+    ConditionalSurvivalModel,
+    PropensityModel,
+    _indicator,
+    _normalize_target,
+)
 from fairsurv.scm import Cohort, SCMSpec, cell_members
 
 # ---------------------------------------------------------------------------
@@ -1316,3 +1332,127 @@ def reference_influence(cohort, nuisances, query, functional, grid, *,
     values = sum(comps[name] for name in COMPONENT_NAMES)
     return InfluenceEvaluation(grid=grid, values=values, components=comps,
                                n_flagged=int(n_flagged))
+
+
+# ---------------------------------------------------------------------------
+# Entry points only tests call: one query, one horizon, one stratum, and
+# exact nuisances read off a generative spec
+# ---------------------------------------------------------------------------
+
+def crossfit_dr(plan, query, functional, grid=None):
+    """Cross-fitted one-step estimate of one potential-outcome curve."""
+    return crossfit_dr_many(plan, [query], functional, grid)[_as_query(query)]
+
+
+def plugin_po(nuisances, cohort, query, functional, grid,
+              return_report=False):
+    """Weighted plug-in estimate of one potential-outcome curve; the
+    one-query case of `plugin_po_many`."""
+    curve, report = plugin_po_many(
+        nuisances, cohort, [query], functional, grid)[query]
+    return (curve, report) if return_report else curve
+
+
+def restricted_mean(curve, horizon):
+    """Exact integral of a survival step curve from 0 to `horizon`."""
+    h = float(horizon)
+    if not np.isfinite(h) or h <= 0.0:
+        raise DataError("horizon must be positive and finite")
+    return float(restricted_means(curve, [h])[0])
+
+
+def stratum_curve(m, delta, target, n_causes):
+    """Product-limit curve of one stratum's rows by the one-cohort
+    estimators: cumulative incidence for a cause target, survival
+    otherwise."""
+    if isinstance(target, int):
+        return aalen_johansen_cif(m, delta, cause=target, n_causes=n_causes)
+    return kaplan_meier(m, _indicator(delta, target))
+
+
+def copula_cdf(spec, u, v):
+    """C(u, v) = phi^{-1}(phi(u) + phi(v))."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    out = generator_inverse(spec, generator(spec, u) + generator(spec, v))
+    # exact on the boundary regardless of float noise in the generator
+    out = np.where((u <= 0.0) | (v <= 0.0), 0.0, out)
+    out = np.where(v >= 1.0, u, out)
+    out = np.where(u >= 1.0, np.where(v >= 1.0, 1.0, v), out)
+    return out if out.ndim else float(out)
+
+
+def component_gap(evaluation):
+    """Largest gap between an `InfluenceEvaluation`'s values and the sum
+    of its components."""
+    total = sum(evaluation.components[name] for name in COMPONENT_NAMES)
+    return float(np.max(np.abs(total - evaluation.values), initial=0.0))
+
+
+def event_support(spec):
+    """Sorted union of finite event-time atoms across strata and causes."""
+    pts = set()
+    for canon in spec._event:
+        for times, probs in canon.values():
+            pts.update(t for t, p in zip(times, probs) if np.isfinite(t) and p > 0)
+    return np.array(sorted(pts))
+
+
+def censor_hazard_increments(spec, x, z, w):
+    """Discrete censoring hazard P(C = u) / P(C >= u) at each atom."""
+    return spec._law_hazard("censor", x, z, w)
+
+
+def survival_model_from_spec(spec, target):
+    """Exact per-stratum curves read off a generative spec's laws."""
+    target = _normalize_target(target)
+    curves = {}
+    for x, z, w in spec.strata():
+        if target == "censoring":
+            curve = spec.conditional_survival(x, z, w, cause="censor")
+        elif target == "event":
+            curve = spec.conditional_all_cause_survival(x, z, w)
+        else:
+            curve = spec.conditional_cif(x, z, w, cause=target)
+        curves[(x, z, w)] = curve
+    return ConditionalSurvivalModel.from_curves(
+        curves, target, n_causes=spec.n_causes,
+        fit_report={"source": "generative-spec"},
+    )
+
+
+def propensity_from_spec(spec, conditioning):
+    """Exact group probabilities implied by a generative spec."""
+    if conditioning not in _CONDITIONING:
+        raise DataError(f"conditioning must be one of {_CONDITIONING}")
+    marginal = sum(spec.p_xz[(1, z)] for z in spec.z_support)
+    table = {}
+    if conditioning == "z":
+        for z in spec.z_support:
+            denom = spec.p_xz[(0, z)] + spec.p_xz[(1, z)]
+            table[(z,)] = spec.p_xz[(1, z)] / denom
+    elif conditioning == "zw":
+        for z in spec.z_support:
+            for w in spec.w_support:
+                joint = {
+                    x: spec.p_xz[(x, z)] * spec.p_w_given_xz[(x, z)][w]
+                    for x in (0, 1)
+                }
+                table[(z, w)] = joint[1] / (joint[0] + joint[1])
+    return PropensityModel(
+        "frequency_table", conditioning, 0.0,
+        {"source": "generative-spec", "conditioning": conditioning},
+        table=table, marginal=marginal,
+    )
+
+
+def dr_nuisances_from_spec(spec, functional):
+    """Exact nuisance bundle read off a generative spec (no estimation)."""
+    target = _dr_target(functional)
+    return DRNuisances(
+        outcome=survival_model_from_spec(spec, target),
+        censoring=survival_model_from_spec(spec, "censoring"),
+        propensity_zw=propensity_from_spec(spec, "zw"),
+        propensity_z=propensity_from_spec(spec, "z"),
+        mediator_table=dict(spec.p_w_given_xz),
+    )
