@@ -267,10 +267,11 @@ def cge_bounded(cif_t, cif_c, spec, grid):
 # Route I: per-stratum reconstruction, aggregated by propensity weights
 # ---------------------------------------------------------------------------
 
-def _trajectories(cohort, zw_ids, first, arms):
+def _trajectories(cohort, arms):
     """The distinct row sets of Route I's latent curves, and the (cells x
     arms) index of the one each cell reads in an arm: its rows there,
     else the arm's rows sharing its confounder, else the whole arm."""
+    zw_ids, first = cohort.cells("zw")
     z_ids, z_first = cohort.cells("z")
     members, pick = [], []
     for arm in arms:
@@ -280,7 +281,9 @@ def _trajectories(cohort, zw_ids, first, arms):
         groups = cell_members(zw_ids[rows], first.size) + cell_members(
             z_ids[rows], z_first.size) + [np.arange(rows.size)]
         sizes, source = np.array(list(map(len, groups))), np.arange(first.size)
-        for fallback in (first.size + z_ids[first], len(groups) - 1):
+        # in intp: small unsigned ids would wrap past their type's range
+        for fallback in (first.size + z_ids[first].astype(np.intp),
+                         len(groups) - 1):
             source = np.where(sizes[source] > 0, source, fallback)
         used, index = np.unique(source, return_inverse=True)
         pick.append(len(members) + index)
@@ -318,7 +321,7 @@ def route1_conditional(cohort, specs, nuisances, queries, grid):
     queries = list(dict.fromkeys(queries))
     arms = sorted({q.x_outcome for q in queries})
     zw_ids, first = cohort.cells("zw")
-    members, pick = _trajectories(cohort, zw_ids, first, arms)
+    members, pick = _trajectories(cohort, arms)
     latent = np.empty((len(specs), len(members), grid.size))
     step = max(1, _BLOCK_ELEMENTS // grid.size)
     for b in range(0, len(members), step):

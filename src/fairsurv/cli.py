@@ -36,7 +36,7 @@ from .cge import incidence_estimates, route1_conditional, \
     route2_population
 from .copulas import CopulaSpec
 from .decompose import _series, cr_functionals, decompose_cr
-from .dr import FoldPlan
+from .dr import FoldPlan, _check_cap
 from .errors import DataError, EmptyCohortError, EstimationError
 from .identify import _validate_grid, default_grid, fit_plugin_nuisances, \
     outcome_target
@@ -518,10 +518,10 @@ def main(argv=None):
     try:
         if config["command"] == "simulate":
             paths = cmd_simulate(config)
-        elif config["command"] == "curves":
-            paths = cmd_curves(config)
         else:
-            paths = cmd_decompose(config)
+            _check_cap(config["cap"])  # before the cohort is read
+            paths = (cmd_curves if config["command"] == "curves"
+                     else cmd_decompose)(config)
     except DataError as exc:
         print(f"fairsurv: data error: {exc}", file=sys.stderr)
         return 3

@@ -146,8 +146,7 @@ class InfluenceEvaluation:
     n_flagged: int
 
 
-def _nu_values(nuisances, query, grid, cohort, z_wanted,
-               mediator_cells=None):
+def _nu_values(nuisances, query, grid, cohort, z_wanted):
     """nu(z) = mean of the cross-arm prediction over the x_w group.
 
     Returns ({code: (T,) array}, n_fallback) for the confounder codes
@@ -156,8 +155,7 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted,
     the bundle was fitted on (matched by value).  Curves are summed as
     they are predicted, so memory is one of the model's prediction
     blocks, one sum per confounder value and one pooled sum shared by
-    every fallback value.  ``mediator_cells`` are the mediator cohort's
-    (x, z, w) cells, found here when not given.
+    every fallback value.
     """
     x_y, x_w = query.x_outcome, query.x_mediator
     wanted = dict(zip(z_wanted, cohort.z_values[z_wanted].tolist()))
@@ -190,7 +188,7 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted,
         raise EstimationError(
             "nuisance bundle carries neither a mediator cohort nor a table")
     # each x_w cell's first row and row count, in order of first appearance
-    ids, first = mediator_cells or mediators.cells("xzw")
+    ids, first = mediators.cells("xzw")
     mine = mediators.x[first] == x_w
     first, counts = first[mine], np.bincount(ids)[mine].tolist()
     if not first.size:
@@ -211,14 +209,6 @@ def _nu_values(nuisances, query, grid, cohort, z_wanted,
     return out, len(wanted) - len(seen)
 
 
-def _row_classes(cohort):
-    """Each row's class id: rows equal in group, (z, w) cell, event label
-    and time have equal influence values under one bundle.  Ids go in
-    the smallest integer type that holds them."""
-    ids, first = cohort.cells("xzwdm")
-    return ids.astype(np.min_scalar_type(first.size))
-
-
 def _check_cap(cap):
     if not np.isfinite(cap) or cap <= 0.0:
         raise DataError(f"cap must be positive and finite, got {cap!r}")
@@ -230,13 +220,12 @@ class _Contributions:
 
     ``p_conditions`` are the queries' conditioning-group fractions.
     nu(z) is computed once per (x_outcome, x_mediator) pair, for the
-    confounder values of ``rows`` (``nu[pair]``; ``mediator_cells`` as
-    in `_nu_values`); ``n_fallback[q]`` counts those that fell back to
-    the pooled average for query q.
+    confounder values of ``rows`` (``nu[pair]``); ``n_fallback[q]``
+    counts those that fell back to the pooled average for query q.
     """
 
     def __init__(self, cohort, nuisances, queries, functional, grid,
-                 p_conditions, epsilon, cap, rows, mediator_cells=None):
+                 p_conditions, epsilon, cap, rows):
         _check_cap(cap)
         base = _base_kind(functional)
         if base == "cif":
@@ -259,8 +248,7 @@ class _Contributions:
         self.epsilon, self.cap = epsilon, cap
         z_wanted = np.unique(cohort.z_codes[rows]).tolist()
         by_pair = {(q.x_outcome, q.x_mediator): q for q in queries}
-        nu = {pair: _nu_values(nuisances, q, grid, cohort, z_wanted,
-                               mediator_cells)
+        nu = {pair: _nu_values(nuisances, q, grid, cohort, z_wanted)
               for pair, q in by_pair.items()}
         self.nu = {pair: values for pair, (values, _) in nu.items()}
         self.n_fallback = [nu[q.x_outcome, q.x_mediator][1] for q in queries]
@@ -270,12 +258,11 @@ class _Contributions:
             np.searchsorted(model.grid, grid, side="right")
             for model in (nuisances.outcome, nuisances.censoring))
 
-    def evaluate(self, rows, counts, cells, out, targets, comps=None):
+    def evaluate(self, rows, counts, out, targets, comps=None):
         """Write query q's values of ``rows`` (grid columns) into
         ``out[q, targets]``, which holds zeros, and return the number of
-        rows trimmed per query; ``cells`` are the cohort's (z, w) cell ids
-        and each row stands for ``counts`` rows of its class
-        (`_row_classes`), which have equal values.
+        rows trimmed per query; each row stands for ``counts`` rows of its
+        class (``cohort.cells("xzwdm")``), which have equal values.
 
         A row's value adds its components in COMPONENT_NAMES order.  A
         row with a non-finite value, or one above ``cap`` in magnitude,
@@ -295,8 +282,8 @@ class _Contributions:
         if not rows.size:
             return n_flagged
         cohort, nuisances = self.cohort, self.nuisances
-        _, first, cell = np.unique(cells[rows], return_index=True,
-                                   return_inverse=True)
+        _, first, cell = np.unique(cohort.cells("zw")[0][rows],
+                                   return_index=True, return_inverse=True)
         first, cell = rows[first], cell.reshape(-1)
         keys = list(map(repr, zip(
             cohort.z_values[cohort.z_codes[first]].tolist(),
@@ -561,9 +548,8 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
     (n_flagged,) = _Contributions(
         cohort, nuisances, [query], functional, grid, [p_condition],
         epsilon, cap, np.arange(cohort.n)).evaluate(
-            first, np.bincount(classes), cohort.cells("zw")[0],
-            np.zeros((1, first.size, grid.size)), np.arange(first.size),
-            comps)
+            first, np.bincount(classes), np.zeros((1, first.size, grid.size)),
+            np.arange(first.size), comps)
     comps = {name: comp[0][classes] for name, comp in comps.items()}
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
     ind_z = (cohort.x == query.x_condition).astype(float)
@@ -633,14 +619,11 @@ class FoldPlan:
     """Folds, estimator settings and per-fold nuisance fits of a run.
 
     Folds are ``assign_folds(cohort, n_folds, seed)`` or the given
-    ``fold_ids``; ``cell_ids`` are the cohort's (z, w) cell ids and
-    ``class_ids`` its row classes (`_row_classes`): within a fold, rows
-    of one class share one influence evaluation.  A
-    fold's first outcome target fits the whole bundle on its complement,
-    whose (x, z, w) cells are found then; later targets reuse its
-    censoring model, propensities and mediator cohort and fit only an
-    outcome model.  A fixed ``nuisances`` bundle is evaluated on every
-    row instead (one part, fold id 0, ``n_folds`` 0).
+    ``fold_ids``.  A fold's first outcome target fits the whole bundle
+    on its complement; later targets reuse its censoring model,
+    propensities and mediator cohort and fit only an outcome model.  A
+    fixed ``nuisances`` bundle is evaluated on every row instead (one
+    part, fold id 0, ``n_folds`` 0).  Cells come from `Cohort.cells`.
     """
 
     def __init__(self, cohort, n_folds=2, seed=0, *, learners=None,
@@ -657,17 +640,12 @@ class FoldPlan:
         else:
             self.fold_ids, self.n_folds = _fold_labels(cohort, fold_ids)
         self._bundles = [{} for _ in range(self.n_folds)]
-        self._mediator_cells = [None] * self.n_folds
-        self.cell_ids, _ = cohort.cells("zw")
-        self.class_ids = _row_classes(cohort)
 
     def parts(self, functional):
-        """Yield ``(bundle, rows, mediator_cells)`` per fold: the bundle
-        fitted without the fold for the functional's target, the fold's
-        row indices and the (x, z, w) cells of the bundle's mediator
-        cohort (None for a fixed bundle: `_nu_values` finds them)."""
+        """Yield ``(bundle, rows)`` per fold: the bundle fitted without the
+        fold for the functional's target and the fold's row indices."""
         if self._fixed is not None:
-            yield self._fixed, np.arange(self.cohort.n), None
+            yield self._fixed, np.arange(self.cohort.n)
             return
         target = _dr_target(functional)
         for f, bundles in enumerate(self._bundles):
@@ -675,14 +653,11 @@ class FoldPlan:
                 bundles[target] = fit_dr_nuisances(
                     self.cohort.subset(self.fold_ids != f), functional,
                     epsilon=self.epsilon, **self.learners)
-                self._mediator_cells[f] = bundles[
-                    target].mediator_cohort.cells("xzw")
             elif target not in bundles:
                 shared = next(iter(bundles.values()))
                 bundles[target] = replace(shared, outcome=fit_outcome(
                     shared.mediator_cohort, target, **self.learners))
-            yield (bundles[target], np.flatnonzero(self.fold_ids == f),
-                   self._mediator_cells[f])
+            yield bundles[target], np.flatnonzero(self.fold_ids == f)
 
 
 # Most values (rows x grid points x queries) ``crossfit_dr_many`` holds in
@@ -724,8 +699,8 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
 
     contribs = [_Contributions(cohort, bundle, queries, base_functional,
                                grid, [p_cond[q] for q in queries],
-                               plan.epsilon, plan.cap, rows, cells)
-                for bundle, rows, cells in list(plan.parts(base_functional))]
+                               plan.epsilon, plan.cap, rows)
+                for bundle, rows in list(plan.parts(base_functional))]
     sums, groups, n_flagged = _stream_rows(plan, contribs, grid, rmst)
 
     raw = sums / n
@@ -798,15 +773,17 @@ def _stream_rows(plan, contribs, grid, rmst):
                np.zeros((n_queries, n_queries, grid.size)))] * 2
     n_flagged = np.zeros(n_queries, dtype=int)
     chunk = max(1, _PIECE_ELEMENTS // (grid.size * n_queries))
-    n_classes = int(plan.class_ids.max()) + 1
+    classes = cohort.cells("xzwdm")[0]
+    n_classes = int(classes.max()) + 1
     bound = (int(plan.fold_ids.max()) + 1) * n_classes
     for start in range(0, n, step):
         stop = min(start + step, n)
         # slot j of the block's (fold, class) pairs, numbered by first
         # appearance, sits at slab row 1 + j: no later than its first row
+        # (the int64 fold ids keep the key's sum from wrapping)
         slot, first = _first_appearance(
             (plan.fold_ids[start:stop] * n_classes
-             + plan.class_ids[start:stop]).astype(
+             + classes[start:stop]).astype(
                  np.min_scalar_type(bound - 1)))
         first += start
         counts = np.bincount(slot)
@@ -817,7 +794,7 @@ def _stream_rows(plan, contribs, grid, rmst):
         for f, contrib in enumerate(contribs):
             mine = np.flatnonzero(folds == f)
             n_flagged += contrib.evaluate(first[mine], counts[mine],
-                                          plan.cell_ids, by_query, mine)
+                                          by_query, mine)
         values = by_query if rmst is None else rmst(by_query)
         xs = cohort.x[first]
         for g in (0, 1):

@@ -91,8 +91,7 @@ def stratum_curves(cohort, target, levels):
     by_time = np.argsort(cohort.m_codes, kind="stable")
     for by in levels:
         ids, first = cohort.cells(by)
-        order = by_time[np.argsort(ids[by_time].astype(
-            np.min_scalar_type(first.size)), kind="stable")]
+        order = by_time[np.argsort(ids[by_time], kind="stable")]
         bounds = np.append(0, np.cumsum(np.bincount(ids)))
         jumps, values, sizes = product_limit_steps(
             cohort.m[order], events[order], bounds, kind, target)

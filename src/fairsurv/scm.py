@@ -396,7 +396,17 @@ def _parse_token(token):
 
 
 def _parse_numbers(tokens, kind, name):
+    """A column's tokens parsed by ``kind``.  An int column parses each
+    distinct token once, in order of first appearance, so the first
+    invalid one is still the one reported; times seldom repeat and are
+    parsed token by token."""
     try:
+        if kind is int:
+            distinct = dict.fromkeys(tokens)
+            parsed = dict(zip(distinct, np.fromiter(
+                map(int, distinct), dtype=int, count=len(distinct)).tolist()))
+            return np.fromiter(map(parsed.__getitem__, tokens), dtype=int,
+                               count=len(tokens))
         return np.fromiter(map(kind, tokens), dtype=kind, count=len(tokens))
     except (ValueError, OverflowError) as exc:
         raise CohortSchemaError(
@@ -544,7 +554,8 @@ class Cohort:
     ascending distinct times ``m_times`` (where -0.0 reads 0.0), in the
     smallest unsigned type.  Subsets and recodes slice the codes and share
     the tables, which may hold entries that none of a subset's rows has.
-    ``z_items``/``w_items`` rebuild the per-row values on demand.
+    ``z_items``/``w_items`` rebuild the per-row values on demand, and
+    `cells` numbers each key once per cohort (a subset is a new cohort).
     """
 
     def __init__(self, x, z, w, m, delta, n_causes=None):
@@ -586,6 +597,7 @@ class Cohort:
             times.flags.writeable = False
             m_coded = codes.astype(np.min_scalar_type(times.size - 1)), times
         self.m_codes, self.m_times = m_coded
+        self._cells = {}  # by -> (ids, first), numbered on first request
 
     @property
     def n(self):
@@ -631,7 +643,12 @@ class Cohort:
         """Cell id of every row over the columns named in ``by``, any of
         "x", "z", "w", "d" (the event label) and "m" (the observed time),
         numbered in order of first appearance, plus the first row of each
-        cell."""
+        cell.  Each ``by`` is numbered once per cohort: every call returns
+        the same two read-only arrays, the ids in the smallest unsigned
+        type that holds the cell count (cast them before adding a number
+        they may not hold)."""
+        if by in self._cells:
+            return self._cells[by]
         columns = {"x": (self.x, 2),
                    "z": (self.z_codes, len(self.z_values)),
                    "w": (self.w_codes, len(self.w_values)),
@@ -646,7 +663,11 @@ class Cohort:
             key = key * size + codes
             bound *= size
         # in the smallest type, which a few cells make quick to sort
-        return _first_appearance(key.astype(np.min_scalar_type(bound - 1)))
+        ids, first = _first_appearance(
+            key.astype(np.min_scalar_type(bound - 1)))
+        ids = ids.astype(np.min_scalar_type(first.size))
+        ids.flags.writeable = first.flags.writeable = False
+        return self._cells.setdefault(by, (ids, first))
 
     # -- CSV ------------------------------------------------------------------
 

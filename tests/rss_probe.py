@@ -51,11 +51,18 @@ cell) latent curve spans the whole default grid; the recursions run over
 blocks of cells, so their working set does not grow with the number of
 cells.
 
+With `ic-plugin-continuous-z`, the `continuous-z` cohort goes through
+the `ic-plugin` run, with the logistic propensity learner (Route I fits
+no survival model).  Almost every row is a covariate cell of its own,
+so about n cells each read a latent curve per arm, most of them through
+the arm's fallback row set.
+
     PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [CASE]
 
 with CASE one of continuous-z, short-grid, rmst, plugin, plugin-rmst,
-ic, ic-plugin and integer, prints the run's figures as JSON and exits 1
-unless the child succeeded with a peak RSS below LIMIT_MB.
+ic, ic-plugin, ic-plugin-continuous-z and integer, prints the run's
+figures as JSON and exits 1 unless the child succeeded with a peak RSS
+below LIMIT_MB.
 """
 
 from __future__ import annotations
@@ -78,8 +85,9 @@ CLI_CODE = ("import sys; from fairsurv.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
 
 
+LOGISTIC_PROPENSITY = ("--propensity-learner", "logistic_irls")
 CONTINUOUS_Z_LEARNERS = ("--learner", "logrank_tree_ensemble",
-                         "--propensity-learner", "logistic_irls")
+                         *LOGISTIC_PROPENSITY)
 IC_ARGS = ("--mode", "ic", "--tau", "0.2,0.5,0.8",
            "--envelope-samples", "2000")
 IC_PLUGIN_ARGS = ("--mode", "ic", "--estimator", "plugin",
@@ -112,8 +120,9 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
     learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
     if ic:
         learners += IC_ARGS
-    if ic_plugin:
-        learners += IC_PLUGIN_ARGS
+    if ic_plugin:  # Route I fits no survival model
+        learners = (LOGISTIC_PROPENSITY if continuous_z else ()) \
+            + IC_PLUGIN_ARGS
     if rmst:
         learners += ("--functional", "rmst")
     if plugin:
@@ -148,19 +157,20 @@ def main(argv):
     case = argv[2] if argv[2:] else None
     if argv[3:] or case not in (None, "continuous-z", "short-grid", "rmst",
                                 "plugin", "plugin-rmst", "ic", "ic-plugin",
-                                "integer"):
+                                "ic-plugin-continuous-z", "integer"):
         sys.exit(f"unknown case {' '.join(argv[2:])!r}; the cases are "
                  "continuous-z, short-grid, rmst, plugin, plugin-rmst, ic, "
-                 "ic-plugin and integer")
+                 "ic-plugin, ic-plugin-continuous-z and integer")
     with tempfile.TemporaryDirectory() as workdir:
         result = decompose_peak_rss(
             n, workdir,
             continuous_z=case in ("continuous-z", "short-grid", "plugin",
-                                  "plugin-rmst"),
+                                  "plugin-rmst", "ic-plugin-continuous-z"),
             rmst=case in ("rmst", "plugin-rmst"),
             plugin=case in ("plugin", "plugin-rmst"),
             grid_points=5 if case == "short-grid" else None,
-            ic=case == "ic", ic_plugin=case == "ic-plugin",
+            ic=case == "ic",
+            ic_plugin=case in ("ic-plugin", "ic-plugin-continuous-z"),
             integer=case == "integer")
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
                       **result}))

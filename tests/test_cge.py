@@ -540,6 +540,32 @@ def test_route1_blocks_are_bounded_and_leave_curves_unchanged(monkeypatch):
             assert got[q].values.tobytes() == want[q].values.tobytes()
 
 
+def _cell_incidence_levels(cohort, grid):
+    """Check Route I's incidence of every (cell, arm) against the empirical
+    pair of the rows it reads: the cell's rows in the arm, else the arm's
+    rows sharing its confounder, else the whole arm.  Returns the levels
+    read, the member sets, the (cells x arms) pick and the censoring
+    incidence of each set."""
+    x, z, m, delta = cohort.x, np.array(cohort.z_items), cohort.m, \
+        cohort.delta
+    zw_ids, first = cohort.cells("zw")
+    members, pick = _trajectories(cohort, [0, 1])
+    cif_t, cif_c = _incidence(cohort, members, grid)
+    levels = set()
+    for c, row in enumerate(first):
+        for a, arm in enumerate((0, 1)):
+            for level, rows in (("zw", zw_ids == c), ("z", z == z[row]),
+                                ("x", np.ones(x.size, bool))):
+                rows &= x == arm
+                if rows.any():
+                    break
+            levels.add(level)
+            want_t, want_c = empirical_cif_pair(m[rows], delta[rows], grid)
+            assert cif_t[pick[c, a]].tobytes() == want_t.values.tobytes()
+            assert cif_c[pick[c, a]].tobytes() == want_c.values.tobytes()
+    return levels, members, pick, cif_c
+
+
 def test_cell_incidence_equals_per_time_reference():
     # arm 1 has no row in cell (z=1, w=1), so that cell reads arm 1's
     # z=1 rows; arm 0 has no row with z=2, so those cells read all of arm
@@ -558,27 +584,22 @@ def test_cell_incidence_equals_per_time_reference():
     delta[(x == 1) & (z == 0) & (w == 0)] = 1
     cohort = Cohort(x, z, w, m, delta, n_causes=1)
     grid = np.array([0.5, 1.0, 2.5, 3.0, 4.0, 6.0])
-    zw_ids, first = cohort.cells("zw")
-    members, pick = _trajectories(cohort, zw_ids, first, [0, 1])
-    cif_t, cif_c = _incidence(cohort, members, grid)
-    levels = set()
-    for c, row in enumerate(first):
-        for a, arm in enumerate((0, 1)):
-            for level, rows in (("zw", zw_ids == c), ("z", z == z[row]),
-                                ("x", np.ones(x.size, bool))):
-                rows &= x == arm
-                if rows.any():
-                    break
-            levels.add(level)
-            want_t, want_c = empirical_cif_pair(m[rows], delta[rows], grid)
-            assert cif_t[pick[c, a]].tobytes() == want_t.values.tobytes()
-            assert cif_c[pick[c, a]].tobytes() == want_c.values.tobytes()
+    levels, members, pick, cif_c = _cell_incidence_levels(cohort, grid)
     assert levels == {"zw", "z", "x"}
     # one member set per arm and seen cell, one per arm's fallback
     assert len(members) == 4 + 5 + 1 + 1
-    no_censoring = pick[zw_ids[np.flatnonzero(
+    no_censoring = pick[cohort.cells("zw")[0][np.flatnonzero(
         (x == 1) & (z == 0) & (w == 0))[0]], 1]
     assert np.all(cif_c[no_censoring] == 0.0)
+    # 150 confounder values, so uint8 ids, and one mediator value; arm 0
+    # has no row at z >= 120, whose cells read all of arm 0 through a
+    # fallback index past 255
+    z = rng.integers(0, 150, 3000)
+    x = np.where(z >= 120, 1, rng.integers(0, 2, z.size))
+    cohort = Cohort(x, z, np.zeros_like(z), rng.choice(m, z.size),
+                    rng.integers(0, 2, z.size), n_causes=1)
+    assert cohort.cells("z")[0].dtype == np.uint8
+    assert _cell_incidence_levels(cohort, grid)[0] == {"zw", "x"}
 
 
 def test_route1_recovers_latent_truth_under_true_copula(ic_cohort,

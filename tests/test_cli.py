@@ -973,14 +973,23 @@ def test_config_that_is_not_utf8_is_usage_error(nc_cohort_csv, tmp_path,
 
 
 @pytest.mark.parametrize("cap", ["0", "-1", "inf", "nan"])
-def test_exit_code_3_on_nonpositive_or_infinite_cap(nc_cohort_csv, tmp_path,
+def test_exit_code_3_on_nonpositive_or_infinite_cap(nc_cohort_csv,
+                                                    ic_cohort_csv, tmp_path,
                                                     capsys, cap):
-    out = tmp_path / "out"
-    rc = main(["decompose", "--cohort", str(nc_cohort_csv), "--cap", cap,
-               "--outdir", str(out)])
-    assert rc == 3
-    assert "cap" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    # every analysis command and estimator, the cap read or not
+    for i, (args, cohort) in enumerate([
+            (["decompose"], nc_cohort_csv),
+            (["decompose", "--estimator", "plugin"], nc_cohort_csv),
+            (["decompose", "--mode", "ic", "--tau", "0.5", "--estimator",
+              "plugin"], ic_cohort_csv),
+            (["curves"], nc_cohort_csv)]):
+        out = tmp_path / f"out{i}"
+        rc = main([*args, "--cohort", str(cohort), "--cap", cap,
+                   "--outdir", str(out)])
+        assert rc == 3, args
+        assert (f"fairsurv: data error: cap must be positive and finite, "
+                f"got {float(cap)!r}") in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_multicolumn_covariates_autodetected(tmp_path):

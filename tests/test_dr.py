@@ -842,8 +842,9 @@ def test_moments_take_one_entry_per_fold_and_row_class(monkeypatch,
 
     monkeypatch.setattr(fairsurv.dr, "_moments", spy)
     crossfit_dr_many(plan, queries, functional, grid)
+    classes = plan.cohort.cells("xzwdm")[0]
     pairs = [len(set(zip(plan.fold_ids[lo:lo + step].tolist(),
-                         plan.class_ids[lo:lo + step].tolist())))
+                         classes[lo:lo + step].tolist())))
              for lo in range(0, plan.cohort.n, step)]
     assert len(seen) == 2 * len(pairs)  # each block holds both groups
     assert all(a + b <= n for a, b, n in zip(seen[::2], seen[1::2], pairs))
@@ -1047,7 +1048,7 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
                                                      pieces):
     import fairsurv.dr
     import fairsurv.nuisance
-    from fairsurv.dr import _Contributions, _row_classes
+    from fairsurv.dr import _Contributions
     from fairsurv.scm import _first_appearance
 
     cohort, bundle, functional, grid, cap = _oracle_case(case)
@@ -1057,7 +1058,7 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
         # cell, whose per-cell values broadcast over its rows
         monkeypatch.setattr(fairsurv.dr, "_PIECE_ELEMENTS",
                             len(queries) * len(grid) * 5)
-    classes = _row_classes(cohort)
+    ids, classes = cohort.cells("zw")[0], cohort.cells("xzwdm")[0]
     flagged = 0
     for query in queries:
         got = evaluate_influence(cohort, bundle, query, functional, grid,
@@ -1087,7 +1088,6 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
     args = (cohort, bundle, queries, functional, grid, p, 0.01, cap,
             everything)
     block, oracle = _Contributions(*args), ReferenceContributions(*args)
-    ids, classes = cohort.cells("zw")[0], _row_classes(cohort)
     for lo, hi in ((0, 37), (37, 150), (150, cohort.n)):
         rows = everything[lo:hi]
         # each class of the block at its first row, read by its rows
@@ -1095,7 +1095,7 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
         heads = np.zeros((len(queries), first.size, grid.size))
         want = np.zeros((len(queries), rows.size, grid.size))
         assert np.array_equal(
-            block.evaluate(rows[first], np.bincount(slot), ids, heads,
+            block.evaluate(rows[first], np.bincount(slot), heads,
                            np.arange(first.size)),
             oracle.evaluate(rows, _by_cell(ids, rows), want, rows - lo))
         assert heads[:, slot].tobytes() == want.tobytes()
@@ -1183,7 +1183,7 @@ def test_a_corrupted_leaf_fails_the_block_checks_as_a_curve(corruption):
                         np.where(cohort.delta == 1, 1 + cohort.x, 0))
         functional = Functional("cif", cause=1)
     plan = FoldPlan(cohort, seed=2, learners=TREE_LEARNERS)
-    bundle, rows, _ = next(plan.parts(functional))
+    bundle, rows = next(plan.parts(functional))
     forest = bundle.outcome._forest
     # the values of a leaf the first evaluated row reaches, from its last
     # (from its first, for a NaN)
@@ -1208,29 +1208,38 @@ def test_a_corrupted_leaf_fails_the_block_checks_as_a_curve(corruption):
         crossfit_dr_many(plan, queries, functional, [0.5, 1.0, 2.0])
 
 
-def test_cell_ids_are_found_once_per_plan_and_mediator_cohort(
-        monkeypatch, tmp_path):
-    # an ic run of eight cross-fits over one fold plan: the (z, w) cell
-    # ids and the row classes once for the plan, the (x, z, w) cells once
-    # per fold's bundle
+@pytest.mark.parametrize("estimator", ["dr", "plugin"])
+@pytest.mark.parametrize("mode", ["nic", "cr", "ic"])
+def test_each_cell_key_is_numbered_once_per_cohort(monkeypatch, tmp_path,
+                                                   mode, estimator):
+    # a whole decompose run, whichever module asks: `Cohort.cells`
+    # numbers each (cohort, key) pair at most once, fold complements and
+    # recoded cohorts being cohorts of their own
     import sys
 
-    from fairsurv.cli import main
+    import fairsurv.scm
 
-    cells = Cohort.cells
-    calls = []
+    number = fairsurv.scm._first_appearance
+    cohorts, numbered = [], []
 
-    def counted(cohort, by):
-        if sys._getframe(1).f_globals.get("__name__") == "fairsurv.dr":
-            calls.append(by)
-        return cells(cohort, by)
-    monkeypatch.setattr(Cohort, "cells", counted)
-    cohort = sample_cohort(spec_of(make_nic_balanced()), 2000, seed=0)
+    def counted(key):
+        frame = sys._getframe(1)
+        if frame.f_code is Cohort.cells.__code__:
+            cohort = frame.f_locals["self"]
+            cohorts.append(cohort)  # alive, so no id is reused
+            numbered.append((id(cohort), frame.f_locals["by"]))
+        return number(key)
+    monkeypatch.setattr(fairsurv.scm, "_first_appearance", counted)
+    spec = make_cr_two_cause() if mode == "cr" else make_nic_balanced()
+    cohort = sample_cohort(spec_of(spec), 2000, seed=0)
     (tmp_path / "cohort.csv").write_text(cohort.to_csv())
-    assert main(["decompose", "--mode", "ic", "--tau", "0.2,0.5,0.8",
-                 "--cohort", str(tmp_path / "cohort.csv"),
+    args = ["--mode", mode, "--estimator", estimator]
+    if mode == "ic":
+        args += ["--tau", "0.2,0.5,0.8"]
+    from fairsurv.cli import main
+    assert main(["decompose", *args, "--cohort", str(tmp_path / "cohort.csv"),
                  "--outdir", str(tmp_path / "out")]) == 0
-    assert sorted(calls) == ["xzw", "xzw", "xzwdm", "zw"]
+    assert numbered and len(numbered) == len(set(numbered))
 
 
 @pytest.mark.parametrize("times", ["discrete", "continuous"])

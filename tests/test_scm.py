@@ -471,6 +471,34 @@ def test_cells_by_label_and_time_number_rows_by_value(monkeypatch,
     assert 1 < cohort.cells("xzwdm")[1].size < cohort.n  # rows repeat
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["", "x", "z", "zw", "xzw", "dm", "xzwdm"]))
+def test_cells_are_numbered_once_in_compact_read_only_ids(n, n_values, seed,
+                                                           by):
+    rng = np.random.default_rng(seed)
+    cohort = Cohort(rng.integers(0, 2, n), rng.integers(0, n_values, n),
+                    rng.integers(0, 3, n), rng.integers(0, n_values, n) / 4,
+                    rng.integers(0, 2, n))
+    ids, first = cohort.cells(by)
+    assert not ids.flags.writeable and not first.flags.writeable
+    # the smallest unsigned type that holds the cell count
+    assert ids.dtype.kind == "u"
+    assert ids.dtype == np.min_scalar_type(first.size)
+    again = cohort.cells(by)
+    assert again[0] is ids and again[1] is first
+    # a subset or a recode numbers its own cells, as a fresh cohort of
+    # its rows does
+    part = cohort.subset(rng.integers(0, n, rng.integers(1, 2 * n)))
+    recoded = cohort.censoring_as_cause()
+    for derived in (part, recoded):
+        fresh = Cohort(derived.x, derived.z_items, derived.w_items,
+                       derived.m, derived.delta, derived.n_causes)
+        for got, want in zip(derived.cells(by), fresh.cells(by)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 def _reference_from_csv(text, n_causes=None):
     """The row-by-row cohort reader: csv.reader rows transposed with zip,
     every token parsed and deduplicated on its own."""
@@ -545,6 +573,17 @@ def _read(reader, text):
             c.delta.dtype, c.delta.tolist(), c.n_causes,
             c.z_codes.tolist(), list(map(_typed, c.z_values)),
             c.w_codes.tolist(), list(map(_typed, c.w_values)))
+
+
+@pytest.mark.parametrize("tokens", [["1", "b", "a", "b"], ["9" * 20, "a"],
+                                    ["1", "a", "9" * 20, "a"]])
+def test_an_int_column_reports_its_first_invalid_token(tokens):
+    # the token reader parses each distinct token of x and delta once, and
+    # still reports the error a row-by-row parse meets first
+    text = "x,z,w,m,delta\n" + "".join(f"0,0,0,1.5,{t}\n" for t in tokens)
+    got = _read(Cohort.from_csv, text)
+    assert got == _read(_reference_from_csv, text)
+    assert got[0] is CohortSchemaError and "'delta'" in got[1]
 
 
 _PLAIN_TOKENS = ["1", "1.0", " 1", "1 ", "2", "-0", "0.0", "a", "b c", "",

@@ -522,7 +522,7 @@ def reference_crossfit(plan, queries, functional, grid):
         p = float(np.mean(cohort.x == query.x_condition))
         unc = np.zeros((cohort.n, grid.size))
         n_flagged = n_fallback = 0
-        for bundle, rows, _ in parts:
+        for bundle, rows in parts:
             part = cohort.subset(rows)
             ev = reference_influence(part, bundle, query, base, grid,
                                      p_condition=p, epsilon=plan.epsilon,
