@@ -208,6 +208,8 @@ def _validate_config(config, parser):
         parser.error("--grid and --grid-points are mutually exclusive")
     if config.get("grid_points") is not None and config["grid_points"] <= 0:
         parser.error("--grid-points must be a positive integer")
+    if config.get("n_causes") is not None and config["n_causes"] <= 0:
+        parser.error("--n-causes must be a positive integer")
     if command == "curves" and mode == "nic" \
             and functional not in ("survival", "cif"):
         parser.error("curves reports survival or cif functionals only")

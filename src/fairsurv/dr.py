@@ -292,8 +292,7 @@ class _Contributions:
         rank = np.empty(first.size, dtype=np.intp)
         rank[order] = np.arange(first.size)
         first, cell = first[order], rank[cell]
-        p_z, p_zw = (model.predict_many(np.tile((0, 1), first.size), cohort,
-                                        np.repeat(first, 2)).reshape(-1, 2)
+        p_z, p_zw = (model.predict_many(cohort, first)
                      for model in (nuisances.propensity_z,
                                    nuisances.propensity_zw))
         step = min(nuisances.outcome.block_rows,

@@ -6,7 +6,10 @@ mediator law follows x_mediator, and the covariate mix is that of group
 x_condition.  The weighted estimator averages the outcome model's
 per-stratum functional over rows, reweighting each row by propensity
 ratios so the mediator and conditioning arms land on the requested
-groups.  The functional is computed on the outcome model's block values
+groups.  The ratios read two propensity models, P(X = 1 | z, w) and
+P(X = 1 | z), each asked once per covariate cell for both groups; the
+conditioning fraction P(x) is the z model's clipped group fraction.  The
+functional is computed on the outcome model's block values
 (``predict_values``), every distinct curve of a block once.
 """
 
@@ -115,12 +118,11 @@ class PluginNuisances:
     outcome: ConditionalSurvivalModel
     propensity_zw: PropensityModel
     propensity_z: PropensityModel
-    propensity_marginal: PropensityModel
 
 
 def fit_plugin_nuisances(cohort, functional, *, epsilon=0.01, **learners):
     """Fit the outcome model of ``functional`` (none if it is None) and
-    all three propensities on one cohort.  ``learners`` are the learner
+    both propensities on one cohort.  ``learners`` are the learner
     keywords of ``fit_dr_nuisances``; the censoring ones go unused."""
     learners = check_learners(learners)
     learner = learners.get("propensity_learner", "frequency_table")
@@ -129,7 +131,7 @@ def fit_plugin_nuisances(cohort, functional, *, epsilon=0.01, **learners):
             cohort, outcome_target(functional), **learners),
         **{f"propensity_{conditioning}": fit_propensity(
             cohort, conditioning, learner=learner, epsilon=epsilon)
-           for conditioning in ("zw", "z", "marginal")})
+           for conditioning in ("zw", "z")})
 
 
 def cell_weights(nuisances, queries, cohort, rows):
@@ -139,14 +141,13 @@ def cell_weights(nuisances, queries, cohort, rows):
         P(x_mediator | z, w)   P(x_condition | z)
         -------------------- * ------------------
         P(x_mediator | z)        P(x_condition)
-    """
-    groups, both = np.repeat((0, 1), len(rows)), np.concatenate([rows, rows])
-    p_zw, p_z, p_marginal = (
-        model.predict_many(groups, cohort, both).reshape(2, -1)
-        for model in (nuisances.propensity_zw, nuisances.propensity_z,
-                      nuisances.propensity_marginal))
-    return np.stack([(p_zw[q.x_mediator] / p_z[q.x_mediator])
-                     * (p_z[q.x_condition] / p_marginal[q.x_condition])
+
+    with P(x_condition) the z model's `group_fractions`."""
+    p_zw, p_z = (model.predict_many(cohort, rows)
+                 for model in (nuisances.propensity_zw, nuisances.propensity_z))
+    p_x = nuisances.propensity_z.group_fractions
+    return np.stack([(p_zw[:, q.x_mediator] / p_z[:, q.x_mediator])
+                     * (p_z[:, q.x_condition] / p_x[q.x_condition])
                      for q in queries], axis=1)
 
 

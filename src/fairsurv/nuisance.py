@@ -19,10 +19,12 @@ values of each distinct leaf set (the tuple of leaves, one per tree) on
 the forest's union grid once; the stratified learner looks up each
 distinct (x, z code, w code) triple once.  Tree parameters: n_trees >= 1,
 min_leaf >= 10, 0 <= max_depth <= 6, max_thresholds >= 1, seed.
-Propensities come from frequency tables or IRLS logistic fits, clipped
-away from 0 and 1.  The tree and logistic learners read z and w through
-one conversion, `_numeric_covariates`: each distinct value-table entry
-among a call's rows becomes floats once.  A fit refuses entries that are
+Propensities P(X = 1 | z) and P(X = 1 | z, w) come from frequency
+tables or IRLS logistic fits; a prediction gives both groups of each
+row, P(X = 1) clipped away from 0 and 1 and P(X = 0) one minus it.  The
+tree and logistic learners read z and w through one conversion,
+`_numeric_covariates`: each distinct value-table entry among a call's
+rows becomes floats once.  A fit refuses entries that are
 not numbers, a prediction accepts numeric strings, and a row whose
 entries are not numbers of the fitted widths is not served.  The
 logistic learner refuses covariates that are not finite.
@@ -697,17 +699,16 @@ def _fit_tree_ensemble(cohort, target, params):
 # Propensity models
 # ---------------------------------------------------------------------------
 
-# the covariates each conditioning set reads
-_COLUMNS = {"marginal": "", "z": "z", "zw": "zw"}
-_CONDITIONING = tuple(_COLUMNS)
+# the covariates each model conditions on
+_CONDITIONING = ("z", "zw")
 _NOT_FINITE = "z and w must be finite for the logistic propensity learner"
 
 
 class PropensityModel:
-    """P(X=1 | conditioning set), clipped to [eps, 1-eps].
+    """P(X = 1 | z) or P(X = 1 | z, w), as ``conditioning`` says.
 
-    Conditioning is "marginal", "z", or "zw".  predict_group(0, ...) is
-    defined as one minus the clipped P(X=1|...), so the two group
+    Every prediction clips P(X = 1) to [eps, 1 - eps] and gives
+    P(X = 0) as one minus the clipped value, so the two group
     probabilities always sum to one exactly.
     """
 
@@ -727,108 +728,101 @@ class PropensityModel:
         """Unconditional P(X=1) seen at fit time (unclipped)."""
         return self._marginal
 
+    @property
+    def group_fractions(self):
+        """P(X = 0) and P(X = 1) unconditionally, from `marginal` as a
+        prediction is from a fitted P(X = 1)."""
+        return self._groups(np.float64(self._marginal))
+
+    def _groups(self, p1):
+        """P(X = 0), P(X = 1) in the last axis, from fitted P(X = 1)."""
+        p1 = np.minimum(np.maximum(p1, self.epsilon), 1.0 - self.epsilon)
+        return np.stack([1.0 - p1, p1], axis=-1)
+
     def predict(self, z=None, w=None):
         return self.predict_group(1, z, w)
 
     def predict_group(self, x, z=None, w=None):
-        if self.conditioning != "marginal" and z is None:
-            raise DataError("this model conditions on z")
-        if self.conditioning == "zw" and w is None:
-            raise DataError("this model conditions on z and w")
-        return float(self.predict_many(x, Cohort([0], [z], [w], [0], [0]),
-                                       [0])[0])
+        if z is None or (self.conditioning == "zw" and w is None):
+            raise DataError("this model conditions on "
+                            + " and ".join(self.conditioning))
+        (x,), _ = _labelled(x, [0])
+        return float(self.predict_many(Cohort([0], [z], [w], [0], [0]),
+                                       [0])[0, x])
 
-    def predict_many(self, x, cohort, rows):
-        """P(X = x | conditioning set) of ``rows`` of ``cohort``, as an
-        array; ``x`` and ``rows`` as in the survival model's entry."""
-        x, rows = _labelled(x, rows)
-        if self.learner == "frequency_table":  # empty for "marginal"
+    def predict_many(self, cohort, rows):
+        """P(X = 0 | ...) and P(X = 1 | ...) of ``rows`` of ``cohort``
+        (indices, repeats allowed), as a (rows x 2) array."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        if self.learner == "frequency_table":
             first, inverse = _distinct(cohort, rows)
-            raw = np.array([self._table.get(
+            p1 = np.array([self._table.get(
                 pair[:len(self.conditioning)], self._marginal) for pair in
                 zip(*_covariates(cohort, rows[first]))], dtype=float)[inverse]
         else:
             feats, _, why = _numeric_covariates(
-                cohort, rows, _COLUMNS[self.conditioning],
-                np.ones(rows.size), self._widths)
+                cohort, rows, self.conditioning, np.ones(rows.size),
+                self._widths)
             bad = why.astype(bool) | ~np.isfinite(feats).all(axis=1)
             if bad.any():  # the first such row's first fault
                 raise CohortSchemaError(why[np.argmax(bad)] or _NOT_FINITE)
             # a (1, k) @ (k, 1) product runs np.dot's kernel on each row, so
             # every sum is np.dot(beta, row)'s bit for bit (feats @ beta is not)
-            raw = _expit_array(np.matmul(feats[:, None, :],
-                                         self._beta[:, None]).reshape(-1))
-        p1 = np.minimum(np.maximum(raw, self.epsilon), 1.0 - self.epsilon)
-        return np.where(x == 1, p1, 1.0 - p1)
+            p1 = _expit_array(np.matmul(feats[:, None, :],
+                                        self._beta[:, None]).reshape(-1))
+        return self._groups(p1)
 
 
 def fit_propensity(cohort, conditioning, learner="frequency_table",
                    epsilon=0.01):
-    """Fit P(X=1 | marginal / z / z,w) by counting or IRLS logistic."""
+    """Fit P(X=1 | z) or P(X=1 | z, w) by counting or IRLS logistic."""
     if conditioning not in _CONDITIONING:
-        raise DataError(f"conditioning must be one of {_CONDITIONING}")
+        raise DataError(f"conditioning must be 'z' or 'zw', not "
+                        f"{conditioning!r}")
     if not 0.0 < epsilon < 0.5:
         raise DataError("clip bound must lie strictly between 0 and 0.5")
     y = (cohort.x == 1).astype(float)
     if y.min() == y.max():
         raise DegenerateGroupError("cohort contains a single group")
-    marginal = float(y.mean())
-    report = {
-        "learner": learner,
-        "conditioning": conditioning,
-        "n_rows": cohort.n,
-        "epsilon": epsilon,
-    }
+    report = {"learner": learner, "conditioning": conditioning,
+              "n_rows": cohort.n, "epsilon": epsilon}
 
     if learner == "frequency_table":
-        table = {}
-        raw = np.full(cohort.n, marginal)
-        if conditioning != "marginal":
-            ids, first = cohort.cells(conditioning)
-            share = (np.bincount(ids[cohort.x == 1], minlength=first.size)
-                     / np.bincount(ids))
-            keys = [pair[:len(conditioning)]
-                    for pair in zip(*_covariates(cohort, first))]
-            table = dict(zip(keys, share.tolist()))
-            raw = share[ids]
-        report["n_strata"] = len(table)
-        report["clip_rate"] = float(
-            np.mean((raw < epsilon) | (raw > 1.0 - epsilon))
-        )
-        return PropensityModel(
-            learner, conditioning, epsilon, report,
-            table=table, marginal=marginal,
-        )
-
-    if learner != "logistic_irls":
+        ids, first = cohort.cells(conditioning)
+        share = (np.bincount(ids[cohort.x == 1], minlength=first.size)
+                 / np.bincount(ids))
+        keys = [pair[:len(conditioning)]
+                for pair in zip(*_covariates(cohort, first))]
+        fitted = {"table": dict(zip(keys, share.tolist()))}
+        raw = share[ids]
+        report["n_strata"] = len(fitted["table"])
+    elif learner == "logistic_irls":
+        design, widths, _ = _numeric_covariates(
+            cohort, np.arange(cohort.n), conditioning, np.ones(cohort.n))
+        if not np.all(np.isfinite(design)):
+            raise CohortSchemaError(_NOT_FINITE)
+        beta = np.zeros(design.shape[1])
+        converged = False
+        n_iter = 0
+        for n_iter in range(1, 51):
+            mu = _expit_array(design @ beta)
+            weight = np.maximum(mu * (1.0 - mu), 1e-12)
+            hess = (design * weight[:, None]).T @ design
+            hess[np.diag_indices_from(hess)] += 1e-10
+            step = np.linalg.solve(hess, design.T @ (y - mu))
+            beta += step
+            if np.max(np.abs(step)) < 1e-10:
+                converged = True
+                break
+        fitted = {"beta": beta, "widths": widths}
+        raw = _expit_array(design @ beta)
+        report.update(n_iter=n_iter, converged=converged)
+    else:
         raise DataError(f"unknown propensity learner {learner!r}")
-    design, widths, _ = _numeric_covariates(
-        cohort, np.arange(cohort.n), _COLUMNS[conditioning], np.ones(cohort.n))
-    if not np.all(np.isfinite(design)):
-        raise CohortSchemaError(_NOT_FINITE)
-    beta = np.zeros(design.shape[1])
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, 51):
-        mu = _expit_array(design @ beta)
-        weight = np.maximum(mu * (1.0 - mu), 1e-12)
-        hess = (design * weight[:, None]).T @ design
-        hess[np.diag_indices_from(hess)] += 1e-10
-        step = np.linalg.solve(hess, design.T @ (y - mu))
-        beta += step
-        if np.max(np.abs(step)) < 1e-10:
-            converged = True
-            break
-    raw = _expit_array(design @ beta)
-    report.update(
-        n_iter=n_iter,
-        converged=converged,
-        clip_rate=float(np.mean((raw < epsilon) | (raw > 1.0 - epsilon))),
-    )
-    return PropensityModel(
-        learner, conditioning, epsilon, report,
-        beta=beta, marginal=marginal, widths=widths,
-    )
+    report["clip_rate"] = float(
+        np.mean((raw < epsilon) | (raw > 1.0 - epsilon)))
+    return PropensityModel(learner, conditioning, epsilon, report,
+                           marginal=float(y.mean()), **fitted)
 
 
 def _expit(v):

@@ -589,6 +589,8 @@ class Cohort:
             raise CohortSchemaError("delta must be a nonnegative integer")
         inferred = max(1, int(self.delta.max(initial=0)))
         self.n_causes = int(n_causes) if n_causes is not None else inferred
+        if self.n_causes < 1:
+            raise CohortSchemaError("the number of causes must be at least 1")
         if self.n_causes < inferred:
             raise CohortSchemaError("delta exceeds the declared number of causes")
         if m_coded is None:  # after the checks: no NaN reaches np.unique

@@ -62,7 +62,9 @@ the arm's fallback row set.
 with CASE one of continuous-z, short-grid, rmst, plugin, plugin-rmst,
 ic, ic-plugin, ic-plugin-continuous-z and integer, prints the run's
 figures as JSON and exits 1 unless the child succeeded with a peak RSS
-below LIMIT_MB.
+below LIMIT_MB.  The child runs the `fairsurv` package that the probe
+itself imports (the first one on its PYTHONPATH), so the cohort and the
+run under test come from the same code.
 """
 
 from __future__ import annotations
@@ -78,9 +80,11 @@ from pathlib import Path
 
 import numpy as np
 
+import fairsurv
 from fairsurv.scm import Cohort, SCMSpec, sample_cohort
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the directory that holds the imported package, for the child's path
+SRC = Path(fairsurv.__file__).resolve().parent.parent
 CLI_CODE = ("import sys; from fairsurv.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
 

@@ -468,7 +468,7 @@ def test_route1_row_order_sum_on_continuous_times():
                 nuis.propensity_zw.predict_group(q.x_mediator, zi, wi)
                 / nuis.propensity_z.predict_group(q.x_mediator, zi)
                 * (nuis.propensity_z.predict_group(q.x_condition, zi)
-                   / nuis.propensity_marginal.predict_group(q.x_condition)))
+                   / nuis.propensity_z.group_fractions[q.x_condition]))
     for spec, curves in zip(specs, results):
         latent = {}
         for x in (0, 1):

@@ -567,8 +567,8 @@ def test_ic_plugin_route_fits_no_outcome_model(ic_cohort_csv, tmp_path,
                  "--tau", "0.2,0.5", "--estimator", "plugin",
                  "--grid", "1,2,3", "--outdir", str(tmp_path)]) == 0
     # the conditional route weights empirical cell incidences by the
-    # three propensities and reads no outcome model
-    assert fits == {"survival": 0, "propensity": 3}
+    # two propensities and reads no outcome model
+    assert fits == {"survival": 0, "propensity": 2}
 
 
 def test_nic_plugin_writes_plugin_reports(nc_cohort_csv, tmp_path):
@@ -795,6 +795,22 @@ def test_usage_errors_for_flag_conflicts(nc_cohort_csv, tmp_path, capsys):
     assert main(["decompose", "--cohort", str(tiny), "--folds", "5",
                  "--grid", "1,2", "--outdir", str(tmp_path / "out")]) == 3
     assert "more folds than rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decompose", "curves"])
+@pytest.mark.parametrize("n_causes", ["0", "-1"])
+def test_nonpositive_n_causes_is_usage_error(tmp_path, capsys, command,
+                                             n_causes):
+    # rejected before the cohort is read, even when every delta is 0
+    censored = tmp_path / "censored.csv"
+    censored.write_text("x,z,w,m,delta\n0,0,0,1,0\n1,0,0,2,0\n")
+    for cohort in (censored, tmp_path / "absent.csv"):
+        assert main([command, "--cohort", str(cohort), "--estimator",
+                     "plugin", "--n-causes", n_causes,
+                     "--outdir", str(tmp_path / "out")]) == 2
+        assert "--n-causes must be a positive integer" in \
+            capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["censored.csv"]
 
 
 @pytest.mark.parametrize("family, tau", [

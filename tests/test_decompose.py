@@ -548,10 +548,10 @@ def test_cr_plugin_fits_each_propensity_once_and_one_outcome_per_series(
     cohort = sample_cohort(spec_of(make_cr_two_cause()), 2000, seed=43)
     fits = count_fits(monkeypatch)
     series = decompose_cr(cohort, 0, 1, grid=GRID)
-    # three propensities (zw, z, marginal) and an outcome model for each
-    # series: cause 1, cause 2 and any event
+    # two propensities (zw, z) and an outcome model for each series:
+    # cause 1, cause 2 and any event
     assert len(series) == 3
-    assert fits == {"survival": 3, "propensity": 3}
+    assert fits == {"survival": 3, "propensity": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairsurv.cge import route1_conditional
+from fairsurv.copulas import CopulaSpec
 from fairsurv.curves import StepCurve
+from fairsurv.dr import (
+    FoldPlan,
+    crossfit_dr_many,
+    evaluate_influence,
+    fit_dr_nuisances,
+)
 from fairsurv.errors import DataError
 from fairsurv.identify import (
     default_grid,
@@ -259,7 +267,6 @@ def test_projection_distance_reported_when_clipping_inflates():
         outcome=model,
         propensity_zw=nuis.propensity_zw,
         propensity_z=nuis.propensity_z,
-        propensity_marginal=nuis.propensity_marginal,
     )
     curve, report = plugin_po(
         nuis, cohort, PotentialOutcomeQuery(0, 0, 0), SURVIVAL, [1.0],
@@ -285,13 +292,46 @@ def test_rows_outside_model_schema_are_dropped_and_counted():
         outcome=model,
         propensity_zw=nuis.propensity_zw,
         propensity_z=nuis.propensity_z,
-        propensity_marginal=nuis.propensity_marginal,
     )
     _, report = plugin_po(
         nuis, cohort, PotentialOutcomeQuery(0, 0, 0), SURVIVAL, [1.0],
         return_report=True,
     )
     assert report["n_excluded"] == 2  # the two (z=1, w=1) rows
+
+
+def test_clipped_propensities_keep_every_mean_weight_at_one():
+    # group 1 is 21 of 4,000 rows, at most 6 in each of four (z, w) cells
+    # of 1,000: P(X = 1) is under epsilon = 0.01 in every cell and in the
+    # cohort, so every propensity clips and each weight is a ratio of
+    # equal clipped values
+    rng = np.random.default_rng(5)
+    n = 4000
+    z, w = np.repeat([0, 0, 1, 1], 1000), np.repeat([0, 1, 0, 1], 1000)
+    x = np.zeros(n, dtype=int)
+    x[np.concatenate([rng.choice(np.flatnonzero(cell), size, replace=False)
+                      for cell, size in zip(
+                          ((z == a) & (w == b) for a in (0, 1)
+                           for b in (0, 1)), (6, 5, 5, 5))])] = 1
+    cohort = Cohort(x, z.tolist(), w.tolist(),
+                    np.round(rng.exponential(2.0, n), 1) + 0.1,
+                    rng.integers(0, 2, n))
+    assert x.sum() == 21
+    nuis = fit_plugin_nuisances(cohort, SURVIVAL)
+    for model in (nuis.propensity_zw, nuis.propensity_z):
+        assert model.fit_report["clip_rate"] == 1.0
+    queries, grid = role_queries(0, 1), [1.0, 2.0, 4.0]
+    for q, (curve, report) in plugin_po_many(nuis, cohort, queries, SURVIVAL,
+                                             grid).items():
+        assert report["mean_weight"] == 1.0, q
+        assert report["max_weight"] == 1.0, q
+        assert np.all(np.isfinite(curve.evaluate(grid)))
+    (curves,) = route1_conditional(
+        cohort, [CopulaSpec("clayton", 0.5)],
+        replace(nuis, outcome=None), queries, grid)
+    for curve in curves.values():
+        values = curve.evaluate(grid)
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 def _partly_served(cohort):
@@ -395,8 +435,50 @@ def test_plugin_po_many_calls_each_propensity_model_once(monkeypatch):
     nuis = fit_plugin_nuisances(cohort, SURVIVAL)
     calls = count_propensity_calls(monkeypatch)
     plugin_po_many(nuis, cohort, role_queries(0, 1), SURVIVAL, [1.0, 2.0])
-    assert calls == {id(model): 1 for model in (
-        nuis.propensity_zw, nuis.propensity_z, nuis.propensity_marginal)}
+    assert {model: len(asked) for model, asked in calls.items()} == {
+        id(model): 1 for model in (nuis.propensity_zw, nuis.propensity_z)}
+
+
+@pytest.mark.parametrize("estimator", ["plugin", "route1", "influence",
+                                       "crossfit"])
+def test_each_propensity_model_is_asked_each_cell_once_per_call(
+        monkeypatch, estimator):
+    # one prediction gives both groups of a cell: no call asks for a
+    # cell twice, as the (cell, group) rows of one call per group did
+    _, cohort = _nic_cohort(600, seed=31)
+    queries, grid = role_queries(0, 1), [1.0, 2.0]
+    nuis = (fit_plugin_nuisances(cohort, SURVIVAL)
+            if estimator in ("plugin", "route1")
+            else fit_dr_nuisances(cohort, SURVIVAL))
+    # the rows each model is asked about: a fold's bundle evaluates the fold
+    rows = {id(model): range(cohort.n)
+            for model in (nuis.propensity_zw, nuis.propensity_z)}
+    if estimator == "crossfit":
+        plan = FoldPlan(cohort)
+        rows = {id(getattr(bundle, key)): np.flatnonzero(plan.fold_ids == f)
+                for f, (bundle, _) in enumerate(plan.parts(SURVIVAL))
+                for key in ("propensity_zw", "propensity_z")}
+    calls = count_propensity_calls(monkeypatch)
+    if estimator == "plugin":
+        plugin_po_many(nuis, cohort, queries, SURVIVAL, grid)
+    elif estimator == "route1":
+        route1_conditional(cohort, [CopulaSpec("clayton", 0.5)], nuis,
+                           queries, grid)
+    elif estimator == "influence":
+        evaluate_influence(cohort, nuis, queries[0], SURVIVAL, grid)
+    else:
+        crossfit_dr_many(plan, queries, SURVIVAL, grid)
+
+    def cells(rows):
+        return {(cohort.z_items[i], cohort.w_items[i]) for i in rows}
+    for asked in calls.values():
+        for keys in asked:
+            assert len(keys) == len(set(keys)) > 0
+    assert set(calls) == set(rows)
+    for model, asked in calls.items():
+        assert set().union(*asked) == cells(rows[model])
+        if estimator != "crossfit":
+            assert len(asked) == 1
 
 
 def test_default_grid_caps_at_percentile():

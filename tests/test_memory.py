@@ -4,6 +4,14 @@ With continuous times the default grid grows with the cohort, so the
 influence evaluation must not hold rows x grid matrices.
 """
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import fairsurv
 from rss_probe import decompose_peak_rss
 
 
@@ -14,3 +22,27 @@ def test_continuous_time_decompose_stays_under_300_mb(tmp_path):
     assert result["exit_code"] == 0, result["stderr"]
     assert result["grid_points"] > 1500
     assert result["peak_rss_mb"] < 300.0, result
+
+
+def test_the_probe_child_runs_the_package_the_probe_imports(tmp_path):
+    # a copy of the package, first on the probe's PYTHONPATH, whose CLI
+    # names its own file on stderr before it runs
+    package = Path(fairsurv.__file__).resolve().parent
+    copy = tmp_path / "other" / "fairsurv"
+    shutil.copytree(package, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "cli.py", "a") as cli:
+        cli.write("\n_main = main\n\n\ndef main(argv=None):\n"
+                  "    import sys as _sys\n"
+                  "    print('cli from', __file__, file=_sys.stderr)\n"
+                  "    return _main(argv)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(copy.parent)] + [p for p in [os.environ.get("PYTHONPATH")]
+                              if p]))
+    probe = Path(__file__).resolve().parent / "rss_probe.py"
+    proc = subprocess.run([sys.executable, str(probe), "300", "1000",
+                           "integer"], env=env, capture_output=True,
+                          text=True, timeout=300)
+    result = json.loads(proc.stdout)
+    assert proc.returncode == 0 and result["exit_code"] == 0, result
+    assert f"cli from {copy / 'cli.py'}" in result["stderr"]

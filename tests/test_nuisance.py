@@ -759,8 +759,6 @@ def test_predict_many_refuses_a_group_label_outside_0_1():
             model.predict(bad, *triples[0][1:])
         with pytest.raises(DataError):
             propensity.predict_group(bad, *triples[0][1:])
-        with pytest.raises(DataError):
-            propensity.predict_many([0, 1, bad], cohort, [0, 1, 2])
 
 
 def test_block_values_hold_one_row_per_leaf_set(monkeypatch):
@@ -970,7 +968,7 @@ def _conversion_models(fitted):
         f"{learner} {conditioning}": fit_propensity(
             fitted, conditioning, learner=learner)
         for learner in ("frequency_table", "logistic_irls")
-        for conditioning in ("marginal", "z", "zw")}
+        for conditioning in ("z", "zw")}
     return survival, propensity
 
 
@@ -1021,16 +1019,17 @@ def test_model_inputs_equal_the_per_row_oracle_bytewise(monkeypatch, fitted):
                             assert a.tobytes() == b.tobytes(), label
                     if any((index < 0).any() for _, _, index in got):
                         skipped.add(name)
-            for name, model in propensity.items():
-                got = _outcome(lambda: model.predict_many(x, cohort, rows))
-                want = _outcome(
-                    lambda: reference_propensities(model, x, cohort, rows))
-                if isinstance(want, tuple):
-                    assert got == want, (case, name)
-                    raised.add(name)
-                else:
-                    assert got.dtype == want.dtype, (case, name)
-                    assert got.tobytes() == want.tobytes(), (case, name)
+        for name, model in propensity.items():
+            got = _outcome(lambda: model.predict_many(cohort, rows))
+            want = _outcome(lambda: reference_propensities(model, cohort,
+                                                           rows))
+            if isinstance(want, tuple):
+                assert got == want, (case, name)
+                raised.add(name)
+            else:
+                assert got.dtype == want.dtype, (case, name)
+                assert got.shape == want.shape == (rows.size, 2), (case, name)
+                assert got.tobytes() == want.tobytes(), (case, name)
     # the cases reach every unserved path
     assert {"tree", "tree cif", "curve table", "logistic_irls z",
             "logistic_irls zw"} <= raised
@@ -1066,10 +1065,8 @@ def test_each_prediction_converts_each_distinct_entry_once(monkeypatch):
         calls.clear()
         blocks += 1
     assert blocks == 4
-    for label in (x, 0, 1):
-        logistic.predict_many(label, cohort, rows)
-        assert 0 < len(calls) <= 5
-        calls.clear()
+    logistic.predict_many(cohort, rows)
+    assert 0 < len(calls) <= 5
 
 
 def _logistic_rows(rng, n, width):
@@ -1096,24 +1093,10 @@ def test_logistic_probability_is_the_per_row_dot_bit_for_bit(split):
     model = PropensityModel("logistic_irls", "zw" if split[1] else "z", 0.0,
                             {}, beta=beta, marginal=0.5,
                             widths=split if split[1] else split[:1])
-    got = model.predict_many(1, cohort, np.arange(n))
+    got = model.predict_many(cohort, np.arange(n))[:, 1]
     dots = [float(np.dot(beta, [1.0] + row)) for row in feats.tolist()]
     assert min(dots) < -709.0 and max(dots) > 709.0
     assert got.tobytes() == np.array([_expit(v) for v in dots]).tobytes()
-
-
-def test_logistic_probability_of_the_intercept_alone_is_exact():
-    # width 1: the marginal design row (1,) under many intercepts
-    rng = np.random.default_rng(1)
-    cohort = Cohort([0], [0], [0], [1.0], [0])
-    betas = np.concatenate([rng.normal(scale=s, size=500)
-                            for s in (1.0, 30.0, 800.0)])
-    got = [PropensityModel("logistic_irls", "marginal", 0.0, {},
-                           beta=np.array([b]), marginal=0.5,
-                           widths=()).predict_many(1, cohort, [0])[0]
-           for b in betas.tolist()]
-    want = [_expit(float(np.dot([b], [1.0]))) for b in betas.tolist()]
-    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1255,8 +1238,8 @@ def test_independent_groups_predict_near_half():
 def test_marginal_prediction_matches_bundled_imbalance():
     spec = bundled_scenario()
     cohort = sample_cohort(spec, 100000, seed=31)
-    model = fit_propensity(cohort, "marginal", epsilon=0.001)
-    assert abs(model.predict_group(0) - 0.042) <= 0.005
+    model = fit_propensity(cohort, "z", epsilon=0.001)
+    assert abs(model.group_fractions[0] - 0.042) <= 0.005
 
 
 def test_spec_table_propensities_are_exact():
@@ -1270,8 +1253,7 @@ def test_spec_table_propensities_are_exact():
     assert model_zw.predict(z=0, w=1) * (1 + 0) == pytest.approx(
         expect, rel=1e-12
     )
-    marg = propensity_from_spec(spec, "marginal")
-    assert marg.predict() == pytest.approx(0.958, abs=1e-15)
+    assert model_z.group_fractions[1] == pytest.approx(0.958, abs=1e-15)
 
 
 def test_logistic_irls_matches_reference_mle():
@@ -1357,8 +1339,10 @@ def test_propensity_validation_errors():
         fit_propensity(both, "z", epsilon=0.0)
     with pytest.raises(DataError):
         fit_propensity(both, "z", epsilon=0.5)
-    with pytest.raises(DataError):
-        fit_propensity(both, "q")
+    for conditioning in ("q", "marginal", ""):
+        with pytest.raises(DataError, match="conditioning must be 'z' or "
+                                            "'zw'"):
+            fit_propensity(both, conditioning)
     with pytest.raises(DataError):
         fit_propensity(both, "z", learner="nonesuch")
     model = fit_propensity(both, "zw")

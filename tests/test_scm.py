@@ -433,6 +433,18 @@ def test_bad_times_fail_before_they_are_coded(m, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("n_causes", [0, -1])
+def test_fewer_than_one_cause_is_its_own_schema_error(n_causes):
+    # all rows censored: no delta exceeds the declared number
+    with pytest.raises(CohortSchemaError) as caught:
+        Cohort([0, 1], [0, 0], [0, 0], [1.0, 2.0], [0, 0], n_causes=n_causes)
+    assert str(caught.value) == "the number of causes must be at least 1"
+    with pytest.raises(CohortSchemaError) as caught:
+        Cohort.from_csv("x,z,w,m,delta\n0,0,0,1,0\n1,0,0,2,0\n",
+                        n_causes=n_causes)
+    assert str(caught.value) == "the number of causes must be at least 1"
+
+
 def test_equal_csv_tokens_form_one_stratum():
     text = "x,z,w,m,delta\n0,1,0,1,1\n1,1.0,0,2,1\n1,2,0,3,0\n0, 1,0,4,1\n"
     cohort = Cohort.from_csv(text)

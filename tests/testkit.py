@@ -352,18 +352,20 @@ def count_predictions(monkeypatch):
 
 
 def count_propensity_calls(monkeypatch):
-    """Count the `predict_many` calls of every `PropensityModel`, through
+    """Record the `predict_many` calls of every `PropensityModel`, through
     which `predict` and `predict_group` also go; returns the live tally
-    {id(model): calls}."""
-    from collections import Counter
+    {id(model): [the (z, w) values of each row asked, per call]}."""
+    from collections import defaultdict
 
     from fairsurv.nuisance import PropensityModel
 
-    calls = Counter()
+    calls = defaultdict(list)
     predict_many = PropensityModel.predict_many
 
     def counted(model, *args, **kwargs):
-        calls[id(model)] += 1
+        cohort, rows = args[-2:]  # the batch entry's last two arguments
+        calls[id(model)].append([
+            (z, w) for _, z, w in _row_triples(0, cohort, rows)])
         return predict_many(model, *args, **kwargs)
     monkeypatch.setattr(PropensityModel, "predict_many", counted)
     return calls
@@ -841,23 +843,21 @@ def reference_predict_values(model, x, cohort, rows, skip_unserved=False):
     return blocks
 
 
-def reference_propensities(model, x, cohort, rows):
-    """``model.predict_many(x, cohort, rows)`` of a `PropensityModel`,
-    one row at a time: a table lookup, or the logistic learner's
-    `_expit` of ``np.dot(beta, row)``, clipped."""
+def reference_propensities(model, cohort, rows):
+    """``model.predict_many(cohort, rows)`` of a `PropensityModel`, one
+    row at a time: a table lookup, or the logistic learner's `_expit` of
+    ``np.dot(beta, row)``, clipped, and one minus that for group 0."""
     import numpy as np
 
     from fairsurv.errors import CohortSchemaError
     from fairsurv.nuisance import _expit, _labelled
 
     def predict(x, z, w):
-        if model.learner == "frequency_table":  # empty for "marginal"
+        if model.learner == "frequency_table":
             key = (z,) if model.conditioning == "z" else (z, w)
             raw = model._table.get(key, model.marginal)
         else:
-            feats = [1.0]
-            if model.conditioning in ("z", "zw"):
-                feats += _reference_numeric_vector(z, model._widths[0], "z")
+            feats = [1.0, *_reference_numeric_vector(z, model._widths[0], "z")]
             if model.conditioning == "zw":
                 feats += _reference_numeric_vector(w, model._widths[1], "w")
             if not np.all(np.isfinite(feats)):
@@ -865,10 +865,11 @@ def reference_propensities(model, x, cohort, rows):
                                         "logistic propensity learner")
             raw = _expit(float(np.dot(model._beta, feats)))
         p1 = float(min(max(raw, model.epsilon), 1.0 - model.epsilon))
-        return p1 if x == 1 else 1.0 - p1
+        return [1.0 - p1, p1]
 
-    x, rows = _labelled(x, rows)
-    return np.array(reference_per_row(predict, x, cohort, rows), dtype=float)
+    x, rows = _labelled(0, rows)
+    return np.array(reference_per_row(predict, x, cohort, rows),
+                    dtype=float).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1177,10 +1178,9 @@ class ReferenceContributions(_Contributions):
         outcome = predict_rows(nuisances.outcome, x_out, cohort, at_out)
         censoring = predict_rows(nuisances.censoring, x_out[has_rows],
                                  cohort, at_out[has_rows])
-        x_both, at_both = np.tile((0, 1), len(cells)), np.repeat(first, 2)
-        propensities = zip(*(
-            model.predict_many(x_both, cohort, at_both).reshape(-1, 2).tolist()
-            for model in (nuisances.propensity_z, nuisances.propensity_zw)))
+        propensities = zip(*(model.predict_many(cohort, first).tolist()
+                             for model in (nuisances.propensity_z,
+                                           nuisances.propensity_zw)))
         for at, z, (p_z, p_zw) in zip(
                 by_group, cohort.z_codes[first].tolist(), propensities):
             curves = {g: next(outcome) for g in groups}
