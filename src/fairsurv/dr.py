@@ -668,13 +668,12 @@ _BLOCK_ELEMENTS = 1 << 21
 def crossfit_dr_many(plan, queries, functional, grid=None):
     """Cross-fitting of several queries over one ``FoldPlan``.
 
-    Every fold's nuisances are fitted first.  Rows are then evaluated in
-    row order, in blocks of at most ``_BLOCK_ELEMENTS`` values, each row
-    under the bundle fitted without its fold.  A block is folded into
-    running column sums (the estimates) and into per-group moments that
-    all queries share (``InfluenceMoments``), from which the standard
-    error of every query, and of any contrast of them, follows without
-    per-row storage.  ``evaluate_influence`` gives per-row values.
+    Every fold's nuisances are fitted first.  Rows are then taken in row
+    order, in blocks of at most ``_BLOCK_ELEMENTS`` values; each (fold,
+    row class) pair of a block is evaluated once, under the bundle fitted
+    without its fold.  Rows go into running column sums (the estimates),
+    pairs into per-group moments (``InfluenceMoments``) that give every
+    standard error; ``evaluate_influence`` gives per-row values.
     """
     cohort = plan.cohort
     grid = _validate_grid(default_grid(cohort) if grid is None else grid)
@@ -757,36 +756,41 @@ def _stream_rows(plan, contribs, grid, rmst):
     add the block's rows in row order (summing the slots' values times
     their counts instead moved the `ic` Route II estimates, which branch
     on their inputs, by up to 0.51), so every row reads its slot's values
-    before they are summed.
+    before they are summed.  One buffer, grown only when a block needs
+    more rows, holds a row carrying the running sums, a gap the rows are
+    gathered into ``_PIECE_ELEMENTS`` values at a time, and the slots,
+    each row all queries' values; when every row of a block is its own
+    slot, the slots are its rows in order and are summed where they are.
     """
     cohort = plan.cohort
     n, n_queries = cohort.n, len(contribs[0].queries)
     step = n if grid.size == 1 else max(
         1, _BLOCK_ELEMENTS // (grid.size * n_queries))
-    # a slab row holds every query's values of one row, so a gather or a
-    # sum runs over rows of queries x grid values; row 0 carries the
-    # running sums into the next block
-    slab = np.empty((min(step, n) + 1, n_queries, grid.size))
-    sums = np.empty((n_queries, grid.size))
+    chunk = max(1, _PIECE_ELEMENTS // (grid.size * n_queries))
+    buf = np.empty((0, n_queries, grid.size))
+    # -0.0 is the identity of addition: the first row adds nothing to it
+    sums = np.full((n_queries, grid.size), -0.0)
     groups = [(0, np.zeros((n_queries, grid.size)),
                np.zeros((n_queries, n_queries, grid.size)))] * 2
     n_flagged = np.zeros(n_queries, dtype=int)
-    chunk = max(1, _PIECE_ELEMENTS // (grid.size * n_queries))
     classes = cohort.cells("xzwdm")[0]
     n_classes = int(classes.max()) + 1
     bound = (int(plan.fold_ids.max()) + 1) * n_classes
     for start in range(0, n, step):
         stop = min(start + step, n)
         # slot j of the block's (fold, class) pairs, numbered by first
-        # appearance, sits at slab row 1 + j: no later than its first row
-        # (the int64 fold ids keep the key's sum from wrapping)
+        # appearance (the int64 fold ids keep the key's sum from wrapping)
         slot, first = _first_appearance(
             (plan.fold_ids[start:stop] * n_classes
              + classes[start:stop]).astype(
                  np.min_scalar_type(bound - 1)))
         first += start
-        counts = np.bincount(slot)
-        heads = slab[1:first.size + 1]
+        counts, k = np.bincount(slot), first.size
+        gap = 0 if k == stop - start else min(chunk, stop - start)
+        if len(buf) < 1 + gap + k:
+            del buf  # no view of it is left, so it goes before the new one
+            buf = np.empty((1 + gap + k, n_queries, grid.size))
+        heads = buf[1 + gap:1 + gap + k]
         heads[...] = 0.0
         by_query = heads.transpose(1, 0, 2)
         folds = plan.fold_ids[first]
@@ -801,29 +805,25 @@ def _stream_rows(plan, contribs, grid, rmst):
             if np.any(members):
                 groups[g] = _merge_moments(groups[g], _moments(
                     values[:, members], counts[members]))
-        del values
-        # each row reads its slot from the back, in chunks: the slots a
-        # chunk reads sit at or before its rows and after none it wrote;
-        # in mode "clip", a gather into contiguous rows away from the
-        # slots it reads takes no buffer
-        for hi in range(stop - start, 0, -chunk):
-            lo = max(hi - chunk, 0)
-            np.take(heads, slot[lo:hi], axis=0, out=slab[1 + lo:1 + hi],
-                    mode="clip")
+        del values, by_query
         # numpy adds the rows of a matrix one after another unless it has
-        # one column, which it sums pairwise; so running sums over blocks
+        # one column, which it sums pairwise; so running sums over chunks
         # reproduce the whole-matrix sums of each query bit for bit, and
         # one grid point takes one block, summed a query at a time
-        block = slab[1:stop - start + 1]
-        if start:
-            slab[0] = sums
-            np.add.reduce(slab[:stop - start + 1], axis=0, out=sums)
-        elif grid.size > 1:
-            np.add.reduce(block, axis=0, out=sums)
-        else:
+        if grid.size == 1:
             for qi in range(n_queries):
-                np.add.reduce(np.ascontiguousarray(block[:, qi]), axis=0,
-                              out=sums[qi])
+                np.add.reduce(heads[slot, qi], axis=0, out=sums[qi])
+        else:
+            for lo in range(0, stop - start, gap or k):
+                hi = min(lo + (gap or k), stop - start)
+                # in mode "clip", a gather into rows apart from the slots
+                # it reads takes no buffer
+                if gap:
+                    np.take(heads, slot[lo:hi], axis=0,
+                            out=buf[1:1 + hi - lo], mode="clip")
+                buf[0] = sums
+                np.add.reduce(buf[:1 + hi - lo], axis=0, out=sums)
+        del heads
     return sums, groups, n_flagged
 
 

@@ -5,7 +5,11 @@ does), adds U(0, 1) jitter to every time `m` so that almost no two times
 tie, and runs `fairsurv decompose` (doubly robust, default grid) on it in
 a child process.  The default grid takes every distinct event time up to
 the 95th percentile, so it grows with `n` (about 1.9k points at n = 5k).
-The child's peak RSS comes from `os.wait4`.
+The child's peak RSS comes from `os.wait4` in a small launcher process
+that spawns it: `ru_maxrss` carries over the memory of the process a
+child execs from, so a child spawned straight from the probe would read
+at least the probe's own high-water mark (about 75 MB after building
+the 200k-row `integer` cohort).
 
 With `continuous-z`, the confounder also gets U(0, 1) jitter, so almost
 every row is its own covariate cell and no confounder value of one fold
@@ -74,7 +78,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from importlib import resources
 from pathlib import Path
 
@@ -87,6 +90,14 @@ from fairsurv.scm import Cohort, SCMSpec, sample_cohort
 SRC = Path(fairsurv.__file__).resolve().parent.parent
 CLI_CODE = ("import sys; from fairsurv.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
+# runs its arguments as a child and prints [exit code, wall s, peak KB]
+LAUNCHER_CODE = (
+    "import json, os, subprocess, sys, time; start = time.perf_counter(); "
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(proc.pid, 0); "
+    "proc.returncode = os.waitstatus_to_exitcode(status); "
+    "print(json.dumps([proc.returncode, time.perf_counter() - start, "
+    "usage.ru_maxrss]))")
 
 
 LOGISTIC_PROPENSITY = ("--propensity-learner", "logistic_irls")
@@ -136,24 +147,20 @@ def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-c", CLI_CODE, "decompose", *learners,
-         "--cohort", str(cohort), "--outdir", str(workdir / "out")],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    stderr = proc.stderr.read().decode(errors="replace")
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    proc.stderr.close()
-    wall = time.perf_counter() - start
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER_CODE, sys.executable, "-c",
+         CLI_CODE, "decompose", *learners, "--cohort", str(cohort),
+         "--outdir", str(workdir / "out")],
+        env=env, capture_output=True, text=True, errors="replace")
+    exit_code, wall, peak_kb = json.loads(proc.stdout)
     grid_points = None
     diagnostics = workdir / "out" / "diagnostics.json"
     if diagnostics.is_file():
         grid_points = json.loads(diagnostics.read_text()).get("grid_points")
-    return {"exit_code": proc.returncode, "grid_points": grid_points,
+    return {"exit_code": exit_code, "grid_points": grid_points,
             "wall_s": round(wall, 2),
-            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
-            "stderr": stderr[-2000:]}
+            "peak_rss_mb": round(peak_kb / 1024.0, 1),
+            "stderr": proc.stderr[-2000:]}
 
 
 def main(argv):

@@ -759,10 +759,14 @@ STREAMED_CASES = ["survival", "one_point_grid", "cap_trimmed", "rmst",
                   "distinct_rows", "cif", "all_cause_survival"]
 
 
-@pytest.mark.parametrize("rows_per_block", [None, 37])
+@pytest.mark.parametrize("rows_per_block, rows_per_chunk",
+                         [(None, None), (37, None), (None, 5), (37, 5)],
+                         ids=["None", "37", "None-5", "37-5"])
 @pytest.mark.parametrize("case", STREAMED_CASES)
 def test_streamed_crossfit_matches_the_per_row_oracle(monkeypatch, case,
-                                                     rows_per_block):
+                                                     rows_per_block,
+                                                     rows_per_chunk):
+    # row blocks, and gathered chunks of rows, carry the running sums
     import fairsurv.dr
 
     plan, functional, grid = _streamed_case(case)
@@ -770,6 +774,9 @@ def test_streamed_crossfit_matches_the_per_row_oracle(monkeypatch, case,
     if rows_per_block is not None:
         monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS",
                             rows_per_block * len(grid) * len(queries))
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(fairsurv.dr, "_PIECE_ELEMENTS",
+                            rows_per_chunk * len(grid) * len(queries))
     streamed = crossfit_dr_many(plan, queries, functional, grid)
     reference = reference_crossfit(plan, queries, functional, grid)
     for q in queries:
@@ -805,6 +812,38 @@ def test_streamed_cases_exercise_their_safeguards():
     found = crossfit_dr_many(plan, queries, functional, grid)
     assert found[PotentialOutcomeQuery(1, 1, 0)].diagnostics[
         "n_mediator_fallback"] == 2
+
+
+def test_row_stream_holds_its_slots_and_one_chunk_not_every_row(
+        monkeypatch):
+    # one row block of all 1,500 rows, a few hundred (fold, row class)
+    # slots on a 40-point grid, and chunks of 3 rows: a copy of every
+    # row's values would alone take rows x queries x grid floats
+    import tracemalloc
+
+    import fairsurv.dr
+
+    plan, functional, _ = _streamed_case("survival")
+    grid = np.linspace(0.1, 4.0, 40)
+    queries = role_queries(0, 1)
+    n, width = plan.cohort.n, grid.size * len(queries)
+    monkeypatch.setattr(fairsurv.dr, "_BLOCK_ELEMENTS", n * width)
+    monkeypatch.setattr(fairsurv.dr, "_PIECE_ELEMENTS", 3 * width)
+    stream, peaks = fairsurv.dr._stream_rows, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return stream(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(fairsurv.dr, "_stream_rows", traced)
+    crossfit_dr_many(plan, queries, functional, grid)
+    classes = plan.cohort.cells("xzwdm")[0]
+    assert len(set(zip(plan.fold_ids.tolist(), classes.tolist()))) < n // 4
+    assert len(peaks) == 1 and peaks[0] < n * width * 8 / 4
 
 
 def test_row_blocks_leave_estimates_unchanged(monkeypatch):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fairsurv
 from rss_probe import decompose_peak_rss
 
@@ -22,6 +24,16 @@ def test_continuous_time_decompose_stays_under_300_mb(tmp_path):
     assert result["exit_code"] == 0, result["stderr"]
     assert result["grid_points"] > 1500
     assert result["peak_rss_mb"] < 300.0, result
+
+
+def test_the_probe_reads_the_cli_peak_not_its_callers(tmp_path):
+    # a caller holding 256 MB of touched memory: a CLI spawned straight
+    # from it would read at least the caller's high-water mark
+    ballast = np.ones(256 << 17)
+    result = decompose_peak_rss(300, tmp_path, integer=True)
+    del ballast
+    assert result["exit_code"] == 0, result["stderr"]
+    assert result["peak_rss_mb"] < 128.0, result
 
 
 def test_the_probe_child_runs_the_package_the_probe_imports(tmp_path):
