@@ -40,7 +40,7 @@ from .dr import FoldPlan, _check_cap
 from .errors import DataError, EmptyCohortError, EstimationError
 from .identify import _validate_grid, default_grid, fit_plugin_nuisances, \
     outcome_target
-from .nuisance import stratum_curves
+from .nuisance import _check_epsilon, stratum_curves
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries, table_csv
 from .scm import Cohort, SCMSpec, sample_cohort
@@ -522,6 +522,7 @@ def main(argv=None):
             paths = cmd_simulate(config)
         else:
             _check_cap(config["cap"])  # before the cohort is read
+            _check_epsilon(config["epsilon"])
             paths = (cmd_curves if config["command"] == "curves"
                      else cmd_decompose)(config)
     except DataError as exc:

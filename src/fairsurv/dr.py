@@ -18,9 +18,10 @@ finite sums over curve atoms and the algebra below is exact for the
 fitted models: with a correctly specified censoring model the row mean
 is unbiased for any monotone outcome table whose atoms avoid the
 censoring support, and with a correct outcome model it is unbiased for
-any censoring table.  Denominators are floored at ``epsilon`` and rows
-whose evaluation exceeds ``cap`` in magnitude are rescaled and counted
-in the diagnostics; neither safeguard fires on well-behaved cohorts.
+any censoring table.  Denominators are floored at ``epsilon``, and
+`_trim` caps the evaluated values at ``cap`` in magnitude, counting the
+trimmed rows in the diagnostics; neither safeguard fires on well-behaved
+cohorts.
 
 No curve is built to evaluate them: the models' predictions at a run of
 covariate cells come as block values (``predict_values``), every curve
@@ -51,6 +52,7 @@ from .identify import _validate_grid, default_grid, outcome_target
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
+    _check_epsilon,
     check_learners,
     fit_conditional_survival,
     fit_outcome,
@@ -214,6 +216,27 @@ def _check_cap(cap):
         raise DataError(f"cap must be positive and finite, got {cap!r}")
 
 
+def _trim(values, counts, cap, comps=()):
+    """Trim the values (queries x rows x grid) in place and return the
+    rows trimmed per query, row r counting as ``counts[r]`` rows.  Each
+    value v of a (query, row) with a value not finite or above ``cap`` in
+    magnitude is multiplied by min(cap / |v|, 1), or zeroed if not finite,
+    and so is its entry in each of the components ``comps``."""
+    # NaN compares false, so rows with a non-finite value are flagged too;
+    # row maxima and minima take no copy of the values
+    q, r = np.nonzero(~((values.max(axis=2) <= cap)
+                        & (values.min(axis=2) >= -cap)))
+    step = max(1, _PIECE_ELEMENTS // values.shape[2])
+    for lo in range(0, q.size, step):
+        at = q[lo:lo + step], r[lo:lo + step]
+        bad = ~np.isfinite(values[at])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.minimum(cap / np.abs(values[at]), 1.0)
+            for array in (values, *comps):
+                array[at] = np.where(bad, 0.0, array[at] * scale)
+    return np.bincount(q, counts[r], len(values)).astype(int)
+
+
 class _Contributions:
     """Uncentered influence contributions of several queries under one
     bundle, for rows of ``cohort`` among ``rows``.
@@ -225,8 +248,7 @@ class _Contributions:
     """
 
     def __init__(self, cohort, nuisances, queries, functional, grid,
-                 p_conditions, epsilon, cap, rows):
-        _check_cap(cap)
+                 p_conditions, epsilon, rows):
         base = _base_kind(functional)
         if base == "cif":
             self.cause = int(functional.cause or 1)
@@ -244,8 +266,7 @@ class _Contributions:
                 "target='censoring'")
         self.cohort, self.nuisances = cohort, nuisances
         self.queries, self.p_conditions = queries, p_conditions
-        self.base, self.grid = base, grid
-        self.epsilon, self.cap = epsilon, cap
+        self.base, self.grid, self.epsilon = base, grid, epsilon
         z_wanted = np.unique(cohort.z_codes[rows]).tolist()
         by_pair = {(q.x_outcome, q.x_mediator): q for q in queries}
         nu = {pair: _nu_values(nuisances, q, grid, cohort, z_wanted)
@@ -258,19 +279,12 @@ class _Contributions:
             np.searchsorted(model.grid, grid, side="right")
             for model in (nuisances.outcome, nuisances.censoring))
 
-    def evaluate(self, rows, counts, out, targets, comps=None):
+    def evaluate(self, rows, out, targets, comps=None):
         """Write query q's values of ``rows`` (grid columns) into
-        ``out[q, targets]``, which holds zeros, and return the number of
-        rows trimmed per query; each row stands for ``counts`` rows of its
-        class (``cohort.cells("xzwdm")``), which have equal values.
-
-        A row's value adds its components in COMPONENT_NAMES order.  A
-        row with a non-finite value, or one above ``cap`` in magnitude,
-        is trimmed: each such entry's components are scaled so that
-        their sum is ``cap`` in magnitude, or zeroed if not finite; it
-        counts as the rows it stands for.  Given ``comps`` (component
-        name -> arrays shaped like ``out``), the components after
-        trimming go to ``comps[name][q, targets]``.
+        ``out[q, targets]``, which holds zeros, untrimmed (`_trim` caps
+        them).  A row's value adds its components in COMPONENT_NAMES
+        order.  Given ``comps`` (component name -> arrays shaped like
+        ``out``), the components go to ``comps[name][q, targets]``.
 
         Cells go in runs that fit one prediction block of each model,
         which predicts a run's cells, at a row of each, in one call per
@@ -278,9 +292,8 @@ class _Contributions:
         values, which tend to reach the same leaves, share a tree
         prediction block (in code order the `short-grid` probe took
         83.4 s, not 43.0 s, and peaked at 90.8, not 81.9 MB)."""
-        n_flagged = np.zeros(len(self.queries), dtype=int)
         if not rows.size:
-            return n_flagged
+            return
         cohort, nuisances = self.cohort, self.nuisances
         _, first, cell = np.unique(cohort.cells("zw")[0][rows],
                                    return_index=True, return_inverse=True)
@@ -298,27 +311,23 @@ class _Contributions:
         step = min(nuisances.outcome.block_rows,
                    nuisances.censoring.block_rows)
         order = np.lexsort((cell, cohort.x[rows], cell // step))
-        rows, cell, targets, counts = (
-            rows[order], cell[order], targets[order], counts[order])
+        rows, cell, targets = rows[order], cell[order], targets[order]
         runs = np.searchsorted(cell // step * step, np.arange(
             0, first.size + step, step))
         for lo, a, b in zip(range(0, first.size, step), runs, runs[1:]):
             run = slice(lo, lo + step)
-            n_flagged += _CellRun(
-                self, first[run], p_z[run], p_zw[run], rows[a:b],
-                cell[a:b] - lo, counts[a:b]).add_to(out, targets[a:b], comps)
-        return n_flagged
+            _CellRun(self, first[run], p_z[run], p_zw[run], rows[a:b],
+                     cell[a:b] - lo).add_to(out, targets[a:b], comps)
 
 
 class _CellRun:
     """The rows ``rows`` (by group and cell) of a run of (z, w) cells,
-    ``cell`` the run's cell of each and ``counts`` the rows each stands
-    for, with every model's curves at the cells' first rows ``first`` as
-    block values and the cells' propensities ``p_z``, ``p_zw`` (cells x
-    group)."""
+    ``cell`` the run's cell of each, with every model's curves at the
+    cells' first rows ``first`` as block values and the cells'
+    propensities ``p_z``, ``p_zw`` (cells x group)."""
 
-    def __init__(self, contrib, first, p_z, p_zw, rows, cell, counts):
-        self.contrib, self.cell, self.counts = contrib, cell, counts
+    def __init__(self, contrib, first, p_z, p_zw, rows, cell):
+        self.contrib, self.cell = contrib, cell
         cohort, nuisances = contrib.cohort, contrib.nuisances
         self.x, self.m = cohort.x[rows], cohort.m[rows]
         self.delta = cohort.delta[rows]
@@ -381,50 +390,21 @@ class _CellRun:
     def add_to(self, out, targets, comps):
         """Write every query's values of the run's rows into ``out[q,
         targets]`` and their components into ``comps``, as
-        `_Contributions.evaluate` describes; returns the number of rows
-        trimmed per query, each counted as the rows it stands for.  The
-        rows go in pieces of one group, of at most ``_PIECE_ELEMENTS``
-        values of every query (the budget of a prediction block), whose
-        components are added one at a time; trimmed rows have theirs
-        computed again and scaled."""
-        contrib = self.contrib
-        n_queries, cap = len(contrib.queries), contrib.cap
-        n_flagged = np.zeros(n_queries, dtype=int)
-        step = max(1, _PIECE_ELEMENTS // (n_queries * contrib.grid.size))
+        `_Contributions.evaluate` describes.  The rows go in pieces of
+        one group, of at most ``_PIECE_ELEMENTS`` values of every query
+        (the budget of a prediction block), whose components are added
+        one at a time."""
+        n_queries, size = len(self.contrib.queries), self.contrib.grid.size
+        step = max(1, _PIECE_ELEMENTS // (n_queries * size))
         for g, at in self._pieces(step):
-            rows = self.m[at], self.delta[at], self.cell[at]
             mine = targets[at]  # the rows' targets
-            acc = np.zeros((n_queries, mine.size, contrib.grid.size))
-            touched = set()
-            for name, qi, where, values in self._terms(g, *rows):
+            acc = np.zeros((n_queries, mine.size, size))
+            for name, qi, where, values in self._terms(
+                    g, self.m[at], self.delta[at], self.cell[at]):
                 acc[qi][where] += values
-                touched.add(qi)
                 if comps:
                     comps[name][qi, mine[where]] = values
-            for qi in touched:
-                total = acc[qi]
-                # NaN compares false, so non-finite rows are flagged
-                flagged = np.flatnonzero(~(np.abs(total).max(axis=1) <= cap))
-                if flagged.size:
-                    n_flagged[qi] += self.counts[at][flagged].sum()
-                    sub = total[flagged]
-                    bad = ~np.isfinite(sub)
-                    over = np.abs(sub) > cap
-                    scale = np.ones_like(sub)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        scale[over] = cap / np.abs(sub[over])
-                    scale[bad] = 0.0
-                    total[flagged] = 0.0
-                    for name, qj, where, values in self._terms(
-                            g, *(column[flagged] for column in rows)):
-                        if qj == qi:
-                            values = values * scale[where]
-                            values[bad[where]] = 0.0
-                            total[flagged[where]] += values
-                            if comps:
-                                comps[name][qi, mine[flagged[where]]] = values
-                out[qi, mine] = total
-        return n_flagged
+            out[:, mine] = acc
 
     def _pieces(self, step):
         """(group, rows) of each piece of the run: at most ``step`` rows of
@@ -540,15 +520,15 @@ def evaluate_influence(cohort, nuisances, query, functional, grid, *,
         p_condition = p1 if query.x_condition == 1 else 1.0 - p1
     if not p_condition > 0.0:
         raise DegenerateGroupError("conditioning group has probability zero")
+    _check_cap(cap)
     # each row class is evaluated at its first row, then read by its rows
     classes, first = cohort.cells("xzwdm")
-    comps = {name: np.zeros((1, first.size, grid.size))
-             for name in COMPONENT_NAMES}
-    (n_flagged,) = _Contributions(
-        cohort, nuisances, [query], functional, grid, [p_condition],
-        epsilon, cap, np.arange(cohort.n)).evaluate(
-            first, np.bincount(classes), np.zeros((1, first.size, grid.size)),
-            np.arange(first.size), comps)
+    totals = np.zeros((1, first.size, grid.size))
+    comps = {name: np.zeros_like(totals) for name in COMPONENT_NAMES}
+    _Contributions(cohort, nuisances, [query], functional, grid,
+                   [p_condition], epsilon, np.arange(cohort.n)).evaluate(
+        first, totals, np.arange(first.size), comps)
+    (n_flagged,) = _trim(totals, np.bincount(classes), cap, comps.values())
     comps = {name: comp[0][classes] for name, comp in comps.items()}
     psi_arr = np.broadcast_to(np.asarray(psi, dtype=float), grid.shape)
     ind_z = (cohort.x == query.x_condition).astype(float)
@@ -627,6 +607,7 @@ class FoldPlan:
 
     def __init__(self, cohort, n_folds=2, seed=0, *, learners=None,
                  nuisances=None, epsilon=0.01, cap=50.0, fold_ids=None):
+        _check_epsilon(epsilon)  # before any fit
         self.cohort, self.seed, self.epsilon, self.cap = (
             cohort, seed, epsilon, cap)
         self.learners = check_learners(learners)
@@ -697,7 +678,7 @@ def crossfit_dr_many(plan, queries, functional, grid=None):
 
     contribs = [_Contributions(cohort, bundle, queries, base_functional,
                                grid, [p_cond[q] for q in queries],
-                               plan.epsilon, plan.cap, rows)
+                               plan.epsilon, rows)
                 for bundle, rows in list(plan.parts(base_functional))]
     sums, groups, n_flagged = _stream_rows(plan, contribs, grid, rmst)
 
@@ -796,8 +777,8 @@ def _stream_rows(plan, contribs, grid, rmst):
         folds = plan.fold_ids[first]
         for f, contrib in enumerate(contribs):
             mine = np.flatnonzero(folds == f)
-            n_flagged += contrib.evaluate(first[mine], counts[mine],
-                                          by_query, mine)
+            contrib.evaluate(first[mine], by_query, mine)
+        n_flagged += _trim(by_query, counts, plan.cap)
         values = by_query if rmst is None else rmst(by_query)
         xs = cohort.x[first]
         for g in (0, 1):

@@ -568,8 +568,8 @@ def fit_conditional_survival(cohort, target="event", learner="stratified",
     """Fit S(t|x,z,w), G(t|x,z,w), or CIF_k(t|x,z,w) from cohort rows.
 
     target: "event" (all causes pooled), "censoring" (complementary
-    indicator), or an integer cause label.  Stratified params:
-    max_categories.  Tree params: n_trees, min_leaf, max_depth, seed,
+    indicator), or an integer cause label.  The stratified learner takes
+    no params.  Tree params: n_trees, min_leaf, max_depth, seed,
     max_thresholds.
     """
     target = _normalize_target(target, cohort.n_causes)
@@ -584,6 +584,8 @@ def fit_conditional_survival(cohort, target="event", learner="stratified",
 # keywords of `fit_dr_nuisances` (the plug-in has no censoring model).
 LEARNER_KEYS = ("outcome_learner", "outcome_params", "censoring_learner",
                 "censoring_params", "propensity_learner")
+# The stratified learner refuses z or w with more distinct values.
+_MAX_CATEGORIES = 128
 
 
 def check_learners(learners):
@@ -605,13 +607,12 @@ def fit_outcome(cohort, target, outcome_learner="stratified",
 
 
 def _fit_stratified(cohort, target, params):
-    max_categories = int(params.pop("max_categories", 128))
     if params:
         raise DataError(f"unknown stratified params: {sorted(params)}")
     for name, codes in (("z", cohort.z_codes), ("w", cohort.w_codes)):
-        if np.unique(codes).size > max_categories:
+        if np.unique(codes).size > _MAX_CATEGORIES:
             raise CohortSchemaError(
-                f"{name} has more than {max_categories} distinct values; "
+                f"{name} has more than {_MAX_CATEGORIES} distinct values; "
                 "it looks continuous — use the tree learner"
             )
 
@@ -773,14 +774,18 @@ class PropensityModel:
         return self._groups(p1)
 
 
+def _check_epsilon(epsilon):
+    if not 0.0 < epsilon < 0.5:
+        raise DataError("clip bound must lie strictly between 0 and 0.5")
+
+
 def fit_propensity(cohort, conditioning, learner="frequency_table",
                    epsilon=0.01):
     """Fit P(X=1 | z) or P(X=1 | z, w) by counting or IRLS logistic."""
     if conditioning not in _CONDITIONING:
         raise DataError(f"conditioning must be 'z' or 'zw', not "
                         f"{conditioning!r}")
-    if not 0.0 < epsilon < 0.5:
-        raise DataError("clip bound must lie strictly between 0 and 0.5")
+    _check_epsilon(epsilon)
     y = (cohort.x == 1).astype(float)
     if y.min() == y.max():
         raise DegenerateGroupError("cohort contains a single group")

@@ -1008,6 +1008,27 @@ def test_exit_code_3_on_nonpositive_or_infinite_cap(nc_cohort_csv,
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-0.1", "0.5", "0.6", "nan"])
+def test_exit_code_3_on_a_clip_bound_outside_zero_to_half(nc_cohort_csv,
+                                                          ic_cohort_csv,
+                                                          tmp_path, capsys,
+                                                          epsilon):
+    # every analysis command and estimator, propensities fitted or not
+    for i, (args, cohort) in enumerate([
+            (["decompose"], nc_cohort_csv),
+            (["decompose", "--estimator", "plugin"], nc_cohort_csv),
+            (["decompose", "--mode", "ic", "--tau", "0.5", "--estimator",
+              "plugin"], ic_cohort_csv),
+            (["curves"], nc_cohort_csv)]):
+        out = tmp_path / f"out{i}"
+        rc = main([*args, "--cohort", str(cohort), "--epsilon", epsilon,
+                   "--outdir", str(out)])
+        assert rc == 3, args
+        assert ("fairsurv: data error: clip bound must lie strictly between "
+                "0 and 0.5") in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_multicolumn_covariates_autodetected(tmp_path):
     rng = np.random.default_rng(4)
     n = 400

@@ -799,6 +799,17 @@ def test_streamed_crossfit_matches_the_per_row_oracle(monkeypatch, case,
             assert_allclose(series.effect(name).se, se, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, float("nan")])
+def test_a_clip_bound_outside_zero_to_half_fails_before_any_fit(monkeypatch,
+                                                               epsilon):
+    _, _, cohort = _nic_setup(300, 5)
+    fits = count_fits(monkeypatch)
+    with pytest.raises(DataError, match="clip bound must lie strictly"):
+        crossfit_dr_many(FoldPlan(cohort, epsilon=epsilon),
+                         role_queries(0, 1), SURVIVAL, [1.0, 2.0])
+    assert fits == {"survival": 0, "propensity": 0}
+
+
 def test_streamed_cases_exercise_their_safeguards():
     queries = role_queries(0, 1)
     for case, key in (("cap_trimmed", "n_flagged"),
@@ -1088,7 +1099,7 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
                                                      pieces):
     import fairsurv.dr
     import fairsurv.nuisance
-    from fairsurv.dr import _Contributions
+    from fairsurv.dr import _Contributions, _trim
     from fairsurv.scm import _first_appearance
 
     cohort, bundle, functional, grid, cap = _oracle_case(case)
@@ -1125,18 +1136,18 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
     grid = np.asarray(grid, dtype=float)
     p = [float(np.mean(cohort.x == q.x_condition)) for q in queries]
     everything = np.arange(cohort.n)
-    args = (cohort, bundle, queries, functional, grid, p, 0.01, cap,
-            everything)
-    block, oracle = _Contributions(*args), ReferenceContributions(*args)
+    args = (cohort, bundle, queries, functional, grid, p, 0.01)
+    block = _Contributions(*args, everything)
+    oracle = ReferenceContributions(*args, cap, everything)
     for lo, hi in ((0, 37), (37, 150), (150, cohort.n)):
         rows = everything[lo:hi]
         # each class of the block at its first row, read by its rows
         slot, first = _first_appearance(classes[rows])
         heads = np.zeros((len(queries), first.size, grid.size))
         want = np.zeros((len(queries), rows.size, grid.size))
+        block.evaluate(rows[first], heads, np.arange(first.size))
         assert np.array_equal(
-            block.evaluate(rows[first], np.bincount(slot), heads,
-                           np.arange(first.size)),
+            _trim(heads, np.bincount(slot), cap),
             oracle.evaluate(rows, _by_cell(ids, rows), want, rows - lo))
         assert heads[:, slot].tobytes() == want.tobytes()
     # each case exercises what it is named after; the discrete cohorts'
@@ -1160,6 +1171,76 @@ def test_block_influence_matches_the_per_cell_oracle(monkeypatch, case,
         assert cell.any() and not np.any(cohort.delta[cell] == 0)
     if case == "tree_censoring_past_grid":
         assert bundle.censoring.grid[-1] > grid[-1]
+
+
+def test_trimming_evaluates_each_piece_once(monkeypatch):
+    # rows are trimmed after evaluation: a piece with trimmed rows runs
+    # its terms once, like every other piece
+    from fairsurv.dr import _CellRun
+
+    cohort, bundle, functional, grid, cap = _oracle_case("cap_trimmed")
+    pieces, terms = [], []
+    split, evaluate = _CellRun._pieces, _CellRun._terms
+
+    def counted_pieces(self, step):
+        for piece in split(self, step):
+            pieces.append(piece)
+            yield piece
+
+    def counted_terms(self, *args):
+        terms.append(args)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(_CellRun, "_pieces", counted_pieces)
+    monkeypatch.setattr(_CellRun, "_terms", counted_terms)
+    found = evaluate_influence(cohort, bundle, (1, 0, 0), functional, grid,
+                               cap=cap)
+    assert found.n_flagged > 0
+    assert len(pieces) == 2 and len(terms) == len(pieces)
+
+
+def test_trim_caps_each_flagged_row_and_its_components():
+    from fairsurv.dr import _trim
+
+    cap, nan, inf = 2.0, float("nan"), float("inf")
+    values = np.array([
+        [[nan, 1.5, 0.0], [inf, -inf, -2.0], [1.9, -2.0, 0.0]],
+        [[0.5, -0.5, 1.0], [5.0, -7.0, 2.0], [3.0, 0.0, -0.25]]])
+    first = np.array([
+        [[1.0, 0.5, 0.0], [inf, 1.0, -1.0], [1.0, -1.0, 0.0]],
+        [[0.25, 0.0, 0.5], [3.0, -4.0, 1.0], [1.0, 0.0, -0.25]]])
+    with np.errstate(invalid="ignore"):
+        second = values - first
+    second[0, 0, 0], second[0, 1, 1] = inf, -inf
+    kept_values, kept_first, kept_second = (values.copy(), first.copy(),
+                                            second.copy())
+    counts = np.array([3, 5, 7])
+    n_flagged = _trim(values, counts, cap, (first, second))
+    # query 0 trims rows 0 and 1, query 1 rows 1 and 2, each counted as
+    # the rows its class stands for
+    assert n_flagged.tolist() == [3 + 5, 5 + 7]
+    # non-finite entries go to zero with their components
+    for q, r, t in ((0, 0, 0), (0, 1, 0), (0, 1, 1)):
+        assert values[q, r, t] == first[q, r, t] == second[q, r, t] == 0.0
+    # entries above the cap end at the cap, their components scaled by
+    # the entry's own factor
+    for q, r, t in ((1, 1, 0), (1, 1, 1), (1, 2, 0)):
+        kept = kept_values[q, r, t]
+        scale = cap / abs(kept)
+        assert_allclose(values[q, r, t], np.sign(kept) * cap, rtol=1e-15)
+        assert first[q, r, t] == kept_first[q, r, t] * scale
+        assert second[q, r, t] == kept_second[q, r, t] * scale
+    # entries at or below the cap, zeros among them, keep their bits in
+    # flagged rows and in the rows left alone
+    alone = np.ones(values.shape, dtype=bool)
+    alone[0, 0, 0] = alone[0, 1, :2] = alone[1, 1, :2] = False
+    alone[1, 2, 0] = False
+    for got, kept in ((values, kept_values), (first, kept_first),
+                      (second, kept_second)):
+        assert got[alone].tobytes() == kept[alone].tobytes()
+    assert kept_values[alone].min() >= -cap and \
+        kept_values[alone].max() <= cap
+    assert np.sum(kept_values[alone] == 0.0) == 3
 
 
 def test_influence_pieces_hold_step_rows_of_one_group(monkeypatch):

@@ -166,6 +166,26 @@ def test_stratified_rejects_continuous_covariates():
         fit_conditional_survival(cohort, target="event")
 
 
+def test_stratified_learner_takes_no_params():
+    # at most 128 distinct z values, a limit no option changes
+    rng = np.random.default_rng(1)
+    for n_values in (128, 129):
+        z = np.arange(2 * n_values) % n_values
+        cohort = Cohort(np.arange(z.size) % 2, z, _const_cov(z.size),
+                        rng.random(z.size) + 0.5, [1] * z.size)
+        if n_values == 128:
+            fit_conditional_survival(cohort, target="event")
+            for limit in (1, 128, 1000):
+                with pytest.raises(DataError,
+                                   match="unknown stratified params"):
+                    fit_conditional_survival(cohort, target="event",
+                                             max_categories=limit)
+        else:
+            with pytest.raises(CohortSchemaError,
+                               match="more than 128 distinct values"):
+                fit_conditional_survival(cohort, target="event")
+
+
 def test_stratified_fit_is_row_order_invariant():
     raw = make_nic_balanced()
     cohort = sample_cohort(spec_of(raw), 2000, seed=3)

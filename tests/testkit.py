@@ -1144,12 +1144,14 @@ def _by_cell(ids, rows):
 
 class ReferenceContributions(_Contributions):
     """`fairsurv.dr._Contributions` evaluating cell by cell, with nu(z)
-    from `reference_nu_values`."""
+    from `reference_nu_values`, and trimming each cell's rows at ``cap``
+    as it goes."""
 
     def __init__(self, cohort, nuisances, queries, functional, grid,
                  p_conditions, epsilon, cap, rows):
         super().__init__(cohort, nuisances, queries, functional, grid,
-                         p_conditions, epsilon, cap, rows)
+                         p_conditions, epsilon, rows)
+        self.cap = cap
         z_wanted = np.unique(cohort.z_codes[rows]).tolist()
         by_pair = {(q.x_outcome, q.x_mediator): q for q in queries}
         nu = {pair: reference_nu_values(nuisances, q, grid, cohort, z_wanted)
@@ -1256,8 +1258,8 @@ class ReferenceContributions(_Contributions):
 
         A row's value adds its components in COMPONENT_NAMES order.  A
         row with a non-finite value, or one above ``cap`` in magnitude,
-        is trimmed: each such entry's components are scaled so that
-        their sum is ``cap`` in magnitude, or zeroed if not finite.
+        is trimmed: each such entry and its components are multiplied by
+        min(cap / |entry|, 1), or zeroed if the entry is not finite.
         Given ``comps`` (component name -> arrays shaped like ``out``),
         the components after trimming go to ``comps[name][q, targets]``.
         """
@@ -1287,16 +1289,15 @@ class ReferenceContributions(_Contributions):
         with np.errstate(divide="ignore", invalid="ignore"):
             scale[over] = self.cap / np.abs(sub[over])
         scale[bad] = 0.0
-        trimmed = []
-        for name, v in parts:
+
+        def scaled(v):
             v = np.array(np.broadcast_to(v, total.shape))
-            part = v[flagged] * scale
+            with np.errstate(invalid="ignore"):
+                part = v[flagged] * scale
             part[bad] = 0.0
             v[flagged] = part
-            trimmed.append((name, v))
-        total = np.array(total)
-        total[flagged] = sum(v[flagged] for _, v in trimmed)
-        return trimmed, total
+            return v
+        return [(name, scaled(v)) for name, v in parts], scaled(total)
 
 
 
