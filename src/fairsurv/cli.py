@@ -39,7 +39,7 @@ from .decompose import _series, cr_functionals, decompose_cr
 from .dr import FoldPlan, _check_cap
 from .errors import DataError, EmptyCohortError, EstimationError
 from .identify import _validate_grid, default_grid, fit_plugin_nuisances, \
-    outcome_target
+    outcome_target, time_quantiles
 from .nuisance import _check_epsilon, stratum_curves
 from .queries import EFFECT_NAMES, Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries, table_csv
@@ -285,7 +285,7 @@ def _resolve_grid(config, cohort):
         grid = np.asarray(sorted(set(config["grid"])), dtype=float)
     elif config.get("grid_points") is not None:
         qs = np.linspace(0.05, 0.95, int(config["grid_points"]))
-        grid = np.unique(np.quantile(cohort.m, qs))
+        grid = np.unique(time_quantiles(cohort, qs))
         grid = grid[grid > 0.0]
     elif config.get("mode") == "ic":
         # reconstruction treats censoring as a second event type, so the

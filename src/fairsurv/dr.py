@@ -267,7 +267,7 @@ class _Contributions:
         self.cohort, self.nuisances = cohort, nuisances
         self.queries, self.p_conditions = queries, p_conditions
         self.base, self.grid, self.epsilon = base, grid, epsilon
-        z_wanted = np.unique(cohort.z_codes[rows]).tolist()
+        z_wanted = np.flatnonzero(np.bincount(cohort.z_codes[rows])).tolist()
         by_pair = {(q.x_outcome, q.x_mediator): q for q in queries}
         nu = {pair: _nu_values(nuisances, q, grid, cohort, z_wanted)
               for pair, q in by_pair.items()}

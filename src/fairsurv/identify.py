@@ -24,6 +24,7 @@ from .errors import DataError, EmptyCohortError
 from .nuisance import (
     ConditionalSurvivalModel,
     PropensityModel,
+    _quantiles,
     check_learners,
     fit_outcome,
     fit_propensity,
@@ -66,12 +67,19 @@ def _validate_grid(grid):
     return g
 
 
+def time_quantiles(cohort, levels):
+    """``np.quantile(cohort.m, levels)`` by numpy's 'linear' rule, over
+    the distinct times the codes count (where -0.0 reads 0.0)."""
+    ordered = np.repeat(cohort.m_times, np.bincount(
+        cohort.m_codes, minlength=cohort.m_times.size))
+    return _quantiles(ordered[:, None], np.asarray(levels, dtype=float))[:, 0]
+
+
 def default_grid(cohort):
     """Distinct observed event times up to the 95th percentile of M."""
     event_times = cohort.m_times[np.bincount(
         cohort.m_codes[cohort.delta > 0], minlength=cohort.m_times.size) > 0]
-    cap = float(np.percentile(cohort.m, 95.0))
-    pts = event_times[event_times <= cap]
+    pts = event_times[event_times <= time_quantiles(cohort, [0.95])[0]]
     if pts.size == 0:
         raise EmptyCohortError("no event times available to build a grid")
     return pts

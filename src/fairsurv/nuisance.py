@@ -610,7 +610,7 @@ def _fit_stratified(cohort, target, params):
     if params:
         raise DataError(f"unknown stratified params: {sorted(params)}")
     for name, codes in (("z", cohort.z_codes), ("w", cohort.w_codes)):
-        if np.unique(codes).size > _MAX_CATEGORIES:
+        if np.count_nonzero(np.bincount(codes)) > _MAX_CATEGORIES:
             raise CohortSchemaError(
                 f"{name} has more than {_MAX_CATEGORIES} distinct values; "
                 "it looks continuous — use the tree learner"

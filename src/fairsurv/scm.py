@@ -456,18 +456,33 @@ def _csv_cells(text):
     return header, widths, joined.split(",")
 
 
-# The most digits of a token `_integer_table` parses: any 18 fit in an
+# The most digits of a token `_numeric_table` parses: any 18 fit in an
 # int64.
 _TOKEN_DIGITS = 18
+# 10.0 ** k for every count k of decimal places a token may hold; each
+# is exact, as every power of ten up to 10 ** 22 is.
+_POWERS_OF_TEN = np.array([float(10 ** k) for k in range(_TOKEN_DIGITS + 1)])
+# A float holds every integer of at most this size exactly, and a
+# quotient of exact floats is correctly rounded: such a mantissa over an
+# exact power of ten is float(token) to the bit (Clinger's fast path).
+_EXACT_MANTISSA = 2 ** 53
+_NEWLINES_TO_COMMAS = bytes.maketrans(b"\n", b",")
 
 
-def _integer_table(text):
-    """Header fields and the rows x header-width int64 table of a cohort
-    CSV whose body, everything after the header line, is nothing but
-    ASCII digits, commas and "\\n", every line as wide as the header and
-    every token of 1 to 18 digits; None for any other text.  The header
-    is the one `_csv_cells` finds, and the table holds the tokens it
-    would split off, parsed by one numpy call."""
+def _numeric_table(text):
+    """The numbers of a cohort CSV whose body, everything after the
+    header line, is nothing but numeric tokens, commas and "\\n": every
+    line as wide as the header, every token an optional leading "-" and
+    1 to 18 ASCII digits with at most one "." among them, and no token
+    with a "." past 2 ** 53 in size once the "." is dropped; None for any
+    other text.
+
+    Returns the header `_csv_cells` finds, the rows x header-width int64
+    table of the tokens' mantissas (each token without its ".", so "2.50"
+    reads 250 and "-0" reads 0), parsed by one numpy call, and a dict
+    from each column holding a "." or a "-" to a pair: every token's
+    float(token), and a mask of the tokens holding a ".".  A token with
+    "." reads as a float, any other as an int."""
     start = 0
     while True:  # skip blank and "#" lines, as `_csv_cells` does
         end = text.find("\n", start)
@@ -486,39 +501,93 @@ def _integer_table(text):
     if not body.isascii():
         return None
     body = body.encode("ascii")
-    if body.translate(None, b"0123456789,\n"):
+    if body.translate(None, b"0123456789,\n.-"):
         return None
     if not body.endswith(b"\n"):
         body += b"\n"
     chars = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(chars < ord("0"))  # each token's separator
+    ends = np.flatnonzero(chars <= ord(","))  # each token's separator
     width = len(header)
     rows = ends.size // width
     # a "\n" ends every width-th token and no other
     if (ends.size % width or body.count(b"\n") != rows
             or np.any(chars[ends[width - 1::width]] != ord("\n"))):
         return None
-    gaps = ends[1:] - ends[:-1]  # each later token's digits, plus one
-    if not 0 < ends[0] <= _TOKEN_DIGITS or gaps.size and (
-            gaps.min() < 2 or gaps.max() > _TOKEN_DIGITS + 1):
+    dots = np.flatnonzero(chars == ord("."))
+    minus = np.flatnonzero(chars == ord("-"))
+    dotted = np.searchsorted(ends, dots)  # the token of each "."
+    signed = np.searchsorted(ends, minus)
+    # a "-" leads its token (the body ends in "\n", so chars[-1] does
+    # for a "-" at 0), and no token holds two "."
+    if (np.any(chars[minus - 1] > ord(","))
+            or np.any(dotted[1:] == dotted[:-1])):
         return None
-    return header, np.fromstring(body.replace(b"\n", b","), dtype=np.int64,
-                                 sep=",").reshape(rows, width)
+    digits = np.empty_like(ends)
+    digits[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=digits[1:])
+    digits -= 1
+    digits[dotted] -= 1
+    digits[signed] -= 1
+    if digits.min() < 1 or digits.max() > _TOKEN_DIGITS:
+        return None
+    del digits
+    mantissas = np.fromstring(body.translate(_NEWLINES_TO_COMMAS, b"."),
+                              dtype=np.int64, sep=",")
+    if np.abs(mantissas[dotted]).max(initial=0) > _EXACT_MANTISSA:
+        return None
+    mantissas = mantissas.reshape(rows, width)
+    places = ends[dotted] - dots - 1
+    dot_rows, dot_cols = np.divmod(dotted, width)
+    minus_rows, minus_cols = np.divmod(signed, width)
+    decimals = {}
+    for col in np.flatnonzero(np.bincount(np.concatenate(
+            (dot_cols, minus_cols)), minlength=width)).tolist():
+        floats = mantissas[:, col].astype(float)
+        at = dot_rows[dot_cols == col]
+        floats[at] /= _POWERS_OF_TEN[places[dot_cols == col]]
+        at_minus = minus_rows[minus_cols == col]  # "-0" and "-0.0" too
+        floats[at_minus] = np.copysign(floats[at_minus], -1.0)
+        mask = np.zeros(rows, dtype=bool)
+        mask[at] = True
+        decimals[col] = floats, mask
+    return header, mantissas, decimals
 
 
-def _integer_covariate(block):
-    """What `_parse_covariate` gives for the integer tokens of a z or w
-    block (rows x columns): codes in order of first appearance and a
-    read-only table of Python ints, or of tuples of them when the block
-    has several columns."""
-    key = block[:, 0] if block.shape[1] == 1 else np.unique(
-        block, axis=0, return_inverse=True)[1].reshape(-1)
-    # in the smallest type, which a few values make quick to sort
-    codes, first = _first_appearance(key.astype(np.min_scalar_type(
-        int(key.max()))))
-    entries = block[first].tolist()
-    table = np.fromiter((row[0] if len(row) == 1 else tuple(row)
-                         for row in entries), dtype=object, count=len(entries))
+def _float_key(floats, mantissas):
+    """int64 keys of a `_numeric_table` column, equal where the tokens'
+    numbers are: the bits of each float once -0.0 reads 0.0, or for an
+    int past 2 ** 53 in size, which equals no float of the column (each
+    at most 2 ** 53 in size), the int itself.  No float's bits take such
+    an int's value: any float of 18 decimal places or fewer but 0.0 has
+    bits past 4e18 in size, any int token is below 1e18."""
+    key = (floats + 0.0).view(np.int64)
+    big = np.abs(mantissas) > _EXACT_MANTISSA
+    key[big] = mantissas[big]
+    return key
+
+
+def _numeric_covariate(mantissas, decimals, cols):
+    """What `_parse_covariate` gives for the z or w columns ``cols`` of a
+    `_numeric_table`: codes in order of first appearance and a read-only
+    table of each code's first entry, a Python int or float as its token
+    reads (a tuple of them when the block has several columns)."""
+    keys = [mantissas[:, c] if c not in decimals else _float_key(
+        decimals[c][0], mantissas[:, c]) for c in cols]
+    key = keys[0] if len(keys) == 1 else np.unique(
+        np.column_stack(keys), axis=0, return_inverse=True)[1].reshape(-1)
+    if key.min() >= 0:  # in the smallest type, which a few values make
+        key = key.astype(np.min_scalar_type(int(key.max())))  # quick to sort
+    codes, first = _first_appearance(key)
+    entries = []
+    for c in cols:
+        values = mantissas[first, c].tolist()
+        if c in decimals:
+            floats, dotted = decimals[c]
+            values = [f if d else v for v, f, d in zip(
+                values, floats[first].tolist(), dotted[first].tolist())]
+        entries.append(values)
+    table = np.fromiter(entries[0] if len(cols) == 1 else zip(*entries),
+                        dtype=object, count=first.size)
     table.flags.writeable = False
     return codes, table
 
@@ -706,15 +775,15 @@ class Cohort:
 
     @classmethod
     def from_csv(cls, text, n_causes=None):
-        """Cohort of a CSV text.  A body of integer tokens alone
-        (`_integer_table`) is parsed by numpy in one pass; any other goes
-        through `_csv_cells` token by token.  Both give the same
-        cohort."""
-        integers = _integer_table(text)
-        if integers is None:
+        """Cohort of a CSV text.  A body of numeric tokens alone
+        (`_numeric_table`) is parsed by numpy in one pass, unless its x or
+        delta column holds a "."; any other goes through `_csv_cells`
+        token by token.  Both give the same cohort."""
+        numeric = _numeric_table(text)
+        if numeric is None:
             header, widths, cells = _csv_cells(text)
         else:
-            header, table = integers
+            header, mantissas, decimals = numeric
         header = [h.strip() for h in header]
 
         def ambiguous(cols):  # a CohortSchemaError naming header[cols]
@@ -752,15 +821,20 @@ class Cohort:
         if not z_cols or not w_cols:
             raise CohortSchemaError("cohort CSV must include z and w columns")
 
-        if integers is not None:
-            return cls._from_codes(
-                table[:, x_col].copy(),
-                _integer_covariate(table[:, z_cols]),
-                _integer_covariate(table[:, w_cols]),
-                table[:, m_col].astype(float),
-                table[:, d_col].copy(),
-                n_causes,
-            )
+        if numeric is not None:
+            if not any(decimals[c][1].any() for c in (x_col, d_col)
+                       if c in decimals):
+                return cls._from_codes(
+                    mantissas[:, x_col].copy(),
+                    _numeric_covariate(mantissas, decimals, z_cols),
+                    _numeric_covariate(mantissas, decimals, w_cols),
+                    decimals[m_col][0] if m_col in decimals
+                    else mantissas[:, m_col].astype(float),
+                    mantissas[:, d_col].copy(),
+                    n_causes,
+                )
+            # a "." in an int column: the token reader reports it
+            _, widths, cells = _csv_cells(text)
         if not widths:
             raise EmptyCohortError("cohort CSV has a header but no rows")
         if widths != {len(header)}:

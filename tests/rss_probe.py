@@ -48,6 +48,11 @@ and the cohort is decomposed as in the default case.  Its CSV body holds
 integers alone, which the cohort reader parses in one numpy pass, and
 its rows repeat: a few hundred (fold, row class) pairs at any n.
 
+With `decimal`, the example spec's times get U(0, 1) jitter rounded to
+one decimal place, and the cohort is decomposed as in the default case.
+Its CSV body holds integers and one-decimal times, which the cohort
+reader parses in one numpy pass, as it does the `integer` case's.
+
 With `ic-plugin`, the jittered cohort of the default case is decomposed
 in `ic` mode by the plug-in estimator under three taus (`--mode ic
 --estimator plugin --tau 0.2,0.5,0.8`).  Every (outcome arm, covariate
@@ -64,7 +69,7 @@ the arm's fallback row set.
     PYTHONPATH=src python tests/rss_probe.py N LIMIT_MB [CASE]
 
 with CASE one of continuous-z, short-grid, rmst, plugin, plugin-rmst,
-ic, ic-plugin, ic-plugin-continuous-z and integer, prints the run's
+ic, ic-plugin, ic-plugin-continuous-z, integer and decimal, prints the run's
 figures as JSON and exits 1 unless the child succeeded with a peak RSS
 below LIMIT_MB.  The child runs the `fairsurv` package that the probe
 itself imports (the first one on its PYTHONPATH), so the cohort and the
@@ -109,12 +114,15 @@ IC_PLUGIN_ARGS = ("--mode", "ic", "--estimator", "plugin",
                   "--tau", "0.2,0.5,0.8")
 
 
-def probe_cohort_csv(n, seed=0, continuous_z=False, continuous_m=True):
+def probe_cohort_csv(n, seed=0, continuous_z=False, continuous_m=True,
+                     time_decimals=None):
     spec = SCMSpec.from_json((resources.files("fairsurv.data")
                               / "example_spec.json").read_text())
     cohort = sample_cohort(spec, n, seed=seed)
     rng = np.random.default_rng(seed)
     m = cohort.m + rng.uniform(0.0, 1.0, n) if continuous_m else cohort.m
+    if time_decimals is not None:
+        m = np.round(m, time_decimals)
     z = cohort.z_items
     if continuous_z:
         z = np.round(np.asarray(z, dtype=float) + rng.uniform(0.0, 1.0, n),
@@ -124,14 +132,16 @@ def probe_cohort_csv(n, seed=0, continuous_z=False, continuous_m=True):
 
 def decompose_peak_rss(n, workdir, seed=0, continuous_z=False, rmst=False,
                        plugin=False, grid_points=None, ic=False,
-                       ic_plugin=False, integer=False):
+                       ic_plugin=False, integer=False, decimal=False):
     """Run `decompose` on an n-row cohort under `workdir`, jittered
-    unless `ic` or `integer`; returns
+    unless `ic` or `integer`, with times of one decimal place if
+    `decimal`; returns
     {"exit_code", "grid_points", "wall_s", "peak_rss_mb", "stderr"}."""
     workdir = Path(workdir)
     cohort = workdir / "cohort.csv"
     cohort.write_text(probe_cohort_csv(n, seed, continuous_z,
-                                       continuous_m=not (ic or integer)))
+                                       continuous_m=not (ic or integer),
+                                       time_decimals=1 if decimal else None))
     learners = CONTINUOUS_Z_LEARNERS if continuous_z else ()
     if ic:
         learners += IC_ARGS
@@ -168,10 +178,11 @@ def main(argv):
     case = argv[2] if argv[2:] else None
     if argv[3:] or case not in (None, "continuous-z", "short-grid", "rmst",
                                 "plugin", "plugin-rmst", "ic", "ic-plugin",
-                                "ic-plugin-continuous-z", "integer"):
+                                "ic-plugin-continuous-z", "integer",
+                                "decimal"):
         sys.exit(f"unknown case {' '.join(argv[2:])!r}; the cases are "
                  "continuous-z, short-grid, rmst, plugin, plugin-rmst, ic, "
-                 "ic-plugin, ic-plugin-continuous-z and integer")
+                 "ic-plugin, ic-plugin-continuous-z, integer and decimal")
     with tempfile.TemporaryDirectory() as workdir:
         result = decompose_peak_rss(
             n, workdir,
@@ -182,7 +193,7 @@ def main(argv):
             grid_points=5 if case == "short-grid" else None,
             ic=case == "ic",
             ic_plugin=case in ("ic-plugin", "ic-plugin-continuous-z"),
-            integer=case == "integer")
+            integer=case == "integer", decimal=case == "decimal")
     print(json.dumps({"n": n, "limit_mb": limit_mb, "case": case,
                       **result}))
     ok = result["exit_code"] == 0 and result["peak_rss_mb"] < limit_mb

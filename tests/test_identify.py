@@ -18,10 +18,12 @@ from fairsurv.dr import (
     fit_dr_nuisances,
 )
 from fairsurv.errors import DataError
+from fairsurv.cli import _resolve_grid
 from fairsurv.identify import (
     default_grid,
     fit_plugin_nuisances,
     plugin_po_many,
+    time_quantiles,
 )
 from fairsurv.nuisance import ConditionalSurvivalModel
 from fairsurv.queries import Functional, PotentialOutcomeQuery, role_queries
@@ -486,6 +488,63 @@ def test_default_grid_caps_at_percentile():
                     [1.0, 2.0, 3.0, 4.0, 100.0], [1, 1, 0, 1, 1])
     grid = default_grid(cohort)
     np.testing.assert_array_equal(grid, [1.0, 2.0, 4.0])
+
+
+def _numpy_grids(cohort, grid_points):
+    """The default and the --grid-points grid, as np.percentile and
+    np.quantile draw them from the raw times; None for an empty grid."""
+    event_times = cohort.m_times[np.bincount(
+        cohort.m_codes[cohort.delta > 0], minlength=cohort.m_times.size) > 0]
+    default = event_times[event_times <= np.percentile(cohort.m, 95.0)]
+    spaced = np.unique(np.quantile(
+        cohort.m, np.linspace(0.05, 0.95, grid_points)))
+    spaced = spaced[spaced > 0.0]
+    return [g.tobytes() if g.size else None for g in (default, spaced)]
+
+
+def _grids(cohort, grid_points):
+    got = []
+    for config in ({}, {"grid_points": grid_points}):
+        try:
+            got.append(_resolve_grid(config, cohort).tobytes())
+        except DataError:  # EmptyCohortError or an empty --grid-points grid
+            got.append(None)
+    return got
+
+
+@pytest.mark.parametrize("m, delta", [
+    ([2.0] * 7, [1] * 7),
+    ([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 9.0], [1, 0] * 4),
+    ([4.5], [1]),
+    ([-0.0, 0.0, -0.0, 1.5, 1.5], [1, 1, 0, 1, 0]),
+    ([-0.0] * 3, [1] * 3),
+    ([0.5, -0.0, 2.0, 0.0], [0, 1, 1, 1]),
+], ids=["ties", "cap_between_ties", "one_row", "negative_zeros",
+        "negative_zeros_only", "zeros_first"])
+def test_grids_read_numpys_quantiles_off_the_time_codes(m, delta):
+    # the 95th percentile and the --grid-points quantiles of the coded
+    # times, where -0.0 reads 0.0, give numpy's grids to the bit
+    cohort = Cohort([0, 1] * (len(m) // 2) + [0] * (len(m) % 2),
+                    [0] * len(m), [0] * len(m), m, delta)
+    levels = np.linspace(0.05, 0.95, 7)
+    got, want = time_quantiles(cohort, levels), np.quantile(cohort.m, levels)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got[got != 0]),
+                          np.signbit(want[want != 0]))
+    for grid_points in (1, 2, 7):
+        assert _grids(cohort, grid_points) == _numpy_grids(cohort,
+                                                           grid_points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 1.5, 7.25]),
+                min_size=1, max_size=40),
+       st.integers(1, 20), st.randoms(use_true_random=False))
+def test_grids_match_numpys_on_random_cohorts(m, grid_points, random):
+    delta = [random.randint(0, 2) for _ in m]
+    cohort = Cohort([random.randint(0, 1) for _ in m], [0] * len(m),
+                    [0] * len(m), m, delta)
+    assert _grids(cohort, grid_points) == _numpy_grids(cohort, grid_points)
 
 
 def test_grid_validation_errors():

@@ -1,4 +1,5 @@
-"""Import cost: scipy stays off the import path and loads only where used.
+"""Import cost: scipy stays off the import path and loads only where used,
+and numpy's lazily loaded numpy.ma stays unloaded by a default decompose.
 
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
@@ -13,6 +14,9 @@ from pathlib import Path
 import pytest
 
 import fairsurv
+from fairsurv.scm import sample_cohort
+
+from testkit import make_nic_balanced, spec_of
 
 SRC = str(Path(fairsurv.__file__).resolve().parents[1])
 
@@ -83,3 +87,20 @@ print(json.dumps({{"p": repr(model.predict(0.5, 1)),
 """
     assert _run(code) == {"p": "0.42146272469649115", "n_iter": 5,
                           "scipy": []}
+
+
+def test_default_decompose_loads_no_numpy_ma(tmp_path):
+    # numpy loads numpy.ma on first use, which np.percentile and a bare
+    # np.unique make; a decompose on the default grid needs neither
+    path = tmp_path / "cohort.csv"
+    path.write_text(sample_cohort(spec_of(make_nic_balanced()), 400,
+                                  seed=1).to_csv())
+    code = f"""
+import contextlib, io, json, sys
+from fairsurv.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["decompose", "--cohort", {str(path)!r},
+                 "--outdir", {str(tmp_path / "out")!r}])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+    assert _run(code) == [0, False]

@@ -186,6 +186,25 @@ def test_stratified_learner_takes_no_params():
                 fit_conditional_survival(cohort, target="event")
 
 
+@pytest.mark.parametrize("name", ["z", "w"])
+def test_stratified_learner_counts_the_values_its_rows_hold(name):
+    # 129 values in the rows raise; a subset holding 128 of them fits,
+    # though it shares the cohort's table of 129
+    rng = np.random.default_rng(2)
+    values = np.arange(2 * 129) % 129
+    covariates = {"z": _const_cov(values.size), "w": _const_cov(values.size),
+                  name: values}
+    cohort = Cohort(np.arange(values.size) % 2, covariates["z"],
+                    covariates["w"], rng.random(values.size) + 0.5,
+                    [1] * values.size)
+    with pytest.raises(CohortSchemaError,
+                       match=f"^{name} has more than 128 distinct values"):
+        fit_conditional_survival(cohort, target="event")
+    part = cohort.subset(values < 128)
+    assert len(getattr(part, f"{name}_values")) == 129
+    fit_conditional_survival(part, target="event")
+
+
 def test_stratified_fit_is_row_order_invariant():
     raw = make_nic_balanced()
     cohort = sample_cohort(spec_of(raw), 2000, seed=3)

@@ -600,11 +600,23 @@ def test_an_int_column_reports_its_first_invalid_token(tokens):
 
 _PLAIN_TOKENS = ["1", "1.0", " 1", "1 ", "2", "-0", "0.0", "a", "b c", "",
                  "1e3", "1000"]
-# integer tokens, with leading zeros and the longest token the integer
-# reader parses (18 digits); each near miss sends a text to the token
-# reader
+# integer tokens, with leading zeros and the longest token the one-pass
+# reader parses (18 digits)
 _INTEGER_TOKENS = ["0", "1", "2", "007", "7", "10", "9" * 18]
-_NEAR_MISSES = [".", "-", "blank line", "\r\n", "short row", "19 digits"]
+# decimal and negative tokens it parses too: equal numbers of either
+# kind, -0.0 and the largest mantissa it reads exactly (2 ** 53), beside
+# ints on either side of it
+_DECIMAL_TOKENS = ["1.5", "2.0", "1.00", "1.", ".5", "0.50", "007.250",
+                   "0.1", "-3", "-0", "-0.0", "-1.5", "-.5", "-007",
+                   "9007199254740.992", "9007199254740992.",
+                   "9007199254740992", "9007199254740993"]
+# nonnegative times of both kinds, and the two negative zeros
+_TIME_TOKENS = ["1.5", "2.0", "1.", ".5", "0.50", "007.250", "0.1",
+                "12345678.90123456", "-0", "-0.0"]
+# each sends a text to the token reader: a token, or a line layout
+_TOKEN_MISSES = ["1.2.3", ".", "-", "1-2", "+1", "1e5", "17 digits",
+                 "19 digits", "int point"]
+_NEAR_MISSES = _TOKEN_MISSES + ["blank line", "\r\n", "short row"]
 _QUOTED_TOKENS = ["x,y", 'say "hi"']
 
 
@@ -623,7 +635,7 @@ def _cohort_texts(draw):
         names.append("note")
     names = draw(st.permutations(names))
     if draw(st.booleans()):
-        return draw(_integer_cohort_texts(names))
+        return draw(_numeric_cohort_texts(names))
     number = {
         "x": st.sampled_from(["0", "1", " 1", "1 "]),
         "m": st.sampled_from(["0.5", "1", "2.25", " 3", "3.0", "1e1"]),
@@ -654,20 +666,29 @@ def _cohort_texts(draw):
 
 
 @st.composite
-def _integer_cohort_texts(draw, names):
-    """Cohort texts under the header ``names`` whose body is integers
-    alone, or one near miss away."""
-    number = {"x": st.sampled_from(["0", "1", "01", "00"]),
-              "delta": st.sampled_from(["0", "1", "2", "001"])}
-    token = st.sampled_from(_INTEGER_TOKENS)
+def _numeric_cohort_texts(draw, names):
+    """Cohort texts under the header ``names`` whose body is numeric
+    tokens alone (integers alone in half of them), or one near miss
+    away."""
+    integers = draw(st.booleans())
+    number = {"x": st.sampled_from(["0", "1", "01", "00"]
+                                   + ["-0"] * (not integers)),
+              "delta": st.sampled_from(["0", "1", "2", "001"]),
+              "m": st.sampled_from(_INTEGER_TOKENS
+                                   + _TIME_TOKENS * (not integers))}
+    token = st.sampled_from(_INTEGER_TOKENS
+                            + _DECIMAL_TOKENS * (not integers))
     rows = [[draw(number.get(name, token)) for name in names]
             for _ in range(draw(st.integers(1, 25)))]
     near_miss = draw(st.one_of(st.none(), st.sampled_from(_NEAR_MISSES)))
-    if near_miss in (".", "-", "19 digits"):
+    if near_miss in _TOKEN_MISSES:
         row = draw(st.sampled_from(rows))
-        at = draw(st.integers(0, len(names) - 1))
-        row[at] = {".": "1.5", "-": "-" + row[at],
-                   "19 digits": "1" + "0" * 18}[near_miss]
+        at = draw(st.sampled_from([names.index("x"), names.index("delta")])
+                  if near_miss == "int point"
+                  else st.integers(0, len(names) - 1))
+        row[at] = {"17 digits": "12345678.901234567",
+                   "19 digits": "1" + "0" * 18,
+                   "int point": "1.0"}.get(near_miss, near_miss)
     lines = [",".join(row) for row in rows]
     if near_miss == "blank line":
         lines.insert(draw(st.integers(0, len(lines))), "")
@@ -682,7 +703,7 @@ def _integer_cohort_texts(draw, names):
     return text + draw(st.sampled_from(["", "\n"]))
 
 
-# half the texts have integer bodies; the other half keep the 300 of the
+# half the texts have numeric bodies; the other half keep the 300 of the
 # token reader
 @settings(max_examples=600, deadline=None)
 @given(_cohort_texts())
@@ -710,25 +731,48 @@ _INTEGER_BODY = ("# fairsurv simulate\n\n   \n"
                  "7,1,1,007,5,0,10,0\n"
                  "999999999999999999,01,0,7,9,00,999999999999999999,2\n")
 
+# -0.0 and 0, or 7, 7. and 7.00, share a code, and the table keeps the
+# first; m keeps the sign of -0 and -0.0
+_DECIMAL_BODY = ("z2,x,w1,z1,extra,w2,m,delta\n"
+                 "-0.0,0,1,7,5,-0,-0,1\n"
+                 "0,1,1,007.,.5,0,-0.0,0\n"
+                 "-.5,01,-1.,7.00,-9,00,2.50,2\n")
+
 
 @pytest.mark.parametrize("near_miss, text", [
     (None, _INTEGER_BODY),
     (None, _INTEGER_BODY[:-1]),  # no final newline
     (None, "x,z,w,m,delta\n0,1,2,3,1"),
-    (".", _INTEGER_BODY.replace("010", "1.5")),
-    ("-", _INTEGER_BODY.replace(",9,", ",-9,")),
+    (None, _INTEGER_BODY.replace("010", "1.5")),
+    (None, _INTEGER_BODY.replace(",9,", ",-9,")),
+    (None, _DECIMAL_BODY),
+    # 2 ** 53 as a float and as an int share a code, 2 ** 53 + 1 has its
+    # own
+    (None, _INTEGER_BODY.replace("007,0", "9007199254740992.,0")
+     .replace("7,1,1", "9007199254740993,1,1")
+     .replace("999999999999999999,01", "9007199254740992,01")),
     ("blank line", _INTEGER_BODY.replace("1\n7,", "1\n\n7,")),
     ("\r\n", _INTEGER_BODY.replace("\n", "\r\n")),
     ("short row", _INTEGER_BODY.replace(",5,0,10,0", ",5,0,10")),
     ("19 digits", _INTEGER_BODY.replace("999999999999999999,0", "1" + "0" * 18
                                          + ",0")),
+    ("1.2.3", _INTEGER_BODY.replace(",9,", ",1.2.3,")),
+    (".", _INTEGER_BODY.replace(",9,", ",.,")),
+    ("-", _INTEGER_BODY.replace(",9,", ",-,")),
+    ("1-2", _INTEGER_BODY.replace(",9,", ",1-2,")),
+    ("+1", _INTEGER_BODY.replace(",9,", ",+1,")),
+    ("1e5", _INTEGER_BODY.replace("010", "1e5")),
+    ("17 digits", _INTEGER_BODY.replace("010", "12345678.901234567")),
+    ("x = 1.0", _INTEGER_BODY.replace("7,1,1", "7,1.0,1")),
 ], ids=["integers", "no_final_newline", "one_row", "decimal_point", "sign",
-        "blank_line", "crlf", "short_row", "19_digits"])
+        "decimals", "exact_mantissa", "blank_line", "crlf",
+        "short_row", "19_digits", "two_points", "point", "minus",
+        "inner_minus", "plus", "exponent", "17_digit_decimal", "x_point"])
 def test_integer_bodies_bypass_the_token_reader(monkeypatch, near_miss,
                                                 text):
-    # a body of integers alone is parsed in one pass, never token by
-    # token; one near miss sends the text to the token reader; both read
-    # it as the row-by-row reference does
+    # a body of numeric tokens alone (integers, decimals, signs) is parsed
+    # in one pass, never token by token; one near miss sends the text to
+    # the token reader; both read it as the row-by-row reference does
     calls = _count_token_reads(monkeypatch)
     assert _read(Cohort.from_csv, text) == _read(_reference_from_csv, text)
     assert len(calls) == (near_miss is not None)
@@ -752,14 +796,15 @@ def test_csv_bad_number_names_its_column_as_the_reference_does(column,
 
 
 def _header_text(header, body):
-    """Two rows under ``header``: integers alone, or with a decimal m."""
-    m = "2" if body == "integer" else "2.5"
+    """Two rows under ``header``: integers alone, or with a decimal m, or
+    with an m the one-pass reader does not parse."""
+    m = {"integer": "2", "decimal": "2.5", "exponent": "25e-1"}[body]
     rows = [[m if name.strip() == "m" else str(value)
              for name in header.split(",")] for value in (0, 1)]
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-@pytest.mark.parametrize("body", ["integer", "decimal"])
+@pytest.mark.parametrize("body", ["integer", "decimal", "exponent"])
 @pytest.mark.parametrize("header, names", [
     ("x,x,z,w,m,delta", "'x', 'x' at columns 1, 2"),
     ("x ,z,w, x,m,delta", "'x', 'x' at columns 1, 4"),
@@ -775,15 +820,15 @@ def _header_text(header, body):
         "z_z1", "w_w2"])
 def test_csv_ambiguous_header_is_a_schema_error(monkeypatch, header, names,
                                                 body):
-    # on both reader paths: an integer body never reaches the token
-    # reader, a decimal one does
+    # on both reader paths: a numeric body never reaches the token
+    # reader, one with an exponent does
     calls = _count_token_reads(monkeypatch)
     with pytest.raises(CohortSchemaError, match=f"ambiguous: {names}$"):
         Cohort.from_csv(_header_text(header, body))
-    assert len(calls) == (body == "decimal")
+    assert len(calls) == (body == "exponent")
 
 
-@pytest.mark.parametrize("body", ["integer", "decimal"])
+@pytest.mark.parametrize("body", ["integer", "decimal", "exponent"])
 @pytest.mark.parametrize("header", ["x,z\u00b2,w,m,delta",
                                     "x,z,w\u00b3,m,delta"])
 def test_csv_superscript_suffix_numbers_no_column(header, body):
@@ -799,13 +844,13 @@ def test_csv_superscript_suffix_numbers_no_column(header, body):
         == _read(Cohort.from_csv, _header_text("x,z1,w1,m,delta", body)))
 
 
-@pytest.mark.parametrize("body", ["integer", "decimal"])
+@pytest.mark.parametrize("body", ["integer", "decimal", "exponent"])
 def test_csv_repeated_unused_column_is_ignored(monkeypatch, body):
     calls = _count_token_reads(monkeypatch)
     assert (_read(Cohort.from_csv, _header_text("note,x,z,w,note,m,delta",
                                                 body))
             == _read(Cohort.from_csv, _header_text("x,z,w,m,delta", body)))
-    assert len(calls) == 2 * (body == "decimal")
+    assert len(calls) == 2 * (body == "exponent")
 
 
 @pytest.mark.parametrize("header", ["x,z,w,m,delta", "x,z1,z2,w,m,delta"])
