@@ -27,7 +27,7 @@ Layered API, bottom up:
 - :mod:`fairsurv.copulas` — Archimedean dependence models for the
   informative-censoring sensitivity analysis.
 - :mod:`fairsurv.cge` — latent-survival reconstruction from cause-specific
-  incidence under an assumed dependence model, point and bounded variants.
+  incidence under an assumed dependence model, by one bounded recursion.
 - :mod:`fairsurv.cli` — `fairsurv` command line: simulate | decompose |
   curves, with deterministic, byte-identical reruns.
 """
@@ -36,7 +36,6 @@ from .cge import (
     CGEState,
     Route2Result,
     cge_bounded,
-    cge_classical,
     incidence_estimates,
     route1_conditional,
     route2_population,
@@ -122,7 +121,6 @@ __all__ = [
     "decompose_cr",
     # dependence models and reconstruction
     "CopulaSpec",
-    "cge_classical",
     "cge_bounded",
     "CGEState",
     "route1_conditional",

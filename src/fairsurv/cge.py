@@ -6,17 +6,16 @@ H(t, c) = C_tau(S(t), G(c)), so phi(H) = phi(S) + phi(G).  Everything
 observable is carried by the pair of sub-distribution incidence curves
 CIF_T(t) = P(M <= t, event) and CIF_C(t) = P(M <= t, censored), whose
 sum fixes the joint survival S_all = 1 - CIF_T - CIF_C on the diagonal.
-The recursions here invert that relation step by step to recover the
+The recursion here inverts that relation step by step to recover the
 latent marginals S and G for a fixed dependence strength tau.
 
-Two variants are provided.  The classical recursion assumes at most one
-of the two incidence curves jumps per step and is exact under that
-assumption.  When both move inside one grid step the inversion is no
-longer unique; the bounded variant computes sharp per-step lower and
-upper bounds for both marginals (attained by letting one cause's
-increment happen first within the step), takes midpoints as point
-estimates, re-projects them onto the additive identity, and iterates.
-Bounds collapse as the grid refines.
+One recursion serves every route.  Where one incidence curve moves in a
+grid step the inversion is exact; where both move it is not unique, so
+each step takes sharp lower and upper bounds for both marginals (one
+cause's increment first within the step) and, as point estimates, their
+midpoints re-projected onto the additive identity.  The bounds collapse
+as the grid refines, and onto the exact inversion where the two curves
+never jump together.
 
 Route I applies the bounded recursion inside covariate strata, one
 batched call per copula over blocks of strata for every query, and
@@ -41,7 +40,7 @@ import numpy as np
 from .copulas import CopulaSpec, generator, generator_inverse
 from .curves import _BLOCK_ELEMENTS, StepCurve
 from .dr import Z_CRITICAL, crossfit_dr_many
-from .errors import CoincidentJumpError, DataError, InfeasibleBandsError
+from .errors import DataError, InfeasibleBandsError
 from .identify import _validate_grid, cell_weights
 from .queries import Functional, table_csv
 from .scm import cell_members
@@ -76,49 +75,6 @@ def _check_cif_inputs(cif_t, cif_c):
             raise DataError(f"{name} incidence must be a step curve")
         if curve.value_at_zero != 0.0:
             raise DataError(f"{name} incidence must start at zero")
-
-
-def cge_classical(cif_t, cif_c, spec):
-    """Single-jump recursion: exact when the two curves never move together.
-
-    Walks the merged jump times; an event jump updates S through
-    phi(S) = phi(S_all) - phi(G), a censoring jump updates G
-    symmetrically.  Returns the pair (S, G) of latent marginal survival
-    curves on the merged jump grid.
-    """
-    _check_cif_inputs(cif_t, cif_c)
-    jumps_t = _jump_times(cif_t)
-    jumps_c = _jump_times(cif_c)
-    shared = np.intersect1d(jumps_t, jumps_c)
-    if shared.size:
-        raise CoincidentJumpError(
-            f"event and censoring incidence jump together at t={shared[0]:g}; "
-            "the single-jump recursion does not apply — use the bounded "
-            "variant")
-    merged = np.union1d(jumps_t, jumps_c)
-    if merged.size == 0:
-        raise DataError("both incidence curves are identically zero")
-
-    is_event = np.isin(merged, jumps_t).tolist()
-    s_vals, g_vals = np.empty(merged.size), np.empty(merged.size)
-    s_prev, g_prev = 1.0, 1.0
-    for i, t in enumerate(merged):
-        s_all = 1.0 - cif_t.evaluate(t) - cif_c.evaluate(t)
-        if s_all < -_SUM_SLACK:
-            raise DataError(f"incidence curves sum above one at t={t:g}")
-        # the jumping curve's marginal moves, the other one's is held
-        held = g_prev if is_event[i] else s_prev
-        value = 0.0 if s_all <= 0.0 else float(_invert_nonneg(
-            spec, generator(spec, s_all) - generator(spec, held))[0])
-        if is_event[i]:
-            s_prev = min(value, s_prev)
-        else:
-            g_prev = min(value, g_prev)
-        s_vals[i], g_vals[i] = s_prev, g_prev
-    s_vals = np.clip(s_vals, 0.0, 1.0)
-    g_vals = np.clip(g_vals, 0.0, 1.0)
-    return (StepCurve(merged, s_vals, value_at_zero=1.0, kind="survival"),
-            StepCurve(merged, g_vals, value_at_zero=1.0, kind="survival"))
 
 
 @dataclass

@@ -285,7 +285,8 @@ def _resolve_grid(config, cohort):
         grid = np.asarray(sorted(set(config["grid"])), dtype=float)
     elif config.get("grid_points") is not None:
         qs = np.linspace(0.05, 0.95, int(config["grid_points"]))
-        grid = np.unique(time_quantiles(cohort, qs))
+        # with an inverse, np.unique does not load numpy.ma
+        grid = np.unique(time_quantiles(cohort, qs), return_inverse=True)[0]
         grid = grid[grid > 0.0]
     elif config.get("mode") == "ic":
         # reconstruction treats censoring as a second event type, so the

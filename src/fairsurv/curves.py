@@ -286,10 +286,11 @@ def restricted_mean_values(grid, values, jumps, times, horizon=None):
     off a curve's own knots (its breakpoints and ``times``), so each
     integral is the same sum in the same order as over those knots."""
     times = np.asarray(times, dtype=float)
-    knots = np.union1d(grid, times)
-    at = np.searchsorted(knots, times)
+    # union and places from one sort; np.union1d would load numpy.ma
+    knots, place = np.unique(np.append(grid, times), return_inverse=True)
+    at = place[grid.size:]
     own = np.zeros((len(values), knots.size), dtype=bool)
-    own[:, np.searchsorted(knots, grid)] = jumps
+    own[:, place[:grid.size]] = jumps
     own[:, at] = True
     # each knot's step from its curve's previous knot, at the value just
     # before it

@@ -31,6 +31,16 @@ all cells of the run are evaluated as arrays.  Rows equal in group,
 cell, event label and time have equal values, so each such class is
 evaluated at one row; the standard errors' moments weight it by its
 rows, and its rows read its values only where the estimates sum them.
+
+P(x) = P(X = x_condition) has one rule per entry; the rules differ only
+when a group's fraction is under the clip bound ``epsilon``.
+`crossfit_dr_many` takes the cohort's exact fraction: the centering
+weights ``1(X = x_condition) / P(x)`` then sum to the row count, so the
+influence values centre exactly at the estimate.  The plug-in and Route
+I (`identify.cell_weights`) take the z model's `group_fractions`, its
+marginal clipped as its predictions are, so P(x | z) / P(x) is a ratio
+of values clipped alike.  `evaluate_influence` defaults to the z model's
+unclipped `marginal`, the fraction among the rows it was fitted on.
 """
 
 from __future__ import annotations
@@ -507,12 +517,8 @@ class _CellRun:
 
 def evaluate_influence(cohort, nuisances, query, functional, grid, *,
                        psi=0.0, p_condition=None, epsilon=0.01, cap=50.0):
-    """Influence values for every row at every grid time, centered at psi.
-
-    ``p_condition`` defaults to the nuisance bundle's marginal for the
-    conditioning group; cross-fitting passes the full-sample fraction
-    explicitly so that centering is exact.
-    """
+    """Influence values for every row at every grid time, centered at psi;
+    ``p_condition`` defaults to the z model's unclipped `marginal`."""
     grid = _validate_grid(grid)
     query = _as_query(query)
     if p_condition is None:

@@ -42,9 +42,5 @@ class RatioUndefinedError(EstimationError):
     """A ratio-scale effect has a denominator at zero."""
 
 
-class CoincidentJumpError(EstimationError):
-    """Point-identified recursion hit coincident jump times; use bounds."""
-
-
 class InfeasibleBandsError(EstimationError):
     """Uncertainty bands admit no curve satisfying the shape constraints."""

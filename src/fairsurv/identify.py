@@ -7,8 +7,7 @@ x_condition.  The weighted estimator averages the outcome model's
 per-stratum functional over rows, reweighting each row by propensity
 ratios so the mediator and conditioning arms land on the requested
 groups.  The ratios read two propensity models, P(X = 1 | z, w) and
-P(X = 1 | z), each asked once per covariate cell for both groups; the
-conditioning fraction P(x) is the z model's clipped group fraction.  The
+P(X = 1 | z), each asked once per covariate cell for both groups.  The
 functional is computed on the outcome model's block values
 (``predict_values``), every distinct curve of a block once.
 """
@@ -150,7 +149,7 @@ def cell_weights(nuisances, queries, cohort, rows):
         -------------------- * ------------------
         P(x_mediator | z)        P(x_condition)
 
-    with P(x_condition) the z model's `group_fractions`."""
+    with P(x_condition) by the plug-in's rule in `fairsurv.dr`."""
     p_zw, p_z = (model.predict_many(cohort, rows)
                  for model in (nuisances.propensity_zw, nuisances.propensity_z))
     p_x = nuisances.propensity_z.group_fractions

@@ -48,14 +48,14 @@ from .errors import (
     DataError,
     DegenerateGroupError,
 )
-from .scm import Cohort, _canonical_item
+from .scm import Cohort
 
 
 def _target_label(target):
     return f"cause:{target}" if isinstance(target, int) else target
 
 
-def _normalize_target(target, n_causes=math.inf):
+def _normalize_target(target, n_causes):
     if target in ("event", "censoring"):
         return target
     if isinstance(target, (int, np.integer)) and not isinstance(target, bool):
@@ -334,8 +334,7 @@ class _Forest:
         self.roots = np.array(roots)
         self.feature, self.threshold, self.left, self.right, self.leaf = (
             np.array(column) for column in zip(*nodes))
-        self.grid = np.unique(times)
-        pos = np.searchsorted(self.grid, times)
+        self.grid, pos = np.unique(times, return_inverse=True)
         ends = np.cumsum(n_jumps)
         self.bounds = np.concatenate(([0], ends + np.arange(1, ends.size + 1)))
         self.steps = np.insert(values, ends - n_jumps, 0.0)
@@ -387,9 +386,9 @@ class _Forest:
             max(self.grid.size, 1) * min(len(sets), 2 ** self.depth)))
         for first in range(0, n_trees, group):
             leaves = sets[:, first:first + group]
-            used = np.unique(leaves)
+            used, index = np.unique(leaves, return_inverse=True)
             values, at = self._on_grid(used)
-            for local in np.searchsorted(used, leaves).T:
+            for local in index.reshape(leaves.shape).T:
                 sums += values[local]
                 jumps |= at[local]
         total = np.zeros((len(sets), self.grid.size + 1))
@@ -454,35 +453,6 @@ class ConditionalSurvivalModel:
         """Most rows of one prediction block: ``_BLOCK_ELEMENTS`` //
         (union-grid times)."""
         return max(1, _BLOCK_ELEMENTS // max(self.grid.size, 1))
-
-    @classmethod
-    def from_curves(cls, curves, target, n_causes=1, fit_report=None):
-        """Wrap an explicit {(x, z, w): StepCurve} lookup as a model.
-
-        Keys may also be (x, z), (x,), or () to serve as backoff levels.
-        Useful for exact tables and for deliberately distorted inputs in
-        robustness studies.
-        """
-        target = _normalize_target(target)
-        table = {}
-        for key, curve in curves.items():
-            key = tuple(key)
-            if len(key) > 3:
-                raise DataError("curve keys must be (), (x,), (x,z) or (x,z,w)")
-            if not isinstance(curve, StepCurve):
-                raise DataError("curve table values must be StepCurve")
-            canon = tuple(
-                int(part) if i == 0 else _canonical_item(part)
-                for i, part in enumerate(key)
-            )
-            table[canon] = curve
-        report = dict(fit_report or {})
-        report.setdefault("learner", "stratified")
-        report.setdefault("target", _target_label(target))
-        report.setdefault("source", "curve-table")
-        return cls("stratified", target, n_causes, report, curves=table,
-                   grid=np.unique(np.concatenate([np.empty(0)] + [
-                       c.breakpoints for c in table.values()])))
 
     def predict(self, x, z, w):
         """Curve for one covariate triple; a table model's is the stored

@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fairsurv.cge import cge_bounded, cge_classical, incidence_estimates, \
+from fairsurv.cge import cge_bounded, incidence_estimates, \
     route2_population
 from fairsurv.cli import main
 from fairsurv.copulas import CopulaSpec
@@ -26,12 +26,12 @@ from fairsurv.dr import (
     evaluate_influence,
 )
 from fairsurv.identify import fit_plugin_nuisances
-from fairsurv.nuisance import ConditionalSurvivalModel
 from fairsurv.queries import Functional, PotentialOutcomeQuery
 from fairsurv.scm import sample_cohort
 
 from testkit import (
     brute_po,
+    cge_classical,
     crossfit_dr,
     dr_nuisances_from_spec,
     empirical_cif_pair,
@@ -41,6 +41,7 @@ from testkit import (
     make_indirect_only,
     make_nic_balanced,
     make_severed,
+    model_from_curves,
     plugin_po,
     propensity_from_spec,
     spec_of,
@@ -158,9 +159,9 @@ def _fixed_bundle_bias(raw, bundle, seed):
 def test_acceptance_03_single_misspecification_tolerated():
     raw = make_nic_balanced()
     spec = spec_of(raw)
-    wrong_outcome = ConditionalSurvivalModel.from_curves(
+    wrong_outcome = model_from_curves(
         {(): _constant_hazard_curve([1.0, 2.0, 3.0, 4.0], 0.18)}, "event")
-    wrong_censoring = ConditionalSurvivalModel.from_curves(
+    wrong_censoring = model_from_curves(
         {(): _constant_hazard_curve([0.5, 1.5, 2.5, 3.5], 0.10)},
         "censoring")
     bias_s = _fixed_bundle_bias(
@@ -170,7 +171,7 @@ def test_acceptance_03_single_misspecification_tolerated():
 
     adv = make_adversarial()
     adv_spec = spec_of(adv)
-    no_censoring = ConditionalSurvivalModel.from_curves(
+    no_censoring = model_from_curves(
         {(): StepCurve([], [], 1.0, kind="survival")}, "censoring")
     bias_both = _fixed_bundle_bias(
         adv, _bundle_with(adv_spec, outcome=wrong_outcome,

@@ -13,7 +13,6 @@ from fairsurv.cge import (
     CGEState,
     Route2Result,
     cge_bounded,
-    cge_classical,
     incidence_estimates,
     route1_conditional,
     route2_population,
@@ -24,7 +23,6 @@ from fairsurv.copulas import CopulaSpec, generator, generator_inverse
 from fairsurv.curves import StepCurve, kaplan_meier
 from fairsurv.dr import Z_CRITICAL, FoldPlan
 from fairsurv.errors import (
-    CoincidentJumpError,
     DataError,
     InfeasibleBandsError,
 )
@@ -33,7 +31,9 @@ from fairsurv.queries import Functional, PotentialOutcomeQuery, role_queries
 from fairsurv.scm import Cohort, sample_cohort
 
 from testkit import (
+    CoincidentJumpError,
     brute_po,
+    cge_classical,
     empirical_cif_pair,
     make_cr_two_cause,
     make_ic_clayton,

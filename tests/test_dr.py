@@ -25,7 +25,8 @@ from fairsurv.errors import (
     DegenerateGroupError,
     FoldAssignmentError,
 )
-from fairsurv.nuisance import ConditionalSurvivalModel, PropensityModel
+from fairsurv.identify import cell_weights, fit_plugin_nuisances
+from fairsurv.nuisance import PropensityModel
 from fairsurv.queries import Functional, PotentialOutcomeQuery, \
     effect_contrasts, role_queries
 from fairsurv.scm import Cohort, sample_cohort
@@ -48,6 +49,7 @@ from testkit import (
     make_cr_two_cause,
     make_nic_balanced,
     make_no_censoring,
+    model_from_curves,
     propensity_from_spec,
     reference_crossfit,
     reference_influence,
@@ -156,9 +158,9 @@ def _hand_bundle():
         return StepCurve([float(b) for b, _ in atoms],
                          [float(v) for _, v in atoms], 1.0, kind="survival")
 
-    outcome = ConditionalSurvivalModel.from_curves(
+    outcome = model_from_curves(
         {k: curve(v) for k, v in HAND_S.items()}, target="event")
-    censoring = ConditionalSurvivalModel.from_curves(
+    censoring = model_from_curves(
         {(x,): curve(v) for x, v in HAND_G.items()}, target="censoring")
     p_zw = PropensityModel(
         "frequency_table", "zw", 0.0, {"source": "hand"},
@@ -233,8 +235,8 @@ def test_uncensored_row_before_first_event_reduces_to_core_form():
     # the bracket is (1 - S(t|.)) and the weight is the lambda ratio over
     # P(x_z); centering terms follow the plain formulas.
     curve = StepCurve([0.5, 2.0], [0.7, 0.25], 1.0, kind="survival")
-    outcome = ConditionalSurvivalModel.from_curves({(): curve}, "event")
-    censoring = ConditionalSurvivalModel.from_curves(
+    outcome = model_from_curves({(): curve}, "event")
+    censoring = model_from_curves(
         {(): StepCurve([], [], 1.0, kind="survival")}, "censoring")
     p_zw = PropensityModel("frequency_table", "zw", 0.0, {},
                            table={(0, 0): 0.6}, marginal=0.6)
@@ -262,9 +264,9 @@ def test_uncensored_row_before_first_event_reduces_to_core_form():
 
 def test_cif_core_with_no_cause_events_is_minus_model_cif():
     cif = StepCurve([1.0], [0.3], 0.0, kind="cif")
-    outcome = ConditionalSurvivalModel.from_curves(
+    outcome = model_from_curves(
         {(): cif}, target=2, n_causes=2)
-    censoring = ConditionalSurvivalModel.from_curves(
+    censoring = model_from_curves(
         {(): StepCurve([], [], 1.0, kind="survival")}, "censoring",
         n_causes=2)
     half_zw = PropensityModel("frequency_table", "zw", 0.0, {},
@@ -437,18 +439,18 @@ def _constant_hazard_curve(grid, hazard):
 
 
 def _wrong_outcome():
-    return ConditionalSurvivalModel.from_curves(
+    return model_from_curves(
         {(): _constant_hazard_curve([1.0, 2.0, 3.0, 4.0], 0.18)}, "event")
 
 
 def _wrong_censoring():
-    return ConditionalSurvivalModel.from_curves(
+    return model_from_curves(
         {(): _constant_hazard_curve([0.5, 1.5, 2.5, 3.5], 0.10)},
         "censoring")
 
 
 def _ignore_censoring():
-    return ConditionalSurvivalModel.from_curves(
+    return model_from_curves(
         {(): StepCurve([], [], 1.0, kind="survival")}, "censoring")
 
 
@@ -1415,9 +1417,9 @@ def test_cell_runs_evaluate_each_row_class_once_per_call(monkeypatch, times):
 # ---------------------------------------------------------------------------
 
 def test_extreme_weights_are_capped_and_reported():
-    outcome = ConditionalSurvivalModel.from_curves(
+    outcome = model_from_curves(
         {(): StepCurve([1.0], [0.4], 1.0, kind="survival")}, "event")
-    censoring = ConditionalSurvivalModel.from_curves(
+    censoring = model_from_curves(
         {(): StepCurve([], [], 1.0, kind="survival")}, "censoring")
     p_zw = PropensityModel("frequency_table", "zw", 0.0, {},
                            table={(0, 0): 0.999}, marginal=0.999)
@@ -1445,6 +1447,60 @@ def test_cap_must_be_positive_and_finite(cap):
     with pytest.raises(DataError):
         evaluate_influence(cohort, dr_nuisances_from_spec(spec, SURVIVAL),
                            (1, 0, 0), SURVIVAL, [2.0], cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# The conditioning fraction P(x), one rule per entry
+# ---------------------------------------------------------------------------
+
+def test_each_entry_reads_its_own_conditioning_fraction():
+    # group 1 is 20 of 4,000 rows, 5 in each (z, w) cell: its raw fraction
+    # 0.005 is under the default epsilon 0.01, so the clipped group
+    # fractions (0.99, 0.01) differ from the raw ones (0.995, 0.005)
+    rng = np.random.default_rng(5)
+    n = 4000
+    z, w = np.repeat([0, 0, 1, 1], 1000), np.repeat([0, 1, 0, 1], 1000)
+    x = np.zeros(n, dtype=int)
+    for cell in range(4):
+        x[1000 * cell + rng.choice(1000, 5, replace=False)] = 1
+    cohort = Cohort(x, z.tolist(), w.tolist(),
+                    np.round(rng.exponential(2.0, n), 1) + 0.1,
+                    rng.integers(0, 2, n))
+    raw = {0: 0.995, 1: 0.005}
+    assert {g: float(np.mean(x == g)) for g in (0, 1)} == raw
+    queries, grid = role_queries(0, 1), [1.0, 2.0, 4.0]
+    conditions = {q.x_condition for q in queries}
+    assert conditions == {0, 1}
+
+    # cross-fitting: the cohort's exact fraction
+    estimates = crossfit_dr_many(FoldPlan(cohort, seed=3), queries,
+                                 SURVIVAL, grid)
+    for q, est in estimates.items():
+        assert est.diagnostics["p_condition"] == raw[q.x_condition], q
+
+    # the plug-in and Route I weights: the z model's clipped fraction
+    nuis = fit_plugin_nuisances(cohort, SURVIVAL)
+    assert nuis.propensity_z.group_fractions.tolist() == [0.99, 0.01]
+    rows = np.arange(n)
+    p_zw, p_z = (model.predict_many(cohort, rows)
+                 for model in (nuis.propensity_zw, nuis.propensity_z))
+    weights = cell_weights(nuis, queries, cohort, rows)
+    for qi, q in enumerate(queries):
+        clipped = 0.01 if q.x_condition == 1 else 0.99
+        np.testing.assert_array_equal(
+            weights[:, qi], (p_zw[:, q.x_mediator] / p_z[:, q.x_mediator])
+            * (p_z[:, q.x_condition] / clipped))
+
+    # per-row influence values: the bundle's unclipped marginal by default
+    bundle = fit_dr_nuisances(cohort, SURVIVAL)
+    assert bundle.propensity_z.marginal == raw[1]
+    for q in queries:
+        default = evaluate_influence(cohort, bundle, q, SURVIVAL, grid)
+        for p_condition, same in ((raw[q.x_condition], True),
+                                  (0.01 if q.x_condition else 0.99, False)):
+            given = evaluate_influence(cohort, bundle, q, SURVIVAL, grid,
+                                       p_condition=p_condition)
+            assert np.array_equal(default.values, given.values) is same, q
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from fairsurv.identify import (
     plugin_po_many,
     time_quantiles,
 )
-from fairsurv.nuisance import ConditionalSurvivalModel
 from fairsurv.queries import Functional, PotentialOutcomeQuery, role_queries
 from fairsurv.scm import Cohort, SCMSpec, oracle_po_curve, sample_cohort
 
@@ -41,6 +40,7 @@ from testkit import (
     functional_from_curve,
     make_nic_balanced,
     make_severed,
+    model_from_curves,
     plugin_po,
     reference_plugin_po_many,
     restricted_mean,
@@ -142,7 +142,7 @@ def test_uniform_tables_average_the_functional():
     curves = {
         (0, z, w): StepCurve([1.0], [v]) for (z, w), v in levels.items()
     }
-    model = ConditionalSurvivalModel.from_curves(curves, "event")
+    model = model_from_curves(curves, "event")
     tables = CohortTables(
         group={0: 0.5, 1: 0.5},
         confounder={x: {0: 0.5, 1: 0.5} for x in (0, 1)},
@@ -197,7 +197,7 @@ def test_exact_summation_reports_missing_strata():
         confounder={0: {0: 1.0}, 1: {0: 1.0}},
         mediator={(0, 0): {0: 1.0}},
     )
-    model = ConditionalSurvivalModel.from_curves(
+    model = model_from_curves(
         {(): StepCurve([1.0], [0.5])}, "event"
     )
     with pytest.raises(DataError):
@@ -261,7 +261,7 @@ def test_cumulative_hazard_matches_oracle_shape():
 def test_projection_distance_reported_when_clipping_inflates():
     cohort = Cohort([1, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 0],
                     [1.0] * 4, [1] * 4)
-    model = ConditionalSurvivalModel.from_curves(
+    model = model_from_curves(
         {(): StepCurve([1.0], [1.0])}, "event"
     )
     nuis = fit_plugin_nuisances(cohort, SURVIVAL, epsilon=0.3)
@@ -288,7 +288,7 @@ def test_rows_outside_model_schema_are_dropped_and_counted():
         (0, 0, 0): StepCurve([1.0], [0.8]),
         (0, 0, 1): StepCurve([1.0], [0.6]),
     }
-    model = ConditionalSurvivalModel.from_curves(curves, "event")
+    model = model_from_curves(curves, "event")
     nuis = fit_plugin_nuisances(cohort, SURVIVAL, epsilon=1e-12)
     nuis = type(nuis)(
         outcome=model,
@@ -339,7 +339,7 @@ def test_clipped_propensities_keep_every_mean_weight_at_one():
 def _partly_served(cohort):
     """Plug-in nuisances of `cohort` whose outcome model serves group 1
     everywhere but group 0 only at z = 0."""
-    model = ConditionalSurvivalModel.from_curves({
+    model = model_from_curves({
         (0, 0, 0): StepCurve([1.0, 2.0], [0.8, 0.5]),
         (0, 0, 1): StepCurve([1.5], [0.6]),
         (1,): StepCurve([0.5, 2.5], [0.9, 0.3]),

@@ -1,5 +1,6 @@
 """Import cost: scipy stays off the import path and loads only where used,
-and numpy's lazily loaded numpy.ma stays unloaded by a default decompose.
+and numpy's lazily loaded numpy.ma stays unloaded by a decompose, with
+either survival learner, a quantile grid or restricted means.
 
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
@@ -89,9 +90,7 @@ print(json.dumps({{"p": repr(model.predict(0.5, 1)),
                           "scipy": []}
 
 
-def test_default_decompose_loads_no_numpy_ma(tmp_path):
-    # numpy loads numpy.ma on first use, which np.percentile and a bare
-    # np.unique make; a decompose on the default grid needs neither
+def _decompose_loads_numpy_ma(tmp_path, args):
     path = tmp_path / "cohort.csv"
     path.write_text(sample_cohort(spec_of(make_nic_balanced()), 400,
                                   seed=1).to_csv())
@@ -100,7 +99,25 @@ import contextlib, io, json, sys
 from fairsurv.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["decompose", "--cohort", {str(path)!r},
-                 "--outdir", {str(tmp_path / "out")!r}])
+                 "--outdir", {str(tmp_path / "out")!r}, *{args!r}])
 print(json.dumps([code, "numpy.ma" in sys.modules]))
 """
-    assert _run(code) == [0, False]
+    return _run(code)
+
+
+def test_default_decompose_loads_no_numpy_ma(tmp_path):
+    # numpy loads numpy.ma on first use, which np.percentile and a bare
+    # np.unique make; a decompose on the default grid needs neither
+    assert _decompose_loads_numpy_ma(tmp_path, []) == [0, False]
+
+
+@pytest.mark.parametrize("args", [
+    ["--learner", "logrank_tree_ensemble",
+     "--propensity-learner", "logistic_irls"],
+    ["--grid-points", "5"],
+    ["--estimator", "plugin", "--functional", "rmst"],
+], ids=["tree-logistic", "grid-points", "plugin-rmst"])
+def test_decompose_loads_no_numpy_ma(tmp_path, args):
+    # the forest's grid and leaf sets, the quantile grid and the union
+    # knots of restricted means are sorted without a bare np.unique
+    assert _decompose_loads_numpy_ma(tmp_path, args) == [0, False]

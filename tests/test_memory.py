@@ -1,11 +1,13 @@
 """Peak memory of the doubly robust path on continuous event times.
 
 With continuous times the default grid grows with the cohort, so the
-influence evaluation must not hold rows x grid matrices.
+influence evaluation must not hold rows x grid matrices.  README quotes
+the CI probes' limits, not readings, so the two cannot drift apart.
 """
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,3 +60,22 @@ def test_the_probe_child_runs_the_package_the_probe_imports(tmp_path):
     result = json.loads(proc.stdout)
     assert proc.returncode == 0 and result["exit_code"] == 0, result
     assert f"cli from {copy / 'cli.py'}" in result["stderr"]
+
+
+def test_readme_memory_figures_are_the_ci_probe_limits():
+    # every "under N MB (CI step `tests/rss_probe.py n N [case]`)" in
+    # README names a workflow step with that limit, and README states no
+    # other memory figure
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    steps = set(re.findall(
+        r"python tests/rss_probe\.py (\d+) (\d+)((?: [\w-]+)?)\n", workflow))
+    quoted = re.findall(
+        r"under\s+(\d+)\s+MB\s+\(CI\s+step\s+"
+        r"`tests/rss_probe\.py (\d+) (\d+)((?: [\w-]+)?)`\)", readme)
+    assert len(quoted) >= 4
+    for limit, n, step_limit, case in quoted:
+        assert limit == step_limit, (n, case)
+        assert (n, step_limit, case) in steps, (n, step_limit, case)
+    assert len(re.findall(r"\d\s+MB\b", readme)) == len(quoted)

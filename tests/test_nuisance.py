@@ -20,7 +20,6 @@ from fairsurv.errors import (
     EstimationError,
 )
 from fairsurv.nuisance import (
-    ConditionalSurvivalModel,
     PropensityModel,
     _candidate_splits,
     _expit,
@@ -40,6 +39,7 @@ from testkit import (
     make_cr_two_cause,
     make_light_hazard_balanced,
     make_nic_balanced,
+    model_from_curves,
     predict_censoring_hazard_increments,
     predict_cif,
     predict_rows,
@@ -906,7 +906,7 @@ def test_predict_many_can_skip_triples_outside_the_schema():
         cohort, learner="logrank_tree_ensemble", n_trees=3, seed=1)
     triples = _row_triples(cohort, 4)
     bad = [(0, ("a", 0.1), 0), (1, (0.2,), 1)]  # non-numeric, too narrow
-    table = ConditionalSurvivalModel.from_curves(
+    table = model_from_curves(
         {(0, 1, 0): tree.predict(*triples[0])}, target="event")
     for model, served, unserved in ((tree, triples, bad),
                                     (table, [(0, 1, 0)], [(1, 1, 0)])):
@@ -923,7 +923,7 @@ def test_predict_many_can_skip_triples_outside_the_schema():
 def test_a_table_model_predicts_its_stored_curve():
     # the stored curve itself, kind and all, not one rebuilt from values
     stored = StepCurve([1.0, 2.0], [0.2, 0.7], 0.0, "generic")
-    model = ConditionalSurvivalModel.from_curves({(1, "a"): stored}, "event")
+    model = model_from_curves({(1, "a"): stored}, "event")
     assert model.predict(1, "a", 3) is stored
     ((values, jumps, index),) = predict_triples(model, [(1, "a", 3)])
     assert jumps[index[0]].tolist() == [True, True]
@@ -999,7 +999,7 @@ def _conversion_models(fitted):
         "tree": tree,
         "tree cif": fit_conditional_survival(
             fitted, 1, learner="logrank_tree_ensemble", n_trees=2, seed=5),
-        "curve table": ConditionalSurvivalModel.from_curves(curves, "event"),
+        "curve table": model_from_curves(curves, "event"),
     }
     if np.unique(fitted.z_codes).size <= 128:
         survival["stratified"] = fit_conditional_survival(fitted, "event")
@@ -1222,7 +1222,7 @@ def test_spec_table_model_reproduces_the_laws():
 
 def test_curve_table_without_marginal_rejects_unknown_strata():
     curve = StepCurve([1.0], [0.5])
-    model = ConditionalSurvivalModel.from_curves({(0, 0, 0): curve}, "event")
+    model = model_from_curves({(0, 0, 0): curve}, "event")
     with pytest.raises(CohortSchemaError):
         model.predict(1, 1, 1)
 

@@ -2,8 +2,10 @@
 package's test-only helpers (prediction counters, guarded prediction
 wrappers, the per-row oracles of the models' covariate conversion, the
 per-curve functional and the per-cell and direct-summation plug-in
-oracles, single-row influence values, and the one-query, one-horizon,
-per-stratum and spec-table entry points only tests call).
+oracles, single-row influence values, the one-query, one-horizon,
+per-stratum and spec-table entry points only tests call, table models
+built from explicit curves, and the single-jump latent-survival
+recursion that the bounded one must reproduce on disjoint jumps).
 
 `brute_po` enumerates every (z, w, latent-time) configuration with plain
 Python loops over the raw probability tables.  It deliberately shares no
@@ -17,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fairsurv.cge import (
+    _SUM_SLACK,
+    _check_cif_inputs,
+    _invert_nonneg,
+    _jump_times,
+)
 from fairsurv.copulas import CopulaSpec, generator, generator_inverse
 from fairsurv.curves import (
+    StepCurve,
     _increments,
     aalen_johansen_cif,
     kaplan_meier,
@@ -41,8 +50,9 @@ from fairsurv.nuisance import (
     PropensityModel,
     _indicator,
     _normalize_target,
+    _target_label,
 )
-from fairsurv.scm import Cohort, SCMSpec, cell_members
+from fairsurv.scm import Cohort, SCMSpec, _canonical_item, cell_members
 
 # ---------------------------------------------------------------------------
 # Raw-table builders.  Each returns kwargs for SCMSpec; tests may also feed
@@ -1383,6 +1393,53 @@ def copula_cdf(spec, u, v):
     return out if out.ndim else float(out)
 
 
+class CoincidentJumpError(EstimationError):
+    """The single-jump recursion met coincident jump times; use bounds."""
+
+
+def cge_classical(cif_t, cif_c, spec):
+    """Single-jump recursion: exact when the two curves never move together.
+
+    Walks the merged jump times; an event jump updates S through
+    phi(S) = phi(S_all) - phi(G), a censoring jump updates G
+    symmetrically.  Returns the pair (S, G) of latent marginal survival
+    curves on the merged jump grid.
+    """
+    _check_cif_inputs(cif_t, cif_c)
+    jumps_t = _jump_times(cif_t)
+    jumps_c = _jump_times(cif_c)
+    shared = np.intersect1d(jumps_t, jumps_c)
+    if shared.size:
+        raise CoincidentJumpError(
+            f"event and censoring incidence jump together at t={shared[0]:g}; "
+            "the single-jump recursion does not apply — use the bounded "
+            "variant")
+    merged = np.union1d(jumps_t, jumps_c)
+    if merged.size == 0:
+        raise DataError("both incidence curves are identically zero")
+
+    is_event = np.isin(merged, jumps_t).tolist()
+    s_vals, g_vals = np.empty(merged.size), np.empty(merged.size)
+    s_prev, g_prev = 1.0, 1.0
+    for i, t in enumerate(merged):
+        s_all = 1.0 - cif_t.evaluate(t) - cif_c.evaluate(t)
+        if s_all < -_SUM_SLACK:
+            raise DataError(f"incidence curves sum above one at t={t:g}")
+        # the jumping curve's marginal moves, the other one's is held
+        held = g_prev if is_event[i] else s_prev
+        value = 0.0 if s_all <= 0.0 else float(_invert_nonneg(
+            spec, generator(spec, s_all) - generator(spec, held))[0])
+        if is_event[i]:
+            s_prev = min(value, s_prev)
+        else:
+            g_prev = min(value, g_prev)
+        s_vals[i], g_vals[i] = s_prev, g_prev
+    s_vals = np.clip(s_vals, 0.0, 1.0)
+    g_vals = np.clip(g_vals, 0.0, 1.0)
+    return (StepCurve(merged, s_vals, value_at_zero=1.0, kind="survival"),
+            StepCurve(merged, g_vals, value_at_zero=1.0, kind="survival"))
+
+
 def component_gap(evaluation):
     """Largest gap between an `InfluenceEvaluation`'s values and the sum
     of its components."""
@@ -1404,9 +1461,39 @@ def censor_hazard_increments(spec, x, z, w):
     return spec._law_hazard("censor", x, z, w)
 
 
+def model_from_curves(curves, target, n_causes=1, fit_report=None):
+    """Wrap an explicit {(x, z, w): StepCurve} lookup as a model.
+
+    Keys may also be (x, z), (x,), or () to serve as backoff levels.
+    Useful for exact tables and for deliberately distorted inputs in
+    robustness studies.
+    """
+    target = _normalize_target(target, math.inf)
+    table = {}
+    for key, curve in curves.items():
+        key = tuple(key)
+        if len(key) > 3:
+            raise DataError("curve keys must be (), (x,), (x,z) or (x,z,w)")
+        if not isinstance(curve, StepCurve):
+            raise DataError("curve table values must be StepCurve")
+        canon = tuple(
+            int(part) if i == 0 else _canonical_item(part)
+            for i, part in enumerate(key)
+        )
+        table[canon] = curve
+    report = dict(fit_report or {})
+    report.setdefault("learner", "stratified")
+    report.setdefault("target", _target_label(target))
+    report.setdefault("source", "curve-table")
+    return ConditionalSurvivalModel(
+        "stratified", target, n_causes, report, curves=table,
+        grid=np.unique(np.concatenate([np.empty(0)] + [
+            c.breakpoints for c in table.values()])))
+
+
 def survival_model_from_spec(spec, target):
     """Exact per-stratum curves read off a generative spec's laws."""
-    target = _normalize_target(target)
+    target = _normalize_target(target, math.inf)
     curves = {}
     for x, z, w in spec.strata():
         if target == "censoring":
@@ -1416,7 +1503,7 @@ def survival_model_from_spec(spec, target):
         else:
             curve = spec.conditional_cif(x, z, w, cause=target)
         curves[(x, z, w)] = curve
-    return ConditionalSurvivalModel.from_curves(
+    return model_from_curves(
         curves, target, n_causes=spec.n_causes,
         fit_report={"source": "generative-spec"},
     )
