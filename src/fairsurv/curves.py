@@ -21,7 +21,7 @@ _KINDS = ("survival", "cif", "hazard", "generic")
 
 # Most values in a padded block of the grouped product-limit core, a
 # block of tree predictions, of ``_Forest.mean_values`` leaf values or of
-# Route I's incidence, and a chunk of a tree node's candidates x rows.
+# Route I's incidence, and 4 to 16 times a batch of tree nodes' arrays.
 # 2^20 ran a continuous confounder's decompose 4-19 % faster, but raised
 # the plug-in peak from 76 to 104 MB at n = 10k.
 _BLOCK_ELEMENTS = 1 << 18

@@ -71,7 +71,8 @@ def time_quantiles(cohort, levels):
     the distinct times the codes count (where -0.0 reads 0.0)."""
     ordered = np.repeat(cohort.m_times, np.bincount(
         cohort.m_codes, minlength=cohort.m_times.size))
-    return _quantiles(ordered[:, None], np.asarray(levels, dtype=float))[:, 0]
+    return _quantiles(ordered, np.zeros(1, dtype=np.intp),
+                      np.array([ordered.size]), np.asarray(levels, dtype=float))[0]
 
 
 def default_grid(cohort):

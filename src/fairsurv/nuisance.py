@@ -6,14 +6,17 @@ product-limit curve per stratum, backing off to coarser strata when a
 combination has no rows.  The tree learner bags log-rank-split survival
 trees, one per bootstrap resample sorted by time once, and averages
 cumulative hazards (or, for a cause target, incidence curves) across
-trees.  A node's candidate splits are the midpoints between consecutive
+trees.  The trees of a fit grow breadth-first, together: each depth's
+nodes, across all trees, are scored in batches of nodes with as many
+event times, a batch's arrays bounded by as many values as the fit has
+bootstrap rows, within a 16th and a quarter of ``_BLOCK_ELEMENTS``.  A
+node's candidate splits are the midpoints between consecutive
 distinct values of each feature, or at most `max_thresholds` distinct
 interior quantiles; those leaving `min_leaf` rows on each side are scored
-by the two-sample log-rank chi-square in chunks of at most
-``_BLOCK_ELEMENTS`` // rows candidates, and the first strictly largest
-positive score wins.  The fitted trees are flat parallel node arrays.  A
-batch prediction takes its rows in blocks bounded by the length of the
-curves they return.  The tree learner
+by the two-sample log-rank chi-square, from exact integer counts, and
+the first strictly largest positive score wins.  The fitted trees are
+flat parallel node arrays.  A batch prediction takes its rows in blocks
+bounded by the length of the curves they return.  The tree learner
 routes a block through every tree at once and computes and checks the
 values of each distinct leaf set (the tuple of leaves, one per tree) on
 the forest's union grid once; the stratified learner looks up each
@@ -176,143 +179,357 @@ def _distinct(cohort, rows, x=0):
 # Log-rank survival trees
 # ---------------------------------------------------------------------------
 
-def _logrank_scores(left, m, ind):
-    """Two-sample log-rank chi-square of every candidate split of a node.
+def _quantiles(ordered, starts, sizes, levels):
+    """``np.quantile`` at ``levels`` of every segment ``ordered[starts[s]:
+    starts[s] + sizes[s]]`` (ascending, NaN last), one row per segment, by
+    numpy's 'linear' rule: virtual index (size - 1) * level, numpy's
+    interpolation between its floor and the next, NaN for a segment that
+    holds a NaN."""
+    last = (sizes - 1)[:, None]
+    at = last * levels
+    lo = np.floor(at).astype(np.intp)
+    lo, hi = np.where(at >= last, -1, (lo, lo + 1))
+    gamma = at - lo
+    # index -1 reads a segment's last value, as it reads an array's
+    below, above = (ordered[starts[:, None] + np.where(k < 0, last, k)]
+                    for k in (lo, hi))
+    diff = above - below
+    q = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    tail = ordered[starts + sizes - 1][:, None]
+    np.copyto(q, tail, where=np.isnan(tail))
+    return q
 
-    The node's rows come in ascending time ``m``; row k of the boolean
-    (candidates, rows) ``left`` marks the rows candidate k sends left.
-    Event times (runs of equal times among the event rows), totals at
-    risk and total events do not depend on the split; left at-risk
-    counts are one cumulative count over the reversed columns, left
-    event counts a per-time sum over the event rows.  A candidate whose
+
+def _split_candidates(ordered, sizes, max_thresholds):
+    """(segment, threshold) of every candidate split of a batch of node
+    columns, segments in order and thresholds ascending within one.
+    Segment s is the next ``sizes[s]`` (at least one) values of
+    ``ordered``, ascending with NaNs last.  Its candidates are the
+    midpoints between its consecutive distinct values (its NaNs one
+    value), or, where there are more than ``max_thresholds`` (one, or one
+    per segment) of them, its distinct quantiles at ``max_thresholds``
+    equally spaced interior levels (one NaN if it holds a NaN)."""
+    ends = np.cumsum(sizes)
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    new[ends[:-1]] = True
+    first = np.flatnonzero(new)
+    segment = np.searchsorted(ends, first, side="right")
+    many = np.bincount(segment, minlength=sizes.size) - 1 > max_thresholds
+    uniq = ordered[first]
+    pair = (segment[1:] == segment[:-1]) & ~many[segment[1:]]
+    segments = [segment[1:][pair]]
+    thresholds = [(uniq[:-1][pair] + uniq[1:][pair]) / 2.0]
+    limits = np.broadcast_to(max_thresholds, sizes.shape)
+    for limit in sorted(set(limits[many].tolist())):
+        s = np.flatnonzero(many & (limits == limit))
+        q = np.sort(_quantiles(ordered, ends[s] - sizes[s], sizes[s],
+                               np.linspace(0.0, 1.0, limit + 2)[1:-1]),
+                    axis=1)
+        keep = np.ones(q.shape, dtype=bool)
+        keep[:, 1:] = (q[:, 1:] != q[:, :-1]) & ~np.isnan(q[:, :-1])
+        segments.append(np.repeat(s, keep.sum(axis=1)))
+        thresholds.append(q[keep])
+    segment = np.concatenate(segments)
+    order = np.argsort(segment, kind="stable")
+    return segment[order], np.concatenate(thresholds)[order]
+
+
+def _event_times(codes, events, bounds):
+    """The event times of a batch of nodes, node k the rows
+    ``bounds[k]:bounds[k + 1]`` in ascending time ``codes``, ``events``
+    marking the event rows: per node the index of its first event time,
+    their count and how many of them have more than one row at risk (a
+    prefix: at-risk counts fall); per event time its at-risk and event
+    counts; per row the index among its node's event times of the last
+    at or before it (-1 before the first)."""
+    new = np.ones(codes.size, dtype=bool)
+    new[1:] = codes[1:] != codes[:-1]
+    new[bounds[:-1]] = True
+    start = np.flatnonzero(new)  # runs of equal times within a node
+    runs = np.diff(np.append(start, codes.size))
+    d = np.add.reduceat(events, start, dtype=np.intp)
+    seen = np.cumsum(d > 0)  # event times up to each run
+    head = np.searchsorted(start, bounds[:-1])  # each node's first run
+    first = seen[head] - (d[head] > 0)
+    count = np.diff(np.append(first, seen[-1]))
+    end = np.repeat(bounds[1:], np.diff(np.append(head, start.size)))
+    timed = d > 0
+    n, d = (end - start)[timed], d[timed]
+    multi = count.copy()
+    multi[count > 0] -= n[(first + count - 1)[count > 0]] == 1
+    at = np.repeat(seen - 1, runs) - np.repeat(first, np.diff(bounds))
+    return first, count, multi, n, d, at
+
+
+def _left_counts(at, events, sizes, keys, rows, cuts, segments, width):
+    """The left at-risk and event counts, as floats, of every candidate of
+    `_logrank_scores` at each of its node's event times, candidate after
+    candidate (``width`` event times each), from ``at``, each row's event
+    time index in its node, and ``events``.
+
+    A key's bin is the first candidate that sends it left.  The counts
+    are a bincount over (bin, event time) of the rows, summed over later
+    times and then over the earlier candidates of the segment, in one
+    block per run of candidates with as many event times; where a block
+    goes on into the next segment, a row is cancelled at its first
+    candidate."""
+    k = cuts.size
+    off = np.append(0, np.cumsum(width))
+    bins = np.searchsorted(cuts, keys)
+    n_feats = keys.size // sizes.sum()
+    hit = np.flatnonzero((bins < k) & (segments.take(bins, mode="clip") == (
+        np.repeat(np.arange(sizes.size * n_feats), np.repeat(sizes, n_feats)))))
+    b = bins[hit]
+    nxt = np.searchsorted(segments, segments, side="right")[b]
+    carry = (nxt < k) & (width.take(nxt, mode="clip") == width[b])
+    t = at[rows[hit]]
+    cell, cancel = t + off[b], (t + off[nxt])[carry]
+    n_left, d_left = (np.bincount(
+        np.concatenate((cell[on], cancel[on[carry]])),
+        np.repeat((1.0, -1.0), (on.sum(), on[carry].sum())), off[-1]).astype(
+            float, copy=False)  # an empty bincount is an integer one
+        for on in (t >= 0, events[rows[hit]]))
+    heads = np.flatnonzero(np.append(True, width[1:] != width[:-1]))
+    for a, z in zip(heads, np.append(heads[1:], k)):
+        at_risk, died = (v[off[a]:off[z]].reshape(z - a, width[a])
+                         for v in (n_left, d_left))
+        np.cumsum(at_risk[:, ::-1], axis=1, out=at_risk[:, ::-1])
+        np.cumsum(at_risk, axis=0, out=at_risk)
+        np.cumsum(died, axis=0, out=died)
+    return n_left, d_left
+
+
+def _logrank_scores(codes, events, bounds, keys, rows, cuts, segments):
+    """Two-sample log-rank chi-square of every candidate split of a batch
+    of nodes.
+
+    Node k is the rows ``bounds[k]:bounds[k + 1]`` in ascending time
+    ``codes``, ``events`` marking the event rows.  ``keys`` order the
+    values of every feature of every row, ascending, each segment (node *
+    features + feature) a range of its own; ``rows`` gives the row of
+    each.  Candidate c sends left the rows of segment ``segments[c]``
+    whose key is at most ``cuts[c]``; cuts ascend.  The left counts are
+    exact integers (`_left_counts`).  Each score's sums are numpy's sums
+    of its contiguous row, as a node's alone would be.  A candidate whose
     variance is not positive scores 0.
     """
-    ev_rows = np.flatnonzero(ind > 0)
-    chi = np.zeros(left.shape[0])
-    if ev_rows.size == 0:
-        return chi
-    t = m[ev_rows]
-    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
-    d = np.diff(np.append(starts, t.size))
-    n = m.size - np.searchsorted(m, t[starts], side="left")
-    n_l = np.cumsum(left[:, ::-1], axis=1)[:, n - 1]
-    d_l = np.add.reduceat(left[:, ev_rows], starts, axis=1, dtype=np.intp)
-
-    n_l, d_l = n_l.astype(float), d_l.astype(float)
-    n, d = n.astype(float), d.astype(float)
-    n_r = n - n_l
-    observed_minus_expected = _row_sums(d_l - n_l * d / n)
-    multi = np.count_nonzero(n > 1)  # a prefix: at-risk counts fall
-    var = _row_sums(
-        (n_l * n_r * d * (n - d))[:, :multi]
-        / (n[:multi] ** 2 * (n[:multi] - 1.0))
-    )
+    first, count, multi, n, d, at = _event_times(codes, events, bounds)
+    node = segments // (keys.size // bounds[-1])
+    width, depth = count[node], multi[node]
+    n_left, d_left = _left_counts(at, events, np.diff(bounds), keys, rows,
+                                  cuts, segments, width)
+    off = np.append(0, np.cumsum(width))
+    pick = np.repeat(first[node] - off[:-1], width) + np.arange(off[-1])
+    n, d = n.astype(float)[pick], d.astype(float)[pick]
+    del pick
+    # in place, to hold few arrays of pairs: the operations of
+    # d_l - n_l * d / n and n_l * n_r * d * (n - d) / (n ** 2 * (n - 1)),
+    # in that order (numpy takes n ** 2 as np.square)
+    terms = n_left * d
+    terms /= n
+    np.subtract(d_left, terms, out=terms)
+    var_terms = np.subtract(n, n_left, out=d_left)
+    var_terms *= n_left
+    var_terms *= d
+    var_terms *= np.subtract(n, d, out=d)
+    den = np.square(n, out=n_left)
+    den *= n - 1.0
+    # a node's last event time may have one row at risk, and no variance
+    np.divide(var_terms, den, out=var_terms, where=n > 1.0)
+    k = cuts.size
+    observed_minus_expected, var = np.zeros(k), np.zeros(k)
+    heads = np.flatnonzero(np.append(True, (width[1:] != width[:-1])
+                                     | (depth[1:] != depth[:-1])))
+    for a, z in zip(heads, np.append(heads[1:], k)):
+        block = (z - a, width[a])
+        observed_minus_expected[a:z] = np.add.reduce(
+            terms[off[a]:off[z]].reshape(block), axis=1)
+        var[a:z] = np.add.reduce(np.ascontiguousarray(
+            var_terms[off[a]:off[z]].reshape(block)[:, :depth[a]]), axis=1)
     # Squared with Python's float power, as a single split's statistic is:
     # libm pow and x * x can differ in the last place, enough to reorder
     # two nearly tied candidates.
-    squared = np.array([o**2 for o in observed_minus_expected.tolist()])
+    squared = np.fromiter(map(float.__pow__, observed_minus_expected,
+                              itertools.repeat(2)), float, k)
+    chi = np.zeros(k)
     np.divide(squared, var, out=chi, where=var > 0.0)
     return chi
 
 
-def _row_sums(a):
-    """Sum each row exactly as np.sum sums a 1-D array: numpy sums a row
-    pairwise only when the row is contiguous in memory, and fancy indexing
-    along the last axis need not leave it so."""
-    return np.sum(np.ascontiguousarray(a), axis=1)
+def _chunks(costs, budget):
+    """(start, stop) of consecutive runs of ``costs`` that sum to at most
+    ``budget``, or of one item that alone exceeds it."""
+    ends = np.cumsum(costs)
+    start = 0
+    while start < costs.size:
+        limit = budget + (ends[start - 1] if start else 0)
+        stop = max(start + 1, int(np.searchsorted(ends, limit, "right")))
+        yield start, stop
+        start = stop
 
 
-def _run_starts(ordered):
-    """Mask of the first entry of each run of equal values down every
-    column of a column-sorted array.  NaNs, sorted last, form one run, as
-    np.unique counts them."""
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
-    return starts
+def _chunk_budget(rows):
+    """Most values of one array of a chunk of tree nodes, in a fit that
+    grows ``rows`` bootstrap rows: as many, within a 16th and a quarter
+    of ``_BLOCK_ELEMENTS``.  On a 2-vCPU VM, the 500-row continuous
+    confounder's decompose peaked 3.5 MB higher at 2^16 than at 2^14, and
+    a 5,000-row fit ran 20 % slower at 2^14 and at 2^18 than at 2^16."""
+    return int(np.clip(rows, _BLOCK_ELEMENTS // 16, _BLOCK_ELEMENTS // 4))
 
 
-def _quantiles(ordered, levels):
-    """``np.quantile(columns, levels, axis=0)`` of column-sorted columns by
-    numpy's 'linear' rule: virtual index (rows - 1) * level, numpy's
-    interpolation between its floor and the next, NaN for NaN columns."""
-    at = (ordered.shape[0] - 1) * levels
-    lo = np.floor(at).astype(np.intp)
-    lo, hi = np.where(at >= ordered.shape[0] - 1, -1, (lo, lo + 1))
-    gamma = (at - lo)[:, None]
-    below, above = ordered[lo], ordered[hi]
-    diff = above - below
-    q = below + diff * gamma
-    np.subtract(above, diff * (1 - gamma), out=q, where=gamma >= 0.5)
-    np.copyto(q, ordered[-1], where=np.isnan(ordered[-1]))
-    return q
-
-
-def _candidate_splits(feats, max_thresholds, levels):
-    """(feature, threshold) of every candidate split of a node, features
-    in column order and thresholds ascending within a feature: the
-    midpoints between consecutive distinct values, or, where there are
-    more than `max_thresholds` of them, the distinct interior quantiles
-    at the `max_thresholds` equally spaced ``levels``.  The node's
-    columns are sorted once; the quantiles come from the sorted
-    columns."""
-    ordered = np.sort(feats, axis=0)
-    starts = _run_starts(ordered)
-    many = starts.sum(axis=0) - 1 > max_thresholds
-    if many.any():
-        q = np.sort(_quantiles(ordered[:, many], levels), axis=0)
-        q_starts = _run_starts(q)
-        quantiles = (q[q_starts[:, k], k] for k in range(q.shape[1]))
-    features, thresholds = [np.empty(0, dtype=int)], [np.empty(0)]
-    for j in range(feats.shape[1]):
-        uniq = ordered[starts[:, j], j]
-        if uniq.size < 2:
-            continue
-        thr = next(quantiles) if many[j] else (uniq[:-1] + uniq[1:]) / 2.0
-        features.append(np.full(thr.size, j))
-        thresholds.append(thr)
-    return np.concatenate(features), np.concatenate(thresholds)
-
-
-def _best_split(feats, m, ind, params):
+def _best_splits(rows, bounds, ranks, table, offsets, codes, events,
+                 params, budget):
     """(feature, threshold) of the first strictly largest positive
-    log-rank score among the candidates leaving `min_leaf` rows on each
-    side, or None.  Scoring candidates in chunks of at most
-    ``_BLOCK_ELEMENTS`` // rows bounds the candidates x rows arrays."""
-    feature, threshold = _candidate_splits(
-        feats, params["max_thresholds"], params["levels"])
-    n = m.size
-    best, top = None, 0.0
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for first in range(0, feature.size, step):
-        f, thr = feature[first:first + step], threshold[first:first + step]
-        left = feats[:, f].T <= thr[:, None]
-        n_left = left.sum(axis=1)
-        fits = np.minimum(n_left, n - n_left) >= params["min_leaf"]
-        scores = _logrank_scores(left[fits], m, ind)
-        if scores.size and scores.max() > top:
-            k = int(np.argmax(scores))  # the first maximum wins
-            top, best = scores[k], (int(f[fits][k]), float(thr[fits][k]))
-    return best
+    log-rank score of every node of a frontier among its candidates
+    leaving `min_leaf` rows on each side, feature -1 where there is none.
+
+    Node k is ``rows[bounds[k]:bounds[k + 1]]`` in ascending time code.
+    ``ranks`` ranks each row's value of feature j among the ascending
+    distinct values ``table[offsets[j]:offsets[j + 1]]``.  Nodes with as
+    many event times go together, in chunks of at most ``budget``
+    (row, feature) values and (candidate, event time) pairs, counting at
+    most min(rows - 1, max_thresholds, distinct values - 1) candidates of
+    a feature.  A node that alone exceeds it is a chunk of its own, its
+    candidates scored in chunks of at most as many pairs."""
+    sizes = np.diff(bounds)
+    n_feats = ranks.shape[1]
+    span = float(table.size)  # a node's range of keys
+    count, multi = np.zeros(sizes.size, int), np.zeros(sizes.size, int)
+    for a, z in _chunks(sizes, budget):
+        own = rows[bounds[a]:bounds[z]]
+        count[a:z], multi[a:z] = _event_times(
+            codes[own], events[own], bounds[a:z + 1] - bounds[a])[1:3]
+    feature, threshold = np.full(sizes.size, -1), np.zeros(sizes.size)
+    scored = np.flatnonzero((sizes >= 2 * params["min_leaf"]) & (count > 0))
+    scored = scored[np.lexsort((multi[scored], count[scored]))]
+    pairs = np.minimum(np.minimum(sizes - 1, params["max_thresholds"])[:, None],
+                       np.diff(offsets) - 1).sum(axis=1) * count
+    for a, z in _chunks(np.maximum(sizes * n_feats, pairs)[scored], budget):
+        ids = scored[a:z]
+        local = np.append(0, np.cumsum(sizes[ids]))
+        own = rows[np.repeat(bounds[ids] - local[:-1], sizes[ids])
+                   + np.arange(local[-1])]
+        base = np.arange(ids.size) * span
+        keys = (np.repeat(base, sizes[ids])[:, None] + ranks[own]).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        columns = np.repeat(sizes[ids], n_feats)  # segment sizes
+        segment, chosen = _split_candidates(
+            table[(keys - np.repeat(base, sizes[ids] * n_feats)).astype(
+                np.intp)], columns, params["max_thresholds"])
+        node, feat = np.divmod(segment, n_feats)
+        # the key of the largest value each candidate sends left
+        cut = base[node] - 1.0
+        for j in range(n_feats):
+            on = feat == j
+            cut[on] += offsets[j] + np.searchsorted(
+                table[offsets[j]:offsets[j + 1]], chosen[on], side="right")
+        sent = (np.searchsorted(keys, cut, side="right")
+                - (np.cumsum(columns) - columns)[segment])
+        fits = ((np.minimum(sent, sizes[ids][node] - sent)
+                 >= params["min_leaf"]) & ~np.isnan(chosen))
+        segment, cut, node, feat, chosen = (
+            v[fits] for v in (segment, cut, node, feat, chosen))
+        if not segment.size:
+            continue
+        chi = np.zeros(segment.size)
+        for c0, c1 in _chunks(count[ids][node], budget):
+            n0, n1 = node[c0], node[c1 - 1] + 1
+            lo, hi = local[n0], local[n1]
+            chi[c0:c1] = _logrank_scores(
+                codes[own[lo:hi]], events[own[lo:hi]],
+                local[n0:n1 + 1] - lo, keys[lo * n_feats:hi * n_feats]
+                - base[n0], order[lo * n_feats:hi * n_feats] // n_feats - lo,
+                cut[c0:c1] - base[n0], segment[c0:c1] - n0 * n_feats)
+        heads = np.flatnonzero(np.append(True, node[1:] != node[:-1]))
+        top = np.maximum.reduceat(chi, heads)
+        best = np.flatnonzero(chi == np.repeat(top, np.diff(
+            np.append(heads, chi.size))))
+        best = best[np.append(True, node[best[1:]] != node[best[:-1]])]
+        best = best[top > 0.0]  # the first maximum wins
+        feature[ids[node[best]]] = feat[best]
+        threshold[ids[node[best]]] = chosen[best]
+    return feature, threshold
 
 
-def _grow_tree(feats, m, ind, rows, depth, params, nodes, leaves):
-    """Append the tree grown on ``rows`` (indices into ``feats``, ``m``,
-    ``ind`` in ascending time, kept by each split) to ``nodes`` in
-    preorder as (feature, threshold, left, right, leaf), and its leaves'
-    (rows, depth) to ``leaves``; returns the index of its root."""
-    index = len(nodes)
-    nodes.append(None)
-    if depth < params["max_depth"] and rows.size >= 2 * params["min_leaf"]:
-        split = _best_split(feats[rows], m[rows], ind[rows], params)
-        if split is not None:
-            mask = feats[rows, split[0]] <= split[1]
-            lo, hi = (_grow_tree(feats, m, ind, rows[side], depth + 1, params,
-                                 nodes, leaves) for side in (mask, ~mask))
-            nodes[index] = (*split, lo, hi, -1)
-            return index
-    nodes[index] = (0, 0.0, index, index, len(leaves))
-    leaves.append((rows, depth))
-    return index
+def _grow_forest(feats, codes, events, rows, n_trees, params):
+    """Grow a log-rank tree on each of ``n_trees`` equal parts of ``rows``
+    (bootstrap rows of ``feats``, each part in ascending time ``codes``;
+    ``events`` marks the event rows) breadth-first: each depth's nodes,
+    across all trees, are one row array, scored together by
+    `_best_splits`; a split keeps each side's rows in order.  The nodes
+    of a depth take the front of ``rows`` and the leaves the back, so
+    ``rows`` ends up holding every leaf's rows.
+
+    Returns the roots and the node columns (feature, threshold, left,
+    right, leaf) in preorder, as `_Forest` holds them, and each leaf's
+    start in ``rows``, size and depth, in preorder.
+    """
+    tables, ranks = zip(*(np.unique(column, return_inverse=True)
+                          for column in feats.T))
+    offsets = np.cumsum([0] + [t.size for t in tables])
+    ranks = (np.column_stack(ranks) + offsets[:-1]).astype(float)
+    table = np.concatenate(tables)
+    sizes = np.full(n_trees, rows.size // n_trees)
+    budget = _chunk_budget(rows.size)
+    grown = []  # per depth: node sizes, feature, threshold, leaf starts
+    for depth in range(params["max_depth"] + 1):
+        front = rows[:sizes.sum()]
+        bounds = np.append(0, np.cumsum(sizes))
+        feature, threshold = np.full(sizes.size, -1), np.zeros(sizes.size)
+        if depth < params["max_depth"]:
+            feature, threshold = _best_splits(front, bounds, ranks, table,
+                                              offsets, codes, events, params,
+                                              budget)
+        split = feature >= 0
+        kept = np.repeat(split, sizes)
+        stay, leaves = np.count_nonzero(kept), front[~kept]
+        front[:stay] = front[kept]
+        front[stay:] = leaves
+        grown.append((sizes, feature, threshold,
+                      stay + np.cumsum(sizes[~split]) - sizes[~split]))
+        if not split.any():
+            break
+        # each split's children take its rows' place, left side first
+        sizes, feature, threshold = (v[split] for v in (sizes, feature,
+                                                        threshold))
+        bounds = np.append(0, np.cumsum(sizes))
+        children = []
+        for a, z in _chunks(sizes, budget):
+            own = rows[bounds[a]:bounds[z]]
+            right = ~(feats[own, np.repeat(feature[a:z], sizes[a:z])]
+                      <= np.repeat(threshold[a:z], sizes[a:z]))
+            child = np.repeat(np.arange(z - a) * 2, sizes[a:z]) + right
+            own[:] = own[np.argsort(child, kind="stable")]
+            children.append(np.bincount(child, minlength=2 * (z - a)))
+        sizes = np.concatenate(children)
+    # subtree sizes from the deepest level up, then preorder positions
+    below = [np.ones(level[0].size, dtype=int) for level in grown]
+    for d in range(len(grown) - 2, -1, -1):
+        below[d][grown[d][1] >= 0] += below[d + 1].reshape(-1, 2).sum(1)
+    at = [np.cumsum(below[0]) - below[0]]
+    for d in range(len(grown) - 1):
+        left = at[d][grown[d][1] >= 0] + 1
+        at.append(np.column_stack((left, left + below[d + 1][::2])).ravel())
+    total = int(below[0].sum())
+    feature, threshold = np.zeros(total, dtype=int), np.zeros(total)
+    left, right = np.arange(total), np.arange(total)  # a leaf: itself
+    for d, (_, f, t, _) in enumerate(grown):
+        split = at[d][f >= 0]
+        feature[split], threshold[split] = f[f >= 0], t[f >= 0]
+        if split.size:
+            left[split], right[split] = at[d + 1][::2], at[d + 1][1::2]
+    is_leaf = left == np.arange(total)
+    leaf = np.full(total, -1)
+    leaf[is_leaf] = np.arange(np.count_nonzero(is_leaf))
+    place, start, size, depth = (np.concatenate(parts) for parts in zip(*(
+        (a[f < 0], s0, s[f < 0], np.full(s0.size, d))
+        for d, (a, (s, f, _, s0)) in enumerate(zip(at, grown)))))
+    order = np.argsort(place, kind="stable")
+    return (at[0], (feature, threshold, left, right, leaf), start[order],
+            size[order], depth[order])
 
 
 class _Forest:
@@ -330,10 +547,9 @@ class _Forest:
     the value from each jump on).
     """
 
-    def __init__(self, roots, nodes, leaves, times, values, n_jumps):
-        self.roots = np.array(roots)
-        self.feature, self.threshold, self.left, self.right, self.leaf = (
-            np.array(column) for column in zip(*nodes))
+    def __init__(self, roots, nodes, n_rows, depth, times, values, n_jumps):
+        self.roots = roots
+        self.feature, self.threshold, self.left, self.right, self.leaf = nodes
         self.grid, pos = np.unique(times, return_inverse=True)
         ends = np.cumsum(n_jumps)
         self.bounds = np.concatenate(([0], ends + np.arange(1, ends.size + 1)))
@@ -341,8 +557,8 @@ class _Forest:
         # a leaf's runs end at its jumps and at the end of the grid
         self.runs = (np.insert(pos, ends, self.grid.size)
                      - np.insert(pos, np.concatenate(([0], ends[:-1])), 0))
-        self.n_rows = np.array([size for size, _ in leaves])
-        self.depth = max(depth for _, depth in leaves)
+        self.n_rows = n_rows
+        self.depth = int(depth.max())
 
     def leaf_sets(self, feats):
         """Leaf of every row of ``feats`` in every tree (rows x trees)."""
@@ -630,28 +846,28 @@ def _fit_tree_ensemble(cohort, target, params):
     feats, widths, _ = _numeric_covariates(cohort, np.arange(cohort.n), "zw",
                                            cohort.x)
     ind = _indicator(cohort.delta, target)
-    # quantile levels, which only nodes of max_thresholds + 2 rows need
-    grow = dict(opts, levels=None if opts["max_thresholds"] + 2 > cohort.n
-                else np.linspace(0.0, 1.0, opts["max_thresholds"] + 2)[1:-1])
     kind, labels = (("cif", cohort.delta) if isinstance(target, int)
                     else ("hazard", ind))
     rng = np.random.default_rng(opts["seed"])
-    roots, nodes, leaves, passes = [], [], [], []
-    for _ in range(opts["n_trees"]):
+    rows = np.empty((opts["n_trees"], cohort.n), dtype=np.intp)
+    for tree in rows:
         boot = rng.integers(0, cohort.n, cohort.n)
-        rows = boot[np.argsort(cohort.m_codes[boot], kind="stable")]
-        tree = len(leaves)
-        roots.append(_grow_tree(feats, cohort.m, ind, rows, 0, grow, nodes,
-                                leaves))
-        grown = leaves[tree:]
-        rows = np.concatenate([r for r, _ in grown])
-        passes.append(product_limit_steps(
-            cohort.m[rows], labels[rows],
-            np.cumsum([0] + [r.size for r, _ in grown]), kind, target))
-        leaves[tree:] = [(r.size, depth) for r, depth in grown]
+        tree[:] = boot[np.argsort(cohort.m_codes[boot], kind="stable")]
+    roots, nodes, start, n_rows, depth = _grow_forest(
+        feats, cohort.m_codes, ind > 0, rows.ravel(), opts["n_trees"], opts)
+    # one product-limit pass per tree, over its leaves in preorder
+    ends = np.searchsorted(np.cumsum(n_rows), cohort.n * np.arange(
+        1, opts["n_trees"] + 1)) + 1
+    passes = []
+    for lo, hi in zip(np.append(0, ends[:-1]), ends):
+        bounds = np.append(0, np.cumsum(n_rows[lo:hi]))
+        own = rows.ravel()[np.repeat(start[lo:hi] - bounds[:-1], n_rows[lo:hi])
+                           + np.arange(cohort.n)]
+        passes.append(product_limit_steps(cohort.m[own], labels[own], bounds,
+                                          kind, target))
     # rebinding frees the per-tree parts before the forest is built
     passes = [np.concatenate(parts) for parts in zip(*passes)]
-    forest = _Forest(roots, nodes, leaves, *passes)
+    forest = _Forest(roots, nodes, n_rows, depth, *passes)
     report = {
         "learner": "logrank_tree_ensemble",
         "target": _target_label(target),

@@ -21,10 +21,10 @@ from fairsurv.errors import (
 )
 from fairsurv.nuisance import (
     PropensityModel,
-    _candidate_splits,
     _expit,
     _expit_array,
     _logrank_scores,
+    _split_candidates,
     fit_conditional_survival,
     fit_propensity,
 )
@@ -404,9 +404,40 @@ def _oracle_scores(left, m, ind):
                      for row in left])
 
 
+def _scored_batch(trials):
+    """`_logrank_scores` of one batch of one-feature nodes, a node per
+    trial (times ascending, event indicators, the feature, thresholds in
+    any order), each trial's scores in its thresholds' order."""
+    codes, keys, cuts, orders = [], [], [], []
+    for k, (m, _, col, thresholds) in enumerate(trials):
+        values = np.unique(col)
+        order = np.argsort(thresholds, kind="stable")
+        codes.append(np.unique(m, return_inverse=True)[1])
+        # every node's keys in a range of its own, cuts ascending
+        keys.append(k * 1000 + np.searchsorted(values, col))
+        cuts.append(k * 1000 - 1 + np.searchsorted(
+            values, thresholds[order], side="right"))
+        orders.append(order)
+    keys = np.concatenate(keys).astype(float)
+    rows = np.argsort(keys, kind="stable")
+    chi = _logrank_scores(
+        np.concatenate(codes), np.concatenate([t[1] for t in trials]) > 0,
+        np.cumsum([0] + [t[0].size for t in trials]), keys[rows], rows,
+        np.concatenate(cuts).astype(float),
+        np.repeat(np.arange(len(trials)), [o.size for o in orders]))
+    out = []
+    for part, order in zip(np.split(chi, np.cumsum(
+            [o.size for o in orders])[:-1]), orders):
+        scores = np.empty_like(part)
+        scores[order] = part
+        out.append(scores)
+    return out
+
+
 def test_logrank_scores_equal_the_one_split_oracle_exactly():
     rng = np.random.default_rng(2024)
     n_positive = 0
+    trials, wants = [], []
     for trial in range(300):
         n = int(rng.integers(1, 300))
         if trial % 2:  # integer times: heavy ties
@@ -434,12 +465,19 @@ def test_logrank_scores_equal_the_one_split_oracle_exactly():
         left = col <= thresholds[:, None]
         # the scorer takes a node's rows in ascending time order
         order = np.argsort(m, kind="stable")
-        m, ind, left = m[order], ind[order], left[:, order]
-        got = _logrank_scores(left, m, ind)
+        m, ind, col, left = m[order], ind[order], col[order], left[:, order]
+        # each trial a one-node batch
+        (got,) = _scored_batch([(m, ind, col, thresholds)])
         want = _oracle_scores(left, m, ind)
         assert got.shape == want.shape
         assert np.array_equal(got, want), (trial, np.flatnonzero(got != want))
         n_positive += int(np.count_nonzero(want > 0.0))
+        trials.append((m, ind, col, thresholds))
+        wants.append(want)
+    # and all trials one multi-node batch
+    for trial, (got, want) in enumerate(zip(_scored_batch(trials), wants)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (trial, np.flatnonzero(got != want))
     assert n_positive > 1000
 
 
@@ -456,8 +494,24 @@ def _reference_thresholds(col, max_thresholds):
     return thresholds
 
 
+def _candidate_batch(nodes):
+    """`_split_candidates` of one batch of the columns of nodes, each a
+    (feature rows, max_thresholds) pair, as each node's (feature,
+    threshold) arrays."""
+    widths = [feats.shape[1] for feats, _ in nodes]
+    segment, threshold = _split_candidates(
+        np.concatenate([np.sort(feats, axis=0).T.ravel()
+                        for feats, _ in nodes]),
+        np.repeat([feats.shape[0] for feats, _ in nodes], widths),
+        np.repeat([limit for _, limit in nodes], widths))
+    firsts = np.cumsum([0] + widths)
+    return [(segment[on] - lo, threshold[on]) for lo, hi in zip(
+        firsts[:-1], firsts[1:]) for on in [(segment >= lo) & (segment < hi)]]
+
+
 def test_candidate_splits_equal_the_per_feature_reference():
     rng = np.random.default_rng(5)
+    nodes, expected = [], []
     for trial in range(600):
         n, p = int(rng.integers(20, 300)), int(rng.integers(1, 5))
         feats = rng.normal(size=(n, p))
@@ -470,8 +524,15 @@ def test_candidate_splits_equal_the_per_feature_reference():
         max_thresholds = int(rng.integers(1, 40))
         wants = [_reference_thresholds(feats[:, j], max_thresholds)
                  for j in range(p)]
-        levels = np.linspace(0.0, 1.0, max_thresholds + 2)[1:-1]
-        feature, threshold = _candidate_splits(feats, max_thresholds, levels)
+        # each trial a one-node batch
+        ((feature, threshold),) = _candidate_batch([(feats, max_thresholds)])
+        assert feature.tolist() == [j for j, want in enumerate(wants)
+                                    for _ in want]
+        assert threshold.tobytes() == np.concatenate(wants).tobytes()
+        nodes.append((feats, max_thresholds))
+        expected.append(wants)
+    # and all trials one multi-node batch
+    for (feature, threshold), wants in zip(_candidate_batch(nodes), expected):
         assert feature.tolist() == [j for j, want in enumerate(wants)
                                     for _ in want]
         assert threshold.tobytes() == np.concatenate(wants).tobytes()
@@ -609,6 +670,75 @@ def test_forest_equals_the_recursive_reference_grower_bytewise(
     want = reference_forest(cohort, target, **params)
     _same_forest(model._forest, want)
     assert (want.leaf >= 0).sum() > (4 if max_depth else 3)
+
+
+@pytest.mark.parametrize("max_thresholds", [1, 10**6])
+@pytest.mark.parametrize("max_depth", [0, 6])
+@pytest.mark.parametrize("target", ["event", "censoring", 1])
+def test_forest_is_unchanged_when_each_chunk_holds_one_node(
+        monkeypatch, target, max_depth, max_thresholds):
+    # a chunk budget of 40 values, under the 2 * min_leaf * 5 feature
+    # values of the smallest node scored: every node is a chunk of its
+    # own, and a node's candidates are scored over several calls
+    import fairsurv.nuisance
+
+    calls = []
+    score = fairsurv.nuisance._logrank_scores
+
+    def recorded(codes, events, bounds, keys, rows, cuts, segments):
+        calls.append((bounds.size - 1, codes.tobytes() + keys.tobytes()))
+        return score(codes, events, bounds, keys, rows, cuts, segments)
+    monkeypatch.setattr(fairsurv.nuisance, "_logrank_scores", recorded)
+    monkeypatch.setattr(fairsurv.nuisance, "_chunk_budget", lambda rows: 40)
+    cohort = _awkward_cohort()
+    params = dict(n_trees=4, seed=9, max_depth=max_depth,
+                  max_thresholds=max_thresholds)
+    model = fit_conditional_survival(
+        cohort, target=target, learner="logrank_tree_ensemble", **params)
+    _same_forest(model._forest, reference_forest(cohort, target, **params))
+    if max_depth:
+        assert {nodes for nodes, _ in calls} == {1}
+        per_node = np.unique([node for _, node in calls], return_counts=True)
+        assert per_node[1].max() > 1
+
+
+def test_tree_fit_scores_each_depth_in_a_few_batched_calls(monkeypatch):
+    import fairsurv.nuisance
+
+    calls = []
+    score = fairsurv.nuisance._logrank_scores
+
+    def counted(*args):
+        calls.append(args)
+        return score(*args)
+    monkeypatch.setattr(fairsurv.nuisance, "_logrank_scores", counted)
+    cohort = continuous_confounder_cohort(250, seed=0)  # a tree-dr-500 fold
+    model = fit_conditional_survival(cohort, learner="logrank_tree_ensemble")
+    splits = int(np.count_nonzero(model._forest.leaf < 0))
+    # many nodes of the ensemble per call, not a call (or more) per node
+    assert splits > 300
+    assert 0 < len(calls) * 10 < splits
+    # one chunk per depth: at most one call per depth
+    calls.clear()
+    monkeypatch.setattr(fairsurv.nuisance, "_BLOCK_ELEMENTS", 2**40)
+    whole = fit_conditional_survival(cohort, learner="logrank_tree_ensemble")
+    _same_forest(whole._forest, model._forest)
+    assert 0 < len(calls) <= model.fit_report["max_depth"]
+
+
+def test_a_tree_fit_on_a_fold_holds_little_memory():
+    import tracemalloc
+
+    cohort = continuous_confounder_cohort(250, seed=0)  # a tree-dr-500 fold
+    fit_conditional_survival(cohort, learner="logrank_tree_ensemble")
+    tracemalloc.start()
+    try:
+        fit_conditional_survival(cohort, learner="logrank_tree_ensemble")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.25 times the 1.05 MB measured
+    assert peak < 1.3 * 2**20
 
 
 def test_tree_fit_makes_no_estimator_or_quantile_call_per_leaf(monkeypatch):

@@ -610,13 +610,27 @@ def reference_envelope_draws(grid, lo_t, hi_t, lo_c, hi_c, n_samples,
 # The recursive log-rank grower: the oracle of the tree learner
 # ---------------------------------------------------------------------------
 
+def _row_sums(a):
+    """Sum each row exactly as np.sum sums a 1-D array: numpy sums a row
+    pairwise only when the row is contiguous in memory, and fancy indexing
+    along the last axis need not leave it so."""
+    return np.sum(np.ascontiguousarray(a), axis=1)
+
+
+def _run_starts(ordered):
+    """Mask of the first entry of each run of equal values down every
+    column of a column-sorted array.  NaNs, sorted last, form one run, as
+    np.unique counts them."""
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    return starts
+
+
 def reference_logrank_scores(left, m, ind):
     """Two-sample log-rank chi-square of every candidate split of a node
     whose rows come in any order: sorts the node's times and gathers the
     columns of ``left`` in time order."""
     import numpy as np
-
-    from fairsurv.nuisance import _row_sums
 
     events = ind > 0
     ev, d = np.unique(m[events], return_counts=True)
@@ -647,8 +661,6 @@ def reference_logrank_scores(left, m, ind):
 def reference_candidate_splits(feats, max_thresholds):
     """Candidate splits of a node, the quantiles from ``np.quantile``."""
     import numpy as np
-
-    from fairsurv.nuisance import _run_starts
 
     ordered = np.sort(feats, axis=0)
     starts = _run_starts(ordered)
